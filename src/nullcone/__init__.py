@@ -43,20 +43,29 @@ from .pairs import (
     isotropy_matrix,
 )
 from .orbits import (
+    NullBatch,
     NullVector,
+    RayStabilizers,
     StabilizerResult,
     canonicalize_symplectic,
     canonicalize_unitary,
+    codimension_from_stabilizer,
     congruence,
     make_null_vector,
     orbit_codimension,
     partner_null,
+    partner_null_batch,
+    sample_null_batch,
     sample_null_generic,
     sample_so21_stratum,
+    sample_so21_stratum_batch,
     so21_orbit_class,
     split_spectrum,
+    stabilizer_mismatch,
     stabilizer_of_ray,
+    stabilizers_of_rays,
     t_form,
+    trial_blocks,
 )
 from .reductive import (
     ReductiveSplit,

@@ -38,13 +38,15 @@ from .orbits import (
     _omega_matrix,
     canonicalize_symplectic,
     canonicalize_unitary,
-    orbit_codimension,
-    partner_null,
-    sample_null_generic,
-    sample_so21_stratum,
+    codimension_from_stabilizer,
+    partner_null_batch,
+    sample_null_batch,
+    sample_so21_stratum_batch,
     so21_orbit_class,
-    stabilizer_of_ray,
+    stabilizer_mismatch,
+    stabilizers_of_rays,
     t_form,
+    trial_blocks,
 )
 from .pairs import (
     FIELDS,
@@ -142,13 +144,13 @@ def suite_stabilizers(cfg: SuiteConfig) -> Report:
         expected = EXPECTED_STAB_DIM[fam.field](fam.n)
         dims, codims = set(), set()
         worst_null, all_generic = 0.0, True
-        for _ in range(cfg.trials):
-            nv = sample_null_generic(pair, rng=rng, tol=tol)
-            st = stabilizer_of_ray(pair, nv, tol)
-            dims.add(st.dim)
-            codims.add(orbit_codimension(pair, nv, tol))
-            worst_null = max(worst_null, nv.nullity_residual)
-            all_generic = all_generic and nv.genericity
+        for k in trial_blocks(pair, cfg.trials):
+            batch = sample_null_batch(pair, k, rng=rng, tol=tol)
+            st_dims = stabilizers_of_rays(pair, batch.S, tol).dims
+            dims.update(st_dims.tolist())
+            codims.update(codimension_from_stabilizer(pair, st_dims).tolist())
+            worst_null = max(worst_null, float(batch.nullity_residual.max()))
+            all_generic = all_generic and bool(batch.genericity.all())
         t = _tag(fam)
         rep.equals(f"{t}_stab_dim", tuple(sorted(dims)), (expected,),
                    anchor="ray stabilizer dimension is constant on generic samples")
@@ -172,37 +174,37 @@ def suite_orbits(cfg: SuiteConfig) -> Report:
         worst_pairing = -np.inf
         stab_match = True
         F = pair.hermitian_matrix
-        Om = _omega_matrix(pair) if fam.field == "H" else None
         Hm = pair.carrier_form
-        for _ in range(cfg.trials):
-            nv = sample_null_generic(pair, rng=rng, tol=tol)
-            if fam.field == "C":
-                P, r = canonicalize_unitary(pair, nv, tol)
-                target = t_form(fam.p, fam.q, r)
-                worst_canon = max(worst_canon, float(
-                    np.abs(P.conj().T @ F @ P - target).max()))
-            elif fam.field == "H":
-                P = canonicalize_symplectic(pair, nv, tol)
-                r = min(fam.p, fam.q)  # the sampler always realizes the maximum
-                W = t_form(fam.p, fam.q, r)
-                Z = np.zeros_like(W)
-                om_target = np.block([[Z, W], [-W, Z]])
-                h_target = np.block([[W, Z], [Z, W]])
-                worst_canon = max(
-                    worst_canon,
-                    float(np.abs(P.T @ Om @ P - om_target).max()),
-                    float(np.abs(P.conj().T @ Hm @ P - h_target).max()),
-                )
-            st = stabilizer_of_ray(pair, nv, tol)
-            nv_hat, pairing = partner_null(pair, nv, tol)
-            worst_pairing = max(worst_pairing, pairing)
-            st_hat = stabilizer_of_ray(pair, nv_hat, tol)
-            if st.dim != st_hat.dim:
-                stab_match = False
-            if st.b is not None and st_hat.b is not None:
-                worst_theta = max(worst_theta, max(
-                    max(st_hat.b.residual(v) for v in st.b.basis),
-                    max(st.b.residual(v) for v in st_hat.b.basis)))
+        if fam.field == "H":
+            Om = _omega_matrix(pair)
+            # the sampler always realizes the maximal corner size
+            W = t_form(fam.p, fam.q, min(fam.p, fam.q))
+            Z = np.zeros_like(W)
+            om_target = np.block([[Z, W], [-W, Z]])
+            h_target = np.block([[W, Z], [Z, W]])
+        for k in trial_blocks(pair, cfg.trials):
+            batch = sample_null_batch(pair, k, rng=rng, tol=tol)
+            for i in range(k):
+                nv = batch.row(i)
+                if fam.field == "C":
+                    P, r = canonicalize_unitary(pair, nv, tol)
+                    target = t_form(fam.p, fam.q, r)
+                    worst_canon = max(worst_canon, float(
+                        np.abs(P.conj().T @ F @ P - target).max()))
+                elif fam.field == "H":
+                    P = canonicalize_symplectic(pair, nv, tol)
+                    worst_canon = max(
+                        worst_canon,
+                        float(np.abs(P.T @ Om @ P - om_target).max()),
+                        float(np.abs(P.conj().T @ Hm @ P - h_target).max()),
+                    )
+            partners, pairings = partner_null_batch(pair, batch, tol)
+            worst_pairing = max(worst_pairing, float(pairings.max()))
+            st = stabilizers_of_rays(pair, batch.S, tol)
+            st_hat = stabilizers_of_rays(pair, partners.S, tol)
+            stab_match = stab_match and bool(np.array_equal(st.dims, st_hat.dims))
+            worst_theta = max(worst_theta,
+                              float(stabilizer_mismatch(pair, st, st_hat).max()))
         if fam.field in ("C", "H"):
             rep.residual(f"{t}_canonical_gram", worst_canon, 1e-9,
                          anchor="canonical basis reproduces the corner normal form")
@@ -217,11 +219,10 @@ def suite_orbits(cfg: SuiteConfig) -> Report:
             for stratum, sdim in STRATUM_STAB_DIM.items():
                 n_class = 0
                 sdims = set()
-                for _ in range(cfg.trials):
-                    nv = sample_so21_stratum(pair, stratum, rng=rng, tol=tol)
-                    if so21_orbit_class(nv.S, tol) == stratum:
-                        n_class += 1
-                    sdims.add(stabilizer_of_ray(pair, nv, tol).dim)
+                for k in trial_blocks(pair, cfg.trials):
+                    batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng, tol=tol)
+                    n_class += sum(so21_orbit_class(S, tol) == stratum for S in batch.S)
+                    sdims.update(stabilizers_of_rays(pair, batch.S, tol).dims.tolist())
                 rep.equals(f"R21_stratum_{stratum}_classified", n_class, cfg.trials,
                            anchor="stratum samples classify as their stratum")
                 rep.equals(f"R21_stratum_{stratum}_stab_dim",
@@ -374,8 +375,9 @@ SUITES = {
 def run(cfg: SuiteConfig) -> Report:
     """Execute the configured suite; checks come back sorted by name.
 
-    A suite that raises mid-run (an unattainable tolerance, for example)
-    is recorded as a single failed check instead of a traceback.
+    A suite that raises mid-run (an unattainable tolerance, for example,
+    or a sampler that cannot meet it) is recorded as a single failed check
+    instead of a traceback.  numpy's LinAlgError is a ValueError.
     """
     try:
         if cfg.suite == "all":
@@ -385,7 +387,7 @@ def run(cfg: SuiteConfig) -> Report:
                 _absorb(rep, SUITES[name](cfg))
         else:
             rep = SUITES[cfg.suite](cfg)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         rep = Report(cfg.suite, cfg.seed)
         rep.add(f"{cfg.suite}_aborted", False, str(exc), None, None,
                 anchor="suite raised before completing")

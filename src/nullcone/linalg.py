@@ -104,20 +104,18 @@ def unrealify(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def solve_real_kernel(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a real matrix.
+def realify_stack(X: np.ndarray) -> np.ndarray:
+    """realify applied to each matrix of a stack (..., a, b) -> (..., 2ab)."""
+    X = np.asarray(X, dtype=complex)
+    flat = X.reshape(X.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
-    rows has shape (m, d); the kernel lives in R^d.  Rank is decided by
-    singular values below rank_rel times the largest one.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    m, d = rows.shape
-    if m == 0 or not rows.any():
-        return np.eye(d)
-    _, s, vt = np.linalg.svd(rows)
-    cut = tol.rank_rel * s[0]
-    rank = int(np.sum(s > cut))
-    return vt[rank:].T
+
+def unrealify_stack(V: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of realify_stack for the given matrix shape."""
+    half = V.shape[-1] // 2
+    flat = V[..., :half] + 1j * V[..., half:]
+    return flat.reshape(V.shape[:-1] + tuple(shape))
 
 
 class RealSubspace:
@@ -177,6 +175,21 @@ class RealSubspace:
         """Frobenius distance from X to the subspace."""
         return float(np.linalg.norm(X - self.project(X)))
 
+    def combine_stack(self, coeffs: np.ndarray) -> np.ndarray:
+        """combine for each row of a (k, dim) coefficient array."""
+        return unrealify_stack(np.asarray(coeffs, dtype=float) @ self._mat.T, self.shape)
+
+    def project_stack(self, Xs: np.ndarray) -> np.ndarray:
+        """project for a stack of k matrices, as one multi-right-hand-side solve."""
+        c, *_ = np.linalg.lstsq(self._mat, realify_stack(Xs).T, rcond=None)
+        return self.combine_stack(c.T)
+
+    def residual_stack(self, Xs: np.ndarray) -> np.ndarray:
+        """residual for a stack of k matrices, as one multi-right-hand-side solve."""
+        R = realify_stack(Xs).T
+        c, *_ = np.linalg.lstsq(self._mat, R, rcond=None)
+        return np.linalg.norm(R - self._mat @ c, axis=0)
+
     def contains(self, X: np.ndarray, scale: float | None = None) -> bool:
         if scale is None:
             scale = max(1.0, float(np.linalg.norm(X)))
@@ -234,14 +247,13 @@ def _kernel_cols(mat: np.ndarray, tol: Tolerance) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0 or not mat.any():
         return np.eye(mat.shape[1])
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    # a tall matrix needs no left factor; a wide one needs the full vt, whose
+    # extra rows are kernel directions the reduced form would drop
+    rows, cols = mat.shape
+    _, s, vt = np.linalg.svd(mat, full_matrices=rows < cols)
     cut = tol.rank_rel * s[0]
     rank = int(np.sum(s > cut))
     return vt[rank:].T
-
-
-def form_eval(form: BilinForm, X: np.ndarray, Y: np.ndarray) -> float:
-    return form(X, Y)
 
 
 def gram_matrix(form: BilinForm, basis) -> np.ndarray:

@@ -7,28 +7,28 @@ stabilizers are kernels of a joint linear system (the commutator may scale
 S along the ray, so the scaling coefficient is solved for, not assumed to
 vanish).  Normal-form routines reduce a generic null vector to a diagonal
 matrix whose invariant-form Gram takes an antidiagonal corner shape.
+
+Sampling, certification, partners and stabilizers run on stacks of rays
+(sample_null_batch, partner_null_batch, stabilizers_of_rays); the
+single-ray functions are the k = 1 case of the same kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from .linalg import (
-    DEFAULT_TOL,
-    QMat,
-    RealSubspace,
-    Tolerance,
-    bracket,
-    quat_embed,
-    realify,
-    _kernel_cols,
-)
+from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, realify_stack
 from .pairs import SymmetricPair
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
+# Stacked kernels cut their rows into blocks whose arrays stay near this many
+# bytes, sized from N and dim h: about 450 draws of a 3 x 3 pair fit in one
+# block, while one 968 x 254 stabilizer system of the quaternionic (6, 5)
+# pair already fills it, so memory does not grow with the number of rows.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,49 @@ class NullVector:
 
 
 @dataclass(frozen=True)
+class NullBatch:
+    """k null vectors as stacked arrays: the NullVector fields, each with a
+    leading axis of length k.  row(i) is the i-th NullVector."""
+
+    S: np.ndarray
+    eigenvalues: np.ndarray
+    genericity: np.ndarray
+    nullity_residual: np.ndarray
+    trace_residual: np.ndarray
+    gap: np.ndarray
+
+    def __len__(self) -> int:
+        return self.S.shape[0]
+
+    def row(self, i: int) -> NullVector:
+        return NullVector(
+            S=self.S[i],
+            eigenvalues=self.eigenvalues[i],
+            genericity=bool(self.genericity[i]),
+            nullity_residual=float(self.nullity_residual[i]),
+            trace_residual=float(self.trace_residual[i]),
+            gap=float(self.gap[i]),
+        )
+
+    def take(self, idx) -> "NullBatch":
+        """Rows selected by an index array or boolean mask."""
+        return NullBatch(*(getattr(self, f.name)[idx] for f in fields(NullBatch)))
+
+    @staticmethod
+    def concat(parts) -> "NullBatch":
+        if len(parts) == 1:
+            return parts[0]
+        return NullBatch(*(np.concatenate([getattr(b, f.name) for b in parts])
+                           for f in fields(NullBatch)))
+
+    @staticmethod
+    def of(vectors) -> "NullBatch":
+        """Stack NullVectors into a batch."""
+        return NullBatch(*(np.array([getattr(v, f.name) for v in vectors])
+                           for f in fields(NullBatch)))
+
+
+@dataclass(frozen=True)
 class StabilizerResult:
     """Ray stabilizer: all X in h with [X, S] = c S for some real c."""
 
@@ -58,67 +101,137 @@ class StabilizerResult:
     residual: float
 
 
+@dataclass(frozen=True)
+class RayStabilizers:
+    """Ray stabilizers of k null vectors from one stacked solve.
+
+    kernels[i] holds orthonormal columns (coordinates of X in the h basis,
+    then c) spanning the solutions of [X, S_i] = c S_i; dims[i] is their
+    number and residuals[i] the largest |[X, S_i] - c S_i| over them.
+    """
+
+    dims: np.ndarray
+    kernels: list
+    residuals: np.ndarray
+
+    def result(self, pair: SymmetricPair, i: int,
+               tol: Tolerance | None = None) -> StabilizerResult:
+        """Ray i's StabilizerResult, with the subspace b built from its kernel."""
+        tol = tol or pair.tol
+        ker = self.kernels[i]
+        if ker.shape[1] == 0:
+            return StabilizerResult(None, 0, np.zeros(0), 0.0)
+        hdim = pair.h.dim
+        mats = list(pair.h.combine_stack(ker[:hdim].T))
+        return StabilizerResult(RealSubspace(mats, tol=tol), ker.shape[1],
+                                ker[hdim].copy(), float(self.residuals[i]))
+
+
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
 
 
-def _pair_doubled_spectrum(vals: np.ndarray):
-    """Greedy nearest-partner pairing of a doubled spectrum.
+# ---------------------------------------------------------------------------
+# blocks: every stacked kernel works through its rows in blocks whose
+# arrays stay near BLOCK_BYTES, so memory does not grow with k
+# ---------------------------------------------------------------------------
 
-    Returns (n cluster means, max intra-pair spread, min inter-pair gap).
+
+def _sample_row_bytes(pair: SymmetricPair) -> int:
+    """Stacked bytes per draw: about a dozen complex N x N matrices (frame
+    change, isotropy element, its exponential, products, eigenvalue work)
+    and four realified copies of length 2 N^2 for the membership solve."""
+    N = pair.carrier_dim
+    return 16 * 12 * N * N + 8 * 4 * 2 * N * N
+
+
+def _stabilizer_row_bytes(pair: SymmetricPair) -> int:
+    """Stacked bytes per ray: three complex (dim h, N, N) bracket stacks and
+    four real (2 N^2) x (dim h + 1) copies of the system (realified, joined,
+    the LAPACK copy and the reduced left factor)."""
+    N, hdim = pair.carrier_dim, pair.h.dim
+    return 16 * 3 * hdim * N * N + 8 * 4 * 2 * N * N * (hdim + 1)
+
+
+def _block_slices(k: int, row_bytes: int) -> list[slice]:
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(a, min(k, a + step)) for a in range(0, k, step)]
+
+
+def trial_blocks(pair: SymmetricPair, k: int) -> list[int]:
+    """Sizes of the blocks k trials are cut into so that one block's stacked
+    stabilizer systems stay near BLOCK_BYTES (at least one ray per block)."""
+    return [s.stop - s.start for s in _block_slices(k, _stabilizer_row_bytes(pair))]
+
+
+# ---------------------------------------------------------------------------
+# certificates
+# ---------------------------------------------------------------------------
+
+
+def _pair_doubled_spectra(vals: np.ndarray):
+    """Greedy nearest-partner pairing of doubled spectra, row by row of a
+    (k, 2n) array: the first unpaired value takes its nearest unpaired one.
+
+    Returns (k x n cluster means, max intra-pair spread, min inter-pair gap).
     """
-    left = list(vals)
-    reps, spread = [], 0.0
-    while left:
-        v = left.pop(0)
-        dists = [abs(v - u) for u in left]
-        j = int(np.argmin(dists))
-        spread = max(spread, dists[j])
-        reps.append(0.5 * (v + left.pop(j)))
-    reps = np.array(reps)
-    gap = _min_gap(reps)
-    return reps, spread, gap
+    k, m = vals.shape
+    rows = np.arange(k)
+    free = np.ones((k, m), dtype=bool)
+    reps = np.empty((k, m // 2), dtype=complex)
+    spread = np.zeros(k)
+    for step in range(m // 2):
+        i = free.argmax(axis=1)
+        free[rows, i] = False
+        v = vals[rows, i]
+        dists = np.where(free, np.abs(vals - v[:, None]), np.inf)
+        j = dists.argmin(axis=1)
+        free[rows, j] = False
+        spread = np.maximum(spread, dists[rows, j])
+        reps[:, step] = 0.5 * (v + vals[rows, j])
+    return reps, spread, _min_gaps(reps)
 
 
-def _min_gap(vals: np.ndarray) -> float:
-    if len(vals) < 2:
-        return np.inf
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    return float(diffs.min())
+def _min_gaps(vals: np.ndarray) -> np.ndarray:
+    k, n = vals.shape
+    if n < 2:
+        return np.full(k, np.inf)
+    diffs = np.abs(vals[:, :, None] - vals[:, None, :])
+    diffs[:, np.arange(n), np.arange(n)] = np.inf
+    return diffs.min(axis=(1, 2))
+
+
+def _certify_null(pair: SymmetricPair, S: np.ndarray, tol: Tolerance) -> NullBatch:
+    """Membership, nullity and genericity certificates for a stack (k, N, N).
+
+    Raises if a row is not in the tangent summand; one multi-right-hand-side
+    solve tests membership and one stacked eigvals gives the spectra.
+    """
+    S = np.asarray(S, dtype=complex)
+    scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
+    if np.any(pair.m.residual_stack(S) > 1e-7 * scale):
+        raise ValueError("matrix is not in the tangent summand within tolerance")
+    nullity = np.abs(pair.form.scale * np.einsum("kij,kji->k", S, S).real)
+    trace_res = np.abs(np.trace(S, axis1=1, axis2=2))
+    vals = np.linalg.eigvals(S)
+    if pair.family.field == "H":
+        vals, spread, gap = _pair_doubled_spectra(vals)
+        generic = (spread < 1e-6 * scale) & (gap > GAP_FACTOR * tol.abs)
+    else:
+        gap = _min_gaps(vals)
+        generic = gap > GAP_FACTOR * tol.abs
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    return NullBatch(S, vals, generic, nullity, trace_res, gap)
 
 
 def make_null_vector(pair: SymmetricPair, S: np.ndarray,
                      tol: Tolerance | None = None) -> NullVector:
     """Wrap a matrix as a null vector after membership and nullity checks."""
-    tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(S)))
-    if pair.m.residual(S) > 1e-7 * scale:
-        raise ValueError("matrix is not in the tangent summand within tolerance")
-    nullity = abs(pair.form(S, S))
-    trace_res = abs(complex(np.trace(S)))
-    vals = np.linalg.eigvals(S)
-    if pair.family.field == "H":
-        reps, spread, gap = _pair_doubled_spectrum(vals)
-        generic = spread < 1e-6 * scale and gap > GAP_FACTOR * tol.abs
-        order = np.lexsort((reps.imag, reps.real))
-        vals = reps[order]
-    else:
-        order = np.lexsort((vals.imag, vals.real))
-        vals = vals[order]
-        gap = _min_gap(vals)
-        generic = gap > GAP_FACTOR * tol.abs
-    return NullVector(
-        S=S,
-        eigenvalues=vals,
-        genericity=bool(generic),
-        nullity_residual=nullity,
-        trace_residual=trace_res,
-        gap=float(gap),
-    )
+    return _certify_null(pair, S[None], tol or pair.tol).row(0)
 
 
 def t_form(p: int, q: int, r: int) -> np.ndarray:
@@ -151,86 +264,154 @@ def congruence(F: np.ndarray, T: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np
     return P
 
 
-def _sample_spectrum(p: int, q: int, rng: np.random.Generator):
-    """Spectrum (mu complex r-vector, lam real (n-2r)-vector) with zero sum
-    of all eigenvalues and zero sum of their squares; corner size r = min(p, q)."""
+# ---------------------------------------------------------------------------
+# sampling
+# ---------------------------------------------------------------------------
+
+
+def _sample_spectra(p: int, q: int, k: int, rng: np.random.Generator):
+    """k spectra (mu complex (k, r), lam real (k, n - 2r)) with zero sum of
+    all eigenvalues and zero sum of their squares; corner size r = min(p, q)."""
     r, free = min(p, q), p + q - 2 * min(p, q)
-    a = rng.standard_normal(r)
-    lam = rng.standard_normal(free)
+    a = rng.standard_normal((k, r))
+    lam = rng.standard_normal((k, free))
     # joint trace centering: 2*sum(a) + sum(lam) = 0 afterwards
-    t = (2.0 * a.sum() + lam.sum()) / (2 * r + free)
-    a -= t
-    lam -= t
+    t = (2.0 * a.sum(axis=1) + lam.sum(axis=1)) / (2 * r + free)
+    a -= t[:, None]
+    lam -= t[:, None]
     # sum of squares: 2*sum(a^2 - b^2) + sum(lam^2) = 0 fixes the b magnitudes
-    budget = a @ a + 0.5 * (lam @ lam)
-    w = rng.uniform(0.5, 1.5, r)
-    b = np.sqrt(budget * w / w.sum())
+    budget = (a * a).sum(axis=1) + 0.5 * (lam * lam).sum(axis=1)
+    w = rng.uniform(0.5, 1.5, (k, r))
+    b = np.sqrt(budget[:, None] * w / w.sum(axis=1, keepdims=True))
     return a + 1j * b, lam
 
 
-def _complex_null_matrix(F: np.ndarray, p: int, q: int, rng: np.random.Generator,
-                         tol: Tolerance):
-    """n x n matrix X with X* F = F X, tr X = 0, tr X^2 = 0, generic spectrum."""
-    mu, lam = _sample_spectrum(p, q, rng)
-    r = len(mu)
-    diag = np.concatenate([mu, lam.astype(complex), np.conj(mu)[::-1]])
-    S_T = np.diag(diag)
-    P = congruence(F, t_form(p, q, r), tol)
-    return P @ S_T @ np.linalg.inv(P), diag
+def _sampling_frame(pair: SymmetricPair, tol: Tolerance):
+    """(P, P^-1) for the congruence from the sampling frame to the pair's
+    form: the diagonal form for the real family, the corner form otherwise."""
+    fam = pair.family
+    if fam.field == "R":
+        T = np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex)
+    else:
+        T = t_form(fam.p, fam.q, min(fam.p, fam.q))
+    P = congruence(pair.hermitian_matrix, T, tol)
+    return P, np.linalg.inv(P)
 
 
-def _real_null_matrix(p: int, q: int, rng: np.random.Generator):
-    """As above over the reals in the diagonal-form frame: rotation-style
-    2 x 2 blocks couple one positive and one negative coordinate."""
-    n = p + q
-    r = min(p, q)
-    mu, lam = _sample_spectrum(p, q, rng)
-    S = np.zeros((n, n))
-    for i in range(r):
-        a, b = mu[i].real, mu[i].imag
-        S[i, i] = S[p + i, p + i] = a
-        S[i, p + i] = b
-        S[p + i, i] = -b
-    slots = list(range(r, p)) + list(range(p + r, n))
-    for s, c in zip(slots, lam):
-        S[s, s] = c
-    return S, np.concatenate([mu, lam.astype(complex), np.conj(mu)[::-1]])
+def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator,
+                       frame) -> np.ndarray:
+    """k null matrices X* F = F X, tr X = 0, tr X^2 = 0 with generic spectra,
+    built in the sampling frame and moved to the pair's frame."""
+    fam = pair.family
+    p, n = fam.p, fam.n
+    r = min(p, fam.q)
+    mu, lam = _sample_spectra(p, fam.q, k, rng)
+    P, P_inv = frame
+    if fam.field == "R":
+        # rotation-style 2 x 2 blocks couple one positive and one negative coordinate
+        S = np.zeros((k, n, n))
+        i = np.arange(r)
+        S[:, i, i] = S[:, p + i, p + i] = mu.real
+        S[:, i, p + i] = mu.imag
+        S[:, p + i, i] = -mu.imag
+        slots = np.r_[r:p, p + r:n]
+        S[:, slots, slots] = lam
+        return P @ S @ P_inv
+    diag = np.concatenate([mu, lam.astype(complex), np.conj(mu)[:, ::-1]], axis=1)
+    X = (P * diag[:, None, :]) @ P_inv
+    if fam.field == "C":
+        return X
+    Z = np.zeros_like(X)
+    return np.block([[X, Z], [Z, X.conj()]])  # quat_embed(QMat(X, 0)) per row
 
 
 def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
-    """Conjugate by exp(Z) for a random isotropy element with norm <= 1."""
-    Z = pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0))
+    """Conjugate each S_i by exp(Z_i) for a random isotropy element with
+    norm <= 1: one stacked expm and one stacked solve."""
+    k = S.shape[0]
+    norms = rng.uniform(0.2, 1.0, k)
+    Z = pair.h.combine_stack(rng.standard_normal((k, pair.h.dim)))
+    nz = np.linalg.norm(Z, axis=(1, 2))
+    Z *= np.divide(norms, nz, out=np.zeros(k), where=nz > 0)[:, None, None]
     A = expm(Z)
     # S -> A S A^{-1} via a solve, avoiding an explicit inverse
-    return np.linalg.solve(A.T, (A @ S).T).T
+    AS = A @ S
+    return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
+                      tol: Tolerance | None = None,
+                      max_tries: int = 60) -> NullBatch:
+    """k random generic null vectors (distinct spectrum, nonreal pairs present).
+
+    Each block of draws takes its spectra at once, moves them by the pair's
+    congruence (computed once per call), conjugates them by one stacked
+    expm and solve, and certifies them as make_null_vector does.  Rows that
+    fail the genericity or nullity rule are redrawn, each at most max_tries
+    times in all.
+    """
+    tol = tol or pair.tol
+    rng = _as_rng(rng)
+    if pair.family.n < 3:
+        raise ValueError("generic null vectors need p + q >= 3")
+    if k < 1:
+        raise ValueError("need at least one draw")
+    frame = _sampling_frame(pair, tol)
+    parts = []
+    for block in _block_slices(k, _sample_row_bytes(pair)):
+        need = block.stop - block.start
+        for _ in range(max_tries):
+            S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng, frame), rng)
+            batch = _certify_null(pair, S, tol)
+            ok = batch.genericity & (batch.nullity_residual < 1e-8)
+            parts.append(batch.take(ok))
+            need -= int(ok.sum())
+            if need == 0:
+                break
+        else:
+            raise RuntimeError("failed to draw a generic null vector")
+    return NullBatch.concat(parts)
 
 
 def sample_null_generic(pair: SymmetricPair, rng=0,
                         tol: Tolerance | None = None,
                         max_tries: int = 60) -> NullVector:
     """Random generic null vector (distinct spectrum, nonreal pairs present)."""
+    return sample_null_batch(pair, 1, rng, tol, max_tries).row(0)
+
+
+# ---------------------------------------------------------------------------
+# stabilizers and partners
+# ---------------------------------------------------------------------------
+
+
+def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
+                        tol: Tolerance | None = None) -> RayStabilizers:
+    """Ray stabilizers of a stack of null vectors S (k, N, N).
+
+    Each ray's real system has the realified brackets [h_i, S] and -S as
+    columns, (2 N^2) x (dim h + 1); the brackets of a block come from two
+    batched products of the h-basis stack with S, and one stacked reduced
+    SVD gives every kernel, with the rank cut of _kernel_cols.
+    """
     tol = tol or pair.tol
-    rng = _as_rng(rng)
-    fam = pair.family
-    if fam.n < 3:
-        raise ValueError("generic null vectors need p + q >= 3")
-    for _ in range(max_tries):
-        if fam.field == "R":
-            S0, _ = _real_null_matrix(fam.p, fam.q, rng)
-            P = congruence(pair.hermitian_matrix,
-                           np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex), tol)
-            S0 = (P @ S0 @ np.linalg.inv(P))
-        elif fam.field == "C":
-            S0, _ = _complex_null_matrix(pair.hermitian_matrix, fam.p, fam.q, rng, tol)
-        else:
-            X, _ = _complex_null_matrix(pair.hermitian_matrix, fam.p, fam.q, rng, tol)
-            S0 = quat_embed(QMat(X, np.zeros_like(X)))
-        S = _isotropy_conjugate(pair, S0, rng)
-        nv = make_null_vector(pair, S, tol)
-        if nv.genericity and nv.nullity_residual < 1e-8:
-            return nv
-    raise RuntimeError("failed to draw a generic null vector")
+    S = np.asarray(S, dtype=complex)
+    H = np.stack(pair.h.basis)
+    dims, kernels, residuals = [], [], []
+    for block in _block_slices(S.shape[0], _stabilizer_row_bytes(pair)):
+        Sb = S[block, None]
+        B = H @ Sb
+        B -= Sb @ H
+        cols = np.concatenate([realify_stack(B), -realify_stack(Sb)], axis=1)
+        del B
+        _, s, vt = np.linalg.svd(cols.transpose(0, 2, 1), full_matrices=False)
+        rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
+        for i, r in enumerate(rank):
+            kernels.append(vt[i, r:].T)
+            residuals.append(s[i, r:].max(initial=0.0))
+        dims.append(s.shape[1] - rank)
+    return RayStabilizers(np.concatenate(dims), kernels, np.array(residuals))
 
 
 def stabilizer_of_ray(pair: SymmetricPair, nv: NullVector,
@@ -241,23 +422,56 @@ def stabilizer_of_ray(pair: SymmetricPair, nv: NullVector,
     so the kernel maps to a subspace of h of the same dimension; the ray
     coefficient c is returned per basis vector.
     """
-    tol = tol or pair.tol
-    S = nv.S
-    cols = [realify(bracket(b, S)) for b in pair.h.basis]
-    cols.append(-realify(S))
-    M = np.column_stack(cols)
-    ker = _kernel_cols(M, tol)
-    dim = ker.shape[1]
-    if dim == 0:
-        return StabilizerResult(None, 0, np.zeros(0), 0.0)
-    mats, cs, residual = [], [], 0.0
-    for j in range(dim):
-        X = pair.h.combine(ker[: pair.h.dim, j])
-        c = float(ker[pair.h.dim, j])
-        residual = max(residual, float(np.linalg.norm(bracket(X, S) - c * S)))
-        mats.append(X)
-        cs.append(c)
-    return StabilizerResult(RealSubspace(mats, tol=tol), dim, np.array(cs), residual)
+    return stabilizers_of_rays(pair, np.asarray(nv.S)[None], tol).result(pair, 0, tol)
+
+
+def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per stack entry, the largest distance from a row of X to the row span of Y."""
+    Q, _ = np.linalg.qr(Y.transpose(0, 2, 1))
+    R = X - (X @ Q) @ Q.transpose(0, 2, 1)
+    return np.linalg.norm(R, axis=2).max(axis=1)
+
+
+def stabilizer_mismatch(pair: SymmetricPair, a: RayStabilizers,
+                        b: RayStabilizers) -> np.ndarray:
+    """Per ray, the largest distance from a basis element of one stabilizer
+    to the other stabilizer, both ways (RealSubspace.residual of each basis
+    element); 0 where either stabilizer is trivial."""
+    hdim = pair.h.dim
+    out = np.zeros(len(a.kernels))
+    groups = {}
+    for i, key in enumerate(zip(a.dims.tolist(), b.dims.tolist())):
+        if key[0] and key[1]:
+            groups.setdefault(key, []).append(i)
+
+    def bases(st, idx):
+        coeffs = np.stack([st.kernels[i][:hdim].T for i in idx])
+        return realify_stack(pair.h.combine_stack(coeffs))
+
+    for idx in groups.values():
+        Xa, Xb = bases(a, idx), bases(b, idx)
+        out[idx] = np.maximum(_span_distance(Xa, Xb), _span_distance(Xb, Xa))
+    return out
+
+
+def partner_null_batch(pair: SymmetricPair, batch: NullBatch,
+                       tol: Tolerance | None = None):
+    """partner_null for every row of a batch: (partners, pairings (k,))."""
+    if not np.all(batch.genericity):
+        raise ValueError("the partner construction needs a generic spectrum")
+    S = batch.S
+    w, V = np.linalg.eig(S)
+    M = (V * -np.conj(w)[:, None, :]) @ np.linalg.inv(V)
+    if pair.family.field == "R":
+        M = M.real.astype(complex)
+    elif pair.family.field == "H":
+        n = pair.family.n
+        X = (M[:, :n, :n] + np.conj(M[:, n:, n:])) / 2
+        Y = (-M[:, :n, n:] + np.conj(M[:, n:, :n])) / 2
+        M = np.block([[X, -Y], [np.conj(Y), np.conj(X)]])
+    M = pair.m.project_stack(M)
+    partners = _certify_null(pair, M, tol or pair.tol)
+    return partners, pair.form.scale * np.einsum("kij,kji->k", S, M).real
 
 
 def partner_null(pair: SymmetricPair, nv: NullVector,
@@ -271,30 +485,22 @@ def partner_null(pair: SymmetricPair, nv: NullVector,
     conjugation, so the stabilizer equality it feeds is frame-independent.
     Returns (partner, form pairing); the pairing is strictly negative.
     """
-    if not nv.genericity:
-        raise ValueError("the partner construction needs a generic spectrum")
-    S = nv.S
-    w, V = np.linalg.eig(S)
-    M = V @ np.diag(-np.conj(w)) @ np.linalg.inv(V)
-    if pair.family.field == "R":
-        M = M.real.astype(complex)
-    elif pair.family.field == "H":
-        n = pair.family.n
-        X = (M[:n, :n] + np.conj(M[n:, n:])) / 2
-        Y = (-M[:n, n:] + np.conj(M[n:, :n])) / 2
-        M = np.block([[X, -Y], [np.conj(Y), np.conj(X)]])
-    M = pair.m.project(M)
-    nv_hat = make_null_vector(pair, M, tol)
-    return nv_hat, float(pair.form(S, M))
+    partners, pairings = partner_null_batch(pair, NullBatch.of([nv]), tol)
+    return partners.row(0), float(pairings[0])
+
+
+def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
+    """Codimension of a ray orbit inside the projectivized null cone, from
+    the ray's stabilizer dimension (an int or an array of them)."""
+    cone_dim = pair.m.dim - 2
+    orbit_dim = pair.h.dim - np.asarray(stab_dim)
+    return cone_dim - orbit_dim
 
 
 def orbit_codimension(pair: SymmetricPair, nv: NullVector,
                       tol: Tolerance | None = None) -> int:
     """Codimension of the ray orbit inside the projectivized null cone."""
-    stab = stabilizer_of_ray(pair, nv, tol)
-    cone_dim = pair.m.dim - 2
-    orbit_dim = pair.h.dim - stab.dim
-    return cone_dim - orbit_dim
+    return int(codimension_from_stabilizer(pair, stabilizer_of_ray(pair, nv, tol).dim))
 
 
 def split_spectrum(values: np.ndarray, thr: float):
@@ -458,16 +664,16 @@ def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str:
     return "open"
 
 
-def sample_so21_stratum(pair: SymmetricPair, stratum: str, rng=0,
-                        tol: Tolerance | None = None) -> NullVector:
-    """Random representative of one of the three strata for (R, 2, 1)."""
+def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
+                              tol: Tolerance | None = None) -> NullBatch:
+    """k random representatives of one of the three strata for (R, 2, 1)."""
     tol = tol or pair.tol
     rng = _as_rng(rng)
     fam = pair.family
     if (fam.field, fam.p, fam.q) != ("R", 2, 1):
         raise ValueError("strata sampling is defined for the real (2, 1) pair")
     if stratum == "open":
-        return sample_null_generic(pair, rng, tol)
+        return sample_null_batch(pair, k, rng, tol)
     E = np.zeros((3, 3), dtype=complex)
     if stratum == "two-step-nilpotent":
         E[0, 1] = E[1, 2] = 1.0
@@ -475,7 +681,20 @@ def sample_so21_stratum(pair: SymmetricPair, stratum: str, rng=0,
         E[0, 2] = 1.0
     else:
         raise ValueError(f"unknown stratum {stratum!r}")
+    if k < 1:
+        raise ValueError("need at least one draw")
     P = congruence(pair.hermitian_matrix, t_form(2, 1, 1), tol)
     S0 = P @ E @ np.linalg.inv(P)
-    S = rng.uniform(0.5, 2.0) * _isotropy_conjugate(pair, S0, rng)
-    return make_null_vector(pair, S, tol)
+    parts = []
+    for block in _block_slices(k, _sample_row_bytes(pair)):
+        m = block.stop - block.start
+        scale = rng.uniform(0.5, 2.0, m)
+        S = _isotropy_conjugate(pair, np.broadcast_to(S0, (m, 3, 3)), rng)
+        parts.append(_certify_null(pair, scale[:, None, None] * S, tol))
+    return NullBatch.concat(parts)
+
+
+def sample_so21_stratum(pair: SymmetricPair, stratum: str, rng=0,
+                        tol: Tolerance | None = None) -> NullVector:
+    """Random representative of one of the three strata for (R, 2, 1)."""
+    return sample_so21_stratum_batch(pair, stratum, 1, rng, tol).row(0)

@@ -20,13 +20,15 @@ from nullcone.casestudies import (
 )
 from nullcone.linalg import RealSubspace
 from nullcone.orbits import (
+    codimension_from_stabilizer,
     make_null_vector,
     orbit_codimension,
     partner_null,
     sample_null_generic,
-    sample_so21_stratum,
+    sample_so21_stratum_batch,
     so21_orbit_class,
     stabilizer_of_ray,
+    stabilizers_of_rays,
 )
 from nullcone.pairs import (
     Family,
@@ -101,18 +103,19 @@ def test_criterion_3_orbit_codimension():
 
 
 def test_criterion_4_strata_census():
+    # the codimension comes from the routine the orbits suite uses, which
+    # counts it inside the projectivized null cone (dim m - 2)
     pair = build_pair(Family("R", 2, 1))
     rng = np.random.default_rng(2)
-    ray_space_dim = pair.h.dim  # h acts on a 3-dim space of null rays
     bad = 0
     per_stratum = 3334
     for stratum, want in (("open", 0), ("two-step-nilpotent", 1),
                           ("one-step-nilpotent", 2)):
-        for _ in range(per_stratum):
-            nv = sample_so21_stratum(pair, stratum, rng=rng)
-            st_dim = stabilizer_of_ray(pair, nv).dim
-            codim = ray_space_dim - (pair.h.dim - st_dim)
-            if so21_orbit_class(nv.S) != stratum or st_dim != want \
+        batch = sample_so21_stratum_batch(pair, stratum, per_stratum, rng=rng)
+        st_dims = stabilizers_of_rays(pair, batch.S).dims
+        codims = codimension_from_stabilizer(pair, st_dims)
+        for S, st_dim, codim in zip(batch.S, st_dims, codims):
+            if so21_orbit_class(S) != stratum or st_dim != want \
                     or codim != want:
                 bad += 1
     emit(4, bad == 0,

@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+import numpy as np
+
+import nullcone.cli as cli
 from nullcone.cli import SuiteConfig, main, parse_args, render_json, run
 
 
@@ -89,3 +92,27 @@ def test_single_family_restriction(capsys):
     doc = json.loads(out)
     names = [c["name"] for c in doc["checks"]]
     assert all(n.startswith("C21_") for n in names)
+
+
+@pytest.mark.parametrize("suite", ["orbits", "stabilizers"])
+def test_unattainable_sampling_tolerance_is_a_failed_check(suite, capsys):
+    # a gap threshold of 10 defeats the generic sampler; the suite must be
+    # reported as aborted, not end in a traceback
+    code = main(["--suite", suite, "--tol", "1e-2", "--trials", "3",
+                 "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == \
+        [(f"{suite}_aborted", "fail")]
+    assert "generic null vector" in doc["checks"][0]["observed"]
+
+
+def test_linear_algebra_error_is_a_failed_check(monkeypatch, capsys):
+    def singular(cfg):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(cli.SUITES, "table", singular)
+    code = main(["--suite", "table", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == [("table_aborted", "fail")]

@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 
 from nullcone.linalg import (
     BilinForm,
+    DEFAULT_TOL,
     QMat,
     RealSubspace,
+    _kernel_cols,
     algebra_profile,
     bracket,
     gram_matrix,
@@ -18,10 +20,12 @@ from nullcone.linalg import (
     quat_mul,
     quat_split,
     realify,
+    realify_stack,
     signed_gram_schmidt,
     structure_constants,
     sym_signature,
     unrealify,
+    unrealify_stack,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,6 +84,30 @@ def test_realify_roundtrip():
     assert v.dtype == np.float64
     assert v.shape == (24,)
     assert_allclose(unrealify(v, (3, 4)), X, atol=0)
+
+
+def test_stack_helpers_match_single_matrix_ones():
+    rng = np.random.default_rng(2)
+    space = RealSubspace([SX, SY, 1j * SZ])
+    Xs = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    R = realify_stack(Xs)
+    assert_allclose(R, np.stack([realify(X) for X in Xs]))
+    assert_allclose(unrealify_stack(R, (2, 2)), Xs)
+    assert_allclose(space.residual_stack(Xs), [space.residual(X) for X in Xs], atol=1e-12)
+    assert_allclose(space.project_stack(Xs), [space.project(X) for X in Xs], atol=1e-12)
+    C = rng.standard_normal((4, 3))
+    assert_allclose(space.combine_stack(C), [space.combine(c) for c in C], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape,rank", [((30, 8), 5), ((8, 8), 6), ((5, 12), 4),
+                                        ((5, 12), 5)])
+def test_kernel_cols_dimension_tall_and_wide(shape, rank):
+    rng = np.random.default_rng(shape[0] * 100 + rank)
+    M = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    ker = _kernel_cols(M, DEFAULT_TOL)
+    assert ker.shape == (shape[1], shape[1] - rank)
+    assert_allclose(ker.T @ ker, np.eye(shape[1] - rank), atol=1e-12)
+    assert np.abs(M @ ker).max() < 1e-10
 
 
 def test_subspace_basics():

@@ -5,20 +5,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nullcone.linalg import bracket
+from nullcone import orbits
+from nullcone.linalg import Tolerance, _kernel_cols, bracket, realify
 from nullcone.orbits import (
     canonicalize_symplectic,
     canonicalize_unitary,
+    codimension_from_stabilizer,
     congruence,
     make_null_vector,
     orbit_codimension,
     partner_null,
+    partner_null_batch,
+    sample_null_batch,
     sample_null_generic,
     sample_so21_stratum,
+    sample_so21_stratum_batch,
     so21_orbit_class,
     split_spectrum,
+    stabilizer_mismatch,
     stabilizer_of_ray,
+    stabilizers_of_rays,
     t_form,
+    trial_blocks,
 )
 from nullcone.orbits import _omega_matrix
 from nullcone.pairs import Family, build_pair
@@ -234,3 +242,127 @@ def test_partner_spectrum_is_reflected():
     got = np.sort_complex(np.linalg.eigvals(hat.S))
     want = np.sort_complex(-np.conj(np.linalg.eigvals(nv.S)))
     assert_allclose(got, want, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched sampling and stabilizer kernels
+# ---------------------------------------------------------------------------
+
+
+def loop_stabilizer_dim(pair, S):
+    """Reference: one ray's system built bracket by bracket, then _kernel_cols."""
+    cols = [realify(bracket(b, S)) for b in pair.h.basis]
+    cols.append(-realify(S))
+    return _kernel_cols(np.column_stack(cols), pair.tol).shape[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("field,pq", [("R", (2, 1)), ("C", (2, 1)), ("H", (2, 1)),
+                                      ("R", (3, 1)), ("C", (3, 1)), ("H", (3, 1))])
+def test_batch_rows_pass_single_vector_certificates(field, pq, seed):
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 25, rng=seed)
+    assert len(batch) == 25
+    for i in range(len(batch)):
+        row = batch.row(i)
+        nv = make_null_vector(pair, row.S)  # raises outside the tangent summand
+        assert nv.genericity and row.genericity
+        assert nv.nullity_residual < 1e-8
+        assert pair.m.residual(row.S) < 1e-9
+        assert abs(np.trace(row.S)) < 1e-9
+        assert_allclose(row.eigenvalues, nv.eigenvalues, atol=1e-12)
+        assert row.gap == pytest.approx(nv.gap, rel=1e-12)
+        assert row.nullity_residual == pytest.approx(nv.nullity_residual, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("field,pq", [("R", (2, 1)), ("C", (2, 1)), ("H", (2, 1)),
+                                      ("R", (3, 1)), ("C", (3, 1)), ("H", (3, 1))])
+def test_batched_stabilizers_match_per_ray(field, pq, seed):
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 12, rng=seed)
+    stabs = stabilizers_of_rays(pair, batch.S)
+    for i in range(len(batch)):
+        st = stabilizer_of_ray(pair, batch.row(i))
+        assert stabs.dims[i] == st.dim == loop_stabilizer_dim(pair, batch.S[i])
+        assert stabs.residuals[i] < 1e-8
+        if st.dim:
+            for X, c in zip(st.b.basis, st.c_functional):
+                assert np.abs(bracket(X, batch.S[i]) - c * batch.S[i]).max() < 1e-8
+    codims = codimension_from_stabilizer(pair, stabs.dims)
+    assert set(codims.tolist()) == {pair.family.n - 3}
+
+
+@pytest.mark.parametrize("field,want", [("R", 0), ("C", 2), ("H", 9)])
+def test_each_stacked_ray_keeps_its_own_rank_cut(field, want):
+    # rays of very different scales share one stacked solve; each rank
+    # decision is relative to that ray's own largest singular value
+    pair = build_pair(Family(field, 2, 1))
+    batch = sample_null_batch(pair, 6, rng=4)
+    scales = np.array([1e6, 1e-4, 1.0, 1e2, 1e-2, 10.0])
+    stabs = stabilizers_of_rays(pair, scales[:, None, None] * batch.S)
+    assert stabs.dims.tolist() == [want] * 6
+
+
+def test_batched_stabilizer_of_a_large_ray():
+    pair = build_pair(Family("H", 6, 5))
+    assert trial_blocks(pair, 3) == [1, 1, 1]  # one 968 x 254 system per block
+    nv = sample_null_generic(pair, rng=0)
+    stabs = stabilizers_of_rays(pair, nv.S[None])
+    assert stabs.dims[0] == loop_stabilizer_dim(pair, nv.S) == 3 * 11
+    assert stabs.residuals[0] < 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_block_cuts_do_not_change_results(field, seed, monkeypatch):
+    pair = build_pair(Family(field, 2, 1))
+    # k = 1 draws the same stream as the single-vector sampler
+    one = sample_null_batch(pair, 1, rng=seed)
+    single = sample_null_generic(pair, rng=seed)
+    assert_allclose(one.S[0], single.S, atol=1e-13)
+    # a cap that forces several blocks and a short last one
+    monkeypatch.setattr(orbits, "BLOCK_BYTES", 3 * orbits._stabilizer_row_bytes(pair))
+    sizes = trial_blocks(pair, 11)
+    assert sizes == [3, 3, 3, 2]
+    batch = sample_null_batch(pair, 11, rng=seed)
+    assert len(batch) == 11 and batch.genericity.all()
+    stabs = stabilizers_of_rays(pair, batch.S)
+    for i in range(11):
+        alone = stabilizers_of_rays(pair, batch.S[i:i + 1])
+        assert stabs.dims[i] == alone.dims[0]
+        assert stabs.residuals[i] == pytest.approx(alone.residuals[0], abs=1e-12)
+    partners, pairings = partner_null_batch(pair, batch)
+    assert (pairings < 0).all()
+    st_hat = stabilizers_of_rays(pair, partners.S)
+    assert np.array_equal(stabs.dims, st_hat.dims)
+    assert stabilizer_mismatch(pair, stabs, st_hat).max() < 1e-8
+    for i in (0, 10):
+        hat, pairing = partner_null(pair, batch.row(i))
+        assert_allclose(hat.S, partners.S[i], atol=1e-10)
+        assert pairing == pytest.approx(pairings[i], rel=1e-9)
+
+
+def test_batched_strata_classify_and_match_single_draws():
+    pair = build_pair(Family("R", 2, 1))
+    for stratum, want in (("open", 0), ("two-step-nilpotent", 1),
+                          ("one-step-nilpotent", 2)):
+        batch = sample_so21_stratum_batch(pair, stratum, 30, rng=11)
+        assert all(so21_orbit_class(S) == stratum for S in batch.S)
+        dims = stabilizers_of_rays(pair, batch.S).dims
+        assert set(dims.tolist()) == {want}
+        assert set(codimension_from_stabilizer(pair, dims).tolist()) == {want}
+        one = sample_so21_stratum_batch(pair, stratum, 1, rng=12)
+        assert_allclose(one.S[0], sample_so21_stratum(pair, stratum, rng=12).S,
+                        atol=1e-13)
+
+
+def test_batch_sampler_rejects_bad_requests():
+    pair = build_pair(Family("C", 2, 1))
+    with pytest.raises(ValueError):
+        sample_null_batch(pair, 0, rng=0)
+    with pytest.raises(ValueError):
+        sample_null_batch(build_pair(Family("C", 1, 1)), 3, rng=0)
+    # a gap threshold no generic spectrum of this size meets
+    with pytest.raises(RuntimeError):
+        sample_null_batch(pair, 4, rng=0, tol=Tolerance(abs=1e-2), max_tries=3)
