@@ -32,30 +32,36 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True)
 class BilinForm:
-    """Real bilinear form X, Y -> scale * Re tr(X Y) on a matrix space."""
+    """Real bilinear form X, Y -> scale * Re tr(X Y) on a matrix space.
+
+    Two matrices give a float; stacks (..., n, n) give an array of values.
+    """
 
     scale: float = 1.0
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray) -> float:
-        return float(self.scale * np.trace(X @ Y).real)
+    def __call__(self, X: np.ndarray, Y: np.ndarray):
+        if np.ndim(X) == 2 and np.ndim(Y) == 2:
+            return float(self.scale * np.trace(X @ Y).real)
+        return self.scale * np.einsum("...ij,...ji->...", X, Y).real
 
 
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix commutator [X, Y] = XY - YX."""
-    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
+    """Matrix commutator [X, Y] = XY - YX; stacks broadcast over leading axes."""
+    if X.shape[-2:] != Y.shape[-2:] or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"bracket needs equal square shapes, got {X.shape} and {Y.shape}")
     return X @ Y - Y @ X
 
 
 @dataclass(frozen=True)
 class QMat:
-    """Quaternionic n x n matrix written as X + Y j with complex blocks X, Y."""
+    """Quaternionic n x n matrix written as X + Y j with complex blocks X, Y
+    (or a stack of them, with equal leading axes on both blocks)."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        if self.x.shape != self.y.shape or self.x.shape[0] != self.x.shape[1]:
+        if self.x.shape != self.y.shape or self.x.shape[-1] != self.x.shape[-2]:
             raise ValueError("QMat blocks must be square and equal-shaped")
 
 
@@ -92,30 +98,21 @@ def quat_split(M: np.ndarray) -> QMat:
 
 
 def realify(X: np.ndarray) -> np.ndarray:
-    """Flatten a complex matrix to a real vector (row-major, re then im)."""
-    flat = np.asarray(X, dtype=complex).ravel()
-    return np.concatenate([flat.real, flat.imag])
+    """Flatten a complex matrix to a real vector (row-major, re then im).
 
-
-def unrealify(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of realify for the given matrix shape."""
-    half = v.size // 2
-    flat = v[:half] + 1j * v[half:]
-    return flat.reshape(shape)
-
-
-def realify_stack(X: np.ndarray) -> np.ndarray:
-    """realify applied to each matrix of a stack (..., a, b) -> (..., 2ab)."""
+    A vector is flattened as it is; a stack (..., a, b) flattens each
+    matrix, giving (..., 2ab).
+    """
     X = np.asarray(X, dtype=complex)
     flat = X.reshape(X.shape[:-2] + (-1,))
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-def unrealify_stack(V: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of realify_stack for the given matrix shape."""
-    half = V.shape[-1] // 2
-    flat = V[..., :half] + 1j * V[..., half:]
-    return flat.reshape(V.shape[:-1] + tuple(shape))
+def unrealify(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of realify for the given matrix shape (over the last axis)."""
+    half = v.shape[-1] // 2
+    flat = v[..., :half] + 1j * v[..., half:]
+    return flat.reshape(v.shape[:-1] + tuple(shape))
 
 
 class RealSubspace:
@@ -160,47 +157,50 @@ class RealSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    # coords, combine, project and residual take one matrix or a stack
+    # (..., a, b); a stack is one multi-right-hand-side solve
+
     def coords(self, X: np.ndarray) -> np.ndarray:
         """Real coordinates of X in this basis (least squares)."""
-        c, *_ = np.linalg.lstsq(self._mat, realify(X), rcond=None)
-        return c
+        R = realify(X)
+        c, *_ = np.linalg.lstsq(self._mat, R.reshape(-1, R.shape[-1]).T, rcond=None)
+        return c.T.reshape(R.shape[:-1] + (self.dim,))
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return self.combine(self.coords(X))
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        return unrealify(self._mat @ np.asarray(coeffs, dtype=float), self.shape)
+        coeffs = np.asarray(coeffs, dtype=float)
+        return unrealify(coeffs @ self._mat.T, self.shape)
 
-    def residual(self, X: np.ndarray) -> float:
-        """Frobenius distance from X to the subspace."""
-        return float(np.linalg.norm(X - self.project(X)))
-
-    def combine_stack(self, coeffs: np.ndarray) -> np.ndarray:
-        """combine for each row of a (k, dim) coefficient array."""
-        return unrealify_stack(np.asarray(coeffs, dtype=float) @ self._mat.T, self.shape)
-
-    def project_stack(self, Xs: np.ndarray) -> np.ndarray:
-        """project for a stack of k matrices, as one multi-right-hand-side solve."""
-        c, *_ = np.linalg.lstsq(self._mat, realify_stack(Xs).T, rcond=None)
-        return self.combine_stack(c.T)
-
-    def residual_stack(self, Xs: np.ndarray) -> np.ndarray:
-        """residual for a stack of k matrices, as one multi-right-hand-side solve."""
-        R = realify_stack(Xs).T
-        c, *_ = np.linalg.lstsq(self._mat, R, rcond=None)
-        return np.linalg.norm(R - self._mat @ c, axis=0)
+    def residual(self, X: np.ndarray):
+        """Frobenius distance from X to the subspace (an array for a stack)."""
+        R = X - self.project(X)
+        if R.ndim == 2:
+            return float(np.linalg.norm(R))
+        return np.linalg.norm(R, axis=(-2, -1))
 
     def contains(self, X: np.ndarray, scale: float | None = None) -> bool:
         if scale is None:
             scale = max(1.0, float(np.linalg.norm(X)))
         return self.residual(X) <= self.tol.abs * scale
 
-    def random_element(self, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:
-        X = self.combine(rng.standard_normal(self.dim))
-        if norm is not None:
+    def random_element(self, rng: np.random.Generator, norm=None,
+                       size: int | None = None) -> np.ndarray:
+        """Gaussian combination of the basis, rescaled to the given norm.
+
+        With size, a stack of that many elements; norm may then hold one
+        value per element.
+        """
+        if size is None:
+            X = self.combine(rng.standard_normal(self.dim))
             nx = np.linalg.norm(X)
-            if nx > 0:
-                X = X * (norm / nx)
+        else:
+            X = self.combine(rng.standard_normal((size, self.dim)))
+            nx = np.linalg.norm(X, axis=(1, 2))
+        if norm is not None:
+            # a zero element stays zero
+            X = X * (np.asarray(norm) / np.where(nx > 0, nx, 1.0))[..., None, None]
         return X
 
     def kernel_of(self, linmap, tol: Tolerance | None = None) -> "RealSubspace | None":

@@ -10,7 +10,9 @@ matrix whose invariant-form Gram takes an antidiagonal corner shape.
 
 Sampling, certification, partners and stabilizers run on stacks of rays
 (sample_null_batch, partner_null_batch, stabilizers_of_rays); the
-single-ray functions are the k = 1 case of the same kernels.
+single-ray functions are the k = 1 case of the same kernels.  The kernels
+take whatever stack they are given; callers that walk many rays cut them
+with trial_blocks, which bounds the memory of one block.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, realify_stack
+from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, bracket, quat_embed, realify
 from .pairs import SymmetricPair
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
-# Stacked kernels cut their rows into blocks whose arrays stay near this many
-# bytes, sized from N and dim h: about 450 draws of a 3 x 3 pair fit in one
-# block, while one 968 x 254 stabilizer system of the quaternionic (6, 5)
-# pair already fills it, so memory does not grow with the number of rows.
+# trial_blocks cuts a run of rays into blocks whose stacked stabilizer
+# systems stay near this many bytes, sized from N and dim h: a few hundred
+# rays of a 3 x 3 pair fit in one block, while one 968 x 254 system of the
+# quaternionic (6, 5) pair already fills it, so memory does not grow with
+# the number of trials.
 BLOCK_BYTES = 1 << 20
 
 
@@ -93,7 +96,11 @@ class NullBatch:
 
 @dataclass(frozen=True)
 class StabilizerResult:
-    """Ray stabilizer: all X in h with [X, S] = c S for some real c."""
+    """Ray stabilizer: all X in h with [X, S] = c S for some real c.
+
+    residual is the largest |[X, S] - c S| over the basis of b, recomputed
+    from the matrices X, so it checks the solve rather than restating it.
+    """
 
     b: RealSubspace | None
     dim: int
@@ -107,7 +114,8 @@ class RayStabilizers:
 
     kernels[i] holds orthonormal columns (coordinates of X in the h basis,
     then c) spanning the solutions of [X, S_i] = c S_i; dims[i] is their
-    number and residuals[i] the largest |[X, S_i] - c S_i| over them.
+    number and residuals[i] the largest |[X, S_i] - c S_i| over them, with
+    X rebuilt from the h basis and the bracket taken afresh.
     """
 
     dims: np.ndarray
@@ -122,7 +130,7 @@ class RayStabilizers:
         if ker.shape[1] == 0:
             return StabilizerResult(None, 0, np.zeros(0), 0.0)
         hdim = pair.h.dim
-        mats = list(pair.h.combine_stack(ker[:hdim].T))
+        mats = list(pair.h.combine(ker[:hdim].T))
         return StabilizerResult(RealSubspace(mats, tol=tol), ker.shape[1],
                                 ker[hdim].copy(), float(self.residuals[i]))
 
@@ -134,36 +142,27 @@ def _as_rng(rng) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# blocks: every stacked kernel works through its rows in blocks whose
-# arrays stay near BLOCK_BYTES, so memory does not grow with k
+# blocks: a run of trials is cut so that one block's stacked arrays stay
+# near BLOCK_BYTES; the stabilizer solve has the largest arrays per ray
 # ---------------------------------------------------------------------------
 
 
-def _sample_row_bytes(pair: SymmetricPair) -> int:
-    """Stacked bytes per draw: about a dozen complex N x N matrices (frame
-    change, isotropy element, its exponential, products, eigenvalue work)
-    and four realified copies of length 2 N^2 for the membership solve."""
-    N = pair.carrier_dim
-    return 16 * 12 * N * N + 8 * 4 * 2 * N * N
-
-
 def _stabilizer_row_bytes(pair: SymmetricPair) -> int:
-    """Stacked bytes per ray: three complex (dim h, N, N) bracket stacks and
-    four real (2 N^2) x (dim h + 1) copies of the system (realified, joined,
-    the LAPACK copy and the reduced left factor)."""
+    """Stacked bytes per ray of stabilizers_of_rays: three complex
+    (dim h, N, N) bracket stacks and four real (2 N^2) x (dim h + 1) copies
+    of the system (realified, joined, the LAPACK copy and the reduced left
+    factor).  Under tracemalloc a block's numpy arrays peak at 0.4 to 0.7
+    of this, for R, C, H at (2, 1) and C, H at (6, 5); the sampling arrays
+    of the same rows peak at under a tenth of it."""
     N, hdim = pair.carrier_dim, pair.h.dim
     return 16 * 3 * hdim * N * N + 8 * 4 * 2 * N * N * (hdim + 1)
-
-
-def _block_slices(k: int, row_bytes: int) -> list[slice]:
-    step = max(1, BLOCK_BYTES // row_bytes)
-    return [slice(a, min(k, a + step)) for a in range(0, k, step)]
 
 
 def trial_blocks(pair: SymmetricPair, k: int) -> list[int]:
     """Sizes of the blocks k trials are cut into so that one block's stacked
     stabilizer systems stay near BLOCK_BYTES (at least one ray per block)."""
-    return [s.stop - s.start for s in _block_slices(k, _stabilizer_row_bytes(pair))]
+    step = max(1, BLOCK_BYTES // _stabilizer_row_bytes(pair))
+    return [min(step, k - a) for a in range(0, k, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +210,9 @@ def _certify_null(pair: SymmetricPair, S: np.ndarray, tol: Tolerance) -> NullBat
     """
     S = np.asarray(S, dtype=complex)
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
-    if np.any(pair.m.residual_stack(S) > 1e-7 * scale):
+    if np.any(pair.m.residual(S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")
-    nullity = np.abs(pair.form.scale * np.einsum("kij,kji->k", S, S).real)
+    nullity = np.abs(pair.form(S, S))
     trace_res = np.abs(np.trace(S, axis1=1, axis2=2))
     vals = np.linalg.eigvals(S)
     if pair.family.field == "H":
@@ -321,8 +320,7 @@ def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator,
     X = (P * diag[:, None, :]) @ P_inv
     if fam.field == "C":
         return X
-    Z = np.zeros_like(X)
-    return np.block([[X, Z], [Z, X.conj()]])  # quat_embed(QMat(X, 0)) per row
+    return quat_embed(QMat(X, np.zeros_like(X)))
 
 
 def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
@@ -330,11 +328,7 @@ def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
     """Conjugate each S_i by exp(Z_i) for a random isotropy element with
     norm <= 1: one stacked expm and one stacked solve."""
     k = S.shape[0]
-    norms = rng.uniform(0.2, 1.0, k)
-    Z = pair.h.combine_stack(rng.standard_normal((k, pair.h.dim)))
-    nz = np.linalg.norm(Z, axis=(1, 2))
-    Z *= np.divide(norms, nz, out=np.zeros(k), where=nz > 0)[:, None, None]
-    A = expm(Z)
+    A = expm(pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
     # S -> A S A^{-1} via a solve, avoiding an explicit inverse
     AS = A @ S
     return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -345,11 +339,11 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
                       max_tries: int = 60) -> NullBatch:
     """k random generic null vectors (distinct spectrum, nonreal pairs present).
 
-    Each block of draws takes its spectra at once, moves them by the pair's
-    congruence (computed once per call), conjugates them by one stacked
-    expm and solve, and certifies them as make_null_vector does.  Rows that
-    fail the genericity or nullity rule are redrawn, each at most max_tries
-    times in all.
+    The draws take their spectra at once, move them by the pair's
+    congruence (computed once per call), conjugate them by one stacked
+    expm and solve, and are certified as make_null_vector does.  Rows that
+    fail the genericity or nullity rule are redrawn, at most max_tries
+    rounds in all.
     """
     tol = tol or pair.tol
     rng = _as_rng(rng)
@@ -358,20 +352,16 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
     if k < 1:
         raise ValueError("need at least one draw")
     frame = _sampling_frame(pair, tol)
-    parts = []
-    for block in _block_slices(k, _sample_row_bytes(pair)):
-        need = block.stop - block.start
-        for _ in range(max_tries):
-            S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng, frame), rng)
-            batch = _certify_null(pair, S, tol)
-            ok = batch.genericity & (batch.nullity_residual < 1e-8)
-            parts.append(batch.take(ok))
-            need -= int(ok.sum())
-            if need == 0:
-                break
-        else:
-            raise RuntimeError("failed to draw a generic null vector")
-    return NullBatch.concat(parts)
+    parts, need = [], k
+    for _ in range(max_tries):
+        S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng, frame), rng)
+        batch = _certify_null(pair, S, tol)
+        ok = batch.genericity & (batch.nullity_residual < 1e-8)
+        parts.append(batch.take(ok))
+        need -= int(ok.sum())
+        if need == 0:
+            return NullBatch.concat(parts)
+    raise RuntimeError("failed to draw a generic null vector")
 
 
 def sample_null_generic(pair: SymmetricPair, rng=0,
@@ -391,27 +381,39 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
     """Ray stabilizers of a stack of null vectors S (k, N, N).
 
     Each ray's real system has the realified brackets [h_i, S] and -S as
-    columns, (2 N^2) x (dim h + 1); the brackets of a block come from two
-    batched products of the h-basis stack with S, and one stacked reduced
-    SVD gives every kernel, with the rank cut of _kernel_cols.
+    columns, (2 N^2) x (dim h + 1); the brackets come from one stacked
+    bracket of the h-basis stack with S, and one stacked reduced SVD gives
+    every kernel, with the rank cut of _kernel_cols.  The stack is solved
+    whole; trial_blocks sizes stacks to a memory bound.
     """
     tol = tol or pair.tol
-    S = np.asarray(S, dtype=complex)
-    H = np.stack(pair.h.basis)
-    dims, kernels, residuals = [], [], []
-    for block in _block_slices(S.shape[0], _stabilizer_row_bytes(pair)):
-        Sb = S[block, None]
-        B = H @ Sb
-        B -= Sb @ H
-        cols = np.concatenate([realify_stack(B), -realify_stack(Sb)], axis=1)
-        del B
-        _, s, vt = np.linalg.svd(cols.transpose(0, 2, 1), full_matrices=False)
-        rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
-        for i, r in enumerate(rank):
-            kernels.append(vt[i, r:].T)
-            residuals.append(s[i, r:].max(initial=0.0))
-        dims.append(s.shape[1] - rank)
-    return RayStabilizers(np.concatenate(dims), kernels, np.array(residuals))
+    S = np.asarray(S, dtype=complex)[:, None]
+    B = bracket(np.stack(pair.h.basis), S)
+    cols = np.concatenate([realify(B), -realify(S)], axis=1)
+    del B
+    _, s, vt = np.linalg.svd(cols.transpose(0, 2, 1), full_matrices=False)
+    rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
+    dims = s.shape[1] - rank
+    kernels = [vt[i, r:].T for i, r in enumerate(rank)]
+    return RayStabilizers(dims, kernels, _kernel_residuals(pair, S, vt, dims))
+
+
+def _kernel_residuals(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray,
+                      dims: np.ndarray) -> np.ndarray:
+    """Per ray, the largest |[X, S] - c S| over its kernel vectors (X, c),
+    with X rebuilt from the h basis: a check on the stacked system.
+
+    S is (k, 1, N, N); each ray's kernel is the last dims[i] rows of vt[i].
+    """
+    d = int(dims.max(initial=0))
+    if d == 0:
+        return np.zeros(len(dims))
+    tail = vt[:, -d:]
+    X = pair.h.combine(tail[..., :-1])
+    R = bracket(X, S) - tail[..., -1, None, None] * S
+    norms = np.linalg.norm(R, axis=(-2, -1))
+    own = np.arange(d) >= (d - dims)[:, None]
+    return np.where(own, norms, 0.0).max(axis=1)
 
 
 def stabilizer_of_ray(pair: SymmetricPair, nv: NullVector,
@@ -446,7 +448,7 @@ def stabilizer_mismatch(pair: SymmetricPair, a: RayStabilizers,
 
     def bases(st, idx):
         coeffs = np.stack([st.kernels[i][:hdim].T for i in idx])
-        return realify_stack(pair.h.combine_stack(coeffs))
+        return realify(pair.h.combine(coeffs))
 
     for idx in groups.values():
         Xa, Xb = bases(a, idx), bases(b, idx)
@@ -468,10 +470,10 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch,
         n = pair.family.n
         X = (M[:, :n, :n] + np.conj(M[:, n:, n:])) / 2
         Y = (-M[:, :n, n:] + np.conj(M[:, n:, :n])) / 2
-        M = np.block([[X, -Y], [np.conj(Y), np.conj(X)]])
-    M = pair.m.project_stack(M)
+        M = quat_embed(QMat(X, Y))
+    M = pair.m.project(M)
     partners = _certify_null(pair, M, tol or pair.tol)
-    return partners, pair.form.scale * np.einsum("kij,kji->k", S, M).real
+    return partners, pair.form(S, M)
 
 
 def partner_null(pair: SymmetricPair, nv: NullVector,
@@ -685,13 +687,9 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
         raise ValueError("need at least one draw")
     P = congruence(pair.hermitian_matrix, t_form(2, 1, 1), tol)
     S0 = P @ E @ np.linalg.inv(P)
-    parts = []
-    for block in _block_slices(k, _sample_row_bytes(pair)):
-        m = block.stop - block.start
-        scale = rng.uniform(0.5, 2.0, m)
-        S = _isotropy_conjugate(pair, np.broadcast_to(S0, (m, 3, 3)), rng)
-        parts.append(_certify_null(pair, scale[:, None, None] * S, tol))
-    return NullBatch.concat(parts)
+    scale = rng.uniform(0.5, 2.0, k)
+    S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)
+    return _certify_null(pair, scale[:, None, None] * S, tol)
 
 
 def sample_so21_stratum(pair: SymmetricPair, stratum: str, rng=0,

@@ -8,7 +8,9 @@ import pytest
 import numpy as np
 
 import nullcone.cli as cli
+from nullcone import orbits
 from nullcone.cli import SuiteConfig, main, parse_args, render_json, run
+from nullcone.pairs import Family, build_pair
 
 
 def test_parse_args_defaults():
@@ -116,3 +118,17 @@ def test_linear_algebra_error_is_a_failed_check(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert [(c["name"], c["status"]) for c in doc["checks"]] == [("table_aborted", "fail")]
+
+
+@pytest.mark.parametrize("suite", ["stabilizers", "orbits"])
+def test_suite_checks_do_not_depend_on_block_size(suite, monkeypatch):
+    # two rays per block against one block for all trials: the random
+    # stream differs, the checks and their statuses do not
+    cfg = SuiteConfig(suite=suite, field="C", p=2, q=1, trials=7)
+    whole = [(c.name, c.status) for c in run(cfg).checks]
+    pair = build_pair(Family("C", 2, 1))
+    monkeypatch.setattr(orbits, "BLOCK_BYTES", 2 * orbits._stabilizer_row_bytes(pair))
+    assert orbits.trial_blocks(pair, 7) == [2, 2, 2, 1]
+    cut = [(c.name, c.status) for c in run(cfg).checks]
+    assert cut == whole
+    assert all(status != "fail" for _, status in cut)

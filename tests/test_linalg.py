@@ -20,12 +20,10 @@ from nullcone.linalg import (
     quat_mul,
     quat_split,
     realify,
-    realify_stack,
     signed_gram_schmidt,
     structure_constants,
     sym_signature,
     unrealify,
-    unrealify_stack,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -87,16 +85,39 @@ def test_realify_roundtrip():
 
 
 def test_stack_helpers_match_single_matrix_ones():
+    # the helpers take a stack of matrices as well as one matrix
     rng = np.random.default_rng(2)
     space = RealSubspace([SX, SY, 1j * SZ])
     Xs = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-    R = realify_stack(Xs)
+    R = realify(Xs)
     assert_allclose(R, np.stack([realify(X) for X in Xs]))
-    assert_allclose(unrealify_stack(R, (2, 2)), Xs)
-    assert_allclose(space.residual_stack(Xs), [space.residual(X) for X in Xs], atol=1e-12)
-    assert_allclose(space.project_stack(Xs), [space.project(X) for X in Xs], atol=1e-12)
+    assert_allclose(unrealify(R, (2, 2)), Xs)
+    assert_allclose(space.coords(Xs), [space.coords(X) for X in Xs], atol=1e-12)
+    assert_allclose(space.residual(Xs), [space.residual(X) for X in Xs], atol=1e-12)
+    assert_allclose(space.project(Xs), [space.project(X) for X in Xs], atol=1e-12)
     C = rng.standard_normal((4, 3))
-    assert_allclose(space.combine_stack(C), [space.combine(c) for c in C], atol=1e-12)
+    assert_allclose(space.combine(C), [space.combine(c) for c in C], atol=1e-12)
+    assert_allclose(space.combine(C.reshape(2, 2, 3)), space.combine(C).reshape(2, 2, 2, 2))
+    form = BilinForm(0.5)
+    assert_allclose(form(Xs, Xs[::-1]), [form(X, Y) for X, Y in zip(Xs, Xs[::-1])])
+    assert_allclose(bracket(Xs, Xs[:1]), [bracket(X, Xs[0]) for X in Xs])
+    qs = [random_qmat(rng, 2) for _ in range(3)]
+    stacked = QMat(np.stack([q.x for q in qs]), np.stack([q.y for q in qs]))
+    assert_allclose(quat_embed(stacked), [quat_embed(q) for q in qs])
+
+
+def test_random_element_stack_has_requested_norms():
+    rng = np.random.default_rng(3)
+    space = RealSubspace([SX, SY, 1j * SZ])
+    norms = np.array([0.2, 1.0, 3.5])
+    Xs = space.random_element(rng, norm=norms, size=3)
+    assert Xs.shape == (3, 2, 2)
+    assert_allclose(np.linalg.norm(Xs, axis=(1, 2)), norms)
+    assert np.all(space.residual(Xs) < 1e-12)
+    # a stack of one draws what a single call draws
+    one = space.random_element(np.random.default_rng(4), norm=0.7, size=1)
+    single = space.random_element(np.random.default_rng(4), norm=0.7)
+    assert_allclose(one[0], single, atol=1e-15)
 
 
 @pytest.mark.parametrize("shape,rank", [((30, 8), 5), ((8, 8), 6), ((5, 12), 4),

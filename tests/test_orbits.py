@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from nullcone import orbits
 from nullcone.linalg import Tolerance, _kernel_cols, bracket, realify
 from nullcone.orbits import (
+    NullBatch,
     canonicalize_symplectic,
     canonicalize_unitary,
     codimension_from_stabilizer,
@@ -325,9 +326,16 @@ def test_block_cuts_do_not_change_results(field, seed, monkeypatch):
     monkeypatch.setattr(orbits, "BLOCK_BYTES", 3 * orbits._stabilizer_row_bytes(pair))
     sizes = trial_blocks(pair, 11)
     assert sizes == [3, 3, 3, 2]
-    batch = sample_null_batch(pair, 11, rng=seed)
+    rng = np.random.default_rng(seed)
+    batch = NullBatch.concat([sample_null_batch(pair, k, rng=rng) for k in sizes])
     assert len(batch) == 11 and batch.genericity.all()
     stabs = stabilizers_of_rays(pair, batch.S)
+    start = 0
+    for k in sizes:
+        part = stabilizers_of_rays(pair, batch.S[start:start + k])
+        assert np.array_equal(part.dims, stabs.dims[start:start + k])
+        assert_allclose(part.residuals, stabs.residuals[start:start + k], atol=1e-12)
+        start += k
     for i in range(11):
         alone = stabilizers_of_rays(pair, batch.S[i:i + 1])
         assert stabs.dims[i] == alone.dims[0]
@@ -341,6 +349,27 @@ def test_block_cuts_do_not_change_results(field, seed, monkeypatch):
         hat, pairing = partner_null(pair, batch.row(i))
         assert_allclose(hat.S, partners.S[i], atol=1e-10)
         assert pairing == pytest.approx(pairings[i], rel=1e-9)
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_stabilizer_residual_is_recomputed_from_the_basis(field):
+    # the residual restates nothing from the solve: it is |[X, S] - c S|
+    # over the stabilizer basis X with its ray coefficients c
+    if field == "R":  # generic real rays have trivial stabilizers
+        pair = build_pair(Family("R", 2, 1))
+        batch = sample_so21_stratum_batch(pair, "one-step-nilpotent", 4, rng=9)
+    else:
+        pair = build_pair(Family(field, 3, 1))
+        batch = sample_null_batch(pair, 4, rng=9)
+    stabs = stabilizers_of_rays(pair, batch.S)
+    assert stabs.dims.min() > 0
+    for i in range(len(batch)):
+        st = stabs.result(pair, i)
+        S = batch.S[i]
+        want = max(np.linalg.norm(bracket(X, S) - c * S)
+                   for X, c in zip(st.b.basis, st.c_functional))
+        assert st.residual == pytest.approx(want, rel=1e-6, abs=1e-15)
+        assert st.residual < 1e-8
 
 
 def test_batched_strata_classify_and_match_single_draws():
