@@ -40,7 +40,7 @@ class BilinForm:
     scale: float = 1.0
 
     def __call__(self, X: np.ndarray, Y: np.ndarray):
-        if np.ndim(X) == 2 and np.ndim(Y) == 2:
+        if X.ndim == Y.ndim == 2:
             return float(self.scale * np.trace(X @ Y).real)
         return self.scale * np.einsum("...ij,...ji->...", X, Y).real
 
