@@ -26,7 +26,7 @@ from .linalg import (
     structure_constants,
     sym_signature,
 )
-from .report import Check, Report, VerificationReport
+from .report import Check, Report
 from .pairs import (
     FIELDS,
     Family,
@@ -75,6 +75,9 @@ from .reductive import (
     casimir,
     curvature_eval,
     einstein_fit,
+    frame_ad,
+    frame_casimir,
+    frame_coords,
     homothety_check,
     metric_gram,
     reductive_split,
@@ -94,6 +97,7 @@ from .casestudies import (
     sp21_duality_identity,
     sp21_embedding_check,
     sp21_grading,
+    sp21_grading_report,
     sp21_hatn_isometry,
     sp21_subalgebra_profiles,
     su21_ad_action,

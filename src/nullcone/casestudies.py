@@ -21,7 +21,7 @@ case study 2) are inherited from the constructed pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,13 +36,20 @@ from .linalg import (
     bracket,
     gram_matrix,
     gram_signature,
+    orth_complement,
     quat_embed,
     signed_gram_schmidt,
-    _kernel_cols,
 )
 from .orbits import make_null_vector, stabilizer_of_ray
 from .pairs import Family, SymmetricPair, build_pair
-from .reductive import ReductiveSplit, reductive_split, torsion_eval
+from .reductive import (
+    ReductiveSplit,
+    einstein_fit,
+    frame_ad,
+    frame_casimir,
+    reductive_split,
+    torsion_eval,
+)
 from .report import Report
 
 SQRT3 = np.sqrt(3.0)
@@ -292,8 +299,6 @@ def su21_constant_type(data: SU21Data, trials: int = 500, rng=0):
 
 def su21_einstein(data: SU21Data):
     """Levi-Civita Einstein fit; returns (lambda, max entry residual)."""
-    from .reductive import einstein_fit
-
     return einstein_fit(data.split)
 
 
@@ -362,7 +367,7 @@ class SP21Data:
     eps_A: np.ndarray
     split: ReductiveSplit
     # graded frame of the tangent summand and the orthogonal algebra on it
-    graded_basis: list = field(default_factory=list)
+    graded_basis: np.ndarray | None = None
     Gamma: np.ndarray | None = None
     so_space: RealSubspace | None = None
     p_full: RealSubspace | None = None
@@ -372,32 +377,29 @@ class SP21Data:
     p_plus: RealSubspace | None = None
 
     def rho(self, X: np.ndarray) -> np.ndarray:
-        """Matrix of ad(X) on the graded frame of the tangent summand."""
-        Ginv = np.linalg.inv(self.Gamma)
-        cols = []
-        for f in self.graded_basis:
-            kv = np.array([self.pair.form(g, bracket(X, f)) for g in self.graded_basis])
-            cols.append(Ginv @ kv)
-        return np.column_stack(cols)
+        """Matrix of ad(X) on the graded frame of the tangent summand.
+
+        Gamma is its own inverse, so it is also the inverse Gram matrix the
+        frame coordinates are read with.  X may be a stack.
+        """
+        return frame_ad(self.pair.form, self.graded_basis, self.Gamma, X)
 
     def rho_minus(self, X: np.ndarray) -> np.ndarray:
         """Lowering component of rho(X) in the graded block pattern."""
-        R = self.rho(X)
-        x = R[1:13, 0]
+        x = self.rho(X)[..., 1:13, 0]
         eps = np.diag(self.Gamma)[1:13]
-        out = np.zeros((14, 14))
-        out[1:13, 0] = x
-        out[13, 1:13] = -x * eps
+        out = np.zeros(x.shape[:-1] + (14, 14))
+        out[..., 1:13, 0] = x
+        out[..., 13, 1:13] = -x * eps
         return out
 
     def rho_plus(self, X: np.ndarray) -> np.ndarray:
         """Raising component of rho(X) in the graded block pattern."""
-        R = self.rho(X)
-        y = R[1:13, 13]
+        y = self.rho(X)[..., 1:13, 13]
         eps = np.diag(self.Gamma)[1:13]
-        out = np.zeros((14, 14))
-        out[1:13, 13] = y
-        out[0, 1:13] = -y * eps
+        out = np.zeros(y.shape[:-1] + (14, 14))
+        out[..., 1:13, 13] = y
+        out[..., 0, 1:13] = -y * eps
         return out
 
 
@@ -449,11 +451,8 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
     data = SP21Data(
         a=a, mu=mu, pair=pair, S=S, S_hat=S_hat,
         b_basis=b_basis, n_basis=n_basis,
-        b1=RealSubspace([B_elem(0, 1, 0, 0, 0), B_elem(0, 0, 0, 1, 0),
-                         B_elem(0, 0, 0, 1j, 0)], tol=tol),
-        b2=RealSubspace([B_elem(1, 0, 0, 0, 0), B_elem(1j, 0, 0, 0, 0),
-                         B_elem(0, 0, 1, 0, 0), B_elem(0, 0, 1j, 0, 0),
-                         B_elem(0, 0, 0, 0, 1), B_elem(0, 0, 0, 0, 1j)], tol=tol),
+        b1=RealSubspace([b_basis[i] for i in (2, 5, 6)], tol=tol),
+        b2=RealSubspace([b_basis[i] for i in (0, 1, 3, 4, 7, 8)], tol=tol),
         n1=RealSubspace(n_basis[:4] + n_basis[8:], tol=tol),
         n2=RealSubspace(n_basis[4:8], tol=tol),
         A_basis=A_basis,
@@ -469,15 +468,13 @@ def _sp21_attach_grading(data: SP21Data, seed: int, tol: Tolerance):
     orthogonal algebra of the tangent summand."""
     pair = data.pair
     form = pair.form
-    from .linalg import orth_complement
-
     span = RealSubspace([data.S, data.S_hat], tol=tol)
     n_hat, _ = orth_complement(span, pair.m, form, tol)
     e_hat, eps_hat = signed_gram_schmidt(form, n_hat, np.random.default_rng(seed), tol)
     scale = 2 * data.a * SQRT3  # K(S/scale, S_hat/scale) = -1
     S_n = data.S / scale
     Sh_n = data.S_hat / scale
-    graded = [S_n] + e_hat + [-Sh_n]
+    graded = np.stack([S_n, *e_hat, -Sh_n])
     Gamma = gram_matrix(form, graded)
     target = np.zeros((14, 14))
     target[0, 13] = target[13, 0] = 1.0
@@ -486,16 +483,12 @@ def _sp21_attach_grading(data: SP21Data, seed: int, tol: Tolerance):
         raise ValueError("graded frame does not produce the expected form matrix")
     data.graded_basis = graded
     data.Gamma = target
-    # orthogonal algebra: A^T Gamma + Gamma A = 0 over real 14 x 14 matrices
-    cols = []
-    for aa in range(14):
-        for bb in range(14):
-            E = np.zeros((14, 14))
-            E[aa, bb] = 1.0
-            cols.append((E.T @ target + target @ E).ravel())
-    ker = _kernel_cols(np.column_stack(cols), tol)
-    so_mats = [ker[:, j].reshape(14, 14).astype(complex) for j in range(ker.shape[1])]
-    so_space = RealSubspace(so_mats, tol=tol)
+    # orthogonal algebra A^T Gamma + Gamma A = 0: since Gamma^2 = 1 it is
+    # Gamma times the antisymmetric matrices, with basis Gamma (E_ab - E_ba)
+    unit = np.eye(14)
+    so_space = RealSubspace(
+        [target @ (np.outer(unit[i], unit[j]) - np.outer(unit[j], unit[i]))
+         for i, j in zip(*np.triu_indices(14, 1))], tol=tol)
     if so_space.dim != 91:
         raise ValueError("orthogonal algebra has the wrong dimension")
     E_grad = np.zeros((14, 14), dtype=complex)
@@ -522,6 +515,33 @@ def _sp21_attach_grading(data: SP21Data, seed: int, tol: Tolerance):
 def sp21_grading(data: SP21Data):
     """The three graded pieces of the orthogonal algebra."""
     return data.p_minus, data.p_zero, data.p_plus
+
+
+def sp21_grading_report(data: SP21Data) -> Report:
+    """Dimensions of the graded pieces, the stabilizer inside the degree-zero
+    piece, and the bracket relations of a short grading."""
+    rep = Report(suite="sp21_grading")
+    pm, p0, pp = sp21_grading(data)
+    rep.equals("sp21_grading_dims", (pm.dim, p0.dim, pp.dim), (12, 67, 12),
+               anchor="graded pieces of the orthogonal algebra of the tangent summand")
+    rep.equals("sp21_parabolic_dims", (data.p_full.dim, data.p_hat.dim), (79, 79),
+               anchor="ray stabilizers inside the orthogonal algebra")
+    wb = p0.residual(data.rho(np.stack(data.b_basis)).astype(complex)).max()
+    rep.residual("sp21_b_inside_p0", wb, 1e-8,
+                 anchor="the stabilizer image sits in the degree-zero piece")
+    lower, upper = np.stack(pm.basis), np.stack(pp.basis)
+    w = 0.0
+    for A in p0.basis:
+        w = max(w, pm.residual(bracket(A, lower)).max(),
+                pp.residual(bracket(A, upper)).max())
+    for A in pm.basis:
+        w = max(w, np.linalg.norm(bracket(A, lower), axis=(-2, -1)).max())
+    for A in pp.basis:
+        w = max(w, np.linalg.norm(bracket(A, upper), axis=(-2, -1)).max(),
+                p0.residual(bracket(A, lower)).max())
+    rep.residual("sp21_grading_brackets", w, 1e-8,
+                 anchor="the three pieces bracket as a short grading")
+    return rep
 
 
 def sp21_subalgebra_profiles(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -606,18 +626,7 @@ def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0,
 
 def sp21_casimir(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Casimir on the complement from the explicit signed nine-frame."""
-    d = data.split.dim_n
-
-    def ad_mat(A):
-        cols = [data.split.n_coords(data.split.proj_n(bracket(A, e)))
-                for e in data.split.e_basis]
-        return np.column_stack(cols)
-
-    chi = np.zeros((d, d))
-    for e, A in zip(data.eps_A, data.A_basis):
-        rho = ad_mat(A)
-        chi += e * (rho @ rho)
-    return chi
+    return frame_casimir(data.split, data.A_basis, data.eps_A)
 
 
 def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0,
@@ -663,16 +672,14 @@ def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0,
                  abs(K(bracket(Anull, data.S), bracket(Anull, data.S_hat))),
                  1e-8, anchor="a null element pairs to zero with itself")
     # dual bases from the graded components of the orthonormal complement frame
-    E_lo = [data.rho_minus(e) for e in data.split.e_basis]
-    E_hi = [data.split.eps[i] * data.rho_plus(data.split.e_basis[i])
-            for i in range(12)]
-    P = np.array([[K_so(lo.astype(complex), hi.astype(complex)) for hi in E_hi]
-                  for lo in E_lo])
+    E_lo = data.rho_minus(data.split.frame)
+    E_hi = data.split.eps[:, None, None] * data.rho_plus(data.split.frame)
+    P = gram_matrix(K_so, E_lo, E_hi)
     rep.residual("sp21_duality_dual_pairing",
                  float(np.abs(P - np.eye(12)).max()), 1e-8,
                  anchor="lowering and raising frames pair as identity")
-    in_minus = max(data.p_minus.residual(lo.astype(complex)) for lo in E_lo)
-    in_plus = max(data.p_plus.residual(hi.astype(complex)) for hi in E_hi)
+    in_minus = float(data.p_minus.residual(E_lo.astype(complex)).max())
+    in_plus = float(data.p_plus.residual(E_hi.astype(complex)).max())
     rep.residual("sp21_duality_graded_membership", max(in_minus, in_plus), 1e-8,
                  anchor="the frames lie in the lowering and raising pieces")
     return rep
@@ -698,7 +705,7 @@ def sp21_hatn_isometry(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
     rank = RealSubspace.span(imgs, tol).dim
     rep.equals("sp21_isometry_bijective", rank, 12,
                anchor="the chart map has full rank")
-    rho_n = RealSubspace([data.rho(e).astype(complex) for e in data.n_basis], tol=tol)
+    rho_n = RealSubspace(data.rho(np.stack(data.n_basis)).astype(complex), tol=tol)
     inter = rho_n.intersection(data.p_hat, tol)
     rep.equals("sp21_n_meets_phat_trivially", inter, 0,
                anchor="the complement meets the opposite parabolic trivially")
@@ -780,11 +787,15 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
                  anchor="both families fix the sampled ray")
     rep.residual("sp21_embed_multiplicative", w_mult, 1e-9,
                  anchor="the embeddings are group homomorphisms")
-    # derivative algebra: d/dt at t=0 of the two families spans the stabilizer
-    der = [B_elem(0, 1, 0, 0, 0), B_elem(0, 0, 0, 1, 0), B_elem(0, 0, 0, 1j, 0),
-           B_elem(1, 0, 0, 0, 0), B_elem(1j, 0, 0, 0, 0),
-           B_elem(0, 0, 1, 0, 0), B_elem(0, 0, 1j, 0, 0),
-           B_elem(0, 0, 0, 0, 1), B_elem(0, 0, 0, 0, 1j)]
+    # derivative algebra of the two families: both embeddings are real-affine
+    # in their entries, so phi(1 + Y) - phi(1) is their derivative along Y,
+    # over bases of sl(2, C) and of the imaginary quaternions
+    one = np.eye(2, dtype=complex)
+    sl2 = [np.diag([1, -1]), np.diag([1j, -1j]), np.array([[0, 1], [0, 0]]),
+           np.array([[0, 1j], [0, 0]]), np.array([[0, 0], [1, 0]]),
+           np.array([[0, 0], [1j, 0]])]
+    der = [phi_sl2(one + Y) - phi_sl2(one) for Y in sl2]
+    der += [phi_sp1(1 + u, v) - phi_sp1(1, 0) for u, v in ((1j, 0), (0, 1), (0, 1j))]
     span = RealSubspace(der, tol=tol)
     b_space = RealSubspace(data.b_basis, tol=tol)
     rep.equals("sp21_embed_derivative_span", span.equals(b_space), True,

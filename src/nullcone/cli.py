@@ -22,7 +22,7 @@ from .casestudies import (
     sp21_casimir,
     sp21_duality_identity,
     sp21_embedding_check,
-    sp21_grading,
+    sp21_grading_report,
     sp21_hatn_isometry,
     sp21_subalgebra_profiles,
     su21_ad_action,
@@ -33,7 +33,7 @@ from .casestudies import (
     su21_invariants,
     su21_nabla_J,
 )
-from .linalg import Tolerance, bracket
+from .linalg import Tolerance
 from .orbits import (
     _omega_matrix,
     canonicalize_symplectic,
@@ -313,31 +313,7 @@ def suite_sp21(cfg: SuiteConfig) -> Report:
     rep.equals("sp21_wang_ziller", wz_ok, True,
                anchor="Casimir is a multiple of the identity")
     rep.info("sp21_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")
-    pm, p0, pp = sp21_grading(s)
-    rep.equals("sp21_grading_dims", (pm.dim, p0.dim, pp.dim), (12, 67, 12),
-               anchor="graded pieces of the orthogonal algebra of the tangent summand")
-    rep.equals("sp21_parabolic_dims", (s.p_full.dim, s.p_hat.dim), (79, 79),
-               anchor="ray stabilizers inside the orthogonal algebra")
-    wb = max(p0.residual(s.rho(b).astype(complex)) for b in s.b_basis)
-    rep.residual("sp21_b_inside_p0", wb, 1e-8,
-                 anchor="the stabilizer image sits in the degree-zero piece")
-    w_pm = 0.0
-    for A in p0.basis:
-        for B in pm.basis:
-            w_pm = max(w_pm, pm.residual(bracket(A, B)))
-        for B in pp.basis:
-            w_pm = max(w_pm, pp.residual(bracket(A, B)))
-    for A in pm.basis:
-        for B in pm.basis:
-            w_pm = max(w_pm, float(np.linalg.norm(bracket(A, B))))
-    for A in pp.basis:
-        for B in pp.basis:
-            w_pm = max(w_pm, float(np.linalg.norm(bracket(A, B))))
-    for A in pp.basis:
-        for B in pm.basis:
-            w_pm = max(w_pm, p0.residual(bracket(A, B)))
-    rep.residual("sp21_grading_brackets", w_pm, 1e-8,
-                 anchor="the three pieces bracket as a short grading")
+    _absorb(rep, sp21_grading_report(s))
     s2 = sp21_build(a=2.0, seed=cfg.seed, tol=tol)
     _absorb(rep, sp21_duality_identity(s2, trials=cfg.trials, rng=cfg.seed, tol=tol),
             "a2_")

@@ -256,13 +256,17 @@ def _kernel_cols(mat: np.ndarray, tol: Tolerance) -> np.ndarray:
     return vt[rank:].T
 
 
-def gram_matrix(form: BilinForm, basis) -> np.ndarray:
-    k = len(basis)
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            G[i, j] = G[j, i] = form(basis[i], basis[j])
-    return G
+def gram_matrix(form: BilinForm, basis, other=None) -> np.ndarray:
+    """Pairings form(basis[i], other[j]); other defaults to basis.
+
+    Re tr(XY) is the dot product of realify(X) with realify(conj(Y^T)), so
+    the whole matrix is one real product of two flattened stacks.  basis
+    may also be one matrix or a stack (..., N, N), giving (..., len(other)).
+    """
+    other = basis if other is None else other
+    A = realify(np.asarray(basis))
+    B = realify(np.swapaxes(np.asarray(other), -1, -2).conj())
+    return form.scale * (A @ B.T)
 
 
 def sym_signature(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int, int]:
@@ -298,7 +302,7 @@ def orth_complement(space: RealSubspace, within: RealSubspace, form: BilinForm,
     G = gram_matrix(form, space.basis)
     _, _, n0 = sym_signature(G, tol)
     degenerate = n0 > 0
-    rows = np.array([[form(b, w) for w in within.basis] for b in space.basis])
+    rows = gram_matrix(form, space.basis, within.basis)
     ker = _kernel_cols(rows, tol)
     if ker.shape[1] == 0:
         raise ValueError("orthogonal complement is trivial")

@@ -13,16 +13,18 @@ signs: Ric(X, Y) = sum_i eps_i K(R(X, e_i) Y, e_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     BilinForm,
-    DEFAULT_TOL,
     RealSubspace,
     Tolerance,
     bracket,
+    gram_matrix,
     gram_signature,
+    orth_complement,
     signed_gram_schmidt,
     structure_constants,
 )
@@ -30,12 +32,34 @@ from .pairs import SymmetricPair
 from .report import Report
 
 
+def frame_coords(form: BilinForm, frame: np.ndarray, ginv: np.ndarray,
+                 X: np.ndarray) -> np.ndarray:
+    """Coordinates of X in a frame, read through the form.
+
+    frame is a stack (k, N, N) and ginv the inverse of its Gram matrix; X
+    is one matrix or a stack (..., N, N) and the result has shape (..., k).
+    For X outside the span of the frame this reads its form-orthogonal
+    projection onto the span.
+    """
+    return gram_matrix(form, X, frame) @ ginv
+
+
+def frame_ad(form: BilinForm, frame: np.ndarray, ginv: np.ndarray,
+             X: np.ndarray) -> np.ndarray:
+    """Matrix of Y -> [X, Y] in a frame: column b holds the coordinates of
+    [X, frame[b]].  X may be a stack (..., N, N), giving (..., k, k)."""
+    images = bracket(X[..., None, :, :], frame)
+    return np.swapaxes(frame_coords(form, frame, ginv, images), -1, -2)
+
+
 @dataclass
 class ReductiveSplit:
     """h = b + n with a signed orthonormal basis of n.
 
     b may be None for the degenerate case of a trivial stabilizer, in
-    which case n is all of h and the canonical curvature vanishes.
+    which case n is all of h and the canonical curvature vanishes.  The
+    frame, its brackets, the torsion and the curvature are computed once
+    from e_basis, eps and form, on first use.
     """
 
     pair: SymmetricPair
@@ -53,22 +77,43 @@ class ReductiveSplit:
     def dim_n(self) -> int:
         return len(self.e_basis)
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The signed orthonormal basis of n as one stack (d, N, N)."""
+        return np.stack(self.e_basis)
+
     def n_coords(self, X: np.ndarray) -> np.ndarray:
-        """Coordinates of an element of n in the signed orthonormal basis."""
-        return np.array([self.eps[k] * self.form(X, self.e_basis[k])
-                         for k in range(self.dim_n)])
+        """Coordinates of an element of n (or a stack) in the signed basis."""
+        return frame_coords(self.form, self.frame, np.diag(self.eps), X)
 
     def proj_n(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(self.e_basis[0])
-        for k in range(self.dim_n):
-            out = out + (self.eps[k] * self.form(X, self.e_basis[k])) * self.e_basis[k]
-        return out
+        """Orthogonal projection onto n of one matrix or a stack."""
+        return np.tensordot(self.n_coords(X), self.frame, axes=1)
 
-    def bracket_parts(self, u: np.ndarray, v: np.ndarray):
-        """([u, v]_b, [u, v]_n) for u, v in n; the bracket stays in h."""
-        B = bracket(u, v)
-        Bn = self.proj_n(B)
-        return B - Bn, Bn
+    def ad(self, X: np.ndarray) -> np.ndarray:
+        """Matrix of ad(X), read on n, in the signed basis (X may be a stack)."""
+        return frame_ad(self.form, self.frame, np.diag(self.eps), X)
+
+    @cached_property
+    def frame_brackets(self) -> np.ndarray:
+        """[e_i, e_j] for all i, j as (d, d, N, N), exactly antisymmetric."""
+        P = self.frame[:, None] @ self.frame[None, :]
+        return P - np.swapaxes(P, 0, 1)
+
+    @cached_property
+    def torsion_components(self) -> np.ndarray:
+        """T[i, j, :], the coordinates of T(e_i, e_j) = -[e_i, e_j]_n."""
+        return -self.n_coords(self.frame_brackets)
+
+    @cached_property
+    def curvature_components(self) -> np.ndarray:
+        """R[i, k], the matrix of w -> -[[e_i, e_k]_b, w] in the signed basis.
+
+        Built one frame index i at a time, so no d^3 stack of matrices is
+        ever held.
+        """
+        B = self.frame_brackets
+        return np.stack([-self.ad(Bi - self.proj_n(Bi)) for Bi in B])
 
 
 def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
@@ -86,8 +131,6 @@ def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
         _, sig_b = gram_signature(form, b, tol)
         if sig_b[2] > 0:
             raise ValueError("form is degenerate on b; no orthogonal complement")
-        from .linalg import orth_complement
-
         n, _ = orth_complement(b, pair.h, form, tol)
         worst = max(n.residual(bracket(x, u)) for x in b.basis for u in n.basis)
         if worst > 1e-7:
@@ -111,20 +154,14 @@ class TorsionTensor:
 
 
 def torsion(split: ReductiveSplit) -> TorsionTensor:
-    d = split.dim_n
-    t = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            _, Bn = split.bracket_parts(split.e_basis[i], split.e_basis[j])
-            row = split.n_coords(-Bn)
-            t[i, j] = row
-            t[j, i] = -row
-    return TorsionTensor(t)
+    return TorsionTensor(split.torsion_components)
 
 
 def torsion_eval(split: ReductiveSplit, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    _, Bn = split.bracket_parts(u, v)
-    return -Bn
+    """T(u, v) = -[u, v]_n for u, v in n, from the torsion components."""
+    c = np.einsum("i,j,ijk->k", split.n_coords(u), split.n_coords(v),
+                  split.torsion_components)
+    return np.tensordot(c, split.frame, axes=1)
 
 
 def torsion_derivation_check(split: ReductiveSplit,
@@ -133,7 +170,8 @@ def torsion_derivation_check(split: ReductiveSplit,
 
     The derivation residual is [b, T(u, v)] - T([b, u]_n, v) - T(u, [b, v]_n)
     over all basis triples; it vanishes exactly when the isotropy action
-    preserves the torsion tensor.
+    preserves the torsion tensor.  [b, T(u, v)] is kept as a full matrix,
+    so a part of it outside n counts too.
     """
     tol = tol or split.pair.tol
     rep = Report(suite="torsion")
@@ -149,18 +187,14 @@ def torsion_derivation_check(split: ReductiveSplit,
     rep.residual("torsion_total_skew", skew, tol.abs,
                  anchor="lowered torsion changes by the sign of the permutation")
     worst = 0.0
+    T = t.components
+    T_mats = np.tensordot(T, split.frame, axes=1)
     b_basis = [] if split.b is None else split.b.basis
     for X in b_basis:
-        for i in range(split.dim_n):
-            u = split.e_basis[i]
-            Xu = split.proj_n(bracket(X, u))
-            for j in range(split.dim_n):
-                v = split.e_basis[j]
-                Xv = split.proj_n(bracket(X, v))
-                D = (bracket(X, torsion_eval(split, u, v))
-                     - torsion_eval(split, Xu, v)
-                     - torsion_eval(split, u, Xv))
-                worst = max(worst, float(np.linalg.norm(D)))
+        A = split.ad(X)  # column i: coordinates of [X, e_i]_n
+        moved = np.einsum("pi,pjk->ijk", A, T) + np.einsum("qj,iqk->ijk", A, T)
+        D = bracket(X, T_mats) - np.tensordot(moved, split.frame, axes=1)
+        worst = max(worst, float(np.linalg.norm(D, axis=(-2, -1)).max()))
     rep.residual("torsion_derivation", worst, tol.abs,
                  anchor="isotropy elements act as derivations of the torsion")
     return rep
@@ -169,14 +203,14 @@ def torsion_derivation_check(split: ReductiveSplit,
 def canonical_curvature(split: ReductiveSplit, u: np.ndarray,
                         v: np.ndarray) -> np.ndarray:
     """Matrix of w -> -[[u, v]_b, w] on the signed basis coordinates."""
-    Bb, _ = split.bracket_parts(u, v)
-    cols = [split.n_coords(-bracket(Bb, e)) for e in split.e_basis]
-    return np.column_stack(cols)
+    return np.einsum("i,k,ikab->ab", split.n_coords(u), split.n_coords(v),
+                     split.curvature_components)
 
 
 def curvature_eval(split: ReductiveSplit, u, v, w) -> np.ndarray:
-    Bb, _ = split.bracket_parts(u, v)
-    return -bracket(Bb, w)
+    """R(u, v) w = -[[u, v]_b, w] for u, v, w in n."""
+    c = canonical_curvature(split, u, v) @ split.n_coords(w)
+    return np.tensordot(c, split.frame, axes=1)
 
 
 def bianchi_residual(split: ReductiveSplit, u, v, w) -> float:
@@ -193,32 +227,16 @@ def bianchi_residual(split: ReductiveSplit, u, v, w) -> float:
 
 
 def ricci_canonical(split: ReductiveSplit) -> np.ndarray:
-    """Ric(e_i, e_j) = sum_k eps_k K(R(e_i, e_k) e_j, e_k)."""
-    d = split.dim_n
-    ric = np.zeros((d, d))
-    for i in range(d):
-        for k in range(d):
-            Bb, _ = split.bracket_parts(split.e_basis[i], split.e_basis[k])
-            for j in range(d):
-                val = split.form(-bracket(Bb, split.e_basis[j]), split.e_basis[k])
-                ric[i, j] += split.eps[k] * val
-    return ric
+    """Ric(e_i, e_j) = sum_k eps_k K(R(e_i, e_k) e_j, e_k) = sum_k R[i, k][k, j]."""
+    return np.einsum("ikkj->ij", split.curvature_components)
 
 
 def ricci_levi_civita(split: ReductiveSplit) -> np.ndarray:
-    """Canonical Ricci minus the quarter torsion-square correction."""
-    d = split.dim_n
-    ric = ricci_canonical(split)
-    corr = np.zeros((d, d))
-    for k in range(d):
-        Tk = [torsion_eval(split, split.e_basis[k], split.e_basis[i]) for i in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                val = split.eps[k] * split.form(Tk[i], Tk[j])
-                corr[i, j] += val
-                if j != i:
-                    corr[j, i] += val
-    return ric - 0.25 * corr
+    """Canonical Ricci minus the quarter torsion-square correction
+    sum_k eps_k K(T(e_k, e_i), T(e_k, e_j))."""
+    T, eps = split.torsion_components, split.eps
+    corr = np.einsum("k,kil,kjl,l->ij", eps, T, T, eps)
+    return ricci_canonical(split) - 0.25 * corr
 
 
 def metric_gram(split: ReductiveSplit) -> np.ndarray:
@@ -235,9 +253,10 @@ def einstein_fit(split: ReductiveSplit, ric: np.ndarray | None = None):
     return lam, residual
 
 
-def _ad_matrix(split: ReductiveSplit, X: np.ndarray) -> np.ndarray:
-    cols = [split.n_coords(bracket(X, e)) for e in split.e_basis]
-    return np.column_stack(cols)
+def frame_casimir(split: ReductiveSplit, basis, eps: np.ndarray) -> np.ndarray:
+    """sum_a eps_a ad(A_a)^2 on n for a signed orthonormal frame A of b."""
+    ads = split.ad(np.stack(basis))
+    return np.einsum("a,aij,ajk->ik", eps, ads, ads)
 
 
 def casimir(split: ReductiveSplit, rng=0, tol: Tolerance | None = None) -> np.ndarray:
@@ -253,20 +272,12 @@ def casimir(split: ReductiveSplit, rng=0, tol: Tolerance | None = None) -> np.nd
     rng = np.random.default_rng(rng)
 
     def one_pass(space):
-        basis, eps = signed_gram_schmidt(split.form, space, rng, tol)
-        chi = np.zeros((d, d))
-        for A, e in zip(basis, eps):
-            rho = _ad_matrix(split, A)
-            chi += e * (rho @ rho)
-        return chi
+        return frame_casimir(split, *signed_gram_schmidt(split.form, space, rng, tol))
 
     chi1 = one_pass(split.b)
     k = split.b.dim
     mix = rng.standard_normal((k, k)) + np.eye(k)
-    remixed = RealSubspace(
-        [sum(mix[a, c] * split.b.basis[c] for c in range(k)) for a in range(k)],
-        tol=tol,
-    )
+    remixed = RealSubspace(np.tensordot(mix, np.stack(split.b.basis), axes=1), tol=tol)
     chi2 = one_pass(remixed)
     drift = float(np.abs(chi1 - chi2).max())
     if drift > 1e-7 * max(1.0, float(np.abs(chi1).max())):
@@ -296,8 +307,6 @@ def homothety_check(split: ReductiveSplit, S: np.ndarray, S_hat: np.ndarray,
     """
     tol = tol or split.pair.tol
     pair = split.pair
-    from .linalg import orth_complement
-
     span = RealSubspace([S, S_hat], tol=tol)
     n_hat, _ = orth_complement(span, pair.m, pair.form, tol)
     _, sig_n = gram_signature(pair.form, split.n, tol)
@@ -309,8 +318,8 @@ def homothety_check(split: ReductiveSplit, S: np.ndarray, S_hat: np.ndarray,
             f"signatures {sig_n[:2]} vs {sig_hat[:2]}")
     if isometry is not None:
         imgs = [isometry(e) for e in split.e_basis]
-        G_src = np.array([[split.form(a, b) for b in split.e_basis] for a in split.e_basis])
-        G_img = np.array([[split.form(a, b) for b in imgs] for a in imgs])
+        G_src = gram_matrix(split.form, split.e_basis)
+        G_img = gram_matrix(split.form, imgs)
         res = float(np.abs(G_src - G_img).max())
         in_hat = max(n_hat.residual(im) for im in imgs)
         rank = RealSubspace.span(imgs, tol).dim

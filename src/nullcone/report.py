@@ -44,10 +44,6 @@ class Report:
         """Record a diagnostic value that is reported but never asserted."""
         self.checks.append(Check(name, "info", observed, None, None, anchor))
 
-    def merge(self, other: "Report"):
-        self.checks.extend(other.checks)
-        return self
-
     @property
     def n_pass(self) -> int:
         return sum(1 for c in self.checks if c.status == "pass")
@@ -62,7 +58,3 @@ class Report:
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == "fail"]
-
-
-# The library's public name for the result of axiom / identity checkers.
-VerificationReport = Report

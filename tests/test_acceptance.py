@@ -11,6 +11,7 @@ from nullcone.casestudies import (
     sp21_build,
     sp21_casimir,
     sp21_duality_identity,
+    sp21_grading_report,
     sp21_hatn_isometry,
     su21_bracket_table,
     su21_build,
@@ -168,15 +169,15 @@ def test_criterion_7_duality_pairing():
         data = sp21_build(a=a)
         rep = sp21_duality_identity(data, trials=500, rng=7)
         iso = sp21_hatn_isometry(data)
-        ok = ok and rep.ok and iso.ok
-        # the stabilizer lands in the degree-zero block
-        for X in data.b_basis:
-            ok = ok and data.p_zero.residual(data.rho(X)) < 1e-8
+        # the stabilizer lands in the degree-zero block (< 1e-8), and the
+        # graded pieces have their dimensions and short-grading brackets
+        grading = sp21_grading_report(data)
+        ok = ok and rep.ok and iso.ok and grading.ok
         notes.append(f"a={a:g} ok")
     emit(7, ok, "duality identity < 1e-8 over 500 pairs for a in {1,2}, "
          "dual pairing identity, isometry gram < 1e-9, stabilizer inside "
-         "the degree-zero block, complement meets the opposite parabolic "
-         "trivially")
+         "the degree-zero block < 1e-8, short grading brackets < 1e-8, "
+         "complement meets the opposite parabolic trivially")
 
 
 def test_criterion_8_structural_invariants():

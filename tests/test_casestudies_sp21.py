@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nullcone.casestudies as casestudies
 from nullcone.casestudies import (
     B_elem,
     N_elem,
@@ -19,10 +20,19 @@ from nullcone.casestudies import (
     sp21_duality_identity,
     sp21_embedding_check,
     sp21_grading,
+    sp21_grading_report,
     sp21_hatn_isometry,
     sp21_subalgebra_profiles,
 )
-from nullcone.linalg import algebra_profile, bracket
+from nullcone.linalg import (
+    DEFAULT_TOL,
+    QMat,
+    RealSubspace,
+    _kernel_cols,
+    algebra_profile,
+    bracket,
+    quat_embed,
+)
 from nullcone.orbits import make_null_vector, stabilizer_of_ray
 
 
@@ -83,6 +93,29 @@ def test_grading_blocks(data):
     assert (data.p_full.dim, data.p_hat.dim) == (79, 79)
 
 
+def test_orthogonal_algebra_is_the_kernel_of_the_form_condition(data):
+    # reference: the kernel of A -> A^T Gamma + Gamma A over all 14 x 14 matrices
+    G = data.Gamma
+    cols = []
+    for a in range(14):
+        for b in range(14):
+            E = np.zeros((14, 14))
+            E[a, b] = 1.0
+            cols.append((E.T @ G + G @ E).ravel())
+    ker = _kernel_cols(np.column_stack(cols), DEFAULT_TOL)
+    ref = RealSubspace([ker[:, j].reshape(14, 14) for j in range(ker.shape[1])])
+    assert data.so_space.dim == ref.dim == 91
+    assert data.so_space.equals(ref)
+
+
+def test_grading_report(data):
+    rep = sp21_grading_report(data)
+    assert rep.ok, rep.failures()
+    assert [c.name for c in rep.checks] == [
+        "sp21_grading_dims", "sp21_parabolic_dims", "sp21_b_inside_p0",
+        "sp21_grading_brackets"]
+
+
 def test_grading_bracket_relations(data):
     p_minus, p_zero, p_plus = sp21_grading(data)
     rng = np.random.default_rng(3)
@@ -117,6 +150,22 @@ def test_isometry_map_is_linear_chart_flip(data):
 def test_embedding_report(data):
     rep = sp21_embedding_check(data, trials=10, rng=5)
     assert rep.ok, rep.failures()
+
+
+def test_derivative_span_fails_for_a_wrong_sign_embedding(data, monkeypatch):
+    def wrong_sign_phi_sl2(g):
+        # the last diagonal entry should be conj(delta)
+        al, be, ga, de = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+        U = np.diag([al, 1.0, -np.conj(de)]).astype(complex)
+        V = np.zeros((3, 3), dtype=complex)
+        V[0, 2] = be
+        V[2, 0] = -np.conj(ga)
+        return quat_embed(QMat(U, V))
+
+    monkeypatch.setattr(casestudies, "phi_sl2", wrong_sign_phi_sl2)
+    rep = sp21_embedding_check(data, trials=2, rng=5)
+    status = {c.name: c.status for c in rep.checks}
+    assert status["sp21_embed_derivative_span"] == "fail"
 
 
 def test_embeddings_commute_with_base_point(data):

@@ -199,6 +199,22 @@ def test_gram_matrix_and_signature():
     assert sig == (0, 3, 0)
 
 
+def test_gram_matrix_matches_pairwise_form():
+    rng = np.random.default_rng(11)
+    form = BilinForm(0.5)
+    A = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    B = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    want = np.array([[form(a, b) for b in B] for a in A])
+    assert_allclose(gram_matrix(form, list(A), list(B)), want, rtol=1e-13, atol=1e-13)
+    assert_allclose(gram_matrix(form, A), [[form(a, b) for b in A] for a in A],
+                    rtol=1e-13, atol=1e-13)
+    # one matrix or a stack against a frame
+    assert_allclose(gram_matrix(form, A[0], B), want[0], rtol=1e-13, atol=1e-13)
+    stack = np.stack([A, A[::-1]])
+    assert gram_matrix(form, stack, B).shape == (2, 3, 5)
+    assert_allclose(gram_matrix(form, stack, B)[1], want[::-1], rtol=1e-13, atol=1e-13)
+
+
 def test_orth_complement_direct_sum():
     form = BilinForm(1.0)
     su2 = RealSubspace([1j * SX, 1j * SY, 1j * SZ])

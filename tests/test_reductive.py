@@ -9,13 +9,15 @@ from numpy.testing import assert_allclose
 
 from nullcone.casestudies import b_diag, sp21_build, su21_build, v_minus, v_plus
 from nullcone.casestudies import hatn_isometry_map
-from nullcone.linalg import RealSubspace, bracket
+from nullcone.linalg import RealSubspace, bracket, signed_gram_schmidt
 from nullcone.pairs import Family, build_pair
+from nullcone.casestudies import sp21_casimir
 from nullcone.reductive import (
     ReductiveSplit,
     bianchi_residual,
     canonical_curvature,
     casimir,
+    curvature_eval,
     einstein_fit,
     homothety_check,
     metric_gram,
@@ -27,6 +29,77 @@ from nullcone.reductive import (
     torsion_eval,
     wang_ziller_check,
 )
+
+
+# Reference definitions: one form call per entry and one bracket per basis
+# pair or triple.  The library computes the same tensors as contractions of
+# one stacked bracket of the frame; the tests below compare the two.
+
+
+def ref_n_coords(split, X):
+    return np.array([s * split.form(X, e) for s, e in zip(split.eps, split.e_basis)])
+
+
+def ref_bracket_parts(split, u, v):
+    """([u, v]_b, [u, v]_n)."""
+    B = bracket(u, v)
+    Bn = sum(c * e for c, e in zip(ref_n_coords(split, B), split.e_basis))
+    return B - Bn, Bn
+
+
+def ref_torsion(split):
+    d = split.dim_n
+    t = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            _, Bn = ref_bracket_parts(split, split.e_basis[i], split.e_basis[j])
+            t[i, j] = ref_n_coords(split, -Bn)
+            t[j, i] = -t[i, j]
+    return t
+
+
+def ref_ricci_canonical(split):
+    d, E = split.dim_n, split.e_basis
+    ric = np.zeros((d, d))
+    for i in range(d):
+        for k in range(d):
+            Bb, _ = ref_bracket_parts(split, E[i], E[k])
+            for j in range(d):
+                ric[i, j] += split.eps[k] * split.form(-bracket(Bb, E[j]), E[k])
+    return ric
+
+
+def ref_ricci_levi_civita(split):
+    d, E = split.dim_n, split.e_basis
+    corr = np.zeros((d, d))
+    for k in range(d):
+        Tk = [-ref_bracket_parts(split, E[k], E[i])[1] for i in range(d)]
+        for i in range(d):
+            for j in range(d):
+                corr[i, j] += split.eps[k] * split.form(Tk[i], Tk[j])
+    return ref_ricci_canonical(split) - 0.25 * corr
+
+
+def ref_ad(split, X):
+    return np.column_stack([ref_n_coords(split, bracket(X, e)) for e in split.e_basis])
+
+
+def ref_frame_casimir(split, basis, eps):
+    return sum(s * ref_ad(split, A) @ ref_ad(split, A) for A, s in zip(basis, eps))
+
+
+def ref_casimir(split, rng=0):
+    """The first of the two passes of casimir(), which is what it returns."""
+    basis, eps = signed_gram_schmidt(split.form, split.b, np.random.default_rng(rng),
+                                     split.pair.tol)
+    return ref_frame_casimir(split, basis, eps)
+
+
+def ref_rho(data, X):
+    Ginv = np.linalg.inv(data.Gamma)
+    return np.column_stack([
+        Ginv @ np.array([data.pair.form(g, bracket(X, f)) for g in data.graded_basis])
+        for f in data.graded_basis])
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +215,6 @@ def test_torsion_vanishes_on_mixed_null_halves(su21):
 
 
 def test_curvature_basic_identities(su21):
-    from nullcone.reductive import curvature_eval
-
     split = su21.split
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -231,3 +302,60 @@ def test_homothety_checks(su21, sp21):
                                  isometry=hatn_isometry_map)
     assert flag, note
     assert "rank 12" in note
+
+
+SPLITS = ("su21", "sp21", "torsion_free_split", "abelian_split")
+
+
+def _split(request, name):
+    split = request.getfixturevalue(name)
+    return split if isinstance(split, ReductiveSplit) else split.split
+
+
+@pytest.mark.parametrize("name", SPLITS)
+def test_contractions_match_loop_references(request, name):
+    split = _split(request, name)
+    assert_allclose(torsion(split).components, ref_torsion(split), rtol=0, atol=1e-12)
+    assert_allclose(ricci_canonical(split), ref_ricci_canonical(split), rtol=0, atol=1e-12)
+    assert_allclose(ricci_levi_civita(split), ref_ricci_levi_civita(split),
+                    rtol=0, atol=1e-12)
+    if split.b is not None:
+        assert_allclose(casimir(split), ref_casimir(split), rtol=0, atol=1e-12)
+        for X in split.b.basis:
+            assert_allclose(split.ad(X), ref_ad(split, X), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", SPLITS)
+def test_single_argument_evaluators_match_brackets(request, name):
+    split = _split(request, name)
+    rng = np.random.default_rng(6)
+    u, v, w = split.n.random_element(rng, size=3)
+    Bb, Bn = ref_bracket_parts(split, u, v)
+    assert_allclose(torsion_eval(split, u, v), -Bn, rtol=0, atol=1e-12)
+    assert_allclose(curvature_eval(split, u, v, w), -bracket(Bb, w), rtol=0, atol=1e-12)
+    assert_allclose(canonical_curvature(split, u, v),
+                    np.column_stack([ref_n_coords(split, -bracket(Bb, e))
+                                     for e in split.e_basis]), rtol=0, atol=1e-12)
+
+
+def test_stacked_frame_maps_match_single_matrices(su21, sp21):
+    rng = np.random.default_rng(7)
+    for split in (su21.split, sp21.split):
+        Xs = split.pair.h.random_element(rng, size=6).reshape((2, 3) + split.frame.shape[1:])
+        coords = split.n_coords(Xs)
+        proj = split.proj_n(Xs)
+        assert coords.shape == (2, 3, split.dim_n)
+        for idx in np.ndindex(2, 3):
+            assert_allclose(coords[idx], split.n_coords(Xs[idx]), rtol=0, atol=1e-13)
+            assert_allclose(coords[idx], ref_n_coords(split, Xs[idx]), rtol=0, atol=1e-13)
+            assert_allclose(proj[idx], split.proj_n(Xs[idx]), rtol=0, atol=1e-13)
+
+
+def test_sp21_casimir_and_rho_match_loop_references(sp21):
+    assert_allclose(sp21_casimir(sp21), ref_frame_casimir(sp21.split, sp21.A_basis, sp21.eps_A),
+                    rtol=0, atol=1e-12)
+    mats = sp21.b_basis + sp21.n_basis
+    stacked = sp21.rho(np.stack(mats))
+    for X, R in zip(mats, stacked):
+        assert_allclose(R, ref_rho(sp21, X), rtol=0, atol=1e-12)
+        assert_allclose(sp21.rho(X), R, rtol=0, atol=1e-13)
