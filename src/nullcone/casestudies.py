@@ -36,6 +36,7 @@ from .linalg import (
     bracket,
     gram_matrix,
     gram_signature,
+    max_bracket_residual,
     orth_complement,
     quat_embed,
     signed_gram_schmidt,
@@ -47,6 +48,7 @@ from .reductive import (
     einstein_fit,
     frame_ad,
     frame_casimir,
+    frame_coords,
     reductive_split,
     torsion_eval,
 )
@@ -101,17 +103,16 @@ class SU21Data:
     n_plus: RealSubspace
     n_minus: RealSubspace
     n_space: RealSubspace
+    n_ginv: np.ndarray
     split: ReductiveSplit
 
     def J(self, X: np.ndarray) -> np.ndarray:
-        """Para-complex structure: +1 on the plus half, -1 on the minus half."""
-        c = self.n_space.coords(X)
-        out = np.zeros((3, 3), dtype=complex)
-        for i in range(3):
-            out += c[i] * self.n_basis[i]
-        for i in range(3, 6):
-            out -= c[i] * self.n_basis[i]
-        return out
+        """Para-complex structure: +1 on the plus half, -1 on the minus half.
+
+        X lies in n (or is a stack of such); n_ginv is the inverse Gram
+        matrix of n_basis, through which frame_coords reads coordinates."""
+        c = frame_coords(self.pair.form, self.n_space.basis, self.n_ginv, X)
+        return self.n_space.combine(c * np.repeat([1.0, -1.0], 3))
 
 
 def su21_build(a: float = 1.0, seed: int = 0,
@@ -126,9 +127,8 @@ def su21_build(a: float = 1.0, seed: int = 0,
     b_basis = [b_diag(1, 0), b_diag(0, 1)]
     n_basis = [v_plus(1, 0), v_plus(1j, 0), v_plus(0, 1),
                v_minus(1, 0), v_minus(1j, 0), v_minus(0, 1)]
-    for X in b_basis + n_basis:
-        if pair.h.residual(X) > tol.abs:
-            raise ValueError("case-study basis element escapes the isotropy algebra")
+    if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
+        raise ValueError("case-study basis element escapes the isotropy algebra")
     nv = make_null_vector(pair, S, tol)
     if nv.nullity_residual > tol.abs:
         raise ValueError("ray vector is not null")
@@ -146,6 +146,7 @@ def su21_build(a: float = 1.0, seed: int = 0,
         n_plus=RealSubspace(n_basis[:3], tol=tol),
         n_minus=RealSubspace(n_basis[3:], tol=tol),
         n_space=RealSubspace(n_basis, tol=tol),
+        n_ginv=np.linalg.inv(gram_matrix(pair.form, n_basis)),
         split=split,
     )
 
@@ -154,19 +155,15 @@ def su21_invariants(data: SU21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Structural invariants: totally null halves, bracket routing, J algebra."""
     rep = Report(suite="su21_invariants")
     K = data.pair.form
-    null_plus = max(abs(K(x, y)) for x in data.n_basis[:3] for y in data.n_basis[:3])
-    null_minus = max(abs(K(x, y)) for x in data.n_basis[3:] for y in data.n_basis[3:])
-    rep.residual("su21_n_halves_totally_null", max(null_plus, null_minus), tol.abs,
+    plus, minus = data.n_plus.basis, data.n_minus.basis
+    null = max(np.abs(gram_matrix(K, plus)).max(), np.abs(gram_matrix(K, minus)).max())
+    rep.residual("su21_n_halves_totally_null", float(null), tol.abs,
                  anchor="each half of the complement is totally null")
-    b_space = RealSubspace(data.b_basis)
-    mixed = max(b_space.residual(bracket(x, y))
-                for x in data.n_basis[:3] for y in data.n_basis[3:])
+    mixed = max_bracket_residual(plus, minus, RealSubspace(data.b_basis))
     rep.residual("su21_bracket_mixed_into_b", mixed, tol.abs,
                  anchor="mixed brackets land in the stabilizer")
-    pp = max(data.n_minus.residual(bracket(x, y))
-             for x in data.n_basis[:3] for y in data.n_basis[:3])
-    mm = max(data.n_plus.residual(bracket(x, y))
-             for x in data.n_basis[3:] for y in data.n_basis[3:])
+    pp = max_bracket_residual(plus, plus, data.n_minus)
+    mm = max_bracket_residual(minus, minus, data.n_plus)
     rep.residual("su21_bracket_pure_swaps_halves", max(pp, mm), tol.abs,
                  anchor="brackets of pure elements swap the two halves")
     rng = np.random.default_rng(1)
@@ -425,9 +422,8 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
                N_elem(0, 0, 0, 0, 1, 0, 0), N_elem(0, 0, 0, 0, 1j, 0, 0),
                N_elem(0, 0, 0, 0, 0, 1, 0), N_elem(0, 0, 0, 0, 0, 1j, 0),
                N_elem(0, 0, 0, 0, 0, 0, 1), N_elem(0, 0, 0, 0, 0, 0, 1j)]
-    for X in b_basis + n_basis:
-        if pair.h.residual(X) > tol.abs:
-            raise ValueError("case-study basis element escapes the isotropy algebra")
+    if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
+        raise ValueError("case-study basis element escapes the isotropy algebra")
     nv = make_null_vector(pair, S, tol)
     if nv.nullity_residual > tol.abs:
         raise ValueError("ray vector is not null")
@@ -529,7 +525,7 @@ def sp21_grading_report(data: SP21Data) -> Report:
     wb = p0.residual(data.rho(np.stack(data.b_basis)).astype(complex)).max()
     rep.residual("sp21_b_inside_p0", wb, 1e-8,
                  anchor="the stabilizer image sits in the degree-zero piece")
-    lower, upper = np.stack(pm.basis), np.stack(pp.basis)
+    lower, upper = pm.basis, pp.basis
     w = 0.0
     for A in p0.basis:
         w = max(w, pm.residual(bracket(A, lower)).max(),
@@ -555,16 +551,14 @@ def sp21_subalgebra_profiles(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Re
     rep.equals("sp21_factor2_profile", (prof2[0], prof2[1], prof2[2], prof2[3]),
                (6, (3, 3, 0), 0, 6),
                anchor="complex special-linear factor: 6-dim, split, perfect")
-    K = data.pair.form
-    ortho = max(abs(K(x, y)) for x in data.b1.basis for y in data.b2.basis)
+    b1, b2, n2 = data.b1.basis, data.b2.basis, data.n2.basis
+    ortho = float(np.abs(gram_matrix(data.pair.form, b1, b2)).max())
     rep.residual("sp21_factors_orthogonal", ortho, tol.abs,
                  anchor="the two factors are orthogonal")
-    comm = max(float(np.linalg.norm(bracket(x, y)))
-               for x in data.b1.basis for y in data.b2.basis)
+    comm = max(float(np.linalg.norm(bracket(x, b2), axis=(-2, -1)).max()) for x in b1)
     rep.residual("sp21_factors_commute", comm, tol.abs,
                  anchor="the two factors commute")
-    triv = max(float(np.linalg.norm(bracket(x, y)))
-               for x in data.b1.basis for y in data.n2.basis)
+    triv = max(float(np.linalg.norm(bracket(x, n2), axis=(-2, -1)).max()) for x in b1)
     rep.residual("sp21_factor1_trivial_on_n2", triv, tol.abs,
                  anchor="the compact factor acts trivially on the second block")
     return rep
@@ -689,12 +683,12 @@ def sp21_hatn_isometry(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
     """The explicit chart map onto the tangent-summand complement."""
     rep = Report(suite="sp21_isometry")
     pair = data.pair
-    imgs = [hatn_isometry_map(N) for N in data.n_basis]
-    in_m = max(pair.m.residual(im) for im in imgs)
+    imgs = np.stack([hatn_isometry_map(N) for N in data.n_basis])
+    in_m = float(pair.m.residual(imgs).max())
     rep.residual("sp21_isometry_lands_in_m", in_m, tol.abs,
                  anchor="images lie in the tangent summand")
     K = pair.form
-    perp = max(max(abs(K(im, data.S)), abs(K(im, data.S_hat))) for im in imgs)
+    perp = float(np.abs(gram_matrix(K, imgs, np.stack([data.S, data.S_hat]))).max())
     rep.residual("sp21_isometry_perp_to_rays", perp, tol.abs,
                  anchor="images are orthogonal to the ray pair")
     G_src = gram_matrix(K, data.n_basis)

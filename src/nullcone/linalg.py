@@ -9,7 +9,8 @@ rank decisions go through numpy's SVD with explicit tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,29 +112,32 @@ def realify(X: np.ndarray) -> np.ndarray:
 def unrealify(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of realify for the given matrix shape (over the last axis)."""
     half = v.shape[-1] // 2
-    flat = v[..., :half] + 1j * v[..., half:]
+    # assigning the parts copies them bit for bit; re + 1j * im can flip a zero's sign
+    flat = np.empty(v.shape[:-1] + (half,), dtype=complex)
+    flat.real = v[..., :half]
+    flat.imag = v[..., half:]
     return flat.reshape(v.shape[:-1] + tuple(shape))
 
 
 class RealSubspace:
     """Real-linear span of complex matrices with a fixed, ordered basis.
 
-    The basis is kept exactly as supplied (callers often rely on the
-    ordering); construction fails if it is linearly dependent.
+    The basis (a list of matrices or a stack (k, a, b)) is stored once, as
+    the real columns of one realify of the stack; construction fails if it
+    is linearly dependent.  `basis` unpacks those columns again, in the
+    supplied order and bit for bit.
     """
 
     def __init__(self, basis, tol: Tolerance = DEFAULT_TOL):
-        basis = [np.asarray(b, dtype=complex) for b in basis]
-        if not basis:
+        basis = np.asarray(basis, dtype=complex)
+        if len(basis) == 0:
             raise ValueError("empty basis; use RealSubspace.span for rank-safe construction")
-        shape = basis[0].shape
-        for b in basis:
-            if b.shape != shape:
-                raise ValueError("all basis matrices must share one shape")
-        self.basis = basis
-        self.shape = shape
+        if basis.ndim != 3:
+            raise ValueError("all basis matrices must share one shape")
+        self.shape = basis.shape[1:]
         self.tol = tol
-        self._mat = np.column_stack([realify(b) for b in basis])
+        # column i is realify(basis[i]); C order, as BLAS rounds combine differently in F order
+        self._mat = np.ascontiguousarray(realify(basis).T)
         s = np.linalg.svd(self._mat, compute_uv=False)
         if s[-1] <= tol.rank_rel * s[0]:
             raise ValueError("supplied basis is linearly dependent")
@@ -141,23 +145,29 @@ class RealSubspace:
     @classmethod
     def span(cls, mats, tol: Tolerance = DEFAULT_TOL) -> "RealSubspace":
         """Subspace spanned by possibly dependent matrices (orthonormalized)."""
-        mats = [np.asarray(m, dtype=complex) for m in mats]
-        if not mats:
+        mats = np.asarray(mats, dtype=complex)
+        if len(mats) == 0:
             raise ValueError("need at least one matrix to take a span")
-        shape = mats[0].shape
-        rows = np.stack([realify(m) for m in mats])
-        _, s, vt = np.linalg.svd(rows)
+        _, s, vt = np.linalg.svd(realify(mats))
         cut = tol.rank_rel * s[0] if s[0] > 0 else 0.0
         rank = int(np.sum(s > cut))
         if rank == 0:
             raise ValueError("all matrices are numerically zero")
-        return cls([unrealify(v, shape) for v in vt[:rank]], tol=tol)
+        return cls(unrealify(vt[:rank], mats.shape[1:]), tol=tol)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The basis as a read-only stack (dim, a, b), unpacked from the
+        stored columns when first asked for."""
+        B = unrealify(self._mat.T, self.shape)
+        B.flags.writeable = False
+        return B
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._mat.shape[1]
 
-    # coords, combine, project and residual take one matrix or a stack
+    # coords, combine, project, residual and contains take one matrix or a stack
     # (..., a, b); a stack is one multi-right-hand-side solve
 
     def coords(self, X: np.ndarray) -> np.ndarray:
@@ -180,9 +190,11 @@ class RealSubspace:
             return float(np.linalg.norm(R))
         return np.linalg.norm(R, axis=(-2, -1))
 
-    def contains(self, X: np.ndarray, scale: float | None = None) -> bool:
-        if scale is None:
-            scale = max(1.0, float(np.linalg.norm(X)))
+    def contains(self, X: np.ndarray):
+        """Whether X lies in the subspace: residual within tol.abs at the
+        scale max(1, |X|).  A stack gives one bool per matrix, each judged
+        at its own scale."""
+        scale = np.maximum(1.0, np.linalg.norm(X, axis=(-2, -1)))
         return self.residual(X) <= self.tol.abs * scale
 
     def random_element(self, rng: np.random.Generator, norm=None,
@@ -210,14 +222,16 @@ class RealSubspace:
         None when the kernel is trivial.
         """
         tol = tol or self.tol
-        # column i holds the flattened image of basis[i]
+        # column i holds the flattened image of basis[i]; the map is applied
+        # one matrix at a time, since stacked images of a large basis (so(14)
+        # has 91 elements) raise the peak memory of the case studies
         cols = np.column_stack(
             [realify(np.asarray(linmap(b), dtype=complex)) for b in self.basis]
         )
         ker = _kernel_cols(cols, tol)
         if ker.shape[1] == 0:
             return None
-        return RealSubspace([self.combine(ker[:, j]) for j in range(ker.shape[1])], tol=tol)
+        return RealSubspace(self.combine(ker.T), tol=tol)
 
     def intersection(self, other: "RealSubspace", tol: Tolerance | None = None) -> int:
         """Dimension of the intersection with another subspace."""
@@ -237,9 +251,13 @@ class RealSubspace:
     def equals(self, other: "RealSubspace") -> bool:
         if self.dim != other.dim:
             return False
-        return all(other.contains(b) for b in self.basis) and all(
-            self.contains(b) for b in other.basis
-        )
+        return bool(other.contains(self.basis).all() and self.contains(other.basis).all())
+
+
+def max_bracket_residual(rows, cols, target: RealSubspace) -> float:
+    """Largest distance from [x, y] to target over x in rows, y in cols,
+    with one stacked residual per row (no (k, k, N, N) stack is built)."""
+    return max(float(target.residual(bracket(x, cols)).max()) for x in rows)
 
 
 def _kernel_cols(mat: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -306,28 +324,26 @@ def orth_complement(space: RealSubspace, within: RealSubspace, form: BilinForm,
     ker = _kernel_cols(rows, tol)
     if ker.shape[1] == 0:
         raise ValueError("orthogonal complement is trivial")
-    comp = RealSubspace([within.combine(ker[:, j]) for j in range(ker.shape[1])], tol=tol)
+    comp = RealSubspace(within.combine(ker.T), tol=tol)
     return comp, degenerate
 
 
-def structure_constants(space: RealSubspace, tol: Tolerance = DEFAULT_TOL):
+def structure_constants(space: RealSubspace):
     """Structure constants c[i, j, :] of the bracket in the given basis.
 
-    Also reports whether the space is closed under the bracket; when it is
+    Also reports whether the space contains every bracket; when it does
     not, the constants are the coordinates of the projections.
     """
     k = space.dim
     c = np.zeros((k, k, k))
     closed = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            B = bracket(space.basis[i], space.basis[j])
-            scale = max(1.0, float(np.linalg.norm(B)))
-            if space.residual(B) > tol.abs * scale:
-                closed = False
-            cij = space.coords(B)
-            c[i, j] = cij
-            c[j, i] = -cij
+    for i in range(k - 1):
+        # row i: brackets of basis[i] with every later basis element
+        B = bracket(space.basis[i], space.basis[i + 1:])
+        closed = closed and bool(space.contains(B).all())
+        ci = space.coords(B)
+        c[i, i + 1:] = ci
+        c[i + 1:, i] = -ci
     return c, closed
 
 
@@ -338,21 +354,19 @@ def algebra_profile(space: RealSubspace, tol: Tolerance = DEFAULT_TOL):
     is computed from the adjoint matrices in the supplied basis, so the
     result is basis-independent up to the stated tolerances.
     """
-    c, closed = structure_constants(space, tol)
+    c, closed = structure_constants(space)
     if not closed:
         raise ValueError("space is not closed under the bracket")
     k = space.dim
     # ad_i maps coordinates a to coordinates of [b_i, sum_a a_a b_a]
-    ads = np.empty((k, k, k))
-    for i in range(k):
-        ads[i] = c[i].T
+    ads = np.swapaxes(c, 1, 2)
     K = np.einsum("iab,jba->ij", ads, ads)
     sig = sym_signature(K, tol)
     flat = ads.reshape(k, k * k).T  # columns: vectorized ad matrices
     center = _kernel_cols(flat, tol).shape[1]
-    pairs = [c[i, j] for i in range(k) for j in range(i + 1, k)]
-    if pairs:
-        s = np.linalg.svd(np.stack(pairs), compute_uv=False)
+    pairs = c[np.triu_indices(k, 1)]
+    if len(pairs):
+        s = np.linalg.svd(pairs, compute_uv=False)
         derived = int(np.sum(s > tol.rank_rel * s[0])) if s[0] > tol.abs else 0
     else:
         derived = 0
@@ -372,7 +386,7 @@ def signed_gram_schmidt(form: BilinForm, space: RealSubspace,
     space.  Returns (basis, eps) with eps ordered +1 entries first.
     """
     rng = rng or np.random.default_rng(0)
-    vecs = [b.copy() for b in space.basis]
+    vecs = list(space.basis)
     out, eps = [], []
     remix = 0
     while vecs:

@@ -130,9 +130,8 @@ class RayStabilizers:
         if ker.shape[1] == 0:
             return StabilizerResult(None, 0, np.zeros(0), 0.0)
         hdim = pair.h.dim
-        mats = list(pair.h.combine(ker[:hdim].T))
-        return StabilizerResult(RealSubspace(mats, tol=tol), ker.shape[1],
-                                ker[hdim].copy(), float(self.residuals[i]))
+        b = RealSubspace(pair.h.combine(ker[:hdim].T), tol=tol)
+        return StabilizerResult(b, ker.shape[1], ker[hdim].copy(), float(self.residuals[i]))
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -388,7 +387,7 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
     """
     tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)[:, None]
-    B = bracket(np.stack(pair.h.basis), S)
+    B = bracket(pair.h.basis, S)
     cols = np.concatenate([realify(B), -realify(S)], axis=1)
     del B
     _, s, vt = np.linalg.svd(cols.transpose(0, 2, 1), full_matrices=False)

@@ -27,6 +27,7 @@ from .linalg import (
     bracket,
     gram_matrix,
     gram_signature,
+    max_bracket_residual,
     quat_embed,
 )
 from .report import Report
@@ -80,14 +81,9 @@ class SymmetricPair:
         return self.carrier_form.shape[0]
 
     def involution(self, X: np.ndarray) -> np.ndarray:
-        """Negative conjugate transpose; fixes h and m setwise."""
-        return -np.asarray(X).conj().T
-
-    def in_h(self, X: np.ndarray) -> bool:
-        return self.h.contains(X)
-
-    def in_m(self, X: np.ndarray) -> bool:
-        return self.m.contains(X)
+        """Negative conjugate transpose (of each matrix of a stack); fixes h
+        and m setwise."""
+        return -np.swapaxes(np.asarray(X).conj(), -1, -2)
 
 
 def _eij(n: int, i: int, j: int) -> np.ndarray:
@@ -309,15 +305,12 @@ def default_families(n_min: int = 2, n_max: int = 6):
     return fams
 
 
-def isotropy_matrix(pair: SymmetricPair, X: np.ndarray,
-                    tol: Tolerance | None = None) -> np.ndarray:
+def isotropy_matrix(pair: SymmetricPair, X: np.ndarray) -> np.ndarray:
     """Matrix of S -> [X, S] on the stored m-basis coordinates."""
-    tol = tol or pair.tol
-    scale = max(1.0, float(np.linalg.norm(X)))
-    if pair.h.residual(X) > tol.abs * scale:
+    if not pair.h.contains(X):
         raise ValueError("X is not in the isotropy algebra within tolerance")
-    cols = [pair.m.coords(bracket(X, b)) for b in pair.m.basis]
-    return np.column_stack(cols)
+    # row j of the coordinates is column j of the matrix
+    return pair.m.coords(bracket(X, pair.m.basis)).T
 
 
 def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
@@ -336,24 +329,15 @@ def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
         anchor="h and m fill out the trace-free matrix algebra",
     )
 
-    def max_residual(space_a, space_b, target):
-        worst = 0.0
-        for a in space_a.basis:
-            for b in space_b.basis:
-                B = bracket(a, b)
-                worst = max(worst, target.residual(B))
-        return worst
-
-    rep.residual(f"{label}_bracket_hh", max_residual(pair.h, pair.h, pair.h),
+    h, m = pair.h.basis, pair.m.basis
+    rep.residual(f"{label}_bracket_hh", max_bracket_residual(h, h, pair.h),
                  tol.abs, anchor="[h, h] inside h")
-    rep.residual(f"{label}_bracket_hm", max_residual(pair.h, pair.m, pair.m),
+    rep.residual(f"{label}_bracket_hm", max_bracket_residual(h, m, pair.m),
                  tol.abs, anchor="[h, m] inside m")
-    rep.residual(f"{label}_bracket_mm", max_residual(pair.m, pair.m, pair.h),
+    rep.residual(f"{label}_bracket_mm", max_bracket_residual(m, m, pair.h),
                  tol.abs, anchor="[m, m] inside h")
 
-    cross = max(
-        abs(pair.form(a, b)) for a in pair.h.basis for b in pair.m.basis
-    )
+    cross = float(np.abs(gram_matrix(pair.form, h, m)).max())
     rep.residual(f"{label}_form_orthogonal", cross, tol.abs,
                  anchor="h and m are orthogonal for the trace form")
 
@@ -379,8 +363,8 @@ def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
     rep.residual(f"{label}_involution_automorphism", worst_auto, 1e-7,
                  anchor="negative conjugate transpose respects brackets")
 
-    worst_h = max(pair.h.residual(pair.involution(b)) for b in pair.h.basis)
-    worst_m = max(pair.m.residual(pair.involution(b)) for b in pair.m.basis)
+    worst_h = float(pair.h.residual(pair.involution(pair.h.basis)).max())
+    worst_m = float(pair.m.residual(pair.involution(pair.m.basis)).max())
     rep.residual(f"{label}_involution_fixes_h", worst_h, tol.abs,
                  anchor="involution maps the isotropy algebra to itself")
     rep.residual(f"{label}_involution_fixes_m", worst_m, tol.abs,
@@ -400,8 +384,8 @@ def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
 
 def corrupt_pair(pair: SymmetricPair) -> SymmetricPair:
     """Negative control: move one generator between the two summands."""
-    h_bad = list(pair.h.basis[:-1]) + [pair.m.basis[0]]
-    m_bad = [pair.h.basis[-1]] + list(pair.m.basis[1:])
+    h_bad = np.concatenate([pair.h.basis[:-1], pair.m.basis[:1]])
+    m_bad = np.concatenate([pair.h.basis[-1:], pair.m.basis[1:]])
     return replace(
         pair,
         h=RealSubspace(h_bad, tol=pair.tol),

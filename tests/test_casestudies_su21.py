@@ -20,12 +20,37 @@ from nullcone.casestudies import (
     v_plus,
 )
 from nullcone.linalg import bracket
+from nullcone.reductive import torsion_eval
 from nullcone.orbits import stabilizer_of_ray, make_null_vector
 
 
 @pytest.fixture(scope="module")
 def data():
     return su21_build()
+
+
+def lstsq_J(data, X):
+    """Reference para-complex structure: least-squares coordinates in
+    n_basis, summed term by term with the signs of the two halves."""
+    c = data.n_space.coords(X)
+    out = np.zeros((3, 3), dtype=complex)
+    for i in range(3):
+        out += c[i] * data.n_basis[i]
+    for i in range(3, 6):
+        out -= c[i] * data.n_basis[i]
+    return out
+
+
+def test_J_matches_the_least_squares_reference(data):
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        x = data.n_space.random_element(rng)
+        y = data.n_space.random_element(rng)
+        assert_allclose(data.J(x), lstsq_J(data, x), rtol=0, atol=1e-12)
+        t = torsion_eval(data.split, x, y)
+        assert_allclose(data.J(t), lstsq_J(data, t), rtol=0, atol=1e-12)
+    X = data.n_space.random_element(rng, size=4)
+    assert_allclose(data.J(X), np.stack([lstsq_J(data, x) for x in X]), rtol=0, atol=1e-12)
 
 
 def test_base_point_spectrum(data):

@@ -15,6 +15,7 @@ from nullcone.linalg import (
     bracket,
     gram_matrix,
     gram_signature,
+    max_bracket_residual,
     orth_complement,
     quat_embed,
     quat_mul,
@@ -141,6 +142,38 @@ def test_subspace_basics():
     assert space.contains(X)
     assert not space.contains(SX)
     assert_allclose(space.project(SX), np.zeros((2, 2)), atol=1e-12)
+
+
+def test_contains_judges_each_matrix_at_its_own_scale():
+    su2 = RealSubspace([1j * SX, 1j * SY, 1j * SZ])
+    big = 1e6 * (1j * SZ)  # inside
+    small = 1e-6 * np.eye(2)  # outside: residual 1.4e-6 against tol.abs at scale 1
+    assert su2.contains(big) and not su2.contains(small)
+    assert su2.contains(np.stack([big, small])).tolist() == [True, False]
+
+
+def test_basis_is_stored_once_and_unpacked_bit_for_bit():
+    rng = np.random.default_rng(12)
+    mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    mats[0, 0, 0] = complex(-0.0, -0.0)  # signed zeros survive the round trip
+    from_list, from_stack = RealSubspace(list(mats)), RealSubspace(mats)
+    assert from_list._mat.tobytes() == from_stack._mat.tobytes()
+    assert from_list.basis.tobytes() == from_stack.basis.tobytes() == mats.tobytes()
+    assert from_stack.basis.shape == (4, 3, 3)
+    assert from_stack.basis is from_stack.basis
+    assert not from_stack.basis.flags.writeable
+
+
+def test_max_bracket_residual_matches_pairwise_loop():
+    rng = np.random.default_rng(13)
+    A, B, T = (rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))
+               for k in (4, 5, 6))
+    target = RealSubspace(T)
+    want = np.array([[target.residual(bracket(a, b)) for b in B] for a in A])
+    got = np.array([[max_bracket_residual(A[i:i + 1], B[j:j + 1], target)
+                     for j in range(5)] for i in range(4)])
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert abs(max_bracket_residual(A, B, target) - want.max()) <= 1e-12
 
 
 def test_subspace_dependent_basis_raises():

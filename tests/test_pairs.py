@@ -4,9 +4,15 @@ isotropy representation."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from nullcone.linalg import RealSubspace, bracket, gram_signature
+from nullcone.linalg import (
+    DEFAULT_TOL,
+    RealSubspace,
+    bracket,
+    gram_signature,
+    structure_constants,
+)
 from nullcone.pairs import (
     Family,
     build_pair,
@@ -19,6 +25,37 @@ from nullcone.pairs import (
 )
 
 ALL_FIELDS = ("R", "C", "H")
+SIZES = [(2, 1), (3, 2)]
+
+
+# pairwise reference loops: the per-pair forms the stacked calls replaced
+
+
+def ref_max_residual(space_a, space_b, target):
+    return max(target.residual(bracket(a, b)) for a in space_a.basis for b in space_b.basis)
+
+
+def ref_isotropy_matrix(pair, X):
+    return np.column_stack([pair.m.coords(bracket(X, b)) for b in pair.m.basis])
+
+
+def ref_structure_constants(space, tol=DEFAULT_TOL):
+    k = space.dim
+    c = np.zeros((k, k, k))
+    closed = True
+    for i in range(k):
+        for j in range(i + 1, k):
+            B = bracket(space.basis[i], space.basis[j])
+            if space.residual(B) > tol.abs * max(1.0, float(np.linalg.norm(B))):
+                closed = False
+            c[i, j] = space.coords(B)
+            c[j, i] = -c[i, j]
+    return c, closed
+
+
+def ref_equals(a, b):
+    return a.dim == b.dim and all(b.contains(x) for x in a.basis) and all(
+        a.contains(y) for y in b.basis)
 
 
 def test_closed_formula_spot_values():
@@ -132,6 +169,66 @@ def test_corrupted_pair_fails_axioms():
     pair = corrupt_pair(build_pair(Family("C", 2, 1)))
     rep = check_symmetric_axioms(pair, rng=np.random.default_rng(14))
     assert rep.n_fail > 0
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_corrupted_pair_fails_each_bracket_check(field):
+    pair = corrupt_pair(build_pair(Family(field, 2, 1)))
+    rep = check_symmetric_axioms(pair, rng=np.random.default_rng(14))
+    checks = {c.name.split("standard_")[1]: c for c in rep.checks}
+    assert [checks[f"bracket_{s}"].status for s in ("hh", "hm", "mm")] == ["fail"] * 3
+    # the O(1) residuals of the control also match the pairwise loop
+    h, m = pair.h, pair.m
+    for name, args in (("hh", (h, h, h)), ("hm", (h, m, m)), ("mm", (m, m, h))):
+        assert abs(checks[f"bracket_{name}"].observed - ref_max_residual(*args)) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("pq", SIZES)
+def test_axiom_residuals_match_pairwise_loops(field, pq):
+    pair = build_pair(Family(field, *pq))
+    rep = check_symmetric_axioms(pair, rng=np.random.default_rng(17))
+    got = {c.name.split("standard_")[1]: c.observed for c in rep.checks}
+    h, m = pair.h, pair.m
+    want = {
+        "bracket_hh": ref_max_residual(h, h, h),
+        "bracket_hm": ref_max_residual(h, m, m),
+        "bracket_mm": ref_max_residual(m, m, h),
+        "involution_fixes_h": max(h.residual(pair.involution(b)) for b in h.basis),
+        "involution_fixes_m": max(m.residual(pair.involution(b)) for b in m.basis),
+        "form_orthogonal": max(abs(pair.form(a, b)) for a in h.basis for b in m.basis),
+    }
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-12, name
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("pq", SIZES)
+def test_stacked_layer_matches_pairwise_loops(field, pq):
+    pair = build_pair(Family(field, *pq))
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        X = pair.h.random_element(rng)
+        assert_allclose(isotropy_matrix(pair, X), ref_isotropy_matrix(pair, X),
+                        rtol=0, atol=1e-12)
+    # h is closed under the bracket, m is not
+    for space in (pair.h, pair.m):
+        c, closed = structure_constants(space)
+        c_ref, closed_ref = ref_structure_constants(space)
+        assert closed == closed_ref == (space is pair.h)
+        assert_allclose(c, c_ref, rtol=0, atol=1e-12)
+    rebased = RealSubspace.span(pair.h.basis[::-1])
+    wrong = corrupt_pair(pair).h
+    for a, b, same in ((pair.h, rebased, True), (pair.h, wrong, False),
+                       (pair.m, pair.m, True), (pair.h, pair.m, False)):
+        assert a.equals(b) == ref_equals(a, b) == same
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_involution_acts_on_each_matrix_of_a_stack(field):
+    pair = build_pair(Family(field, 2, 1))
+    B = np.stack(pair.h.basis)
+    assert_array_equal(pair.involution(B), np.stack([pair.involution(X) for X in B]))
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
