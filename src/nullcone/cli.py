@@ -35,17 +35,16 @@ from .casestudies import (
 )
 from .linalg import Tolerance
 from .orbits import (
-    _omega_matrix,
-    canonicalize_symplectic,
-    canonicalize_unitary,
+    canonicalize_symplectic_batch,
+    canonicalize_unitary_batch,
     codimension_from_stabilizer,
+    normal_form_residuals,
     partner_null_batch,
     sample_null_batch,
     sample_so21_stratum_batch,
     so21_orbit_class,
     stabilizer_mismatch,
     stabilizers_of_rays,
-    t_form,
     trial_blocks,
 )
 from .pairs import (
@@ -173,31 +172,16 @@ def suite_orbits(cfg: SuiteConfig) -> Report:
         worst_canon = worst_theta = 0.0
         worst_pairing = -np.inf
         stab_match = True
-        F = pair.hermitian_matrix
-        Hm = pair.carrier_form
-        if fam.field == "H":
-            Om = _omega_matrix(pair)
-            # the sampler always realizes the maximal corner size
-            W = t_form(fam.p, fam.q, min(fam.p, fam.q))
-            Z = np.zeros_like(W)
-            om_target = np.block([[Z, W], [-W, Z]])
-            h_target = np.block([[W, Z], [Z, W]])
         for k in trial_blocks(pair, cfg.trials):
             batch = sample_null_batch(pair, k, rng=rng, tol=tol)
-            for i in range(k):
-                nv = batch.row(i)
+            if fam.field != "R":
                 if fam.field == "C":
-                    P, r = canonicalize_unitary(pair, nv, tol)
-                    target = t_form(fam.p, fam.q, r)
-                    worst_canon = max(worst_canon, float(
-                        np.abs(P.conj().T @ F @ P - target).max()))
-                elif fam.field == "H":
-                    P = canonicalize_symplectic(pair, nv, tol)
-                    worst_canon = max(
-                        worst_canon,
-                        float(np.abs(P.T @ Om @ P - om_target).max()),
-                        float(np.abs(P.conj().T @ Hm @ P - h_target).max()),
-                    )
+                    P, r = canonicalize_unitary_batch(pair, batch, tol)
+                else:
+                    # the sampler always realizes the maximal corner size
+                    P, r = canonicalize_symplectic_batch(pair, batch, tol), min(fam.p, fam.q)
+                worst_canon = max(worst_canon,
+                                  float(normal_form_residuals(pair, P, r).max()))
             partners, pairings = partner_null_batch(pair, batch, tol)
             worst_pairing = max(worst_pairing, float(pairings.max()))
             st = stabilizers_of_rays(pair, batch.S, tol)
@@ -221,7 +205,7 @@ def suite_orbits(cfg: SuiteConfig) -> Report:
                 sdims = set()
                 for k in trial_blocks(pair, cfg.trials):
                     batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng, tol=tol)
-                    n_class += sum(so21_orbit_class(S, tol) == stratum for S in batch.S)
+                    n_class += int(np.count_nonzero(so21_orbit_class(batch.S, tol) == stratum))
                     sdims.update(stabilizers_of_rays(pair, batch.S, tol).dims.tolist())
                 rep.equals(f"R21_stratum_{stratum}_classified", n_class, cfg.trials,
                            anchor="stratum samples classify as their stratum")

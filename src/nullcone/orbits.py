@@ -5,14 +5,17 @@ with a prescribed spectrum in a convenient frame and moved to the pair's
 frame by a form congruence plus a random isotropy conjugation.  Ray
 stabilizers are kernels of a joint linear system (the commutator may scale
 S along the ray, so the scaling coefficient is solved for, not assumed to
-vanish).  Normal-form routines reduce a generic null vector to a diagonal
-matrix whose invariant-form Gram takes an antidiagonal corner shape.
+vanish); the system keeps only the real rows that carry information.
+Normal-form routines reduce a generic null vector to a diagonal matrix
+whose invariant-form Gram takes an antidiagonal corner shape: the unitary
+form for the complex family, the symplectic form for the quaternionic one.
 
-Sampling, certification, partners and stabilizers run on stacks of rays
-(sample_null_batch, partner_null_batch, stabilizers_of_rays); the
-single-ray functions are the k = 1 case of the same kernels.  The kernels
-take whatever stack they are given; callers that walk many rays cut them
-with trial_blocks, which bounds the memory of one block.
+Sampling, certification, partners, stabilizers and normal forms run on
+stacks of rays (sample_null_batch, partner_null_batch, stabilizers_of_rays,
+canonicalize_unitary_batch, canonicalize_symplectic_batch); the single-ray
+functions are the k = 1 case of the same kernels.  The kernels take
+whatever stack they are given; callers that walk many rays cut them with
+trial_blocks, which bounds the memory of one block.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm, null_space
+from scipy.linalg import expm
 
-from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, bracket, quat_embed, realify
-from .pairs import SymmetricPair
+from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, quat_embed, realify
+from .pairs import SymmetricPair, t_form
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
 # trial_blocks cuts a run of rays into blocks whose stacked stabilizer
@@ -147,14 +150,15 @@ def _as_rng(rng) -> np.random.Generator:
 
 
 def _stabilizer_row_bytes(pair: SymmetricPair) -> int:
-    """Stacked bytes per ray of stabilizers_of_rays: three complex
-    (dim h, N, N) bracket stacks and four real (2 N^2) x (dim h + 1) copies
-    of the system (realified, joined, the LAPACK copy and the reduced left
-    factor).  Under tracemalloc a block's numpy arrays peak at 0.4 to 0.7
-    of this, for R, C, H at (2, 1) and C, H at (6, 5); the sampling arrays
-    of the same rows peak at under a tenth of it."""
-    N, hdim = pair.carrier_dim, pair.h.dim
-    return 16 * 3 * hdim * N * N + 8 * 4 * 2 * N * N * (hdim + 1)
+    """Stacked bytes per ray of stabilizers_of_rays: three bracket stacks of
+    the kept rows (dim h x rows real numbers each) and four rows x (dim h + 1)
+    copies of the system (realified, joined, the LAPACK copy and the reduced
+    left factor), where rows is the number of real rows the system keeps
+    (_system_rows).  Under tracemalloc a block's numpy arrays peak at 0.4
+    to 0.71 of this, for R, C, H at (2, 1) and (6, 5); the sampling, partner
+    and normal-form arrays of the same rows peak at under half of it."""
+    hdim = pair.h.dim
+    return 8 * _system_rows(pair) * (3 * hdim + 4 * (hdim + 1))
 
 
 def trial_blocks(pair: SymmetricPair, k: int) -> list[int]:
@@ -232,36 +236,6 @@ def make_null_vector(pair: SymmetricPair, S: np.ndarray,
     return _certify_null(pair, S[None], tol or pair.tol).row(0)
 
 
-def t_form(p: int, q: int, r: int) -> np.ndarray:
-    """Antidiagonal-corner form: flipped identities of size r in the corners,
-    a diagonal (p-r, q-r) signature block in the middle."""
-    n = p + q
-    if r > min(p, q):
-        raise ValueError("corner size exceeds min(p, q)")
-    T = np.zeros((n, n), dtype=complex)
-    if r:
-        T[:r, n - r:] = np.fliplr(np.eye(r))
-        T[n - r:, :r] = np.fliplr(np.eye(r))
-    mid = [1.0] * (p - r) + [-1.0] * (q - r)
-    for i, s in enumerate(mid):
-        T[r + i, r + i] = s
-    return T
-
-
-def congruence(F: np.ndarray, T: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """P with P* F P = T for Hermitian F, T with matching +-1 spectra."""
-    wf, Vf = np.linalg.eigh(F)
-    wt, Vt = np.linalg.eigh(T)
-    of, ot = np.argsort(-wf), np.argsort(-wt)
-    if not np.allclose(np.sign(wf[of]), np.sign(wt[ot]), atol=0.1):
-        raise ValueError("forms have different signatures")
-    P = Vf[:, of] @ Vt[:, ot].conj().T
-    res = np.abs(P.conj().T @ F @ P - T).max()
-    if res > 1e-10 * max(1.0, np.abs(T).max()):
-        raise ValueError(f"congruence failed, residual {res:.3e}")
-    return P
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -284,27 +258,14 @@ def _sample_spectra(p: int, q: int, k: int, rng: np.random.Generator):
     return a + 1j * b, lam
 
 
-def _sampling_frame(pair: SymmetricPair, tol: Tolerance):
-    """(P, P^-1) for the congruence from the sampling frame to the pair's
-    form: the diagonal form for the real family, the corner form otherwise."""
-    fam = pair.family
-    if fam.field == "R":
-        T = np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex)
-    else:
-        T = t_form(fam.p, fam.q, min(fam.p, fam.q))
-    P = congruence(pair.hermitian_matrix, T, tol)
-    return P, np.linalg.inv(P)
-
-
-def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator,
-                       frame) -> np.ndarray:
+def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator) -> np.ndarray:
     """k null matrices X* F = F X, tr X = 0, tr X^2 = 0 with generic spectra,
     built in the sampling frame and moved to the pair's frame."""
     fam = pair.family
     p, n = fam.p, fam.n
     r = min(p, fam.q)
     mu, lam = _sample_spectra(p, fam.q, k, rng)
-    P, P_inv = frame
+    P, P_inv = pair.sampling_frame
     if fam.field == "R":
         # rotation-style 2 x 2 blocks couple one positive and one negative coordinate
         S = np.zeros((k, n, n))
@@ -339,7 +300,7 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
     """k random generic null vectors (distinct spectrum, nonreal pairs present).
 
     The draws take their spectra at once, move them by the pair's
-    congruence (computed once per call), conjugate them by one stacked
+    sampling congruence (computed once per pair), conjugate them by one stacked
     expm and solve, and are certified as make_null_vector does.  Rows that
     fail the genericity or nullity rule are redrawn, at most max_tries
     rounds in all.
@@ -350,10 +311,9 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
         raise ValueError("generic null vectors need p + q >= 3")
     if k < 1:
         raise ValueError("need at least one draw")
-    frame = _sampling_frame(pair, tol)
     parts, need = [], k
     for _ in range(max_tries):
-        S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng, frame), rng)
+        S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng), rng)
         batch = _certify_null(pair, S, tol)
         ok = batch.genericity & (batch.nullity_residual < 1e-8)
         parts.append(batch.take(ok))
@@ -375,22 +335,45 @@ def sample_null_generic(pair: SymmetricPair, rng=0,
 # ---------------------------------------------------------------------------
 
 
+def _system_rows(pair: SymmetricPair) -> int:
+    """Real rows of one ray's stabilizer system after the redundant ones are
+    dropped: the real family keeps the real half (h, m and S are real, so
+    the imaginary half is zero), the quaternionic family keeps the top n
+    rows of the carrier (the bottom n are their conjugates under
+    quat_embed), and the complex family keeps all 2 N^2."""
+    N = pair.carrier_dim
+    return 2 * N * N if pair.family.field == "C" else N * N
+
+
+def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
+    """Each ray's real system (k, rows, dim h + 1): the kept rows of the
+    brackets [h_i, S] and of -S as columns, from one stacked product of the
+    h-basis stack with S (k, 1, N, N); only the kept rows are bracketed."""
+    hb = pair.h.basis
+    field = pair.family.field
+    if field == "R":
+        hb, S = hb.real, S.real
+    top = pair.family.n if field == "H" else pair.carrier_dim
+    St = S[..., :top, :]
+    B = hb[:, :top] @ S - St @ hb  # rows :top of [h_i, S]
+    flat = (lambda X: X.reshape(X.shape[:-2] + (-1,))) if field == "R" else realify
+    return np.concatenate([flat(B), -flat(St)], axis=1).transpose(0, 2, 1)
+
+
 def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
                         tol: Tolerance | None = None) -> RayStabilizers:
     """Ray stabilizers of a stack of null vectors S (k, N, N).
 
     Each ray's real system has the realified brackets [h_i, S] and -S as
-    columns, (2 N^2) x (dim h + 1); the brackets come from one stacked
-    bracket of the h-basis stack with S, and one stacked reduced SVD gives
-    every kernel, with the rank cut of _kernel_cols.  The stack is solved
-    whole; trial_blocks sizes stacks to a memory bound.
+    columns, cut to the rows that carry information (_system_rows); one
+    stacked reduced SVD gives every kernel, with the rank cut of
+    _kernel_cols.  Dropping duplicated rows scales every singular value by
+    the same factor, so the relative cuts are those of the full system.
+    The stack is solved whole; trial_blocks sizes stacks to a memory bound.
     """
     tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)[:, None]
-    B = bracket(pair.h.basis, S)
-    cols = np.concatenate([realify(B), -realify(S)], axis=1)
-    del B
-    _, s, vt = np.linalg.svd(cols.transpose(0, 2, 1), full_matrices=False)
+    s, vt = np.linalg.svd(_stabilizer_system(pair, S), full_matrices=False)[1:]
     rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
     dims = s.shape[1] - rank
     kernels = [vt[i, r:].T for i, r in enumerate(rank)]
@@ -400,7 +383,8 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
 def _kernel_residuals(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray,
                       dims: np.ndarray) -> np.ndarray:
     """Per ray, the largest |[X, S] - c S| over its kernel vectors (X, c),
-    with X rebuilt from the h basis: a check on the stacked system.
+    with X rebuilt from the h basis and the full bracket taken: a check on
+    the stacked system and on the rows it drops.
 
     S is (k, 1, N, N); each ray's kernel is the last dims[i] rows of vt[i].
     """
@@ -409,7 +393,9 @@ def _kernel_residuals(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray,
         return np.zeros(len(dims))
     tail = vt[:, -d:]
     X = pair.h.combine(tail[..., :-1])
-    R = bracket(X, S) - tail[..., -1, None, None] * S
+    R = X @ S  # [X, S] - c S, in place
+    R -= S @ X
+    R -= tail[..., -1, None, None] * S
     norms = np.linalg.norm(R, axis=(-2, -1))
     own = np.arange(d) >= (d - dims)[:, None]
     return np.where(own, norms, 0.0).max(axis=1)
@@ -515,50 +501,79 @@ def split_spectrum(values: np.ndarray, thr: float):
     return upper, real, lower
 
 
-def canonicalize_unitary(pair: SymmetricPair, nv: NullVector,
-                         tol: Tolerance | None = None):
-    """Basis P diagonalizing a generic complex-family null vector so that
-    P* F P is the antidiagonal-corner form; returns (P, corner size r)."""
+def _spectrum_classes(vals: np.ndarray, gap: np.ndarray, tol: Tolerance):
+    """Masks of the upper-half-plane and real values of each row of a (k, n)
+    spectrum, at split_spectrum's threshold max(GAP_FACTOR * tol.abs,
+    gap / 4), and the corner size r (k,), the number of upper values.
+    Raises where the lower values do not match the upper ones in number."""
+    thr = np.maximum(GAP_FACTOR * tol.abs, 0.25 * np.asarray(gap))[:, None]
+    upper, lower = vals.imag > thr, vals.imag < -thr
+    r = upper.sum(axis=1)
+    if np.any(lower.sum(axis=1) != r):
+        raise ValueError("nonreal eigenvalues do not pair with their conjugates")
+    return upper, ~(upper | lower), r
+
+
+def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch,
+                               tol: Tolerance | None = None):
+    """Bases P diagonalizing generic complex-family null vectors so that
+    P* F P is the antidiagonal-corner form; returns (P (k, n, n), r (k,)).
+
+    One stacked eig gives every eigenframe.  Columns are ordered as upper
+    half-plane eigenvalues by (real, imag), then real ones (positive
+    self-pairing first, values ascending), then the conjugate partners in
+    mirrored order, each upper value taking the nearest unused lower value
+    to its conjugate; partners are scaled to pair to 1 and real eigenlines
+    to +-1.  Rows are grouped by r.
+    """
     tol = tol or pair.tol
     if pair.family.field != "C":
         raise ValueError("unitary normal form applies to the complex family")
-    if not nv.genericity:
+    if not np.all(batch.genericity):
         raise ValueError("normal form needs a generic spectrum")
-    S, F = nv.S, pair.carrier_form
-    n = S.shape[0]
+    S, F = batch.S, pair.carrier_form
+    k, n = S.shape[:2]
     w, V = np.linalg.eig(S)
-    thr = max(GAP_FACTOR * tol.abs, 0.25 * nv.gap)
-    upper, real, lower = split_spectrum(w, thr)
-    r = len(upper)
-    slots = [None] * n
-    for i, idx in enumerate(upper):
-        slots[i] = idx
-        partner = min(lower, key=lambda j: abs(w[j] - np.conj(w[idx])))
-        lower.remove(partner)
-        slots[n - 1 - i] = partner
-    # middle slots: positive self-pairing first, then negative, values ascending
-    mids = []
-    for idx in real:
-        u = V[:, idx]
-        mids.append((idx, float((u.conj() @ F @ u).real)))
-    mids.sort(key=lambda t: (-np.sign(t[1]), w[t[0]].real))
-    for k, (idx, _) in enumerate(mids):
-        slots[r + k] = idx
-    cols = []
-    for i in range(n):
-        u = V[:, slots[i]]
-        cols.append(u / np.linalg.norm(u))
-    for i in range(r):
-        c = np.conj(cols[i]) @ F @ cols[n - 1 - i]
-        if abs(c) < 1e-10:
+    upper, real, r = _spectrum_classes(w, batch.gap, tol)
+    rows = np.arange(k)
+    up = np.lexsort((w.imag, w.real, ~upper), axis=-1)
+    free = ~(upper | real)
+    partner = np.zeros((k, int(r.max(initial=0))), dtype=int)
+    for i in range(partner.shape[1]):
+        target = np.conj(w[rows, up[:, i]])
+        j = np.where(free, np.abs(w - target[:, None]), np.inf).argmin(axis=1)
+        free[rows, j] = False
+        partner[:, i] = j
+    self_pairing = (V.conj() * (F @ V)).sum(axis=1).real
+    mid = np.lexsort((w.real, -np.sign(self_pairing), ~real), axis=-1)
+    P = np.empty_like(V)
+    for rr in np.unique(r).tolist():
+        g = np.flatnonzero(r == rr)
+        slots = np.concatenate([up[g, :rr], mid[g, :n - 2 * rr], partner[g, :rr][:, ::-1]],
+                               axis=1)
+        Q = np.take_along_axis(V[g], slots[:, None, :], axis=2)
+        Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
+        FQ = F @ Q
+        c = (Q[:, :, :rr].conj() * FQ[:, :, ::-1][:, :, :rr]).sum(axis=1)
+        if np.any(np.abs(c) < 1e-10):
             raise ValueError("degenerate pairing between conjugate eigenlines")
-        cols[n - 1 - i] = cols[n - 1 - i] / c
-    for k in range(r, n - r):
-        s = float((np.conj(cols[k]) @ F @ cols[k]).real)
-        if abs(s) < 1e-10:
+        s = (Q[:, :, rr:n - rr].conj() * FQ[:, :, rr:n - rr]).sum(axis=1).real
+        if np.any(np.abs(s) < 1e-10):
             raise ValueError("degenerate self-pairing on a real eigenline")
-        cols[k] = cols[k] / np.sqrt(abs(s))
-    return np.column_stack(cols), r
+        d = np.ones((len(g), n), dtype=complex)
+        d[:, n - rr:] = c[:, ::-1]
+        d[:, rr:n - rr] = np.sqrt(np.abs(s))
+        P[g] = Q / d[:, None, :]
+    return P, r
+
+
+def canonicalize_unitary(pair: SymmetricPair, nv: NullVector,
+                         tol: Tolerance | None = None):
+    """Basis P diagonalizing a generic complex-family null vector so that
+    P* F P is the antidiagonal-corner form; returns (P, corner size r).
+    The k = 1 case of canonicalize_unitary_batch."""
+    P, r = canonicalize_unitary_batch(pair, NullBatch.of([nv]), tol)
+    return P[0], int(r[0])
 
 
 def _omega_matrix(pair: SymmetricPair) -> np.ndarray:
@@ -567,102 +582,148 @@ def _omega_matrix(pair: SymmetricPair) -> np.ndarray:
     return np.block([[Z, F], [-F, Z]])
 
 
-def canonicalize_symplectic(pair: SymmetricPair, nv: NullVector,
-                            tol: Tolerance | None = None) -> np.ndarray:
-    """Basis normalizing a generic quaternionic-family null vector.
+def _quat_conj(x: np.ndarray) -> np.ndarray:
+    """J conj(x) for carrier vectors on the last axis, J = [[0, -1], [1, 0]]
+    blockwise: the quaternionic structure, mapping each eigenspace of a
+    carrier to the one of the conjugate eigenvalue."""
+    n = x.shape[-1] // 2
+    return np.concatenate([-np.conj(x[..., n:]), np.conj(x[..., :n])], axis=-1)
 
-    The returned 2n x 2n matrix P diagonalizes the complex carrier of S;
-    its columns are arranged so the complex-symplectic Gram becomes the
-    block form [[0, T], [-T, 0]] with T the corner form of size r = number
-    of nonreal eigenvalue pairs, and the Hermitian Gram is supported on
-    the same corner pattern in each diagonal block.
+
+def _eigenplanes(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Two orthonormal vectors spanning ker(M_i - lam_ij) for each matrix of
+    M (k, N, N) and each value of lam (k, n): (k, n, 2, N), vectors on the
+    last axis.  One stacked SVD with scipy's null_space rule (singular
+    values above 1e-8 of the largest count towards the rank); raises unless
+    every kernel is two-dimensional."""
+    N = M.shape[-1]
+    _, s, vh = np.linalg.svd(M[:, None] - lam[:, :, None, None] * np.eye(N),
+                             full_matrices=False)
+    if np.any((s > 1e-8 * s[..., :1]).sum(axis=-1) != N - 2):
+        raise ValueError("eigenspace is not two-dimensional; spectrum not generic")
+    return vh[..., N - 2:, :].conj()
+
+
+def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch,
+                                  tol: Tolerance | None = None) -> np.ndarray:
+    """Bases (k, 2n, 2n) normalizing generic quaternionic-family null vectors.
+
+    Each P diagonalizes the complex carrier of S; its columns are arranged
+    so the complex-symplectic Gram becomes the block form [[0, T], [-T, 0]]
+    with T the corner form of size r = number of nonreal eigenvalue pairs,
+    and the Hermitian Gram is supported on the same corner pattern in each
+    diagonal block.  The eigenvalues are taken in the order upper half-plane
+    by (real, imag), real ones ascending, then the conjugates of the upper
+    ones mirrored; one stacked SVD gives every two-dimensional eigenspace,
+    and the 2 x 2 Gram, eigh, det and inverse steps run on the stack.  Rows
+    are grouped by r.
     """
     tol = tol or pair.tol
     if pair.family.field != "H":
         raise ValueError("symplectic normal form applies to the quaternionic family")
-    if not nv.genericity:
+    if not np.all(batch.genericity):
         raise ValueError("normal form needs a generic spectrum")
-    M = nv.S
-    n = pair.family.n
-    Hm = pair.carrier_form
-    Om = _omega_matrix(pair)
-    eye = np.eye(n)
-    Jstr = np.block([[0 * eye, -eye], [eye, 0 * eye]]).astype(complex)
-
-    def h(x, y):
-        return np.conj(x) @ Hm @ y
+    M, vals = batch.S, batch.eigenvalues
+    n = vals.shape[1]
+    Hm, Om = pair.carrier_form, _omega_matrix(pair)
 
     def om(x, y):
-        return x @ Om @ y
+        return (x * (y @ Om.T)).sum(axis=-1)
 
-    def cmap(x):
-        return Jstr @ np.conj(x)
+    def h(x, y):
+        return (x.conj() * (y @ Hm.T)).sum(axis=-1)
 
-    def eigenspace(lam):
-        E = null_space(M - lam * np.eye(2 * n), rcond=1e-8)
-        if E.shape[1] != 2:
-            raise ValueError("eigenspace is not two-dimensional; spectrum not generic")
-        return E
+    def gram2(a, b, c, d):
+        return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
-    thr = max(GAP_FACTOR * tol.abs, 0.25 * nv.gap)
-    upper, real, _ = split_spectrum(nv.eigenvalues, thr)
-    r = len(upper)
-    lam_order = [nv.eigenvalues[i] for i in upper]
-    lam_order += [nv.eigenvalues[i].real + 0j for i in real]
-    lam_order += [np.conj(nv.eigenvalues[i]) for i in reversed(upper)]
-    vs = [None] * n
-    ws = [None] * n
-    for k in range(r, n - r):
-        lam = lam_order[k]
-        E = eigenspace(lam)
-        v = E[:, 0]
-        w = cmap(v)
-        t = om(v, w)
-        Hk = np.array([[h(v, v), h(v, w)], [h(w, v), h(w, w)]])
-        _, U = np.linalg.eigh(Hk)
-        U = U.copy()
-        U[:, 0] = U[:, 0] / np.linalg.det(U)
-        G = U * np.sqrt(1.0 / t)
-        B = np.column_stack([v, w]) @ G
-        vs[k], ws[k] = B[:, 0], B[:, 1]
-    for i in range(r):
-        lam = lam_order[i]
-        E1 = eigenspace(lam)
-        E2 = eigenspace(np.conj(lam))
-        v = E1[:, 0]
-        w_i = cmap(v)
-        scores = [abs(om(v, cmap(E2[:, j]))) for j in range(2)]
-        u = E2[:, int(np.argmax(scores))]
-        if max(scores) < 1e-10:
+    upper, real, r = _spectrum_classes(vals, batch.gap, tol)
+    up = np.lexsort((vals.imag, vals.real, ~upper), axis=-1)
+    mid = np.lexsort((vals.real, ~real), axis=-1)
+    P = np.empty_like(M)
+    for rr in np.unique(r).tolist():
+        g = np.flatnonzero(r == rr)
+        lam_up = np.take_along_axis(vals[g], up[g, :rr], axis=1)
+        lam_mid = np.take_along_axis(vals[g], mid[g, :n - 2 * rr], axis=1).real + 0j
+        E = _eigenplanes(M[g], np.concatenate([lam_up, lam_mid, np.conj(lam_up[:, ::-1])],
+                                              axis=1))
+        vs = np.empty(E.shape[:2] + E.shape[3:], dtype=complex)
+        ws = np.empty_like(vs)
+        # real eigenvalues: v and J conj(v) span the eigenspace; the Hermitian
+        # Gram's eigenvectors, rescaled by the symplectic pairing, give the pair
+        v = E[:, rr:n - rr, 0]
+        w = _quat_conj(v)
+        _, U = np.linalg.eigh(gram2(h(v, v), h(v, w), h(w, v), h(w, w)))
+        U[..., 0] /= np.linalg.det(U)[..., None]
+        B = np.stack([v, w], axis=-1) @ (U * np.sqrt(1.0 / om(v, w))[..., None, None])
+        vs[:, rr:n - rr], ws[:, rr:n - rr] = B[..., 0], B[..., 1]
+        # conjugate pairs: slot i pairs with slot n - 1 - i through the
+        # eigenvector of the conjugate eigenspace that pairs best with v
+        v = E[:, :rr, 0]
+        E2 = E[:, n - rr:][:, ::-1]
+        w_i = _quat_conj(v)
+        scores = np.abs(om(v[:, :, None], _quat_conj(E2)))
+        if np.any(scores.max(axis=-1) < 1e-10):
             raise ValueError("degenerate symplectic pairing between eigenspaces")
-        w_p = cmap(u)
-        w_p = w_p / om(v, w_p)
-        u = u / om(u, w_i)
-        H2 = np.array([[h(v, u), h(v, w_i)], [h(w_p, u), h(w_p, w_i)]])
-        B2 = np.sqrt(np.linalg.det(H2)) * np.linalg.inv(H2)
-        C = np.column_stack([u, w_i]) @ B2
-        vs[i], ws[i] = v, C[:, 1]
-        vs[n - 1 - i], ws[n - 1 - i] = C[:, 0], w_p
-    return np.column_stack(vs + ws)
+        u = np.take_along_axis(E2, scores.argmax(axis=-1)[..., None, None], axis=2)[:, :, 0]
+        w_p = _quat_conj(u)
+        w_p = w_p / om(v, w_p)[..., None]
+        u = u / om(u, w_i)[..., None]
+        H2 = gram2(h(v, u), h(v, w_i), h(w_p, u), h(w_p, w_i))
+        C = np.stack([u, w_i], axis=-1) @ (
+            np.sqrt(np.linalg.det(H2))[..., None, None] * np.linalg.inv(H2))
+        vs[:, :rr], ws[:, :rr] = v, C[..., 1]
+        vs[:, n - rr:], ws[:, n - rr:] = C[:, ::-1, :, 0], w_p[:, ::-1]
+        P[g] = np.concatenate([vs, ws], axis=1).transpose(0, 2, 1)
+    return P
 
 
-def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str:
+def canonicalize_symplectic(pair: SymmetricPair, nv: NullVector,
+                            tol: Tolerance | None = None) -> np.ndarray:
+    """Basis normalizing a generic quaternionic-family null vector: the
+    k = 1 case of canonicalize_symplectic_batch."""
+    return canonicalize_symplectic_batch(pair, NullBatch.of([nv]), tol)[0]
+
+
+def _adjoint(X: np.ndarray) -> np.ndarray:
+    return np.swapaxes(X.conj(), -1, -2)
+
+
+def normal_form_residuals(pair: SymmetricPair, P: np.ndarray, r) -> np.ndarray:
+    """Per basis of a stack P, the largest entry by which its Grams miss the
+    corner normal form of size r (an int, or one per basis): P* F P against
+    t_form(p, q, r) for the complex family; P^T Omega P and P* H P against
+    [[0, T], [-T, 0]] and [[T, 0], [0, T]] for the quaternionic one."""
+    fam = pair.family
+    if fam.field not in ("C", "H"):
+        raise ValueError("normal forms apply to the complex and quaternionic families")
+    r = np.broadcast_to(r, P.shape[:1])
+    T = np.stack([t_form(fam.p, fam.q, i) for i in range(min(fam.p, fam.q) + 1)])[r]
+    if fam.field == "C":
+        return np.abs(_adjoint(P) @ pair.carrier_form @ P - T).max(axis=(1, 2))
+    Z = np.zeros_like(T)
+    om_res = np.swapaxes(P, -1, -2) @ _omega_matrix(pair) @ P - np.block([[Z, T], [-T, Z]])
+    h_res = _adjoint(P) @ pair.carrier_form @ P - np.block([[T, Z], [Z, T]])
+    return np.maximum(np.abs(om_res).max(axis=(1, 2)), np.abs(h_res).max(axis=(1, 2)))
+
+
+def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str | np.ndarray:
     """Stratum of a 3 x 3 null vector: open, two-step- or one-step-nilpotent.
 
     For traceless null S the characteristic polynomial collapses so that
-    S^3 = det(S) * 1; the strata are separated by the vanishing order.
+    S^3 = det(S) * 1; the strata are separated by the vanishing order.  A
+    stack (k, 3, 3) gives an array of k labels, each matrix judged at its
+    own norm.
     """
     S = np.asarray(S, dtype=complex)
-    norm = float(np.linalg.norm(S))
-    if norm <= tol.abs:
+    norm = np.linalg.norm(S, axis=(-2, -1))
+    if np.any(norm <= tol.abs):
         raise ValueError("zero matrix does not lie on any stratum")
     S2 = S @ S
     S3 = S2 @ S
-    if np.linalg.norm(S2) <= tol.abs * norm**2:
-        return "one-step-nilpotent"
-    if np.linalg.norm(S3) <= tol.abs * norm**3:
-        return "two-step-nilpotent"
-    return "open"
+    labels = np.select([np.linalg.norm(S2, axis=(-2, -1)) <= tol.abs * norm**2,
+                        np.linalg.norm(S3, axis=(-2, -1)) <= tol.abs * norm**3],
+                       ["one-step-nilpotent", "two-step-nilpotent"], "open")
+    return str(labels) if S.ndim == 2 else labels
 
 
 def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
@@ -684,8 +745,8 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
         raise ValueError(f"unknown stratum {stratum!r}")
     if k < 1:
         raise ValueError("need at least one draw")
-    P = congruence(pair.hermitian_matrix, t_form(2, 1, 1), tol)
-    S0 = P @ E @ np.linalg.inv(P)
+    P, P_inv = pair.corner_frame
+    S0 = P @ E @ P_inv
     scale = rng.uniform(0.5, 2.0, k)
     S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)
     return _certify_null(pair, scale[:, None, None] * S, tol)

@@ -15,6 +15,7 @@ normalization of the case studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +81,65 @@ class SymmetricPair:
     def carrier_dim(self) -> int:
         return self.carrier_form.shape[0]
 
+    @cached_property
+    def corner_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, P^-1) with P* F P the corner form t_form(p, q, min(p, q)),
+        computed once per pair."""
+        fam = self.family
+        return _frame(self.hermitian_matrix, t_form(fam.p, fam.q, min(fam.p, fam.q)))
+
+    @cached_property
+    def sampling_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, P^-1) for the frame null vectors are drawn in: the diagonal
+        signature form for the real family, the corner form otherwise."""
+        fam = self.family
+        if fam.field != "R":
+            return self.corner_frame
+        return _frame(self.hermitian_matrix,
+                      np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex))
+
     def involution(self, X: np.ndarray) -> np.ndarray:
         """Negative conjugate transpose (of each matrix of a stack); fixes h
         and m setwise."""
         return -np.swapaxes(np.asarray(X).conj(), -1, -2)
+
+
+def t_form(p: int, q: int, r: int) -> np.ndarray:
+    """Antidiagonal-corner form: flipped identities of size r in the corners,
+    a diagonal (p-r, q-r) signature block in the middle."""
+    n = p + q
+    if r > min(p, q):
+        raise ValueError("corner size exceeds min(p, q)")
+    T = np.zeros((n, n), dtype=complex)
+    if r:
+        T[:r, n - r:] = np.fliplr(np.eye(r))
+        T[n - r:, :r] = np.fliplr(np.eye(r))
+    mid = [1.0] * (p - r) + [-1.0] * (q - r)
+    for i, s in enumerate(mid):
+        T[r + i, r + i] = s
+    return T
+
+
+def congruence(F: np.ndarray, T: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """P with P* F P = T for Hermitian F, T with matching +-1 spectra."""
+    wf, Vf = np.linalg.eigh(F)
+    wt, Vt = np.linalg.eigh(T)
+    of, ot = np.argsort(-wf), np.argsort(-wt)
+    if not np.allclose(np.sign(wf[of]), np.sign(wt[ot]), atol=0.1):
+        raise ValueError("forms have different signatures")
+    P = Vf[:, of] @ Vt[:, ot].conj().T
+    res = np.abs(P.conj().T @ F @ P - T).max()
+    if res > 1e-10 * max(1.0, np.abs(T).max()):
+        raise ValueError(f"congruence failed, residual {res:.3e}")
+    return P
+
+
+def _frame(F: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (P, P^-1) for the congruence P* F P = T."""
+    P = congruence(F, T)
+    P_inv = np.linalg.inv(P)
+    P.flags.writeable = P_inv.flags.writeable = False
+    return P, P_inv
 
 
 def _eij(n: int, i: int, j: int) -> np.ndarray:

@@ -115,10 +115,9 @@ def test_criterion_4_strata_census():
         batch = sample_so21_stratum_batch(pair, stratum, per_stratum, rng=rng)
         st_dims = stabilizers_of_rays(pair, batch.S).dims
         codims = codimension_from_stabilizer(pair, st_dims)
-        for S, st_dim, codim in zip(batch.S, st_dims, codims):
-            if so21_orbit_class(S) != stratum or st_dim != want \
-                    or codim != want:
-                bad += 1
+        labels = so21_orbit_class(batch.S)
+        bad += int(np.count_nonzero((labels != stratum) | (st_dims != want)
+                                    | (codims != want)))
     emit(4, bad == 0,
          f"{3 * per_stratum} stratified samples, stabilizer dims 0/1/2 "
          "matching orbit codimensions 0/1/2" if bad == 0

@@ -4,15 +4,15 @@ real rank-one pair, and the eigenframe-adapted partner construction."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import null_space
 
-from nullcone import orbits
-from nullcone.linalg import Tolerance, _kernel_cols, bracket, realify
+from nullcone import orbits, pairs
+from nullcone.linalg import QMat, Tolerance, _kernel_cols, bracket, quat_embed, realify
 from nullcone.orbits import (
     NullBatch,
     canonicalize_symplectic,
     canonicalize_unitary,
     codimension_from_stabilizer,
-    congruence,
     make_null_vector,
     orbit_codimension,
     partner_null,
@@ -26,11 +26,10 @@ from nullcone.orbits import (
     stabilizer_mismatch,
     stabilizer_of_ray,
     stabilizers_of_rays,
-    t_form,
     trial_blocks,
 )
 from nullcone.orbits import _omega_matrix
-from nullcone.pairs import Family, build_pair
+from nullcone.pairs import Family, build_pair, congruence, t_form
 
 SQRT3 = np.sqrt(3.0)
 
@@ -395,3 +394,351 @@ def test_batch_sampler_rejects_bad_requests():
     # a gap threshold no generic spectrum of this size meets
     with pytest.raises(RuntimeError):
         sample_null_batch(pair, 4, rng=0, tol=Tolerance(abs=1e-2), max_tries=3)
+
+
+# ---------------------------------------------------------------------------
+# stacked normal forms
+# ---------------------------------------------------------------------------
+
+
+def ref_canonicalize_unitary(pair, nv, tol=None):
+    """Reference: the per-ray unitary normal form, one eigenline at a time."""
+    tol = tol or pair.tol
+    S, F = nv.S, pair.carrier_form
+    n = S.shape[0]
+    w, V = np.linalg.eig(S)
+    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap)
+    upper, real, lower = split_spectrum(w, thr)
+    r = len(upper)
+    slots = [None] * n
+    for i, idx in enumerate(upper):
+        slots[i] = idx
+        partner = min(lower, key=lambda j: abs(w[j] - np.conj(w[idx])))
+        lower.remove(partner)
+        slots[n - 1 - i] = partner
+    mids = sorted(((idx, float((V[:, idx].conj() @ F @ V[:, idx]).real)) for idx in real),
+                  key=lambda t: (-np.sign(t[1]), w[t[0]].real))
+    for k, (idx, _) in enumerate(mids):
+        slots[r + k] = idx
+    cols = [V[:, slots[i]] / np.linalg.norm(V[:, slots[i]]) for i in range(n)]
+    for i in range(r):
+        c = np.conj(cols[i]) @ F @ cols[n - 1 - i]
+        if abs(c) < 1e-10:
+            raise ValueError("degenerate pairing between conjugate eigenlines")
+        cols[n - 1 - i] = cols[n - 1 - i] / c
+    for k in range(r, n - r):
+        s = float((np.conj(cols[k]) @ F @ cols[k]).real)
+        if abs(s) < 1e-10:
+            raise ValueError("degenerate self-pairing on a real eigenline")
+        cols[k] = cols[k] / np.sqrt(abs(s))
+    return np.column_stack(cols), r
+
+
+def ref_canonicalize_symplectic(pair, nv, tol=None):
+    """Reference: the per-ray symplectic normal form, with one scipy
+    null_space per eigenvalue and the 2 x 2 steps one pair at a time."""
+    tol = tol or pair.tol
+    M, n = nv.S, pair.family.n
+    Hm, Om = pair.carrier_form, _omega_matrix(pair)
+    eye = np.eye(n)
+    Jstr = np.block([[0 * eye, -eye], [eye, 0 * eye]]).astype(complex)
+
+    def h(x, y):
+        return np.conj(x) @ Hm @ y
+
+    def om(x, y):
+        return x @ Om @ y
+
+    def cmap(x):
+        return Jstr @ np.conj(x)
+
+    def eigenspace(lam):
+        E = null_space(M - lam * np.eye(2 * n), rcond=1e-8)
+        if E.shape[1] != 2:
+            raise ValueError("eigenspace is not two-dimensional; spectrum not generic")
+        return E
+
+    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap)
+    upper, real, _ = split_spectrum(nv.eigenvalues, thr)
+    r = len(upper)
+    lam_order = [nv.eigenvalues[i] for i in upper]
+    lam_order += [nv.eigenvalues[i].real + 0j for i in real]
+    lam_order += [np.conj(nv.eigenvalues[i]) for i in reversed(upper)]
+    vs, ws = [None] * n, [None] * n
+    for k in range(r, n - r):
+        v = eigenspace(lam_order[k])[:, 0]
+        w = cmap(v)
+        Hk = np.array([[h(v, v), h(v, w)], [h(w, v), h(w, w)]])
+        _, U = np.linalg.eigh(Hk)
+        U = U.copy()
+        U[:, 0] = U[:, 0] / np.linalg.det(U)
+        B = np.column_stack([v, w]) @ (U * np.sqrt(1.0 / om(v, w)))
+        vs[k], ws[k] = B[:, 0], B[:, 1]
+    for i in range(r):
+        E1, E2 = eigenspace(lam_order[i]), eigenspace(np.conj(lam_order[i]))
+        v = E1[:, 0]
+        w_i = cmap(v)
+        scores = [abs(om(v, cmap(E2[:, j]))) for j in range(2)]
+        if max(scores) < 1e-10:
+            raise ValueError("degenerate symplectic pairing between eigenspaces")
+        u = E2[:, int(np.argmax(scores))]
+        w_p = cmap(u)
+        w_p = w_p / om(v, w_p)
+        u = u / om(u, w_i)
+        H2 = np.array([[h(v, u), h(v, w_i)], [h(w_p, u), h(w_p, w_i)]])
+        C = np.column_stack([u, w_i]) @ (np.sqrt(np.linalg.det(H2)) * np.linalg.inv(H2))
+        vs[i], ws[i] = v, C[:, 1]
+        vs[n - 1 - i], ws[n - 1 - i] = C[:, 0], w_p
+    return np.column_stack(vs + ws)
+
+
+def ref_gram_residual(pair, P, r):
+    """Reference Gram residual of one normal-form basis, as the orbits suite
+    computed it per ray."""
+    fam = pair.family
+    W = t_form(fam.p, fam.q, r)
+    if fam.field == "C":
+        return np.abs(P.conj().T @ pair.hermitian_matrix @ P - W).max()
+    Z = np.zeros_like(W)
+    return max(np.abs(P.T @ _omega_matrix(pair) @ P - np.block([[Z, W], [-W, Z]])).max(),
+               np.abs(P.conj().T @ pair.carrier_form @ P - np.block([[W, Z], [Z, W]])).max())
+
+
+def column_blocks(pair, r):
+    """Column groups a normal-form basis is unique up to: one column each
+    (a unit phase), except that for the quaternionic family a real
+    eigenvalue's pair of columns (k, n + k) may mix by a 2 x 2 unitary,
+    since its Hermitian Gram is a multiple of the identity."""
+    n = pair.family.n
+    if pair.family.field == "C":
+        return [[j] for j in range(n)]
+    corner = list(range(r)) + list(range(n - r, n))
+    return ([[k] for k in corner] + [[n + k] for k in corner]
+            + [[k, n + k] for k in range(r, n - r)])
+
+
+def assert_same_up_to_freedom(pair, P, ref, r):
+    for cols in column_blocks(pair, r):
+        A, B = ref[:, cols], P[:, cols]
+        X = np.linalg.lstsq(A, B, rcond=None)[0]
+        assert np.abs(A @ X - B).max() < 1e-10
+        assert_allclose(X.conj().T @ X, np.eye(len(cols)), atol=1e-10)
+
+
+def mixed_corner_batch(pair, rng):
+    """Rows of corner size min(p, q) from the sampler, then hand-made rows of
+    corner size 1: spectrum (mu, 1/2, -5/2, conj mu) with mu = 1 + i sqrt(17)/2
+    in a frame where the form is t_form(p, q, 1), moved by a random
+    isotropy conjugation."""
+    fam = pair.family
+    assert (fam.p, fam.q) == (2, 2)
+    mu = 1.0 + 1j * np.sqrt(4.25)
+    P = congruence(pair.hermitian_matrix, t_form(2, 2, 1))
+    X = P @ np.diag([mu, 0.5, -2.5, np.conj(mu)]) @ np.linalg.inv(P)
+    if fam.field == "H":
+        X = quat_embed(QMat(X, np.zeros_like(X)))
+    S = orbits._isotropy_conjugate(pair, np.broadcast_to(X, (3,) + X.shape), rng)
+    hand = NullBatch.of([make_null_vector(pair, M) for M in S])
+    assert hand.genericity.all()
+    return NullBatch.concat([sample_null_batch(pair, 4, rng=rng), hand]).take(
+        [0, 4, 1, 5, 2, 3, 6])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("field,pq", [("C", (2, 1)), ("C", (2, 2)), ("C", (3, 1)),
+                                      ("H", (2, 1)), ("H", (2, 2)), ("H", (3, 1))])
+def test_batched_normal_forms_match_per_ray_reference(field, pq, seed):
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 10, rng=seed)
+    if field == "C":
+        P, r = orbits.canonicalize_unitary_batch(pair, batch)
+    else:
+        P, r = orbits.canonicalize_symplectic_batch(pair, batch), min(pq)
+    res = orbits.normal_form_residuals(pair, P, r)
+    r = np.broadcast_to(r, (len(batch),))
+    for i in range(len(batch)):
+        nv = batch.row(i)
+        if field == "C":
+            ref, ref_r = ref_canonicalize_unitary(pair, nv)
+            assert r[i] == ref_r
+            one, one_r = canonicalize_unitary(pair, nv)
+            assert one_r == ref_r
+        else:
+            ref, ref_r = ref_canonicalize_symplectic(pair, nv), min(pq)
+            one = canonicalize_symplectic(pair, nv)
+        assert_same_up_to_freedom(pair, P[i], ref, ref_r)
+        assert_same_up_to_freedom(pair, one, ref, ref_r)
+        assert res[i] == pytest.approx(ref_gram_residual(pair, ref, ref_r), abs=1e-12)
+        assert res[i] < 1e-9
+
+
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_normal_forms_of_a_stack_with_mixed_corner_sizes(field):
+    pair = build_pair(Family(field, 2, 2))
+    batch = mixed_corner_batch(pair, np.random.default_rng(13))
+    want_r = np.array([2, 1, 2, 1, 2, 2, 1])
+    if field == "C":
+        P, r = orbits.canonicalize_unitary_batch(pair, batch)
+        assert r.tolist() == want_r.tolist()
+    else:
+        P, r = orbits.canonicalize_symplectic_batch(pair, batch), want_r
+    res = orbits.normal_form_residuals(pair, P, r)
+    for i in range(len(batch)):
+        if field == "C":
+            ref, ref_r = ref_canonicalize_unitary(pair, batch.row(i))
+        else:
+            ref, ref_r = ref_canonicalize_symplectic(pair, batch.row(i)), int(r[i])
+        assert ref_r == r[i]
+        assert_same_up_to_freedom(pair, P[i], ref, ref_r)
+        assert res[i] == pytest.approx(ref_gram_residual(pair, ref, ref_r), abs=1e-12)
+    if field == "C":
+        assert res.max() < 1e-9
+        # the corner size a basis reaches is its own: the other size misses
+        assert (orbits.normal_form_residuals(pair, P, 3 - r) > 0.1).all()
+    else:
+        # the symplectic form pairs every real eigenline to +1, so only the
+        # rows without a negative real eigenline (here r = 2) reach t_form
+        assert res[r == 2].max() < 1e-9
+        assert (res[r == 1] > 1.0).all()
+
+
+def test_batched_normal_forms_reject_bad_rows():
+    pC = build_pair(Family("C", 2, 1))
+    pH = build_pair(Family("H", 2, 1))
+    bC = sample_null_batch(pC, 3, rng=14)
+    bH = sample_null_batch(pH, 3, rng=14)
+    with pytest.raises(ValueError, match="complex family"):
+        orbits.canonicalize_unitary_batch(pH, bH)
+    with pytest.raises(ValueError, match="quaternionic family"):
+        orbits.canonicalize_symplectic_batch(pC, bC)
+    with pytest.raises(ValueError):
+        orbits.normal_form_residuals(build_pair(Family("R", 2, 1)), bC.S, 1)
+    # one non-generic row fails the whole stack
+    mixed = NullBatch.of([bC.row(0), nilpotent_null_element(pC), bC.row(1)])
+    with pytest.raises(ValueError, match="generic spectrum"):
+        orbits.canonicalize_unitary_batch(pC, mixed)
+    N = np.zeros((3, 3), dtype=complex)
+    nil = make_null_vector(pH, quat_embed(QMat(nilpotent_null_element(pC).S, N)))
+    assert not nil.genericity
+    with pytest.raises(ValueError, match="generic spectrum"):
+        orbits.canonicalize_symplectic_batch(pH, NullBatch.of([bH.row(0), nil]))
+    # a row flagged generic whose listed eigenvalue is not in its spectrum
+    # has a trivial eigenspace there, which the stacked SVD rule rejects
+    vals = bH.eigenvalues.copy()
+    vals[1, 0] += 0.5
+    bad = NullBatch(bH.S, vals, bH.genericity, bH.nullity_residual,
+                    bH.trace_residual, bH.gap)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        orbits.canonicalize_symplectic_batch(pH, bad)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        ref_canonicalize_symplectic(pH, bad.row(1))
+
+
+# ---------------------------------------------------------------------------
+# trimmed stabilizer systems
+# ---------------------------------------------------------------------------
+
+
+def full_system(pair, S):
+    """Reference: every realified row of [h_i, S] and -S, for each ray."""
+    cols = [realify(bracket(pair.h.basis, S[:, None])), -realify(S)[:, None]]
+    return np.concatenate(cols, axis=1).transpose(0, 2, 1)
+
+
+def trimmed_system_cases():
+    for field in "RCH":
+        for pq in [(2, 1), (3, 2)]:
+            yield field, pq, 5
+        yield field, (6, 5), 1
+
+
+@pytest.mark.parametrize("field,pq,k", list(trimmed_system_cases()))
+def test_trimmed_stabilizer_system_matches_the_full_one(field, pq, k):
+    pair = build_pair(Family(field, *pq))
+    rng = np.random.default_rng(15)
+    S = sample_null_batch(pair, k, rng=rng).S
+    if pq == (2, 1) and field == "R":  # nontrivial stabilizers as well
+        S = np.concatenate([S, sample_so21_stratum_batch(pair, "one-step-nilpotent", 2,
+                                                          rng=rng).S])
+    full = full_system(pair, S)
+    trim = orbits._stabilizer_system(pair, np.asarray(S)[:, None])
+    assert trim.shape == (len(S), orbits._system_rows(pair), pair.h.dim + 1)
+    assert full.shape[1] == 2 * pair.carrier_dim ** 2
+    # the dropped rows repeat kept ones, so the Gram matrices agree up to
+    # the number of copies and every singular value scales by one factor
+    copies = 2 if field == "H" else 1
+    assert_allclose(np.swapaxes(full, 1, 2) @ full,
+                    copies * (np.swapaxes(trim, 1, 2) @ trim), atol=1e-12)
+    s_full = np.linalg.svd(full, compute_uv=False)
+    s_trim = np.linalg.svd(trim, compute_uv=False)
+    assert_allclose(s_full, np.sqrt(copies) * s_trim, rtol=1e-10, atol=1e-12)
+    stabs = stabilizers_of_rays(pair, S)
+    for i in range(len(S)):
+        ker = _kernel_cols(full[i], pair.tol)
+        assert stabs.dims[i] == ker.shape[1]
+        if ker.shape[1]:
+            # same kernel span: each basis projects onto the other exactly
+            got = stabs.kernels[i]
+            assert_allclose(ker @ (ker.T @ got), got, atol=1e-10)
+            assert_allclose(got @ (got.T @ ker), ker, atol=1e-10)
+        assert stabs.residuals[i] < 1e-8
+
+
+def test_trimmed_rows_are_counted_in_the_block_size():
+    rows = {}
+    for field in "RCH":
+        pair = build_pair(Family(field, 2, 1))
+        rows[field] = orbits._system_rows(pair)
+    assert rows == {"R": 9, "C": 18, "H": 36}
+    assert trial_blocks(build_pair(Family("H", 2, 1)), 400)[0] == 24
+
+
+# ---------------------------------------------------------------------------
+# per-pair sampling frames and stacked strata labels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_sampling_congruence_is_computed_once_per_pair(field, monkeypatch):
+    calls = []
+    real = pairs.congruence
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pairs, "congruence", counted)
+    pair = build_pair(Family(field, 2, 1))
+    for seed in range(3):
+        sample_null_batch(pair, 4, rng=seed)
+    assert len(calls) == 1
+    if field == "R":
+        for stratum in ("two-step-nilpotent", "one-step-nilpotent"):
+            sample_so21_stratum_batch(pair, stratum, 3, rng=0)
+        assert len(calls) == 2  # the corner frame of the strata
+    P, P_inv = pair.sampling_frame
+    assert pair.sampling_frame[0] is P
+    assert_allclose(P @ P_inv, np.eye(3), atol=1e-12)
+    assert not P.flags.writeable and not P_inv.flags.writeable
+    Pc, _ = pair.corner_frame
+    assert_allclose(Pc.conj().T @ pair.hermitian_matrix @ Pc, t_form(2, 1, 1), atol=1e-10)
+    # a fresh pair gets its own frame
+    assert build_pair(Family(field, 2, 1)).sampling_frame[0] is not P
+
+
+def test_stacked_strata_labels_judge_each_matrix_at_its_own_norm():
+    pair = build_pair(Family("R", 2, 1))
+    rng = np.random.default_rng(16)
+    S = np.concatenate([sample_so21_stratum_batch(pair, s, 4, rng=rng).S
+                        for s in STRATA])
+    scales = np.tile([1e-6, 1.0, 1e3, 1e6], 3)
+    labels = so21_orbit_class(scales[:, None, None] * S)
+    assert labels.shape == (12,)
+    assert labels.tolist() == [s for s in STRATA for _ in range(4)]
+    assert labels.tolist() == [so21_orbit_class(x * M) for x, M in zip(scales, S)]
+    assert isinstance(so21_orbit_class(S[0]), str)
+    with pytest.raises(ValueError):
+        so21_orbit_class(np.concatenate([S[:2], np.zeros((1, 3, 3))]))
+
+
+STRATA = ("open", "two-step-nilpotent", "one-step-nilpotent")
