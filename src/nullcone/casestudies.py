@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linalg import (
     BilinForm,
@@ -34,6 +33,7 @@ from .linalg import (
     Tolerance,
     algebra_profile,
     bracket,
+    expm,
     gram_matrix,
     gram_signature,
     max_bracket_residual,

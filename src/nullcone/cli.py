@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse imports it on its first parse; load it with the module
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -449,8 +451,8 @@ def parse_args(argv=None) -> SuiteConfig:
         parser.error("--q must be at least 1")
     if args.seed < 0 or args.seed >= 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("--tol must be positive and finite")
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     cfg = SuiteConfig(suite=args.suite, field=args.field, p=args.p, q=args.q,

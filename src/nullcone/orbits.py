@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm
 
-from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, quat_embed, realify
+from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, expm, quat_embed, realify
 from .pairs import SymmetricPair, t_form
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
@@ -286,7 +285,7 @@ def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator) ->
 def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
     """Conjugate each S_i by exp(Z_i) for a random isotropy element with
-    norm <= 1: one stacked expm and one stacked solve."""
+    norm <= 1: one stacked linalg.expm and one stacked solve."""
     k = S.shape[0]
     A = expm(pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
     # S -> A S A^{-1} via a solve, avoiding an explicit inverse
@@ -300,10 +299,10 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
     """k random generic null vectors (distinct spectrum, nonreal pairs present).
 
     The draws take their spectra at once, move them by the pair's
-    sampling congruence (computed once per pair), conjugate them by one stacked
-    expm and solve, and are certified as make_null_vector does.  Rows that
-    fail the genericity or nullity rule are redrawn, at most max_tries
-    rounds in all.
+    sampling congruence (computed once per pair), conjugate them by one
+    stacked linalg.expm and solve, and are certified as make_null_vector
+    does.  Rows that fail the genericity or nullity rule are redrawn, at
+    most max_tries rounds in all.
     """
     tol = tol or pair.tol
     rng = _as_rng(rng)
@@ -593,9 +592,9 @@ def _quat_conj(x: np.ndarray) -> np.ndarray:
 def _eigenplanes(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Two orthonormal vectors spanning ker(M_i - lam_ij) for each matrix of
     M (k, N, N) and each value of lam (k, n): (k, n, 2, N), vectors on the
-    last axis.  One stacked SVD with scipy's null_space rule (singular
-    values above 1e-8 of the largest count towards the rank); raises unless
-    every kernel is two-dimensional."""
+    last axis.  One stacked numpy SVD with the rank rule of scipy's
+    null_space (singular values above 1e-8 of the largest count towards the
+    rank); raises unless every kernel is two-dimensional."""
     N = M.shape[-1]
     _, s, vh = np.linalg.svd(M[:, None] - lam[:, :, None, None] * np.eye(N),
                              full_matrices=False)

@@ -2,6 +2,10 @@
 determinism, rendering, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,8 @@ def test_parse_args_full():
     ["--suite", "bogus"],
     ["--suite", "table", "--p", "0"],
     ["--suite", "table", "--tol", "-1"],
+    ["--suite", "table", "--tol", "nan"],
+    ["--suite", "axioms", "--tol", "inf"],
     ["--suite", "table", "--trials", "0"],
     ["--suite", "orbits", "--field", "C", "--p", "1", "--q", "1"],
 ])
@@ -42,6 +48,40 @@ def test_bad_arguments_exit_with_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         parse_args(argv)
     assert exc.value.code == 2
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any runtime use of scipy now raises ImportError
+import nullcone.cli as cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["--suite", "table"], ["--suite", "su21", "--trials", "5"],
+                 ["--suite", "orbits", "--field", "C", "--p", "2", "--q", "1",
+                  "--trials", "3"]):
+        assert cli.main(argv + ["--format", "json"]) == 0, argv
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+"""
+
+
+def run_python(code):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_leaves_scipy_out():
+    done = run_python("import sys, nullcone.cli; print('scipy' in sys.modules)")
+    assert done.stdout.strip() == "False", done.stderr
+
+
+def test_suites_run_without_scipy_and_load_no_numpy_module_lazily():
+    # every numpy submodule a suite needs comes with the import, so no
+    # suite pays for loading one
+    done = run_python(IMPORT_PROBE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_json_output_is_deterministic():

@@ -1,9 +1,11 @@
 """Tests for the real-linear-algebra kernel: quaternion embedding, real
-subspaces, signatures, structure constants, and signed orthogonalization."""
+subspaces, signatures, structure constants, signed orthogonalization, and
+the stacked matrix exponential."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nullcone.linalg import (
     BilinForm,
@@ -13,6 +15,7 @@ from nullcone.linalg import (
     _kernel_cols,
     algebra_profile,
     bracket,
+    expm,
     gram_matrix,
     gram_signature,
     max_bracket_residual,
@@ -26,6 +29,7 @@ from nullcone.linalg import (
     sym_signature,
     unrealify,
 )
+from nullcone.pairs import Family, build_pair
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -312,3 +316,90 @@ def test_bilinform_scale():
 def test_bracket_shape_mismatch_raises():
     with pytest.raises(ValueError):
         bracket(np.eye(3), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# stacked matrix exponential
+# ---------------------------------------------------------------------------
+
+
+def random_stack(kind, rng, norms, n=4):
+    """Gaussian stack of real, complex or quaternion-embedded (2n x 2n)
+    matrices, each rescaled to the given Frobenius norm."""
+    shape = (len(norms), n, n)
+
+    def gaussian():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "real":
+        A = rng.standard_normal(shape)
+    elif kind == "complex":
+        A = gaussian()
+    else:
+        A = quat_embed(QMat(gaussian(), gaussian()))
+    return A * (np.asarray(norms) / np.linalg.norm(A, axis=(1, 2)))[:, None, None]
+
+
+def scipy_expm(A):
+    return np.array([scipy.linalg.expm(a) for a in A])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("norm", [1e-3, 1.0, 30.0])
+def test_expm_matches_scipy(kind, norm):
+    rng = np.random.default_rng(3)
+    A = random_stack(kind, rng, [norm] * 8)
+    E = expm(A)
+    assert E.dtype == A.dtype
+    ref = scipy_expm(A)
+    err = np.abs(E - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert err.max() < (1e-14 if norm <= 1 else 1e-11)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "quaternion"])
+def test_expm_of_zero_is_identity(kind):
+    A = random_stack(kind, np.random.default_rng(0), [1.0] * 3) * 0.0
+    assert_array_equal(expm(A), np.broadcast_to(np.eye(A.shape[-1]), A.shape))
+    assert_array_equal(expm(A), scipy_expm(A))
+
+
+def test_expm_mixed_norms_square_each_row_as_often_as_it_needs():
+    # the norms span squaring counts 0 (small rows) up to 7 (norm 400)
+    norms = [0.0, 1e-3, 400.0, 1.0, 30.0, 6.0, 1e-3, 120.0]
+    A = random_stack("complex", np.random.default_rng(5), norms)
+    E = expm(A)
+    ref = scipy_expm(A)
+    err = np.abs(E - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert err.max() < 1e-11
+    # each row is bit for bit what it is alone, as one matrix or a stack of one
+    for i in range(len(A)):
+        assert_array_equal(expm(A[i]), E[i])
+        assert_array_equal(expm(A[i:i + 1])[0], E[i])
+    # leading axes beyond one are kept
+    assert_array_equal(expm(A.reshape(2, 4, 4, 4)), E.reshape(2, 4, 4, 4))
+
+
+def test_expm_rejects_non_finite_entries():
+    A = np.eye(3)
+    A[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        expm(A)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2)])
+def test_expm_of_isotropy_elements_preserves_carrier_form(field, pq, seed):
+    pair = build_pair(Family(field, *pq))
+    rng = np.random.default_rng(seed)
+    Z = pair.h.random_element(rng, norm=[0.3, 1.0, 4.0, 12.0], size=4)
+    G = expm(Z)
+    F = pair.carrier_form
+    scale = np.linalg.norm(G, axis=(1, 2)) ** 2
+    res = np.abs(G.conj().transpose(0, 2, 1) @ F @ G - F).max(axis=(1, 2))
+    assert (res < 1e-13 * scale).all()
+    # h is traceless, so exp(Z) has determinant one
+    assert (np.abs(np.linalg.det(G) - 1.0) < 1e-13 * scale).all()
+    if field == "H":
+        for g in G:
+            quat_split(g)  # raises unless g keeps the quaternionic pattern
