@@ -34,6 +34,7 @@ from .pairs import (
     TableRow,
     VARIANTS,
     ambient_dimension,
+    axioms_report,
     build_pair,
     check_symmetric_axioms,
     congruence,
@@ -43,31 +44,26 @@ from .pairs import (
     formula_dims,
     isotropy_matrix,
     t_form,
+    table_report,
 )
 from .orbits import (
     NullBatch,
-    NullVector,
     RayStabilizers,
-    StabilizerResult,
-    canonicalize_symplectic,
     canonicalize_symplectic_batch,
-    canonicalize_unitary,
     canonicalize_unitary_batch,
     codimension_from_stabilizer,
+    make_null_batch,
     make_null_vector,
     normal_form_residuals,
-    orbit_codimension,
-    partner_null,
+    orbits_report,
     partner_null_batch,
     sample_null_batch,
-    sample_null_generic,
-    sample_so21_stratum,
     sample_so21_stratum_batch,
     so21_orbit_class,
-    split_spectrum,
     stabilizer_mismatch,
     stabilizer_of_ray,
     stabilizers_of_rays,
+    stabilizers_report,
     trial_blocks,
 )
 from .reductive import (
@@ -102,6 +98,7 @@ from .casestudies import (
     sp21_grading,
     sp21_grading_report,
     sp21_hatn_isometry,
+    sp21_report,
     sp21_subalgebra_profiles,
     su21_ad_action,
     su21_bracket_table,
@@ -110,6 +107,8 @@ from .casestudies import (
     su21_einstein,
     su21_invariants,
     su21_nabla_J,
+    su21_nabla_J_report,
+    su21_report,
 )
 
 __version__ = "0.1.0"

@@ -45,12 +45,17 @@ from .orbits import make_null_vector, stabilizer_of_ray
 from .pairs import Family, SymmetricPair, build_pair
 from .reductive import (
     ReductiveSplit,
+    bianchi_residual,
+    casimir,
     einstein_fit,
     frame_ad,
     frame_casimir,
     frame_coords,
+    homothety_check,
     reductive_split,
+    torsion_derivation_check,
     torsion_eval,
+    wang_ziller_check,
 )
 from .report import Report
 
@@ -130,11 +135,11 @@ def su21_build(a: float = 1.0, seed: int = 0,
     if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
         raise ValueError("case-study basis element escapes the isotropy algebra")
     nv = make_null_vector(pair, S, tol)
-    if nv.nullity_residual > tol.abs:
+    if nv.nullity_residual[0] > tol.abs:
         raise ValueError("ray vector is not null")
     stab = stabilizer_of_ray(pair, nv, tol)
     b_space = RealSubspace(b_basis, tol=tol)
-    if stab.dim != 2 or not b_space.equals(stab.b):
+    if stab.dims[0] != 2 or not b_space.equals(stab.subspace(pair, 0, tol)):
         raise ValueError("hard-coded stabilizer disagrees with the computed one")
     split = reductive_split(pair, b_space, tol, rng=seed)
     _, sig = gram_signature(pair.form, split.n, tol)
@@ -269,6 +274,32 @@ def su21_nabla_J(data: SU21Data, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return 0.5 * (data.J(t(X, Y)) - t(X, data.J(Y)))
 
 
+def su21_nabla_J_report(data: SU21Data, trials: int = 100, rng=0) -> Report:
+    """The nearly para-Kahler identities of the structure derivative over
+    random pairs: it vanishes on equal arguments, anticommutes with J, and
+    on pure elements of the plus half it is minus the torsion."""
+    rng = np.random.default_rng(rng)
+    rep = Report(suite="su21_nabla_J")
+    w_diag = w_anti = w_pure = 0.0
+    for _ in range(trials):
+        X = data.n_space.random_element(rng)
+        Y = data.n_space.random_element(rng)
+        w_diag = max(w_diag, float(np.linalg.norm(su21_nabla_J(data, X, X))))
+        w_anti = max(w_anti, float(np.linalg.norm(
+            su21_nabla_J(data, X, data.J(Y)) + data.J(su21_nabla_J(data, X, Y)))))
+        Xp = data.n_plus.random_element(rng)
+        Yp = data.n_plus.random_element(rng)
+        w_pure = max(w_pure, float(np.linalg.norm(
+            su21_nabla_J(data, Xp, Yp) + torsion_eval(data.split, Xp, Yp))))
+    rep.residual("su21_nablaJ_vanishes_on_diagonal", w_diag, 1e-9,
+                 anchor="the structure derivative vanishes on equal arguments")
+    rep.residual("su21_nablaJ_anticommutes", w_anti, 1e-9,
+                 anchor="the structure derivative anticommutes with the structure")
+    rep.residual("su21_nablaJ_pure_type", w_pure, 1e-9,
+                 anchor="on pure elements the derivative is minus the torsion")
+    return rep
+
+
 def su21_constant_type(data: SU21Data, trials: int = 500, rng=0):
     """Fit of the constant-type constant over random pairs.
 
@@ -297,6 +328,54 @@ def su21_constant_type(data: SU21Data, trials: int = 500, rng=0):
 def su21_einstein(data: SU21Data):
     """Levi-Civita Einstein fit; returns (lambda, max entry residual)."""
     return einstein_fit(data.split)
+
+
+def _first_bianchi_worst(split: ReductiveSplit, space: RealSubspace, seed: int) -> float:
+    """Largest first-Bianchi residual over ten random triples of `space`,
+    drawn from default_rng(seed + 1)."""
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    for _ in range(10):
+        u, v, w = (space.random_element(rng) for _ in range(3))
+        worst = max(worst, float(np.linalg.norm(bianchi_residual(split, u, v, w))))
+    return worst
+
+
+def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """Every check of the complex (2, 1) case study, as the su21 suite runs it."""
+    rep = Report("su21", seed)
+    d = su21_build(seed=seed, tol=tol)
+    rep.absorb(su21_invariants(d, tol))
+    rep.absorb(su21_bracket_table(d, trials=trials, rng=seed, tol=tol))
+    rep.absorb(su21_ad_action(d, trials=min(trials, 50), rng=seed, tol=tol))
+    rep.absorb(su21_nabla_J_report(d, trials=trials, rng=seed))
+    lam, lam_res = su21_constant_type(d, trials=max(trials, 100), rng=seed)
+    rep.add("su21_constant_type", abs(lam - 0.5) <= 1e-8, lam, 0.5, 1e-8,
+            anchor="constant-type constant of the structure")
+    rep.residual("su21_constant_type_spread", lam_res, 1e-8,
+                 anchor="the fitted constant is constant across draws")
+    ein, ein_res = su21_einstein(d)
+    rep.add("su21_einstein", abs(ein - 2.5) <= 1e-7, ein, 2.5, 1e-7,
+            anchor="Einstein constant of the induced metric")
+    rep.residual("su21_einstein_isotropy", ein_res, 1e-7,
+                 anchor="Ricci tensor is an exact multiple of the metric")
+    rep.add("su21_einstein_is_five_lambda", abs(ein - 5 * lam) <= 1e-7,
+            ein - 5 * lam, 0.0, 1e-7,
+            anchor="Einstein constant equals five times the type constant")
+    rep.absorb(torsion_derivation_check(d.split), "su21_")
+    chi = casimir(d.split, rng=seed)
+    rep.residual("su21_casimir_multiple", float(np.abs(chi - 2.0 * np.eye(6)).max()),
+                 1e-8, anchor="Casimir acts as twice the identity (derived value)")
+    wz_ok, wz_c = wang_ziller_check(d.split)
+    rep.equals("su21_wang_ziller", wz_ok, True,
+               anchor="Casimir is a multiple of the identity")
+    rep.info("su21_wang_ziller_constant", wz_c,
+             anchor="fitted Casimir multiple")
+    hk, note = homothety_check(d.split, d.S, d.S_hat, tol=tol)
+    rep.equals("su21_partner_complement_matches", hk, True, anchor=note)
+    rep.info("su21_first_bianchi_residual", _first_bianchi_worst(d.split, d.n_space, seed),
+             anchor="cyclic curvature sum minus torsion terms, reported only")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +504,11 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
     if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
         raise ValueError("case-study basis element escapes the isotropy algebra")
     nv = make_null_vector(pair, S, tol)
-    if nv.nullity_residual > tol.abs:
+    if nv.nullity_residual[0] > tol.abs:
         raise ValueError("ray vector is not null")
     stab = stabilizer_of_ray(pair, nv, tol)
     b_space = RealSubspace(b_basis, tol=tol)
-    if stab.dim != 9 or not b_space.equals(stab.b):
+    if stab.dims[0] != 9 or not b_space.equals(stab.subspace(pair, 0, tol)):
         raise ValueError("hard-coded stabilizer disagrees with the computed one")
     split = reductive_split(pair, b_space, tol, rng=seed)
     if split.dim_n != 12 or not RealSubspace(n_basis, tol=tol).equals(split.n):
@@ -798,4 +877,43 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
     Z = span.random_element(rng, norm=0.7)
     rep.residual("sp21_embed_exponential_membership", membership(expm(Z)), 1e-9,
                  anchor="exponentials of derivative elements stay in the group")
+    return rep
+
+
+def sp21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """Every check of the quaternionic (2, 1) case study, as the sp21 suite
+    runs it; the duality identity is checked again at a = 2."""
+    rep = Report("sp21", seed)
+    s = sp21_build(seed=seed, tol=tol)
+    rep.absorb(sp21_subalgebra_profiles(s, tol))
+    rep.absorb(sp21_action_formulas(s, trials=trials, rng=seed, tol=tol))
+    rep.absorb(sp21_duality_identity(s, trials=trials, rng=seed, tol=tol))
+    rep.absorb(sp21_hatn_isometry(s, tol))
+    rep.absorb(sp21_embedding_check(s, rng=seed, tol=tol))
+    chi = sp21_casimir(s, tol)
+    rep.residual("sp21_casimir_multiple",
+                 float(np.abs(chi - 6.0 * np.eye(12)).max()), 1e-8,
+                 anchor="Casimir of the explicit nine-frame acts as six times the identity")
+    chi2 = casimir(s.split, rng=seed)
+    rep.residual("sp21_casimir_generic_frame",
+                 float(np.abs(chi2 - 6.0 * np.eye(12)).max()), 1e-8,
+                 anchor="Casimir from a generic orthonormal frame agrees")
+    wz_ok, wz_c = wang_ziller_check(s.split)
+    rep.equals("sp21_wang_ziller", wz_ok, True,
+               anchor="Casimir is a multiple of the identity")
+    rep.info("sp21_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")
+    rep.absorb(sp21_grading_report(s))
+    s2 = sp21_build(a=2.0, seed=seed, tol=tol)
+    rep.absorb(sp21_duality_identity(s2, trials=trials, rng=seed, tol=tol), "a2_")
+    ein, ein_res = einstein_fit(s.split)
+    rep.add("sp21_einstein", abs(ein - 7.0) <= 1e-7, ein, 7.0, 1e-7,
+            anchor="Einstein constant of the induced metric (derived value)")
+    rep.residual("sp21_einstein_isotropy", ein_res, 1e-7,
+                 anchor="Ricci tensor is an exact multiple of the metric")
+    hk, note = homothety_check(s.split, s.S, s.S_hat,
+                               isometry=hatn_isometry_map, tol=tol)
+    rep.equals("sp21_partner_complement_matches", hk, True, anchor=note)
+    rep.absorb(torsion_derivation_check(s.split), "sp21_")
+    rep.info("sp21_first_bianchi_residual", _first_bianchi_worst(s.split, s.split.n, seed),
+             anchor="cyclic curvature sum minus torsion terms, reported only")
     return rep

@@ -17,61 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casestudies import (
-    hatn_isometry_map,
-    sp21_action_formulas,
-    sp21_build,
-    sp21_casimir,
-    sp21_duality_identity,
-    sp21_embedding_check,
-    sp21_grading_report,
-    sp21_hatn_isometry,
-    sp21_subalgebra_profiles,
-    su21_ad_action,
-    su21_bracket_table,
-    su21_build,
-    su21_constant_type,
-    su21_einstein,
-    su21_invariants,
-    su21_nabla_J,
-)
+from .casestudies import sp21_report, su21_report
 from .linalg import Tolerance
-from .orbits import (
-    canonicalize_symplectic_batch,
-    canonicalize_unitary_batch,
-    codimension_from_stabilizer,
-    normal_form_residuals,
-    partner_null_batch,
-    sample_null_batch,
-    sample_so21_stratum_batch,
-    so21_orbit_class,
-    stabilizer_mismatch,
-    stabilizers_of_rays,
-    trial_blocks,
-)
-from .pairs import (
-    FIELDS,
-    Family,
-    build_pair,
-    check_symmetric_axioms,
-    default_families,
-    dimension_table,
-)
-from .reductive import (
-    bianchi_residual,
-    casimir,
-    einstein_fit,
-    homothety_check,
-    torsion_derivation_check,
-    torsion_eval,
-    wang_ziller_check,
-)
-from .report import Check, Report
+from .orbits import orbits_report, stabilizers_report
+from .pairs import FIELDS, Family, axioms_report, build_pair, default_families, table_report
+from .report import Report
 
 SUITE_NAMES = ("table", "axioms", "stabilizers", "orbits", "su21", "sp21", "all")
-
-EXPECTED_STAB_DIM = {"C": lambda n: n - 1, "R": lambda n: 0, "H": lambda n: 3 * n}
-STRATUM_STAB_DIM = {"open": 0, "two-step-nilpotent": 1, "one-step-nilpotent": 2}
 
 
 @dataclass
@@ -96,232 +48,45 @@ class SuiteConfig:
         return [Family(f, p, q) for f in fields]
 
 
-def _absorb(dst: Report, src: Report, prefix: str = ""):
-    for c in src.checks:
-        dst.checks.append(Check(prefix + c.name, c.status, c.observed,
-                                c.expected, c.tol, c.anchor))
-
-
-def _tag(fam: Family) -> str:
-    return f"{fam.field}{fam.p}{fam.q}"
-
-
 # ---------------------------------------------------------------------------
-# suites
+# suites: each runs library routines on the configured families and seed
 # ---------------------------------------------------------------------------
 
 
 def suite_table(cfg: SuiteConfig) -> Report:
-    rep = Report("table", cfg.seed)
-    rows = dimension_table(default_families(2, 6), cfg.tolerance)
-    for r in rows:
-        rep.equals(f"table_{_tag(r.family)}",
-                   (r.dim_h, r.dim_m, r.signature), r.formula,
-                   anchor="constructed dimensions and signature match the closed formulas")
-    rep.equals("table_all_rows_match", all(r.match for r in rows), True,
-               anchor="every family row agrees with its formula")
-    return rep
+    return table_report(default_families(2, 6), cfg.tolerance)
 
 
 def suite_axioms(cfg: SuiteConfig) -> Report:
     rep = Report("axioms", cfg.seed)
-    tol = cfg.tolerance
     for fam in cfg.families():
-        variants = ["standard"]
-        if (fam.p, fam.q) == (2, 1):
-            variants.append("canonical-T")
-        for var in variants:
-            pair = build_pair(fam, var, tol=tol)
-            _absorb(rep, check_symmetric_axioms(pair))
+        rep.absorb(axioms_report(fam, cfg.tolerance))
+    return rep
+
+
+def _census(cfg: SuiteConfig, report) -> Report:
+    """report(pair, trials, seed, tol) on the pair of every family."""
+    rep = Report(cfg.suite, cfg.seed)
+    for fam in cfg.families():
+        pair = build_pair(fam, tol=cfg.tolerance)
+        rep.absorb(report(pair, cfg.trials, cfg.seed, cfg.tolerance))
     return rep
 
 
 def suite_stabilizers(cfg: SuiteConfig) -> Report:
-    rep = Report("stabilizers", cfg.seed)
-    tol = cfg.tolerance
-    for fam in cfg.families():
-        pair = build_pair(fam, tol=tol)
-        rng = np.random.default_rng(cfg.seed)
-        expected = EXPECTED_STAB_DIM[fam.field](fam.n)
-        dims, codims = set(), set()
-        worst_null, all_generic = 0.0, True
-        for k in trial_blocks(pair, cfg.trials):
-            batch = sample_null_batch(pair, k, rng=rng, tol=tol)
-            st_dims = stabilizers_of_rays(pair, batch.S, tol).dims
-            dims.update(st_dims.tolist())
-            codims.update(codimension_from_stabilizer(pair, st_dims).tolist())
-            worst_null = max(worst_null, float(batch.nullity_residual.max()))
-            all_generic = all_generic and bool(batch.genericity.all())
-        t = _tag(fam)
-        rep.equals(f"{t}_stab_dim", tuple(sorted(dims)), (expected,),
-                   anchor="ray stabilizer dimension is constant on generic samples")
-        rep.equals(f"{t}_orbit_codim", tuple(sorted(codims)), (fam.n - 3,),
-                   anchor="generic orbit codimension in the projectivized cone")
-        rep.residual(f"{t}_worst_nullity", worst_null, 1e-8,
-                     anchor="sampled vectors are numerically null")
-        rep.equals(f"{t}_all_generic", all_generic, True,
-                   anchor="sampled spectra are simple with nonreal pairs")
-    return rep
+    return _census(cfg, stabilizers_report)
 
 
 def suite_orbits(cfg: SuiteConfig) -> Report:
-    rep = Report("orbits", cfg.seed)
-    tol = cfg.tolerance
-    for fam in cfg.families():
-        pair = build_pair(fam, tol=tol)
-        rng = np.random.default_rng(cfg.seed)
-        t = _tag(fam)
-        worst_canon = worst_theta = 0.0
-        worst_pairing = -np.inf
-        stab_match = True
-        for k in trial_blocks(pair, cfg.trials):
-            batch = sample_null_batch(pair, k, rng=rng, tol=tol)
-            if fam.field != "R":
-                if fam.field == "C":
-                    P, r = canonicalize_unitary_batch(pair, batch, tol)
-                else:
-                    # the sampler always realizes the maximal corner size
-                    P, r = canonicalize_symplectic_batch(pair, batch, tol), min(fam.p, fam.q)
-                worst_canon = max(worst_canon,
-                                  float(normal_form_residuals(pair, P, r).max()))
-            partners, pairings = partner_null_batch(pair, batch, tol)
-            worst_pairing = max(worst_pairing, float(pairings.max()))
-            st = stabilizers_of_rays(pair, batch.S, tol)
-            st_hat = stabilizers_of_rays(pair, partners.S, tol)
-            stab_match = stab_match and bool(np.array_equal(st.dims, st_hat.dims))
-            worst_theta = max(worst_theta,
-                              float(stabilizer_mismatch(pair, st, st_hat).max()))
-        if fam.field in ("C", "H"):
-            rep.residual(f"{t}_canonical_gram", worst_canon, 1e-9,
-                         anchor="canonical basis reproduces the corner normal form")
-        rep.equals(f"{t}_stab_dims_match_partner", stab_match, True,
-                   anchor="the ray and its partner have equal stabilizer dimension")
-        rep.residual(f"{t}_stab_equals_partner_stab", worst_theta, 1e-9,
-                     anchor="stabilizer subspaces of the ray and its partner coincide")
-        rep.add(f"{t}_partner_pairing_negative", worst_pairing < 0,
-                worst_pairing, "< 0", None,
-                anchor="the ray pairs strictly negatively with its partner")
-        if (fam.field, fam.p, fam.q) == ("R", 2, 1):
-            for stratum, sdim in STRATUM_STAB_DIM.items():
-                n_class = 0
-                sdims = set()
-                for k in trial_blocks(pair, cfg.trials):
-                    batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng, tol=tol)
-                    n_class += int(np.count_nonzero(so21_orbit_class(batch.S, tol) == stratum))
-                    sdims.update(stabilizers_of_rays(pair, batch.S, tol).dims.tolist())
-                rep.equals(f"R21_stratum_{stratum}_classified", n_class, cfg.trials,
-                           anchor="stratum samples classify as their stratum")
-                rep.equals(f"R21_stratum_{stratum}_stab_dim",
-                           tuple(sorted(sdims)), (sdim,),
-                           anchor="stratum stabilizer dimension")
-    return rep
+    return _census(cfg, orbits_report)
 
 
 def suite_su21(cfg: SuiteConfig) -> Report:
-    rep = Report("su21", cfg.seed)
-    tol = cfg.tolerance
-    d = su21_build(seed=cfg.seed, tol=tol)
-    _absorb(rep, su21_invariants(d, tol))
-    _absorb(rep, su21_bracket_table(d, trials=cfg.trials, rng=cfg.seed, tol=tol))
-    _absorb(rep, su21_ad_action(d, trials=min(cfg.trials, 50), rng=cfg.seed, tol=tol))
-    rng = np.random.default_rng(cfg.seed)
-    w_diag = w_anti = w_pure = 0.0
-    for _ in range(cfg.trials):
-        X = d.n_space.random_element(rng)
-        Y = d.n_space.random_element(rng)
-        w_diag = max(w_diag, float(np.linalg.norm(su21_nabla_J(d, X, X))))
-        w_anti = max(w_anti, float(np.linalg.norm(
-            su21_nabla_J(d, X, d.J(Y)) + d.J(su21_nabla_J(d, X, Y)))))
-        Xp = d.n_plus.random_element(rng)
-        Yp = d.n_plus.random_element(rng)
-        w_pure = max(w_pure, float(np.linalg.norm(
-            su21_nabla_J(d, Xp, Yp) + torsion_eval(d.split, Xp, Yp))))
-    rep.residual("su21_nablaJ_vanishes_on_diagonal", w_diag, 1e-9,
-                 anchor="the structure derivative vanishes on equal arguments")
-    rep.residual("su21_nablaJ_anticommutes", w_anti, 1e-9,
-                 anchor="the structure derivative anticommutes with the structure")
-    rep.residual("su21_nablaJ_pure_type", w_pure, 1e-9,
-                 anchor="on pure elements the derivative is minus the torsion")
-    lam, lam_res = su21_constant_type(d, trials=max(cfg.trials, 100), rng=cfg.seed)
-    rep.add("su21_constant_type", abs(lam - 0.5) <= 1e-8, lam, 0.5, 1e-8,
-            anchor="constant-type constant of the structure")
-    rep.residual("su21_constant_type_spread", lam_res, 1e-8,
-                 anchor="the fitted constant is constant across draws")
-    ein, ein_res = su21_einstein(d)
-    rep.add("su21_einstein", abs(ein - 2.5) <= 1e-7, ein, 2.5, 1e-7,
-            anchor="Einstein constant of the induced metric")
-    rep.residual("su21_einstein_isotropy", ein_res, 1e-7,
-                 anchor="Ricci tensor is an exact multiple of the metric")
-    rep.add("su21_einstein_is_five_lambda", abs(ein - 5 * lam) <= 1e-7,
-            ein - 5 * lam, 0.0, 1e-7,
-            anchor="Einstein constant equals five times the type constant")
-    _absorb(rep, torsion_derivation_check(d.split), "su21_")
-    chi = casimir(d.split, rng=cfg.seed)
-    rep.residual("su21_casimir_multiple", float(np.abs(chi - 2.0 * np.eye(6)).max()),
-                 1e-8, anchor="Casimir acts as twice the identity (derived value)")
-    wz_ok, wz_c = wang_ziller_check(d.split)
-    rep.equals("su21_wang_ziller", wz_ok, True,
-               anchor="Casimir is a multiple of the identity")
-    rep.info("su21_wang_ziller_constant", wz_c,
-             anchor="fitted Casimir multiple")
-    hk, note = homothety_check(d.split, d.S, d.S_hat, tol=tol)
-    rep.equals("su21_partner_complement_matches", hk, True, anchor=note)
-    rngb = np.random.default_rng(cfg.seed + 1)
-    wb = 0.0
-    for _ in range(10):
-        u = d.n_space.random_element(rngb)
-        v = d.n_space.random_element(rngb)
-        w = d.n_space.random_element(rngb)
-        wb = max(wb, float(np.linalg.norm(bianchi_residual(d.split, u, v, w))))
-    rep.info("su21_first_bianchi_residual", wb,
-             anchor="cyclic curvature sum minus torsion terms, reported only")
-    return rep
+    return su21_report(cfg.seed, cfg.trials, cfg.tolerance)
 
 
 def suite_sp21(cfg: SuiteConfig) -> Report:
-    rep = Report("sp21", cfg.seed)
-    tol = cfg.tolerance
-    s = sp21_build(seed=cfg.seed, tol=tol)
-    _absorb(rep, sp21_subalgebra_profiles(s, tol))
-    _absorb(rep, sp21_action_formulas(s, trials=cfg.trials, rng=cfg.seed, tol=tol))
-    _absorb(rep, sp21_duality_identity(s, trials=cfg.trials, rng=cfg.seed, tol=tol))
-    _absorb(rep, sp21_hatn_isometry(s, tol))
-    _absorb(rep, sp21_embedding_check(s, rng=cfg.seed, tol=tol))
-    chi = sp21_casimir(s, tol)
-    rep.residual("sp21_casimir_multiple",
-                 float(np.abs(chi - 6.0 * np.eye(12)).max()), 1e-8,
-                 anchor="Casimir of the explicit nine-frame acts as six times the identity")
-    chi2 = casimir(s.split, rng=cfg.seed)
-    rep.residual("sp21_casimir_generic_frame",
-                 float(np.abs(chi2 - 6.0 * np.eye(12)).max()), 1e-8,
-                 anchor="Casimir from a generic orthonormal frame agrees")
-    wz_ok, wz_c = wang_ziller_check(s.split)
-    rep.equals("sp21_wang_ziller", wz_ok, True,
-               anchor="Casimir is a multiple of the identity")
-    rep.info("sp21_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")
-    _absorb(rep, sp21_grading_report(s))
-    s2 = sp21_build(a=2.0, seed=cfg.seed, tol=tol)
-    _absorb(rep, sp21_duality_identity(s2, trials=cfg.trials, rng=cfg.seed, tol=tol),
-            "a2_")
-    ein, ein_res = einstein_fit(s.split)
-    rep.add("sp21_einstein", abs(ein - 7.0) <= 1e-7, ein, 7.0, 1e-7,
-            anchor="Einstein constant of the induced metric (derived value)")
-    rep.residual("sp21_einstein_isotropy", ein_res, 1e-7,
-                 anchor="Ricci tensor is an exact multiple of the metric")
-    hk, note = homothety_check(s.split, s.S, s.S_hat,
-                               isometry=hatn_isometry_map, tol=tol)
-    rep.equals("sp21_partner_complement_matches", hk, True, anchor=note)
-    _absorb(rep, torsion_derivation_check(s.split), "sp21_")
-    rngb = np.random.default_rng(cfg.seed + 1)
-    wbv = 0.0
-    for _ in range(10):
-        u = s.split.n.random_element(rngb)
-        v = s.split.n.random_element(rngb)
-        w = s.split.n.random_element(rngb)
-        wbv = max(wbv, float(np.linalg.norm(bianchi_residual(s.split, u, v, w))))
-    rep.info("sp21_first_bianchi_residual", wbv,
-             anchor="cyclic curvature sum minus torsion terms, reported only")
-    return rep
+    return sp21_report(cfg.seed, cfg.trials, cfg.tolerance)
 
 
 SUITES = {
@@ -334,25 +99,27 @@ SUITES = {
 }
 
 
+def _run_suite(name: str, cfg: SuiteConfig) -> Report:
+    """One suite's report.  A suite that raises mid-run (an unattainable
+    tolerance, for example, or a sampler that cannot meet it) is recorded
+    as a single failed check instead of a traceback.  numpy's LinAlgError
+    is a ValueError."""
+    try:
+        return SUITES[name](cfg)
+    except (ValueError, RuntimeError) as exc:
+        rep = Report(name, cfg.seed)
+        rep.add(f"{name}_aborted", False, str(exc), None, None,
+                anchor="suite raised before completing")
+        return rep
+
+
 def run(cfg: SuiteConfig) -> Report:
     """Execute the configured suite; checks come back sorted by name.
-
-    A suite that raises mid-run (an unattainable tolerance, for example,
-    or a sampler that cannot meet it) is recorded as a single failed check
-    instead of a traceback.  numpy's LinAlgError is a ValueError.
-    """
-    try:
-        if cfg.suite == "all":
-            rep = Report("all", cfg.seed)
-            for name in ("table", "axioms", "stabilizers", "orbits",
-                         "su21", "sp21"):
-                _absorb(rep, SUITES[name](cfg))
-        else:
-            rep = SUITES[cfg.suite](cfg)
-    except (ValueError, RuntimeError) as exc:
-        rep = Report(cfg.suite, cfg.seed)
-        rep.add(f"{cfg.suite}_aborted", False, str(exc), None, None,
-                anchor="suite raised before completing")
+    Under "all" every suite runs, and aborts, on its own."""
+    rep = Report(cfg.suite, cfg.seed)
+    names = SUITES if cfg.suite == "all" else (cfg.suite,)
+    for name in names:
+        rep.absorb(_run_suite(name, cfg))
     rep.checks.sort(key=lambda c: c.name)
     return rep
 
@@ -439,9 +206,9 @@ def parse_args(argv=None) -> SuiteConfig:
                         help="restrict family suites to one base field")
     parser.add_argument("--p", type=int, help="positive part of the signature")
     parser.add_argument("--q", type=int, help="negative part of the signature")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    parser.add_argument("--tol", type=float, default=SuiteConfig.tol_abs)
+    parser.add_argument("--trials", type=int, default=SuiteConfig.trials)
     parser.add_argument("--format", choices=("json", "markdown"),
                         default="markdown")
     args = parser.parse_args(argv)
@@ -458,7 +225,7 @@ def parse_args(argv=None) -> SuiteConfig:
     cfg = SuiteConfig(suite=args.suite, field=args.field, p=args.p, q=args.q,
                       seed=args.seed, tol_abs=args.tol, trials=args.trials,
                       format=args.format)
-    if cfg.suite in ("stabilizers", "orbits"):
+    if cfg.suite in ("stabilizers", "orbits", "all"):
         if any(f.n < 3 for f in cfg.families()):
             parser.error("orbit suites need p + q >= 3")
     return cfg

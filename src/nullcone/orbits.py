@@ -12,10 +12,12 @@ form for the complex family, the symplectic form for the quaternionic one.
 
 Sampling, certification, partners, stabilizers and normal forms run on
 stacks of rays (sample_null_batch, partner_null_batch, stabilizers_of_rays,
-canonicalize_unitary_batch, canonicalize_symplectic_batch); the single-ray
-functions are the k = 1 case of the same kernels.  The kernels take
-whatever stack they are given; callers that walk many rays cut them with
-trial_blocks, which bounds the memory of one block.
+canonicalize_unitary_batch, canonicalize_symplectic_batch);
+make_null_vector and stabilizer_of_ray are the k = 1 case of the same
+kernels.  The kernels take whatever stack they are given; callers that
+walk many rays cut them with trial_blocks, which bounds the memory of one
+block.  stabilizers_report and orbits_report are the census checks of one
+pair, as the stabilizers and orbits suites run them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, expm, quat_embed, realify
 from .pairs import SymmetricPair, t_form
+from .report import Report
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
 # trial_blocks cuts a run of rays into blocks whose stacked stabilizer
@@ -34,29 +37,21 @@ GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.a
 # quaternionic (6, 5) pair already fills it, so memory does not grow with
 # the number of trials.
 BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class NullVector:
-    """A sampled or supplied element of the null cone.
-
-    eigenvalues holds n entries; for the quaternionic family these are the
-    clustered values of the doubled spectrum of the complex carrier.
-    genericity means all pairwise gaps exceed the sampling threshold.
-    """
-
-    S: np.ndarray
-    eigenvalues: np.ndarray
-    genericity: bool
-    nullity_residual: float
-    trace_residual: float
-    gap: float
+# ray stabilizer dimension of a generic null vector, by field and n = p + q,
+# and of a representative of each (R, 2, 1) stratum
+EXPECTED_STAB_DIM = {"C": lambda n: n - 1, "R": lambda n: 0, "H": lambda n: 3 * n}
+STRATUM_STAB_DIM = {"open": 0, "two-step-nilpotent": 1, "one-step-nilpotent": 2}
 
 
 @dataclass(frozen=True)
 class NullBatch:
-    """k null vectors as stacked arrays: the NullVector fields, each with a
-    leading axis of length k.  row(i) is the i-th NullVector."""
+    """k sampled or supplied elements of the null cone, as stacked arrays
+    with a leading axis of length k.
+
+    eigenvalues holds n entries per row; for the quaternionic family these
+    are the clustered values of the doubled spectrum of the complex carrier.
+    genericity means all pairwise gaps exceed the sampling threshold.
+    """
 
     S: np.ndarray
     eigenvalues: np.ndarray
@@ -67,16 +62,6 @@ class NullBatch:
 
     def __len__(self) -> int:
         return self.S.shape[0]
-
-    def row(self, i: int) -> NullVector:
-        return NullVector(
-            S=self.S[i],
-            eigenvalues=self.eigenvalues[i],
-            genericity=bool(self.genericity[i]),
-            nullity_residual=float(self.nullity_residual[i]),
-            trace_residual=float(self.trace_residual[i]),
-            gap=float(self.gap[i]),
-        )
 
     def take(self, idx) -> "NullBatch":
         """Rows selected by an index array or boolean mask."""
@@ -89,57 +74,31 @@ class NullBatch:
         return NullBatch(*(np.concatenate([getattr(b, f.name) for b in parts])
                            for f in fields(NullBatch)))
 
-    @staticmethod
-    def of(vectors) -> "NullBatch":
-        """Stack NullVectors into a batch."""
-        return NullBatch(*(np.array([getattr(v, f.name) for v in vectors])
-                           for f in fields(NullBatch)))
-
-
-@dataclass(frozen=True)
-class StabilizerResult:
-    """Ray stabilizer: all X in h with [X, S] = c S for some real c.
-
-    residual is the largest |[X, S] - c S| over the basis of b, recomputed
-    from the matrices X, so it checks the solve rather than restating it.
-    """
-
-    b: RealSubspace | None
-    dim: int
-    c_functional: np.ndarray
-    residual: float
-
 
 @dataclass(frozen=True)
 class RayStabilizers:
-    """Ray stabilizers of k null vectors from one stacked solve.
+    """Ray stabilizers of k null vectors from one stacked solve: for each
+    S_i, all X in h with [X, S_i] = c S_i for some real c.
 
     kernels[i] holds orthonormal columns (coordinates of X in the h basis,
     then c) spanning the solutions of [X, S_i] = c S_i; dims[i] is their
     number and residuals[i] the largest |[X, S_i] - c S_i| over them, with
-    X rebuilt from the h basis and the bracket taken afresh.
+    X rebuilt from the h basis and the bracket taken afresh, so it checks
+    the solve rather than restating it.
     """
 
     dims: np.ndarray
     kernels: list
     residuals: np.ndarray
 
-    def result(self, pair: SymmetricPair, i: int,
-               tol: Tolerance | None = None) -> StabilizerResult:
-        """Ray i's StabilizerResult, with the subspace b built from its kernel."""
-        tol = tol or pair.tol
+    def subspace(self, pair: SymmetricPair, i: int,
+                 tol: Tolerance | None = None) -> RealSubspace | None:
+        """Ray i's stabilizer as a subspace of h, built from its kernel
+        (None when it is trivial)."""
         ker = self.kernels[i]
         if ker.shape[1] == 0:
-            return StabilizerResult(None, 0, np.zeros(0), 0.0)
-        hdim = pair.h.dim
-        b = RealSubspace(pair.h.combine(ker[:hdim].T), tol=tol)
-        return StabilizerResult(b, ker.shape[1], ker[hdim].copy(), float(self.residuals[i]))
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+            return None
+        return RealSubspace(pair.h.combine(ker[:pair.h.dim].T), tol=tol or pair.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +163,14 @@ def _min_gaps(vals: np.ndarray) -> np.ndarray:
     return diffs.min(axis=(1, 2))
 
 
-def _certify_null(pair: SymmetricPair, S: np.ndarray, tol: Tolerance) -> NullBatch:
+def make_null_batch(pair: SymmetricPair, S: np.ndarray,
+                    tol: Tolerance | None = None) -> NullBatch:
     """Membership, nullity and genericity certificates for a stack (k, N, N).
 
     Raises if a row is not in the tangent summand; one multi-right-hand-side
     solve tests membership and one stacked eigvals gives the spectra.
     """
+    tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
     if np.any(pair.m.residual(S) > 1e-7 * scale):
@@ -229,10 +190,9 @@ def _certify_null(pair: SymmetricPair, S: np.ndarray, tol: Tolerance) -> NullBat
 
 
 def make_null_vector(pair: SymmetricPair, S: np.ndarray,
-                     tol: Tolerance | None = None) -> NullVector:
-    """Wrap a matrix as a null vector after membership and nullity checks."""
-    S = np.asarray(S, dtype=complex)
-    return _certify_null(pair, S[None], tol or pair.tol).row(0)
+                     tol: Tolerance | None = None) -> NullBatch:
+    """One matrix as a one-row NullBatch, after the make_null_batch checks."""
+    return make_null_batch(pair, np.asarray(S)[None], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +260,12 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
 
     The draws take their spectra at once, move them by the pair's
     sampling congruence (computed once per pair), conjugate them by one
-    stacked linalg.expm and solve, and are certified as make_null_vector
-    does.  Rows that fail the genericity or nullity rule are redrawn, at
+    stacked linalg.expm and solve, and are certified by make_null_batch.
+    Rows that fail the genericity or nullity rule are redrawn, at
     most max_tries rounds in all.
     """
     tol = tol or pair.tol
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through
     if pair.family.n < 3:
         raise ValueError("generic null vectors need p + q >= 3")
     if k < 1:
@@ -313,20 +273,13 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
     parts, need = [], k
     for _ in range(max_tries):
         S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng), rng)
-        batch = _certify_null(pair, S, tol)
+        batch = make_null_batch(pair, S, tol)
         ok = batch.genericity & (batch.nullity_residual < 1e-8)
         parts.append(batch.take(ok))
         need -= int(ok.sum())
         if need == 0:
             return NullBatch.concat(parts)
     raise RuntimeError("failed to draw a generic null vector")
-
-
-def sample_null_generic(pair: SymmetricPair, rng=0,
-                        tol: Tolerance | None = None,
-                        max_tries: int = 60) -> NullVector:
-    """Random generic null vector (distinct spectrum, nonreal pairs present)."""
-    return sample_null_batch(pair, 1, rng, tol, max_tries).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +353,16 @@ def _kernel_residuals(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray,
     return np.where(own, norms, 0.0).max(axis=1)
 
 
-def stabilizer_of_ray(pair: SymmetricPair, nv: NullVector,
-                      tol: Tolerance | None = None) -> StabilizerResult:
-    """All (X, c) in h x R with [X, S] = c S, as a subspace of h.
+def stabilizer_of_ray(pair: SymmetricPair, nv: NullBatch,
+                      tol: Tolerance | None = None) -> RayStabilizers:
+    """All (X, c) in h x R with [X, S] = c S for each row S of nv; for a
+    make_null_vector result, the one ray's stabilizer.
 
     The projection to the X component is injective (X = 0 forces c = 0),
-    so the kernel maps to a subspace of h of the same dimension; the ray
-    coefficient c is returned per basis vector.
+    so RayStabilizers.subspace maps each kernel to a subspace of h of the
+    same dimension.
     """
-    return stabilizers_of_rays(pair, np.asarray(nv.S)[None], tol).result(pair, 0, tol)
+    return stabilizers_of_rays(pair, nv.S, tol)
 
 
 def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -442,7 +396,16 @@ def stabilizer_mismatch(pair: SymmetricPair, a: RayStabilizers,
 
 def partner_null_batch(pair: SymmetricPair, batch: NullBatch,
                        tol: Tolerance | None = None):
-    """partner_null for every row of a batch: (partners, pairings (k,))."""
+    """Partner null vectors sharing the eigenframes of a batch, and their
+    pairings with it: (partners, pairings (k,)).
+
+    Each partner keeps every eigenvector of S and maps each eigenvalue to
+    minus its conjugate.  On a canonical representative (eigenframe
+    adapted to the involution) this is exactly the negative conjugate
+    transpose; unlike the raw matrix map it commutes with isotropy
+    conjugation, so the stabilizer equality it feeds is frame-independent.
+    The pairings are strictly negative.
+    """
     if not np.all(batch.genericity):
         raise ValueError("the partner construction needs a generic spectrum")
     S = batch.S
@@ -456,23 +419,8 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch,
         Y = (-M[:, :n, n:] + np.conj(M[:, n:, :n])) / 2
         M = quat_embed(QMat(X, Y))
     M = pair.m.project(M)
-    partners = _certify_null(pair, M, tol or pair.tol)
+    partners = make_null_batch(pair, M, tol)
     return partners, pair.form(S, M)
-
-
-def partner_null(pair: SymmetricPair, nv: NullVector,
-                 tol: Tolerance | None = None):
-    """Partner null vector sharing the eigenframe, and its pairing with S.
-
-    The partner keeps every eigenvector of S and maps each eigenvalue to
-    minus its conjugate.  On a canonical representative (eigenframe
-    adapted to the involution) this is exactly the negative conjugate
-    transpose; unlike the raw matrix map it commutes with isotropy
-    conjugation, so the stabilizer equality it feeds is frame-independent.
-    Returns (partner, form pairing); the pairing is strictly negative.
-    """
-    partners, pairings = partner_null_batch(pair, NullBatch.of([nv]), tol)
-    return partners.row(0), float(pairings[0])
 
 
 def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
@@ -483,27 +431,10 @@ def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
     return cone_dim - orbit_dim
 
 
-def orbit_codimension(pair: SymmetricPair, nv: NullVector,
-                      tol: Tolerance | None = None) -> int:
-    """Codimension of the ray orbit inside the projectivized null cone."""
-    return int(codimension_from_stabilizer(pair, stabilizer_of_ray(pair, nv, tol).dim))
-
-
-def split_spectrum(values: np.ndarray, thr: float):
-    """Indices of upper-half-plane, real, and lower-half-plane eigenvalues."""
-    values = np.asarray(values)
-    upper = [i for i in range(len(values)) if values[i].imag > thr]
-    real = [i for i in range(len(values)) if abs(values[i].imag) <= thr]
-    lower = [i for i in range(len(values)) if values[i].imag < -thr]
-    upper.sort(key=lambda i: (values[i].real, values[i].imag))
-    real.sort(key=lambda i: values[i].real)
-    return upper, real, lower
-
-
 def _spectrum_classes(vals: np.ndarray, gap: np.ndarray, tol: Tolerance):
     """Masks of the upper-half-plane and real values of each row of a (k, n)
-    spectrum, at split_spectrum's threshold max(GAP_FACTOR * tol.abs,
-    gap / 4), and the corner size r (k,), the number of upper values.
+    spectrum, at the threshold max(GAP_FACTOR * tol.abs, gap / 4), and the
+    corner size r (k,), the number of upper values.
     Raises where the lower values do not match the upper ones in number."""
     thr = np.maximum(GAP_FACTOR * tol.abs, 0.25 * np.asarray(gap))[:, None]
     upper, lower = vals.imag > thr, vals.imag < -thr
@@ -566,15 +497,6 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch,
     return P, r
 
 
-def canonicalize_unitary(pair: SymmetricPair, nv: NullVector,
-                         tol: Tolerance | None = None):
-    """Basis P diagonalizing a generic complex-family null vector so that
-    P* F P is the antidiagonal-corner form; returns (P, corner size r).
-    The k = 1 case of canonicalize_unitary_batch."""
-    P, r = canonicalize_unitary_batch(pair, NullBatch.of([nv]), tol)
-    return P[0], int(r[0])
-
-
 def _omega_matrix(pair: SymmetricPair) -> np.ndarray:
     F = pair.hermitian_matrix
     Z = np.zeros_like(F)
@@ -604,8 +526,9 @@ def _eigenplanes(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch,
-                                  tol: Tolerance | None = None) -> np.ndarray:
-    """Bases (k, 2n, 2n) normalizing generic quaternionic-family null vectors.
+                                  tol: Tolerance | None = None):
+    """Bases normalizing generic quaternionic-family null vectors; returns
+    (P (k, 2n, 2n), r (k,)).
 
     Each P diagonalizes the complex carrier of S; its columns are arranged
     so the complex-symplectic Gram becomes the block form [[0, T], [-T, 0]]
@@ -673,14 +596,7 @@ def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch,
         vs[:, :rr], ws[:, :rr] = v, C[..., 1]
         vs[:, n - rr:], ws[:, n - rr:] = C[:, ::-1, :, 0], w_p[:, ::-1]
         P[g] = np.concatenate([vs, ws], axis=1).transpose(0, 2, 1)
-    return P
-
-
-def canonicalize_symplectic(pair: SymmetricPair, nv: NullVector,
-                            tol: Tolerance | None = None) -> np.ndarray:
-    """Basis normalizing a generic quaternionic-family null vector: the
-    k = 1 case of canonicalize_symplectic_batch."""
-    return canonicalize_symplectic_batch(pair, NullBatch.of([nv]), tol)[0]
+    return P, r
 
 
 def _adjoint(X: np.ndarray) -> np.ndarray:
@@ -729,7 +645,7 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
                               tol: Tolerance | None = None) -> NullBatch:
     """k random representatives of one of the three strata for (R, 2, 1)."""
     tol = tol or pair.tol
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through
     fam = pair.family
     if (fam.field, fam.p, fam.q) != ("R", 2, 1):
         raise ValueError("strata sampling is defined for the real (2, 1) pair")
@@ -748,10 +664,90 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
     S0 = P @ E @ P_inv
     scale = rng.uniform(0.5, 2.0, k)
     S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)
-    return _certify_null(pair, scale[:, None, None] * S, tol)
+    return make_null_batch(pair, scale[:, None, None] * S, tol)
 
 
-def sample_so21_stratum(pair: SymmetricPair, stratum: str, rng=0,
-                        tol: Tolerance | None = None) -> NullVector:
-    """Random representative of one of the three strata for (R, 2, 1)."""
-    return sample_so21_stratum_batch(pair, stratum, 1, rng, tol).row(0)
+# ---------------------------------------------------------------------------
+# census reports: the stabilizers and orbits suites for one pair
+# ---------------------------------------------------------------------------
+
+
+def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0,
+                       tol: Tolerance | None = None) -> Report:
+    """Stabilizer dimension, orbit codimension, nullity and genericity of
+    `trials` generic null vectors drawn from default_rng(seed)."""
+    tol = tol or pair.tol
+    fam = pair.family
+    rep = Report("stabilizers", seed)
+    rng = np.random.default_rng(seed)
+    dims, codims = set(), set()
+    worst_null, all_generic = 0.0, True
+    for k in trial_blocks(pair, trials):
+        batch = sample_null_batch(pair, k, rng=rng, tol=tol)
+        st_dims = stabilizers_of_rays(pair, batch.S, tol).dims
+        dims.update(st_dims.tolist())
+        codims.update(codimension_from_stabilizer(pair, st_dims).tolist())
+        worst_null = max(worst_null, float(batch.nullity_residual.max()))
+        all_generic = all_generic and bool(batch.genericity.all())
+    t = fam.tag
+    rep.equals(f"{t}_stab_dim", tuple(sorted(dims)), (EXPECTED_STAB_DIM[fam.field](fam.n),),
+               anchor="ray stabilizer dimension is constant on generic samples")
+    rep.equals(f"{t}_orbit_codim", tuple(sorted(codims)), (fam.n - 3,),
+               anchor="generic orbit codimension in the projectivized cone")
+    rep.residual(f"{t}_worst_nullity", worst_null, 1e-8,
+                 anchor="sampled vectors are numerically null")
+    rep.equals(f"{t}_all_generic", all_generic, True,
+               anchor="sampled spectra are simple with nonreal pairs")
+    return rep
+
+
+def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0,
+                  tol: Tolerance | None = None) -> Report:
+    """Normal forms, partners and partner stabilizers of `trials` generic
+    null vectors drawn from default_rng(seed); for (R, 2, 1) also the
+    classification and stabilizer dimension of `trials` draws per stratum,
+    from the same stream."""
+    tol = tol or pair.tol
+    fam = pair.family
+    rep = Report("orbits", seed)
+    rng = np.random.default_rng(seed)
+    canonicalize = {"C": canonicalize_unitary_batch,
+                    "H": canonicalize_symplectic_batch}.get(fam.field)
+    worst_canon = worst_theta = 0.0
+    worst_pairing = -np.inf
+    stab_match = True
+    for k in trial_blocks(pair, trials):
+        batch = sample_null_batch(pair, k, rng=rng, tol=tol)
+        if canonicalize is not None:
+            P, r = canonicalize(pair, batch, tol)
+            worst_canon = max(worst_canon, float(normal_form_residuals(pair, P, r).max()))
+        partners, pairings = partner_null_batch(pair, batch, tol)
+        worst_pairing = max(worst_pairing, float(pairings.max()))
+        st = stabilizers_of_rays(pair, batch.S, tol)
+        st_hat = stabilizers_of_rays(pair, partners.S, tol)
+        stab_match = stab_match and bool(np.array_equal(st.dims, st_hat.dims))
+        worst_theta = max(worst_theta, float(stabilizer_mismatch(pair, st, st_hat).max()))
+    t = fam.tag
+    if canonicalize is not None:
+        rep.residual(f"{t}_canonical_gram", worst_canon, 1e-9,
+                     anchor="canonical basis reproduces the corner normal form")
+    rep.equals(f"{t}_stab_dims_match_partner", stab_match, True,
+               anchor="the ray and its partner have equal stabilizer dimension")
+    rep.residual(f"{t}_stab_equals_partner_stab", worst_theta, 1e-9,
+                 anchor="stabilizer subspaces of the ray and its partner coincide")
+    rep.add(f"{t}_partner_pairing_negative", worst_pairing < 0,
+            worst_pairing, "< 0", None,
+            anchor="the ray pairs strictly negatively with its partner")
+    if (fam.field, fam.p, fam.q) == ("R", 2, 1):
+        for stratum, sdim in STRATUM_STAB_DIM.items():
+            n_class = 0
+            sdims = set()
+            for k in trial_blocks(pair, trials):
+                batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng, tol=tol)
+                n_class += int(np.count_nonzero(so21_orbit_class(batch.S, tol) == stratum))
+                sdims.update(stabilizers_of_rays(pair, batch.S, tol).dims.tolist())
+            rep.equals(f"R21_stratum_{stratum}_classified", n_class, trials,
+                       anchor="stratum samples classify as their stratum")
+            rep.equals(f"R21_stratum_{stratum}_stab_dim", tuple(sorted(sdims)), (sdim,),
+                       anchor="stratum stabilizer dimension")
+    return rep

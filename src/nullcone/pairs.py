@@ -57,6 +57,11 @@ class Family:
     def n(self) -> int:
         return self.p + self.q
 
+    @property
+    def tag(self) -> str:
+        """Prefix of the family's check names, e.g. "C21"."""
+        return f"{self.field}{self.p}{self.q}"
+
 
 @dataclass(frozen=True)
 class SymmetricPair:
@@ -359,6 +364,29 @@ def default_families(n_min: int = 2, n_max: int = 6):
             for p in range(1, n):
                 fams.append(Family(field, p, n - p))
     return fams
+
+
+def table_report(families, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """One exact check per dimension_table row, plus one for all rows."""
+    rep = Report("table")
+    rows = dimension_table(families, tol)
+    for r in rows:
+        rep.equals(f"table_{r.family.tag}",
+                   (r.dim_h, r.dim_m, r.signature), r.formula,
+                   anchor="constructed dimensions and signature match the closed formulas")
+    rep.equals("table_all_rows_match", all(r.match for r in rows), True,
+               anchor="every family row agrees with its formula")
+    return rep
+
+
+def axioms_report(fam: Family, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """check_symmetric_axioms on the standard pair of a family, and at
+    (2, 1) also on its canonical-T variant."""
+    rep = Report("axioms")
+    variants = ("standard", "canonical-T") if (fam.p, fam.q) == (2, 1) else ("standard",)
+    for var in variants:
+        rep.absorb(check_symmetric_axioms(build_pair(fam, var, tol=tol)))
+    return rep
 
 
 def isotropy_matrix(pair: SymmetricPair, X: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -43,6 +43,10 @@ class Report:
     def info(self, name: str, observed, anchor: str = ""):
         """Record a diagnostic value that is reported but never asserted."""
         self.checks.append(Check(name, "info", observed, None, None, anchor))
+
+    def absorb(self, other: "Report", prefix: str = ""):
+        """Append the checks of another report, each name with the prefix."""
+        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
 
     @property
     def n_pass(self) -> int:

@@ -2,11 +2,8 @@
 pass/fail line. Every tolerance is stated inline next to its assertion."""
 
 import numpy as np
-import pytest
-from numpy.testing import assert_allclose
 
 from nullcone.casestudies import (
-    hatn_isometry_map,
     sp21_action_formulas,
     sp21_build,
     sp21_casimir,
@@ -17,19 +14,20 @@ from nullcone.casestudies import (
     su21_build,
     su21_constant_type,
     su21_einstein,
-    su21_nabla_J,
+    su21_nabla_J_report,
 )
 from nullcone.linalg import RealSubspace
 from nullcone.orbits import (
+    RayStabilizers,
     codimension_from_stabilizer,
     make_null_vector,
-    orbit_codimension,
-    partner_null,
-    sample_null_generic,
+    partner_null_batch,
+    sample_null_batch,
     sample_so21_stratum_batch,
     so21_orbit_class,
-    stabilizer_of_ray,
+    stabilizer_mismatch,
     stabilizers_of_rays,
+    stabilizers_report,
 )
 from nullcone.pairs import (
     Family,
@@ -37,7 +35,7 @@ from nullcone.pairs import (
     check_symmetric_axioms,
     corrupt_pair,
     default_families,
-    dimension_table,
+    table_report,
 )
 from nullcone.reductive import (
     reductive_split,
@@ -55,20 +53,20 @@ def emit(num, ok, detail):
     assert ok, detail
 
 
-def mutual_residual(a, b):
-    worst = 0.0
-    for X in a.basis:
-        worst = max(worst, b.residual(X))
-    for X in b.basis:
-        worst = max(worst, a.residual(X))
-    return worst
+def census_check(field, pq, trials, seed, suffix):
+    """The stabilizers suite's report for one family: the names of its
+    failed checks, and the observed value of its check `<tag>_<suffix>`."""
+    fam = Family(field, *pq)
+    rep = stabilizers_report(build_pair(fam), trials, seed)
+    check = next(c for c in rep.checks if c.name == f"{fam.tag}_{suffix}")
+    return [c.name for c in rep.failures()], check.observed
 
 
 def test_criterion_1_dimension_table():
-    rows = dimension_table(default_families(2, 6))
-    ok = len(rows) == 45 and all(
-        r.match and (r.dim_h, r.dim_m, r.signature) == r.formula for r in rows)
-    emit(1, ok, f"{len(rows)} family rows, 2 <= n <= 6, all exact")
+    rep = table_report(default_families(2, 8))
+    rows = [c for c in rep.checks if c.name != "table_all_rows_match"]
+    ok = len(rows) == 84 and rep.ok
+    emit(1, ok, f"{len(rows)} family rows, 2 <= n <= 8, all exact")
 
 
 def test_criterion_2_stabilizer_dimensions():
@@ -77,12 +75,9 @@ def test_criterion_2_stabilizer_dimensions():
              ("R", (2, 2), 0, 100)]
     bad = []
     for field, pq, want, trials in cases:
-        pair = build_pair(Family(field, *pq))
-        rng = np.random.default_rng(0)
-        dims = {stabilizer_of_ray(pair, sample_null_generic(pair, rng=rng)).dim
-                for _ in range(trials)}
-        if dims != {want}:
-            bad.append((field, pq, sorted(dims)))
+        failed, got = census_check(field, pq, trials, 0, "stab_dim")
+        if failed or got != (want,):
+            bad.append((field, pq, got, failed))
     emit(2, not bad,
          "stabilizer dims 2/0/9 at n=3 and 3/0 at n=4 over 100 samples each"
          if not bad else f"unexpected dims {bad}")
@@ -93,12 +88,9 @@ def test_criterion_3_orbit_codimension():
              ("C", (2, 1), 0), ("H", (2, 1), 0)]
     bad = []
     for field, pq, want in cases:
-        pair = build_pair(Family(field, *pq))
-        rng = np.random.default_rng(1)
-        codims = {orbit_codimension(pair, sample_null_generic(pair, rng=rng))
-                  for _ in range(10)}
-        if codims != {want}:
-            bad.append((field, pq, sorted(codims)))
+        failed, got = census_check(field, pq, 10, 1, "orbit_codim")
+        if failed or got != (want,):
+            bad.append((field, pq, got, failed))
     emit(3, not bad, "generic orbit codimension equals n-3 in every family"
          if not bad else f"unexpected codimensions {bad}")
 
@@ -129,12 +121,9 @@ def test_criterion_5_nearly_para_kahler():
     rep = su21_bracket_table(data, trials=200, rng=3)
     bracket_ok = rep.ok
 
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(500):
-        x = data.n_space.random_element(rng)
-        worst = max(worst, np.abs(su21_nabla_J(data, x, x)).max())
-    nabla_ok = worst < 1e-9
+    # vanishing on the diagonal, anticommuting with J and minus the torsion
+    # on pure elements, each below 1e-9 in norm
+    nabla_ok = su21_nabla_J_report(data, trials=500, rng=4).ok
 
     lam_t, _ = su21_constant_type(data, trials=500, rng=5)
     type_ok = abs(lam_t - 0.5) <= 1e-8
@@ -143,7 +132,7 @@ def test_criterion_5_nearly_para_kahler():
     tie_ok = abs(lam_e - 5.0 * lam_t) <= 1e-6
 
     ok = bracket_ok and nabla_ok and type_ok and einstein_ok and tie_ok
-    emit(5, ok, "bracket table < 1e-9, diagonal torsion derivative < 1e-9 "
+    emit(5, ok, "bracket table < 1e-9, nearly para-Kahler identities < 1e-9 "
          f"over 500 draws, type constant {lam_t:.10f}, "
          f"Einstein constant {lam_e:.10f} = 5x type")
 
@@ -179,9 +168,18 @@ def test_criterion_7_duality_pairing():
          "complement meets the opposite parabolic trivially")
 
 
+def involuted(pair, st):
+    """The ray stabilizers st mapped by the involution, in h coordinates:
+    row j of C holds the coordinates of the involution of h basis element j."""
+    hdim = pair.h.dim
+    C = pair.h.coords(pair.involution(pair.h.basis))
+    return RayStabilizers(st.dims, [np.vstack([C.T @ k[:hdim], k[hdim:]]) for k in st.kernels],
+                          st.residuals)
+
+
 def test_criterion_8_structural_invariants():
     worst_skew = worst_theta = worst_stab = 0.0
-    derivation_ok = True
+    derivation_ok = dims_ok = True
     for data in (su21_build(), sp21_build()):
         split = data.split
         rng = np.random.default_rng(8)
@@ -197,38 +195,30 @@ def test_criterion_8_structural_invariants():
                              abs(a + c) / scale)
         derivation_ok = derivation_ok and torsion_derivation_check(split).ok
         # canonical representatives are normal: the conjugation fixes b
-        for X in split.b.basis:
-            worst_theta = max(worst_theta,
-                              split.b.residual(data.pair.involution(X)))
-        st = stabilizer_of_ray(data.pair,
-                               make_null_vector(data.pair, data.S))
-        st_hat = stabilizer_of_ray(data.pair,
-                                   make_null_vector(data.pair, data.S_hat))
-        worst_stab = max(worst_stab, mutual_residual(st.b, st_hat.b))
+        worst_theta = max(worst_theta,
+                          split.b.residual(data.pair.involution(split.b.basis)).max())
+        st = stabilizers_of_rays(data.pair, data.S[None])
+        st_hat = stabilizers_of_rays(data.pair, data.S_hat[None])
+        dims_ok = dims_ok and st.dims[0] > 0 and np.array_equal(st.dims, st_hat.dims)
+        worst_stab = max(worst_stab, stabilizer_mismatch(data.pair, st, st_hat).max())
 
     for field in FIELDS:
         pair = build_pair(Family(field, 2, 1))
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            nv = sample_null_generic(pair, rng=rng)
-            st = stabilizer_of_ray(pair, nv)
-            hat, pairing = partner_null(pair, nv)
-            st_hat = stabilizer_of_ray(pair, hat)
-            assert st.dim == st_hat.dim
-            assert pairing < 0
-            if st.dim:
-                worst_stab = max(worst_stab,
-                                 mutual_residual(st.b, st_hat.b))
-                # off canonical position the conjugation transports the
-                # stabilizer of S onto the stabilizer of -conj(S).T
-                theta_b = RealSubspace([pair.involution(X)
-                                        for X in st.b.basis])
-                theta_nv = make_null_vector(pair, pair.involution(nv.S))
-                st_theta = stabilizer_of_ray(pair, theta_nv)
-                worst_theta = max(worst_theta,
-                                  mutual_residual(theta_b, st_theta.b))
+        batch = sample_null_batch(pair, 50, rng=9)
+        st = stabilizers_of_rays(pair, batch.S)
+        partners, pairings = partner_null_batch(pair, batch)
+        st_hat = stabilizers_of_rays(pair, partners.S)
+        assert np.array_equal(st.dims, st_hat.dims)
+        assert (pairings < 0).all()
+        worst_stab = max(worst_stab, stabilizer_mismatch(pair, st, st_hat).max())
+        # off canonical position the conjugation transports the stabilizer
+        # of S onto the stabilizer of -conj(S).T
+        st_theta = stabilizers_of_rays(pair, pair.involution(batch.S))
+        dims_ok = dims_ok and np.array_equal(st.dims, st_theta.dims)
+        worst_theta = max(worst_theta,
+                          stabilizer_mismatch(pair, involuted(pair, st), st_theta).max())
 
-    ok = (worst_skew < 1e-9 and derivation_ok and worst_theta < 1e-9
+    ok = (worst_skew < 1e-9 and derivation_ok and dims_ok and worst_theta < 1e-9
           and worst_stab < 1e-9)
     emit(8, ok, f"total skew {worst_skew:.2e}, derivation identity holds, "
          f"conjugation invariance {worst_theta:.2e}, partner stabilizer "
@@ -270,7 +260,7 @@ def test_criterion_9_negative_controls():
     nil = make_null_vector(build_pair(Family("C", 2, 1)),
                            np.outer(u, u.conj()) @ np.diag([1.0, 1.0, -1.0]))
     try:
-        partner_null(build_pair(Family("C", 2, 1)), nil)
+        partner_null_batch(build_pair(Family("C", 2, 1)), nil)
         results.append(False)
     except ValueError:
         results.append(True)

@@ -43,8 +43,8 @@ def data():
 
 def test_stabilizer_dimension_and_split(data):
     st = stabilizer_of_ray(data.pair, make_null_vector(data.pair, data.S))
-    assert st.dim == 9
-    assert st.b.equals(data.split.b)
+    assert st.dims.tolist() == [9]
+    assert st.subspace(data.pair, 0).equals(data.split.b)
     assert data.split.dim_n == 12
 
 

@@ -63,8 +63,8 @@ def test_base_point_spectrum(data):
 
 def test_stabilizer_is_two_dimensional(data):
     st = stabilizer_of_ray(data.pair, make_null_vector(data.pair, data.S))
-    assert st.dim == 2
-    assert st.b.equals(data.split.b)
+    assert st.dims.tolist() == [2]
+    assert st.subspace(data.pair, 0).equals(data.split.b)
 
 
 def test_scaling_the_base_point(data):

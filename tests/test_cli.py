@@ -15,6 +15,7 @@ import nullcone.cli as cli
 from nullcone import orbits
 from nullcone.cli import SuiteConfig, main, parse_args, render_json, run
 from nullcone.pairs import Family, build_pair
+from nullcone.report import Report
 
 
 def test_parse_args_defaults():
@@ -43,6 +44,7 @@ def test_parse_args_full():
     ["--suite", "axioms", "--tol", "inf"],
     ["--suite", "table", "--trials", "0"],
     ["--suite", "orbits", "--field", "C", "--p", "1", "--q", "1"],
+    ["--suite", "all", "--p", "1", "--q", "1"],
 ])
 def test_bad_arguments_exit_with_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -107,6 +109,20 @@ def test_json_schema_and_sorting():
     assert doc["summary"]["fail"] == 0
 
 
+def test_absorb_prefixes_each_name_and_keeps_the_rest():
+    part = Report("part")
+    part.residual("r", 1e-12, 1e-9, anchor="a")
+    part.info("i", 3)
+    whole = Report("whole")
+    whole.absorb(part, "p_")
+    whole.absorb(part)
+    assert [c.name for c in whole.checks] == ["p_r", "p_i", "r", "i"]
+    fields = [(c.status, c.observed, c.expected, c.tol, c.anchor) for c in part.checks]
+    assert [(c.status, c.observed, c.expected, c.tol, c.anchor)
+            for c in whole.checks] == fields * 2
+    assert [c.name for c in part.checks] == ["r", "i"]
+
+
 def test_markdown_rendering(capsys):
     code = main(["--suite", "table"])
     out = capsys.readouterr().out
@@ -147,6 +163,58 @@ def test_unattainable_sampling_tolerance_is_a_failed_check(suite, capsys):
     assert [(c["name"], c["status"]) for c in doc["checks"]] == \
         [(f"{suite}_aborted", "fail")]
     assert "generic null vector" in doc["checks"][0]["observed"]
+
+
+def test_all_keeps_the_suites_that_do_not_abort(capsys):
+    # at --tol 1e-3 the orbits suite aborts on a real eigenline's
+    # self-pairing; under "all" that costs the orbits checks only
+    code = main(["--suite", "all", "--tol", "1e-3", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["orbits_aborted"]
+    assert "self-pairing" in failed[0]["observed"]
+    suites = {name.split("_")[0] for name in (c["name"] for c in doc["checks"])}
+    assert {"table", "su21", "sp21", "C21", "H21", "R21"} <= suites
+    assert doc["summary"]["pass"] > 100
+
+
+def test_all_reports_every_aborted_suite_by_name(monkeypatch, capsys):
+    def raises(cfg):
+        raise RuntimeError("sampler gave up")
+
+    monkeypatch.setitem(cli.SUITES, "axioms", raises)
+    monkeypatch.setitem(cli.SUITES, "sp21", raises)
+    code = main(["--suite", "all", "--trials", "3", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["suite"] == "all"
+    assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == \
+        ["axioms_aborted", "sp21_aborted"]
+    names = [c["name"] for c in doc["checks"]]
+    assert "table_all_rows_match" in names and "su21_einstein" in names
+
+
+# every suite (all included) with the options that reach the sampling,
+# rank and quaternionic normal-form paths, and the usage error of "all"
+SWEEP = [[s, "--trials", "3", *extra]
+         for extra in ([], ["--tol", "1e-3"], ["--tol", "1e-2"],
+                       ["--p", "1", "--q", "2", "--field", "H"])
+         for s in cli.SUITE_NAMES]
+SWEEP.append(["all", "--p", "1", "--q", "1"])
+
+
+@pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
+def test_argument_sweep_keeps_the_exit_contract(argv, capsys):
+    try:
+        code = main(["--suite", *argv, "--format", "json"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    if code != 2:
+        doc = json.loads(out)
+        assert (doc["summary"]["fail"] > 0) == (code == 1)
 
 
 def test_linear_algebra_error_is_a_failed_check(monkeypatch, capsys):

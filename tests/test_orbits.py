@@ -10,19 +10,15 @@ from nullcone import orbits, pairs
 from nullcone.linalg import QMat, Tolerance, _kernel_cols, bracket, quat_embed, realify
 from nullcone.orbits import (
     NullBatch,
-    canonicalize_symplectic,
-    canonicalize_unitary,
+    canonicalize_symplectic_batch,
+    canonicalize_unitary_batch,
     codimension_from_stabilizer,
+    make_null_batch,
     make_null_vector,
-    orbit_codimension,
-    partner_null,
     partner_null_batch,
     sample_null_batch,
-    sample_null_generic,
-    sample_so21_stratum,
     sample_so21_stratum_batch,
     so21_orbit_class,
-    split_spectrum,
     stabilizer_mismatch,
     stabilizer_of_ray,
     stabilizers_of_rays,
@@ -32,6 +28,19 @@ from nullcone.orbits import _omega_matrix
 from nullcone.pairs import Family, build_pair, congruence, t_form
 
 SQRT3 = np.sqrt(3.0)
+
+
+def split_spectrum(values, thr):
+    """Reference: indices of upper-half-plane, real, and lower-half-plane
+    eigenvalues of one spectrum, the upper ones by (real, imag) and the real
+    ones by value (the per-ray rule the stacked _spectrum_classes replaced)."""
+    values = np.asarray(values)
+    upper = [i for i in range(len(values)) if values[i].imag > thr]
+    real = [i for i in range(len(values)) if abs(values[i].imag) <= thr]
+    lower = [i for i in range(len(values)) if values[i].imag < -thr]
+    upper.sort(key=lambda i: (values[i].real, values[i].imag))
+    real.sort(key=lambda i: values[i].real)
+    return upper, real, lower
 
 
 def test_t_form_layout():
@@ -57,19 +66,17 @@ def test_congruence_rejects_signature_mismatch():
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_generic_sample_properties(field):
     pair = build_pair(Family(field, 2, 1))
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        nv = sample_null_generic(pair, rng=rng)
-        assert pair.m.residual(nv.S) < 1e-9
-        assert nv.nullity_residual < 1e-8
-        assert nv.genericity
-        assert nv.gap > 1e-6
-        assert abs(np.trace(nv.S)) < 1e-9
+    batch = sample_null_batch(pair, 10, rng=0)
+    assert pair.m.residual(batch.S).max() < 1e-9
+    assert batch.nullity_residual.max() < 1e-8
+    assert batch.genericity.all()
+    assert batch.gap.min() > 1e-6
+    assert np.abs(np.trace(batch.S, axis1=1, axis2=2)).max() < 1e-9
 
 
 def test_generic_sample_needs_three_dimensions():
     with pytest.raises(ValueError):
-        sample_null_generic(build_pair(Family("C", 1, 1)), rng=0)
+        sample_null_batch(build_pair(Family("C", 1, 1)), 1, rng=0)
 
 
 @pytest.mark.parametrize("field,pq,want", [
@@ -81,17 +88,17 @@ def test_generic_sample_needs_three_dimensions():
 ])
 def test_generic_stabilizer_dimensions(field, pq, want):
     pair = build_pair(Family(field, *pq))
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        nv = sample_null_generic(pair, rng=rng)
-        st = stabilizer_of_ray(pair, nv)
-        assert st.dim == want
-        assert st.residual < 1e-8
+    batch = sample_null_batch(pair, 5, rng=1)
+    stabs = stabilizers_of_rays(pair, batch.S)
+    assert stabs.dims.tolist() == [want] * 5
+    assert stabs.residuals.max() < 1e-8
+    for i in range(len(batch)):
+        b = stabs.subspace(pair, i)
+        if b is None:
+            continue
         # generic stabilizers act without rescaling the ray
-        assert np.abs(st.c_functional).max() < 1e-8 if st.dim else True
-        if st.b is not None:
-            for X in st.b.basis:
-                assert np.abs(bracket(X, nv.S)).max() < 1e-7
+        assert np.abs(stabs.kernels[i][pair.h.dim]).max() < 1e-8
+        assert np.abs(bracket(b.basis, batch.S[i])).max() < 1e-7
 
 
 @pytest.mark.parametrize("field,pq,want", [
@@ -103,50 +110,43 @@ def test_generic_stabilizer_dimensions(field, pq, want):
 ])
 def test_orbit_codimension_is_size_minus_three(field, pq, want):
     pair = build_pair(Family(field, *pq))
-    rng = np.random.default_rng(2)
-    for _ in range(3):
-        nv = sample_null_generic(pair, rng=rng)
-        assert orbit_codimension(pair, nv) == want
+    batch = sample_null_batch(pair, 3, rng=2)
+    dims = stabilizers_of_rays(pair, batch.S).dims
+    assert codimension_from_stabilizer(pair, dims).tolist() == [want] * 3
 
 
 @pytest.mark.parametrize("pq", [(2, 1), (2, 2), (3, 1)])
 def test_unitary_normal_form(pq):
     pair = build_pair(Family("C", *pq))
-    rng = np.random.default_rng(3)
     F = pair.hermitian_matrix
-    for _ in range(5):
-        nv = sample_null_generic(pair, rng=rng)
-        P, r = canonicalize_unitary(pair, nv)
-        assert r == min(pq)
-        assert_allclose(P.conj().T @ F @ P, t_form(*pq, r), atol=1e-8)
+    P, r = canonicalize_unitary_batch(pair, sample_null_batch(pair, 5, rng=3))
+    assert r.tolist() == [min(pq)] * 5
+    for Pi in P:
+        assert_allclose(Pi.conj().T @ F @ Pi, t_form(*pq, min(pq)), atol=1e-8)
 
 
 @pytest.mark.parametrize("pq", [(2, 1), (2, 2), (3, 1)])
 def test_symplectic_normal_form(pq):
     pair = build_pair(Family("H", *pq))
-    rng = np.random.default_rng(4)
     Hm = pair.carrier_form
     Om = _omega_matrix(pair)
-    r = min(pq)
-    W = t_form(*pq, r)
+    W = t_form(*pq, min(pq))
     om_target = np.block([[np.zeros_like(W), W], [-W, np.zeros_like(W)]])
     h_target = np.block([[W, np.zeros_like(W)], [np.zeros_like(W), W]])
-    for _ in range(3):
-        nv = sample_null_generic(pair, rng=rng)
-        P = canonicalize_symplectic(pair, nv)
-        assert_allclose(P.T @ Om @ P, om_target, atol=1e-7)
-        assert_allclose(P.conj().T @ Hm @ P, h_target, atol=1e-7)
+    P, r = canonicalize_symplectic_batch(pair, sample_null_batch(pair, 3, rng=4))
+    assert r.tolist() == [min(pq)] * 3
+    for Pi in P:
+        assert_allclose(Pi.T @ Om @ Pi, om_target, atol=1e-7)
+        assert_allclose(Pi.conj().T @ Hm @ Pi, h_target, atol=1e-7)
 
 
 def test_normal_forms_reject_wrong_field():
     pC = build_pair(Family("C", 2, 1))
     pH = build_pair(Family("H", 2, 1))
-    nvC = sample_null_generic(pC, rng=5)
-    nvH = sample_null_generic(pH, rng=5)
     with pytest.raises(ValueError):
-        canonicalize_unitary(pH, nvH)
+        canonicalize_unitary_batch(pH, sample_null_batch(pH, 1, rng=5))
     with pytest.raises(ValueError):
-        canonicalize_symplectic(pC, nvC)
+        canonicalize_symplectic_batch(pC, sample_null_batch(pC, 1, rng=5))
 
 
 def nilpotent_null_element(pair):
@@ -156,17 +156,17 @@ def nilpotent_null_element(pair):
     u = np.array([1.0, 0.0, 1.0], dtype=complex)
     S = np.outer(u, u.conj()) @ F
     assert pair.m.residual(S) < 1e-12
-    return make_null_vector(pair, S)
+    return S
 
 
 def test_non_generic_inputs_are_rejected():
     pair = build_pair(Family("C", 2, 1))
-    nv = nilpotent_null_element(pair)
-    assert not nv.genericity
+    nv = make_null_vector(pair, nilpotent_null_element(pair))
+    assert not nv.genericity.any()
     with pytest.raises(ValueError):
-        canonicalize_unitary(pair, nv)
+        canonicalize_unitary_batch(pair, nv)
     with pytest.raises(ValueError):
-        partner_null(pair, nv)
+        partner_null_batch(pair, nv)
 
 
 def test_split_spectrum_buckets_and_order():
@@ -182,10 +182,9 @@ def test_stratum_classification_and_stabilizers():
     rng = np.random.default_rng(6)
     for stratum, want_dim in (("open", 0), ("two-step-nilpotent", 1),
                               ("one-step-nilpotent", 2)):
-        for _ in range(20):
-            nv = sample_so21_stratum(pair, stratum, rng=rng)
-            assert so21_orbit_class(nv.S) == stratum
-            assert stabilizer_of_ray(pair, nv).dim == want_dim
+        batch = sample_so21_stratum_batch(pair, stratum, 20, rng=rng)
+        assert [so21_orbit_class(S) for S in batch.S] == [stratum] * 20
+        assert stabilizers_of_rays(pair, batch.S).dims.tolist() == [want_dim] * 20
 
 
 def test_stratum_edge_cases():
@@ -193,9 +192,11 @@ def test_stratum_edge_cases():
     with pytest.raises(ValueError):
         so21_orbit_class(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        sample_so21_stratum(pair, "no-such-stratum", rng=0)
+        sample_so21_stratum_batch(pair, "no-such-stratum", 1, rng=0)
     with pytest.raises(ValueError):
-        sample_so21_stratum(build_pair(Family("C", 2, 1)), "open", rng=0)
+        sample_so21_stratum_batch(build_pair(Family("C", 2, 1)), "open", 1, rng=0)
+    with pytest.raises(ValueError):
+        sample_so21_stratum_batch(pair, "one-step-nilpotent", 0, rng=0)
 
 
 def test_partner_on_canonical_diagonal_representative():
@@ -205,42 +206,41 @@ def test_partner_on_canonical_diagonal_representative():
     mu = a * (1.0 + 1j * SQRT3)
     S = np.diag([mu, -2.0 * a, np.conj(mu)])
     nv = make_null_vector(pair, S)
-    assert nv.genericity
-    hat, pairing = partner_null(pair, nv)
+    assert nv.genericity.all()
+    hat, pairing = partner_null_batch(pair, nv)
     # on the diagonal representative the partner is minus the conjugate
     # transpose, and the pairing is minus the squared Frobenius norm
-    assert_allclose(hat.S, -np.conj(S).T, atol=1e-10)
-    assert pairing == pytest.approx(-12.0 * a * a, rel=1e-10)
-    assert pairing == pytest.approx(-pair.form(S, np.conj(S).T), rel=1e-10)
+    assert_allclose(hat.S[0], -np.conj(S).T, atol=1e-10)
+    assert pairing[0] == pytest.approx(-12.0 * a * a, rel=1e-10)
+    assert pairing[0] == pytest.approx(-pair.form(S, np.conj(S).T), rel=1e-10)
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_partner_shares_the_stabilizer(field):
     pair = build_pair(Family(field, 2, 1))
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        nv = sample_null_generic(pair, rng=rng)
-        hat, pairing = partner_null(pair, nv)
-        assert pairing < 0
-        assert pair.m.residual(hat.S) < 1e-9
-        st = stabilizer_of_ray(pair, nv)
-        st_hat = stabilizer_of_ray(pair, hat)
-        assert st.dim == st_hat.dim
-        if st.dim:
-            worst = 0.0
-            for X in st.b.basis:
-                worst = max(worst, st_hat.b.residual(X))
-            for X in st_hat.b.basis:
-                worst = max(worst, st.b.residual(X))
+    batch = sample_null_batch(pair, 5, rng=7)
+    hat, pairing = partner_null_batch(pair, batch)
+    assert (pairing < 0).all()
+    assert pair.m.residual(hat.S).max() < 1e-9
+    st = stabilizers_of_rays(pair, batch.S)
+    st_hat = stabilizers_of_rays(pair, hat.S)
+    assert np.array_equal(st.dims, st_hat.dims)
+    mismatch = stabilizer_mismatch(pair, st, st_hat)
+    for i in range(len(batch)):
+        if st.dims[i]:
+            # reference: each basis element's distance to the other subspace
+            b, b_hat = st.subspace(pair, i), st_hat.subspace(pair, i)
+            worst = max(b_hat.residual(b.basis).max(), b.residual(b_hat.basis).max())
             assert worst < 1e-8
+            assert mismatch[i] == pytest.approx(worst, abs=1e-12)
 
 
 def test_partner_spectrum_is_reflected():
     pair = build_pair(Family("C", 2, 1))
-    nv = sample_null_generic(pair, rng=8)
-    hat, _ = partner_null(pair, nv)
-    got = np.linalg.eigvals(hat.S)
-    want = -np.conj(np.linalg.eigvals(nv.S))
+    nv = sample_null_batch(pair, 1, rng=8)
+    hat, _ = partner_null_batch(pair, nv)
+    got = np.linalg.eigvals(hat.S[0])
+    want = -np.conj(np.linalg.eigvals(nv.S[0]))
     # equal as multisets: a sorted order can turn on the last bit of a
     # conjugate pair's real parts, so compare characteristic polynomials
     assert_allclose(np.poly(got), np.poly(want), atol=1e-9)
@@ -266,15 +266,16 @@ def test_batch_rows_pass_single_vector_certificates(field, pq, seed):
     batch = sample_null_batch(pair, 25, rng=seed)
     assert len(batch) == 25
     for i in range(len(batch)):
-        row = batch.row(i)
-        nv = make_null_vector(pair, row.S)  # raises outside the tangent summand
-        assert nv.genericity and row.genericity
-        assert nv.nullity_residual < 1e-8
-        assert pair.m.residual(row.S) < 1e-9
-        assert abs(np.trace(row.S)) < 1e-9
-        assert_allclose(row.eigenvalues, nv.eigenvalues, atol=1e-12)
-        assert row.gap == pytest.approx(nv.gap, rel=1e-12)
-        assert row.nullity_residual == pytest.approx(nv.nullity_residual, abs=1e-15)
+        S = batch.S[i]
+        nv = make_null_vector(pair, S)  # raises outside the tangent summand
+        assert len(nv) == 1
+        assert nv.genericity[0] and batch.genericity[i]
+        assert nv.nullity_residual[0] < 1e-8
+        assert pair.m.residual(S) < 1e-9
+        assert abs(np.trace(S)) < 1e-9
+        assert_allclose(batch.eigenvalues[i], nv.eigenvalues[0], atol=1e-12)
+        assert batch.gap[i] == pytest.approx(nv.gap[0], rel=1e-12)
+        assert batch.nullity_residual[i] == pytest.approx(nv.nullity_residual[0], abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -285,12 +286,13 @@ def test_batched_stabilizers_match_per_ray(field, pq, seed):
     batch = sample_null_batch(pair, 12, rng=seed)
     stabs = stabilizers_of_rays(pair, batch.S)
     for i in range(len(batch)):
-        st = stabilizer_of_ray(pair, batch.row(i))
-        assert stabs.dims[i] == st.dim == loop_stabilizer_dim(pair, batch.S[i])
+        st = stabilizer_of_ray(pair, batch.take([i]))
+        assert stabs.dims[i] == st.dims[0] == loop_stabilizer_dim(pair, batch.S[i])
         assert stabs.residuals[i] < 1e-8
-        if st.dim:
-            for X, c in zip(st.b.basis, st.c_functional):
-                assert np.abs(bracket(X, batch.S[i]) - c * batch.S[i]).max() < 1e-8
+        if st.dims[0]:
+            c = st.kernels[0][pair.h.dim]
+            for X, ci in zip(st.subspace(pair, 0).basis, c):
+                assert np.abs(bracket(X, batch.S[i]) - ci * batch.S[i]).max() < 1e-8
     codims = codimension_from_stabilizer(pair, stabs.dims)
     assert set(codims.tolist()) == {pair.family.n - 3}
 
@@ -309,9 +311,9 @@ def test_each_stacked_ray_keeps_its_own_rank_cut(field, want):
 def test_batched_stabilizer_of_a_large_ray():
     pair = build_pair(Family("H", 6, 5))
     assert trial_blocks(pair, 3) == [1, 1, 1]  # one 968 x 254 system per block
-    nv = sample_null_generic(pair, rng=0)
-    stabs = stabilizers_of_rays(pair, nv.S[None])
-    assert stabs.dims[0] == loop_stabilizer_dim(pair, nv.S) == 3 * 11
+    S = sample_null_batch(pair, 1, rng=0).S
+    stabs = stabilizers_of_rays(pair, S)
+    assert stabs.dims[0] == loop_stabilizer_dim(pair, S[0]) == 3 * 11
     assert stabs.residuals[0] < 1e-8
 
 
@@ -319,10 +321,6 @@ def test_batched_stabilizer_of_a_large_ray():
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_block_cuts_do_not_change_results(field, seed, monkeypatch):
     pair = build_pair(Family(field, 2, 1))
-    # k = 1 draws the same stream as the single-vector sampler
-    one = sample_null_batch(pair, 1, rng=seed)
-    single = sample_null_generic(pair, rng=seed)
-    assert_allclose(one.S[0], single.S, atol=1e-13)
     # a cap that forces several blocks and a short last one
     monkeypatch.setattr(orbits, "BLOCK_BYTES", 3 * orbits._stabilizer_row_bytes(pair))
     sizes = trial_blocks(pair, 11)
@@ -347,9 +345,9 @@ def test_block_cuts_do_not_change_results(field, seed, monkeypatch):
     assert np.array_equal(stabs.dims, st_hat.dims)
     assert stabilizer_mismatch(pair, stabs, st_hat).max() < 1e-8
     for i in (0, 10):
-        hat, pairing = partner_null(pair, batch.row(i))
-        assert_allclose(hat.S, partners.S[i], atol=1e-10)
-        assert pairing == pytest.approx(pairings[i], rel=1e-9)
+        hat, pairing = partner_null_batch(pair, batch.take([i]))
+        assert_allclose(hat.S[0], partners.S[i], atol=1e-10)
+        assert pairing[0] == pytest.approx(pairings[i], rel=1e-9)
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -365,15 +363,17 @@ def test_stabilizer_residual_is_recomputed_from_the_basis(field):
     stabs = stabilizers_of_rays(pair, batch.S)
     assert stabs.dims.min() > 0
     for i in range(len(batch)):
-        st = stabs.result(pair, i)
         S = batch.S[i]
-        want = max(np.linalg.norm(bracket(X, S) - c * S)
-                   for X, c in zip(st.b.basis, st.c_functional))
-        assert st.residual == pytest.approx(want, rel=1e-6, abs=1e-15)
-        assert st.residual < 1e-8
+        c = stabs.kernels[i][pair.h.dim]
+        want = max(np.linalg.norm(bracket(X, S) - ci * S)
+                   for X, ci in zip(stabs.subspace(pair, i).basis, c))
+        assert stabs.residuals[i] == pytest.approx(want, rel=1e-6, abs=1e-15)
+        assert stabs.residuals[i] < 1e-8
 
 
 def test_batched_strata_classify_and_match_single_draws():
+    # each stratum batch classifies as one stack and matrix by matrix, and
+    # a k = 1 draw is a one-row stack of the same stratum
     pair = build_pair(Family("R", 2, 1))
     for stratum, want in (("open", 0), ("two-step-nilpotent", 1),
                           ("one-step-nilpotent", 2)):
@@ -382,9 +382,9 @@ def test_batched_strata_classify_and_match_single_draws():
         dims = stabilizers_of_rays(pair, batch.S).dims
         assert set(dims.tolist()) == {want}
         assert set(codimension_from_stabilizer(pair, dims).tolist()) == {want}
+        assert so21_orbit_class(batch.S).tolist() == [stratum] * 30
         one = sample_so21_stratum_batch(pair, stratum, 1, rng=12)
-        assert_allclose(one.S[0], sample_so21_stratum(pair, stratum, rng=12).S,
-                        atol=1e-13)
+        assert one.S.shape == (1, 3, 3) and so21_orbit_class(one.S[0]) == stratum
 
 
 def test_batch_sampler_rejects_bad_requests():
@@ -404,12 +404,13 @@ def test_batch_sampler_rejects_bad_requests():
 
 
 def ref_canonicalize_unitary(pair, nv, tol=None):
-    """Reference: the per-ray unitary normal form, one eigenline at a time."""
+    """Reference: the per-ray unitary normal form of the one-row batch nv,
+    one eigenline at a time."""
     tol = tol or pair.tol
-    S, F = nv.S, pair.carrier_form
+    S, F = nv.S[0], pair.carrier_form
     n = S.shape[0]
     w, V = np.linalg.eig(S)
-    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap)
+    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap[0])
     upper, real, lower = split_spectrum(w, thr)
     r = len(upper)
     slots = [None] * n
@@ -437,10 +438,11 @@ def ref_canonicalize_unitary(pair, nv, tol=None):
 
 
 def ref_canonicalize_symplectic(pair, nv, tol=None):
-    """Reference: the per-ray symplectic normal form, with one scipy
-    null_space per eigenvalue and the 2 x 2 steps one pair at a time."""
+    """Reference: the per-ray symplectic normal form of the one-row batch
+    nv, with one scipy null_space per eigenvalue and the 2 x 2 steps one
+    pair at a time; returns (P, r)."""
     tol = tol or pair.tol
-    M, n = nv.S, pair.family.n
+    M, n, vals = nv.S[0], pair.family.n, nv.eigenvalues[0]
     Hm, Om = pair.carrier_form, _omega_matrix(pair)
     eye = np.eye(n)
     Jstr = np.block([[0 * eye, -eye], [eye, 0 * eye]]).astype(complex)
@@ -460,12 +462,12 @@ def ref_canonicalize_symplectic(pair, nv, tol=None):
             raise ValueError("eigenspace is not two-dimensional; spectrum not generic")
         return E
 
-    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap)
-    upper, real, _ = split_spectrum(nv.eigenvalues, thr)
+    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap[0])
+    upper, real, _ = split_spectrum(vals, thr)
     r = len(upper)
-    lam_order = [nv.eigenvalues[i] for i in upper]
-    lam_order += [nv.eigenvalues[i].real + 0j for i in real]
-    lam_order += [np.conj(nv.eigenvalues[i]) for i in reversed(upper)]
+    lam_order = [vals[i] for i in upper]
+    lam_order += [vals[i].real + 0j for i in real]
+    lam_order += [np.conj(vals[i]) for i in reversed(upper)]
     vs, ws = [None] * n, [None] * n
     for k in range(r, n - r):
         v = eigenspace(lam_order[k])[:, 0]
@@ -491,7 +493,7 @@ def ref_canonicalize_symplectic(pair, nv, tol=None):
         C = np.column_stack([u, w_i]) @ (np.sqrt(np.linalg.det(H2)) * np.linalg.inv(H2))
         vs[i], ws[i] = v, C[:, 1]
         vs[n - 1 - i], ws[n - 1 - i] = C[:, 0], w_p
-    return np.column_stack(vs + ws)
+    return np.column_stack(vs + ws), r
 
 
 def ref_gram_residual(pair, P, r):
@@ -540,7 +542,7 @@ def mixed_corner_batch(pair, rng):
     if fam.field == "H":
         X = quat_embed(QMat(X, np.zeros_like(X)))
     S = orbits._isotropy_conjugate(pair, np.broadcast_to(X, (3,) + X.shape), rng)
-    hand = NullBatch.of([make_null_vector(pair, M) for M in S])
+    hand = make_null_batch(pair, S)
     assert hand.genericity.all()
     return NullBatch.concat([sample_null_batch(pair, 4, rng=rng), hand]).take(
         [0, 4, 1, 5, 2, 3, 6])
@@ -552,24 +554,21 @@ def mixed_corner_batch(pair, rng):
 def test_batched_normal_forms_match_per_ray_reference(field, pq, seed):
     pair = build_pair(Family(field, *pq))
     batch = sample_null_batch(pair, 10, rng=seed)
-    if field == "C":
-        P, r = orbits.canonicalize_unitary_batch(pair, batch)
-    else:
-        P, r = orbits.canonicalize_symplectic_batch(pair, batch), min(pq)
+    canonicalize, ref_canonicalize = {
+        "C": (canonicalize_unitary_batch, ref_canonicalize_unitary),
+        "H": (canonicalize_symplectic_batch, ref_canonicalize_symplectic)}[field]
+    P, r = canonicalize(pair, batch)
+    assert r.tolist() == [min(pq)] * len(batch)
     res = orbits.normal_form_residuals(pair, P, r)
-    r = np.broadcast_to(r, (len(batch),))
     for i in range(len(batch)):
-        nv = batch.row(i)
-        if field == "C":
-            ref, ref_r = ref_canonicalize_unitary(pair, nv)
-            assert r[i] == ref_r
-            one, one_r = canonicalize_unitary(pair, nv)
-            assert one_r == ref_r
-        else:
-            ref, ref_r = ref_canonicalize_symplectic(pair, nv), min(pq)
-            one = canonicalize_symplectic(pair, nv)
+        nv = batch.take([i])
+        ref, ref_r = ref_canonicalize(pair, nv)
+        assert r[i] == ref_r
+        # the k = 1 stack is the same kernel on one row
+        one, one_r = canonicalize(pair, nv)
+        assert one_r.tolist() == [ref_r]
         assert_same_up_to_freedom(pair, P[i], ref, ref_r)
-        assert_same_up_to_freedom(pair, one, ref, ref_r)
+        assert_same_up_to_freedom(pair, one[0], ref, ref_r)
         assert res[i] == pytest.approx(ref_gram_residual(pair, ref, ref_r), abs=1e-12)
         assert res[i] < 1e-9
 
@@ -578,18 +577,14 @@ def test_batched_normal_forms_match_per_ray_reference(field, pq, seed):
 def test_normal_forms_of_a_stack_with_mixed_corner_sizes(field):
     pair = build_pair(Family(field, 2, 2))
     batch = mixed_corner_batch(pair, np.random.default_rng(13))
-    want_r = np.array([2, 1, 2, 1, 2, 2, 1])
-    if field == "C":
-        P, r = orbits.canonicalize_unitary_batch(pair, batch)
-        assert r.tolist() == want_r.tolist()
-    else:
-        P, r = orbits.canonicalize_symplectic_batch(pair, batch), want_r
+    canonicalize, ref_canonicalize = {
+        "C": (canonicalize_unitary_batch, ref_canonicalize_unitary),
+        "H": (canonicalize_symplectic_batch, ref_canonicalize_symplectic)}[field]
+    P, r = canonicalize(pair, batch)
+    assert r.tolist() == [2, 1, 2, 1, 2, 2, 1]
     res = orbits.normal_form_residuals(pair, P, r)
     for i in range(len(batch)):
-        if field == "C":
-            ref, ref_r = ref_canonicalize_unitary(pair, batch.row(i))
-        else:
-            ref, ref_r = ref_canonicalize_symplectic(pair, batch.row(i)), int(r[i])
+        ref, ref_r = ref_canonicalize(pair, batch.take([i]))
         assert ref_r == r[i]
         assert_same_up_to_freedom(pair, P[i], ref, ref_r)
         assert res[i] == pytest.approx(ref_gram_residual(pair, ref, ref_r), abs=1e-12)
@@ -616,14 +611,16 @@ def test_batched_normal_forms_reject_bad_rows():
     with pytest.raises(ValueError):
         orbits.normal_form_residuals(build_pair(Family("R", 2, 1)), bC.S, 1)
     # one non-generic row fails the whole stack
-    mixed = NullBatch.of([bC.row(0), nilpotent_null_element(pC), bC.row(1)])
+    mixed = make_null_batch(pC, np.stack([bC.S[0], nilpotent_null_element(pC), bC.S[1]]))
+    assert mixed.genericity.tolist() == [True, False, True]
     with pytest.raises(ValueError, match="generic spectrum"):
         orbits.canonicalize_unitary_batch(pC, mixed)
     N = np.zeros((3, 3), dtype=complex)
-    nil = make_null_vector(pH, quat_embed(QMat(nilpotent_null_element(pC).S, N)))
-    assert not nil.genericity
+    nil = quat_embed(QMat(nilpotent_null_element(pC), N))
+    mixed = make_null_batch(pH, np.stack([bH.S[0], nil]))
+    assert mixed.genericity.tolist() == [True, False]
     with pytest.raises(ValueError, match="generic spectrum"):
-        orbits.canonicalize_symplectic_batch(pH, NullBatch.of([bH.row(0), nil]))
+        orbits.canonicalize_symplectic_batch(pH, mixed)
     # a row flagged generic whose listed eigenvalue is not in its spectrum
     # has a trivial eigenspace there, which the stacked SVD rule rejects; the
     # kernel reads the upper half-plane values (and their conjugates), so
@@ -635,7 +632,7 @@ def test_batched_normal_forms_reject_bad_rows():
     with pytest.raises(ValueError, match="two-dimensional"):
         orbits.canonicalize_symplectic_batch(pH, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
-        ref_canonicalize_symplectic(pH, bad.row(1))
+        ref_canonicalize_symplectic(pH, bad.take([1]))
 
 
 # ---------------------------------------------------------------------------
