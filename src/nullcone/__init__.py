@@ -68,7 +68,6 @@ from .orbits import (
 )
 from .reductive import (
     ReductiveSplit,
-    TorsionTensor,
     bianchi_residual,
     canonical_curvature,
     casimir,
@@ -78,11 +77,9 @@ from .reductive import (
     frame_casimir,
     frame_coords,
     homothety_check,
-    metric_gram,
     reductive_split,
     ricci_canonical,
     ricci_levi_civita,
-    torsion,
     torsion_derivation_check,
     torsion_eval,
     wang_ziller_check,
@@ -92,10 +89,8 @@ from .casestudies import (
     SU21Data,
     sp21_action_formulas,
     sp21_build,
-    sp21_casimir,
     sp21_duality_identity,
     sp21_embedding_check,
-    sp21_grading,
     sp21_grading_report,
     sp21_hatn_isometry,
     sp21_report,
@@ -104,7 +99,6 @@ from .casestudies import (
     su21_bracket_table,
     su21_build,
     su21_constant_type,
-    su21_einstein,
     su21_invariants,
     su21_nabla_J,
     su21_nabla_J_report,

@@ -66,6 +66,23 @@ def _rand_complex(rng: np.random.Generator) -> complex:
     return complex(rng.standard_normal(), rng.standard_normal())
 
 
+def _worst_norm(X: np.ndarray) -> float:
+    """Largest Frobenius norm in a stack (0 for an empty stack)."""
+    return float(np.linalg.norm(X, axis=(-2, -1)).max(initial=0.0))
+
+
+def _draw(rng: np.random.Generator, trials: int, *spaces: RealSubspace) -> list:
+    """One element stack per space, from one standard_normal((trials, k)) draw.
+
+    Row t draws the coefficients of each space in turn, so the stacks hold
+    the numbers a per-trial loop of random_element calls, one per space,
+    would draw from the same stream.
+    """
+    cuts = np.cumsum([sp.dim for sp in spaces])
+    coeffs = np.split(rng.standard_normal((trials, cuts[-1])), cuts[:-1], axis=1)
+    return [sp.combine(c) for sp, c in zip(spaces, coeffs)]
+
+
 # ---------------------------------------------------------------------------
 # case study 1: complex (2, 1), antidiagonal frame
 # ---------------------------------------------------------------------------
@@ -171,13 +188,10 @@ def su21_invariants(data: SU21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
     mm = max_bracket_residual(minus, minus, data.n_plus)
     rep.residual("su21_bracket_pure_swaps_halves", max(pp, mm), tol.abs,
                  anchor="brackets of pure elements swap the two halves")
-    rng = np.random.default_rng(1)
-    worst_sq, worst_iso = 0.0, 0.0
-    for _ in range(50):
-        X = data.n_space.random_element(rng)
-        Y = data.n_space.random_element(rng)
-        worst_sq = max(worst_sq, float(np.linalg.norm(data.J(data.J(X)) - X)))
-        worst_iso = max(worst_iso, abs(K(data.J(X), data.J(Y)) + K(X, Y)))
+    X, Y = _draw(np.random.default_rng(1), 50, data.n_space, data.n_space)
+    JX = data.J(X)
+    worst_sq = _worst_norm(data.J(JX) - X)
+    worst_iso = float(np.abs(K(JX, data.J(Y)) + K(X, Y)).max())
     rep.residual("su21_J_squares_to_identity", worst_sq, tol.abs,
                  anchor="para-complex structure squares to the identity")
     rep.residual("su21_J_anti_isometry", worst_iso, 1e-7,
@@ -269,7 +283,8 @@ def su21_ad_action(data: SU21Data, phi: float = np.pi / 3, r: float = 2.0,
 
 
 def su21_nabla_J(data: SU21Data, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Covariant derivative of J along the canonical connection."""
+    """Covariant derivative of J along the canonical connection (X and Y
+    may be stacks)."""
     t = lambda u, v: torsion_eval(data.split, u, v)
     return 0.5 * (data.J(t(X, Y)) - t(X, data.J(Y)))
 
@@ -278,19 +293,13 @@ def su21_nabla_J_report(data: SU21Data, trials: int = 100, rng=0) -> Report:
     """The nearly para-Kahler identities of the structure derivative over
     random pairs: it vanishes on equal arguments, anticommutes with J, and
     on pure elements of the plus half it is minus the torsion."""
-    rng = np.random.default_rng(rng)
     rep = Report(suite="su21_nabla_J")
-    w_diag = w_anti = w_pure = 0.0
-    for _ in range(trials):
-        X = data.n_space.random_element(rng)
-        Y = data.n_space.random_element(rng)
-        w_diag = max(w_diag, float(np.linalg.norm(su21_nabla_J(data, X, X))))
-        w_anti = max(w_anti, float(np.linalg.norm(
-            su21_nabla_J(data, X, data.J(Y)) + data.J(su21_nabla_J(data, X, Y)))))
-        Xp = data.n_plus.random_element(rng)
-        Yp = data.n_plus.random_element(rng)
-        w_pure = max(w_pure, float(np.linalg.norm(
-            su21_nabla_J(data, Xp, Yp) + torsion_eval(data.split, Xp, Yp))))
+    X, Y, Xp, Yp = _draw(np.random.default_rng(rng), trials,
+                         data.n_space, data.n_space, data.n_plus, data.n_plus)
+    w_diag = _worst_norm(su21_nabla_J(data, X, X))
+    w_anti = _worst_norm(su21_nabla_J(data, X, data.J(Y))
+                         + data.J(su21_nabla_J(data, X, Y)))
+    w_pure = _worst_norm(su21_nabla_J(data, Xp, Yp) + torsion_eval(data.split, Xp, Yp))
     rep.residual("su21_nablaJ_vanishes_on_diagonal", w_diag, 1e-9,
                  anchor="the structure derivative vanishes on equal arguments")
     rep.residual("su21_nablaJ_anticommutes", w_anti, 1e-9,
@@ -306,39 +315,25 @@ def su21_constant_type(data: SU21Data, trials: int = 500, rng=0):
     Returns (Lambda, max relative residual) using only draws where the
     quartic right side is bounded away from zero.
     """
-    rng = np.random.default_rng(rng)
     K = data.pair.form
-    lams = []
-    for _ in range(trials):
-        X = data.n_space.random_element(rng)
-        Y = data.n_space.random_element(rng)
-        D = su21_nabla_J(data, X, Y)
-        lhs = K(D, D)
-        rhs = (K(X, X) * K(Y, Y) - K(X, Y) ** 2 + K(data.J(X), Y) ** 2)
-        if abs(rhs) > 1e-3:
-            lams.append(lhs / rhs)
-    if not lams:
+    X, Y = _draw(np.random.default_rng(rng), trials, data.n_space, data.n_space)
+    D = su21_nabla_J(data, X, Y)
+    lhs = K(D, D)
+    rhs = K(X, X) * K(Y, Y) - K(X, Y) ** 2 + K(data.J(X), Y) ** 2
+    keep = np.abs(rhs) > 1e-3
+    if not keep.any():
         raise ValueError("all sampled right sides were degenerate; resample")
-    lams = np.array(lams)
+    lams = lhs[keep] / rhs[keep]
     lam = float(np.median(lams))
     max_rel = float(np.abs(lams - lam).max() / max(abs(lam), 1e-12))
     return lam, max_rel
 
 
-def su21_einstein(data: SU21Data):
-    """Levi-Civita Einstein fit; returns (lambda, max entry residual)."""
-    return einstein_fit(data.split)
-
-
 def _first_bianchi_worst(split: ReductiveSplit, space: RealSubspace, seed: int) -> float:
     """Largest first-Bianchi residual over ten random triples of `space`,
     drawn from default_rng(seed + 1)."""
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(10):
-        u, v, w = (space.random_element(rng) for _ in range(3))
-        worst = max(worst, float(np.linalg.norm(bianchi_residual(split, u, v, w))))
-    return worst
+    u, v, w = _draw(np.random.default_rng(seed + 1), 10, space, space, space)
+    return float(bianchi_residual(split, u, v, w).max())
 
 
 def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -354,7 +349,7 @@ def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
             anchor="constant-type constant of the structure")
     rep.residual("su21_constant_type_spread", lam_res, 1e-8,
                  anchor="the fitted constant is constant across draws")
-    ein, ein_res = su21_einstein(d)
+    ein, ein_res = einstein_fit(d.split)
     rep.add("su21_einstein", abs(ein - 2.5) <= 1e-7, ein, 2.5, 1e-7,
             anchor="Einstein constant of the induced metric")
     rep.residual("su21_einstein_isotropy", ein_res, 1e-7,
@@ -366,7 +361,7 @@ def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
     chi = casimir(d.split, rng=seed)
     rep.residual("su21_casimir_multiple", float(np.abs(chi - 2.0 * np.eye(6)).max()),
                  1e-8, anchor="Casimir acts as twice the identity (derived value)")
-    wz_ok, wz_c = wang_ziller_check(d.split)
+    wz_ok, wz_c = wang_ziller_check(chi)
     rep.equals("su21_wang_ziller", wz_ok, True,
                anchor="Casimir is a multiple of the identity")
     rep.info("su21_wang_ziller_constant", wz_c,
@@ -587,16 +582,11 @@ def _sp21_attach_grading(data: SP21Data, seed: int, tol: Tolerance):
         raise ValueError(f"graded piece dimensions {dims} are off")
 
 
-def sp21_grading(data: SP21Data):
-    """The three graded pieces of the orthogonal algebra."""
-    return data.p_minus, data.p_zero, data.p_plus
-
-
 def sp21_grading_report(data: SP21Data) -> Report:
     """Dimensions of the graded pieces, the stabilizer inside the degree-zero
     piece, and the bracket relations of a short grading."""
     rep = Report(suite="sp21_grading")
-    pm, p0, pp = sp21_grading(data)
+    pm, p0, pp = data.p_minus, data.p_zero, data.p_plus
     rep.equals("sp21_grading_dims", (pm.dim, p0.dim, pp.dim), (12, 67, 12),
                anchor="graded pieces of the orthogonal algebra of the tangent summand")
     rep.equals("sp21_parabolic_dims", (data.p_full.dim, data.p_hat.dim), (79, 79),
@@ -697,11 +687,6 @@ def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0,
     return rep
 
 
-def sp21_casimir(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Casimir on the complement from the explicit signed nine-frame."""
-    return frame_casimir(data.split, data.A_basis, data.eps_A)
-
-
 def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0,
                           tol: Tolerance = DEFAULT_TOL) -> Report:
     """The pairing identity between the two boundary rays.
@@ -722,17 +707,22 @@ def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0,
     scale = 2 * a * SQRT3
     S_n, Sh_n = data.S / scale, data.S_hat / scale
     K_so = BilinForm(0.5)
-    worst = worst_mid = 0.0
-    for _ in range(trials):
-        A = data.split.n.random_element(rng)
-        B = data.split.n.random_element(rng)
-        lhs = 12 * a * a * K(A, B)
-        rhs = K(bracket(A, data.S), bracket(B, data.S_hat))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-        mid = K_so(data.rho_minus(A).astype(complex),
-                   data.rho_plus(B).astype(complex))
-        ref = K(bracket(A, S_n), bracket(B, Sh_n))
-        worst_mid = max(worst_mid, abs(mid - ref) / max(abs(mid), abs(ref), 1.0))
+    n = data.split.n
+    cA, cB = np.split(rng.standard_normal((trials, 2 * n.dim)), 2, axis=1)
+    A, B = n.combine(cA), n.combine(cB)
+
+    def rel(x, y):
+        """Largest gap between two arrays of values, relative to them and 1."""
+        scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+        return float((np.abs(x - y) / scale).max(initial=0.0))
+
+    worst = rel(12 * a * a * K(A, B), K(bracket(A, data.S), bracket(B, data.S_hat)))
+    # rho is linear: its graded parts on the basis of n, contracted with the
+    # coefficients, give those of A and B without a rho call per draw
+    lo = np.tensordot(cA, data.rho_minus(n.basis), axes=1)
+    hi = np.tensordot(cB, data.rho_plus(n.basis), axes=1)
+    worst_mid = rel(K_so(lo.astype(complex), hi.astype(complex)),
+                    K(bracket(A, S_n), bracket(B, Sh_n)))
     rep.residual("sp21_duality_identity", worst, 1e-8,
                  anchor="pairing of transported elements scales by 12 a^2")
     rep.residual("sp21_duality_graded_transport", worst_mid, 1e-8,
@@ -890,7 +880,7 @@ def sp21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
     rep.absorb(sp21_duality_identity(s, trials=trials, rng=seed, tol=tol))
     rep.absorb(sp21_hatn_isometry(s, tol))
     rep.absorb(sp21_embedding_check(s, rng=seed, tol=tol))
-    chi = sp21_casimir(s, tol)
+    chi = frame_casimir(s.split, s.A_basis, s.eps_A)
     rep.residual("sp21_casimir_multiple",
                  float(np.abs(chi - 6.0 * np.eye(12)).max()), 1e-8,
                  anchor="Casimir of the explicit nine-frame acts as six times the identity")
@@ -898,7 +888,7 @@ def sp21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
     rep.residual("sp21_casimir_generic_frame",
                  float(np.abs(chi2 - 6.0 * np.eye(12)).max()), 1e-8,
                  anchor="Casimir from a generic orthonormal frame agrees")
-    wz_ok, wz_c = wang_ziller_check(s.split)
+    wz_ok, wz_c = wang_ziller_check(chi2)
     rep.equals("sp21_wang_ziller", wz_ok, True,
                anchor="Casimir is a multiple of the identity")
     rep.info("sp21_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")

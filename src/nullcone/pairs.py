@@ -50,8 +50,6 @@ class Family:
             raise ValueError(f"field must be one of {FIELDS}, got {self.field!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must both be at least 1")
-        if self.p + self.q < 2:
-            raise ValueError("need p + q >= 2")
 
     @property
     def n(self) -> int:
@@ -147,64 +145,34 @@ def _frame(F: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, P_inv
 
 
-def _eij(n: int, i: int, j: int) -> np.ndarray:
-    M = np.zeros((n, n), dtype=complex)
-    M[i, j] = 1.0
-    return M
+# Generator families: (diagonal coefficients, off-diagonal pairs).  For each
+# j the family holds c E_jj for each diagonal c, then for each j < k it holds
+# a E_jk + b E_kj for each pair (a, b).
+_GENERATORS = {
+    "antihermitian": ((1j,), ((1, -1), (1j, 1j))),
+    "hermitian": ((1,), ((1, 1), (1j, -1j))),
+    "real_antisym": ((), ((1, -1),)),
+    "real_sym": ((1,), ((1, 1),)),
+    "complex_sym": ((1, 1j), ((1, 1), (1j, 1j))),
+    "complex_antisym": ((), ((1, -1), (1j, -1j))),
+}
 
 
-def _antihermitian_gens(n: int):
-    gens = [1j * _eij(n, j, j) for j in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            gens.append(_eij(n, j, k) - _eij(n, k, j))
-            gens.append(1j * (_eij(n, j, k) + _eij(n, k, j)))
-    return gens
-
-
-def _hermitian_gens(n: int):
-    gens = [_eij(n, j, j) for j in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            gens.append(_eij(n, j, k) + _eij(n, k, j))
-            gens.append(1j * (_eij(n, j, k) - _eij(n, k, j)))
-    return gens
-
-
-def _real_antisym_gens(n: int):
-    return [
-        _eij(n, j, k) - _eij(n, k, j) for j in range(n) for k in range(j + 1, n)
-    ]
-
-
-def _real_sym_gens(n: int):
-    gens = [_eij(n, j, j) for j in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            gens.append(_eij(n, j, k) + _eij(n, k, j))
-    return gens
-
-
-def _complex_sym_gens(n: int):
+def _gens(kind: str, n: int) -> list:
+    """The generators of one family of n x n matrices, in table order."""
+    diag, off = _GENERATORS[kind]
     gens = []
     for j in range(n):
-        gens.append(_eij(n, j, j))
-        gens.append(1j * _eij(n, j, j))
+        for c in diag:
+            M = np.zeros((n, n), dtype=complex)
+            M[j, j] = c
+            gens.append(M)
     for j in range(n):
         for k in range(j + 1, n):
-            s = _eij(n, j, k) + _eij(n, k, j)
-            gens.append(s)
-            gens.append(1j * s)
-    return gens
-
-
-def _complex_antisym_gens(n: int):
-    gens = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            a = _eij(n, j, k) - _eij(n, k, j)
-            gens.append(a)
-            gens.append(1j * a)
+            for x, y in off:
+                M = np.zeros((n, n), dtype=complex)
+                M[j, k], M[k, j] = x, y
+                gens.append(M)
     return gens
 
 
@@ -254,21 +222,21 @@ def build_pair(fam: Family, variant: str = "standard",
     F = _form_matrix(fam, variant)
     n = fam.n
     if fam.field == "R":
-        h_gens = [F @ A for A in _real_antisym_gens(n)]
-        m_gens = _drop_trace([F @ S for S in _real_sym_gens(n)])
+        h_gens = [F @ A for A in _gens("real_antisym", n)]
+        m_gens = _drop_trace([F @ S for S in _gens("real_sym", n)])
         carrier = F
         scale = 1.0
     elif fam.field == "C":
-        h_gens = _drop_trace([F @ A for A in _antihermitian_gens(n)])
-        m_gens = _drop_trace([F @ S for S in _hermitian_gens(n)])
+        h_gens = _drop_trace([F @ A for A in _gens("antihermitian", n)])
+        m_gens = _drop_trace([F @ S for S in _gens("hermitian", n)])
         carrier = F
         scale = 1.0
     else:
         zero = np.zeros((n, n), dtype=complex)
-        h_x = [F @ A for A in _antihermitian_gens(n)]
-        h_y = [F @ S for S in _complex_sym_gens(n)]
-        m_x = _drop_trace([F @ Hg for Hg in _hermitian_gens(n)])
-        m_y = [F @ A for A in _complex_antisym_gens(n)]
+        h_x = [F @ A for A in _gens("antihermitian", n)]
+        h_y = [F @ S for S in _gens("complex_sym", n)]
+        m_x = _drop_trace([F @ Hg for Hg in _gens("hermitian", n)])
+        m_y = [F @ A for A in _gens("complex_antisym", n)]
         h_gens = [quat_embed(QMat(X, zero)) for X in h_x]
         h_gens += [quat_embed(QMat(zero, Y)) for Y in h_y]
         m_gens = [quat_embed(QMat(X, zero)) for X in m_x]

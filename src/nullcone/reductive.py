@@ -141,24 +141,12 @@ def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
     return ReductiveSplit(pair=pair, b=b, n=n, e_basis=e_basis, eps=eps, form=form)
 
 
-@dataclass(frozen=True)
-class TorsionTensor:
-    """Components T[i, j, :] of -[e_i, e_j]_n in the signed basis."""
-
-    components: np.ndarray
-
-    def lowered(self, eps: np.ndarray) -> np.ndarray:
-        """Three-index array K(T(e_i, e_j), e_k)."""
-        return self.components * eps[None, None, :]
-
-
-def torsion(split: ReductiveSplit) -> TorsionTensor:
-    return TorsionTensor(split.torsion_components)
-
-
 def torsion_eval(split: ReductiveSplit, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T(u, v) = -[u, v]_n for u, v in n, from the torsion components."""
-    c = np.einsum("i,j,ijk->k", split.n_coords(u), split.n_coords(v),
+    """T(u, v) = -[u, v]_n for u, v in n, from the torsion components.
+
+    u and v may be stacks (..., N, N), evaluated element by element.
+    """
+    c = np.einsum("...i,...j,ijk->...k", split.n_coords(u), split.n_coords(v),
                   split.torsion_components)
     return np.tensordot(c, split.frame, axes=1)
 
@@ -174,9 +162,9 @@ def torsion_derivation_check(split: ReductiveSplit,
     """
     tol = tol or split.pair.tol
     rep = Report(suite="torsion")
-    t = torsion(split)
-    low = t.lowered(split.eps)
-    anti = float(np.abs(t.components + np.transpose(t.components, (1, 0, 2))).max())
+    T = split.torsion_components
+    low = T * split.eps  # K(T(e_i, e_j), e_k)
+    anti = float(np.abs(T + np.transpose(T, (1, 0, 2))).max())
     rep.residual("torsion_antisymmetry", anti, tol.abs,
                  anchor="torsion is antisymmetric in its two arguments")
     skew = 0.0
@@ -186,7 +174,6 @@ def torsion_derivation_check(split: ReductiveSplit,
     rep.residual("torsion_total_skew", skew, tol.abs,
                  anchor="lowered torsion changes by the sign of the permutation")
     worst = 0.0
-    T = t.components
     T_mats = np.tensordot(T, split.frame, axes=1)
     b_basis = [] if split.b is None else split.b.basis
     for X in b_basis:
@@ -201,28 +188,32 @@ def torsion_derivation_check(split: ReductiveSplit,
 
 def canonical_curvature(split: ReductiveSplit, u: np.ndarray,
                         v: np.ndarray) -> np.ndarray:
-    """Matrix of w -> -[[u, v]_b, w] on the signed basis coordinates."""
-    return np.einsum("i,k,ikab->ab", split.n_coords(u), split.n_coords(v),
+    """Matrix of w -> -[[u, v]_b, w] on the signed basis coordinates
+    ((..., d, d) for stacks u, v)."""
+    return np.einsum("...i,...k,ikab->...ab", split.n_coords(u), split.n_coords(v),
                      split.curvature_components)
 
 
 def curvature_eval(split: ReductiveSplit, u, v, w) -> np.ndarray:
-    """R(u, v) w = -[[u, v]_b, w] for u, v, w in n."""
-    c = canonical_curvature(split, u, v) @ split.n_coords(w)
+    """R(u, v) w = -[[u, v]_b, w] for u, v, w in n (or stacks of them)."""
+    c = np.einsum("...ab,...b->...a", canonical_curvature(split, u, v),
+                  split.n_coords(w))
     return np.tensordot(c, split.frame, axes=1)
 
 
-def bianchi_residual(split: ReductiveSplit, u, v, w) -> float:
+def bianchi_residual(split: ReductiveSplit, u, v, w):
     """First Bianchi sum with torsion, reported as a diagnostic.
 
-    cyclic[R(u, v) w] - cyclic[T(T(u, v), w)] for the canonical connection.
+    The norm of cyclic[R(u, v) w] - cyclic[T(T(u, v), w)] for the canonical
+    connection: a float, or one value per element of stacks u, v, w.
     """
     trip = [(u, v, w), (v, w, u), (w, u, v)]
     total = np.zeros_like(u)
     for a, b, c in trip:
         total = total + curvature_eval(split, a, b, c)
         total = total - torsion_eval(split, torsion_eval(split, a, b), c)
-    return float(np.linalg.norm(total))
+    norms = np.linalg.norm(total, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def ricci_canonical(split: ReductiveSplit) -> np.ndarray:
@@ -238,15 +229,11 @@ def ricci_levi_civita(split: ReductiveSplit) -> np.ndarray:
     return ricci_canonical(split) - 0.25 * corr
 
 
-def metric_gram(split: ReductiveSplit) -> np.ndarray:
-    return np.diag(split.eps)
-
-
 def einstein_fit(split: ReductiveSplit, ric: np.ndarray | None = None):
     """Least-squares Einstein constant and the worst entry residual."""
     if ric is None:
         ric = ricci_levi_civita(split)
-    G = metric_gram(split)
+    G = np.diag(split.eps)
     lam = float(np.sum(ric * G) / np.sum(G * G))
     residual = float(np.abs(ric - lam * G).max())
     return lam, residual
@@ -284,12 +271,9 @@ def casimir(split: ReductiveSplit, rng=0, tol: Tolerance | None = None) -> np.nd
     return chi1
 
 
-def wang_ziller_check(split: ReductiveSplit, tol: Tolerance | None = None,
-                      rng=0):
-    """Fit the Casimir to c * Id; (is_multiple, c)."""
-    tol = tol or split.pair.tol
-    chi = casimir(split, rng, tol)
-    d = split.dim_n
+def wang_ziller_check(chi: np.ndarray):
+    """Fit a Casimir matrix to c * Id; (is_multiple, c)."""
+    d = chi.shape[0]
     c = float(np.trace(chi) / d)
     residual = float(np.abs(chi - c * np.eye(d)).max())
     return residual <= 1e-8 * max(1.0, abs(c)), c

@@ -6,14 +6,12 @@ import numpy as np
 from nullcone.casestudies import (
     sp21_action_formulas,
     sp21_build,
-    sp21_casimir,
     sp21_duality_identity,
     sp21_grading_report,
     sp21_hatn_isometry,
     su21_bracket_table,
     su21_build,
     su21_constant_type,
-    su21_einstein,
     su21_nabla_J_report,
 )
 from nullcone.linalg import RealSubspace
@@ -21,10 +19,9 @@ from nullcone.orbits import (
     RayStabilizers,
     codimension_from_stabilizer,
     make_null_vector,
+    orbits_report,
     partner_null_batch,
     sample_null_batch,
-    sample_so21_stratum_batch,
-    so21_orbit_class,
     stabilizer_mismatch,
     stabilizers_of_rays,
     stabilizers_report,
@@ -38,8 +35,10 @@ from nullcone.pairs import (
     table_report,
 )
 from nullcone.reductive import (
+    casimir,
+    einstein_fit,
+    frame_casimir,
     reductive_split,
-    reductive_split as _rs,
     torsion_derivation_check,
     torsion_eval,
     wang_ziller_check,
@@ -96,24 +95,26 @@ def test_criterion_3_orbit_codimension():
 
 
 def test_criterion_4_strata_census():
-    # the codimension comes from the routine the orbits suite uses, which
-    # counts it inside the projectivized null cone (dim m - 2)
+    # the orbits suite's own strata census; the codimension comes from the
+    # reported stabilizer dimension, counted inside the projectivized null
+    # cone (dim m - 2)
     pair = build_pair(Family("R", 2, 1))
-    rng = np.random.default_rng(2)
-    bad = 0
     per_stratum = 3334
+    checks = {c.name: c for c in orbits_report(pair, trials=per_stratum, seed=2).checks}
+    bad = []
     for stratum, want in (("open", 0), ("two-step-nilpotent", 1),
                           ("one-step-nilpotent", 2)):
-        batch = sample_so21_stratum_batch(pair, stratum, per_stratum, rng=rng)
-        st_dims = stabilizers_of_rays(pair, batch.S).dims
-        codims = codimension_from_stabilizer(pair, st_dims)
-        labels = so21_orbit_class(batch.S)
-        bad += int(np.count_nonzero((labels != stratum) | (st_dims != want)
-                                    | (codims != want)))
-    emit(4, bad == 0,
+        classified = checks[f"R21_stratum_{stratum}_classified"]
+        stab = checks[f"R21_stratum_{stratum}_stab_dim"]
+        codims = tuple(codimension_from_stabilizer(pair, stab.observed).tolist())
+        if (classified.status != "pass" or classified.observed != per_stratum
+                or stab.status != "pass" or stab.observed != (want,)
+                or codims != (want,)):
+            bad.append((stratum, classified.observed, stab.observed, codims))
+    emit(4, not bad,
          f"{3 * per_stratum} stratified samples, stabilizer dims 0/1/2 "
-         "matching orbit codimensions 0/1/2" if bad == 0
-         else f"{bad} misclassified samples")
+         "matching orbit codimensions 0/1/2" if not bad
+         else f"unexpected strata {bad}")
 
 
 def test_criterion_5_nearly_para_kahler():
@@ -127,7 +128,7 @@ def test_criterion_5_nearly_para_kahler():
 
     lam_t, _ = su21_constant_type(data, trials=500, rng=5)
     type_ok = abs(lam_t - 0.5) <= 1e-8
-    lam_e, res = su21_einstein(data)
+    lam_e, res = einstein_fit(data.split)
     einstein_ok = abs(lam_e - 2.5) <= 1e-7 and res < 1e-7
     tie_ok = abs(lam_e - 5.0 * lam_t) <= 1e-6
 
@@ -139,10 +140,10 @@ def test_criterion_5_nearly_para_kahler():
 
 def test_criterion_6_stabilizer_action_tables():
     data = sp21_build()
-    C = sp21_casimir(data)
+    C = frame_casimir(data.split, data.A_basis, data.eps_A)
     casimir_ok = np.abs(C - 6.0 * np.eye(12)).max() < 1e-8
     eps_ok = list(data.eps_A) == [-1.0] * 6 + [1.0] * 3
-    wz_ok, _ = wang_ziller_check(data.split)
+    wz_ok, _ = wang_ziller_check(casimir(data.split))
     rep = sp21_action_formulas(data, trials=100, rng=6)
     ok = casimir_ok and eps_ok and wz_ok and rep.ok
     emit(6, ok, "Casimir 6*Id within 1e-8, signed basis pattern exact, "
@@ -250,8 +251,8 @@ def test_criterion_9_negative_controls():
     results.append(torsion_derivation_check(bad_split).n_fail > 0)
 
     # dropping a stabilizer direction must break the identity verdict
-    partial = _rs(data.pair, RealSubspace([b_diag(1.0, 0.0)]))
-    flag, _ = wang_ziller_check(partial)
+    partial = reductive_split(data.pair, RealSubspace([b_diag(1.0, 0.0)]))
+    flag, _ = wang_ziller_check(casimir(partial))
     results.append(not flag)
 
     # non-generic input must be rejected by the partner construction

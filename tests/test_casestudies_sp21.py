@@ -16,10 +16,8 @@ from nullcone.casestudies import (
     phi_sp1,
     sp21_action_formulas,
     sp21_build,
-    sp21_casimir,
     sp21_duality_identity,
     sp21_embedding_check,
-    sp21_grading,
     sp21_grading_report,
     sp21_hatn_isometry,
     sp21_subalgebra_profiles,
@@ -34,6 +32,7 @@ from nullcone.linalg import (
     quat_embed,
 )
 from nullcone.orbits import make_null_vector, stabilizer_of_ray
+from nullcone.reductive import frame_casimir
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ def test_stabilizer_factors(data):
 
 
 def test_casimir_is_six_identity(data):
-    C = sp21_casimir(data)
+    C = frame_casimir(data.split, data.A_basis, data.eps_A)
     assert_allclose(C, 6.0 * np.eye(12), atol=1e-8)
 
 
@@ -88,7 +87,7 @@ def test_duality_scales_with_base_point():
 
 
 def test_grading_blocks(data):
-    p_minus, p_zero, p_plus = sp21_grading(data)
+    p_minus, p_zero, p_plus = data.p_minus, data.p_zero, data.p_plus
     assert (p_minus.dim, p_zero.dim, p_plus.dim) == (12, 67, 12)
     assert (data.p_full.dim, data.p_hat.dim) == (79, 79)
 
@@ -117,7 +116,7 @@ def test_grading_report(data):
 
 
 def test_grading_bracket_relations(data):
-    p_minus, p_zero, p_plus = sp21_grading(data)
+    p_minus, p_zero, p_plus = data.p_minus, data.p_zero, data.p_plus
     rng = np.random.default_rng(3)
     for _ in range(5):
         a0 = p_zero.random_element(rng)

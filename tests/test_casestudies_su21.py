@@ -13,14 +13,13 @@ from nullcone.casestudies import (
     su21_bracket_table,
     su21_build,
     su21_constant_type,
-    su21_einstein,
     su21_invariants,
     su21_nabla_J,
     v_minus,
     v_plus,
 )
 from nullcone.linalg import bracket
-from nullcone.reductive import torsion_eval
+from nullcone.reductive import einstein_fit, torsion_eval
 from nullcone.orbits import stabilizer_of_ray, make_null_vector
 
 
@@ -144,7 +143,7 @@ def test_constant_type(data):
 
 
 def test_einstein_constant_ties_to_type(data):
-    lam_e, res = su21_einstein(data)
+    lam_e, res = einstein_fit(data.split)
     assert lam_e == pytest.approx(2.5, abs=1e-9)
     assert res < 1e-9
     lam_t, _ = su21_constant_type(data, trials=300, rng=4)

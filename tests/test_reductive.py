@@ -9,9 +9,8 @@ from numpy.testing import assert_allclose
 
 from nullcone.casestudies import b_diag, sp21_build, su21_build, v_minus, v_plus
 from nullcone.casestudies import hatn_isometry_map
-from nullcone.linalg import RealSubspace, bracket, signed_gram_schmidt
+from nullcone.linalg import RealSubspace, bracket, gram_matrix, signed_gram_schmidt
 from nullcone.pairs import Family, build_pair
-from nullcone.casestudies import sp21_casimir
 from nullcone.reductive import (
     ReductiveSplit,
     bianchi_residual,
@@ -19,12 +18,11 @@ from nullcone.reductive import (
     casimir,
     curvature_eval,
     einstein_fit,
+    frame_casimir,
     homothety_check,
-    metric_gram,
     reductive_split,
     ricci_canonical,
     ricci_levi_civita,
-    torsion,
     torsion_derivation_check,
     torsion_eval,
     wang_ziller_check,
@@ -140,8 +138,10 @@ def test_split_dimensions(su21, sp21):
 
 
 def test_metric_gram_is_signed_identity(su21, sp21):
+    # einstein_fit fits the Ricci tensor against diag(eps), the Gram matrix
+    # of the signed orthonormal frame
     for split in (su21.split, sp21.split):
-        assert_allclose(metric_gram(split), np.diag(split.eps), atol=1e-9)
+        assert_allclose(gram_matrix(split.form, split.frame), np.diag(split.eps), atol=1e-9)
 
 
 def test_trivial_complement_of_empty_b():
@@ -155,7 +155,7 @@ def test_trivial_complement_of_empty_b():
     lam, res = einstein_fit(split)
     assert lam == pytest.approx(0.25, abs=1e-9)
     assert res < 1e-9
-    flag, const = wang_ziller_check(split)
+    flag, const = wang_ziller_check(casimir(split))
     assert flag and const == pytest.approx(0.0, abs=1e-9)
 
 
@@ -168,7 +168,7 @@ def test_degenerate_b_is_rejected():
 def test_torsion_free_example(torsion_free_split):
     split = torsion_free_split
     assert (split.dim_b, split.dim_n) == (1, 2)
-    assert np.abs(torsion(split).components).max() < 1e-12
+    assert np.abs(split.torsion_components).max() < 1e-12
     # with zero torsion both Ricci contractions agree
     assert_allclose(ricci_canonical(split), ricci_levi_civita(split),
                     atol=1e-10)
@@ -176,7 +176,7 @@ def test_torsion_free_example(torsion_free_split):
 
 def test_abelian_split_is_flat(abelian_split):
     split = abelian_split
-    assert np.abs(torsion(split).components).max() == 0.0
+    assert np.abs(split.torsion_components).max() == 0.0
     assert np.abs(ricci_canonical(split)).max() == 0.0
     rng = np.random.default_rng(0)
     u = split.n.random_element(rng)
@@ -270,16 +270,16 @@ def test_casimir_multiples(su21, sp21):
 
 
 def test_wang_ziller_verdicts(su21, sp21):
-    flag, const = wang_ziller_check(su21.split)
+    flag, const = wang_ziller_check(casimir(su21.split))
     assert flag and const == pytest.approx(2.0, abs=1e-8)
-    flag, const = wang_ziller_check(sp21.split)
+    flag, const = wang_ziller_check(casimir(sp21.split))
     assert flag and const == pytest.approx(6.0, abs=1e-8)
 
 
 def test_wang_ziller_detects_missing_direction(su21):
     # dropping one stabilizer direction breaks the multiple-of-identity
     split = reductive_split(su21.pair, RealSubspace([b_diag(1.0, 0.0)]))
-    flag, _ = wang_ziller_check(split)
+    flag, _ = wang_ziller_check(casimir(split))
     assert not flag
 
 
@@ -315,7 +315,7 @@ def _split(request, name):
 @pytest.mark.parametrize("name", SPLITS)
 def test_contractions_match_loop_references(request, name):
     split = _split(request, name)
-    assert_allclose(torsion(split).components, ref_torsion(split), rtol=0, atol=1e-12)
+    assert_allclose(split.torsion_components, ref_torsion(split), rtol=0, atol=1e-12)
     assert_allclose(ricci_canonical(split), ref_ricci_canonical(split), rtol=0, atol=1e-12)
     assert_allclose(ricci_levi_civita(split), ref_ricci_levi_civita(split),
                     rtol=0, atol=1e-12)
@@ -352,10 +352,35 @@ def test_stacked_frame_maps_match_single_matrices(su21, sp21):
 
 
 def test_sp21_casimir_and_rho_match_loop_references(sp21):
-    assert_allclose(sp21_casimir(sp21), ref_frame_casimir(sp21.split, sp21.A_basis, sp21.eps_A),
+    assert_allclose(frame_casimir(sp21.split, sp21.A_basis, sp21.eps_A),
+                    ref_frame_casimir(sp21.split, sp21.A_basis, sp21.eps_A),
                     rtol=0, atol=1e-12)
     mats = sp21.b_basis + sp21.n_basis
     stacked = sp21.rho(np.stack(mats))
     for X, R in zip(mats, stacked):
         assert_allclose(R, ref_rho(sp21, X), rtol=0, atol=1e-12)
         assert_allclose(sp21.rho(X), R, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", SPLITS)
+def test_stacked_evaluators_match_single_elements(request, name):
+    split = _split(request, name)
+    u, v, w = split.n.random_element(np.random.default_rng(8), size=12).reshape(
+        (3, 2, 2) + split.frame.shape[1:])
+    T = torsion_eval(split, u, v)
+    C = canonical_curvature(split, u, v)
+    R = curvature_eval(split, u, v, w)
+    B = bianchi_residual(split, u, v, w)
+    assert T.shape == R.shape == u.shape and B.shape == (2, 2)
+    # entries reach ~50 in the quaternionic case, so compare against the
+    # scale of each matrix; the Bianchi residual is rounding noise of order
+    # 1e-11 there
+    def same(got, want):
+        assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+    for idx in np.ndindex(2, 2):
+        same(T[idx], torsion_eval(split, u[idx], v[idx]))
+        same(C[idx], canonical_curvature(split, u[idx], v[idx]))
+        same(R[idx], curvature_eval(split, u[idx], v[idx], w[idx]))
+        assert B[idx] == pytest.approx(bianchi_residual(split, u[idx], v[idx], w[idx]),
+                                       rel=0, abs=1e-10)
