@@ -70,6 +70,8 @@ def _census(cfg: SuiteConfig, report) -> Report:
     for fam in cfg.families():
         pair = build_pair(fam, tol=cfg.tolerance)
         rep.absorb(report(pair, cfg.trials, cfg.seed, cfg.tolerance))
+        # free this pair and its cached frames before the next build
+        del pair
     return rep
 
 

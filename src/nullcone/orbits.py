@@ -5,7 +5,11 @@ with a prescribed spectrum in a convenient frame and moved to the pair's
 frame by a form congruence plus a random isotropy conjugation.  Ray
 stabilizers are kernels of a joint linear system (the commutator may scale
 S along the ray, so the scaling coefficient is solved for, not assumed to
-vanish); the system keeps only the real rows that carry information.
+vanish).  Every column of that system lies in m, so it is written in the
+pair's orthonormal frame of m (SymmetricPair.m_frame): dim m rows instead
+of 2 N^2, with the singular values of the full system up to one common
+factor, so the relative rank cuts are unchanged.  The same frame certifies
+membership in m.
 Normal-form routines reduce a generic null vector to a diagonal matrix
 whose invariant-form Gram takes an antidiagonal corner shape: the unitary
 form for the complex family, the symplectic form for the quaternionic one.
@@ -112,8 +116,11 @@ def _stabilizer_row_bytes(pair: SymmetricPair) -> int:
     the kept rows (dim h x rows real numbers each) and four rows x (dim h + 1)
     copies of the system (realified, joined, the LAPACK copy and the reduced
     left factor), where rows is the number of real rows the system keeps
-    (_system_rows).  Under tracemalloc a block's numpy arrays peak at 0.4
-    to 0.71 of this, for R, C, H at (2, 1) and (6, 5); the sampling, partner
+    (_system_rows).  The solved system has only dim m rows (see
+    _stabilizer_system), so this overstates it; the count stays as it is
+    so that block sizes, and with them the random stream of every census,
+    do not move.  Under tracemalloc a block's numpy arrays peak at 0.3 to
+    0.69 of this, for R, C, H at (2, 1) and (6, 5); the sampling, partner
     and normal-form arrays of the same rows peak at under half of it."""
     hdim = pair.h.dim
     return 8 * _system_rows(pair) * (3 * hdim + 4 * (hdim + 1))
@@ -163,17 +170,27 @@ def _min_gaps(vals: np.ndarray) -> np.ndarray:
     return diffs.min(axis=(1, 2))
 
 
+def _m_residual(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack (k, N, N), the Frobenius distance to m: the
+    orthogonal projector of RealSubspace.residual, applied through the
+    pair's orthonormal frame of m instead of a least-squares solve."""
+    r = realify(S)
+    Q = pair.m_frame
+    return np.linalg.norm(r - (r @ Q) @ Q.T, axis=1)
+
+
 def make_null_batch(pair: SymmetricPair, S: np.ndarray,
                     tol: Tolerance | None = None) -> NullBatch:
     """Membership, nullity and genericity certificates for a stack (k, N, N).
 
-    Raises if a row is not in the tangent summand; one multi-right-hand-side
-    solve tests membership and one stacked eigvals gives the spectra.
+    Raises if a row is not in the tangent summand; two products with the
+    pair's frame of m test membership and one stacked eigvals gives the
+    spectra.
     """
     tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
-    if np.any(pair.m.residual(S) > 1e-7 * scale):
+    if np.any(_m_residual(pair, S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")
     nullity = np.abs(pair.form(S, S))
     trace_res = np.abs(np.trace(S, axis1=1, axis2=2))
@@ -288,8 +305,9 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
 
 
 def _system_rows(pair: SymmetricPair) -> int:
-    """Real rows of one ray's stabilizer system after the redundant ones are
-    dropped: the real family keeps the real half (h, m and S are real, so
+    """Real rows of one ray's brackets that the stabilizer system computes
+    before projecting them onto the frame of m, after the redundant ones
+    are dropped: the real family keeps the real half (h, m and S are real, so
     the imaginary half is zero), the quaternionic family keeps the top n
     rows of the carrier (the bottom n are their conjugates under
     quat_embed), and the complex family keeps all 2 N^2."""
@@ -298,38 +316,69 @@ def _system_rows(pair: SymmetricPair) -> int:
 
 
 def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
-    """Each ray's real system (k, rows, dim h + 1): the kept rows of the
-    brackets [h_i, S] and of -S as columns, from one stacked product of the
-    h-basis stack with S (k, 1, N, N); only the kept rows are bracketed."""
+    """Each ray's real system (k, dim m, dim h + 1) for a stack S (k, N, N):
+    the brackets [h_i, S] and -S as columns, in coordinates of the pair's
+    orthonormal frame of m.
+
+    Only the kept rows (_system_rows) are bracketed, by two flat products
+    of the h-basis stack with S, and they are projected onto the matching
+    rows of m_frame: the real half for R, the top n carrier rows (real and
+    imaginary parts) for H, every row for C.  Every column lies in m
+    ([h, m] is in m and S is in m), so for R and C this is the full
+    realified system written in an orthonormal frame of the space its
+    columns span: the same singular values and the same kernel.  For H the
+    top rows of the frame are orthogonal with squared norm 1/2 (the bottom
+    rows are their conjugates), which halves every singular value.
+    """
     hb = pair.h.basis
     field = pair.family.field
     if field == "R":
         hb, S = hb.real, S.real
-    top = pair.family.n if field == "H" else pair.carrier_dim
-    St = S[..., :top, :]
-    B = hb[:, :top] @ S - St @ hb  # rows :top of [h_i, S]
-    flat = (lambda X: X.reshape(X.shape[:-2] + (-1,))) if field == "R" else realify
-    return np.concatenate([flat(B), -flat(St)], axis=1).transpose(0, 2, 1)
+    d, N = hb.shape[:2]
+    k = len(S)
+    top = pair.family.n if field == "H" else N
+    St = S[:, :top]
+    # rows :top of h_i S - S h_i, each term one flat product over all i
+    B = (hb[:, :top].reshape(d * top, N) @ S).reshape(k, d, top, N)
+    B -= (St @ hb.transpose(1, 0, 2).reshape(N, d * N)).reshape(
+        k, top, d, N).transpose(0, 2, 1, 3)
+    t = top * N
+    B, St = B.reshape(k * d, t), St.reshape(k, t)
+    Q = pair.m_frame
+    if field == "R":
+        Qk = Q[:t]
+    else:
+        # a complex row viewed as floats interleaves its real and imaginary parts
+        Qk = np.stack([Q[:t], Q[N * N:N * N + t]], axis=1).reshape(2 * t, -1)
+        B, St = B.view(float), St.view(float)
+    A = np.empty((k, d + 1, Q.shape[1]))
+    A[:, :d] = (B @ Qk).reshape(k, d, -1)
+    A[:, d] = -(St @ Qk)
+    return A.transpose(0, 2, 1)
 
 
 def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
                         tol: Tolerance | None = None) -> RayStabilizers:
     """Ray stabilizers of a stack of null vectors S (k, N, N).
 
-    Each ray's real system has the realified brackets [h_i, S] and -S as
-    columns, cut to the rows that carry information (_system_rows); one
-    stacked reduced SVD gives every kernel, with the rank cut of
-    _kernel_cols.  Dropping duplicated rows scales every singular value by
-    the same factor, so the relative cuts are those of the full system.
+    Each ray's real system has the brackets [h_i, S] and -S as columns,
+    written in the pair's orthonormal frame of m (_stabilizer_system), so
+    it has dim m rows rather than 2 N^2; one stacked SVD gives every
+    kernel, with the rank cut of _kernel_cols.  Where dim m < dim h + 1 (C
+    and H) the SVD is full, so that all of V^T is at hand, and each ray's
+    kernel is the last (dim h + 1) - rank rows.  The frame keeps every
+    singular value of the full realified system, or scales all of them by
+    one factor (H), so the relative cuts are those of the full system.
     The stack is solved whole; trial_blocks sizes stacks to a memory bound.
     """
     tol = tol or pair.tol
-    S = np.asarray(S, dtype=complex)[:, None]
-    s, vt = np.linalg.svd(_stabilizer_system(pair, S), full_matrices=False)[1:]
+    S = np.asarray(S, dtype=complex)
+    wide = pair.m.dim < pair.h.dim + 1
+    s, vt = np.linalg.svd(_stabilizer_system(pair, S), full_matrices=wide)[1:]
     rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
-    dims = s.shape[1] - rank
+    dims = vt.shape[-1] - rank
     kernels = [vt[i, r:].T for i, r in enumerate(rank)]
-    return RayStabilizers(dims, kernels, _kernel_residuals(pair, S, vt, dims))
+    return RayStabilizers(dims, kernels, _kernel_residuals(pair, S[:, None], vt, dims))
 
 
 def _kernel_residuals(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray,

@@ -101,6 +101,14 @@ class SymmetricPair:
         return _frame(self.hermitian_matrix,
                       np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex))
 
+    @cached_property
+    def m_frame(self) -> np.ndarray:
+        """Orthonormal real columns (2 N^2, dim m) spanning realify(m),
+        computed once per pair from m's stored columns.  Q Q^T is the
+        orthogonal projector onto m, and Q^T maps a realified element of m
+        to coordinates of the same norm."""
+        return np.linalg.qr(self.m._mat)[0]
+
     def involution(self, X: np.ndarray) -> np.ndarray:
         """Negative conjugate transpose (of each matrix of a stack); fixes h
         and m setwise."""

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -240,3 +241,23 @@ def test_suite_checks_do_not_depend_on_block_size(suite, monkeypatch):
     cut = [(c.name, c.status) for c in run(cfg).checks]
     assert cut == whole
     assert all(status != "fail" for _, status in cut)
+
+
+@pytest.mark.parametrize("suite", ["stabilizers", "orbits"])
+def test_census_frees_each_pair_before_the_next_build(suite, monkeypatch):
+    # the census holds one pair at a time, so a large build does not stack
+    # on the previous family's pair and its cached frames
+    real = cli.build_pair
+    made, alive_at_build = [], []
+
+    def tracked(fam, **kwargs):
+        alive_at_build.append([ref() is not None for ref in made])
+        pair = real(fam, **kwargs)
+        pair.m_frame  # as the census would, cache a frame on the pair
+        made.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(cli, "build_pair", tracked)
+    rep = run(SuiteConfig(suite=suite, p=2, q=1, trials=3))
+    assert rep.ok, rep.failures()
+    assert alive_at_build == [[], [False], [False, False]]

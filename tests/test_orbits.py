@@ -9,6 +9,7 @@ from scipy.linalg import null_space
 from nullcone import orbits, pairs
 from nullcone.linalg import QMat, Tolerance, _kernel_cols, bracket, quat_embed, realify
 from nullcone.orbits import (
+    EXPECTED_STAB_DIM,
     NullBatch,
     canonicalize_symplectic_batch,
     canonicalize_unitary_batch,
@@ -22,6 +23,7 @@ from nullcone.orbits import (
     stabilizer_mismatch,
     stabilizer_of_ray,
     stabilizers_of_rays,
+    stabilizers_report,
     trial_blocks,
 )
 from nullcone.orbits import _omega_matrix
@@ -113,6 +115,18 @@ def test_orbit_codimension_is_size_minus_three(field, pq, want):
     batch = sample_null_batch(pair, 3, rng=2)
     dims = stabilizers_of_rays(pair, batch.S).dims
     assert codimension_from_stabilizer(pair, dims).tolist() == [want] * 3
+
+
+@pytest.mark.parametrize("field,want", [("R", 0), ("C", 7), ("H", 24)])
+def test_census_at_n_8(field, want):
+    # the stabilizers suite at (5, 3): the projected systems past n = 6
+    fam = Family(field, 5, 3)
+    rep = stabilizers_report(build_pair(fam), trials=4, seed=0)
+    assert rep.ok, rep.failures()
+    got = {c.name: c.observed for c in rep.checks}
+    assert EXPECTED_STAB_DIM[field](8) == want
+    assert got[f"{fam.tag}_stab_dim"] == (want,)
+    assert got[f"{fam.tag}_orbit_codim"] == (8 - 3,)
 
 
 @pytest.mark.parametrize("pq", [(2, 1), (2, 2), (3, 1)])
@@ -636,7 +650,7 @@ def test_batched_normal_forms_reject_bad_rows():
 
 
 # ---------------------------------------------------------------------------
-# trimmed stabilizer systems
+# the frame of m: projected stabilizer systems and membership residuals
 # ---------------------------------------------------------------------------
 
 
@@ -644,6 +658,9 @@ def full_system(pair, S):
     """Reference: every realified row of [h_i, S] and -S, for each ray."""
     cols = [realify(bracket(pair.h.basis, S[:, None])), -realify(S)[:, None]]
     return np.concatenate(cols, axis=1).transpose(0, 2, 1)
+
+
+FRAME_CASES = [(field, pq) for field in "RCH" for pq in [(2, 1), (3, 2)]]
 
 
 def trimmed_system_cases():
@@ -662,17 +679,21 @@ def test_trimmed_stabilizer_system_matches_the_full_one(field, pq, k):
         S = np.concatenate([S, sample_so21_stratum_batch(pair, "one-step-nilpotent", 2,
                                                           rng=rng).S])
     full = full_system(pair, S)
-    trim = orbits._stabilizer_system(pair, np.asarray(S)[:, None])
-    assert trim.shape == (len(S), orbits._system_rows(pair), pair.h.dim + 1)
+    proj = orbits._stabilizer_system(pair, S)
+    dm = pair.m.dim
+    assert proj.shape == (len(S), dm, pair.h.dim + 1)
     assert full.shape[1] == 2 * pair.carrier_dim ** 2
-    # the dropped rows repeat kept ones, so the Gram matrices agree up to
-    # the number of copies and every singular value scales by one factor
-    copies = 2 if field == "H" else 1
+    # every column lies in m, so the frame keeps the full system's Gram
+    # matrix; for H the top and bottom carrier rows contribute equally to
+    # Q^T times the full system, and only the top ones are kept: a factor 2
+    factor = 2 if field == "H" else 1
     assert_allclose(np.swapaxes(full, 1, 2) @ full,
-                    copies * (np.swapaxes(trim, 1, 2) @ trim), atol=1e-12)
+                    factor ** 2 * (np.swapaxes(proj, 1, 2) @ proj), atol=1e-12)
     s_full = np.linalg.svd(full, compute_uv=False)
-    s_trim = np.linalg.svd(trim, compute_uv=False)
-    assert_allclose(s_full, np.sqrt(copies) * s_trim, rtol=1e-10, atol=1e-12)
+    s_proj = np.linalg.svd(proj, compute_uv=False)
+    assert_allclose(s_full[:, :s_proj.shape[1]], factor * s_proj, rtol=1e-10, atol=1e-12)
+    # the full system has no rank beyond dim m
+    assert np.abs(s_full[:, dm:]).max(initial=0.0) < 1e-12 * s_full[:, 0].max()
     stabs = stabilizers_of_rays(pair, S)
     for i in range(len(S)):
         ker = _kernel_cols(full[i], pair.tol)
@@ -683,6 +704,63 @@ def test_trimmed_stabilizer_system_matches_the_full_one(field, pq, k):
             assert_allclose(ker @ (ker.T @ got), got, atol=1e-10)
             assert_allclose(got @ (got.T @ ker), ker, atol=1e-10)
         assert stabs.residuals[i] < 1e-8
+
+
+@pytest.mark.parametrize("field,pq", FRAME_CASES)
+def test_m_frame_is_an_orthonormal_frame_of_m(field, pq):
+    pair = build_pair(Family(field, *pq))
+    Q = pair.m_frame
+    N = pair.carrier_dim
+    assert Q.shape == (2 * N * N, pair.m.dim)
+    assert_allclose(Q.T @ Q, np.eye(pair.m.dim), atol=1e-12)
+    M = realify(pair.m.basis)
+    assert np.linalg.norm(M - (M @ Q) @ Q.T, axis=1).max() < 1e-12
+    assert pair.m_frame is Q  # computed once per pair
+    # the rows the stabilizer systems keep
+    if field == "R":  # the imaginary half is zero
+        assert np.abs(Q[N * N:]).max() == 0.0
+        assert_allclose(Q[:N * N].T @ Q[:N * N], np.eye(pair.m.dim), atol=1e-12)
+    if field == "H":  # the top n rows of the carrier, real and imaginary parts
+        t = pair.family.n * N
+        top = np.sqrt(2.0) * np.concatenate([Q[:t], Q[N * N:N * N + t]])
+        assert_allclose(top.T @ top, np.eye(pair.m.dim), atol=1e-12)
+
+
+def off_m_stack(pair, rng):
+    """Matrices outside m: a random complex matrix, and per field one that
+    breaks the pattern of m (an imaginary part for R, a bottom block that
+    is not the quaternionic conjugate of the top one for H)."""
+    N = pair.carrier_dim
+    out = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))]
+    X = pair.m.random_element(rng)
+    if pair.family.field == "R":
+        out.append(X + 0.1j * pair.m.random_element(rng))
+    if pair.family.field == "H":
+        n = pair.family.n
+        Y = X.copy()
+        Y[n:, n:] += 0.1 * rng.standard_normal((n, n))
+        out.append(Y)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("field,pq", FRAME_CASES)
+def test_frame_residual_matches_least_squares(field, pq):
+    pair = build_pair(Family(field, *pq))
+    rng = np.random.default_rng(21)
+    scales = np.array([1e-6, 1e-3, 1.0, 1e3, 1e6])
+    inside = scales[:, None, None] * pair.m.random_element(rng, norm=1.0, size=len(scales))
+    outside = off_m_stack(pair, rng)
+    for S in (inside, 1e-6 * outside, outside, 1e6 * outside):
+        # each row at its own scale
+        norms = np.linalg.norm(S, axis=(1, 2))
+        gap = np.abs(orbits._m_residual(pair, S) - pair.m.residual(S))
+        assert (gap <= 1e-12 * norms).all(), gap / norms
+    assert (orbits._m_residual(pair, inside) < 1e-12 * scales).all()
+    assert (orbits._m_residual(pair, outside) > 1e-2).all()
+    make_null_batch(pair, inside)  # members are accepted, null or not
+    for S in outside:
+        with pytest.raises(ValueError, match="tangent summand"):
+            make_null_batch(pair, S[None])
 
 
 def test_trimmed_rows_are_counted_in_the_block_size():

@@ -188,6 +188,24 @@ def test_J_identities_match_the_loop(su21, broken, made_generators):
     assert same_state(made_by_library(made_generators, 1, ref_rng), ref_rng)
 
 
+def test_J_identities_follow_the_report_seed(monkeypatch):
+    # on the case study J is exact, so the residuals read 0 on every seed
+    # and cannot show which draws were taken; on a broken copy they depend
+    # on the draws, so different seeds must give different values
+    names = ("su21_J_squares_to_identity", "su21_J_anti_isometry")
+    for seed in SEEDS:
+        rep = su21_report(seed=seed, trials=10)
+        assert all(c.status == "pass" for c in rep.checks if c.name in names)
+    real = casestudies.su21_invariants
+    monkeypatch.setattr(casestudies, "su21_invariants",
+                        lambda data, tol, rng: real(broken_su21(data), tol, rng=rng))
+    seen = [tuple(observed(su21_report(seed=seed, trials=10), n) for n in names)
+            for seed in SEEDS]
+    assert all(v > 0.1 for row in seen for v in row)
+    for i in range(len(names)):
+        assert len({row[i] for row in seen}) == len(SEEDS)
+
+
 @pytest.mark.parametrize("broken", [False, True])
 def test_nabla_J_report_matches_the_loop(su21, broken):
     seed, data = su21
