@@ -189,9 +189,9 @@ def test_J_identities_match_the_loop(su21, broken, made_generators):
 
 
 def test_J_identities_follow_the_report_seed(monkeypatch):
-    # on the case study J is exact, so the residuals read 0 on every seed
-    # and cannot show which draws were taken; on a broken copy they depend
-    # on the draws, so different seeds must give different values
+    # on the case study the J residuals read exactly 0 on every seed and
+    # cannot show which draws were taken; on a broken copy they depend on
+    # the draws, so different seeds must give different values
     names = ("su21_J_squares_to_identity", "su21_J_anti_isometry")
     for seed in SEEDS:
         rep = su21_report(seed=seed, trials=10)
