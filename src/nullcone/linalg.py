@@ -111,13 +111,20 @@ class QMat:
 
 
 def quat_embed(q: QMat) -> np.ndarray:
-    """Complex 2n x 2n image [[X, -Y], [conj(Y), conj(X)]] of X + Y j.
+    """Complex 2n x 2n image [[X, -Y], [conj(Y), conj(X)]] of X + Y j
+    (of each matrix of a stack), with the dtype np.block would give.
 
     The embedding is an injective algebra homomorphism, so brackets,
     products and trace identities can be checked on the image.
     """
     X, Y = q.x, q.y
-    return np.block([[X, -Y], [Y.conj(), X.conj()]])
+    n = X.shape[-1]
+    out = np.empty(X.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(X, Y))
+    out[..., :n, :n] = X
+    out[..., :n, n:] = -Y
+    out[..., n:, :n] = Y.conj()
+    out[..., n:, n:] = X.conj()
+    return out
 
 
 def quat_mul(a: QMat, b: QMat) -> QMat:
@@ -211,8 +218,16 @@ class RealSubspace:
     def dim(self) -> int:
         return self._mat.shape[1]
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Orthonormal real columns (2ab, dim) with the span of the stored
+        ones, computed when first asked for.  Q Q^T is the orthogonal
+        projector onto the subspace."""
+        return np.linalg.qr(self._mat)[0]
+
     # coords, combine, project, residual and contains take one matrix or a stack
-    # (..., a, b); a stack is one multi-right-hand-side solve
+    # (..., a, b); coords on a stack is one multi-right-hand-side solve, and
+    # project and residual are two products with the frame
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """Real coordinates of X in this basis (least squares)."""
@@ -221,7 +236,8 @@ class RealSubspace:
         return c.T.reshape(R.shape[:-1] + (self.dim,))
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        return self.combine(self.coords(X))
+        Q = self.frame
+        return unrealify((realify(X) @ Q) @ Q.T, self.shape)
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -229,10 +245,10 @@ class RealSubspace:
 
     def residual(self, X: np.ndarray):
         """Frobenius distance from X to the subspace (an array for a stack)."""
-        R = X - self.project(X)
-        if R.ndim == 2:
-            return float(np.linalg.norm(R))
-        return np.linalg.norm(R, axis=(-2, -1))
+        R = realify(X)
+        Q = self.frame
+        dist = np.linalg.norm(R - (R @ Q) @ Q.T, axis=-1)
+        return float(dist) if dist.ndim == 0 else dist
 
     def contains(self, X: np.ndarray):
         """Whether X lies in the subspace: residual within tol.abs at the

@@ -6,10 +6,10 @@ frame by a form congruence plus a random isotropy conjugation.  Ray
 stabilizers are kernels of a joint linear system (the commutator may scale
 S along the ray, so the scaling coefficient is solved for, not assumed to
 vanish).  Every column of that system lies in m, so it is written in the
-pair's orthonormal frame of m (SymmetricPair.m_frame): dim m rows instead
-of 2 N^2, with the singular values of the full system up to one common
-factor, so the relative rank cuts are unchanged.  The same frame certifies
-membership in m.
+orthonormal frame of m (RealSubspace.frame): dim m rows instead of 2 N^2,
+with the singular values of the full system up to one common factor, so
+the relative rank cuts are unchanged.  The same frame answers membership
+in m (RealSubspace.residual).
 Normal-form routines reduce a generic null vector to a diagonal matrix
 whose invariant-form Gram takes an antidiagonal corner shape: the unitary
 form for the complex family, the symplectic form for the quaternionic one.
@@ -170,27 +170,18 @@ def _min_gaps(vals: np.ndarray) -> np.ndarray:
     return diffs.min(axis=(1, 2))
 
 
-def _m_residual(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack (k, N, N), the Frobenius distance to m: the
-    orthogonal projector of RealSubspace.residual, applied through the
-    pair's orthonormal frame of m instead of a least-squares solve."""
-    r = realify(S)
-    Q = pair.m_frame
-    return np.linalg.norm(r - (r @ Q) @ Q.T, axis=1)
-
-
 def make_null_batch(pair: SymmetricPair, S: np.ndarray,
                     tol: Tolerance | None = None) -> NullBatch:
     """Membership, nullity and genericity certificates for a stack (k, N, N).
 
-    Raises if a row is not in the tangent summand; two products with the
-    pair's frame of m test membership and one stacked eigvals gives the
-    spectra.
+    Raises if a row is not in the tangent summand; one stacked residual
+    (two products with m's frame) tests membership and one stacked eigvals
+    gives the spectra.
     """
     tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
-    if np.any(_m_residual(pair, S) > 1e-7 * scale):
+    if np.any(pair.m.residual(S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")
     nullity = np.abs(pair.form(S, S))
     trace_res = np.abs(np.trace(S, axis1=1, axis2=2))
@@ -322,13 +313,14 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
 
     Only the kept rows (_system_rows) are bracketed, by two flat products
     of the h-basis stack with S, and they are projected onto the matching
-    rows of m_frame: the real half for R, the top n carrier rows (real and
-    imaginary parts) for H, every row for C.  Every column lies in m
-    ([h, m] is in m and S is in m), so for R and C this is the full
-    realified system written in an orthonormal frame of the space its
-    columns span: the same singular values and the same kernel.  For H the
-    top rows of the frame are orthogonal with squared norm 1/2 (the bottom
-    rows are their conjugates), which halves every singular value.
+    rows of m's orthonormal frame (RealSubspace.frame): the real half for
+    R, the top n carrier rows (real and imaginary parts) for H, every row
+    for C.  Every column lies in m ([h, m] is in m and S is in m), so for
+    R and C this is the full realified system written in an orthonormal
+    frame of the space its columns span: the same singular values and the
+    same kernel.  For H the top rows of the frame are orthogonal with
+    squared norm 1/2 (the bottom rows are their conjugates), which halves
+    every singular value.
     """
     hb = pair.h.basis
     field = pair.family.field
@@ -344,7 +336,7 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
         k, top, d, N).transpose(0, 2, 1, 3)
     t = top * N
     B, St = B.reshape(k * d, t), St.reshape(k, t)
-    Q = pair.m_frame
+    Q = pair.m.frame
     if field == "R":
         Qk = Q[:t]
     else:

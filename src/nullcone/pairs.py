@@ -101,14 +101,6 @@ class SymmetricPair:
         return _frame(self.hermitian_matrix,
                       np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex))
 
-    @cached_property
-    def m_frame(self) -> np.ndarray:
-        """Orthonormal real columns (2 N^2, dim m) spanning realify(m),
-        computed once per pair from m's stored columns.  Q Q^T is the
-        orthogonal projector onto m, and Q^T maps a realified element of m
-        to coordinates of the same norm."""
-        return np.linalg.qr(self.m._mat)[0]
-
     def involution(self, X: np.ndarray) -> np.ndarray:
         """Negative conjugate transpose (of each matrix of a stack); fixes h
         and m setwise."""
@@ -166,46 +158,45 @@ _GENERATORS = {
 }
 
 
-def _gens(kind: str, n: int) -> list:
-    """The generators of one family of n x n matrices, in table order."""
+def _gens(kind: str, n: int) -> np.ndarray:
+    """The generators of one family of n x n matrices, as one stack
+    (k, n, n) in table order."""
     diag, off = _GENERATORS[kind]
-    gens = []
-    for j in range(n):
-        for c in diag:
-            M = np.zeros((n, n), dtype=complex)
-            M[j, j] = c
-            gens.append(M)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for x, y in off:
-                M = np.zeros((n, n), dtype=complex)
-                M[j, k], M[k, j] = x, y
-                gens.append(M)
+    # the pairs j < k row by row, each repeated once per off-diagonal entry
+    j, k = (np.repeat(a, len(off)) for a in np.triu_indices(n, 1))
+    nd = n * len(diag)
+    gens = np.zeros((nd + len(j), n, n), dtype=complex)
+    d = np.repeat(np.arange(n), len(diag))
+    gens[np.arange(nd), d, d] = np.tile(diag, n)
+    i = np.arange(nd, len(gens))
+    gens[i, j, k] = np.tile([x for x, _ in off], n * (n - 1) // 2)
+    gens[i, k, j] = np.tile([y for _, y in off], n * (n - 1) // 2)
     return gens
 
 
-def _drop_trace(gens):
-    """Impose zero trace on a generator family by pivot subtraction.
+def _drop_trace(gens: np.ndarray) -> np.ndarray:
+    """Impose zero trace on a generator stack by pivot subtraction.
 
     On each family used here the trace functional takes values on a single
     real line through the origin, so subtracting a real multiple of the
     largest-trace generator from the others is a real-linear operation.
     """
-    traces = np.array([np.trace(g) for g in gens])
+    traces = np.trace(gens, axis1=1, axis2=2)
     mags = np.abs(traces)
     if mags.max() < 1e-12:
-        return list(gens)
+        return gens
     piv = int(np.argmax(mags))
-    tp = traces[piv]
-    out = []
-    for i, g in enumerate(gens):
-        if i == piv:
-            continue
-        ratio = traces[i] / tp
-        if abs(ratio.imag) > 1e-12:
-            raise AssertionError("trace functional is not one-real-dimensional here")
-        out.append(g - ratio.real * gens[piv])
-    return out
+    ratio = traces / traces[piv]
+    if np.abs(ratio.imag).max() > 1e-12:
+        raise AssertionError("trace functional is not one-real-dimensional here")
+    return np.delete(gens - ratio.real[:, None, None] * gens[piv], piv, axis=0)
+
+
+def _quat_gens(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Carrier images of X + 0 j for each X of xs, then of 0 + Y j for each
+    Y of ys, in one quat_embed."""
+    return quat_embed(QMat(np.concatenate([xs, np.zeros_like(ys)]),
+                           np.concatenate([np.zeros_like(xs), ys])))
 
 
 def _form_matrix(fam: Family, variant: str) -> np.ndarray:
@@ -230,30 +221,24 @@ def build_pair(fam: Family, variant: str = "standard",
     F = _form_matrix(fam, variant)
     n = fam.n
     if fam.field == "R":
-        h_gens = [F @ A for A in _gens("real_antisym", n)]
-        m_gens = _drop_trace([F @ S for S in _gens("real_sym", n)])
+        h_gens = F @ _gens("real_antisym", n)
+        m_gens = _drop_trace(F @ _gens("real_sym", n))
         carrier = F
         scale = 1.0
     elif fam.field == "C":
-        h_gens = _drop_trace([F @ A for A in _gens("antihermitian", n)])
-        m_gens = _drop_trace([F @ S for S in _gens("hermitian", n)])
+        h_gens = _drop_trace(F @ _gens("antihermitian", n))
+        m_gens = _drop_trace(F @ _gens("hermitian", n))
         carrier = F
         scale = 1.0
     else:
-        zero = np.zeros((n, n), dtype=complex)
-        h_x = [F @ A for A in _gens("antihermitian", n)]
-        h_y = [F @ S for S in _gens("complex_sym", n)]
-        m_x = _drop_trace([F @ Hg for Hg in _gens("hermitian", n)])
-        m_y = [F @ A for A in _gens("complex_antisym", n)]
-        h_gens = [quat_embed(QMat(X, zero)) for X in h_x]
-        h_gens += [quat_embed(QMat(zero, Y)) for Y in h_y]
-        m_gens = [quat_embed(QMat(X, zero)) for X in m_x]
-        m_gens += [quat_embed(QMat(zero, Y)) for Y in m_y]
+        h_gens = _quat_gens(F @ _gens("antihermitian", n), F @ _gens("complex_sym", n))
+        m_gens = _quat_gens(_drop_trace(F @ _gens("hermitian", n)),
+                            F @ _gens("complex_antisym", n))
         carrier = np.block([[F, np.zeros_like(F)], [np.zeros_like(F), F]])
         scale = 0.5
     h = RealSubspace(h_gens, tol=tol)
     m = RealSubspace(m_gens, tol=tol)
-    g = RealSubspace(h_gens + m_gens, tol=tol)
+    g = RealSubspace(np.concatenate([h_gens, m_gens]), tol=tol)
     return SymmetricPair(
         family=fam,
         variant=variant,

@@ -253,7 +253,7 @@ def test_census_frees_each_pair_before_the_next_build(suite, monkeypatch):
     def tracked(fam, **kwargs):
         alive_at_build.append([ref() is not None for ref in made])
         pair = real(fam, **kwargs)
-        pair.m_frame  # as the census would, cache a frame on the pair
+        pair.m.frame  # as the census would, cache a frame on the pair
         made.append(weakref.ref(pair))
         return pair
 

@@ -62,6 +62,26 @@ def test_quat_embed_block_pattern():
     assert_allclose(M[2:, 2:], np.conj(q.x))
 
 
+def test_quat_embed_matches_np_block_bit_for_bit():
+    # one matrix or a stack (k, n, n), real or complex blocks, mixed too:
+    # the filled array has np.block's bits and dtype
+    rng = np.random.default_rng(5)
+    for shape in [(3, 3), (4, 2, 2)]:
+        real = [rng.standard_normal(shape) for _ in range(2)]
+        cplx = [a + 1j * rng.standard_normal(shape) for a in real]
+        cplx[0][..., 0, 0] = complex(-0.0, 0.0)
+        for x, y in [real, cplx, (real[0], cplx[1]), (cplx[0], real[1])]:
+            q = QMat(x, y)
+            got = quat_embed(q)
+            want = np.block([[x, -y], [y.conj(), x.conj()]])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for M, a, b in zip(got.reshape(-1, *got.shape[-2:]),
+                               x.reshape(-1, *shape[-2:]), y.reshape(-1, *shape[-2:])):
+                back = quat_split(M)
+                assert_array_equal(back.x, a)
+                assert_array_equal(back.y, b)
+
+
 def test_quat_mul_matches_embedded_product():
     rng = np.random.default_rng(1)
     for _ in range(20):

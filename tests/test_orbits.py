@@ -707,15 +707,22 @@ def test_trimmed_stabilizer_system_matches_the_full_one(field, pq, k):
 
 
 @pytest.mark.parametrize("field,pq", FRAME_CASES)
-def test_m_frame_is_an_orthonormal_frame_of_m(field, pq):
+def test_m_frame_is_an_orthonormal_frame_of_m(field, pq, monkeypatch):
     pair = build_pair(Family(field, *pq))
-    Q = pair.m_frame
+    # the frame is built on first use only, and not for coords
+    pair.m.coords(pair.m.basis)
+    assert "frame" not in vars(pair.m)
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
+    Q = pair.m.frame
     N = pair.carrier_dim
     assert Q.shape == (2 * N * N, pair.m.dim)
     assert_allclose(Q.T @ Q, np.eye(pair.m.dim), atol=1e-12)
     M = realify(pair.m.basis)
     assert np.linalg.norm(M - (M @ Q) @ Q.T, axis=1).max() < 1e-12
-    assert pair.m_frame is Q  # computed once per pair
+    pair.m.residual(pair.m.basis)
+    assert pair.m.frame is Q and len(qr_calls) == 1  # computed once per subspace
     # the rows the stabilizer systems keep
     if field == "R":  # the imaginary half is zero
         assert np.abs(Q[N * N:]).max() == 0.0
@@ -726,15 +733,16 @@ def test_m_frame_is_an_orthonormal_frame_of_m(field, pq):
         assert_allclose(top.T @ top, np.eye(pair.m.dim), atol=1e-12)
 
 
-def off_m_stack(pair, rng):
-    """Matrices outside m: a random complex matrix, and per field one that
-    breaks the pattern of m (an imaginary part for R, a bottom block that
-    is not the quaternionic conjugate of the top one for H)."""
+def off_space_stack(pair, space, rng):
+    """Matrices outside a summand of the pair: a random complex matrix, and
+    per field one that breaks the pattern of the summand (an imaginary part
+    for R, a bottom block that is not the quaternionic conjugate of the top
+    one for H)."""
     N = pair.carrier_dim
     out = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))]
-    X = pair.m.random_element(rng)
+    X = space.random_element(rng)
     if pair.family.field == "R":
-        out.append(X + 0.1j * pair.m.random_element(rng))
+        out.append(X + 0.1j * space.random_element(rng))
     if pair.family.field == "H":
         n = pair.family.n
         Y = X.copy()
@@ -743,22 +751,32 @@ def off_m_stack(pair, rng):
     return np.stack(out)
 
 
-@pytest.mark.parametrize("field,pq", FRAME_CASES)
+# appended, so that the FRAME_CASES ids keep their indices
+@pytest.mark.parametrize("field,pq", FRAME_CASES + [(field, (6, 5)) for field in "RCH"])
 def test_frame_residual_matches_least_squares(field, pq):
+    # reference: the least-squares projection combine(coords(X)), solved in
+    # the stored basis without the frame
     pair = build_pair(Family(field, *pq))
     rng = np.random.default_rng(21)
     scales = np.array([1e-6, 1e-3, 1.0, 1e3, 1e6])
-    inside = scales[:, None, None] * pair.m.random_element(rng, norm=1.0, size=len(scales))
-    outside = off_m_stack(pair, rng)
-    for S in (inside, 1e-6 * outside, outside, 1e6 * outside):
-        # each row at its own scale
-        norms = np.linalg.norm(S, axis=(1, 2))
-        gap = np.abs(orbits._m_residual(pair, S) - pair.m.residual(S))
-        assert (gap <= 1e-12 * norms).all(), gap / norms
-    assert (orbits._m_residual(pair, inside) < 1e-12 * scales).all()
-    assert (orbits._m_residual(pair, outside) > 1e-2).all()
+    for name in "hmg":
+        space = getattr(pair, name)
+        inside = scales[:, None, None] * space.random_element(rng, norm=1.0, size=len(scales))
+        outside = off_space_stack(pair, space, rng)
+        for S in (inside, 1e-6 * outside, outside, 1e6 * outside):
+            # each row at its own scale
+            norms = np.linalg.norm(S, axis=(1, 2))
+            ref = space.combine(space.coords(S))
+            gap = np.abs(space.residual(S) - np.linalg.norm(S - ref, axis=(1, 2)))
+            assert (gap <= 1e-12 * norms).all(), (name, gap / norms)
+            gap = np.linalg.norm(space.project(S) - ref, axis=(1, 2))
+            assert (gap <= 1e-12 * norms).all(), (name, gap / norms)
+        assert (space.residual(inside) < 1e-12 * scales).all()
+        assert (space.residual(outside) > 1e-2).all()
+        assert space.contains(inside).all() and not space.contains(outside).any()
+    inside = pair.m.random_element(rng, norm=1.0, size=len(scales)) * scales[:, None, None]
     make_null_batch(pair, inside)  # members are accepted, null or not
-    for S in outside:
+    for S in off_space_stack(pair, pair.m, rng):
         with pytest.raises(ValueError, match="tangent summand"):
             make_null_batch(pair, S[None])
 

@@ -8,13 +8,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nullcone.linalg import (
     DEFAULT_TOL,
+    QMat,
     RealSubspace,
     bracket,
     gram_signature,
     structure_constants,
 )
 from nullcone.pairs import (
+    _GENERATORS,
     Family,
+    _form_matrix,
     build_pair,
     check_symmetric_axioms,
     corrupt_pair,
@@ -58,6 +61,63 @@ def ref_equals(a, b):
         a.contains(y) for y in b.basis)
 
 
+# per-matrix reference construction: the generator loops, trace pivot and
+# np.block embedding that the stacked build_pair replaced
+
+
+def ref_gens(kind, n):
+    diag, off = _GENERATORS[kind]
+    gens = []
+    for j in range(n):
+        for c in diag:
+            M = np.zeros((n, n), dtype=complex)
+            M[j, j] = c
+            gens.append(M)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for x, y in off:
+                M = np.zeros((n, n), dtype=complex)
+                M[j, k], M[k, j] = x, y
+                gens.append(M)
+    return gens
+
+
+def ref_drop_trace(gens):
+    traces = np.array([np.trace(g) for g in gens])
+    mags = np.abs(traces)
+    if mags.max() < 1e-12:
+        return list(gens)
+    piv = int(np.argmax(mags))
+    tp = traces[piv]
+    return [g - (traces[i] / tp).real * gens[piv] for i, g in enumerate(gens) if i != piv]
+
+
+def ref_quat_embed(q):
+    return np.block([[q.x, -q.y], [q.y.conj(), q.x.conj()]])
+
+
+def ref_generators(fam, variant):
+    """(h generators, m generators) as lists, one matrix at a time."""
+    F = _form_matrix(fam, variant)
+    n = fam.n
+    if fam.field == "R":
+        return ([F @ A for A in ref_gens("real_antisym", n)],
+                ref_drop_trace([F @ S for S in ref_gens("real_sym", n)]))
+    if fam.field == "C":
+        return (ref_drop_trace([F @ A for A in ref_gens("antihermitian", n)]),
+                ref_drop_trace([F @ S for S in ref_gens("hermitian", n)]))
+    zero = np.zeros((n, n), dtype=complex)
+    h_x = [F @ A for A in ref_gens("antihermitian", n)]
+    h_y = [F @ S for S in ref_gens("complex_sym", n)]
+    m_x = ref_drop_trace([F @ Hg for Hg in ref_gens("hermitian", n)])
+    m_y = [F @ A for A in ref_gens("complex_antisym", n)]
+    h = [ref_quat_embed(QMat(X, zero)) for X in h_x]
+    h += [ref_quat_embed(QMat(zero, Y)) for Y in h_y]
+    m = [ref_quat_embed(QMat(X, zero)) for X in m_x]
+    m += [ref_quat_embed(QMat(zero, Y)) for Y in m_y]
+    return h, m
+
+
 def test_closed_formula_spot_values():
     # hand-checked rows, one per field
     dim_h, dim_m, sig = formula_dims(Family("R", 3, 2))
@@ -77,6 +137,19 @@ def test_dimension_table_matches_formulas():
         assert (row.dim_h, row.dim_m, row.signature) == row.formula
         seen.add(row.family.field)
     assert seen == set(ALL_FIELDS)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_stacked_generators_match_per_matrix_loops_bit_for_bit(field):
+    # tobytes, not a tolerance: the arithmetic is unchanged, so every bit,
+    # the sign of each zero included, must be too
+    cases = [(fam, "standard") for fam in default_families(2, 8) if fam.field == field]
+    cases.append((Family(field, 2, 1), "canonical-T"))
+    for fam, variant in cases:
+        pair = build_pair(fam, variant)
+        h, m = ref_generators(fam, variant)
+        for got, ref in ((pair.h, h), (pair.m, m), (pair.g, h + m)):
+            assert got._mat.tobytes() == RealSubspace(ref)._mat.tobytes(), (fam, variant)
 
 
 def test_family_validation():
