@@ -566,7 +566,7 @@ def _sp21_attach_grading(data: SP21Data, seed: int, tol: Tolerance):
     E_grad = np.zeros((14, 14), dtype=complex)
     E_grad[0, 0] = 1.0
     E_grad[13, 13] = -1.0
-    if so_space.residual(E_grad) > tol.abs:
+    if np.abs(E_grad.T @ target + target @ E_grad).max() > tol.abs:
         raise ValueError("grading element is not in the orthogonal algebra")
     data.so_space = so_space
     data.p_minus = so_space.kernel_of(lambda A: bracket(E_grad, A) + A, tol)

@@ -190,7 +190,9 @@ class RealSubspace:
         # column i is realify(basis[i]); C order, as BLAS rounds combine differently in F order
         self._mat = np.ascontiguousarray(realify(basis).T)
         s = np.linalg.svd(self._mat, compute_uv=False)
-        if s[-1] <= tol.rank_rel * s[0]:
+        # a wide matrix (more matrices than real dimensions) has fewer
+        # singular values than columns, so s[-1] cannot show its dependence
+        if self.dim > len(s) or s[-1] <= tol.rank_rel * s[0]:
             raise ValueError("supplied basis is linearly dependent")
 
     @classmethod

@@ -68,6 +68,8 @@ class SymmetricPair:
     hermitian_matrix is the n x n form matrix F in the ground-field frame;
     carrier_form is the matrix actually used at the complex-carrier level
     (F itself for R and C, diag(F, F) for the quaternionic embedding).
+    The ambient algebra g = h + m is built from the h and m bases the first
+    time it is read; only check_symmetric_axioms reads it.
     """
 
     family: Family
@@ -77,12 +79,17 @@ class SymmetricPair:
     form: BilinForm
     h: RealSubspace
     m: RealSubspace
-    g: RealSubspace
     tol: Tolerance = DEFAULT_TOL
 
     @property
     def carrier_dim(self) -> int:
         return self.carrier_form.shape[0]
+
+    @cached_property
+    def g(self) -> RealSubspace:
+        """The ambient algebra, h basis then m basis, with the independence
+        check of any RealSubspace."""
+        return RealSubspace(np.concatenate([self.h.basis, self.m.basis]), tol=self.tol)
 
     @cached_property
     def corner_frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +245,6 @@ def build_pair(fam: Family, variant: str = "standard",
         scale = 0.5
     h = RealSubspace(h_gens, tol=tol)
     m = RealSubspace(m_gens, tol=tol)
-    g = RealSubspace(np.concatenate([h_gens, m_gens]), tol=tol)
     return SymmetricPair(
         family=fam,
         variant=variant,
@@ -247,7 +253,6 @@ def build_pair(fam: Family, variant: str = "standard",
         form=BilinForm(scale),
         h=h,
         m=m,
-        g=g,
         tol=tol,
     )
 

@@ -205,6 +205,14 @@ def test_subspace_dependent_basis_raises():
         RealSubspace([np.eye(2), 2.0 * np.eye(2)])
 
 
+def test_subspace_more_matrices_than_real_dimension_raises():
+    # five generic complex 1 x 2 matrices in a 4-dimensional real space: the
+    # wide column matrix has only four singular values, all of them nonzero
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="dependent"):
+        RealSubspace(rng.standard_normal((5, 1, 2)) + 1j * rng.standard_normal((5, 1, 2)))
+
+
 def test_span_reduces_dependent_input():
     assert RealSubspace.span([np.eye(2), 2.0 * np.eye(2)]).dim == 1
 

@@ -238,9 +238,20 @@ def test_axiom_report_special_variant(field):
     assert rep.ok, rep.failures()
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_build_pair_leaves_the_ambient_algebra_unbuilt(field):
+    pair = build_pair(Family(field, 2, 1))
+    assert "g" not in vars(pair)
+    assert pair.g.dim == pair.h.dim + pair.m.dim
+    assert "g" in vars(pair)
+
+
 def test_corrupted_pair_fails_axioms():
-    pair = corrupt_pair(build_pair(Family("C", 2, 1)))
-    rep = check_symmetric_axioms(pair, rng=np.random.default_rng(14))
+    pair = build_pair(Family("C", 2, 1))
+    bad = corrupt_pair(pair)
+    # moving a generator between h and m leaves their sum where it was
+    assert bad.g.equals(pair.g)
+    rep = check_symmetric_axioms(bad, rng=np.random.default_rng(14))
     assert rep.n_fail > 0
 
 
