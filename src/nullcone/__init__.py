@@ -52,6 +52,7 @@ from .orbits import (
     canonicalize_symplectic_batch,
     canonicalize_unitary_batch,
     codimension_from_stabilizer,
+    commutant_is_smaller,
     make_null_batch,
     make_null_vector,
     normal_form_residuals,
@@ -62,6 +63,7 @@ from .orbits import (
     so21_orbit_class,
     stabilizer_mismatch,
     stabilizer_of_ray,
+    stabilizers_by_commutant,
     stabilizers_of_rays,
     stabilizers_report,
     trial_blocks,

@@ -3,20 +3,28 @@
 A null vector is S in m with K(S, S) = 0.  Generic samples are produced
 with a prescribed spectrum in a convenient frame and moved to the pair's
 frame by a form congruence plus a random isotropy conjugation.  Ray
-stabilizers are kernels of a joint linear system (the commutator may scale
-S along the ray, so the scaling coefficient is solved for, not assumed to
-vanish).  Every column of that system lies in m, so it is written in the
+stabilizers have two routes.  The SVD route (stabilizers_of_rays) takes
+kernels of a joint linear system (the commutator may scale S along the
+ray, so the scaling coefficient is solved for, not assumed to vanish).
+Every column of that system lies in m, so it is written in the
 orthonormal frame of m (RealSubspace.frame): dim m rows instead of 2 N^2,
 with the singular values of the full system up to one common factor, so
 the relative rank cuts are unchanged.  The same frame answers membership
-in m (RealSubspace.residual).
+in m (RealSubspace.residual).  The commutant route
+(stabilizers_by_commutant) holds for generic rays only: a ray that is
+scaled by its stabilizer is nilpotent, so a generic ray's stabilizer is
+h ∩ C(S), solved from one eig of S as a projector of side dim C(S)
+(2n for R, 2(n - 1) for C, 8n for H) instead of a dim m x (dim h + 1)
+system.  stabilizers_report solves every ray by the route with the
+smaller per-ray system (commutant_is_smaller) and the first ray by both.
 Normal-form routines reduce a generic null vector to a diagonal matrix
 whose invariant-form Gram takes an antidiagonal corner shape: the unitary
 form for the complex family, the symplectic form for the quaternionic one.
 
 Sampling, certification, partners, stabilizers and normal forms run on
 stacks of rays (sample_null_batch, partner_null_batch, stabilizers_of_rays,
-canonicalize_unitary_batch, canonicalize_symplectic_batch);
+stabilizers_by_commutant, canonicalize_unitary_batch,
+canonicalize_symplectic_batch);
 make_null_vector and stabilizer_of_ray are the k = 1 case of the same
 kernels.  The kernels take whatever stack they are given; callers that
 walk many rays cut them with trial_blocks, which bounds the memory of one
@@ -27,6 +35,7 @@ pair, as the stabilizers and orbits suites run them.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,25 +93,44 @@ class RayStabilizers:
     """Ray stabilizers of k null vectors from one stacked solve: for each
     S_i, all X in h with [X, S_i] = c S_i for some real c.
 
-    kernels[i] holds orthonormal columns (coordinates of X in the h basis,
-    then c) spanning the solutions of [X, S_i] = c S_i; dims[i] is their
-    number and residuals[i] the largest |[X, S_i] - c S_i| over them, with
-    X rebuilt from the h basis and the bracket taken afresh, so it checks
-    the solve rather than restating it.
+    dims[i] is the dimension of ray i's stabilizer and residuals[i] the
+    largest |[X, S_i] - c S_i| over its basis, with the bracket taken
+    afresh, so it checks the solve rather than restating it.  The SVD
+    route (stabilizers_of_rays) fills kernels: kernels[i] holds orthonormal
+    columns (coordinates of X in the h basis, then c) spanning the
+    solutions.  The commutant route (stabilizers_by_commutant) solves for
+    the matrices themselves: bases[i] is a stack (dims[i], N, N) of unit
+    matrices X (c = 0), its residuals also hold their distance from h in
+    closed form, and margins[i] is the condition number of ray i's
+    eigenbasis (Frobenius norm).
     """
 
     dims: np.ndarray
-    kernels: list
+    kernels: list | None
     residuals: np.ndarray
+    bases: list | None = None
+    margins: np.ndarray | None = None
+
+    def basis(self, pair: SymmetricPair, i: int) -> np.ndarray:
+        """Ray i's stabilizer basis as a stack of matrices (dims[i], N, N)."""
+        if self.bases is not None:
+            return self.bases[i]
+        return pair.h.combine(self.kernels[i][:pair.h.dim].T)
 
     def subspace(self, pair: SymmetricPair, i: int,
                  tol: Tolerance | None = None) -> RealSubspace | None:
-        """Ray i's stabilizer as a subspace of h, built from its kernel
-        (None when it is trivial)."""
-        ker = self.kernels[i]
-        if ker.shape[1] == 0:
+        """Ray i's stabilizer as a subspace of h (None when it is trivial)."""
+        if self.dims[i] == 0:
             return None
-        return RealSubspace(pair.h.combine(ker[:pair.h.dim].T), tol=tol or pair.tol)
+        return RealSubspace(self.basis(pair, i), tol=tol or pair.tol)
+
+    def take(self, idx) -> "RayStabilizers":
+        """The rays of an index array, in its order."""
+        def pick(rows):
+            return None if rows is None else [rows[i] for i in idx]
+        return RayStabilizers(self.dims[idx], pick(self.kernels), self.residuals[idx],
+                              pick(self.bases),
+                              None if self.margins is None else self.margins[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +166,34 @@ def trial_blocks(pair: SymmetricPair, k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_doubled_spectra(vals: np.ndarray):
+def _doubled_pairs(vals: np.ndarray) -> np.ndarray:
     """Greedy nearest-partner pairing of doubled spectra, row by row of a
     (k, 2n) array: the first unpaired value takes its nearest unpaired one.
-
-    Returns (k x n cluster means, max intra-pair spread, min inter-pair gap).
-    """
+    Returns the indices (k, n, 2) of each pair, in pairing order."""
     k, m = vals.shape
     rows = np.arange(k)
     free = np.ones((k, m), dtype=bool)
-    reps = np.empty((k, m // 2), dtype=complex)
-    spread = np.zeros(k)
+    idx = np.empty((k, m // 2, 2), dtype=int)
     for step in range(m // 2):
         i = free.argmax(axis=1)
         free[rows, i] = False
-        v = vals[rows, i]
-        dists = np.where(free, np.abs(vals - v[:, None]), np.inf)
+        dists = np.where(free, np.abs(vals - vals[rows, i][:, None]), np.inf)
         j = dists.argmin(axis=1)
         free[rows, j] = False
-        spread = np.maximum(spread, dists[rows, j])
-        reps[:, step] = 0.5 * (v + vals[rows, j])
+        idx[:, step, 0], idx[:, step, 1] = i, j
+    return idx
+
+
+def _pair_doubled_spectra(vals: np.ndarray):
+    """Cluster a (k, 2n) doubled spectrum by _doubled_pairs.
+
+    Returns (k x n cluster means, max intra-pair spread, min inter-pair gap).
+    """
+    idx = _doubled_pairs(vals)
+    rows = np.arange(len(vals))[:, None]
+    v, w = vals[rows, idx[..., 0]], vals[rows, idx[..., 1]]
+    reps = 0.5 * (v + w)
+    spread = np.abs(w - v).max(axis=1, initial=0.0)
     return reps, spread, _min_gaps(reps)
 
 
@@ -406,6 +442,164 @@ def stabilizer_of_ray(pair: SymmetricPair, nv: NullBatch,
     return stabilizers_of_rays(pair, nv.S, tol)
 
 
+# ---------------------------------------------------------------------------
+# the commutant route: a generic S is not nilpotent, so [X, S] = c S forces
+# c = 0 and the ray stabilizer is h ∩ C(S), read off one eig of S
+# ---------------------------------------------------------------------------
+
+
+def _commutant_dim(pair: SymmetricPair) -> int:
+    """Real dimension of the space the commutant route solves in: C(S) for
+    a generic S, n complex lines for R and C (traceless for C) and n blocks
+    gl(2, C) for H."""
+    n = pair.family.n
+    return {"R": 2 * n, "C": 2 * (n - 1), "H": 8 * n}[pair.family.field]
+
+
+def commutant_is_smaller(pair: SymmetricPair) -> bool:
+    """Whether the commutant route's per-ray system, (dim C(S))^2, is smaller
+    than the SVD route's, dim m * (dim h + 1).  It is for C at every n, and
+    for R and H from n = 5 on."""
+    return _commutant_dim(pair) ** 2 < pair.m.dim * (pair.h.dim + 1)
+
+
+def _commutant_frames(pair: SymmetricPair, S: np.ndarray):
+    """One stacked eig of S (k, N, N): eigenvector columns V with each
+    eigenspace's columns adjacent (the doubled spectrum of H paired by
+    _doubled_pairs), V^-1, and the positions (rows r, columns c) of the
+    block diagonal D with X = V D V^-1 in C(S), one gl(b, C) block per
+    eigenspace of dimension b."""
+    w, V = np.linalg.eig(S)
+    N = S.shape[-1]
+    b = 1
+    if pair.family.field == "H":
+        b = 2
+        perm = _doubled_pairs(w).reshape(len(S), N)
+        V = np.take_along_axis(V, perm[:, None, :], axis=2)
+    blocks = np.arange(N).reshape(-1, b)
+    r, c = np.repeat(blocks, b, axis=1).ravel(), np.tile(blocks, b).ravel()
+    return V, np.linalg.inv(V), r, c
+
+
+def _commutant_involutions(pair: SymmetricPair, V: np.ndarray, Vinv: np.ndarray,
+                           r: np.ndarray, c: np.ndarray) -> list:
+    """The involutions of gl(N, C) whose common fixed set meets C(S) in the
+    Lie algebra of h, up to the trace condition, as antilinear maps of the
+    block coordinates d of D (X = V D V^-1): stacks M (k, P, P), d -> M conj(d).
+
+    The form involution X -> -F X* F is D -> -G^-1 D* G with G = V* F V; for
+    H the quaternionic structure X -> J conj(X) J^-1, and for R the real
+    structure X -> conj(X), is D -> K conj(D) K^-1 with K = V^-1 J conj(V)
+    (J = 1 for R), so K^-1 = -conj(K) for H and conj(K) for R.  The image
+    of the block entry (r_q, c_q) is an outer product of two columns, and
+    only its block-diagonal entries (r_p, c_p) are gathered.
+    """
+    F = pair.carrier_form
+    G = _adjoint(V) @ F @ V
+    Ginv = Vinv @ F @ _adjoint(Vinv)  # F^2 = 1
+    maps = [-Ginv[:, r[:, None], c] * G[:, r, c[:, None]]]
+    field = pair.family.field
+    if field != "C":
+        if field == "H":
+            JV, sign = np.swapaxes(_quat_conj(np.swapaxes(V, 1, 2)), 1, 2), -1.0
+        else:
+            JV, sign = V.conj(), 1.0
+        K = Vinv @ JV
+        maps.append(sign * K[:, r[:, None], r] * K.conj()[:, c, c[:, None]])
+    return maps
+
+
+@lru_cache
+def _sum_zero_frame(n: int) -> np.ndarray:
+    """Orthonormal real columns (n, n - 1) spanning the vectors of zero
+    sum, read-only and computed once per n."""
+    T = np.linalg.qr(np.eye(n) - 1.0 / n)[0][:, :n - 1]
+    T.flags.writeable = False
+    return T
+
+
+def _commutant_projector(maps: list) -> np.ndarray:
+    """The product of (1 + sigma) / 2 over antilinear involution maps
+    d -> M conj(d), as real square matrices on (Re d, Im d)."""
+    proj = None
+    for M in maps:
+        R = np.concatenate([np.concatenate([M.real, M.imag], axis=-1),
+                            np.concatenate([M.imag, -M.real], axis=-1)], axis=-2)
+        half = 0.5 * (np.eye(R.shape[-1]) + R)
+        proj = half if proj is None else half @ proj
+    return proj
+
+
+def _commutant_residuals(pair: SymmetricPair, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """For matrices X (k, d, N, N) and rays S (k, N, N), the largest of
+    |[X, S]| and the closed-form distances from h: |X* F + F X|, |tr X|, and
+    the quaternionic pattern (H) or the imaginary part (R)."""
+    F = pair.carrier_form
+    S = S[:, None]
+    parts = [np.linalg.norm(X @ S - S @ X, axis=(-2, -1)),
+             np.linalg.norm(_adjoint(X) @ F + F @ X, axis=(-2, -1)),
+             np.abs(np.trace(X, axis1=-2, axis2=-1))]
+    field = pair.family.field
+    if field == "H":
+        n = pair.family.n
+        pattern = quat_embed(QMat(X[..., :n, :n], -X[..., :n, n:]))
+        parts.append(np.linalg.norm(X - pattern, axis=(-2, -1)))
+    elif field == "R":
+        parts.append(np.linalg.norm(X.imag, axis=(-2, -1)))
+    return np.max(parts, axis=0)
+
+
+def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch,
+                             tol: Tolerance | None = None) -> RayStabilizers:
+    """Ray stabilizers of a batch of generic null vectors as h ∩ C(S).
+
+    If [X, S] = c S with c != 0, then c tr(S^j) = tr([X, S] S^(j-1)) = 0
+    for every j and S is nilpotent; a generic S is not, so its ray
+    stabilizer is the part of the commutant C(S) in h.  One stacked eig
+    writes C(S) as the block diagonals D of X = V D V^-1
+    (_commutant_frames); the involutions that fix h, written on D
+    (_commutant_involutions), give a projector onto h ∩ C(S) whose real
+    matrix has side dim C(S): 8n for H, 2n for R, 2(n - 1) for C
+    (_commutant_projector).  One stacked SVD of it gives the rank, with
+    the relative cut taken at least against 1 (a projector's nonzero
+    singular values are at least 1, so a zero projector keeps rank 0),
+    and the basis, rebuilt as unit matrices X = V D V^-1.
+
+    margins holds cond(V) per ray, in the Frobenius norm (|V| |V^-1|, an
+    upper bound of the spectral one).  Raises on rows that are not generic,
+    and on rows whose eigenbasis is so ill-conditioned that errors of order
+    eps cond(V)^2 in the block coordinates (G = V* F V) could cross the rank
+    cut: a nilpotent S, whose computed eigenvalues split by about eps^(1/3)
+    and can pass the gap rule of make_null_batch, has cond(V) near 1e10.
+    """
+    tol = tol or pair.tol
+    S = batch.S
+    V, Vinv, r, c = _commutant_frames(pair, S)
+    margins = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
+    if not np.all(batch.genericity) or np.any(
+            np.finfo(float).eps * margins ** 2 > tol.rank_rel):
+        raise ValueError("the commutant route needs a generic spectrum")
+    maps = _commutant_involutions(pair, V, Vinv, r, c)
+    if pair.family.field == "C":
+        # the involutions keep the traceless D, where h is; restrict to them
+        T = _sum_zero_frame(pair.family.n)
+        maps = [T.T @ M @ T for M in maps]
+    u, s, _ = np.linalg.svd(_commutant_projector(maps))
+    dims = (s > tol.rank_rel * np.maximum(1.0, s[:, :1])).sum(axis=1)
+    d = int(dims.max(initial=0))
+    half = u.shape[1] // 2
+    coeffs = u[:, :half, :d] + 1j * u[:, half:, :d]
+    if pair.family.field == "C":
+        coeffs = T @ coeffs
+    # X = sum_p d_p V[:, r_p] Vinv[c_p, :], one product per basis element
+    X = (V[:, None, :, r] * np.swapaxes(coeffs, 1, 2)[:, :, None, :]) @ Vinv[:, None, c, :]
+    X /= np.linalg.norm(X, axis=(-2, -1))[..., None, None]
+    own = np.arange(d) < dims[:, None]
+    residuals = np.where(own, _commutant_residuals(pair, S, X), 0.0).max(axis=1, initial=0.0)
+    return RayStabilizers(dims, None, residuals, [X[i, :dims[i]] for i in range(len(S))],
+                          margins)
+
+
 def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Per stack entry, the largest distance from a row of X to the row span of Y."""
     Q, _ = np.linalg.qr(Y.transpose(0, 2, 1))
@@ -415,18 +609,21 @@ def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def stabilizer_mismatch(pair: SymmetricPair, a: RayStabilizers,
                         b: RayStabilizers) -> np.ndarray:
-    """Per ray, the largest distance from a basis element of one stabilizer
-    to the other stabilizer, both ways (RealSubspace.residual of each basis
-    element); 0 where either stabilizer is trivial."""
-    hdim = pair.h.dim
-    out = np.zeros(len(a.kernels))
+    """Per ray, the largest distance from a basis matrix of one stabilizer
+    to the span of the other's, both ways; 0 where either stabilizer is
+    trivial.  Rays with equal dimension pairs are stacked, and each span is
+    one QR of the realified basis (_span_distance), so no coordinates in h
+    are solved for.  Either result may come from either route."""
+    out = np.zeros(len(a.dims))
     groups = {}
     for i, key in enumerate(zip(a.dims.tolist(), b.dims.tolist())):
         if key[0] and key[1]:
             groups.setdefault(key, []).append(i)
 
     def bases(st, idx):
-        coeffs = np.stack([st.kernels[i][:hdim].T for i in idx])
+        if st.bases is not None:
+            return realify(np.stack([st.bases[i] for i in idx]))
+        coeffs = np.stack([st.kernels[i][:pair.h.dim].T for i in idx])
         return realify(pair.h.combine(coeffs))
 
     for idx in groups.values():
@@ -716,25 +913,47 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
 def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0,
                        tol: Tolerance | None = None) -> Report:
     """Stabilizer dimension, orbit codimension, nullity and genericity of
-    `trials` generic null vectors drawn from default_rng(seed)."""
+    `trials` generic null vectors drawn from default_rng(seed).
+
+    Every ray is solved by the route with the smaller per-ray system
+    (commutant_is_smaller), and the report's first ray also by the other
+    route, as a reference; the two must agree in dimension and span.  The
+    residual check covers every basis both routes returned."""
     tol = tol or pair.tol
     fam = pair.family
     rep = Report("stabilizers", seed)
     rng = np.random.default_rng(seed)
+    routes = [lambda b: stabilizers_of_rays(pair, b.S, tol),
+              lambda b: stabilizers_by_commutant(pair, b, tol)]
+    if commutant_is_smaller(pair):
+        routes.reverse()
+    primary, reference = routes
     dims, codims = set(), set()
-    worst_null, all_generic = 0.0, True
+    worst_null, worst_res, all_generic = 0.0, 0.0, True
+    agree = None
     for k in trial_blocks(pair, trials):
         batch = sample_null_batch(pair, k, rng=rng, tol=tol)
-        st_dims = stabilizers_of_rays(pair, batch.S, tol).dims
-        dims.update(st_dims.tolist())
-        codims.update(codimension_from_stabilizer(pair, st_dims).tolist())
+        st = primary(batch)
+        if agree is None:
+            ref, first = reference(batch.take([0])), st.take([0])
+            mismatch = float(stabilizer_mismatch(pair, first, ref)[0])
+            agree = (int(first.dims[0]), int(ref.dims[0]), mismatch)
+            worst_res = float(ref.residuals[0])
+        dims.update(st.dims.tolist())
+        codims.update(codimension_from_stabilizer(pair, st.dims).tolist())
         worst_null = max(worst_null, float(batch.nullity_residual.max()))
+        worst_res = max(worst_res, float(st.residuals.max()))
         all_generic = all_generic and bool(batch.genericity.all())
     t = fam.tag
     rep.equals(f"{t}_stab_dim", tuple(sorted(dims)), (EXPECTED_STAB_DIM[fam.field](fam.n),),
                anchor="ray stabilizer dimension is constant on generic samples")
     rep.equals(f"{t}_orbit_codim", tuple(sorted(codims)), (fam.n - 3,),
                anchor="generic orbit codimension in the projectivized cone")
+    rep.residual(f"{t}_stab_residual", worst_res, 1e-8,
+                 anchor="every stabilizer basis solves [X, S] = c S and lies in h")
+    rep.add(f"{t}_stab_routes_agree", agree[0] == agree[1] and agree[2] <= 1e-9,
+            agree, (agree[0], agree[0], 0.0), 1e-9,
+            anchor="the SVD and commutant routes give the first ray one stabilizer")
     rep.residual(f"{t}_worst_nullity", worst_null, 1e-8,
                  anchor="sampled vectors are numerically null")
     rep.equals(f"{t}_all_generic", all_generic, True,

@@ -22,6 +22,7 @@ from nullcone.orbits import (
     so21_orbit_class,
     stabilizer_mismatch,
     stabilizer_of_ray,
+    stabilizers_by_commutant,
     stabilizers_of_rays,
     stabilizers_report,
     trial_blocks,
@@ -117,16 +118,126 @@ def test_orbit_codimension_is_size_minus_three(field, pq, want):
     assert codimension_from_stabilizer(pair, dims).tolist() == [want] * 3
 
 
-@pytest.mark.parametrize("field,want", [("R", 0), ("C", 7), ("H", 24)])
-def test_census_at_n_8(field, want):
-    # the stabilizers suite at (5, 3): the projected systems past n = 6
-    fam = Family(field, 5, 3)
+@pytest.mark.parametrize("field,pq,want", [
+    *(pytest.param(f, (5, 3), w, id=f"{f}-{w}") for f, w in (("R", 0), ("C", 7), ("H", 24))),
+    *(pytest.param(f, (10, 9), w, id=f"{f}-{w}-n19")
+      for f, w in (("R", 0), ("C", 18), ("H", 57))),
+])
+def test_census_at_n_8(field, pq, want):
+    # the stabilizers suite at (5, 3), past n = 6, and at (10, 9), n = 19,
+    # where every field takes the commutant route and the SVD route solves
+    # the first ray as the reference (H(10, 9): about 1.5 s with one BLAS
+    # thread, of which 0.5 s builds the pair and 0.5 s is the reference ray)
+    fam = Family(field, *pq)
     rep = stabilizers_report(build_pair(fam), trials=4, seed=0)
     assert rep.ok, rep.failures()
     got = {c.name: c.observed for c in rep.checks}
-    assert EXPECTED_STAB_DIM[field](8) == want
+    assert EXPECTED_STAB_DIM[field](fam.n) == want
     assert got[f"{fam.tag}_stab_dim"] == (want,)
-    assert got[f"{fam.tag}_orbit_codim"] == (8 - 3,)
+    assert got[f"{fam.tag}_orbit_codim"] == (fam.n - 3,)
+    assert got[f"{fam.tag}_stab_routes_agree"][:2] == (want, want)
+
+
+ROUTE_CASES = [(f, (p, p - 1)) for f in "RCH" for p in range(2, 11)] + [
+    (f, pq) for f in "RCH" for pq in ((1, 3), (2, 3))]
+
+
+@pytest.mark.parametrize("field,pq", ROUTE_CASES, ids=[f"{f}-{p}-{q}" for f, (p, q) in ROUTE_CASES])
+def test_commutant_route_matches_the_svd_route(field, pq):
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 2, rng=3)
+    comm = stabilizers_by_commutant(pair, batch)
+    svd = stabilizers_of_rays(pair, batch.S)
+    want = EXPECTED_STAB_DIM[field](pair.family.n)
+    assert comm.dims.tolist() == svd.dims.tolist() == [want] * 2
+    assert stabilizer_mismatch(pair, comm, svd).max() < 1e-9
+    assert stabilizer_mismatch(pair, svd, comm).max() < 1e-9
+    assert comm.residuals.max() < 1e-8 and svd.residuals.max() < 1e-8
+    # the margin is the condition number of each ray's eigenbasis
+    assert comm.margins.shape == (2,) and (comm.margins >= 1.0).all()
+    assert comm.kernels is None and svd.margins is None
+    N = pair.carrier_dim
+    for i in range(2):
+        X = comm.basis(pair, i)
+        assert X.shape == (want, N, N)
+        if want:
+            assert_allclose(np.linalg.norm(X, axis=(1, 2)), 1.0, rtol=1e-12)
+            # the matrices lie in h, checked here against h's own frame
+            assert pair.h.residual(X).max() < 1e-9
+            assert np.abs(bracket(X, batch.S[i])).max() < 1e-8
+
+
+def test_route_rule_compares_per_ray_system_sizes():
+    # (dim C(S))^2 against dim m * (dim h + 1), with no constant: the SVD
+    # route stays primary for R and H up to n = 4, and from n = 5 on every
+    # field takes the commutant route
+    cases = ((2, 1), (1, 3), (2, 2), (3, 2), (6, 5))
+    smaller = {(f, pq): orbits.commutant_is_smaller(build_pair(Family(f, *pq)))
+               for f in "RCH" for pq in cases}
+    assert [k for k, v in smaller.items() if not v] == [
+        (f, pq) for f in "RH" for pq in cases[:3]]
+    pair = build_pair(Family("H", 6, 5))
+    assert orbits._commutant_dim(pair) == 8 * 11
+    assert orbits._commutant_dim(pair) ** 2 < pair.m.dim * (pair.h.dim + 1)
+
+
+def test_commutant_route_rejects_nilpotent_strata():
+    # an R(2, 1) stratum ray is nilpotent, so [X, S] = c S may have c != 0
+    # and C(S) is not the stabilizer; only the SVD route solves it.  The
+    # computed eigenvalues of a two-step-nilpotent ray split by about
+    # eps^(1/3), which can pass the gap rule of make_null_batch, so the
+    # route also rejects rows by the condition number of their eigenbasis
+    pair = build_pair(Family("R", 2, 1))
+    for stratum, want in (("two-step-nilpotent", 1), ("one-step-nilpotent", 2)):
+        batch = sample_so21_stratum_batch(pair, stratum, 3, rng=5)
+        for i in range(3):
+            with pytest.raises(ValueError, match="generic"):
+                stabilizers_by_commutant(pair, batch.take([i]))
+        assert stabilizers_of_rays(pair, batch.S).dims.tolist() == [want] * 3
+    generic = sample_null_batch(pair, 2, rng=5)
+    mixed = NullBatch.concat([generic, sample_so21_stratum_batch(pair, "one-step-nilpotent", 1)])
+    with pytest.raises(ValueError, match="generic"):
+        stabilizers_by_commutant(pair, mixed)
+
+
+def test_route_agreement_reads_matrix_bases_only(monkeypatch):
+    # the routes are compared on their matrices: no coordinates in h are
+    # solved for and h's frame is never built
+    pair = build_pair(Family("C", 3, 2))
+
+    def no_coords(self, X):
+        raise AssertionError("coords solve")
+
+    monkeypatch.setattr(type(pair.h), "coords", no_coords)
+    rep = stabilizers_report(pair, trials=3, seed=1)
+    assert rep.ok, rep.failures()
+    assert "frame" not in vars(pair.h)
+
+
+@pytest.mark.parametrize("field,pq,drop,primary_fails", [
+    ("H", (3, 2), 1, True),   # no quaternionic structure, commutant primary
+    ("H", (3, 2), 0, True),   # no form involution, commutant primary
+    ("R", (3, 2), 0, True),   # no form involution: the real part of C(S)
+    ("H", (2, 1), 1, False),  # the broken route is only the reference
+])
+def test_projector_without_an_involution_fails_the_checks(field, pq, drop, primary_fails,
+                                                           monkeypatch):
+    # negative control: drop one involution from the projector
+    involutions = orbits._commutant_involutions
+
+    def broken(*args):
+        maps = involutions(*args)
+        del maps[drop]
+        return maps
+
+    monkeypatch.setattr(orbits, "_commutant_involutions", broken)
+    pair = build_pair(Family(field, *pq))
+    rep = stabilizers_report(pair, trials=3, seed=0)
+    status = {c.name: c.status for c in rep.checks}
+    tag = pair.family.tag
+    assert status[f"{tag}_stab_routes_agree"] == "fail"
+    assert status[f"{tag}_stab_residual"] == "fail"
+    assert status[f"{tag}_stab_dim"] == ("fail" if primary_fails else "pass")
 
 
 @pytest.mark.parametrize("pq", [(2, 1), (2, 2), (3, 1)])
