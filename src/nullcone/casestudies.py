@@ -22,6 +22,8 @@ case study 2) are inherited from the constructed pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,13 +64,36 @@ from .report import Report
 SQRT3 = np.sqrt(3.0)
 
 
-def _rand_complex(rng: np.random.Generator) -> complex:
-    return complex(rng.standard_normal(), rng.standard_normal())
+def _complex_pairs(c: np.ndarray) -> np.ndarray:
+    """Consecutive (re, im) columns of a draw as complex columns, the numbers
+    complex(re, im) gives for the same stream."""
+    return c[..., 0::2] + 1j * c[..., 1::2]
+
+
+def _fill(entries: dict) -> np.ndarray:
+    """Complex 3 x 3 matrix with the given {(row, col): value} entries and
+    zeros elsewhere; array values give a stack over their broadcast shape."""
+    lead = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
+    out = np.zeros(lead + (3, 3), dtype=complex)
+    for (i, j), v in entries.items():
+        out[..., i, j] = v
+    return out
+
+
+def _quat(x: dict, y: dict) -> np.ndarray:
+    """quat_embed of X + Y j, with 3 x 3 blocks filled as _fill does."""
+    X, Y = np.broadcast_arrays(_fill(x), _fill(y))
+    return quat_embed(QMat(X, Y))
 
 
 def _worst_norm(X: np.ndarray) -> float:
     """Largest Frobenius norm in a stack (0 for an empty stack)."""
     return float(np.linalg.norm(X, axis=(-2, -1)).max(initial=0.0))
+
+
+def _worst_abs(X: np.ndarray) -> float:
+    """Largest absolute entry (0 for an empty stack)."""
+    return float(np.abs(X).max(initial=0.0))
 
 
 def _draw(rng: np.random.Generator, trials: int, *spaces: RealSubspace) -> list:
@@ -88,16 +113,15 @@ def _draw(rng: np.random.Generator, trials: int, *spaces: RealSubspace) -> list:
 # ---------------------------------------------------------------------------
 
 
+# v_plus, v_minus and b_group take numbers or arrays; arrays give a stack
+
+
 def v_plus(x: complex, d: float) -> np.ndarray:
-    return np.array(
-        [[0, 0, 1j * d], [x, 0, 0], [0, -np.conj(x), 0]], dtype=complex
-    )
+    return _fill({(0, 2): 1j * d, (1, 0): x, (2, 1): -np.conj(x)})
 
 
 def v_minus(y: complex, g: float) -> np.ndarray:
-    return np.array(
-        [[0, y, 0], [0, 0, -np.conj(y)], [1j * g, 0, 0]], dtype=complex
-    )
+    return _fill({(0, 1): y, (1, 2): -np.conj(y), (2, 0): 1j * g})
 
 
 def b_diag(alpha: float, beta: float) -> np.ndarray:
@@ -108,9 +132,8 @@ def b_diag(alpha: float, beta: float) -> np.ndarray:
 
 def b_group(phi: float, r: float) -> np.ndarray:
     """One-parameter diagonal family stabilizing the sampled ray."""
-    return np.diag(
-        [r * np.exp(1j * phi), np.exp(-2j * phi), np.exp(1j * phi) / r]
-    ).astype(complex)
+    return _fill({(0, 0): r * np.exp(1j * phi), (1, 1): np.exp(-2j * phi),
+                  (2, 2): np.exp(1j * phi) / r})
 
 
 @dataclass
@@ -213,23 +236,22 @@ def su21_bracket_table(data: SU21Data, trials: int = 100, rng=0,
     rep.residual("su21_bracket_self",
                  float(np.linalg.norm(bracket(v_plus(1.5, 0.5), v_plus(1.5, 0.5)))),
                  tol.abs, anchor="bracket of an element with itself vanishes")
-    w_pm = w_pp = w_mm = 0.0
-    for _ in range(trials):
-        x, y = _rand_complex(rng), _rand_complex(rng)
-        d, g = rng.standard_normal(), rng.standard_normal()
-        got = bracket(v_plus(x, d), v_minus(y, g))
-        want = np.diag([-g * d - x * y,
-                        x * y - np.conj(x * y),
-                        g * d + np.conj(x * y)]).astype(complex)
-        w_pm = max(w_pm, float(np.linalg.norm(got - want)))
-        got = bracket(v_plus(x, g), v_plus(y, d))
-        want = v_minus(1j * (d * np.conj(x) - g * np.conj(y)),
-                       (-1j * (x * np.conj(y) - np.conj(x) * y)).real)
-        w_pp = max(w_pp, float(np.linalg.norm(got - want)))
-        got = bracket(v_minus(x, g), v_minus(y, d))
-        want = v_plus(-1j * (d * np.conj(x) - g * np.conj(y)),
-                      (1j * (x * np.conj(y) - np.conj(x) * y)).real)
-        w_mm = max(w_mm, float(np.linalg.norm(got - want)))
+    # per trial: x and y as (re, im) pairs, then d and g
+    c = rng.standard_normal((trials, 6))
+    x, y = _complex_pairs(c[:, :4]).T
+    d, g = c[:, 4], c[:, 5]
+    got = bracket(v_plus(x, d), v_minus(y, g))
+    want = _fill({(0, 0): -g * d - x * y, (1, 1): x * y - np.conj(x * y),
+                  (2, 2): g * d + np.conj(x * y)})
+    w_pm = _worst_norm(got - want)
+    got = bracket(v_plus(x, g), v_plus(y, d))
+    want = v_minus(1j * (d * np.conj(x) - g * np.conj(y)),
+                   (-1j * (x * np.conj(y) - np.conj(x) * y)).real)
+    w_pp = _worst_norm(got - want)
+    got = bracket(v_minus(x, g), v_minus(y, d))
+    want = v_plus(-1j * (d * np.conj(x) - g * np.conj(y)),
+                  (1j * (x * np.conj(y) - np.conj(x) * y)).real)
+    w_mm = _worst_norm(got - want)
     rep.residual("su21_bracket_mixed_formula", w_pm, tol.abs,
                  anchor="mixed bracket closed form")
     rep.residual("su21_bracket_plus_formula", w_pp, tol.abs,
@@ -260,25 +282,20 @@ def su21_ad_action(data: SU21Data, phi: float = np.pi / 3, r: float = 2.0,
     rep.residual("su21_ad_identity_parameters",
                  float(np.abs(ident - np.eye(3)).max()), tol.abs,
                  anchor="trivial parameters give the identity")
-    worst = 0.0
-    binv = np.linalg.inv(b)
-    for _ in range(trials):
-        x, y = _rand_complex(rng), _rand_complex(rng)
-        d, g = rng.standard_normal(), rng.standard_normal()
-        V = v_plus(x, d) + v_minus(y, g)
-        got = b @ V @ binv
-        want = (v_plus(np.exp(-3j * phi) * x / r, r**2 * d)
-                + v_minus(r * np.exp(3j * phi) * y, g / r**2))
-        worst = max(worst, float(np.linalg.norm(got - want)))
-    rep.residual("su21_ad_parameter_map", worst, 1e-9,
+    # per trial: x and y as (re, im) pairs, then d and g
+    c = rng.standard_normal((trials, 6))
+    x, y = _complex_pairs(c[:, :4]).T
+    d, g = c[:, 4], c[:, 5]
+    got = b @ (v_plus(x, d) + v_minus(y, g)) @ np.linalg.inv(b)
+    want = (v_plus(np.exp(-3j * phi) * x / r, r**2 * d)
+            + v_minus(r * np.exp(3j * phi) * y, g / r**2))
+    rep.residual("su21_ad_parameter_map", _worst_norm(got - want), 1e-9,
                  anchor="conjugation acts by the stated parameter scaling")
-    wlaw = 0.0
-    for _ in range(trials):
-        p1, p2 = rng.uniform(-np.pi, np.pi, 2)
-        r1, r2 = rng.uniform(0.3, 3.0, 2)
-        wlaw = max(wlaw, float(np.abs(
-            b_group(p1, r1) @ b_group(p2, r2) - b_group(p1 + p2, r1 * r2)
-        ).max()))
+    # per trial: two angles in [-pi, pi), then two radii in [0.3, 3);
+    # Generator.uniform(low, high) is low + (high - low) * random()
+    lo, hi = np.repeat([[-np.pi, 0.3], [np.pi, 3.0]], 2, axis=1)
+    p1, p2, r1, r2 = (lo + (hi - lo) * rng.random((trials, 4))).T
+    wlaw = _worst_abs(b_group(p1, r1) @ b_group(p2, r2) - b_group(p1 + p2, r1 * r2))
     rep.residual("su21_ad_group_law", wlaw, 1e-9,
                  anchor="parameters compose additively and multiplicatively")
     return rep
@@ -380,24 +397,20 @@ def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
 # ---------------------------------------------------------------------------
 
 
-def _adiag(y1, y2, y3) -> np.ndarray:
-    return np.array([[0, 0, y1], [0, y2, 0], [y3, 0, 0]], dtype=complex)
-
-
 def B_elem(z: complex, x: float, y1: complex, y2: complex, y3: complex) -> np.ndarray:
-    """Stabilizer element with first block diag(z, ix, -conj(z))."""
-    X = np.diag([z, 1j * x, -np.conj(z)]).astype(complex)
-    return quat_embed(QMat(X, _adiag(y1, y2, y3)))
+    """Stabilizer element with first block diag(z, ix, -conj(z)); array
+    parameters give a stack."""
+    return _quat({(0, 0): z, (1, 1): 1j * x, (2, 2): -np.conj(z)},
+                 {(0, 2): y1, (1, 1): y2, (2, 0): y3})
 
 
 def N_elem(z1, z2, x1, x2, y1, y2, y3) -> np.ndarray:
-    """Complement element in the seven-parameter coordinate chart."""
-    X = np.array(
-        [[0, z1, 1j * x1], [z2, 0, -np.conj(z1)], [1j * x2, -np.conj(z2), 0]],
-        dtype=complex,
-    )
-    Y = np.array([[y1, y2, 0], [y3, 0, y2], [0, y3, y1]], dtype=complex)
-    return quat_embed(QMat(X, Y))
+    """Complement element in the seven-parameter coordinate chart; array
+    parameters give a stack."""
+    return _quat({(0, 1): z1, (0, 2): 1j * x1, (1, 0): z2, (1, 2): -np.conj(z1),
+                  (2, 0): 1j * x2, (2, 1): -np.conj(z2)},
+                 {(0, 0): y1, (0, 1): y2, (1, 0): y3, (1, 2): y2,
+                  (2, 1): y3, (2, 2): y1})
 
 
 def Nhat_elem(z1, z2, x1, x2, y1, y2, y3) -> np.ndarray:
@@ -440,14 +453,15 @@ class SP21Data:
     eps_A: np.ndarray
     split: ReductiveSplit
     # graded frame of the tangent summand and the orthogonal algebra on it
-    graded_basis: np.ndarray | None = None
-    Gamma: np.ndarray | None = None
-    so_space: RealSubspace | None = None
-    p_full: RealSubspace | None = None
-    p_hat: RealSubspace | None = None
-    p_minus: RealSubspace | None = None
-    p_zero: RealSubspace | None = None
-    p_plus: RealSubspace | None = None
+    # (the fields of SO14Grading, shared by builds with one sign pattern)
+    graded_basis: np.ndarray
+    Gamma: np.ndarray
+    so_space: RealSubspace
+    p_full: RealSubspace
+    p_hat: RealSubspace
+    p_minus: RealSubspace
+    p_zero: RealSubspace
+    p_plus: RealSubspace
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         """Matrix of ad(X) on the graded frame of the tangent summand.
@@ -520,7 +534,8 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
     GA = gram_matrix(pair.form, A_basis)
     if np.abs(GA - np.diag(eps_A)).max() > tol.abs:
         raise ValueError("nine-frame is not signed orthonormal as stated")
-    data = SP21Data(
+    graded, grading = _sp21_graded_frame(pair, S, S_hat, a, seed, tol)
+    return SP21Data(
         a=a, mu=mu, pair=pair, S=S, S_hat=S_hat,
         b_basis=b_basis, n_basis=n_basis,
         b1=RealSubspace([b_basis[i] for i in (2, 5, 6)], tol=tol),
@@ -530,58 +545,80 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
         A_basis=A_basis,
         eps_A=eps_A,
         split=split,
+        graded_basis=graded,
+        **grading._asdict(),
     )
-    _sp21_attach_grading(data, seed, tol)
-    return data
 
 
-def _sp21_attach_grading(data: SP21Data, seed: int, tol: Tolerance):
-    """Graded frame {S_n, e_1..e_12, -S_hat_n} and the graded pieces of the
-    orthogonal algebra of the tangent summand."""
-    pair = data.pair
+def _sp21_graded_frame(pair: SymmetricPair, S: np.ndarray, S_hat: np.ndarray,
+                       a: float, seed: int, tol: Tolerance):
+    """Graded frame {S_n, e_1..e_12, -S_hat_n} of the tangent summand, and
+    the graded pieces of the orthogonal algebra of its form matrix."""
     form = pair.form
-    span = RealSubspace([data.S, data.S_hat], tol=tol)
+    span = RealSubspace([S, S_hat], tol=tol)
     n_hat, _ = orth_complement(span, pair.m, form, tol)
     e_hat, eps_hat = signed_gram_schmidt(form, n_hat, np.random.default_rng(seed), tol)
-    scale = 2 * data.a * SQRT3  # K(S/scale, S_hat/scale) = -1
-    S_n = data.S / scale
-    Sh_n = data.S_hat / scale
-    graded = np.stack([S_n, *e_hat, -Sh_n])
-    Gamma = gram_matrix(form, graded)
-    target = np.zeros((14, 14))
-    target[0, 13] = target[13, 0] = 1.0
-    target[1:13, 1:13] = np.diag(eps_hat)
-    if np.abs(Gamma - target).max() > 1e-8:
+    scale = 2 * a * SQRT3  # K(S/scale, S_hat/scale) = -1
+    graded = np.stack([S / scale, *e_hat, -S_hat / scale])
+    grading = _so14_grading(tuple(eps_hat), tol)
+    if np.abs(gram_matrix(form, graded) - grading.Gamma).max() > 1e-8:
         raise ValueError("graded frame does not produce the expected form matrix")
-    data.graded_basis = graded
-    data.Gamma = target
+    return graded, grading
+
+
+class SO14Grading(NamedTuple):
+    """The orthogonal algebra of a 14 x 14 form matrix Gamma and its pieces
+    under the grading element diag(1, 0, ..., 0, -1): degrees -1, 0 and +1
+    and the stabilizers of the first and the last frame line."""
+
+    Gamma: np.ndarray
+    so_space: RealSubspace
+    p_minus: RealSubspace
+    p_zero: RealSubspace
+    p_plus: RealSubspace
+    p_full: RealSubspace
+    p_hat: RealSubspace
+
+
+@lru_cache
+def _so14_grading(eps_hat: tuple, tol: Tolerance) -> SO14Grading:
+    """The grading of so(Gamma), Gamma = [[0, 0, 1], [0, diag(eps_hat), 0],
+    [1, 0, 0]].
+
+    It depends on the sign pattern eps_hat alone, not on the ray or its
+    scale, so a process builds it once per pattern and tolerance; every
+    build with that key shares the returned subspaces, and Gamma is
+    read-only.
+    """
+    Gamma = np.zeros((14, 14))
+    Gamma[0, 13] = Gamma[13, 0] = 1.0
+    Gamma[1:13, 1:13] = np.diag(eps_hat)
+    Gamma.flags.writeable = False
     # orthogonal algebra A^T Gamma + Gamma A = 0: since Gamma^2 = 1 it is
     # Gamma times the antisymmetric matrices, with basis Gamma (E_ab - E_ba)
     unit = np.eye(14)
     so_space = RealSubspace(
-        [target @ (np.outer(unit[i], unit[j]) - np.outer(unit[j], unit[i]))
+        [Gamma @ (np.outer(unit[i], unit[j]) - np.outer(unit[j], unit[i]))
          for i, j in zip(*np.triu_indices(14, 1))], tol=tol)
     if so_space.dim != 91:
         raise ValueError("orthogonal algebra has the wrong dimension")
     E_grad = np.zeros((14, 14), dtype=complex)
     E_grad[0, 0] = 1.0
     E_grad[13, 13] = -1.0
-    if np.abs(E_grad.T @ target + target @ E_grad).max() > tol.abs:
+    if np.abs(E_grad.T @ Gamma + Gamma @ E_grad).max() > tol.abs:
         raise ValueError("grading element is not in the orthogonal algebra")
-    data.so_space = so_space
-    data.p_minus = so_space.kernel_of(lambda A: bracket(E_grad, A) + A, tol)
-    data.p_zero = so_space.kernel_of(lambda A: bracket(E_grad, A), tol)
-    data.p_plus = so_space.kernel_of(lambda A: bracket(E_grad, A) - A, tol)
-    e1 = np.zeros(14)
-    e1[0] = 1.0
-    e14 = np.zeros(14)
-    e14[13] = 1.0
-    data.p_full = so_space.kernel_of(lambda A: (A @ e1)[1:], tol)
-    data.p_hat = so_space.kernel_of(lambda A: (A @ e14)[:13], tol)
-    dims = (data.p_minus.dim, data.p_zero.dim, data.p_plus.dim,
-            data.p_full.dim, data.p_hat.dim)
+    grading = SO14Grading(
+        Gamma, so_space,
+        so_space.kernel_of(lambda A: bracket(E_grad, A) + A, tol),
+        so_space.kernel_of(lambda A: bracket(E_grad, A), tol),
+        so_space.kernel_of(lambda A: bracket(E_grad, A) - A, tol),
+        so_space.kernel_of(lambda A: (A @ unit[0])[..., 1:], tol),
+        so_space.kernel_of(lambda A: (A @ unit[13])[..., :13], tol),
+    )
+    dims = tuple(piece.dim for piece in grading[2:])
     if dims != (12, 67, 12, 79, 79):
         raise ValueError(f"graded piece dimensions {dims} are off")
+    return grading
 
 
 def sp21_grading_report(data: SP21Data) -> Report:
@@ -643,39 +680,33 @@ def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0,
     rep.residual("sp21_action_zero", float(np.linalg.norm(
         bracket(B_elem(0, 0, 0, 0, 0), data.n_basis[0]))), tol.abs,
         anchor="zero stabilizer element acts as zero")
-    w1 = w0 = w2 = w3 = 0.0
-    winv1 = winv2 = 0.0
-    for _ in range(trials):
-        ix = rng.standard_normal()
-        y = _rand_complex(rng)
-        z1, z2 = _rand_complex(rng), _rand_complex(rng)
-        y2, y3 = _rand_complex(rng), _rand_complex(rng)
-        B1 = B_elem(0, ix, 0, y, 0)
-        n1 = N_elem(z1, z2, 0, 0, 0, y2, y3)
-        got = bracket(B1, n1)
-        want = N_elem(-1j * ix * z1 + np.conj(y) * y2,
-                      1j * ix * z2 - y * np.conj(y3), 0, 0, 0,
-                      1j * ix * y2 - y * z1, 1j * ix * y3 + y * np.conj(z2))
-        w1 = max(w1, float(np.linalg.norm(got - want)))
-        winv1 = max(winv1, data.n1.residual(got))
-        x1, x2 = rng.standard_normal(), rng.standard_normal()
-        y1 = _rand_complex(rng)
-        n2 = N_elem(0, 0, x1, x2, y1, 0, 0)
-        w0 = max(w0, float(np.linalg.norm(bracket(B1, n2))))
-        z, yy, w = _rand_complex(rng), _rand_complex(rng), _rand_complex(rng)
-        B2 = B_elem(z, 0, yy, 0, w)
-        got = bracket(B2, n1)
-        want = N_elem(z * z1 - yy * np.conj(y3), -z * z2 + np.conj(w) * y2,
-                      0, 0, 0,
-                      z * y2 - yy * z2, -np.conj(z) * y3 + w * np.conj(z1))
-        w2 = max(w2, float(np.linalg.norm(got - want)))
-        got = bracket(B2, n2)
-        nx1 = 2 * (z.real * x1 + (np.conj(yy) * y1).imag)
-        nx2 = -2 * (z.real * x2 - (np.conj(w) * y1).imag)
-        ny1 = 2j * z.imag * y1 - 1j * w * x1 - 1j * yy * x2
-        want = N_elem(0, 0, nx1, nx2, ny1, 0, 0)
-        w3 = max(w3, float(np.linalg.norm(got - want)))
-        winv2 = max(winv2, data.n2.residual(got))
+    # per trial: ix, then (re, im) pairs of y, z1, z2, y2, y3, then x1 and
+    # x2, then (re, im) pairs of y1, z, yy, w
+    c = rng.standard_normal((trials, 21))
+    ix, x1, x2 = c[:, 0], c[:, 11], c[:, 12]
+    y, z1, z2, y2, y3, _, y1, z, yy, w = _complex_pairs(c[:, 1:]).T
+    B1 = B_elem(0, ix, 0, y, 0)
+    n1 = N_elem(z1, z2, 0, 0, 0, y2, y3)
+    got1 = bracket(B1, n1)
+    want = N_elem(-1j * ix * z1 + np.conj(y) * y2,
+                  1j * ix * z2 - y * np.conj(y3), 0, 0, 0,
+                  1j * ix * y2 - y * z1, 1j * ix * y3 + y * np.conj(z2))
+    w1 = _worst_norm(got1 - want)
+    n2 = N_elem(0, 0, x1, x2, y1, 0, 0)
+    w0 = _worst_norm(bracket(B1, n2))
+    B2 = B_elem(z, 0, yy, 0, w)
+    got = bracket(B2, n1)
+    want = N_elem(z * z1 - yy * np.conj(y3), -z * z2 + np.conj(w) * y2,
+                  0, 0, 0,
+                  z * y2 - yy * z2, -np.conj(z) * y3 + w * np.conj(z1))
+    w2 = _worst_norm(got - want)
+    got2 = bracket(B2, n2)
+    nx1 = 2 * (z.real * x1 + (np.conj(yy) * y1).imag)
+    nx2 = -2 * (z.real * x2 - (np.conj(w) * y1).imag)
+    ny1 = 2j * z.imag * y1 - 1j * w * x1 - 1j * yy * x2
+    w3 = _worst_norm(got2 - N_elem(0, 0, nx1, nx2, ny1, 0, 0))
+    winv = max(float(data.n1.residual(got1).max(initial=0.0)),
+               float(data.n2.residual(got2).max(initial=0.0)))
     rep.residual("sp21_action_b1_on_n1", w1, tol.abs,
                  anchor="compact factor action on the first block")
     rep.residual("sp21_action_b1_on_n2", w0, tol.abs,
@@ -684,7 +715,7 @@ def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0,
                  anchor="special-linear factor action on the first block")
     rep.residual("sp21_action_b2_on_n2", w3, tol.abs,
                  anchor="special-linear factor action on the second block")
-    rep.residual("sp21_action_preserves_blocks", max(winv1, winv2), tol.abs,
+    rep.residual("sp21_action_preserves_blocks", winv, tol.abs,
                  anchor="the action preserves the two-block decomposition")
     return rep
 
@@ -778,21 +809,17 @@ def sp21_hatn_isometry(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
 
 
 def phi_sl2(g: np.ndarray) -> np.ndarray:
-    """Embedding of a 2x2 complex matrix into the quaternionic group frame."""
-    al, be, ga, de = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    U = np.diag([al, 1.0, np.conj(de)]).astype(complex)
-    V = np.zeros((3, 3), dtype=complex)
-    V[0, 2] = be
-    V[2, 0] = -np.conj(ga)
-    return quat_embed(QMat(U, V))
+    """Embedding of a 2x2 complex matrix (or a stack) into the quaternionic
+    group frame."""
+    al, be, ga, de = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    return _quat({(0, 0): al, (1, 1): 1.0, (2, 2): np.conj(de)},
+                 {(0, 2): be, (2, 0): -np.conj(ga)})
 
 
 def phi_sp1(u: complex, v: complex) -> np.ndarray:
-    """Embedding of a unit quaternion u + v j as a middle-entry rotation."""
-    U = np.diag([1.0, u, 1.0]).astype(complex)
-    V = np.zeros((3, 3), dtype=complex)
-    V[1, 1] = v
-    return quat_embed(QMat(U, V))
+    """Embedding of a unit quaternion u + v j as a middle-entry rotation
+    (u and v may be arrays)."""
+    return _quat({(0, 0): 1.0, (1, 1): u, (2, 2): 1.0}, {(1, 1): v})
 
 
 def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
@@ -809,43 +836,43 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
     Fc = data.pair.carrier_form
 
     def membership(W):
-        res = float(np.abs(W.conj().T @ Fc @ W - Fc).max())
-        X, Y = W[:3, :3], -W[:3, 3:]
-        blok = float(np.abs(W[3:, :3] - np.conj(Y)).max()
-                     + np.abs(W[3:, 3:] - np.conj(X)).max())
+        """Form and block-pattern residual of W, one per matrix of a stack."""
+        res = np.abs(np.swapaxes(W.conj(), -1, -2) @ Fc @ W - Fc).max(axis=(-2, -1))
+        X, Y = W[..., :3, :3], -W[..., :3, 3:]
+        blok = (np.abs(W[..., 3:, :3] - np.conj(Y)).max(axis=(-2, -1))
+                + np.abs(W[..., 3:, 3:] - np.conj(X)).max(axis=(-2, -1)))
         return res + blok
 
-    rep.residual("sp21_embed_identity", membership(phi_sp1(1.0, 0.0))
+    def unit_pairs(q):
+        """Unit quaternions u + v j from rows of four normals."""
+        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+        return _complex_pairs(q).T
+
+    def det_one(c):
+        """2x2 matrices 2 + c_00, c_01, c_10 from (re, im) pairs, with c_11
+        replaced so that the determinant is one."""
+        g = _complex_pairs(c).reshape(-1, 2, 2)
+        g[:, 0, 0] += 2
+        g[:, 1, 1] = (1 + g[:, 0, 1] * g[:, 1, 0]) / g[:, 0, 0]
+        return g
+
+    rep.residual("sp21_embed_identity", float(membership(phi_sp1(1.0, 0.0)))
                  + float(np.abs(phi_sp1(1.0, 0.0) - np.eye(6)).max()),
                  tol.abs, anchor="trivial parameters embed to the identity")
-    w_mem = w_fix = w_mult = 0.0
-    for _ in range(trials):
-        q = rng.standard_normal(4)
-        q /= np.linalg.norm(q)
-        u, v = complex(q[0], q[1]), complex(q[2], q[3])
-        W = phi_sp1(u, v)
-        w_mem = max(w_mem, membership(W))
-        w_fix = max(w_fix, float(np.linalg.norm(
-            W @ data.S @ np.linalg.inv(W) - data.S)))
-        g = np.array([[2 + _rand_complex(rng), _rand_complex(rng)],
-                      [_rand_complex(rng), _rand_complex(rng)]])
-        g[1, 1] = (1 + g[0, 1] * g[1, 0]) / g[0, 0]  # force det 1
-        W2 = phi_sl2(g)
-        w_mem = max(w_mem, membership(W2))
-        w_fix = max(w_fix, float(np.linalg.norm(
-            W2 @ data.S @ np.linalg.inv(W2) - data.S)))
-        h = np.array([[2 + _rand_complex(rng), _rand_complex(rng)],
-                      [_rand_complex(rng), _rand_complex(rng)]])
-        h[1, 1] = (1 + h[0, 1] * h[1, 0]) / h[0, 0]
-        w_mult = max(w_mult, float(np.abs(phi_sl2(g @ h) - phi_sl2(g) @ phi_sl2(h)).max()))
-        qq = rng.standard_normal(4)
-        qq /= np.linalg.norm(qq)
-        # quaternion product (u1 + v1 j)(u2 + v2 j)
-        u2, v2 = complex(qq[0], qq[1]), complex(qq[2], qq[3])
-        up = u * u2 - v * np.conj(v2)
-        vp = u * v2 + v * np.conj(u2)
-        w_mult = max(w_mult, float(np.abs(
-            phi_sp1(u, v) @ phi_sp1(u2, v2) - phi_sp1(up, vp)).max()))
+    # per trial: four normals of a unit quaternion, (re, im) pairs of two
+    # 2x2 matrices g and h, then four normals of a second unit quaternion
+    c = rng.standard_normal((trials, 24))
+    u, v = unit_pairs(c[:, :4])
+    u2, v2 = unit_pairs(c[:, 20:])
+    g, h = det_one(c[:, 4:12]), det_one(c[:, 12:20])
+    W = np.concatenate([phi_sp1(u, v), phi_sl2(g)])  # both families
+    w_mem = _worst_abs(membership(W))
+    w_fix = _worst_norm(W @ data.S @ np.linalg.inv(W) - data.S)
+    # quaternion product (u + v j)(u2 + v2 j)
+    up = u * u2 - v * np.conj(v2)
+    vp = u * v2 + v * np.conj(u2)
+    w_mult = max(_worst_abs(phi_sl2(g @ h) - phi_sl2(g) @ phi_sl2(h)),
+                 _worst_abs(phi_sp1(u, v) @ phi_sp1(u2, v2) - phi_sp1(up, vp)))
     rep.residual("sp21_embed_membership", w_mem, 1e-9,
                  anchor="both families land in the form-preserving group")
     rep.residual("sp21_embed_fixes_ray", w_fix, 1e-8,
@@ -856,11 +883,11 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
     # in their entries, so phi(1 + Y) - phi(1) is their derivative along Y,
     # over bases of sl(2, C) and of the imaginary quaternions
     one = np.eye(2, dtype=complex)
-    sl2 = [np.diag([1, -1]), np.diag([1j, -1j]), np.array([[0, 1], [0, 0]]),
-           np.array([[0, 1j], [0, 0]]), np.array([[0, 0], [1, 0]]),
-           np.array([[0, 0], [1j, 0]])]
-    der = [phi_sl2(one + Y) - phi_sl2(one) for Y in sl2]
-    der += [phi_sp1(1 + u, v) - phi_sp1(1, 0) for u, v in ((1j, 0), (0, 1), (0, 1j))]
+    sl2 = np.array([np.diag([1, -1]), np.diag([1j, -1j]), [[0, 1], [0, 0]],
+                    [[0, 1j], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1j, 0]]])
+    imag_u, imag_v = np.array([1j, 0, 0]), np.array([0, 1, 1j])
+    der = np.concatenate([phi_sl2(one + sl2) - phi_sl2(one),
+                          phi_sp1(1 + imag_u, imag_v) - phi_sp1(1, 0)])
     span = RealSubspace(der, tol=tol)
     b_space = RealSubspace(data.b_basis, tol=tol)
     rep.equals("sp21_embed_derivative_span", span.equals(b_space), True,

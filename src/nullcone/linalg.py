@@ -280,16 +280,15 @@ class RealSubspace:
     def kernel_of(self, linmap, tol: Tolerance | None = None) -> "RealSubspace | None":
         """Kernel, inside this subspace, of a real-linear matrix-valued map.
 
-        linmap takes a matrix and returns an ndarray (any shape); returns
-        None when the kernel is trivial.
+        linmap takes the basis stack (dim, a, b) and returns the stack of
+        its images, one ndarray of any shape per basis matrix along the
+        leading axis; returns None when the kernel is trivial.
         """
         tol = tol or self.tol
-        # column i holds the flattened image of basis[i]; the map is applied
-        # one matrix at a time, since stacked images of a large basis (so(14)
-        # has 91 elements) raise the peak memory of the case studies
-        cols = np.column_stack(
-            [realify(np.asarray(linmap(b), dtype=complex)) for b in self.basis]
-        )
+        # column i holds the flattened image of basis[i]: one call of the
+        # map and one realify of the images, each read as one row matrix
+        images = np.asarray(linmap(self.basis), dtype=complex)
+        cols = realify(images.reshape(self.dim, 1, -1)).T
         ker = _kernel_cols(cols, tol)
         if ker.shape[1] == 0:
             return None

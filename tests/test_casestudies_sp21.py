@@ -20,6 +20,7 @@ from nullcone.casestudies import (
     sp21_embedding_check,
     sp21_grading_report,
     sp21_hatn_isometry,
+    sp21_report,
     sp21_subalgebra_profiles,
 )
 from nullcone.linalg import (
@@ -109,8 +110,48 @@ def test_orthogonal_algebra_is_the_kernel_of_the_form_condition(data):
 
 def test_build_leaves_the_orthogonal_algebra_without_a_frame():
     # the grading element is tested against A^T Gamma + Gamma A = 0 directly;
-    # the 392 x 91 frame of so(14) is built only if a later check asks for it
+    # the 392 x 91 frame of so(14) is built only if a later check asks for it.
+    # Builds share so(14) through the grading cache, and earlier checks
+    # build its frame there, so the build under test starts from an empty cache
+    casestudies._so14_grading.cache_clear()
     assert "frame" not in vars(sp21_build().so_space)
+
+
+GRADED_PIECES = ("so_space", "p_full", "p_hat", "p_minus", "p_zero", "p_plus")
+
+
+def test_one_report_builds_the_grading_once():
+    casestudies._so14_grading.cache_clear()
+    sp21_report(seed=0, trials=5)
+    info = casestudies._so14_grading.cache_info()
+    # the builds at a = 1 and a = 2 share one entry
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def test_grading_does_not_depend_on_the_ray_scale():
+    casestudies._so14_grading.cache_clear()
+    d1 = sp21_build()
+    casestudies._so14_grading.cache_clear()
+    d2 = sp21_build(a=2.0)
+    # built apart, the pieces agree as subspaces
+    assert np.array_equal(d1.Gamma, d2.Gamma)
+    for name in GRADED_PIECES:
+        assert getattr(d2, name).equals(getattr(d1, name)), name
+    # built through the cache, the a = 2 build reuses the a = 1 pieces
+    d3 = sp21_build(a=2.0)
+    assert all(getattr(d3, name) is getattr(d2, name) for name in GRADED_PIECES)
+    assert not d3.Gamma.flags.writeable
+
+
+def test_each_sign_pattern_has_its_own_grading():
+    casestudies._so14_grading.cache_clear()
+    data = sp21_build()
+    eps = tuple(np.diag(data.Gamma)[1:13])
+    flipped = casestudies._so14_grading(tuple(-e for e in eps), DEFAULT_TOL)
+    assert casestudies._so14_grading.cache_info().currsize == 2
+    assert np.array_equal(np.diag(flipped.Gamma)[1:13], -np.diag(data.Gamma)[1:13])
+    assert not flipped.so_space.equals(data.so_space)
+    assert casestudies._so14_grading(eps, DEFAULT_TOL).so_space is data.so_space
 
 
 def test_grading_report(data):
@@ -159,12 +200,13 @@ def test_embedding_report(data):
 
 def test_derivative_span_fails_for_a_wrong_sign_embedding(data, monkeypatch):
     def wrong_sign_phi_sl2(g):
-        # the last diagonal entry should be conj(delta)
-        al, be, ga, de = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-        U = np.diag([al, 1.0, -np.conj(de)]).astype(complex)
-        V = np.zeros((3, 3), dtype=complex)
-        V[0, 2] = be
-        V[2, 0] = -np.conj(ga)
+        # the last diagonal entry should be conj(delta); g may be a stack
+        al, be, ga, de = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+        U = np.zeros(g.shape[:-2] + (3, 3), dtype=complex)
+        U[..., 0, 0], U[..., 1, 1], U[..., 2, 2] = al, 1.0, -np.conj(de)
+        V = np.zeros_like(U)
+        V[..., 0, 2] = be
+        V[..., 2, 0] = -np.conj(ga)
         return quat_embed(QMat(U, V))
 
     monkeypatch.setattr(casestudies, "phi_sl2", wrong_sign_phi_sl2)

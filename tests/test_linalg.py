@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
+from nullcone.casestudies import _so14_grading
 from nullcone.linalg import (
     BilinForm,
     DEFAULT_TOL,
@@ -232,6 +233,53 @@ def test_kernel_of_centralizer():
     assert ker.residual(1j * SZ) < 1e-10
     # injective map has no kernel
     assert RealSubspace([SZ]).kernel_of(lambda X: X) is None
+
+
+def per_matrix_kernel(space, linmap, tol=DEFAULT_TOL):
+    """Reference for kernel_of: the image columns built one basis matrix
+    at a time."""
+    cols = np.column_stack(
+        [realify(np.asarray(linmap(b), dtype=complex)) for b in space.basis])
+    ker = _kernel_cols(cols, tol)
+    return None if ker.shape[1] == 0 else RealSubspace(space.combine(ker.T), tol=tol)
+
+
+def check_kernel_of(space, linmap):
+    got, want = space.kernel_of(linmap), per_matrix_kernel(space, linmap)
+    assert (got is None) == (want is None)
+    if want is not None:
+        # the same columns reach the same SVD
+        assert_array_equal(got._mat, want._mat)
+
+
+@pytest.mark.parametrize("linmap", [
+    lambda X: bracket(1j * SZ, X),
+    lambda X: X,
+    lambda X: (X @ np.array([1.0, 1j]))[..., :1],
+    lambda X: X[..., 0, 1] + X[..., 1, 0].conj(),
+], ids=["centralizer", "injective", "vector", "scalar"])
+def test_kernel_of_matches_the_per_matrix_build_on_su2(linmap):
+    check_kernel_of(RealSubspace([1j * SX, 1j * SY, 1j * SZ]), linmap)
+
+
+# the graded pieces of so(14): degree -1, 0 and +1 under diag(1, 0, ..., 0, -1)
+# and the stabilizers of the first and the last frame line
+E_GRAD = np.diag([1.0] + [0.0] * 12 + [-1.0]).astype(complex)
+SO14_MAPS = {
+    "p_minus": lambda A: bracket(E_GRAD, A) + A,
+    "p_zero": lambda A: bracket(E_GRAD, A),
+    "p_plus": lambda A: bracket(E_GRAD, A) - A,
+    "p_full": lambda A: (A @ np.eye(14)[0])[..., 1:],
+    "p_hat": lambda A: (A @ np.eye(14)[13])[..., :13],
+}
+
+
+@pytest.mark.parametrize("piece", SO14_MAPS)
+def test_kernel_of_matches_the_per_matrix_build_on_so14(piece):
+    grading = _so14_grading((1.0,) * 5 + (-1.0,) * 7, DEFAULT_TOL)
+    check_kernel_of(grading.so_space, SO14_MAPS[piece])
+    assert getattr(grading, piece).equals(
+        per_matrix_kernel(grading.so_space, SO14_MAPS[piece]))
 
 
 def test_intersection_dimension():

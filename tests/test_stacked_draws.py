@@ -6,7 +6,10 @@ generator where the loops left it.
 On the real case studies the residuals are rounding noise, so a mix-up of
 the draws would not show in them.  Each comparison therefore also runs on
 a deliberately broken copy of the data, where the identities fail by O(1)
-amounts that depend on which draw lands in which argument.
+amounts that depend on which draw lands in which argument.  The closed-form
+identities (bracket table, conjugation action, stabilizer action and group
+embeddings) read little or no data, so their broken runs patch a wrong
+bracket, group family or embedding into the module instead.
 """
 
 import dataclasses
@@ -19,8 +22,12 @@ import nullcone.reductive as reductive
 from nullcone.casestudies import (
     _first_bianchi_worst,
     sp21_build,
+    sp21_action_formulas,
     sp21_duality_identity,
+    sp21_embedding_check,
     sp21_report,
+    su21_ad_action,
+    su21_bracket_table,
     su21_build,
     su21_constant_type,
     su21_invariants,
@@ -122,6 +129,143 @@ def ref_duality_loop(data, trials, rng):
     return worst, worst_mid
 
 
+# The closed-form loops build their elements through the module, so a
+# broken bracket or group family patched into it reaches them too.
+
+
+def rand_complex(rng):
+    return complex(rng.standard_normal(), rng.standard_normal())
+
+
+def ref_bracket_table_loop(trials, rng):
+    cs = casestudies
+    w_pm = w_pp = w_mm = 0.0
+    for _ in range(trials):
+        x, y = rand_complex(rng), rand_complex(rng)
+        d, g = rng.standard_normal(), rng.standard_normal()
+        got = cs.bracket(cs.v_plus(x, d), cs.v_minus(y, g))
+        want = np.diag([-g * d - x * y,
+                        x * y - np.conj(x * y),
+                        g * d + np.conj(x * y)]).astype(complex)
+        w_pm = max(w_pm, float(np.linalg.norm(got - want)))
+        got = cs.bracket(cs.v_plus(x, g), cs.v_plus(y, d))
+        want = cs.v_minus(1j * (d * np.conj(x) - g * np.conj(y)),
+                          (-1j * (x * np.conj(y) - np.conj(x) * y)).real)
+        w_pp = max(w_pp, float(np.linalg.norm(got - want)))
+        got = cs.bracket(cs.v_minus(x, g), cs.v_minus(y, d))
+        want = cs.v_plus(-1j * (d * np.conj(x) - g * np.conj(y)),
+                         (1j * (x * np.conj(y) - np.conj(x) * y)).real)
+        w_mm = max(w_mm, float(np.linalg.norm(got - want)))
+    return w_pm, w_pp, w_mm
+
+
+def ref_ad_action_loops(trials, rng, phi=np.pi / 3, r=2.0):
+    cs = casestudies
+    b = cs.b_group(phi, r)
+    binv = np.linalg.inv(b)
+    worst = 0.0
+    for _ in range(trials):
+        x, y = rand_complex(rng), rand_complex(rng)
+        d, g = rng.standard_normal(), rng.standard_normal()
+        V = cs.v_plus(x, d) + cs.v_minus(y, g)
+        got = b @ V @ binv
+        want = (cs.v_plus(np.exp(-3j * phi) * x / r, r**2 * d)
+                + cs.v_minus(r * np.exp(3j * phi) * y, g / r**2))
+        worst = max(worst, float(np.linalg.norm(got - want)))
+    wlaw = 0.0
+    for _ in range(trials):
+        p1, p2 = rng.uniform(-np.pi, np.pi, 2)
+        r1, r2 = rng.uniform(0.3, 3.0, 2)
+        wlaw = max(wlaw, float(np.abs(
+            cs.b_group(p1, r1) @ cs.b_group(p2, r2) - cs.b_group(p1 + p2, r1 * r2)
+        ).max()))
+    return worst, wlaw
+
+
+def ref_action_formulas_loop(data, trials, rng):
+    cs = casestudies
+    B_elem, N_elem, bracket = cs.B_elem, cs.N_elem, cs.bracket
+    w1 = w0 = w2 = w3 = 0.0
+    winv1 = winv2 = 0.0
+    for _ in range(trials):
+        ix = rng.standard_normal()
+        y = rand_complex(rng)
+        z1, z2 = rand_complex(rng), rand_complex(rng)
+        y2, y3 = rand_complex(rng), rand_complex(rng)
+        B1 = B_elem(0, ix, 0, y, 0)
+        n1 = N_elem(z1, z2, 0, 0, 0, y2, y3)
+        got = bracket(B1, n1)
+        want = N_elem(-1j * ix * z1 + np.conj(y) * y2,
+                      1j * ix * z2 - y * np.conj(y3), 0, 0, 0,
+                      1j * ix * y2 - y * z1, 1j * ix * y3 + y * np.conj(z2))
+        w1 = max(w1, float(np.linalg.norm(got - want)))
+        winv1 = max(winv1, data.n1.residual(got))
+        x1, x2 = rng.standard_normal(), rng.standard_normal()
+        y1 = rand_complex(rng)
+        n2 = N_elem(0, 0, x1, x2, y1, 0, 0)
+        w0 = max(w0, float(np.linalg.norm(bracket(B1, n2))))
+        z, yy, w = rand_complex(rng), rand_complex(rng), rand_complex(rng)
+        B2 = B_elem(z, 0, yy, 0, w)
+        got = bracket(B2, n1)
+        want = N_elem(z * z1 - yy * np.conj(y3), -z * z2 + np.conj(w) * y2,
+                      0, 0, 0,
+                      z * y2 - yy * z2, -np.conj(z) * y3 + w * np.conj(z1))
+        w2 = max(w2, float(np.linalg.norm(got - want)))
+        got = bracket(B2, n2)
+        nx1 = 2 * (z.real * x1 + (np.conj(yy) * y1).imag)
+        nx2 = -2 * (z.real * x2 - (np.conj(w) * y1).imag)
+        ny1 = 2j * z.imag * y1 - 1j * w * x1 - 1j * yy * x2
+        want = N_elem(0, 0, nx1, nx2, ny1, 0, 0)
+        w3 = max(w3, float(np.linalg.norm(got - want)))
+        winv2 = max(winv2, data.n2.residual(got))
+    return w1, w0, w2, w3, max(winv1, winv2)
+
+
+def ref_embedding_loop(data, trials, rng):
+    cs = casestudies
+    phi_sl2, phi_sp1 = cs.phi_sl2, cs.phi_sp1
+    Fc = data.pair.carrier_form
+
+    def membership(W):
+        res = float(np.abs(W.conj().T @ Fc @ W - Fc).max())
+        X, Y = W[:3, :3], -W[:3, 3:]
+        blok = float(np.abs(W[3:, :3] - np.conj(Y)).max()
+                     + np.abs(W[3:, 3:] - np.conj(X)).max())
+        return res + blok
+
+    w_mem = w_fix = w_mult = 0.0
+    for _ in range(trials):
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        u, v = complex(q[0], q[1]), complex(q[2], q[3])
+        W = phi_sp1(u, v)
+        w_mem = max(w_mem, membership(W))
+        w_fix = max(w_fix, float(np.linalg.norm(
+            W @ data.S @ np.linalg.inv(W) - data.S)))
+        g = np.array([[2 + rand_complex(rng), rand_complex(rng)],
+                      [rand_complex(rng), rand_complex(rng)]])
+        g[1, 1] = (1 + g[0, 1] * g[1, 0]) / g[0, 0]
+        W2 = phi_sl2(g)
+        w_mem = max(w_mem, membership(W2))
+        w_fix = max(w_fix, float(np.linalg.norm(
+            W2 @ data.S @ np.linalg.inv(W2) - data.S)))
+        h = np.array([[2 + rand_complex(rng), rand_complex(rng)],
+                      [rand_complex(rng), rand_complex(rng)]])
+        h[1, 1] = (1 + h[0, 1] * h[1, 0]) / h[0, 0]
+        w_mult = max(w_mult, float(np.abs(phi_sl2(g @ h) - phi_sl2(g) @ phi_sl2(h)).max()))
+        qq = rng.standard_normal(4)
+        qq /= np.linalg.norm(qq)
+        u2, v2 = complex(qq[0], qq[1]), complex(qq[2], qq[3])
+        up = u * u2 - v * np.conj(v2)
+        vp = u * v2 + v * np.conj(u2)
+        w_mult = max(w_mult, float(np.abs(
+            phi_sp1(u, v) @ phi_sp1(u2, v2) - phi_sp1(up, vp)).max()))
+    # after the loop the check draws one element of the nine-dimensional
+    # derivative algebra
+    rng.standard_normal(9)
+    return w_mem, w_fix, w_mult
+
+
 # Broken copies: every identity fails, by amounts that depend on the draws.
 
 
@@ -142,6 +286,44 @@ def broken_sp21(data):
     """S_hat moved off the partner ray in a direction other than S."""
     shift = data.pair.m.random_element(np.random.default_rng(13))
     return dataclasses.replace(data, S_hat=data.S_hat + 0.3 * shift)
+
+
+SKEW_WEIGHTS = {n: np.random.default_rng(14).uniform(0.5, 1.5, (n, n)) for n in (3, 6)}
+
+
+def skewed_bracket(X, Y):
+    """The commutator plus its arguments, weighted entry by entry: the
+    residuals then depend on every drawn parameter, also where the true
+    bracket of two blocks is zero, and the generic weights break the
+    symmetries (such as z1 <-> z2 in the chart) that would hide a swap."""
+    return X @ Y - Y @ X + SKEW_WEIGHTS[X.shape[-1]] * (X + Y)
+
+
+def twisted_b_group(phi, r):
+    """The diagonal family with a phase exp(i phi^2) on its first entry, so
+    that it is neither a homomorphism nor the stated conjugation action."""
+    b = real_b_group(phi, r)
+    b[..., 0, 0] *= np.exp(1j * np.asarray(phi) ** 2)
+    return b
+
+
+def sheared_phi_sl2(g):
+    """The special-linear embedding with beta copied into an entry that
+    leaves the form-preserving group and moves the ray."""
+    W = real_phi_sl2(g)
+    W[..., 0, 1] += 0.3 * g[..., 0, 1]
+    return W
+
+
+def sheared_phi_sp1(u, v):
+    """The same shear of the unit-quaternion embedding, by u and v."""
+    W = real_phi_sp1(u, v)
+    W[..., 0, 1] += 0.3 * (u + v)
+    return W
+
+
+real_b_group = casestudies.b_group
+real_phi_sl2, real_phi_sp1 = casestudies.phi_sl2, casestudies.phi_sp1
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -282,3 +464,68 @@ def test_each_report_computes_the_casimir_once(report, monkeypatch):
     monkeypatch.setattr(casestudies, "casimir", counted)
     report(seed=0, trials=5)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_bracket_table_matches_the_loop(su21, broken, monkeypatch):
+    seed, data = su21
+    if broken:
+        monkeypatch.setattr(casestudies, "bracket", skewed_bracket)
+    g, h = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = su21_bracket_table(data, trials=TRIALS, rng=g)
+    want = ref_bracket_table_loop(TRIALS, h)
+    names = ("su21_bracket_mixed_formula", "su21_bracket_plus_formula",
+             "su21_bracket_minus_formula")
+    for name, w in zip(names, want):
+        assert close(observed(rep, name), w), name
+    assert (min(want) > 0.1) == broken
+    assert same_state(g, h)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_ad_action_matches_the_loops(su21, broken, monkeypatch):
+    seed, data = su21
+    if broken:
+        monkeypatch.setattr(casestudies, "b_group", twisted_b_group)
+    g, h = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = su21_ad_action(data, trials=TRIALS, rng=g)
+    want = ref_ad_action_loops(TRIALS, h)
+    for name, w in zip(("su21_ad_parameter_map", "su21_ad_group_law"), want):
+        assert close(observed(rep, name), w), name
+    assert (min(want) > 0.1) == broken
+    assert same_state(g, h)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_action_formulas_match_the_loop(sp21, broken, monkeypatch):
+    seed, data = sp21
+    if broken:
+        monkeypatch.setattr(casestudies, "bracket", skewed_bracket)
+    g, h = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = sp21_action_formulas(data, trials=TRIALS, rng=g)
+    want = ref_action_formulas_loop(data, TRIALS, h)
+    names = ("sp21_action_b1_on_n1", "sp21_action_b1_on_n2", "sp21_action_b2_on_n1",
+             "sp21_action_b2_on_n2", "sp21_action_preserves_blocks")
+    for name, w in zip(names, want):
+        assert close(observed(rep, name), w), name
+    assert (min(want) > 0.1) == broken
+    assert same_state(g, h)
+
+
+@pytest.mark.parametrize("broken", [None, "phi_sl2", "phi_sp1"])
+def test_embedding_check_matches_the_loop(sp21, broken, monkeypatch):
+    # each family is broken on its own: a broken one dominates the worst
+    # values, which would hide a mix-up of the other family's draws
+    seed, data = sp21
+    if broken:
+        sheared = {"phi_sl2": sheared_phi_sl2, "phi_sp1": sheared_phi_sp1}
+        monkeypatch.setattr(casestudies, broken, sheared[broken])
+    g, h = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = sp21_embedding_check(data, trials=TRIALS, rng=g)
+    want = ref_embedding_loop(data, TRIALS, h)
+    names = ("sp21_embed_membership", "sp21_embed_fixes_ray",
+             "sp21_embed_multiplicative")
+    for name, w in zip(names, want):
+        assert close(observed(rep, name), w), name
+    assert (min(want) > 0.1) == bool(broken)
+    assert same_state(g, h)
