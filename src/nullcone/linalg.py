@@ -444,30 +444,43 @@ def signed_gram_schmidt(form: BilinForm, space: RealSubspace,
     large totally null chunks where every remaining self-pairing vanishes;
     in that case the remaining vectors are remixed with random coefficients
     and the sweep continues.  Requires the form to be nondegenerate on the
-    space.  Returns (basis, eps) with eps ordered +1 entries first.
+    space.  Returns (basis, eps): the basis as a stack (dim, N, N) and eps
+    ordered +1 entries first.
+
+    The remaining vectors are one stack V, so each pivot step is one stacked
+    self-pairing and one stacked projection V - s form(V, e) e.  The
+    pairings are product-then-trace, as BilinForm pairs two matrices, so
+    the basis is the one a vector-by-vector sweep gives, bit for bit.
     """
     rng = rng or np.random.default_rng(0)
-    vecs = list(space.basis)
+
+    def pair_with(V, W):
+        return form.scale * np.trace(V @ W, axis1=-2, axis2=-1).real
+
+    V = space.basis
     out, eps = [], []
     remix = 0
-    while vecs:
-        norms = [abs(form(v, v)) for v in vecs]
-        i = int(np.argmax(norms))
-        if norms[i] < 1e-8:
+    while len(V):
+        self_pairs = pair_with(V, V)
+        i = int(np.argmax(np.abs(self_pairs)))
+        fv = self_pairs[i]
+        if abs(fv) < 1e-8:
             if remix >= max_remix:
                 raise ValueError("form appears degenerate on the space")
             remix += 1
-            coeff = rng.standard_normal((len(vecs), len(vecs)))
-            vecs = [sum(coeff[a, b] * vecs[b] for b in range(len(vecs))) for a in range(len(vecs))]
+            coeff = rng.standard_normal((len(V), len(V)))
+            # row a is sum_b coeff[a, b] V[b], accumulated in the order of b
+            mixed = np.zeros_like(V)
+            for b in range(len(V)):
+                mixed = mixed + coeff[:, b, None, None] * V[b]
+            V = mixed
             continue
-        v = vecs.pop(i)
-        fv = form(v, v)
-        e = v / np.sqrt(abs(fv))
+        e = V[i] / np.sqrt(abs(fv))
         s = 1.0 if fv > 0 else -1.0
-        vecs = [u - s * form(u, e) * e for u in vecs]
+        V = np.delete(V, i, axis=0)
+        V = V - (s * pair_with(V, e))[:, None, None] * e
         out.append(e)
         eps.append(s)
-    order = sorted(range(len(out)), key=lambda a: -eps[a])
-    basis = [out[a] for a in order]
-    eps_arr = np.array([eps[a] for a in order])
-    return basis, eps_arr
+    eps_arr = np.array(eps)
+    order = np.argsort(-eps_arr, kind="stable")
+    return np.stack(out)[order], eps_arr[order]

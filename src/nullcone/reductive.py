@@ -66,7 +66,7 @@ class ReductiveSplit:
     pair: SymmetricPair
     b: RealSubspace | None
     n: RealSubspace
-    e_basis: list
+    e_basis: np.ndarray
     eps: np.ndarray
     form: BilinForm
 

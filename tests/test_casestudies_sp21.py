@@ -1,6 +1,8 @@
 """Tests for the rank-one quaternionic case study: stabilizer structure,
 signed bases, Casimir, grading, duality pairing, and group embeddings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,8 +126,28 @@ def test_one_report_builds_the_grading_once():
     casestudies._so14_grading.cache_clear()
     sp21_report(seed=0, trials=5)
     info = casestudies._so14_grading.cache_info()
-    # the builds at a = 1 and a = 2 share one entry
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    # the report builds the case study once; its a = 2 data is derived
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_doubled_data_is_the_a2_build(seed):
+    # 2S spans the ray of S and doubling is exact, so the derived data is
+    # what a fresh build at a = 2 computes, bit for bit
+    got = casestudies._sp21_doubled(sp21_build(seed=seed))
+    want = sp21_build(a=2.0, seed=seed)
+    assert (got.a, got.mu) == (want.a, want.mu) == (2.0, 2 * (1 + 1j * np.sqrt(3.0)))
+    for name in ("graded_basis", "S", "S_hat", "b_basis", "n_basis"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.split.e_basis, want.split.e_basis)
+    assert np.array_equal(got.split.eps, want.split.eps)
+
+
+def test_doubled_data_keeps_the_null_certificate(data):
+    # a ray moved off the null cone inside m is refused, as sp21_build refuses it
+    shift = data.pair.m.random_element(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="not null"):
+        casestudies._sp21_doubled(dataclasses.replace(data, S=data.S + 0.3 * shift))
 
 
 def test_grading_does_not_depend_on_the_ray_scale():

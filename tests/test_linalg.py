@@ -2,12 +2,14 @@
 subspaces, signatures, structure constants, signed orthogonalization, and
 the stacked matrix exponential."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nullcone.casestudies import _so14_grading
+from nullcone.casestudies import _so14_grading, sp21_build, su21_build
 from nullcone.linalg import (
     BilinForm,
     DEFAULT_TOL,
@@ -370,6 +372,83 @@ def test_algebra_profile_su2():
 def test_algebra_profile_abelian():
     ab = RealSubspace([np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0])])
     assert algebra_profile(ab) == (2, (0, 0, 2), 2, 0)
+
+
+def ref_signed_gram_schmidt(form, space, rng, max_remix=100):
+    """The vector-by-vector sweep: one form call per pairing and one
+    projection per remaining vector."""
+    vecs = list(space.basis)
+    out, eps = [], []
+    remix = 0
+    while vecs:
+        norms = [abs(form(v, v)) for v in vecs]
+        i = int(np.argmax(norms))
+        if norms[i] < 1e-8:
+            if remix >= max_remix:
+                raise ValueError("form appears degenerate on the space")
+            remix += 1
+            coeff = rng.standard_normal((len(vecs), len(vecs)))
+            vecs = [sum(coeff[a, b] * vecs[b] for b in range(len(vecs)))
+                    for a in range(len(vecs))]
+            continue
+        v = vecs.pop(i)
+        fv = form(v, v)
+        e = v / np.sqrt(abs(fv))
+        s = 1.0 if fv > 0 else -1.0
+        vecs = [u - s * form(u, e) * e for u in vecs]
+        out.append(e)
+        eps.append(s)
+    order = sorted(range(len(out)), key=lambda a: -eps[a])
+    return [out[a] for a in order], np.array([eps[a] for a in order])
+
+
+E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+E21 = E12.T.copy()
+
+
+@functools.cache
+def case_study_spaces():
+    """Every space the case studies orthonormalize: n and b of both splits
+    (the Casimir runs on b) and the complement of the sp21 ray pair in m."""
+    su, sp = su21_build(), sp21_build()
+    span = RealSubspace([sp.S, sp.S_hat])
+    n_hat, _ = orth_complement(span, sp.pair.m, sp.pair.form)
+    return {"su21_n": (su.pair.form, su.split.n), "su21_b": (su.pair.form, su.split.b),
+            "sp21_n": (sp.pair.form, sp.split.n), "sp21_b": (sp.pair.form, sp.split.b),
+            "sp21_n_hat": (sp.pair.form, n_hat)}
+
+
+SPACES = {
+    "mixed": lambda: (BilinForm(1.0), RealSubspace([SX, SY, 1j * SX, 1j * SY])),
+    # every basis self-pairing vanishes, so the sweep must remix first
+    "null_basis": lambda: (BilinForm(1.0), RealSubspace([E12, E21])),
+    **{name: (lambda name=name: case_study_spaces()[name])
+       for name in ("su21_n", "su21_b", "sp21_n", "sp21_b", "sp21_n_hat")},
+}
+
+
+@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_signed_gram_schmidt_matches_the_loop(name, seed):
+    form, space = SPACES[name]()
+    g, h = np.random.default_rng(seed), np.random.default_rng(seed)
+    basis, eps = signed_gram_schmidt(form, space, g)
+    want_basis, want_eps = ref_signed_gram_schmidt(form, space, h)
+    assert basis.shape == (space.dim,) + space.shape
+    assert_array_equal(basis, np.stack(want_basis))
+    assert_array_equal(eps, want_eps)
+    assert g.bit_generator.state == h.bit_generator.state
+    if name == "null_basis":
+        # the remix drew from the generator
+        assert g.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+
+
+def test_signed_gram_schmidt_raises_on_a_degenerate_space():
+    form, line = BilinForm(1.0), RealSubspace([E12])
+    with pytest.raises(ValueError, match="degenerate"):
+        signed_gram_schmidt(form, line, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="degenerate"):
+        ref_signed_gram_schmidt(form, line, np.random.default_rng(0))
 
 
 def test_signed_gram_schmidt_diagonalizes():

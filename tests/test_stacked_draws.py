@@ -35,6 +35,7 @@ from nullcone.casestudies import (
     su21_nabla_J_report,
     su21_report,
 )
+from nullcone.cli import main
 from nullcone.linalg import BilinForm, bracket
 from nullcone.reductive import bianchi_residual, torsion_eval
 
@@ -100,10 +101,10 @@ def ref_constant_type_loop(data, trials, rng):
     return lam, float(np.abs(lams - lam).max() / max(abs(lam), 1e-12))
 
 
-def ref_bianchi_loop(split, space, seed):
+def ref_bianchi_loop(split, space, seed, trials=10):
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
-    for _ in range(10):
+    for _ in range(trials):
         u, v, w = (space.random_element(rng) for _ in range(3))
         worst = max(worst, float(np.linalg.norm(bianchi_residual(split, u, v, w))))
     return worst, rng
@@ -415,10 +416,10 @@ def test_constant_type_matches_the_loop(su21, broken):
     assert same_state(g, h)
 
 
-def check_first_bianchi(seed, split, space, broken, made):
+def check_first_bianchi(seed, split, space, broken, made, trials=10):
     split = broken_split(split) if broken else split
-    got = _first_bianchi_worst(split, space, seed)
-    want, ref_rng = ref_bianchi_loop(split, space, seed)
+    got = _first_bianchi_worst(split, space, seed, trials)
+    want, ref_rng = ref_bianchi_loop(split, space, seed, trials)
     # the unbroken quaternionic sum cancels terms of size ~100, so its
     # residual is rounding noise near 1e-11 and moves by a few 1e-12
     assert close(got, want, 1e-12 if broken else 1e-10)
@@ -436,6 +437,55 @@ def test_su21_first_bianchi_matches_the_loop(su21, broken, made_generators):
 def test_sp21_first_bianchi_matches_the_loop(sp21, broken, made_generators):
     seed, data = sp21
     check_first_bianchi(seed, data.split, data.split.n, broken, made_generators)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_su21_first_bianchi_matches_a_shorter_loop(su21, broken, made_generators):
+    seed, data = su21
+    check_first_bianchi(seed, data.split, data.n_space, broken, made_generators, 5)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_sp21_first_bianchi_matches_a_shorter_loop(sp21, broken, made_generators):
+    seed, data = sp21
+    check_first_bianchi(seed, data.split, data.split.n, broken, made_generators, 5)
+
+
+@pytest.mark.parametrize("trials, bianchi, embedding", [(5, 5, 5), (100, 10, 20)])
+@pytest.mark.parametrize("suite", ["su21", "sp21"])
+def test_trials_caps_the_fixed_draws(suite, trials, bianchi, embedding, monkeypatch,
+                                     made_generators):
+    # --trials caps the ten first-Bianchi triples and the twenty embedding
+    # pairs: each generator ends where the loop of that many draws ends
+    seen = {}
+    real_bianchi = casestudies._first_bianchi_worst
+    real_embedding = casestudies.sp21_embedding_check
+
+    def bianchi_recorded(split, space, seed, trials):
+        seen["bianchi"] = (split, space, seed, trials)
+        return real_bianchi(split, space, seed, trials)
+
+    def embedding_recorded(data, trials, rng, tol):
+        g = np.random.default_rng(rng)
+        seen["embedding"] = (data, rng, trials, g)
+        return real_embedding(data, trials=trials, rng=g, tol=tol)
+
+    monkeypatch.setattr(casestudies, "_first_bianchi_worst", bianchi_recorded)
+    monkeypatch.setattr(casestudies, "sp21_embedding_check", embedding_recorded)
+    assert main(["--suite", suite, "--trials", str(trials), "--seed", "7",
+                 "--format", "json"]) == 0
+    split, space, seed, drawn = seen["bianchi"]
+    assert (seed, drawn) == (7, bianchi)
+    _, ref_rng = ref_bianchi_loop(split, space, seed, bianchi)
+    assert same_state(made_by_library(made_generators, seed + 1, ref_rng), ref_rng)
+    if suite == "sp21":
+        data, seed, drawn, g = seen["embedding"]
+        assert (seed, drawn) == (7, embedding)
+        h = np.random.default_rng(seed)
+        ref_embedding_loop(data, embedding, h)
+        assert same_state(g, h)
+    else:
+        assert "embedding" not in seen
 
 
 @pytest.mark.parametrize("broken", [False, True])
