@@ -54,7 +54,6 @@ from .orbits import (
     codimension_from_stabilizer,
     commutant_is_smaller,
     make_null_batch,
-    make_null_vector,
     normal_form_residuals,
     orbits_report,
     partner_null_batch,
@@ -62,7 +61,6 @@ from .orbits import (
     sample_so21_stratum_batch,
     so21_orbit_class,
     stabilizer_mismatch,
-    stabilizer_of_ray,
     stabilizers_by_commutant,
     stabilizers_of_rays,
     stabilizers_report,

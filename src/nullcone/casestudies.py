@@ -43,7 +43,7 @@ from .linalg import (
     quat_embed,
     signed_gram_schmidt,
 )
-from .orbits import make_null_batch, make_null_vector, stabilizer_of_ray
+from .orbits import make_null_batch, stabilizers_of_rays
 from .pairs import Family, SymmetricPair, build_pair
 from .reductive import (
     ReductiveSplit,
@@ -160,28 +160,47 @@ class SU21Data:
         return self.n_space.combine(c * np.repeat([1.0, -1.0], 3))
 
 
+def _certify_null(pair: SymmetricPair, S: np.ndarray, tol: Tolerance) -> None:
+    """Raise unless the ray vector S is null, by make_null_batch on one row."""
+    if make_null_batch(pair, S[None], tol).nullity_residual[0] > tol.abs:
+        raise ValueError("ray vector is not null")
+
+
+def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
+                      seed: int, tol: Tolerance):
+    """The ray step both case studies share: the canonical-T (2, 1) pair of
+    the field, S = diag(mu, -2 Re mu, conj(mu)) (its quaternionic image for
+    H) and its partner S_hat, split along the hard-coded stabilizer b_basis.
+
+    Raises unless b_basis and the complement chart n_basis lie in h, S is
+    null, and b_basis spans the ray stabilizer stabilizers_of_rays computes.
+    Returns (split, S, S_hat).
+    """
+    pair = build_pair(Family(field, 2, 1), "canonical-T", tol=tol)
+    S = np.diag([mu, -2 * mu.real, np.conj(mu)]).astype(complex)
+    if field == "H":
+        S = quat_embed(QMat(S, np.zeros((3, 3), dtype=complex)))
+    if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
+        raise ValueError("case-study basis element escapes the isotropy algebra")
+    _certify_null(pair, S, tol)
+    stab = stabilizers_of_rays(pair, S[None], tol)
+    b_space = RealSubspace(b_basis, tol=tol)
+    if stab.dims[0] != len(b_basis) or not b_space.equals(stab.subspace(0, tol)):
+        raise ValueError("hard-coded stabilizer disagrees with the computed one")
+    return reductive_split(pair, b_space, tol, rng=seed), S, pair.involution(S)
+
+
 def su21_build(a: float = 1.0, seed: int = 0,
                tol: Tolerance = DEFAULT_TOL) -> SU21Data:
     """Construct and cross-check the complex (2, 1) case study."""
     if a == 0:
         raise ValueError("the ray parameter a must be nonzero")
     mu = a * (1 + 1j * SQRT3)
-    pair = build_pair(Family("C", 2, 1), "canonical-T", tol=tol)
-    S = np.diag([mu, -2 * a, np.conj(mu)]).astype(complex)
-    S_hat = pair.involution(S)
     b_basis = [b_diag(1, 0), b_diag(0, 1)]
     n_basis = [v_plus(1, 0), v_plus(1j, 0), v_plus(0, 1),
                v_minus(1, 0), v_minus(1j, 0), v_minus(0, 1)]
-    if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
-        raise ValueError("case-study basis element escapes the isotropy algebra")
-    nv = make_null_vector(pair, S, tol)
-    if nv.nullity_residual[0] > tol.abs:
-        raise ValueError("ray vector is not null")
-    stab = stabilizer_of_ray(pair, nv, tol)
-    b_space = RealSubspace(b_basis, tol=tol)
-    if stab.dims[0] != 2 or not b_space.equals(stab.subspace(pair, 0, tol)):
-        raise ValueError("hard-coded stabilizer disagrees with the computed one")
-    split = reductive_split(pair, b_space, tol, rng=seed)
+    split, S, S_hat = _case_study_split("C", mu, b_basis, n_basis, seed, tol)
+    pair = split.pair
     _, sig = gram_signature(pair.form, split.n, tol)
     if split.dim_n != 6 or sig[:2] != (3, 3):
         raise ValueError("unexpected complement dimensions or signature")
@@ -504,10 +523,6 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
     a = float(mu.real)
     if a == 0 or abs(mu.imag**2 - 3 * a * a) > 1e-9 * abs(mu) ** 2:
         raise ValueError("need mu = a(1 + i sqrt(3)) with nonzero a for a null ray")
-    pair = build_pair(Family("H", 2, 1), "canonical-T", tol=tol)
-    S0 = np.diag([mu, -2 * a, np.conj(mu)]).astype(complex)
-    S = quat_embed(QMat(S0, np.zeros((3, 3), dtype=complex)))
-    S_hat = pair.involution(S)
     b_basis = [B_elem(1, 0, 0, 0, 0), B_elem(1j, 0, 0, 0, 0), B_elem(0, 1, 0, 0, 0),
                B_elem(0, 0, 1, 0, 0), B_elem(0, 0, 1j, 0, 0),
                B_elem(0, 0, 0, 1, 0), B_elem(0, 0, 0, 1j, 0),
@@ -518,16 +533,8 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
                N_elem(0, 0, 0, 0, 1, 0, 0), N_elem(0, 0, 0, 0, 1j, 0, 0),
                N_elem(0, 0, 0, 0, 0, 1, 0), N_elem(0, 0, 0, 0, 0, 1j, 0),
                N_elem(0, 0, 0, 0, 0, 0, 1), N_elem(0, 0, 0, 0, 0, 0, 1j)]
-    if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
-        raise ValueError("case-study basis element escapes the isotropy algebra")
-    nv = make_null_vector(pair, S, tol)
-    if nv.nullity_residual[0] > tol.abs:
-        raise ValueError("ray vector is not null")
-    stab = stabilizer_of_ray(pair, nv, tol)
-    b_space = RealSubspace(b_basis, tol=tol)
-    if stab.dims[0] != 9 or not b_space.equals(stab.subspace(pair, 0, tol)):
-        raise ValueError("hard-coded stabilizer disagrees with the computed one")
-    split = reductive_split(pair, b_space, tol, rng=seed)
+    split, S, S_hat = _case_study_split("H", mu, b_basis, n_basis, seed, tol)
+    pair = split.pair
     if split.dim_n != 12 or not RealSubspace(n_basis, tol=tol).equals(split.n):
         raise ValueError("complement chart does not span the computed complement")
     s2 = 1 / np.sqrt(2.0)
@@ -774,8 +781,8 @@ def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0,
                  abs(K(bracket(Anull, data.S), bracket(Anull, data.S_hat))),
                  1e-8, anchor="a null element pairs to zero with itself")
     # dual bases from the graded components of the orthonormal complement frame
-    E_lo = data.rho_minus(data.split.frame)
-    E_hi = data.split.eps[:, None, None] * data.rho_plus(data.split.frame)
+    E_lo = data.rho_minus(data.split.e_basis)
+    E_hi = data.split.eps[:, None, None] * data.rho_plus(data.split.e_basis)
     P = gram_matrix(K_so, E_lo, E_hi)
     rep.residual("sp21_duality_dual_pairing",
                  float(np.abs(P - np.eye(12)).max()), 1e-8,
@@ -914,8 +921,7 @@ def _sp21_doubled(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> SP21Data:
     ray keeps its own nullity certificate.
     """
     S = 2 * data.S
-    if make_null_batch(data.pair, S[None], tol).nullity_residual[0] > tol.abs:
-        raise ValueError("ray vector is not null")
+    _certify_null(data.pair, S, tol)
     return replace(data, a=2 * data.a, mu=2 * data.mu, S=S, S_hat=2 * data.S_hat)
 
 

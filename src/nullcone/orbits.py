@@ -24,12 +24,13 @@ form for the complex family, the symplectic form for the quaternionic one.
 Sampling, certification, partners, stabilizers and normal forms run on
 stacks of rays (sample_null_batch, partner_null_batch, stabilizers_of_rays,
 stabilizers_by_commutant, canonicalize_unitary_batch,
-canonicalize_symplectic_batch);
-make_null_vector and stabilizer_of_ray are the k = 1 case of the same
-kernels.  The kernels take whatever stack they are given; callers that
-walk many rays cut them with trial_blocks, which bounds the memory of one
-block.  stabilizers_report and orbits_report are the census checks of one
-pair, as the stabilizers and orbits suites run them.
+canonicalize_symplectic_batch); one ray is a one-row stack.  Both
+stabilizer routes return the same RayStabilizers: per ray, a stack of
+matrices and their ray coefficients.  The kernels take whatever stack
+they are given; callers that walk many rays cut them with trial_blocks,
+which bounds the memory of one block.  stabilizers_report and
+orbits_report are the census checks of one pair, as the stabilizers and
+orbits suites run them.
 """
 
 from __future__ import annotations
@@ -93,43 +94,35 @@ class RayStabilizers:
     """Ray stabilizers of k null vectors from one stacked solve: for each
     S_i, all X in h with [X, S_i] = c S_i for some real c.
 
-    dims[i] is the dimension of ray i's stabilizer and residuals[i] the
-    largest |[X, S_i] - c S_i| over its basis, with the bracket taken
-    afresh, so it checks the solve rather than restating it.  The SVD
-    route (stabilizers_of_rays) fills kernels: kernels[i] holds orthonormal
-    columns (coordinates of X in the h basis, then c) spanning the
-    solutions.  The commutant route (stabilizers_by_commutant) solves for
-    the matrices themselves: bases[i] is a stack (dims[i], N, N) of unit
-    matrices X (c = 0), its residuals also hold their distance from h in
-    closed form, and margins[i] is the condition number of ray i's
-    eigenbasis (Frobenius norm).
+    Both routes give the same shape.  dims[i] is the dimension of ray i's
+    stabilizer, bases[i] a stack (dims[i], N, N) of matrices X spanning it
+    and scales[i] (dims[i],) their ray coefficients c.  residuals[i] is the
+    largest |[X, S_i] - c S_i| over the basis, with the bracket taken
+    afresh, so it checks the solve rather than restating it.  The SVD route
+    (stabilizers_of_rays) solves for (X, c) together: its bases are the h
+    parts of orthonormal kernel vectors.  The commutant route
+    (stabilizers_by_commutant) holds where c = 0 is proven, so its scales
+    are zeros; its bases are unit matrices, its residuals also hold their
+    distance from h in closed form, and margins[i] is the condition number
+    of ray i's eigenbasis (Frobenius norm).  The SVD route has no margins.
     """
 
     dims: np.ndarray
-    kernels: list | None
+    bases: list
+    scales: list
     residuals: np.ndarray
-    bases: list | None = None
     margins: np.ndarray | None = None
 
-    def basis(self, pair: SymmetricPair, i: int) -> np.ndarray:
-        """Ray i's stabilizer basis as a stack of matrices (dims[i], N, N)."""
-        if self.bases is not None:
-            return self.bases[i]
-        return pair.h.combine(self.kernels[i][:pair.h.dim].T)
-
-    def subspace(self, pair: SymmetricPair, i: int,
-                 tol: Tolerance | None = None) -> RealSubspace | None:
+    def subspace(self, i: int, tol: Tolerance = DEFAULT_TOL) -> RealSubspace | None:
         """Ray i's stabilizer as a subspace of h (None when it is trivial)."""
         if self.dims[i] == 0:
             return None
-        return RealSubspace(self.basis(pair, i), tol=tol or pair.tol)
+        return RealSubspace(self.bases[i], tol=tol)
 
     def take(self, idx) -> "RayStabilizers":
         """The rays of an index array, in its order."""
-        def pick(rows):
-            return None if rows is None else [rows[i] for i in idx]
-        return RayStabilizers(self.dims[idx], pick(self.kernels), self.residuals[idx],
-                              pick(self.bases),
+        return RayStabilizers(self.dims[idx], [self.bases[i] for i in idx],
+                              [self.scales[i] for i in idx], self.residuals[idx],
                               None if self.margins is None else self.margins[idx])
 
 
@@ -231,12 +224,6 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray,
     order = np.lexsort((vals.imag, vals.real), axis=-1)
     vals = np.take_along_axis(vals, order, axis=-1)
     return NullBatch(S, vals, generic, nullity, trace_res, gap)
-
-
-def make_null_vector(pair: SymmetricPair, S: np.ndarray,
-                     tol: Tolerance | None = None) -> NullBatch:
-    """One matrix as a one-row NullBatch, after the make_null_batch checks."""
-    return make_null_batch(pair, np.asarray(S)[None], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +381,8 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
     it has dim m rows rather than 2 N^2; one stacked SVD gives every
     kernel, with the rank cut of _kernel_cols.  Where dim m < dim h + 1 (C
     and H) the SVD is full, so that all of V^T is at hand, and each ray's
-    kernel is the last (dim h + 1) - rank rows.  The frame keeps every
+    kernel is the last (dim h + 1) - rank rows, returned as matrices and
+    ray coefficients (_kernel_bases).  The frame keeps every
     singular value of the full realified system, or scales all of them by
     one factor (H), so the relative cuts are those of the full system.
     The stack is solved whole; trial_blocks sizes stacks to a memory bound.
@@ -405,41 +393,33 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
     s, vt = np.linalg.svd(_stabilizer_system(pair, S), full_matrices=wide)[1:]
     rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
     dims = vt.shape[-1] - rank
-    kernels = [vt[i, r:].T for i, r in enumerate(rank)]
-    return RayStabilizers(dims, kernels, _kernel_residuals(pair, S[:, None], vt, dims))
+    return RayStabilizers(dims, *_kernel_bases(pair, S, vt, dims))
 
 
-def _kernel_residuals(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray,
-                      dims: np.ndarray) -> np.ndarray:
-    """Per ray, the largest |[X, S] - c S| over its kernel vectors (X, c),
-    with X rebuilt from the h basis and the full bracket taken: a check on
-    the stacked system and on the rows it drops.
+def _kernel_bases(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray, dims: np.ndarray):
+    """Per ray, the kernel vectors (X, c) as a basis stack X (dims[i], N, N)
+    rebuilt from the h basis and their ray coefficients c (dims[i],), and
+    the largest |[X, S] - c S| over them with the full bracket taken: a
+    check on the stacked system and on the rows it drops.
 
-    S is (k, 1, N, N); each ray's kernel is the last dims[i] rows of vt[i].
+    S is (k, N, N); each ray's kernel is the last dims[i] rows of vt[i].
+    X = 0 forces c = 0, so each basis stack is independent.  Every ray's
+    rows are copied out, so neither vt nor the stacked block of matrices
+    outlives the call.  Returns (bases, scales, residuals).
     """
     d = int(dims.max(initial=0))
-    if d == 0:
-        return np.zeros(len(dims))
-    tail = vt[:, -d:]
+    first = d - dims  # ray i's rows of the tail
+    tail = vt[:, vt.shape[1] - d:]  # not vt[:, -d:], which is all of vt at d = 0
     X = pair.h.combine(tail[..., :-1])
+    c = tail[..., -1]
+    S = S[:, None]
     R = X @ S  # [X, S] - c S, in place
     R -= S @ X
-    R -= tail[..., -1, None, None] * S
+    R -= c[..., None, None] * S
     norms = np.linalg.norm(R, axis=(-2, -1))
-    own = np.arange(d) >= (d - dims)[:, None]
-    return np.where(own, norms, 0.0).max(axis=1)
-
-
-def stabilizer_of_ray(pair: SymmetricPair, nv: NullBatch,
-                      tol: Tolerance | None = None) -> RayStabilizers:
-    """All (X, c) in h x R with [X, S] = c S for each row S of nv; for a
-    make_null_vector result, the one ray's stabilizer.
-
-    The projection to the X component is injective (X = 0 forces c = 0),
-    so RayStabilizers.subspace maps each kernel to a subspace of h of the
-    same dimension.
-    """
-    return stabilizers_of_rays(pair, nv.S, tol)
+    residuals = np.where(np.arange(d) >= first[:, None], norms, 0.0).max(axis=1, initial=0.0)
+    return ([X[i, j:].copy() for i, j in enumerate(first)],
+            [c[i, j:].copy() for i, j in enumerate(first)], residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +576,8 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch,
     X /= np.linalg.norm(X, axis=(-2, -1))[..., None, None]
     own = np.arange(d) < dims[:, None]
     residuals = np.where(own, _commutant_residuals(pair, S, X), 0.0).max(axis=1, initial=0.0)
-    return RayStabilizers(dims, None, residuals, [X[i, :dims[i]] for i in range(len(S))],
-                          margins)
+    return RayStabilizers(dims, [X[i, :n] for i, n in enumerate(dims)],
+                          [np.zeros(n) for n in dims], residuals, margins)
 
 
 def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -607,8 +587,7 @@ def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.linalg.norm(R, axis=2).max(axis=1)
 
 
-def stabilizer_mismatch(pair: SymmetricPair, a: RayStabilizers,
-                        b: RayStabilizers) -> np.ndarray:
+def stabilizer_mismatch(a: RayStabilizers, b: RayStabilizers) -> np.ndarray:
     """Per ray, the largest distance from a basis matrix of one stabilizer
     to the span of the other's, both ways; 0 where either stabilizer is
     trivial.  Rays with equal dimension pairs are stacked, and each span is
@@ -619,15 +598,8 @@ def stabilizer_mismatch(pair: SymmetricPair, a: RayStabilizers,
     for i, key in enumerate(zip(a.dims.tolist(), b.dims.tolist())):
         if key[0] and key[1]:
             groups.setdefault(key, []).append(i)
-
-    def bases(st, idx):
-        if st.bases is not None:
-            return realify(np.stack([st.bases[i] for i in idx]))
-        coeffs = np.stack([st.kernels[i][:pair.h.dim].T for i in idx])
-        return realify(pair.h.combine(coeffs))
-
     for idx in groups.values():
-        Xa, Xb = bases(a, idx), bases(b, idx)
+        Xa, Xb = (realify(np.stack([st.bases[i] for i in idx])) for st in (a, b))
         out[idx] = np.maximum(_span_distance(Xa, Xb), _span_distance(Xb, Xa))
     return out
 
@@ -936,7 +908,7 @@ def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0,
         st = primary(batch)
         if agree is None:
             ref, first = reference(batch.take([0])), st.take([0])
-            mismatch = float(stabilizer_mismatch(pair, first, ref)[0])
+            mismatch = float(stabilizer_mismatch(first, ref)[0])
             agree = (int(first.dims[0]), int(ref.dims[0]), mismatch)
             worst_res = float(ref.residuals[0])
         dims.update(st.dims.tolist())
@@ -986,7 +958,7 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0,
         st = stabilizers_of_rays(pair, batch.S, tol)
         st_hat = stabilizers_of_rays(pair, partners.S, tol)
         stab_match = stab_match and bool(np.array_equal(st.dims, st_hat.dims))
-        worst_theta = max(worst_theta, float(stabilizer_mismatch(pair, st, st_hat).max()))
+        worst_theta = max(worst_theta, float(stabilizer_mismatch(st, st_hat).max()))
     t = fam.tag
     if canonicalize is not None:
         rep.residual(f"{t}_canonical_gram", worst_canon, 1e-9,

@@ -58,9 +58,10 @@ class ReductiveSplit:
     """h = b + n with a signed orthonormal basis of n.
 
     b may be None for the degenerate case of a trivial stabilizer, in
-    which case n is all of h and the canonical curvature vanishes.  The
-    frame, its brackets, the torsion and the curvature are computed once
-    from e_basis, eps and form, on first use.
+    which case n is all of h and the canonical curvature vanishes.  e_basis
+    is the signed orthonormal basis of n as one stack (d, N, N), with signs
+    eps; its brackets, the torsion and the curvature are computed once from
+    e_basis, eps and form, on first use.
     """
 
     pair: SymmetricPair
@@ -78,27 +79,22 @@ class ReductiveSplit:
     def dim_n(self) -> int:
         return len(self.e_basis)
 
-    @cached_property
-    def frame(self) -> np.ndarray:
-        """The signed orthonormal basis of n as one stack (d, N, N)."""
-        return np.stack(self.e_basis)
-
     def n_coords(self, X: np.ndarray) -> np.ndarray:
         """Coordinates of an element of n (or a stack) in the signed basis."""
-        return frame_coords(self.form, self.frame, np.diag(self.eps), X)
+        return frame_coords(self.form, self.e_basis, np.diag(self.eps), X)
 
     def proj_n(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto n of one matrix or a stack."""
-        return np.tensordot(self.n_coords(X), self.frame, axes=1)
+        return np.tensordot(self.n_coords(X), self.e_basis, axes=1)
 
     def ad(self, X: np.ndarray) -> np.ndarray:
         """Matrix of ad(X), read on n, in the signed basis (X may be a stack)."""
-        return frame_ad(self.form, self.frame, np.diag(self.eps), X)
+        return frame_ad(self.form, self.e_basis, np.diag(self.eps), X)
 
     @cached_property
     def frame_brackets(self) -> np.ndarray:
         """[e_i, e_j] for all i, j as (d, d, N, N), exactly antisymmetric."""
-        P = self.frame[:, None] @ self.frame[None, :]
+        P = self.e_basis[:, None] @ self.e_basis[None, :]
         return P - np.swapaxes(P, 0, 1)
 
     @cached_property
@@ -148,7 +144,7 @@ def torsion_eval(split: ReductiveSplit, u: np.ndarray, v: np.ndarray) -> np.ndar
     """
     c = np.einsum("...i,...j,ijk->...k", split.n_coords(u), split.n_coords(v),
                   split.torsion_components)
-    return np.tensordot(c, split.frame, axes=1)
+    return np.tensordot(c, split.e_basis, axes=1)
 
 
 def torsion_derivation_check(split: ReductiveSplit,
@@ -174,12 +170,12 @@ def torsion_derivation_check(split: ReductiveSplit,
     rep.residual("torsion_total_skew", skew, tol.abs,
                  anchor="lowered torsion changes by the sign of the permutation")
     worst = 0.0
-    T_mats = np.tensordot(T, split.frame, axes=1)
+    T_mats = np.tensordot(T, split.e_basis, axes=1)
     b_basis = [] if split.b is None else split.b.basis
     for X in b_basis:
         A = split.ad(X)  # column i: coordinates of [X, e_i]_n
         moved = np.einsum("pi,pjk->ijk", A, T) + np.einsum("qj,iqk->ijk", A, T)
-        D = bracket(X, T_mats) - np.tensordot(moved, split.frame, axes=1)
+        D = bracket(X, T_mats) - np.tensordot(moved, split.e_basis, axes=1)
         worst = max(worst, float(np.linalg.norm(D, axis=(-2, -1)).max()))
     rep.residual("torsion_derivation", worst, tol.abs,
                  anchor="isotropy elements act as derivations of the torsion")
@@ -198,7 +194,7 @@ def curvature_eval(split: ReductiveSplit, u, v, w) -> np.ndarray:
     """R(u, v) w = -[[u, v]_b, w] for u, v, w in n (or stacks of them)."""
     c = np.einsum("...ab,...b->...a", canonical_curvature(split, u, v),
                   split.n_coords(w))
-    return np.tensordot(c, split.frame, axes=1)
+    return np.tensordot(c, split.e_basis, axes=1)
 
 
 def bianchi_residual(split: ReductiveSplit, u, v, w):

@@ -18,7 +18,7 @@ from nullcone.linalg import RealSubspace
 from nullcone.orbits import (
     RayStabilizers,
     codimension_from_stabilizer,
-    make_null_vector,
+    make_null_batch,
     orbits_report,
     partner_null_batch,
     sample_null_batch,
@@ -170,11 +170,8 @@ def test_criterion_7_duality_pairing():
 
 
 def involuted(pair, st):
-    """The ray stabilizers st mapped by the involution, in h coordinates:
-    row j of C holds the coordinates of the involution of h basis element j."""
-    hdim = pair.h.dim
-    C = pair.h.coords(pair.involution(pair.h.basis))
-    return RayStabilizers(st.dims, [np.vstack([C.T @ k[:hdim], k[hdim:]]) for k in st.kernels],
+    """The ray stabilizers st with every basis matrix mapped by the involution."""
+    return RayStabilizers(st.dims, [pair.involution(X) for X in st.bases], st.scales,
                           st.residuals)
 
 
@@ -201,7 +198,7 @@ def test_criterion_8_structural_invariants():
         st = stabilizers_of_rays(data.pair, data.S[None])
         st_hat = stabilizers_of_rays(data.pair, data.S_hat[None])
         dims_ok = dims_ok and st.dims[0] > 0 and np.array_equal(st.dims, st_hat.dims)
-        worst_stab = max(worst_stab, stabilizer_mismatch(data.pair, st, st_hat).max())
+        worst_stab = max(worst_stab, stabilizer_mismatch(st, st_hat).max())
 
     for field in FIELDS:
         pair = build_pair(Family(field, 2, 1))
@@ -211,13 +208,13 @@ def test_criterion_8_structural_invariants():
         st_hat = stabilizers_of_rays(pair, partners.S)
         assert np.array_equal(st.dims, st_hat.dims)
         assert (pairings < 0).all()
-        worst_stab = max(worst_stab, stabilizer_mismatch(pair, st, st_hat).max())
+        worst_stab = max(worst_stab, stabilizer_mismatch(st, st_hat).max())
         # off canonical position the conjugation transports the stabilizer
         # of S onto the stabilizer of -conj(S).T
         st_theta = stabilizers_of_rays(pair, pair.involution(batch.S))
         dims_ok = dims_ok and np.array_equal(st.dims, st_theta.dims)
         worst_theta = max(worst_theta,
-                          stabilizer_mismatch(pair, involuted(pair, st), st_theta).max())
+                          stabilizer_mismatch(involuted(pair, st), st_theta).max())
 
     ok = (worst_skew < 1e-9 and derivation_ok and dims_ok and worst_theta < 1e-9
           and worst_stab < 1e-9)
@@ -258,8 +255,8 @@ def test_criterion_9_negative_controls():
     # non-generic input must be rejected by the partner construction
     F = data.pair.hermitian_matrix
     u = np.array([1.0, 0.0, 1.0], dtype=complex)
-    nil = make_null_vector(build_pair(Family("C", 2, 1)),
-                           np.outer(u, u.conj()) @ np.diag([1.0, 1.0, -1.0]))
+    nil = make_null_batch(build_pair(Family("C", 2, 1)),
+                          (np.outer(u, u.conj()) @ np.diag([1.0, 1.0, -1.0]))[None])
     try:
         partner_null_batch(build_pair(Family("C", 2, 1)), nil)
         results.append(False)

@@ -34,7 +34,7 @@ from nullcone.linalg import (
     bracket,
     quat_embed,
 )
-from nullcone.orbits import make_null_vector, stabilizer_of_ray
+from nullcone.orbits import stabilizers_of_rays
 from nullcone.reductive import frame_casimir
 
 
@@ -44,9 +44,10 @@ def data():
 
 
 def test_stabilizer_dimension_and_split(data):
-    st = stabilizer_of_ray(data.pair, make_null_vector(data.pair, data.S))
+    st = stabilizers_of_rays(data.pair, data.S[None])
     assert st.dims.tolist() == [9]
-    assert st.subspace(data.pair, 0).equals(data.split.b)
+    assert st.bases[0].shape == (9, 6, 6) and np.abs(st.scales[0]).max() < 1e-12
+    assert st.subspace(0).equals(data.split.b)
     assert data.split.dim_n == 12
 
 

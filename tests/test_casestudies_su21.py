@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nullcone.casestudies as casestudies
 from nullcone.casestudies import (
     SQRT3,
     b_diag,
@@ -18,9 +19,9 @@ from nullcone.casestudies import (
     v_minus,
     v_plus,
 )
-from nullcone.linalg import bracket
+from nullcone.linalg import DEFAULT_TOL, bracket
 from nullcone.reductive import einstein_fit, torsion_eval
-from nullcone.orbits import stabilizer_of_ray, make_null_vector
+from nullcone.orbits import stabilizers_of_rays
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +62,26 @@ def test_base_point_spectrum(data):
 
 
 def test_stabilizer_is_two_dimensional(data):
-    st = stabilizer_of_ray(data.pair, make_null_vector(data.pair, data.S))
+    st = stabilizers_of_rays(data.pair, data.S[None])
     assert st.dims.tolist() == [2]
-    assert st.subspace(data.pair, 0).equals(data.split.b)
+    assert st.bases[0].shape == (2, 3, 3) and np.abs(st.scales[0]).max() < 1e-12
+    assert st.subspace(0).equals(data.split.b)
+
+
+def test_ray_step_refuses_a_b_basis_that_is_not_the_stabilizer(data):
+    # negative control: with b_diag(0, 1) swapped for v_plus(1, 0) the basis
+    # still lies in h and has the stabilizer's dimension, but does not span it
+    b_basis = [data.b_basis[0], data.n_basis[0]]
+    assert data.pair.h.residual(np.stack(b_basis)).max() < 1e-12
+    with pytest.raises(ValueError, match="hard-coded stabilizer disagrees"):
+        casestudies._case_study_split("C", data.mu, b_basis, data.n_basis, 0, DEFAULT_TOL)
+
+
+def test_ray_step_refuses_a_chart_element_outside_h(data):
+    # negative control: the ray S lies in m, so as a chart element it is not in h
+    n_basis = data.n_basis[:-1] + [data.S]
+    with pytest.raises(ValueError, match="escapes the isotropy algebra"):
+        casestudies._case_study_split("C", data.mu, data.b_basis, n_basis, 0, DEFAULT_TOL)
 
 
 def test_scaling_the_base_point(data):

@@ -15,13 +15,11 @@ from nullcone.orbits import (
     canonicalize_unitary_batch,
     codimension_from_stabilizer,
     make_null_batch,
-    make_null_vector,
     partner_null_batch,
     sample_null_batch,
     sample_so21_stratum_batch,
     so21_orbit_class,
     stabilizer_mismatch,
-    stabilizer_of_ray,
     stabilizers_by_commutant,
     stabilizers_of_rays,
     stabilizers_report,
@@ -96,11 +94,11 @@ def test_generic_stabilizer_dimensions(field, pq, want):
     assert stabs.dims.tolist() == [want] * 5
     assert stabs.residuals.max() < 1e-8
     for i in range(len(batch)):
-        b = stabs.subspace(pair, i)
+        b = stabs.subspace(i)
         if b is None:
             continue
         # generic stabilizers act without rescaling the ray
-        assert np.abs(stabs.kernels[i][pair.h.dim]).max() < 1e-8
+        assert np.abs(stabs.scales[i]).max() < 1e-8
         assert np.abs(bracket(b.basis, batch.S[i])).max() < 1e-7
 
 
@@ -142,6 +140,38 @@ ROUTE_CASES = [(f, (p, p - 1)) for f in "RCH" for p in range(2, 11)] + [
     (f, pq) for f in "RCH" for pq in ((1, 3), (2, 3))]
 
 
+@pytest.mark.parametrize("route", ["svd", "commutant"])
+@pytest.mark.parametrize("field,pq", [(f, pq) for f in "RCH" for pq in ((2, 1), (5, 3))])
+def test_both_routes_return_one_shape(field, pq, route):
+    # one RayStabilizers contract for both routes, including the trivial
+    # stabilizers of generic R rays, whose bases are empty stacks (0, N, N)
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 3, rng=11)
+    if route == "svd":
+        st = stabilizers_of_rays(pair, batch.S)
+    else:
+        st = stabilizers_by_commutant(pair, batch)
+    N = pair.carrier_dim
+    assert len(st.bases) == len(st.scales) == 3
+    for i in range(3):
+        d = int(st.dims[i])
+        assert st.bases[i].shape == (d, N, N) and st.scales[i].shape == (d,)
+        if route == "commutant":  # c = 0 is proven on this route
+            assert not st.scales[i].any()
+        elif d:
+            assert pair.h.residual(st.bases[i]).max() < 1e-9
+        S = batch.S[i]
+        R = bracket(st.bases[i], S) - st.scales[i][:, None, None] * S
+        assert np.linalg.norm(R, axis=(1, 2)).max(initial=0.0) <= st.residuals[i] * (1 + 1e-12)
+    if field == "R" and pq == (2, 1):
+        assert st.dims.tolist() == [0] * 3 and st.bases[0].shape == (0, 3, 3)
+    picked = st.take(np.array([2, 0]))
+    assert picked.dims.tolist() == [st.dims[2], st.dims[0]]
+    for j, i in enumerate((2, 0)):
+        assert picked.bases[j] is st.bases[i] and picked.scales[j] is st.scales[i]
+        assert picked.residuals[j] == st.residuals[i]
+
+
 @pytest.mark.parametrize("field,pq", ROUTE_CASES, ids=[f"{f}-{p}-{q}" for f, (p, q) in ROUTE_CASES])
 def test_commutant_route_matches_the_svd_route(field, pq):
     pair = build_pair(Family(field, *pq))
@@ -150,15 +180,15 @@ def test_commutant_route_matches_the_svd_route(field, pq):
     svd = stabilizers_of_rays(pair, batch.S)
     want = EXPECTED_STAB_DIM[field](pair.family.n)
     assert comm.dims.tolist() == svd.dims.tolist() == [want] * 2
-    assert stabilizer_mismatch(pair, comm, svd).max() < 1e-9
-    assert stabilizer_mismatch(pair, svd, comm).max() < 1e-9
+    assert stabilizer_mismatch(comm, svd).max() < 1e-9
+    assert stabilizer_mismatch(svd, comm).max() < 1e-9
     assert comm.residuals.max() < 1e-8 and svd.residuals.max() < 1e-8
     # the margin is the condition number of each ray's eigenbasis
     assert comm.margins.shape == (2,) and (comm.margins >= 1.0).all()
-    assert comm.kernels is None and svd.margins is None
+    assert svd.margins is None
     N = pair.carrier_dim
     for i in range(2):
-        X = comm.basis(pair, i)
+        X = comm.bases[i]
         assert X.shape == (want, N, N)
         if want:
             assert_allclose(np.linalg.norm(X, axis=(1, 2)), 1.0, rtol=1e-12)
@@ -286,7 +316,7 @@ def nilpotent_null_element(pair):
 
 def test_non_generic_inputs_are_rejected():
     pair = build_pair(Family("C", 2, 1))
-    nv = make_null_vector(pair, nilpotent_null_element(pair))
+    nv = make_null_batch(pair, nilpotent_null_element(pair)[None])
     assert not nv.genericity.any()
     with pytest.raises(ValueError):
         canonicalize_unitary_batch(pair, nv)
@@ -330,7 +360,7 @@ def test_partner_on_canonical_diagonal_representative():
     a = 1.0
     mu = a * (1.0 + 1j * SQRT3)
     S = np.diag([mu, -2.0 * a, np.conj(mu)])
-    nv = make_null_vector(pair, S)
+    nv = make_null_batch(pair, S[None])
     assert nv.genericity.all()
     hat, pairing = partner_null_batch(pair, nv)
     # on the diagonal representative the partner is minus the conjugate
@@ -350,11 +380,11 @@ def test_partner_shares_the_stabilizer(field):
     st = stabilizers_of_rays(pair, batch.S)
     st_hat = stabilizers_of_rays(pair, hat.S)
     assert np.array_equal(st.dims, st_hat.dims)
-    mismatch = stabilizer_mismatch(pair, st, st_hat)
+    mismatch = stabilizer_mismatch(st, st_hat)
     for i in range(len(batch)):
         if st.dims[i]:
             # reference: each basis element's distance to the other subspace
-            b, b_hat = st.subspace(pair, i), st_hat.subspace(pair, i)
+            b, b_hat = st.subspace(i), st_hat.subspace(i)
             worst = max(b_hat.residual(b.basis).max(), b.residual(b_hat.basis).max())
             assert worst < 1e-8
             assert mismatch[i] == pytest.approx(worst, abs=1e-12)
@@ -392,7 +422,7 @@ def test_batch_rows_pass_single_vector_certificates(field, pq, seed):
     assert len(batch) == 25
     for i in range(len(batch)):
         S = batch.S[i]
-        nv = make_null_vector(pair, S)  # raises outside the tangent summand
+        nv = make_null_batch(pair, S[None])  # raises outside the tangent summand
         assert len(nv) == 1
         assert nv.genericity[0] and batch.genericity[i]
         assert nv.nullity_residual[0] < 1e-8
@@ -411,13 +441,11 @@ def test_batched_stabilizers_match_per_ray(field, pq, seed):
     batch = sample_null_batch(pair, 12, rng=seed)
     stabs = stabilizers_of_rays(pair, batch.S)
     for i in range(len(batch)):
-        st = stabilizer_of_ray(pair, batch.take([i]))
+        st = stabilizers_of_rays(pair, batch.S[i:i + 1])
         assert stabs.dims[i] == st.dims[0] == loop_stabilizer_dim(pair, batch.S[i])
         assert stabs.residuals[i] < 1e-8
-        if st.dims[0]:
-            c = st.kernels[0][pair.h.dim]
-            for X, ci in zip(st.subspace(pair, 0).basis, c):
-                assert np.abs(bracket(X, batch.S[i]) - ci * batch.S[i]).max() < 1e-8
+        for X, ci in zip(st.bases[0], st.scales[0]):
+            assert np.abs(bracket(X, batch.S[i]) - ci * batch.S[i]).max() < 1e-8
     codims = codimension_from_stabilizer(pair, stabs.dims)
     assert set(codims.tolist()) == {pair.family.n - 3}
 
@@ -468,7 +496,7 @@ def test_block_cuts_do_not_change_results(field, seed, monkeypatch):
     assert (pairings < 0).all()
     st_hat = stabilizers_of_rays(pair, partners.S)
     assert np.array_equal(stabs.dims, st_hat.dims)
-    assert stabilizer_mismatch(pair, stabs, st_hat).max() < 1e-8
+    assert stabilizer_mismatch(stabs, st_hat).max() < 1e-8
     for i in (0, 10):
         hat, pairing = partner_null_batch(pair, batch.take([i]))
         assert_allclose(hat.S[0], partners.S[i], atol=1e-10)
@@ -489,9 +517,8 @@ def test_stabilizer_residual_is_recomputed_from_the_basis(field):
     assert stabs.dims.min() > 0
     for i in range(len(batch)):
         S = batch.S[i]
-        c = stabs.kernels[i][pair.h.dim]
         want = max(np.linalg.norm(bracket(X, S) - ci * S)
-                   for X, ci in zip(stabs.subspace(pair, i).basis, c))
+                   for X, ci in zip(stabs.bases[i], stabs.scales[i]))
         assert stabs.residuals[i] == pytest.approx(want, rel=1e-6, abs=1e-15)
         assert stabs.residuals[i] < 1e-8
 
@@ -810,8 +837,9 @@ def test_trimmed_stabilizer_system_matches_the_full_one(field, pq, k):
         ker = _kernel_cols(full[i], pair.tol)
         assert stabs.dims[i] == ker.shape[1]
         if ker.shape[1]:
-            # same kernel span: each basis projects onto the other exactly
-            got = stabs.kernels[i]
+            # same kernel span: each basis projects onto the other exactly;
+            # the kernel vectors are (h coordinates of X, c) as columns
+            got = np.column_stack([pair.h.coords(stabs.bases[i]), stabs.scales[i]]).T
             assert_allclose(ker @ (ker.T @ got), got, atol=1e-10)
             assert_allclose(got @ (got.T @ ker), ker, atol=1e-10)
         assert stabs.residuals[i] < 1e-8

@@ -125,7 +125,7 @@ def abelian_split():
     e1 = np.diag([1.0, -1.0, 0.0]).astype(complex) / np.sqrt(2.0)
     e2 = np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(6.0)
     return ReductiveSplit(pair=pair, b=None, n=RealSubspace([e1, e2]),
-                          e_basis=[e1, e2], eps=np.array([1.0, 1.0]),
+                          e_basis=np.stack([e1, e2]), eps=np.array([1.0, 1.0]),
                           form=pair.form)
 
 
@@ -141,7 +141,7 @@ def test_metric_gram_is_signed_identity(su21, sp21):
     # einstein_fit fits the Ricci tensor against diag(eps), the Gram matrix
     # of the signed orthonormal frame
     for split in (su21.split, sp21.split):
-        assert_allclose(gram_matrix(split.form, split.frame), np.diag(split.eps), atol=1e-9)
+        assert_allclose(gram_matrix(split.form, split.e_basis), np.diag(split.eps), atol=1e-9)
 
 
 def test_trivial_complement_of_empty_b():
@@ -341,7 +341,7 @@ def test_single_argument_evaluators_match_brackets(request, name):
 def test_stacked_frame_maps_match_single_matrices(su21, sp21):
     rng = np.random.default_rng(7)
     for split in (su21.split, sp21.split):
-        Xs = split.pair.h.random_element(rng, size=6).reshape((2, 3) + split.frame.shape[1:])
+        Xs = split.pair.h.random_element(rng, size=6).reshape((2, 3) + split.e_basis.shape[1:])
         coords = split.n_coords(Xs)
         proj = split.proj_n(Xs)
         assert coords.shape == (2, 3, split.dim_n)
@@ -366,7 +366,7 @@ def test_sp21_casimir_and_rho_match_loop_references(sp21):
 def test_stacked_evaluators_match_single_elements(request, name):
     split = _split(request, name)
     u, v, w = split.n.random_element(np.random.default_rng(8), size=12).reshape(
-        (3, 2, 2) + split.frame.shape[1:])
+        (3, 2, 2) + split.e_basis.shape[1:])
     T = torsion_eval(split, u, v)
     C = canonical_curvature(split, u, v)
     R = curvature_eval(split, u, v, w)

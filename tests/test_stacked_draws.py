@@ -280,7 +280,7 @@ def broken_su21(data):
 def broken_split(split):
     """A frame pushed out of n, so the first Bianchi sum no longer cancels."""
     shift = 0.3 * split.pair.h.random_element(np.random.default_rng(12))
-    return dataclasses.replace(split, e_basis=[e + shift for e in split.e_basis])
+    return dataclasses.replace(split, e_basis=split.e_basis + shift)
 
 
 def broken_sp21(data):
