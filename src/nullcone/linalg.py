@@ -4,7 +4,10 @@ Everything in this package manipulates real subspaces of complex matrix
 spaces: Lie brackets, trace forms, kernels of real-linear maps, signatures,
 structure constants.  Complex n x n matrices are flattened to real vectors
 of length 2*n*n (row-major, real parts first, then imaginary parts), and all
-rank decisions go through numpy's SVD with explicit tolerances.
+rank decisions go through numpy's SVD with explicit tolerances.  A
+RealSubspace factorizes only the columns whose supports overlap: the Gram
+matrix of disjoint supports is block-diagonal with no rounding, so each
+other column's singular value is its norm.
 """
 
 from __future__ import annotations
@@ -176,7 +179,11 @@ class RealSubspace:
     The basis (a list of matrices or a stack (k, a, b)) is stored once, as
     the real columns of one realify of the stack; construction fails if it
     is linearly dependent.  `basis` unpacks those columns again, in the
-    supplied order and bit for bit.
+    supplied order and bit for bit.  The block (the columns that touch a
+    row another column touches, on the rows they touch) gets one SVD, each
+    other column gives its norm, and the relative cut runs over the union:
+    for a pair's generators the block is the trace-dropped diagonals, and a
+    dense basis is all block.
     """
 
     def __init__(self, basis, tol: Tolerance = DEFAULT_TOL):
@@ -189,10 +196,15 @@ class RealSubspace:
         self.tol = tol
         # column i is realify(basis[i]); C order, as BLAS rounds combine differently in F order
         self._mat = np.ascontiguousarray(realify(basis).T)
-        s = np.linalg.svd(self._mat, compute_uv=False)
-        # a wide matrix (more matrices than real dimensions) has fewer
-        # singular values than columns, so s[-1] cannot show its dependence
-        if self.dim > len(s) or s[-1] <= tol.rank_rel * s[0]:
+        nz = self._mat != 0
+        self._block = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
+        self._rows = nz[:, self._block].any(axis=1)
+        self._norms = np.sqrt(np.einsum("ij,ij->j", self._mat, self._mat))
+        B = self._mat[np.ix_(self._rows, self._block)]
+        s = np.concatenate([self._norms[~self._block], np.linalg.svd(B, compute_uv=False)])
+        # a wide block (more columns than rows) has fewer singular values
+        # than columns, so s cannot show its dependence
+        if B.shape[1] > B.shape[0] or s.min() <= tol.rank_rel * s.max():
             raise ValueError("supplied basis is linearly dependent")
 
     @classmethod
@@ -224,8 +236,12 @@ class RealSubspace:
     def frame(self) -> np.ndarray:
         """Orthonormal real columns (2ab, dim) with the span of the stored
         ones, computed when first asked for.  Q Q^T is the orthogonal
-        projector onto the subspace."""
-        return np.linalg.qr(self._mat)[0]
+        projector onto the subspace.  A column outside the block is a_i /
+        |a_i|, and the block's columns come from one QR of the block."""
+        Q = self._mat / self._norms
+        ix = np.ix_(self._rows, self._block)
+        Q[ix] = np.linalg.qr(self._mat[ix])[0]
+        return Q
 
     # coords, combine, project, residual and contains take one matrix or a stack
     # (..., a, b); coords on a stack is one multi-right-hand-side solve, and

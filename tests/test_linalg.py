@@ -216,6 +216,36 @@ def test_subspace_more_matrices_than_real_dimension_raises():
         RealSubspace(rng.standard_normal((5, 1, 2)) + 1j * rng.standard_normal((5, 1, 2)))
 
 
+E = np.eye(3)[:, None, :, None] * np.eye(3)[None, :, None, :]  # E[i, j] = E_ij, 3 x 3
+
+
+@pytest.mark.parametrize("mats", [
+    # a zero column touches no row, so it is outside the block with norm 0
+    [E[0, 0], E[0, 1], 0 * E[1, 1]],
+    # a duplicated column shares its rows with its copy and moves into the block
+    [E[0, 0], E[0, 1] + E[1, 0], E[0, 1] + E[1, 0]],
+    # the trace-dropped diagonals and their sum: a dependent square block
+    [E[0, 0] - E[1, 1], E[1, 1] - E[2, 2], E[0, 0] - E[2, 2], E[0, 1]],
+    # three matrices on two shared coordinates: a wide block
+    [E[0, 0], E[1, 1], E[0, 0] + E[1, 1], 1j * E[0, 1]],
+    # a column outside the block below rank_rel times the largest value
+    [E[0, 0] - E[1, 1], E[1, 1] - E[2, 2], 1e-9 * E[0, 1]],
+], ids=["zero", "duplicate", "dependent-block", "wide-block", "tiny"])
+def test_dependent_basis_raises_on_every_branch_of_the_split(mats):
+    # the full factorization calls each of these dependent
+    s = np.linalg.svd(realify(np.stack(mats)).T, compute_uv=False)
+    assert len(mats) > len(s) or s[-1] <= DEFAULT_TOL.rank_rel * s[0]
+    with pytest.raises(ValueError, match="dependent"):
+        RealSubspace(mats)
+
+
+def test_split_cut_is_relative_to_the_largest_value():
+    # the same small column is independent once it is above the cut
+    space = RealSubspace([E[0, 0] - E[1, 1], E[1, 1] - E[2, 2], 1e-7 * E[0, 1]])
+    assert space._block.tolist() == [True, True, False]
+    assert_allclose(space.frame[:, 2], realify(E[0, 1]), rtol=0, atol=0)
+
+
 def test_span_reduces_dependent_input():
     assert RealSubspace.span([np.eye(2), 2.0 * np.eye(2)]).dim == 1
 

@@ -861,7 +861,8 @@ def test_m_frame_is_an_orthonormal_frame_of_m(field, pq, monkeypatch):
     M = realify(pair.m.basis)
     assert np.linalg.norm(M - (M @ Q) @ Q.T, axis=1).max() < 1e-12
     pair.m.residual(pair.m.basis)
-    assert pair.m.frame is Q and len(qr_calls) == 1  # computed once per subspace
+    # computed once per subspace, with at most one QR: of the shared block only
+    assert pair.m.frame is Q and len(qr_calls) <= 1
     # the rows the stabilizer systems keep
     if field == "R":  # the imaginary half is zero
         assert np.abs(Q[N * N:]).max() == 0.0

@@ -152,6 +152,47 @@ def test_stacked_generators_match_per_matrix_loops_bit_for_bit(field):
             assert got._mat.tobytes() == RealSubspace(ref)._mat.tobytes(), (fam, variant)
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_support_split_matches_the_full_factorization(field):
+    # the columns outside the block are orthogonal to every other column
+    # exactly, so the column norms and the block's singular values are the
+    # singular values of the whole column matrix, and the frame built from
+    # them is an orthonormal frame of its span
+    for fam in default_families(2, 8):
+        if fam.field != field:
+            continue
+        pair = build_pair(fam)
+        for space in (pair.h, pair.m, pair.g):
+            M, block, rows = space._mat, space._block, space._rows
+            G = M.T @ M
+            assert (G[~block] == np.diag(np.diag(G))[~block]).all(), fam
+            assert not M[~rows][:, block].any(), fam
+            s_split = np.concatenate([space._norms[~block], np.linalg.svd(
+                M[np.ix_(rows, block)], compute_uv=False)])
+            s_full = np.linalg.svd(M, compute_uv=False)
+            assert_allclose([s_split.max(), s_split.min()], [s_full[0], s_full[-1]],
+                            rtol=1e-12, atol=0)
+            Q = space.frame
+            assert_allclose(Q.T @ Q, np.eye(space.dim), rtol=0, atol=1e-12)
+            gap = np.linalg.norm(M - Q @ (Q.T @ M), axis=0)
+            assert (gap <= 1e-12 * np.linalg.norm(M, axis=0)).all(), fam
+
+
+def test_build_pair_factorizes_no_full_height_matrix(monkeypatch):
+    # H(6, 5): the column matrices of h and m have 2 N^2 = 968 rows; only
+    # the block of trace-dropped diagonal generators reaches LAPACK
+    shapes = []
+
+    def recording(f):
+        return lambda a, *args, **kw: shapes.append(a.shape) or f(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+    pair = build_pair(Family("H", 6, 5))
+    pair.m.frame
+    assert shapes and all(rows < 968 for rows, _ in shapes), shapes
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         Family("X", 2, 1)
