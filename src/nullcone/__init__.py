@@ -87,11 +87,11 @@ from .reductive import (
 from .casestudies import (
     SP21Data,
     SU21Data,
+    grading_report,
     sp21_action_formulas,
     sp21_build,
     sp21_duality_identity,
     sp21_embedding_check,
-    sp21_grading_report,
     sp21_hatn_isometry,
     sp21_report,
     sp21_subalgebra_profiles,

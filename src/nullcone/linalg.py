@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# numpy loads these on first use; importing them here keeps that cost out of the first suite
-import numpy.ma  # noqa: F401
+# numpy loads it on first use; importing it here keeps that cost out of the first suite
 import numpy.random  # noqa: F401
 
 
@@ -201,7 +200,8 @@ class RealSubspace:
         self._rows = nz[:, self._block].any(axis=1)
         self._norms = np.sqrt(np.einsum("ij,ij->j", self._mat, self._mat))
         B = self._mat[np.ix_(self._rows, self._block)]
-        s = np.concatenate([self._norms[~self._block], np.linalg.svd(B, compute_uv=False)])
+        s = np.concatenate([self._norms[~self._block],
+                            np.linalg.svd(B, compute_uv=False) if B.size else []])
         # a wide block (more columns than rows) has fewer singular values
         # than columns, so s cannot show its dependence
         if B.shape[1] > B.shape[0] or s.min() <= tol.rank_rel * s.max():

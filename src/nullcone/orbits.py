@@ -687,7 +687,7 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch,
     self_pairing = (V.conj() * (F @ V)).sum(axis=1).real
     mid = np.lexsort((w.real, -np.sign(self_pairing), ~real), axis=-1)
     P = np.empty_like(V)
-    for rr in np.unique(r).tolist():
+    for rr in sorted(set(r.tolist())):  # np.unique would load numpy.ma
         g = np.flatnonzero(r == rr)
         slots = np.concatenate([up[g, :rr], mid[g, :n - 2 * rr], partner[g, :rr][:, ::-1]],
                                axis=1)
@@ -772,7 +772,7 @@ def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch,
     up = np.lexsort((vals.imag, vals.real, ~upper), axis=-1)
     mid = np.lexsort((vals.real, ~real), axis=-1)
     P = np.empty_like(M)
-    for rr in np.unique(r).tolist():
+    for rr in sorted(set(r.tolist())):  # np.unique would load numpy.ma
         g = np.flatnonzero(r == rr)
         lam_up = np.take_along_axis(vals[g], up[g, :rr], axis=1)
         lam_mid = np.take_along_axis(vals[g], mid[g, :n - 2 * rr], axis=1).real + 0j

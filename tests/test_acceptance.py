@@ -4,10 +4,10 @@ pass/fail line. Every tolerance is stated inline next to its assertion."""
 import numpy as np
 
 from nullcone.casestudies import (
+    grading_report,
     sp21_action_formulas,
     sp21_build,
     sp21_duality_identity,
-    sp21_grading_report,
     sp21_hatn_isometry,
     su21_bracket_table,
     su21_build,
@@ -160,7 +160,7 @@ def test_criterion_7_duality_pairing():
         iso = sp21_hatn_isometry(data)
         # the stabilizer lands in the degree-zero block (< 1e-8), and the
         # graded pieces have their dimensions and short-grading brackets
-        grading = sp21_grading_report(data)
+        grading = grading_report(data, "sp21")
         ok = ok and rep.ok and iso.ok and grading.ok
         notes.append(f"a={a:g} ok")
     emit(7, ok, "duality identity < 1e-8 over 500 pairs for a in {1,2}, "

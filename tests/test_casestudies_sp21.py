@@ -12,6 +12,7 @@ from nullcone.casestudies import (
     B_elem,
     N_elem,
     Nhat_elem,
+    grading_report,
     hatn_isometry_map,
     n_params,
     phi_sl2,
@@ -20,7 +21,6 @@ from nullcone.casestudies import (
     sp21_build,
     sp21_duality_identity,
     sp21_embedding_check,
-    sp21_grading_report,
     sp21_hatn_isometry,
     sp21_report,
     sp21_subalgebra_profiles,
@@ -116,7 +116,7 @@ def test_build_leaves_the_orthogonal_algebra_without_a_frame():
     # the 392 x 91 frame of so(14) is built only if a later check asks for it.
     # Builds share so(14) through the grading cache, and earlier checks
     # build its frame there, so the build under test starts from an empty cache
-    casestudies._so14_grading.cache_clear()
+    casestudies._conformal_grading.cache_clear()
     assert "frame" not in vars(sp21_build().so_space)
 
 
@@ -124,9 +124,9 @@ GRADED_PIECES = ("so_space", "p_full", "p_hat", "p_minus", "p_zero", "p_plus")
 
 
 def test_one_report_builds_the_grading_once():
-    casestudies._so14_grading.cache_clear()
+    casestudies._conformal_grading.cache_clear()
     sp21_report(seed=0, trials=5)
-    info = casestudies._so14_grading.cache_info()
+    info = casestudies._conformal_grading.cache_info()
     # the report builds the case study once; its a = 2 data is derived
     assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
 
@@ -152,9 +152,9 @@ def test_doubled_data_keeps_the_null_certificate(data):
 
 
 def test_grading_does_not_depend_on_the_ray_scale():
-    casestudies._so14_grading.cache_clear()
+    casestudies._conformal_grading.cache_clear()
     d1 = sp21_build()
-    casestudies._so14_grading.cache_clear()
+    casestudies._conformal_grading.cache_clear()
     d2 = sp21_build(a=2.0)
     # built apart, the pieces agree as subspaces
     assert np.array_equal(d1.Gamma, d2.Gamma)
@@ -167,18 +167,18 @@ def test_grading_does_not_depend_on_the_ray_scale():
 
 
 def test_each_sign_pattern_has_its_own_grading():
-    casestudies._so14_grading.cache_clear()
+    casestudies._conformal_grading.cache_clear()
     data = sp21_build()
     eps = tuple(np.diag(data.Gamma)[1:13])
-    flipped = casestudies._so14_grading(tuple(-e for e in eps), DEFAULT_TOL)
-    assert casestudies._so14_grading.cache_info().currsize == 2
+    flipped = casestudies._conformal_grading(tuple(-e for e in eps), DEFAULT_TOL)
+    assert casestudies._conformal_grading.cache_info().currsize == 2
     assert np.array_equal(np.diag(flipped.Gamma)[1:13], -np.diag(data.Gamma)[1:13])
     assert not flipped.so_space.equals(data.so_space)
-    assert casestudies._so14_grading(eps, DEFAULT_TOL).so_space is data.so_space
+    assert casestudies._conformal_grading(eps, DEFAULT_TOL).so_space is data.so_space
 
 
 def test_grading_report(data):
-    rep = sp21_grading_report(data)
+    rep = grading_report(data, "sp21")
     assert rep.ok, rep.failures()
     assert [c.name for c in rep.checks] == [
         "sp21_grading_dims", "sp21_parabolic_dims", "sp21_b_inside_p0",

@@ -88,6 +88,21 @@ def test_suites_run_without_scipy_and_load_no_numpy_module_lazily():
     assert done.stdout.strip() == "[]"
 
 
+def test_suites_leave_numpy_ma_unloaded():
+    # importing numpy.ma costs tens of milliseconds per interpreter; np.median
+    # and np.unique load it, so no suite may call them
+    done = run_python("""
+import contextlib, io, sys
+import nullcone.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["su21"], ["orbits", "--field", "C", "--trials", "5"]):
+        assert cli.main(["--suite", *argv, "--format", "json"]) == 0, argv
+print("numpy.ma" in sys.modules)
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_json_output_is_deterministic():
     cfg = parse_args(["--suite", "axioms", "--field", "C", "--format", "json"])
     a = render_json(run(cfg))

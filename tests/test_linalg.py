@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nullcone.casestudies import _so14_grading, sp21_build, su21_build
+from nullcone.casestudies import _conformal_grading, sp21_build, su21_build
 from nullcone.linalg import (
     BilinForm,
     DEFAULT_TOL,
@@ -308,7 +308,7 @@ SO14_MAPS = {
 
 @pytest.mark.parametrize("piece", SO14_MAPS)
 def test_kernel_of_matches_the_per_matrix_build_on_so14(piece):
-    grading = _so14_grading((1.0,) * 5 + (-1.0,) * 7, DEFAULT_TOL)
+    grading = _conformal_grading((1.0,) * 5 + (-1.0,) * 7, DEFAULT_TOL)
     check_kernel_of(grading.so_space, SO14_MAPS[piece])
     assert getattr(grading, piece).equals(
         per_matrix_kernel(grading.so_space, SO14_MAPS[piece]))
