@@ -372,11 +372,11 @@ def su21_invariants(data: SU21Data, tol: Tolerance = DEFAULT_TOL, rng=1) -> Repo
     null = max(np.abs(gram_matrix(K, plus)).max(), np.abs(gram_matrix(K, minus)).max())
     rep.residual("su21_n_halves_totally_null", float(null), tol.abs,
                  anchor="each half of the complement is totally null")
-    mixed = max_bracket_residual(plus, minus, RealSubspace(data.b_basis))
+    mixed = max_bracket_residual(plus, RealSubspace(data.b_basis), minus)
     rep.residual("su21_bracket_mixed_into_b", mixed, tol.abs,
                  anchor="mixed brackets land in the stabilizer")
-    pp = max_bracket_residual(plus, plus, data.n_minus)
-    mm = max_bracket_residual(minus, minus, data.n_plus)
+    pp = max_bracket_residual(plus, data.n_minus)
+    mm = max_bracket_residual(minus, data.n_plus)
     rep.residual("su21_bracket_pure_swaps_halves", max(pp, mm), tol.abs,
                  anchor="brackets of pure elements swap the two halves")
     X, Y = _draw(np.random.default_rng(rng), 50, data.n_space, data.n_space)

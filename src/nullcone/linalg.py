@@ -193,8 +193,13 @@ class RealSubspace:
             raise ValueError("all basis matrices must share one shape")
         self.shape = basis.shape[1:]
         self.tol = tol
-        # column i is realify(basis[i]); C order, as BLAS rounds combine differently in F order
-        self._mat = np.ascontiguousarray(realify(basis).T)
+        # column i is realify(basis[i]), its real and imaginary halves written
+        # straight into one array; C order, as BLAS rounds combine differently in F order
+        flat = basis.reshape(len(basis), -1)
+        half = flat.shape[1]
+        self._mat = np.empty((2 * half, len(basis)))
+        self._mat[:half] = flat.real.T
+        self._mat[half:] = flat.imag.T
         nz = self._mat != 0
         self._block = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
         self._rows = nz[:, self._block].any(axis=1)
@@ -293,48 +298,36 @@ class RealSubspace:
             X = X * (np.asarray(norm) / np.where(nx > 0, nx, 1.0))[..., None, None]
         return X
 
-    def kernel_of(self, linmap, tol: Tolerance | None = None) -> "RealSubspace | None":
-        """Kernel, inside this subspace, of a real-linear matrix-valued map.
-
-        linmap takes the basis stack (dim, a, b) and returns the stack of
-        its images, one ndarray of any shape per basis matrix along the
-        leading axis; returns None when the kernel is trivial.
-        """
-        tol = tol or self.tol
-        # column i holds the flattened image of basis[i]: one call of the
-        # map and one realify of the images, each read as one row matrix
-        images = np.asarray(linmap(self.basis), dtype=complex)
-        cols = realify(images.reshape(self.dim, 1, -1)).T
-        ker = _kernel_cols(cols, tol)
-        if ker.shape[1] == 0:
-            return None
-        return RealSubspace(self.combine(ker.T), tol=tol)
-
-    def intersection(self, other: "RealSubspace", tol: Tolerance | None = None) -> int:
-        """Dimension of the intersection with another subspace."""
-        tol = tol or self.tol
-        a, b = self._mat, other._mat
-        # null vectors of [a, -b] give pairs of coordinates with equal images
-        stacked = np.hstack([a, -b])
-        ker = _kernel_cols(stacked, tol)
-        if ker.shape[1] == 0:
-            return 0
-        images = a @ ker[: self.dim]
-        s = np.linalg.svd(images, compute_uv=False)
-        if s.size == 0 or s[0] <= tol.abs:
-            return 0
-        return int(np.sum(s > tol.rank_rel * s[0]))
-
     def equals(self, other: "RealSubspace") -> bool:
         if self.dim != other.dim:
             return False
         return bool(other.contains(self.basis).all() and self.contains(other.basis).all())
 
 
-def max_bracket_residual(rows, cols, target: RealSubspace) -> float:
-    """Largest distance from [x, y] to target over x in rows, y in cols,
-    with one stacked residual per row (no (k, k, N, N) stack is built)."""
-    return max(float(target.residual(bracket(x, cols)).max()) for x in rows)
+def max_bracket_residual(rows, target: RealSubspace, cols=None) -> float:
+    """Largest distance from [x, y] to target over x in rows, y in cols.
+
+    Without cols, the closure of one basis: [x_j, x_i] = -[x_i, x_j] has
+    the same residual bit for bit and [x_i, x_i] = 0, so only the pairs
+    i < j are bracketed.  Each row's brackets are two flat products, with
+    the basis laid side by side and stacked, and one stacked residual; no
+    (k, k, N, N) stack is built.
+    """
+    same = cols is None
+    cols = np.asarray(rows if same else cols)
+    k, N = cols.shape[:2]
+    side = cols.transpose(1, 0, 2).reshape(N, k * N)
+    flat = cols.reshape(k * N, N)
+    worst = 0.0
+    for i, x in enumerate(rows):
+        a = i + 1 if same else 0
+        if a == k:
+            break
+        # block j of x @ side is x y_j, block j of flat @ x is y_j x
+        B = (flat[a * N:] @ x).reshape(k - a, N, N)
+        np.subtract((x @ side[:, a * N:]).reshape(N, k - a, N).transpose(1, 0, 2), B, out=B)
+        worst = max(worst, float(target.residual(B).max()))
+    return worst
 
 
 def _kernel_cols(mat: np.ndarray, tol: Tolerance) -> np.ndarray:

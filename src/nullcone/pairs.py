@@ -15,21 +15,19 @@ normalization of the case studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .linalg import (
     BilinForm,
     DEFAULT_TOL,
-    QMat,
     RealSubspace,
     Tolerance,
     bracket,
     gram_matrix,
     gram_signature,
     max_bracket_residual,
-    quat_embed,
 )
 from .report import Report
 
@@ -165,19 +163,28 @@ _GENERATORS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only np.triu_indices(n, 1), built once per n."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _gens(kind: str, n: int) -> np.ndarray:
     """The generators of one family of n x n matrices, as one stack
     (k, n, n) in table order."""
     diag, off = _GENERATORS[kind]
     # the pairs j < k row by row, each repeated once per off-diagonal entry
-    j, k = (np.repeat(a, len(off)) for a in np.triu_indices(n, 1))
+    j, k = (np.repeat(a, len(off)) for a in _upper_pairs(n))
     nd = n * len(diag)
     gens = np.zeros((nd + len(j), n, n), dtype=complex)
     d = np.repeat(np.arange(n), len(diag))
-    gens[np.arange(nd), d, d] = np.tile(diag, n)
+    gens[np.arange(nd), d, d] = diag * n
     i = np.arange(nd, len(gens))
-    gens[i, j, k] = np.tile([x for x, _ in off], n * (n - 1) // 2)
-    gens[i, k, j] = np.tile([y for _, y in off], n * (n - 1) // 2)
+    gens[i, j, k] = [x for x, _ in off] * (n * (n - 1) // 2)
+    gens[i, k, j] = [y for _, y in off] * (n * (n - 1) // 2)
     return gens
 
 
@@ -201,9 +208,21 @@ def _drop_trace(gens: np.ndarray) -> np.ndarray:
 
 def _quat_gens(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Carrier images of X + 0 j for each X of xs, then of 0 + Y j for each
-    Y of ys, in one quat_embed."""
-    return quat_embed(QMat(np.concatenate([xs, np.zeros_like(ys)]),
-                           np.concatenate([np.zeros_like(xs), ys])))
+    Y of ys, written block by block.  The zero blocks carry the signed zeros
+    quat_embed gives them: -0 - 0j where it negates a zero Y, 0 - 0j where
+    it conjugates a zero block."""
+    kx, n = len(xs), xs.shape[-1]
+    out = np.empty((kx + len(ys), 2 * n, 2 * n), dtype=complex)
+    X, Y = out[:kx], out[kx:]
+    X[:, :n, :n] = xs
+    X[:, :n, n:] = complex(-0.0, -0.0)
+    X[:, n:, :n] = complex(0.0, -0.0)
+    X[:, n:, n:] = xs.conj()
+    Y[:, :n, :n] = 0.0
+    Y[:, :n, n:] = -ys
+    Y[:, n:, :n] = ys.conj()
+    Y[:, n:, n:] = complex(0.0, -0.0)
+    return out
 
 
 def _form_matrix(fam: Family, variant: str) -> np.ndarray:
@@ -356,11 +375,18 @@ def axioms_report(fam: Family, tol: Tolerance = DEFAULT_TOL) -> Report:
 
 
 def isotropy_matrix(pair: SymmetricPair, X: np.ndarray) -> np.ndarray:
-    """Matrix of S -> [X, S] on the stored m-basis coordinates."""
-    if not pair.h.contains(X):
+    """Matrix of S -> [X, S] on the stored m-basis coordinates.
+
+    A stack X (k, N, N) gives a stack (k, dim m, dim m), one coords solve
+    per element, so the realified brackets of one element at a time are
+    live; it raises if any element is outside h."""
+    if not np.all(pair.h.contains(X)):
         raise ValueError("X is not in the isotropy algebra within tolerance")
+    X = np.asarray(X)
     # row j of the coordinates is column j of the matrix
-    return pair.m.coords(bracket(X, pair.m.basis)).T
+    mats = [pair.m.coords(bracket(x, pair.m.basis)).T
+            for x in X.reshape((-1,) + X.shape[-2:])]
+    return np.reshape(mats, X.shape[:-2] + 2 * (pair.m.dim,))
 
 
 def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
@@ -380,11 +406,11 @@ def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
     )
 
     h, m = pair.h.basis, pair.m.basis
-    rep.residual(f"{label}_bracket_hh", max_bracket_residual(h, h, pair.h),
+    rep.residual(f"{label}_bracket_hh", max_bracket_residual(h, pair.h),
                  tol.abs, anchor="[h, h] inside h")
-    rep.residual(f"{label}_bracket_hm", max_bracket_residual(h, m, pair.m),
+    rep.residual(f"{label}_bracket_hm", max_bracket_residual(h, pair.m, m),
                  tol.abs, anchor="[h, m] inside m")
-    rep.residual(f"{label}_bracket_mm", max_bracket_residual(m, m, pair.h),
+    rep.residual(f"{label}_bracket_mm", max_bracket_residual(m, pair.h),
                  tol.abs, anchor="[m, m] inside h")
 
     cross = float(np.abs(gram_matrix(pair.form, h, m)).max())
@@ -397,17 +423,14 @@ def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
                (sig_h[2], sig_m[2]), (0, 0),
                anchor="trace form nondegenerate on both summands")
 
-    worst_theta = 0.0
-    worst_auto = 0.0
-    for _ in range(20):
-        X = pair.g.random_element(rng)
-        Y = pair.g.random_element(rng)
-        tX, tY = pair.involution(X), pair.involution(Y)
-        worst_theta = max(worst_theta, float(np.linalg.norm(pair.involution(tX) - X)))
-        worst_auto = max(
-            worst_auto,
-            float(np.linalg.norm(bracket(tX, tY) - pair.involution(bracket(X, Y)))),
-        )
+    # X and Y interleaved: the stack takes the normals that 20 draws of X,
+    # then Y, would take, in the same order
+    XY = pair.g.random_element(rng, size=40)
+    X, Y = XY[0::2], XY[1::2]
+    tX, tY = pair.involution(X), pair.involution(Y)
+    worst_theta = float(np.linalg.norm(pair.involution(tX) - X, axis=(1, 2)).max())
+    worst_auto = float(np.linalg.norm(
+        bracket(tX, tY) - pair.involution(bracket(X, Y)), axis=(1, 2)).max())
     rep.residual(f"{label}_involution_squares", worst_theta, tol.abs,
                  anchor="negative conjugate transpose squares to identity")
     rep.residual(f"{label}_involution_automorphism", worst_auto, 1e-7,
@@ -421,12 +444,9 @@ def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
                  anchor="involution maps the tangent summand to itself")
 
     G = gram_matrix(pair.form, pair.m.basis)
-    worst_inv = 0.0
-    for _ in range(10):
-        Z = pair.h.random_element(rng)
-        M = isotropy_matrix(pair, Z)
-        worst_inv = max(worst_inv, float(np.abs(M.T @ G + G @ M).max()))
-        worst_inv = max(worst_inv, abs(float(np.trace(M))))
+    M = isotropy_matrix(pair, pair.h.random_element(rng, size=10))
+    worst_inv = max(float(np.abs(np.swapaxes(M, 1, 2) @ G + G @ M).max()),
+                    float(np.abs(np.trace(M, axis1=1, axis2=2)).max()))
     rep.residual(f"{label}_isotropy_skew", worst_inv, 1e-7,
                  anchor="isotropy action is traceless and form-skew")
     return rep

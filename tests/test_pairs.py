@@ -2,6 +2,9 @@
 fields: dimension bookkeeping, involution behavior, axiom checks, and the
 isotropy representation."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -12,8 +15,10 @@ from nullcone.linalg import (
     RealSubspace,
     bracket,
     gram_signature,
+    max_bracket_residual,
     structure_constants,
 )
+import nullcone.pairs as pairs
 from nullcone.pairs import (
     _GENERATORS,
     Family,
@@ -26,6 +31,7 @@ from nullcone.pairs import (
     formula_dims,
     isotropy_matrix,
 )
+from subspace_reference import kernel_of
 
 ALL_FIELDS = ("R", "C", "H")
 SIZES = [(2, 1), (3, 2)]
@@ -36,6 +42,13 @@ SIZES = [(2, 1), (3, 2)]
 
 def ref_max_residual(space_a, space_b, target):
     return max(target.residual(bracket(a, b)) for a in space_a.basis for b in space_b.basis)
+
+
+def ref_closure(rows, target, cols=None):
+    """The former closure: each row bracketed with the whole column basis,
+    every ordered pair and, for one basis, the diagonal included."""
+    cols = rows if cols is None else cols
+    return max(float(target.residual(bracket(x, cols)).max()) for x in rows)
 
 
 def ref_isotropy_matrix(pair, X):
@@ -258,7 +271,7 @@ def test_form_negative_definite_on_compact_isotropy_part():
     # the +1 eigenspace of the carrier-form conjugation inside h is compact
     pair = build_pair(Family("C", 2, 1))
     F = pair.hermitian_matrix
-    fixed = pair.h.kernel_of(lambda X: F @ X @ F - X)
+    fixed = kernel_of(pair.h, lambda X: F @ X @ F - X)
     assert fixed is not None and fixed.dim == 4
     _, sig = gram_signature(pair.form, fixed)
     assert sig == (0, 4, 0)
@@ -379,3 +392,122 @@ def test_isotropy_matrix_rejects_non_members():
     Y = pair.m.random_element(np.random.default_rng(16))
     with pytest.raises(ValueError):
         isotropy_matrix(pair, Y)
+
+
+CLOSURE_CASES = [(field, pq, "standard") for field in ALL_FIELDS
+                 for pq in ((2, 1), (3, 2), (4, 4))]
+CLOSURE_CASES += [(field, (2, 1), "canonical-T") for field in ALL_FIELDS]
+
+
+@pytest.mark.parametrize("field, pq, variant", CLOSURE_CASES)
+def test_halved_closure_equals_the_full_pairwise_loop_bit_for_bit(field, pq, variant):
+    # [x_j, x_i] = -[x_i, x_j] has the same residual bit for bit, so the
+    # pairs i < j give the maximum over every ordered pair exactly
+    pair = build_pair(Family(field, *pq), variant)
+    h, m = pair.h.basis, pair.m.basis
+    for rows, target in ((h, pair.h), (m, pair.h)):
+        got = max_bracket_residual(rows, target)
+        assert got == ref_closure(rows, target) == max_bracket_residual(rows, target, rows)
+    assert max_bracket_residual(h, pair.m, m) == ref_closure(h, pair.m, m)
+
+
+def test_same_basis_closure_brackets_only_the_pairs_i_below_j(monkeypatch):
+    pair = build_pair(Family("H", 3, 2))
+    sizes = []
+    residual = RealSubspace.residual
+    monkeypatch.setattr(RealSubspace, "residual",
+                        lambda self, X: sizes.append(len(X)) or residual(self, X))
+    for space, target in ((pair.h, pair.h), (pair.m, pair.h)):
+        k = space.dim
+        sizes.clear()
+        max_bracket_residual(space.basis, target)
+        # row i brackets x_i with x_(i+1), ..., x_(k-1) only
+        assert sizes == list(range(k - 1, 0, -1))
+        assert sum(sizes) == k * (k - 1) // 2
+    sizes.clear()
+    max_bracket_residual(pair.h.basis, pair.m, pair.m.basis)
+    assert sizes == [pair.m.dim] * pair.h.dim
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+def test_halved_closure_reports_a_perturbed_generator(field, index):
+    # the first generator is only ever a row of the halved closure, the last
+    # only a column; either way the defect reads as in the full loop
+    pair = build_pair(Family(field, 3, 2))
+    rows = np.array(pair.h.basis)
+    rows[index, 0, 1] += 1e-3
+    got = max_bracket_residual(rows, pair.h)
+    assert got == ref_closure(rows, pair.h)
+    assert got > 1e-5
+
+
+def test_stacked_axiom_draws_take_the_normals_of_the_interleaved_loop():
+    pair = build_pair(Family("C", 3, 2))
+    rng = np.random.default_rng(21)
+    ref = copy.deepcopy(rng)
+    XY = pair.g.random_element(rng, size=40)
+    # the former loop drew X, then Y, twenty times
+    normals = []
+    for _ in range(20):
+        normals += [ref.standard_normal(pair.g.dim), ref.standard_normal(pair.g.dim)]
+    # so rows 0::2 of the stack are the X draws and rows 1::2 the Y draws
+    assert_array_equal(XY, pair.g.combine(np.stack(normals)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # the check pairs X_t with Y_t, draw by draw
+    rep = check_symmetric_axioms(pair, rng=np.random.default_rng(21))
+    auto = max(np.linalg.norm(bracket(pair.involution(X), pair.involution(Y))
+                              - pair.involution(bracket(X, Y)), axis=(0, 1))
+               for X, Y in zip(XY[0::2], XY[1::2]))
+    observed = {c.name.split("standard_")[1]: c.observed for c in rep.checks}
+    assert observed["involution_automorphism"] == auto > 0
+    # the whole check consumes the stream as the per-draw loops did
+    rng, ref = np.random.default_rng(22), np.random.default_rng(22)
+    check_symmetric_axioms(pair, rng=rng)
+    for _ in range(40):
+        ref.standard_normal(pair.g.dim)
+    for _ in range(10):
+        ref.standard_normal(pair.h.dim)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_axiom_draws_are_bracketed_as_stacks(field, monkeypatch):
+    pair = build_pair(Family(field, 3, 2))
+    shapes = []
+    monkeypatch.setattr(pairs, "bracket",
+                        lambda X, Y: shapes.append((X.shape, Y.shape)) or bracket(X, Y))
+    assert check_symmetric_axioms(pair).ok
+    N = pair.carrier_dim
+    # one stacked bracket for [tX, tY] and one for [X, Y], over all 20 draws
+    assert shapes.count(((20, N, N), (20, N, N))) == 2
+    # no bracket of two single matrices: no loop over the draws
+    assert all(len(a) == 3 or len(b) == 3 for a, b in shapes)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_isotropy_matrix_of_a_stack_is_the_stack_of_matrices(field):
+    pair = build_pair(Family(field, 3, 2))
+    rng = np.random.default_rng(19)
+    Z = pair.h.random_element(rng, size=4)
+    M = isotropy_matrix(pair, Z)
+    assert M.shape == (4, pair.m.dim, pair.m.dim)
+    assert_array_equal(M, np.stack([isotropy_matrix(pair, z) for z in Z]))
+    bad = Z.copy()
+    bad[2] = pair.m.random_element(rng)
+    with pytest.raises(ValueError, match="isotropy algebra"):
+        isotropy_matrix(pair, bad)
+
+
+def test_build_pair_peak_memory_stays_near_its_bases():
+    # the carrier stacks are filled block by block and each _mat is written
+    # once, so no padded or transposed copy of a generator stack is alive
+    # next to the two column matrices
+    build_pair(Family("H", 2, 1))
+    tracemalloc.start()
+    try:
+        pair = build_pair(Family("H", 6, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * (pair.h._mat.nbytes + pair.m._mat.nbytes)
