@@ -17,6 +17,9 @@ h ∩ C(S), solved from one eig of S as a projector of side dim C(S)
 (2n for R, 2(n - 1) for C, 8n for H) instead of a dim m x (dim h + 1)
 system.  stabilizers_report solves every ray by the route with the
 smaller per-ray system (commutant_is_smaller) and the first ray by both.
+orbits_report builds no stabilizer basis: it compares a ray's stabilizer
+with its partner's as kernels of their systems (ray_stabilizer_mismatch)
+and counts strata dimensions from singular values (stabilizer_dims).
 Normal-form routines reduce a generic null vector to a diagonal matrix
 whose invariant-form Gram takes an antidiagonal corner shape: the unitary
 form for the complex family, the symplectic form for the quaternionic one.
@@ -36,7 +39,7 @@ orbits suites run them.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,6 +68,9 @@ class NullBatch:
     eigenvalues holds n entries per row; for the quaternionic family these
     are the clustered values of the doubled spectrum of the complex carrier.
     genericity means all pairwise gaps exceed the sampling threshold.
+    eig is one stacked np.linalg.eig of S, computed on first use and shared
+    by the partner construction and the unitary normal form; take and
+    concat do not carry it.
     """
 
     S: np.ndarray
@@ -76,6 +82,11 @@ class NullBatch:
 
     def __len__(self) -> int:
         return self.S.shape[0]
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) of np.linalg.eig(S): eigenvalues (k, N), eigenvector columns (k, N, N)."""
+        return np.linalg.eig(self.S)
 
     def take(self, idx) -> "NullBatch":
         """Rows selected by an index array or boolean mask."""
@@ -120,7 +131,8 @@ class RayStabilizers:
         return RealSubspace(self.bases[i], tol=tol)
 
     def take(self, idx) -> "RayStabilizers":
-        """The rays of an index array, in its order."""
+        """The rays of an index array, in its order, or of a boolean mask."""
+        idx = np.arange(len(self.dims))[idx]
         return RayStabilizers(self.dims[idx], [self.bases[i] for i in idx],
                               [self.scales[i] for i in idx], self.residuals[idx],
                               None if self.margins is None else self.margins[idx])
@@ -372,6 +384,35 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     return A.transpose(0, 2, 1)
 
 
+def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, tol: Tolerance,
+                      vt: str | None = None):
+    """Ranks (k,) of the stabilizer systems of a stack S (k, N, N): one
+    stacked SVD and the relative cut s > tol.rank_rel * s_max (the frame of
+    m keeps the full system's singular values up to one common factor).
+
+    vt=None takes singular values alone.  vt="full" also returns all of
+    V^T, whose last (dim h + 1) - rank rows span each kernel (a full SVD
+    only where dim m < dim h + 1); vt="reduced" returns the reduced V^T,
+    whose first rank rows span the complement of each kernel.
+    """
+    A = _stabilizer_system(pair, np.asarray(S, dtype=complex))
+    if vt is None:
+        s = np.linalg.svd(A, compute_uv=False)
+    else:
+        full = vt == "full" and pair.m.dim < pair.h.dim + 1
+        s, v = np.linalg.svd(A, full_matrices=full)[1:]
+    rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
+    return rank if vt is None else (rank, v)
+
+
+def stabilizer_dims(pair: SymmetricPair, S: np.ndarray,
+                    tol: Tolerance | None = None) -> np.ndarray:
+    """Ray stabilizer dimensions (k,) of a stack S (k, N, N), from the
+    singular values of the stabilizer systems alone: the dims of
+    stabilizers_of_rays without a kernel vector."""
+    return pair.h.dim + 1 - _stabilizer_ranks(pair, S, tol or pair.tol)
+
+
 def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
                         tol: Tolerance | None = None) -> RayStabilizers:
     """Ray stabilizers of a stack of null vectors S (k, N, N).
@@ -379,21 +420,41 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
     Each ray's real system has the brackets [h_i, S] and -S as columns,
     written in the pair's orthonormal frame of m (_stabilizer_system), so
     it has dim m rows rather than 2 N^2; one stacked SVD gives every
-    kernel, with the rank cut of _kernel_cols.  Where dim m < dim h + 1 (C
-    and H) the SVD is full, so that all of V^T is at hand, and each ray's
-    kernel is the last (dim h + 1) - rank rows, returned as matrices and
-    ray coefficients (_kernel_bases).  The frame keeps every
-    singular value of the full realified system, or scales all of them by
-    one factor (H), so the relative cuts are those of the full system.
-    The stack is solved whole; trial_blocks sizes stacks to a memory bound.
+    kernel, with the rank cut of _stabilizer_ranks.  Each ray's kernel is
+    the last (dim h + 1) - rank rows of V^T, returned as matrices and ray
+    coefficients (_kernel_bases).  The stack is solved whole; trial_blocks
+    sizes stacks to a memory bound.
     """
     tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)
-    wide = pair.m.dim < pair.h.dim + 1
-    s, vt = np.linalg.svd(_stabilizer_system(pair, S), full_matrices=wide)[1:]
-    rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
+    rank, vt = _stabilizer_ranks(pair, S, tol, vt="full")
     dims = vt.shape[-1] - rank
     return RayStabilizers(dims, *_kernel_bases(pair, S, vt, dims))
+
+
+def ray_stabilizer_mismatch(pair: SymmetricPair, S: np.ndarray, T: np.ndarray,
+                            tol: Tolerance | None = None):
+    """Ray stabilizers of two stacks S and T (k, N, N) compared row by row
+    as kernels of their systems: (dims of S, dims of T, mismatch), each (k,).
+
+    mismatch[i] is |vt_i K_i^T|_F, with K_i the orthonormal kernel rows of
+    S_i, in (x, c) coordinates, and vt_i the rows of T_i's reduced SVD that
+    span the complement of its kernel: sqrt(sum sin^2) over the principal
+    angles, 0 exactly when S_i's kernel lies in T_i's, symmetric for equal
+    dimensions and at least the largest sine.  X -> x is an isomorphism,
+    so equal kernels are equal stabilizers with equal ray coefficients.
+    """
+    tol = tol or pair.tol
+    rank, vt = _stabilizer_ranks(pair, S, tol, vt="full")
+    rank_t, vt_t = _stabilizer_ranks(pair, T, tol, vt="reduced")
+    dims = vt.shape[-1] - rank
+    d = int(dims.max(initial=0))
+    tail = vt[:, vt.shape[1] - d:]  # ray i's kernel is its last dims[i] rows
+    C = vt_t @ tail.transpose(0, 2, 1)
+    own = ((np.arange(C.shape[1]) < rank_t[:, None])[:, :, None]
+           & (np.arange(d) >= (d - dims)[:, None])[:, None, :])
+    mismatch = np.sqrt(np.where(own, C * C, 0.0).sum(axis=(1, 2)))
+    return dims, vt.shape[-1] - rank_t, mismatch
 
 
 def _kernel_bases(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray, dims: np.ndarray):
@@ -619,7 +680,7 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch,
     if not np.all(batch.genericity):
         raise ValueError("the partner construction needs a generic spectrum")
     S = batch.S
-    w, V = np.linalg.eig(S)
+    w, V = batch.eig
     M = (V * -np.conj(w)[:, None, :]) @ np.linalg.inv(V)
     if pair.family.field == "R":
         M = M.real.astype(complex)
@@ -673,7 +734,7 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch,
         raise ValueError("normal form needs a generic spectrum")
     S, F = batch.S, pair.carrier_form
     k, n = S.shape[:2]
-    w, V = np.linalg.eig(S)
+    w, V = batch.eig
     upper, real, r = _spectrum_classes(w, batch.gap, tol)
     rows = np.arange(k)
     up = np.lexsort((w.imag, w.real, ~upper), axis=-1)
@@ -955,10 +1016,9 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0,
             worst_canon = max(worst_canon, float(normal_form_residuals(pair, P, r).max()))
         partners, pairings = partner_null_batch(pair, batch, tol)
         worst_pairing = max(worst_pairing, float(pairings.max()))
-        st = stabilizers_of_rays(pair, batch.S, tol)
-        st_hat = stabilizers_of_rays(pair, partners.S, tol)
-        stab_match = stab_match and bool(np.array_equal(st.dims, st_hat.dims))
-        worst_theta = max(worst_theta, float(stabilizer_mismatch(st, st_hat).max()))
+        dims, dims_hat, theta = ray_stabilizer_mismatch(pair, batch.S, partners.S, tol)
+        stab_match = stab_match and bool(np.array_equal(dims, dims_hat))
+        worst_theta = max(worst_theta, float(theta.max()))
     t = fam.tag
     if canonicalize is not None:
         rep.residual(f"{t}_canonical_gram", worst_canon, 1e-9,
@@ -977,7 +1037,7 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0,
             for k in trial_blocks(pair, trials):
                 batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng, tol=tol)
                 n_class += int(np.count_nonzero(so21_orbit_class(batch.S, tol) == stratum))
-                sdims.update(stabilizers_of_rays(pair, batch.S, tol).dims.tolist())
+                sdims.update(stabilizer_dims(pair, batch.S, tol).tolist())
             rep.equals(f"R21_stratum_{stratum}_classified", n_class, trials,
                        anchor="stratum samples classify as their stratum")
             rep.equals(f"R21_stratum_{stratum}_stab_dim", tuple(sorted(sdims)), (sdim,),

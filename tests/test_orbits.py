@@ -4,7 +4,7 @@ real rank-one pair, and the eigenframe-adapted partner construction."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import null_space
+from scipy.linalg import null_space, subspace_angles
 
 from nullcone import orbits, pairs
 from nullcone.linalg import QMat, Tolerance, _kernel_cols, bracket, quat_embed, realify
@@ -15,10 +15,13 @@ from nullcone.orbits import (
     canonicalize_unitary_batch,
     codimension_from_stabilizer,
     make_null_batch,
+    orbits_report,
     partner_null_batch,
+    ray_stabilizer_mismatch,
     sample_null_batch,
     sample_so21_stratum_batch,
     so21_orbit_class,
+    stabilizer_dims,
     stabilizer_mismatch,
     stabilizers_by_commutant,
     stabilizers_of_rays,
@@ -979,3 +982,136 @@ def test_stacked_strata_labels_judge_each_matrix_at_its_own_norm():
 
 
 STRATA = ("open", "two-step-nilpotent", "one-step-nilpotent")
+
+
+# ---------------------------------------------------------------------------
+# the orbits census compares a ray's stabilizer with its partner's as
+# kernels of the two stabilizer systems, and counts strata dimensions from
+# singular values alone
+# ---------------------------------------------------------------------------
+
+
+PARTNER_CASES = [(f, pq) for f in "RCH" for pq in ((2, 1), (3, 2))]
+
+
+@pytest.mark.parametrize("field,pq", PARTNER_CASES)
+def test_kernel_comparison_agrees_with_the_basis_comparison(field, pq):
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 6, rng=21)
+    partners, _ = partner_null_batch(pair, batch)
+    dims, dims_hat, theta = ray_stabilizer_mismatch(pair, batch.S, partners.S)
+    st = stabilizers_of_rays(pair, batch.S)
+    st_hat = stabilizers_of_rays(pair, partners.S)
+    assert np.array_equal(dims, st.dims) and np.array_equal(dims_hat, st_hat.dims)
+    assert dims.tolist() == [EXPECTED_STAB_DIM[field](pair.family.n)] * 6
+    assert theta.shape == (6,) and theta.max() < 1e-9
+    assert stabilizer_mismatch(st, st_hat).max() < 1e-9
+
+
+def _kernel_reference(pair, S):
+    """Each ray's kernel of its stabilizer system, by scipy's null_space."""
+    return [null_space(A, rcond=1e-10) for A in orbits._stabilizer_system(pair, S)]
+
+
+@pytest.mark.parametrize("field,pq", [("C", (2, 1)), ("H", (2, 1)), ("C", (3, 2))])
+def test_kernel_comparison_is_the_root_sum_of_squared_sines(field, pq):
+    # another ray's stabilizer: the principal angles are far from 0, and
+    # the comparison is sqrt(sum sin^2) over them, the same both ways
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 4, rng=22)
+    S, T = batch.S, np.roll(batch.S, 1, axis=0)
+    _, _, theta = ray_stabilizer_mismatch(pair, S, T)
+    _, _, back = ray_stabilizer_mismatch(pair, T, S)
+    want = [np.sqrt((np.sin(subspace_angles(a, b)) ** 2).sum())
+            for a, b in zip(_kernel_reference(pair, S), _kernel_reference(pair, T))]
+    assert min(want) > 0.1
+    assert_allclose(theta, want, rtol=1e-9)
+    assert_allclose(back, want, rtol=1e-9)
+    # a ray against itself
+    assert ray_stabilizer_mismatch(pair, S, S)[2].max() < 1e-12
+
+
+@pytest.mark.parametrize("field,pq", [(f, pq) for f in "CH" for pq in ((2, 1), (3, 2))])
+def test_rolled_partners_fail_the_partner_stabilizer_check(field, pq, monkeypatch):
+    # generic R rays have trivial stabilizers, so only C and H can tell
+    pair = build_pair(Family(field, *pq))
+    name = f"{pair.family.tag}_stab_equals_partner_stab"
+    checks = {c.name: c for c in orbits_report(pair, 6, seed=3).checks}
+    assert checks[name].status == "pass"
+    partner = orbits.partner_null_batch
+
+    def rolled(pair, batch, tol=None):
+        hat, pairings = partner(pair, batch, tol)
+        return hat.take(np.roll(np.arange(len(hat)), 1)), pairings
+
+    monkeypatch.setattr(orbits, "partner_null_batch", rolled)
+    checks = {c.name: c for c in orbits_report(pair, 6, seed=3).checks}
+    assert checks[name].status == "fail" and checks[name].observed > 0.1
+    assert checks[f"{pair.family.tag}_stab_dims_match_partner"].status == "pass"
+
+
+def test_strata_dimensions_from_singular_values_match_the_kernels():
+    pair = build_pair(Family("R", 2, 1))
+    rng = np.random.default_rng(23)
+    for stratum, want in zip(STRATA, (0, 1, 2)):
+        S = sample_so21_stratum_batch(pair, stratum, 50, rng=rng).S
+        dims = stabilizer_dims(pair, S)
+        assert np.array_equal(dims, stabilizers_of_rays(pair, S).dims)
+        assert dims.tolist() == [want] * 50
+    for field in "CH":
+        pair = build_pair(Family(field, 2, 1))
+        S = sample_null_batch(pair, 50, rng=rng).S
+        assert np.array_equal(stabilizer_dims(pair, S), stabilizers_of_rays(pair, S).dims)
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_orbits_report_builds_no_basis_and_no_span_test(field, monkeypatch):
+    pair = build_pair(Family(field, 2, 1))
+    pair.m.frame  # the frame of m is a cache of the pair, built once
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the orbits census builds no stabilizer basis")
+
+    monkeypatch.setattr(orbits, "_kernel_bases", forbidden)
+    monkeypatch.setattr(orbits, "stabilizer_mismatch", forbidden)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    rep = orbits_report(pair, 8, seed=4)
+    assert rep.checks and all(c.status == "pass" for c in rep.checks)
+
+
+def test_one_eig_per_complex_batch(monkeypatch):
+    # the partner construction and the unitary normal form share one eig
+    pair = build_pair(Family("C", 2, 1))
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    monkeypatch.setattr(orbits, "BLOCK_BYTES", 4 * orbits._stabilizer_row_bytes(pair))
+    assert trial_blocks(pair, 10) == [4, 4, 2]
+    rep = orbits_report(pair, 10, seed=5)
+    assert all(c.status == "pass" for c in rep.checks)
+    assert calls == [(4, 3, 3), (4, 3, 3), (2, 3, 3)]
+    batch = sample_null_batch(pair, 3, rng=5)
+    w, V = batch.eig
+    assert batch.eig[1] is V
+    assert "eig" not in vars(batch.take([0, 1]))
+    assert "eig" not in vars(NullBatch.concat([batch, batch]))
+    assert_allclose(batch.take([2]).eig[0], w[2:], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("idx", [[2, 0], [False, True, True], np.array([True, False, True])],
+                         ids=["ints", "bool-list", "bool-array"])
+def test_ray_stabilizers_take_indices_and_masks(idx):
+    pair = build_pair(Family("C", 2, 1))
+    st = stabilizers_of_rays(pair, sample_null_batch(pair, 3, rng=24).S)
+    rows = np.arange(3)[idx].tolist()
+    picked = st.take(idx)
+    assert picked.dims.tolist() == st.dims[rows].tolist()
+    assert picked.residuals.tolist() == st.residuals[rows].tolist()
+    assert len(picked.bases) == len(picked.scales) == len(rows)
+    for j, i in enumerate(rows):
+        assert picked.bases[j] is st.bases[i] and picked.scales[j] is st.scales[i]
