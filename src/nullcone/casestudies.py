@@ -195,9 +195,9 @@ class SU21Data(CaseStudy):
         return self.n_space.combine(c * np.repeat([1.0, -1.0], 3))
 
 
-def _certify_null(pair: SymmetricPair, S: np.ndarray, tol: Tolerance) -> None:
+def _certify_null(pair: SymmetricPair, S: np.ndarray) -> None:
     """Raise unless the ray vector S is null, by make_null_batch on one row."""
-    if make_null_batch(pair, S[None], tol).nullity_residual[0] > tol.abs:
+    if make_null_batch(pair, S[None]).nullity_residual[0] > pair.tol.abs:
         raise ValueError("ray vector is not null")
 
 
@@ -217,12 +217,12 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
         S = quat_embed(QMat(S, np.zeros((3, 3), dtype=complex)))
     if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
         raise ValueError("case-study basis element escapes the isotropy algebra")
-    _certify_null(pair, S, tol)
-    stab = stabilizers_of_rays(pair, S[None], tol)
+    _certify_null(pair, S)
+    stab = stabilizers_of_rays(pair, S[None])
     b_space = RealSubspace(b_basis, tol=tol)
     if stab.dims[0] != len(b_basis) or not b_space.equals(stab.subspace(0, tol)):
         raise ValueError("hard-coded stabilizer disagrees with the computed one")
-    split, a = reductive_split(pair, b_space, tol, rng=seed), float(mu.real)
+    split, a = reductive_split(pair, b_space, rng=seed), float(mu.real)
     S_hat = pair.involution(S)
     n_hat, _ = orth_complement(RealSubspace([S, S_hat], tol=tol), pair.m, pair.form, tol)
     e_hat, eps_hat = signed_gram_schmidt(pair.form, n_hat, np.random.default_rng(seed), tol)
@@ -362,11 +362,12 @@ def su21_build(a: float = 1.0, seed: int = 0,
                     n_ginv=np.linalg.inv(gram_matrix(form, n_basis)))
 
 
-def su21_invariants(data: SU21Data, tol: Tolerance = DEFAULT_TOL, rng=1) -> Report:
+def su21_invariants(data: SU21Data, rng=1) -> Report:
     """Structural invariants: totally null halves, bracket routing, J algebra.
 
     The J identities are checked on 50 pairs drawn from default_rng(rng)."""
     rep = Report(suite="su21_invariants")
+    tol = data.pair.tol
     K = data.pair.form
     plus, minus = data.n_plus.basis, data.n_minus.basis
     null = max(np.abs(gram_matrix(K, plus)).max(), np.abs(gram_matrix(K, minus)).max())
@@ -390,11 +391,11 @@ def su21_invariants(data: SU21Data, tol: Tolerance = DEFAULT_TOL, rng=1) -> Repo
     return rep
 
 
-def su21_bracket_table(data: SU21Data, trials: int = 100, rng=0,
-                       tol: Tolerance = DEFAULT_TOL) -> Report:
+def su21_bracket_table(data: SU21Data, trials: int = 100, rng=0) -> Report:
     """The three closed-form brackets of the graded basis elements."""
     rng = np.random.default_rng(rng)
     rep = Report(suite="su21_brackets")
+    tol = data.pair.tol
     spot = bracket(v_plus(1, 0), v_minus(1, 0))
     rep.residual("su21_bracket_spot_value",
                  float(np.linalg.norm(spot - np.diag([-1, 0, 1]))), tol.abs,
@@ -427,15 +428,13 @@ def su21_bracket_table(data: SU21Data, trials: int = 100, rng=0,
     return rep
 
 
-def su21_ad_action(data: SU21Data, phi: float = np.pi / 3, r: float = 2.0,
-                   trials: int = 20, rng=0,
-                   tol: Tolerance = DEFAULT_TOL) -> Report:
-    """Conjugation by the diagonal group family versus the parameter map."""
-    if r == 0:
-        raise ValueError("r must be nonzero")
+def su21_ad_action(data: SU21Data, trials: int = 20, rng=0) -> Report:
+    """Conjugation by the diagonal group family versus the parameter map,
+    at the group element b_group(pi / 3, 2)."""
     rng = np.random.default_rng(rng)
     rep = Report(suite="su21_ad")
     T = data.pair.hermitian_matrix
+    phi, r = np.pi / 3, 2.0
     b = b_group(phi, r)
     rep.residual("su21_ad_group_membership",
                  float(np.abs(b.conj().T @ T @ b - T).max())
@@ -446,7 +445,7 @@ def su21_ad_action(data: SU21Data, phi: float = np.pi / 3, r: float = 2.0,
                  1e-9, anchor="family fixes the sampled ray")
     ident = b_group(0.0, 1.0)
     rep.residual("su21_ad_identity_parameters",
-                 float(np.abs(ident - np.eye(3)).max()), tol.abs,
+                 float(np.abs(ident - np.eye(3)).max()), data.pair.tol.abs,
                  anchor="trivial parameters give the identity")
     # per trial: x and y as (re, im) pairs, then d and g
     c = rng.standard_normal((trials, 6))
@@ -531,10 +530,10 @@ def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
     min(trials, 10) triples; the other identities draw `trials`."""
     rep = Report("su21", seed)
     d = su21_build(seed=seed, tol=tol)
-    rep.absorb(su21_invariants(d, tol, rng=seed))
-    rep.absorb(su21_bracket_table(d, trials=trials, rng=seed, tol=tol))
+    rep.absorb(su21_invariants(d, rng=seed))
+    rep.absorb(su21_bracket_table(d, trials=trials, rng=seed))
     rep.absorb(grading_report(d, "su21"))
-    rep.absorb(su21_ad_action(d, trials=min(trials, 50), rng=seed, tol=tol))
+    rep.absorb(su21_ad_action(d, trials=min(trials, 50), rng=seed))
     rep.absorb(su21_nabla_J_report(d, trials=trials, rng=seed))
     lam, lam_res = su21_constant_type(d, trials=max(trials, 100), rng=seed)
     rep.add("su21_constant_type", abs(lam - 0.5) <= 1e-8, lam, 0.5, 1e-8,
@@ -558,7 +557,7 @@ def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
                anchor="Casimir is a multiple of the identity")
     rep.info("su21_wang_ziller_constant", wz_c,
              anchor="fitted Casimir multiple")
-    hk, note = homothety_check(d.split, d.S, d.S_hat, tol=tol)
+    hk, note = homothety_check(d.split, d.S, d.S_hat)
     rep.equals("su21_partner_complement_matches", hk, True, anchor=note)
     rep.info("su21_first_bianchi_residual",
              _first_bianchi_worst(d.split, d.n_space, seed, min(trials, 10)),
@@ -657,9 +656,10 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
                     n2=RealSubspace(n_basis[4:8], tol=tol), A_basis=A_basis, eps_A=eps_A)
 
 
-def sp21_subalgebra_profiles(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
+def sp21_subalgebra_profiles(data: SP21Data) -> Report:
     """The two stabilizer factors: profiles, orthogonality, commutation."""
     rep = Report(suite="sp21_factors")
+    tol = data.pair.tol
     prof1 = algebra_profile(data.b1, tol)
     rep.equals("sp21_factor1_profile", (prof1[0], prof1[1], prof1[2], prof1[3]),
                (3, (0, 3, 0), 0, 3),
@@ -681,11 +681,11 @@ def sp21_subalgebra_profiles(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Re
     return rep
 
 
-def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0,
-                         tol: Tolerance = DEFAULT_TOL) -> Report:
+def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0) -> Report:
     """Coordinate formulas for the stabilizer action on the complement."""
     rng = np.random.default_rng(rng)
     rep = Report(suite="sp21_actions")
+    tol = data.pair.tol
     rep.residual("sp21_action_zero", float(np.linalg.norm(
         bracket(B_elem(0, 0, 0, 0, 0), data.n_basis[0]))), tol.abs,
         anchor="zero stabilizer element acts as zero")
@@ -729,8 +729,7 @@ def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0,
     return rep
 
 
-def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0,
-                          tol: Tolerance = DEFAULT_TOL) -> Report:
+def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0) -> Report:
     """The pairing identity between the two boundary rays.
 
     Checks, over random complement elements A, B:
@@ -789,10 +788,11 @@ def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0,
     return rep
 
 
-def sp21_hatn_isometry(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> Report:
+def sp21_hatn_isometry(data: SP21Data) -> Report:
     """The explicit chart map onto the tangent-summand complement."""
     rep = Report(suite="sp21_isometry")
     pair = data.pair
+    tol = pair.tol
     imgs = np.stack([hatn_isometry_map(N) for N in data.n_basis])
     in_m = float(pair.m.residual(imgs).max())
     rep.residual("sp21_isometry_lands_in_m", in_m, tol.abs,
@@ -834,8 +834,7 @@ def phi_sp1(u: complex, v: complex) -> np.ndarray:
     return _quat({(0, 0): 1.0, (1, 1): u, (2, 2): 1.0}, {(1, 1): v})
 
 
-def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
-                         tol: Tolerance = DEFAULT_TOL) -> Report:
+def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0) -> Report:
     """Group-level check of the two stabilizer factors.
 
     Random unit quaternions and random determinant-one 2x2 matrices are
@@ -845,6 +844,7 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
     """
     rng = np.random.default_rng(rng)
     rep = Report(suite="sp21_embedding")
+    tol = data.pair.tol
     Fc = data.pair.carrier_form
 
     def membership(W):
@@ -911,7 +911,7 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0,
     return rep
 
 
-def _sp21_doubled(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> SP21Data:
+def _sp21_doubled(data: SP21Data) -> SP21Data:
     """The case study at a = 2a, derived from `data` instead of rebuilt.
 
     2S spans the ray of S, so the stabilizer, the split, the nine-frame and
@@ -920,7 +920,7 @@ def _sp21_doubled(data: SP21Data, tol: Tolerance = DEFAULT_TOL) -> SP21Data:
     ray keeps its own nullity certificate.
     """
     S = 2 * data.S
-    _certify_null(data.pair, S, tol)
+    _certify_null(data.pair, S)
     return replace(data, a=2 * data.a, mu=2 * data.mu, S=S, S_hat=2 * data.S_hat)
 
 
@@ -932,11 +932,11 @@ def sp21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
     min(trials, 10) triples."""
     rep = Report("sp21", seed)
     s = sp21_build(seed=seed, tol=tol)
-    rep.absorb(sp21_subalgebra_profiles(s, tol))
-    rep.absorb(sp21_action_formulas(s, trials=trials, rng=seed, tol=tol))
-    rep.absorb(sp21_duality_identity(s, trials=trials, rng=seed, tol=tol))
-    rep.absorb(sp21_hatn_isometry(s, tol))
-    rep.absorb(sp21_embedding_check(s, trials=min(trials, 20), rng=seed, tol=tol))
+    rep.absorb(sp21_subalgebra_profiles(s))
+    rep.absorb(sp21_action_formulas(s, trials=trials, rng=seed))
+    rep.absorb(sp21_duality_identity(s, trials=trials, rng=seed))
+    rep.absorb(sp21_hatn_isometry(s))
+    rep.absorb(sp21_embedding_check(s, trials=min(trials, 20), rng=seed))
     chi = frame_casimir(s.split, s.A_basis, s.eps_A)
     rep.residual("sp21_casimir_multiple",
                  float(np.abs(chi - 6.0 * np.eye(12)).max()), 1e-8,
@@ -950,15 +950,13 @@ def sp21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
                anchor="Casimir is a multiple of the identity")
     rep.info("sp21_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")
     rep.absorb(grading_report(s, "sp21"))
-    rep.absorb(sp21_duality_identity(_sp21_doubled(s, tol), trials=trials, rng=seed,
-                                     tol=tol), "a2_")
+    rep.absorb(sp21_duality_identity(_sp21_doubled(s), trials=trials, rng=seed), "a2_")
     ein, ein_res = einstein_fit(s.split)
     rep.add("sp21_einstein", abs(ein - 7.0) <= 1e-7, ein, 7.0, 1e-7,
             anchor="Einstein constant of the induced metric (derived value)")
     rep.residual("sp21_einstein_isotropy", ein_res, 1e-7,
                  anchor="Ricci tensor is an exact multiple of the metric")
-    hk, note = homothety_check(s.split, s.S, s.S_hat,
-                               isometry=hatn_isometry_map, tol=tol)
+    hk, note = homothety_check(s.split, s.S, s.S_hat, isometry=hatn_isometry_map)
     rep.equals("sp21_partner_complement_matches", hk, True, anchor=note)
     rep.absorb(torsion_derivation_check(s.split), "sp21_")
     rep.info("sp21_first_bianchi_residual",

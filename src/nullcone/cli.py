@@ -65,11 +65,12 @@ def suite_axioms(cfg: SuiteConfig) -> Report:
 
 
 def _census(cfg: SuiteConfig, report) -> Report:
-    """report(pair, trials, seed, tol) on the pair of every family."""
+    """report(pair, trials, seed) on the pair of every family; the report
+    reads the tolerance from the pair."""
     rep = Report(cfg.suite, cfg.seed)
     for fam in cfg.families():
         pair = build_pair(fam, tol=cfg.tolerance)
-        rep.absorb(report(pair, cfg.trials, cfg.seed, cfg.tolerance))
+        rep.absorb(report(pair, cfg.trials, cfg.seed))
         # free this pair and its cached frames before the next build
         del pair
     return rep

@@ -34,6 +34,7 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+MAX_REMIX = 100  # signed_gram_schmidt gives up after this many random remixes
 
 
 @dataclass(frozen=True)
@@ -445,15 +446,14 @@ def algebra_profile(space: RealSubspace, tol: Tolerance = DEFAULT_TOL):
 
 def signed_gram_schmidt(form: BilinForm, space: RealSubspace,
                         rng: np.random.Generator | None = None,
-                        tol: Tolerance = DEFAULT_TOL,
-                        max_remix: int = 100):
+                        tol: Tolerance = DEFAULT_TOL):
     """Basis with form(e_i, e_j) = eps_i delta_ij, eps_i in {+1, -1}.
 
     Pivoting picks the largest |form(v, v)| first.  Subspaces can contain
     large totally null chunks where every remaining self-pairing vanishes;
     in that case the remaining vectors are remixed with random coefficients
-    and the sweep continues.  Requires the form to be nondegenerate on the
-    space.  Returns (basis, eps): the basis as a stack (dim, N, N) and eps
+    and the sweep continues, at most MAX_REMIX times.  Requires the form to
+    be nondegenerate on the space.  Returns (basis, eps): the basis as a stack (dim, N, N) and eps
     ordered +1 entries first.
 
     The remaining vectors are one stack V, so each pivot step is one stacked
@@ -474,7 +474,7 @@ def signed_gram_schmidt(form: BilinForm, space: RealSubspace,
         i = int(np.argmax(np.abs(self_pairs)))
         fv = self_pairs[i]
         if abs(fv) < 1e-8:
-            if remix >= max_remix:
+            if remix >= MAX_REMIX:
                 raise ValueError("form appears degenerate on the space")
             remix += 1
             coeff = rng.standard_normal((len(V), len(V)))

@@ -34,6 +34,11 @@ they are given; callers that walk many rays cut them with trial_blocks,
 which bounds the memory of one block.  stabilizers_report and
 orbits_report are the census checks of one pair, as the stabilizers and
 orbits suites run them.
+
+Tolerance contract: a routine given a pair reads its tolerance from
+pair.tol, fixed once where the pair is built (build_pair): rank cuts use
+tol.rank_rel and the genericity gap tol.abs.  Only routines without a pair
+take one (so21_orbit_class, RayStabilizers.subspace).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .pairs import SymmetricPair, t_form
 from .report import Report
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
+SAMPLE_ROUNDS = 60  # sample_null_batch redraws rejected rows at most this often
 # trial_blocks cuts a run of rays into blocks whose stacked stabilizer
 # systems stay near this many bytes, sized from N and dim h: a few hundred
 # rays of a 3 x 3 pair fit in one block, while one 968 x 254 system of the
@@ -77,7 +83,6 @@ class NullBatch:
     eigenvalues: np.ndarray
     genericity: np.ndarray
     nullity_residual: np.ndarray
-    trace_residual: np.ndarray
     gap: np.ndarray
 
     def __len__(self) -> int:
@@ -211,31 +216,28 @@ def _min_gaps(vals: np.ndarray) -> np.ndarray:
     return diffs.min(axis=(1, 2))
 
 
-def make_null_batch(pair: SymmetricPair, S: np.ndarray,
-                    tol: Tolerance | None = None) -> NullBatch:
+def make_null_batch(pair: SymmetricPair, S: np.ndarray) -> NullBatch:
     """Membership, nullity and genericity certificates for a stack (k, N, N).
 
-    Raises if a row is not in the tangent summand; one stacked residual
-    (two products with m's frame) tests membership and one stacked eigvals
-    gives the spectra.
+    Raises if a row is not in the tangent summand (which also holds it
+    traceless); one stacked residual (two products with m's frame) tests
+    membership and one stacked eigvals gives the spectra.
     """
-    tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
     if np.any(pair.m.residual(S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")
     nullity = np.abs(pair.form(S, S))
-    trace_res = np.abs(np.trace(S, axis1=1, axis2=2))
     vals = np.linalg.eigvals(S)
     if pair.family.field == "H":
         vals, spread, gap = _pair_doubled_spectra(vals)
-        generic = (spread < 1e-6 * scale) & (gap > GAP_FACTOR * tol.abs)
+        generic = (spread < 1e-6 * scale) & (gap > GAP_FACTOR * pair.tol.abs)
     else:
         gap = _min_gaps(vals)
-        generic = gap > GAP_FACTOR * tol.abs
+        generic = gap > GAP_FACTOR * pair.tol.abs
     order = np.lexsort((vals.imag, vals.real), axis=-1)
     vals = np.take_along_axis(vals, order, axis=-1)
-    return NullBatch(S, vals, generic, nullity, trace_res, gap)
+    return NullBatch(S, vals, generic, nullity, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -296,27 +298,24 @@ def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
     return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def sample_null_batch(pair: SymmetricPair, k: int, rng=0,
-                      tol: Tolerance | None = None,
-                      max_tries: int = 60) -> NullBatch:
+def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
     """k random generic null vectors (distinct spectrum, nonreal pairs present).
 
     The draws take their spectra at once, move them by the pair's
     sampling congruence (computed once per pair), conjugate them by one
     stacked linalg.expm and solve, and are certified by make_null_batch.
     Rows that fail the genericity or nullity rule are redrawn, at
-    most max_tries rounds in all.
+    most SAMPLE_ROUNDS rounds in all.
     """
-    tol = tol or pair.tol
     rng = np.random.default_rng(rng)  # a Generator passes through
     if pair.family.n < 3:
         raise ValueError("generic null vectors need p + q >= 3")
     if k < 1:
         raise ValueError("need at least one draw")
     parts, need = [], k
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_ROUNDS):
         S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng), rng)
-        batch = make_null_batch(pair, S, tol)
+        batch = make_null_batch(pair, S)
         ok = batch.genericity & (batch.nullity_residual < 1e-8)
         parts.append(batch.take(ok))
         need -= int(ok.sum())
@@ -384,11 +383,11 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     return A.transpose(0, 2, 1)
 
 
-def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, tol: Tolerance,
-                      vt: str | None = None):
+def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, vt: str | None = None):
     """Ranks (k,) of the stabilizer systems of a stack S (k, N, N): one
-    stacked SVD and the relative cut s > tol.rank_rel * s_max (the frame of
-    m keeps the full system's singular values up to one common factor).
+    stacked SVD and the relative cut s > pair.tol.rank_rel * s_max (the
+    frame of m keeps the full system's singular values up to one common
+    factor).
 
     vt=None takes singular values alone.  vt="full" also returns all of
     V^T, whose last (dim h + 1) - rank rows span each kernel (a full SVD
@@ -401,20 +400,18 @@ def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, tol: Tolerance,
     else:
         full = vt == "full" and pair.m.dim < pair.h.dim + 1
         s, v = np.linalg.svd(A, full_matrices=full)[1:]
-    rank = (s > tol.rank_rel * s[:, :1]).sum(axis=1)
+    rank = (s > pair.tol.rank_rel * s[:, :1]).sum(axis=1)
     return rank if vt is None else (rank, v)
 
 
-def stabilizer_dims(pair: SymmetricPair, S: np.ndarray,
-                    tol: Tolerance | None = None) -> np.ndarray:
+def stabilizer_dims(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     """Ray stabilizer dimensions (k,) of a stack S (k, N, N), from the
     singular values of the stabilizer systems alone: the dims of
     stabilizers_of_rays without a kernel vector."""
-    return pair.h.dim + 1 - _stabilizer_ranks(pair, S, tol or pair.tol)
+    return pair.h.dim + 1 - _stabilizer_ranks(pair, S)
 
 
-def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
-                        tol: Tolerance | None = None) -> RayStabilizers:
+def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray) -> RayStabilizers:
     """Ray stabilizers of a stack of null vectors S (k, N, N).
 
     Each ray's real system has the brackets [h_i, S] and -S as columns,
@@ -425,15 +422,13 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray,
     coefficients (_kernel_bases).  The stack is solved whole; trial_blocks
     sizes stacks to a memory bound.
     """
-    tol = tol or pair.tol
     S = np.asarray(S, dtype=complex)
-    rank, vt = _stabilizer_ranks(pair, S, tol, vt="full")
+    rank, vt = _stabilizer_ranks(pair, S, vt="full")
     dims = vt.shape[-1] - rank
     return RayStabilizers(dims, *_kernel_bases(pair, S, vt, dims))
 
 
-def ray_stabilizer_mismatch(pair: SymmetricPair, S: np.ndarray, T: np.ndarray,
-                            tol: Tolerance | None = None):
+def ray_stabilizer_mismatch(pair: SymmetricPair, S: np.ndarray, T: np.ndarray):
     """Ray stabilizers of two stacks S and T (k, N, N) compared row by row
     as kernels of their systems: (dims of S, dims of T, mismatch), each (k,).
 
@@ -444,9 +439,8 @@ def ray_stabilizer_mismatch(pair: SymmetricPair, S: np.ndarray, T: np.ndarray,
     dimensions and at least the largest sine.  X -> x is an isomorphism,
     so equal kernels are equal stabilizers with equal ray coefficients.
     """
-    tol = tol or pair.tol
-    rank, vt = _stabilizer_ranks(pair, S, tol, vt="full")
-    rank_t, vt_t = _stabilizer_ranks(pair, T, tol, vt="reduced")
+    rank, vt = _stabilizer_ranks(pair, S, vt="full")
+    rank_t, vt_t = _stabilizer_ranks(pair, T, vt="reduced")
     dims = vt.shape[-1] - rank
     d = int(dims.max(initial=0))
     tail = vt[:, vt.shape[1] - d:]  # ray i's kernel is its last dims[i] rows
@@ -590,8 +584,7 @@ def _commutant_residuals(pair: SymmetricPair, S: np.ndarray, X: np.ndarray) -> n
     return np.max(parts, axis=0)
 
 
-def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch,
-                             tol: Tolerance | None = None) -> RayStabilizers:
+def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabilizers:
     """Ray stabilizers of a batch of generic null vectors as h ∩ C(S).
 
     If [X, S] = c S with c != 0, then c tr(S^j) = tr([X, S] S^(j-1)) = 0
@@ -613,7 +606,7 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch,
     cut: a nilpotent S, whose computed eigenvalues split by about eps^(1/3)
     and can pass the gap rule of make_null_batch, has cond(V) near 1e10.
     """
-    tol = tol or pair.tol
+    tol = pair.tol
     S = batch.S
     V, Vinv, r, c = _commutant_frames(pair, S)
     margins = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
@@ -665,17 +658,17 @@ def stabilizer_mismatch(a: RayStabilizers, b: RayStabilizers) -> np.ndarray:
     return out
 
 
-def partner_null_batch(pair: SymmetricPair, batch: NullBatch,
-                       tol: Tolerance | None = None):
+def partner_null_batch(pair: SymmetricPair, batch: NullBatch):
     """Partner null vectors sharing the eigenframes of a batch, and their
-    pairings with it: (partners, pairings (k,)).
+    pairings with it: (partners (k, N, N), pairings (k,)).
 
     Each partner keeps every eigenvector of S and maps each eigenvalue to
     minus its conjugate.  On a canonical representative (eigenframe
     adapted to the involution) this is exactly the negative conjugate
     transpose; unlike the raw matrix map it commutes with isotropy
     conjugation, so the stabilizer equality it feeds is frame-independent.
-    The pairings are strictly negative.
+    The partners are projected onto m, so no membership test follows, and
+    the pairings are strictly negative.
     """
     if not np.all(batch.genericity):
         raise ValueError("the partner construction needs a generic spectrum")
@@ -690,8 +683,7 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch,
         Y = (-M[:, :n, n:] + np.conj(M[:, n:, :n])) / 2
         M = quat_embed(QMat(X, Y))
     M = pair.m.project(M)
-    partners = make_null_batch(pair, M, tol)
-    return partners, pair.form(S, M)
+    return M, pair.form(S, M)
 
 
 def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
@@ -715,8 +707,7 @@ def _spectrum_classes(vals: np.ndarray, gap: np.ndarray, tol: Tolerance):
     return upper, ~(upper | lower), r
 
 
-def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch,
-                               tol: Tolerance | None = None):
+def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
     """Bases P diagonalizing generic complex-family null vectors so that
     P* F P is the antidiagonal-corner form; returns (P (k, n, n), r (k,)).
 
@@ -727,7 +718,6 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch,
     to its conjugate; partners are scaled to pair to 1 and real eigenlines
     to +-1.  Rows are grouped by r.
     """
-    tol = tol or pair.tol
     if pair.family.field != "C":
         raise ValueError("unitary normal form applies to the complex family")
     if not np.all(batch.genericity):
@@ -735,7 +725,7 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch,
     S, F = batch.S, pair.carrier_form
     k, n = S.shape[:2]
     w, V = batch.eig
-    upper, real, r = _spectrum_classes(w, batch.gap, tol)
+    upper, real, r = _spectrum_classes(w, batch.gap, pair.tol)
     rows = np.arange(k)
     up = np.lexsort((w.imag, w.real, ~upper), axis=-1)
     free = ~(upper | real)
@@ -796,8 +786,7 @@ def _eigenplanes(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return vh[..., N - 2:, :].conj()
 
 
-def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch,
-                                  tol: Tolerance | None = None):
+def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch):
     """Bases normalizing generic quaternionic-family null vectors; returns
     (P (k, 2n, 2n), r (k,)).
 
@@ -811,7 +800,6 @@ def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch,
     and the 2 x 2 Gram, eigh, det and inverse steps run on the stack.  Rows
     are grouped by r.
     """
-    tol = tol or pair.tol
     if pair.family.field != "H":
         raise ValueError("symplectic normal form applies to the quaternionic family")
     if not np.all(batch.genericity):
@@ -829,7 +817,7 @@ def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch,
     def gram2(a, b, c, d):
         return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
-    upper, real, r = _spectrum_classes(vals, batch.gap, tol)
+    upper, real, r = _spectrum_classes(vals, batch.gap, pair.tol)
     up = np.lexsort((vals.imag, vals.real, ~upper), axis=-1)
     mid = np.lexsort((vals.real, ~real), axis=-1)
     P = np.empty_like(M)
@@ -912,16 +900,15 @@ def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str | np.nd
     return str(labels) if S.ndim == 2 else labels
 
 
-def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
-                              tol: Tolerance | None = None) -> NullBatch:
+def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int,
+                              rng=0) -> NullBatch:
     """k random representatives of one of the three strata for (R, 2, 1)."""
-    tol = tol or pair.tol
     rng = np.random.default_rng(rng)  # a Generator passes through
     fam = pair.family
     if (fam.field, fam.p, fam.q) != ("R", 2, 1):
         raise ValueError("strata sampling is defined for the real (2, 1) pair")
     if stratum == "open":
-        return sample_null_batch(pair, k, rng, tol)
+        return sample_null_batch(pair, k, rng)
     E = np.zeros((3, 3), dtype=complex)
     if stratum == "two-step-nilpotent":
         E[0, 1] = E[1, 2] = 1.0
@@ -935,7 +922,7 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
     S0 = P @ E @ P_inv
     scale = rng.uniform(0.5, 2.0, k)
     S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)
-    return make_null_batch(pair, scale[:, None, None] * S, tol)
+    return make_null_batch(pair, scale[:, None, None] * S)
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +930,7 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int, rng=0,
 # ---------------------------------------------------------------------------
 
 
-def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0,
-                       tol: Tolerance | None = None) -> Report:
+def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
     """Stabilizer dimension, orbit codimension, nullity and genericity of
     `trials` generic null vectors drawn from default_rng(seed).
 
@@ -952,12 +938,11 @@ def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0,
     (commutant_is_smaller), and the report's first ray also by the other
     route, as a reference; the two must agree in dimension and span.  The
     residual check covers every basis both routes returned."""
-    tol = tol or pair.tol
     fam = pair.family
     rep = Report("stabilizers", seed)
     rng = np.random.default_rng(seed)
-    routes = [lambda b: stabilizers_of_rays(pair, b.S, tol),
-              lambda b: stabilizers_by_commutant(pair, b, tol)]
+    routes = [lambda b: stabilizers_of_rays(pair, b.S),
+              lambda b: stabilizers_by_commutant(pair, b)]
     if commutant_is_smaller(pair):
         routes.reverse()
     primary, reference = routes
@@ -965,7 +950,7 @@ def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0,
     worst_null, worst_res, all_generic = 0.0, 0.0, True
     agree = None
     for k in trial_blocks(pair, trials):
-        batch = sample_null_batch(pair, k, rng=rng, tol=tol)
+        batch = sample_null_batch(pair, k, rng=rng)
         st = primary(batch)
         if agree is None:
             ref, first = reference(batch.take([0])), st.take([0])
@@ -994,13 +979,11 @@ def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0,
     return rep
 
 
-def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0,
-                  tol: Tolerance | None = None) -> Report:
+def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
     """Normal forms, partners and partner stabilizers of `trials` generic
     null vectors drawn from default_rng(seed); for (R, 2, 1) also the
     classification and stabilizer dimension of `trials` draws per stratum,
     from the same stream."""
-    tol = tol or pair.tol
     fam = pair.family
     rep = Report("orbits", seed)
     rng = np.random.default_rng(seed)
@@ -1010,13 +993,13 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0,
     worst_pairing = -np.inf
     stab_match = True
     for k in trial_blocks(pair, trials):
-        batch = sample_null_batch(pair, k, rng=rng, tol=tol)
+        batch = sample_null_batch(pair, k, rng=rng)
         if canonicalize is not None:
-            P, r = canonicalize(pair, batch, tol)
+            P, r = canonicalize(pair, batch)
             worst_canon = max(worst_canon, float(normal_form_residuals(pair, P, r).max()))
-        partners, pairings = partner_null_batch(pair, batch, tol)
+        partners, pairings = partner_null_batch(pair, batch)
         worst_pairing = max(worst_pairing, float(pairings.max()))
-        dims, dims_hat, theta = ray_stabilizer_mismatch(pair, batch.S, partners.S, tol)
+        dims, dims_hat, theta = ray_stabilizer_mismatch(pair, batch.S, partners)
         stab_match = stab_match and bool(np.array_equal(dims, dims_hat))
         worst_theta = max(worst_theta, float(theta.max()))
     t = fam.tag
@@ -1035,9 +1018,9 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0,
             n_class = 0
             sdims = set()
             for k in trial_blocks(pair, trials):
-                batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng, tol=tol)
-                n_class += int(np.count_nonzero(so21_orbit_class(batch.S, tol) == stratum))
-                sdims.update(stabilizer_dims(pair, batch.S, tol).tolist())
+                batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng)
+                n_class += int(np.count_nonzero(so21_orbit_class(batch.S, pair.tol) == stratum))
+                sdims.update(stabilizer_dims(pair, batch.S).tolist())
             rep.equals(f"R21_stratum_{stratum}_classified", n_class, trials,
                        anchor="stratum samples classify as their stratum")
             rep.equals(f"R21_stratum_{stratum}_stab_dim", tuple(sorted(sdims)), (sdim,),

@@ -389,10 +389,10 @@ def isotropy_matrix(pair: SymmetricPair, X: np.ndarray) -> np.ndarray:
     return np.reshape(mats, X.shape[:-2] + 2 * (pair.m.dim,))
 
 
-def check_symmetric_axioms(pair: SymmetricPair, tol: Tolerance | None = None,
+def check_symmetric_axioms(pair: SymmetricPair,
                            rng: np.random.Generator | None = None) -> Report:
-    """Verify the defining properties of the constructed pair."""
-    tol = tol or pair.tol
+    """Verify the defining properties of the constructed pair, at pair.tol."""
+    tol = pair.tol
     rng = rng or np.random.default_rng(0)
     fam = pair.family
     label = f"{fam.field}_{fam.p}{fam.q}_{pair.variant}"

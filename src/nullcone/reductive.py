@@ -8,6 +8,10 @@ R(u, v) w = -[[u, v]_b, w], and the two Ricci contractions.  The Ricci
 convention is fixed so that the Casimir constant and the Einstein
 constants of the two case studies come out with their known positive
 signs: Ric(X, Y) = sum_i eps_i K(R(X, e_i) Y, e_i).
+
+Tolerance contract: every routine reads its tolerance from the pair,
+pair.tol or split.pair.tol, fixed once where the pair is built; none takes
+a tolerance of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import numpy as np
 from .linalg import (
     BilinForm,
     RealSubspace,
-    Tolerance,
     bracket,
     gram_matrix,
     gram_signature,
@@ -114,9 +117,9 @@ class ReductiveSplit:
 
 
 def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
-                    tol: Tolerance | None = None, rng=0) -> ReductiveSplit:
+                    rng=0) -> ReductiveSplit:
     """Build the orthogonal invariant complement of b inside h."""
-    tol = tol or pair.tol
+    tol = pair.tol
     form = pair.form
     if b is not None and b.dim > 0:
         if not pair.h.contains(b.basis).all():
@@ -147,8 +150,7 @@ def torsion_eval(split: ReductiveSplit, u: np.ndarray, v: np.ndarray) -> np.ndar
     return np.tensordot(c, split.e_basis, axes=1)
 
 
-def torsion_derivation_check(split: ReductiveSplit,
-                             tol: Tolerance | None = None) -> Report:
+def torsion_derivation_check(split: ReductiveSplit) -> Report:
     """Skewness and the derivation property of the torsion.
 
     The derivation residual is [b, T(u, v)] - T([b, u]_n, v) - T(u, [b, v]_n)
@@ -156,7 +158,7 @@ def torsion_derivation_check(split: ReductiveSplit,
     preserves the torsion tensor.  [b, T(u, v)] is kept as a full matrix,
     so a part of it outside n counts too.
     """
-    tol = tol or split.pair.tol
+    tol = split.pair.tol
     rep = Report(suite="torsion")
     T = split.torsion_components
     low = T * split.eps  # K(T(e_i, e_j), e_k)
@@ -241,13 +243,13 @@ def frame_casimir(split: ReductiveSplit, basis, eps: np.ndarray) -> np.ndarray:
     return np.einsum("a,aij,ajk->ik", eps, ads, ads)
 
 
-def casimir(split: ReductiveSplit, rng=0, tol: Tolerance | None = None) -> np.ndarray:
+def casimir(split: ReductiveSplit, rng=0) -> np.ndarray:
     """Casimir of the b-action on n, sum_i eps_i ad(A_i)^2.
 
     Computed twice with independently randomized signed orthonormal bases
     of b; a mismatch means the form data is inconsistent and raises.
     """
-    tol = tol or split.pair.tol
+    tol = split.pair.tol
     d = split.dim_n
     if split.b is None or split.b.dim == 0:
         return np.zeros((d, d))
@@ -276,7 +278,7 @@ def wang_ziller_check(chi: np.ndarray):
 
 
 def homothety_check(split: ReductiveSplit, S: np.ndarray, S_hat: np.ndarray,
-                    isometry=None, tol: Tolerance | None = None):
+                    isometry=None):
     """Compare n with the orthogonal complement of span{S, S_hat} in m.
 
     Equality of dimension plus equality of signatures (up to an overall
@@ -284,8 +286,8 @@ def homothety_check(split: ReductiveSplit, S: np.ndarray, S_hat: np.ndarray,
     supplied its Gram matrix is compared entrywise as well.
     Returns (ok, note).
     """
-    tol = tol or split.pair.tol
     pair = split.pair
+    tol = pair.tol
     span = RealSubspace([S, S_hat], tol=tol)
     n_hat, _ = orth_complement(span, pair.m, pair.form, tol)
     _, sig_n = gram_signature(pair.form, split.n, tol)

@@ -205,7 +205,7 @@ def test_criterion_8_structural_invariants():
         batch = sample_null_batch(pair, 50, rng=9)
         st = stabilizers_of_rays(pair, batch.S)
         partners, pairings = partner_null_batch(pair, batch)
-        st_hat = stabilizers_of_rays(pair, partners.S)
+        st_hat = stabilizers_of_rays(pair, partners)
         assert np.array_equal(st.dims, st_hat.dims)
         assert (pairings < 0).all()
         worst_stab = max(worst_stab, stabilizer_mismatch(st, st_hat).max())

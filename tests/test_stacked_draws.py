@@ -381,7 +381,7 @@ def test_J_identities_follow_the_report_seed(monkeypatch):
         assert all(c.status == "pass" for c in rep.checks if c.name in names)
     real = casestudies.su21_invariants
     monkeypatch.setattr(casestudies, "su21_invariants",
-                        lambda data, tol, rng: real(broken_su21(data), tol, rng=rng))
+                        lambda data, rng: real(broken_su21(data), rng=rng))
     seen = [tuple(observed(su21_report(seed=seed, trials=10), n) for n in names)
             for seed in SEEDS]
     assert all(v > 0.1 for row in seen for v in row)
@@ -465,10 +465,10 @@ def test_trials_caps_the_fixed_draws(suite, trials, bianchi, embedding, monkeypa
         seen["bianchi"] = (split, space, seed, trials)
         return real_bianchi(split, space, seed, trials)
 
-    def embedding_recorded(data, trials, rng, tol):
+    def embedding_recorded(data, trials, rng):
         g = np.random.default_rng(rng)
         seen["embedding"] = (data, rng, trials, g)
-        return real_embedding(data, trials=trials, rng=g, tol=tol)
+        return real_embedding(data, trials=trials, rng=g)
 
     monkeypatch.setattr(casestudies, "_first_bianchi_worst", bianchi_recorded)
     monkeypatch.setattr(casestudies, "sp21_embedding_check", embedding_recorded)

@@ -1,0 +1,103 @@
+"""The tolerance contract: a routine given a pair, a split or case-study data
+reads its tolerance from the pair (pair.tol, split.pair.tol, data.pair.tol),
+set once where the pair is built."""
+
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from nullcone import casestudies, linalg, orbits, pairs, reductive
+from nullcone.casestudies import sp21_report, su21_report
+from nullcone.linalg import DEFAULT_TOL, Tolerance
+from nullcone.pairs import Family, build_pair
+
+# the checks that report tol.abs of their pair, by study
+TOL_ABS_CHECKS = {
+    "su21": {
+        "su21_J_squares_to_identity", "su21_ad_identity_parameters",
+        "su21_bracket_minus_formula", "su21_bracket_mixed_formula",
+        "su21_bracket_mixed_into_b", "su21_bracket_plus_formula",
+        "su21_bracket_pure_swaps_halves", "su21_bracket_self", "su21_bracket_spot_value",
+        "su21_n_halves_totally_null", "su21_torsion_antisymmetry",
+        "su21_torsion_derivation", "su21_torsion_total_skew",
+    },
+    "sp21": {
+        "sp21_action_b1_on_n1", "sp21_action_b1_on_n2", "sp21_action_b2_on_n1",
+        "sp21_action_b2_on_n2", "sp21_action_preserves_blocks", "sp21_action_zero",
+        "sp21_embed_identity", "sp21_factor1_trivial_on_n2", "sp21_factors_commute",
+        "sp21_factors_orthogonal", "sp21_isometry_gram_equal", "sp21_isometry_lands_in_m",
+        "sp21_isometry_perp_to_rays", "sp21_torsion_antisymmetry",
+        "sp21_torsion_derivation", "sp21_torsion_total_skew",
+    },
+}
+# the checks whose bound is a stated 1e-9 of their own, not the pair's tolerance
+FIXED_1E9_CHECKS = {
+    "su21": {
+        "su21_ad_fixes_ray", "su21_ad_group_law", "su21_ad_group_membership",
+        "su21_ad_parameter_map", "su21_nablaJ_anticommutes", "su21_nablaJ_pure_type",
+        "su21_nablaJ_vanishes_on_diagonal",
+    },
+    "sp21": {
+        "a2_sp21_duality_ray_pairing", "sp21_duality_ray_pairing",
+        "sp21_embed_exponential_membership", "sp21_embed_membership",
+        "sp21_embed_multiplicative",
+    },
+}
+
+
+def _functions(module):
+    return [(name, fn) for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__]
+
+
+def test_no_routine_given_a_pair_takes_a_tolerance():
+    hits = []
+    for module in (orbits, reductive, pairs, casestudies):
+        for name, fn in _functions(module):
+            params = list(inspect.signature(fn).parameters)
+            if params and params[0] in ("pair", "split", "data") and "tol" in params:
+                hits.append(f"{module.__name__}.{name}")
+    assert hits == []
+
+
+def test_options_no_caller_sets_are_constants():
+    options = {orbits.sample_null_batch: "max_tries",
+               linalg.signed_gram_schmidt: "max_remix",
+               casestudies.su21_ad_action: "phi"}
+    for fn, name in options.items():
+        assert name not in inspect.signature(fn).parameters
+    assert "r" not in inspect.signature(casestudies.su21_ad_action).parameters
+    assert [f.name for f in dataclasses.fields(orbits.NullBatch)] == [
+        "S", "eigenvalues", "genericity", "nullity_residual", "gap"]
+
+
+@pytest.mark.parametrize("study,report", [("su21", su21_report), ("sp21", sp21_report)])
+def test_the_report_tolerance_reaches_every_layer(study, report):
+    # a sub-report that fell back to DEFAULT_TOL would keep 1e-9 at 1e-8
+    base = {c.name: c.tol for c in report(trials=3).checks}
+    fine = {c.name: c.tol for c in report(trials=3, tol=Tolerance(abs=1e-8)).checks}
+    assert base.keys() == fine.keys()
+    moved = {n for n in base if fine[n] != base[n]}
+    assert moved == TOL_ABS_CHECKS[study]
+    assert all(base[n] == DEFAULT_TOL.abs and fine[n] == 1e-8 for n in moved)
+    assert {n for n in base if base[n] == 1e-9} - moved == FIXED_1E9_CHECKS[study]
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_partners_are_a_projected_stack_without_certificates(field, monkeypatch):
+    pair = build_pair(Family(field, 2, 1))
+    batch = orbits.sample_null_batch(pair, 4, rng=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the partners need no certificate")
+
+    monkeypatch.setattr(orbits, "make_null_batch", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    partners, pairings = orbits.partner_null_batch(pair, batch)
+    N = pair.carrier_dim
+    assert isinstance(partners, np.ndarray) and partners.shape == (4, N, N)
+    assert partners.dtype == complex and pairings.shape == (4,)
+    assert_allclose(pair.m.project(partners), partners, rtol=0, atol=1e-12)
