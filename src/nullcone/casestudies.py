@@ -225,7 +225,7 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     split, a = reductive_split(pair, b_space, rng=seed), float(mu.real)
     S_hat = pair.involution(S)
     n_hat, _ = orth_complement(RealSubspace([S, S_hat], tol=tol), pair.m, pair.form, tol)
-    e_hat, eps_hat = signed_gram_schmidt(pair.form, n_hat, np.random.default_rng(seed), tol)
+    e_hat, eps_hat = signed_gram_schmidt(pair.form, n_hat, np.random.default_rng(seed))
     scale = 2 * a * SQRT3  # K(S, S_hat) = -12 a^2 in both case studies
     graded = np.stack([S / scale, *e_hat, -S_hat / scale])
     grading = _conformal_grading(tuple(eps_hat), tol)

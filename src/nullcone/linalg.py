@@ -192,15 +192,22 @@ class RealSubspace:
             raise ValueError("empty basis; use RealSubspace.span for rank-safe construction")
         if basis.ndim != 3:
             raise ValueError("all basis matrices must share one shape")
-        self.shape = basis.shape[1:]
-        self.tol = tol
         # column i is realify(basis[i]), its real and imaginary halves written
         # straight into one array; C order, as BLAS rounds combine differently in F order
         flat = basis.reshape(len(basis), -1)
-        half = flat.shape[1]
-        self._mat = np.empty((2 * half, len(basis)))
-        self._mat[:half] = flat.real.T
-        self._mat[half:] = flat.imag.T
+        self._certify(np.concatenate([flat.real.T, flat.imag.T]), basis.shape[1:], tol)
+
+    @classmethod
+    def from_columns(cls, mat: np.ndarray, shape: tuple[int, int],
+                     tol: Tolerance = DEFAULT_TOL) -> "RealSubspace":
+        """The subspace whose stored columns are mat (2ab, k), kept as it is:
+        column i is realify of the i-th (a, b) basis matrix."""
+        space = cls.__new__(cls)
+        space._certify(mat, tuple(shape), tol)
+        return space
+
+    def _certify(self, mat: np.ndarray, shape: tuple[int, int], tol: Tolerance):
+        self.shape, self.tol, self._mat = shape, tol, mat
         nz = self._mat != 0
         self._block = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
         self._rows = nz[:, self._block].any(axis=1)
@@ -445,8 +452,7 @@ def algebra_profile(space: RealSubspace, tol: Tolerance = DEFAULT_TOL):
 
 
 def signed_gram_schmidt(form: BilinForm, space: RealSubspace,
-                        rng: np.random.Generator | None = None,
-                        tol: Tolerance = DEFAULT_TOL):
+                        rng: np.random.Generator | None = None):
     """Basis with form(e_i, e_j) = eps_i delta_ij, eps_i in {+1, -1}.
 
     Pivoting picks the largest |form(v, v)| first.  Subspaces can contain

@@ -31,9 +31,9 @@ canonicalize_symplectic_batch); one ray is a one-row stack.  Both
 stabilizer routes return the same RayStabilizers: per ray, a stack of
 matrices and their ray coefficients.  The kernels take whatever stack
 they are given; callers that walk many rays cut them with trial_blocks,
-which bounds the memory of one block.  stabilizers_report and
-orbits_report are the census checks of one pair, as the stabilizers and
-orbits suites run them.
+which bounds the memory of one block on the route in use.
+stabilizers_report and orbits_report are the census checks of one pair,
+as the stabilizers and orbits suites run them.
 
 Tolerance contract: a routine given a pair reads its tolerance from
 pair.tol, fixed once where the pair is built (build_pair): rank cuts use
@@ -54,11 +54,10 @@ from .report import Report
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
 SAMPLE_ROUNDS = 60  # sample_null_batch redraws rejected rows at most this often
-# trial_blocks cuts a run of rays into blocks whose stacked stabilizer
-# systems stay near this many bytes, sized from N and dim h: a few hundred
-# rays of a 3 x 3 pair fit in one block, while one 968 x 254 system of the
-# quaternionic (6, 5) pair already fills it, so memory does not grow with
-# the number of trials.
+# trial_blocks cuts a run of rays into blocks whose arrays stay within this
+# many bytes, counted per ray of the stabilizer route in use: a few hundred
+# rays of a 3 x 3 pair fit in one block, one ray of the quaternionic (6, 5)
+# pair fills it, so memory does not grow with the number of trials.
 BLOCK_BYTES = 1 << 20
 # ray stabilizer dimension of a generic null vector, by field and n = p + q,
 # and of a representative of each (R, 2, 1) stratum
@@ -144,30 +143,37 @@ class RayStabilizers:
 
 
 # ---------------------------------------------------------------------------
-# blocks: a run of trials is cut so that one block's stacked arrays stay
-# near BLOCK_BYTES; the stabilizer solve has the largest arrays per ray
+# blocks: a run of trials is cut so that one block's arrays stay within
+# BLOCK_BYTES; the stabilizer route has the largest arrays per ray
 # ---------------------------------------------------------------------------
 
 
-def _stabilizer_row_bytes(pair: SymmetricPair) -> int:
-    """Stacked bytes per ray of stabilizers_of_rays: three bracket stacks of
-    the kept rows (dim h x rows real numbers each) and four rows x (dim h + 1)
-    copies of the system (realified, joined, the LAPACK copy and the reduced
-    left factor), where rows is the number of real rows the system keeps
-    (_system_rows).  The solved system has only dim m rows (see
-    _stabilizer_system), so this overstates it; the count stays as it is
-    so that block sizes, and with them the random stream of every census,
-    do not move.  Under tracemalloc a block's numpy arrays peak at 0.3 to
-    0.69 of this, for R, C, H at (2, 1) and (6, 5); the sampling, partner
-    and normal-form arrays of the same rows peak at under half of it."""
-    hdim = pair.h.dim
-    return 8 * _system_rows(pair) * (3 * hdim + 4 * (hdim + 1))
+def _ray_bytes(pair: SymmetricPair, commutant: bool) -> int:
+    """Bytes a ray holds in a census block on the commutant or SVD route:
+    twelve (N, N) complex stacks (draw, eigenvectors, partner, normal form)
+    and the route's largest phase, d the generic stabilizer dimension and
+    c = dim h + 1.  Commutant: the projector of side dim C(S) and its
+    factors, or five (d, N, N) basis and residual stacks.  SVD: the bracket
+    stacks and the projected systems, three dim m x c systems and two c x c
+    V, or V and four (d, N, N) kernel-basis stacks."""
+    field = pair.family.field
+    N, d = pair.carrier_dim, EXPECTED_STAB_DIM[field](pair.family.n)
+    own = 16 * 12 * N * N
+    if commutant:
+        P = _commutant_dim(pair)
+        return own + 8 * max(6 * P * P, P * P + 10 * d * N * N)
+    m, c = pair.m.dim, pair.h.dim + 1
+    # real numbers per bracket: R and S are real, H keeps the top n carrier rows
+    rows = 2 * N * N if field == "C" else N * N
+    return own + 8 * max(2 * rows * (c - 1) + (2 * c - 1) * m,
+                         3 * m * c + 2 * c * c, c * c + 8 * d * N * N)
 
 
-def trial_blocks(pair: SymmetricPair, k: int) -> list[int]:
-    """Sizes of the blocks k trials are cut into so that one block's stacked
-    stabilizer systems stay near BLOCK_BYTES (at least one ray per block)."""
-    step = max(1, BLOCK_BYTES // _stabilizer_row_bytes(pair))
+def trial_blocks(pair: SymmetricPair, k: int, commutant: bool) -> list[int]:
+    """Sizes of the blocks k trials are cut into, at least one ray each, so
+    that a block's arrays on the given route stay within BLOCK_BYTES; one
+    ray (_ray_bytes) is kept back for LAPACK's workspace and the reference."""
+    step = max(1, BLOCK_BYTES // _ray_bytes(pair, commutant) - 1)
     return [min(step, k - a) for a in range(0, k, step)]
 
 
@@ -329,32 +335,21 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
 # ---------------------------------------------------------------------------
 
 
-def _system_rows(pair: SymmetricPair) -> int:
-    """Real rows of one ray's brackets that the stabilizer system computes
-    before projecting them onto the frame of m, after the redundant ones
-    are dropped: the real family keeps the real half (h, m and S are real, so
-    the imaginary half is zero), the quaternionic family keeps the top n
-    rows of the carrier (the bottom n are their conjugates under
-    quat_embed), and the complex family keeps all 2 N^2."""
-    N = pair.carrier_dim
-    return 2 * N * N if pair.family.field == "C" else N * N
-
-
 def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     """Each ray's real system (k, dim m, dim h + 1) for a stack S (k, N, N):
     the brackets [h_i, S] and -S as columns, in coordinates of the pair's
     orthonormal frame of m.
 
-    Only the kept rows (_system_rows) are bracketed, by two flat products
-    of the h-basis stack with S, and they are projected onto the matching
-    rows of m's orthonormal frame (RealSubspace.frame): the real half for
-    R, the top n carrier rows (real and imaginary parts) for H, every row
-    for C.  Every column lies in m ([h, m] is in m and S is in m), so for
-    R and C this is the full realified system written in an orthonormal
-    frame of the space its columns span: the same singular values and the
-    same kernel.  For H the top rows of the frame are orthogonal with
-    squared norm 1/2 (the bottom rows are their conjugates), which halves
-    every singular value.
+    Only rows that are not redundant are bracketed, by two flat products
+    of the h-basis stack with S, and projected onto the matching rows of
+    m's orthonormal frame (RealSubspace.frame): the real half for R (h, m
+    and S are real), the top n carrier rows (real and imaginary parts) for
+    H (the bottom n are their conjugates), every row for C.  Every column
+    lies in m ([h, m] is in m and S is in m), so for R and C this is the
+    full realified system written in an orthonormal frame of the space its
+    columns span: the same singular values and the same kernel.  For H the
+    top rows of the frame are orthogonal with squared norm 1/2, which
+    halves every singular value.
     """
     hb = pair.h.basis
     field = pair.family.field
@@ -943,13 +938,12 @@ def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Repor
     rng = np.random.default_rng(seed)
     routes = [lambda b: stabilizers_of_rays(pair, b.S),
               lambda b: stabilizers_by_commutant(pair, b)]
-    if commutant_is_smaller(pair):
-        routes.reverse()
-    primary, reference = routes
+    commutant = commutant_is_smaller(pair)
+    primary, reference = routes[::-1] if commutant else routes
     dims, codims = set(), set()
     worst_null, worst_res, all_generic = 0.0, 0.0, True
     agree = None
-    for k in trial_blocks(pair, trials):
+    for k in trial_blocks(pair, trials, commutant):
         batch = sample_null_batch(pair, k, rng=rng)
         st = primary(batch)
         if agree is None:
@@ -992,7 +986,7 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
     worst_canon = worst_theta = 0.0
     worst_pairing = -np.inf
     stab_match = True
-    for k in trial_blocks(pair, trials):
+    for k in trial_blocks(pair, trials, False):
         batch = sample_null_batch(pair, k, rng=rng)
         if canonicalize is not None:
             P, r = canonicalize(pair, batch)
@@ -1017,7 +1011,7 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
         for stratum, sdim in STRATUM_STAB_DIM.items():
             n_class = 0
             sdims = set()
-            for k in trial_blocks(pair, trials):
+            for k in trial_blocks(pair, trials, False):
                 batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng)
                 n_class += int(np.count_nonzero(so21_orbit_class(batch.S, pair.tol) == stratum))
                 sdims.update(stabilizer_dims(pair, batch.S).tolist())

@@ -85,9 +85,10 @@ class SymmetricPair:
 
     @cached_property
     def g(self) -> RealSubspace:
-        """The ambient algebra, h basis then m basis, with the independence
-        check of any RealSubspace."""
-        return RealSubspace(np.concatenate([self.h.basis, self.m.basis]), tol=self.tol)
+        """The ambient algebra, h basis then m basis: the two column matrices
+        side by side, with the independence check of any RealSubspace."""
+        return RealSubspace.from_columns(np.hstack([self.h._mat, self.m._mat]),
+                                         self.h.shape, tol=self.tol)
 
     @cached_property
     def corner_frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -164,65 +165,73 @@ _GENERATORS = {
 
 
 @lru_cache(maxsize=None)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only np.triu_indices(n, 1), built once per n."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
-
-
-def _gens(kind: str, n: int) -> np.ndarray:
-    """The generators of one family of n x n matrices, as one stack
-    (k, n, n) in table order."""
+def _pattern(kind: str, n: int):
+    """One family's n x n generators in table order, built once per
+    (kind, n): their number k and read-only arrays (generator, row, column,
+    imag, value) over the nonzero real (imag 0) and imaginary parts."""
     diag, off = _GENERATORS[kind]
-    # the pairs j < k row by row, each repeated once per off-diagonal entry
-    j, k = (np.repeat(a, len(off)) for a in _upper_pairs(n))
-    nd = n * len(diag)
-    gens = np.zeros((nd + len(j), n, n), dtype=complex)
-    d = np.repeat(np.arange(n), len(diag))
-    gens[np.arange(nd), d, d] = diag * n
-    i = np.arange(nd, len(gens))
-    gens[i, j, k] = [x for x, _ in off] * (n * (n - 1) // 2)
-    gens[i, k, j] = [y for _, y in off] * (n * (n - 1) // 2)
-    return gens
+    j, k = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs j < k, row by row
+    d, j, k = np.arange(n).repeat(len(diag)), j.repeat(len(off)), k.repeat(len(off))
+    xy = np.broadcast_to(np.array(off, dtype=complex), (n * (n - 1) // 2, len(off), 2))
+    coeff = np.concatenate([np.tile(np.array(diag, dtype=complex), n), *xy.reshape(-1, 2).T])
+    gen = np.arange(len(d) + len(j))
+    parts = np.concatenate([coeff.real, coeff.imag])
+    nz = parts != 0
+    arrays = [np.tile(a, 2)[nz] for a in (np.concatenate([gen, gen[len(d):]]),
+                                          np.concatenate([d, j, k]), np.concatenate([d, k, j]))]
+    arrays += [np.arange(len(parts))[nz] // len(coeff), parts[nz]]
+    for a in arrays:
+        a.flags.writeable = False
+    return len(gen), *arrays
 
 
-def _drop_trace(gens: np.ndarray) -> np.ndarray:
-    """Impose zero trace on a generator stack by pivot subtraction.
+def _columns(F: np.ndarray, x_kind: str, y_kind: str | None, drop: bool) -> np.ndarray:
+    """Columns (2N^2, k), realify of the generators F G of x_kind, written
+    from the index patterns (F, a signed permutation, moves and signs rows).
+    drop subtracts a real multiple of the largest-trace generator (each
+    trace lies on one real line) on the rows it touches, and leaves it out.
+    With y_kind (H): the carrier images of X + 0 j, then of 0 + Y j for
+    y_kind, with the signed zeros quat_embed gives; other zeros are +0."""
+    n = len(F)
+    N = 2 * n if y_kind else n
+    NN = N * N
+    perm = np.abs(F).argmax(axis=0)  # row s of G is row perm[s] of F G, times sign[s]
+    sign = F[perm, np.arange(n)].real
 
-    On each family used here the trace functional takes values on a single
-    real line through the origin, so subtracting a real multiple of the
-    largest-trace generator from the others is a real-linear operation.
-    """
-    traces = np.trace(gens, axis1=1, axis2=2)
-    mags = np.abs(traces)
-    if mags.max() < 1e-12:
-        return gens
-    piv = int(np.argmax(mags))
-    ratio = traces / traces[piv]
-    if np.abs(ratio.imag).max() > 1e-12:
-        raise AssertionError("trace functional is not one-real-dimensional here")
-    return np.delete(gens - ratio.real[:, None, None] * gens[piv], piv, axis=0)
+    def entries(kind):
+        k, g, s, c, imag, v = _pattern(kind, n)
+        return k, g, imag * NN + perm[s] * N + c, sign[s] * v, 1 - 2 * imag, perm[s] == c
 
-
-def _quat_gens(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Carrier images of X + 0 j for each X of xs, then of 0 + Y j for each
-    Y of ys, written block by block.  The zero blocks carry the signed zeros
-    quat_embed gives them: -0 - 0j where it negates a zero Y, 0 - 0j where
-    it conjugates a zero block."""
-    kx, n = len(xs), xs.shape[-1]
-    out = np.empty((kx + len(ys), 2 * n, 2 * n), dtype=complex)
-    X, Y = out[:kx], out[kx:]
-    X[:, :n, :n] = xs
-    X[:, :n, n:] = complex(-0.0, -0.0)
-    X[:, n:, :n] = complex(0.0, -0.0)
-    X[:, n:, n:] = xs.conj()
-    Y[:, :n, :n] = 0.0
-    Y[:, :n, n:] = -ys
-    Y[:, n:, :n] = ys.conj()
-    Y[:, n:, n:] = complex(0.0, -0.0)
-    return out
+    k, g, pos, val, flip, on = entries(x_kind)
+    if drop:
+        tr = np.bincount(2 * g[on] + (pos[on] >= NN), val[on], minlength=2 * k)
+        traces = tr[0::2] + 1j * tr[1::2]
+        piv = int(np.argmax(np.abs(traces)))
+        ratio = np.delete(traces, piv) / traces[piv]
+        if np.abs(ratio.imag).max() > 1e-12:
+            raise AssertionError("trace functional is not one-real-dimensional here")
+        at = g == piv
+        ppos, pval, pflip = pos[at], val[at], flip[at]
+        g, pos, val, flip = (a[~at] for a in (g - (g > piv), pos, val, flip))
+        k -= 1
+    ky, gy, posy, valy, flipy, _ = entries(y_kind) if y_kind else (0,) * 6
+    M = np.zeros((2 * NN, k + ky))
+    if y_kind:
+        # -0 in both parts of the top right block, in the imaginary parts below
+        blocks = M.reshape(2, 2, n, 2, n, -1)  # part, block row, row, block column
+        blocks[:, 0, :, 1] = blocks[1, 1] = -0.0
+    M[pos, g] = val
+    if drop:
+        M[ppos, :k] -= pval[:, None] * ratio.real
+    if y_kind:
+        # conj(X) below right, -Y above right, conj(Y) below left
+        br = n * N + n
+        M[br + pos, g] = flip * val
+        if drop:
+            M[br + ppos, :k] = pflip[:, None] * M[ppos, :k]
+        M[posy + n, k + gy] = -valy
+        M[posy + n * N, k + gy] = flipy * valy
+    return M
 
 
 def _form_matrix(fam: Family, variant: str) -> np.ndarray:
@@ -245,31 +254,21 @@ def build_pair(fam: Family, variant: str = "standard",
     family all first-block generators precede the second-block ones.
     """
     F = _form_matrix(fam, variant)
-    n = fam.n
-    if fam.field == "R":
-        h_gens = F @ _gens("real_antisym", n)
-        m_gens = _drop_trace(F @ _gens("real_sym", n))
-        carrier = F
-        scale = 1.0
-    elif fam.field == "C":
-        h_gens = _drop_trace(F @ _gens("antihermitian", n))
-        m_gens = _drop_trace(F @ _gens("hermitian", n))
-        carrier = F
-        scale = 1.0
-    else:
-        h_gens = _quat_gens(F @ _gens("antihermitian", n), F @ _gens("complex_sym", n))
-        m_gens = _quat_gens(_drop_trace(F @ _gens("hermitian", n)),
-                            F @ _gens("complex_antisym", n))
-        carrier = np.block([[F, np.zeros_like(F)], [np.zeros_like(F), F]])
-        scale = 0.5
-    h = RealSubspace(h_gens, tol=tol)
-    m = RealSubspace(m_gens, tol=tol)
+    Z = np.zeros_like(F)
+    carrier = np.block([[F, Z], [Z, F]]) if fam.field == "H" else F
+    # (x_kind, y_kind, drop) of h and of m for _columns
+    specs = {"R": (("real_antisym", None, False), ("real_sym", None, True)),
+             "C": (("antihermitian", None, True), ("hermitian", None, True)),
+             "H": (("antihermitian", "complex_sym", False),
+                   ("hermitian", "complex_antisym", True))}[fam.field]
+    h, m = (RealSubspace.from_columns(_columns(F, *spec), carrier.shape, tol=tol)
+            for spec in specs)
     return SymmetricPair(
         family=fam,
         variant=variant,
         hermitian_matrix=F,
         carrier_form=carrier,
-        form=BilinForm(scale),
+        form=BilinForm(0.5 if fam.field == "H" else 1.0),
         h=h,
         m=m,
         tol=tol,

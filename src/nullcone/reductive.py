@@ -136,7 +136,7 @@ def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
     else:
         b = None
         n = pair.h
-    e_basis, eps = signed_gram_schmidt(form, n, np.random.default_rng(rng), tol)
+    e_basis, eps = signed_gram_schmidt(form, n, np.random.default_rng(rng))
     return ReductiveSplit(pair=pair, b=b, n=n, e_basis=e_basis, eps=eps, form=form)
 
 
@@ -256,7 +256,7 @@ def casimir(split: ReductiveSplit, rng=0) -> np.ndarray:
     rng = np.random.default_rng(rng)
 
     def one_pass(space):
-        return frame_casimir(split, *signed_gram_schmidt(split.form, space, rng, tol))
+        return frame_casimir(split, *signed_gram_schmidt(split.form, space, rng))
 
     chi1 = one_pass(split.b)
     k = split.b.dim

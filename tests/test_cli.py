@@ -252,8 +252,10 @@ def test_suite_checks_do_not_depend_on_block_size(suite, monkeypatch):
     cfg = SuiteConfig(suite=suite, field="C", p=2, q=1, trials=7)
     whole = [(c.name, c.status) for c in run(cfg).checks]
     pair = build_pair(Family("C", 2, 1))
-    monkeypatch.setattr(orbits, "BLOCK_BYTES", 2 * orbits._stabilizer_row_bytes(pair))
-    assert orbits.trial_blocks(pair, 7) == [2, 2, 2, 1]
+    commutant = suite == "stabilizers" and orbits.commutant_is_smaller(pair)
+    # three rays' bytes: two rays per block and one kept back
+    monkeypatch.setattr(orbits, "BLOCK_BYTES", 3 * orbits._ray_bytes(pair, commutant))
+    assert orbits.trial_blocks(pair, 7, commutant) == [2, 2, 2, 1]
     cut = [(c.name, c.status) for c in run(cfg).checks]
     assert cut == whole
     assert all(status != "fail" for _, status in cut)

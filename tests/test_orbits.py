@@ -1,6 +1,8 @@
 """Tests for null-ray sampling, stabilizers, normal forms, strata of the
 real rank-one pair, and the eigenframe-adapted partner construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from nullcone.orbits import (
     canonicalize_symplectic_batch,
     canonicalize_unitary_batch,
     codimension_from_stabilizer,
+    commutant_is_smaller,
     make_null_batch,
     orbits_report,
     partner_null_batch,
@@ -466,7 +469,8 @@ def test_each_stacked_ray_keeps_its_own_rank_cut(field, want):
 
 def test_batched_stabilizer_of_a_large_ray():
     pair = build_pair(Family("H", 6, 5))
-    assert trial_blocks(pair, 3) == [1, 1, 1]  # one 968 x 254 system per block
+    # one ray of either route fills a block: the census reference ray is alone
+    assert trial_blocks(pair, 3, True) == trial_blocks(pair, 3, False) == [1, 1, 1]
     S = sample_null_batch(pair, 1, rng=0).S
     stabs = stabilizers_of_rays(pair, S)
     assert stabs.dims[0] == loop_stabilizer_dim(pair, S[0]) == 3 * 11
@@ -478,8 +482,8 @@ def test_batched_stabilizer_of_a_large_ray():
 def test_block_cuts_do_not_change_results(field, seed, monkeypatch):
     pair = build_pair(Family(field, 2, 1))
     # a cap that forces several blocks and a short last one
-    monkeypatch.setattr(orbits, "BLOCK_BYTES", 3 * orbits._stabilizer_row_bytes(pair))
-    sizes = trial_blocks(pair, 11)
+    monkeypatch.setattr(orbits, "BLOCK_BYTES", 4 * orbits._ray_bytes(pair, False))
+    sizes = trial_blocks(pair, 11, False)
     assert sizes == [3, 3, 3, 2]
     rng = np.random.default_rng(seed)
     batch = NullBatch.concat([sample_null_batch(pair, k, rng=rng) for k in sizes])
@@ -925,13 +929,45 @@ def test_frame_residual_matches_least_squares(field, pq):
             make_null_batch(pair, S[None])
 
 
-def test_trimmed_rows_are_counted_in_the_block_size():
-    rows = {}
+def test_blocks_are_sized_by_the_route_in_use():
+    # the stabilizers census takes the route commutant_is_smaller picks, the
+    # orbits census the SVD route; each block keeps one ray's bytes back
+    steps = {}
     for field in "RCH":
         pair = build_pair(Family(field, 2, 1))
-        rows[field] = orbits._system_rows(pair)
-    assert rows == {"R": 9, "C": 18, "H": 36}
-    assert trial_blocks(build_pair(Family("H", 2, 1)), 400)[0] == 24
+        for commutant in (False, True):
+            steps[field, commutant] = trial_blocks(pair, 10 ** 6, commutant)[0]
+            assert steps[field, commutant] == max(
+                1, orbits.BLOCK_BYTES // orbits._ray_bytes(pair, commutant) - 1)
+    assert steps == {("R", False): 424, ("R", True): 302, ("C", False): 203,
+                     ("C", True): 317, ("H", False): 32, ("H", True): 27}
+    # at (6, 5) the scaling census's four trials: one block for R and C on
+    # the commutant route, one ray per block for H
+    for field, sizes in (("R", [4]), ("C", [4]), ("H", [1, 1, 1, 1])):
+        pair = build_pair(Family(field, 6, 5))
+        assert commutant_is_smaller(pair)
+        assert trial_blocks(pair, 4, True) == sizes
+
+
+@pytest.mark.parametrize("report", ["stabilizers", "orbits"])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2)], ids=["21", "32"])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_one_full_block_stays_within_block_bytes(field, pq, report):
+    # every array a census block allocates, traced while one full block
+    # runs; the pair and its cached frames are built before
+    pair = build_pair(Family(field, *pq))
+    run = {"stabilizers": stabilizers_report, "orbits": orbits_report}[report]
+    commutant = report == "stabilizers" and commutant_is_smaller(pair)
+    run(pair, 1)
+    k = trial_blocks(pair, 10 ** 6, commutant)[0]
+    tracemalloc.start()
+    try:
+        rep = run(pair, k, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.status != "fail" for c in rep.checks)
+    assert peak <= orbits.BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -1091,8 +1127,8 @@ def test_one_eig_per_complex_batch(monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    monkeypatch.setattr(orbits, "BLOCK_BYTES", 4 * orbits._stabilizer_row_bytes(pair))
-    assert trial_blocks(pair, 10) == [4, 4, 2]
+    monkeypatch.setattr(orbits, "BLOCK_BYTES", 5 * orbits._ray_bytes(pair, False))
+    assert trial_blocks(pair, 10, False) == [4, 4, 2]
     rep = orbits_report(pair, 10, seed=5)
     assert all(c.status == "pass" for c in rep.checks)
     assert calls == [(4, 3, 3), (4, 3, 3), (2, 3, 3)]

@@ -75,7 +75,8 @@ def ref_equals(a, b):
 
 
 # per-matrix reference construction: the generator loops, trace pivot and
-# np.block embedding that the stacked build_pair replaced
+# np.block embedding that build_pair replaced by writing its column
+# matrices from the index patterns
 
 
 def ref_gens(kind, n):
@@ -93,6 +94,14 @@ def ref_gens(kind, n):
                 M[j, k], M[k, j] = x, y
                 gens.append(M)
     return gens
+
+
+def ref_product(F, A):
+    """F @ A with each zero entry +0.  OpenBLAS returns that on its Haswell,
+    Zen, SandyBridge, Nehalem and Prescott kernels; the SkylakeX kernel's
+    edge tiles return -0 for some zero entries, which x + 0.0 maps to +0
+    (nonzero entries are exact and unchanged)."""
+    return F @ A + 0.0
 
 
 def ref_drop_trace(gens):
@@ -114,16 +123,16 @@ def ref_generators(fam, variant):
     F = _form_matrix(fam, variant)
     n = fam.n
     if fam.field == "R":
-        return ([F @ A for A in ref_gens("real_antisym", n)],
-                ref_drop_trace([F @ S for S in ref_gens("real_sym", n)]))
+        return ([ref_product(F, A) for A in ref_gens("real_antisym", n)],
+                ref_drop_trace([ref_product(F, S) for S in ref_gens("real_sym", n)]))
     if fam.field == "C":
-        return (ref_drop_trace([F @ A for A in ref_gens("antihermitian", n)]),
-                ref_drop_trace([F @ S for S in ref_gens("hermitian", n)]))
+        return (ref_drop_trace([ref_product(F, A) for A in ref_gens("antihermitian", n)]),
+                ref_drop_trace([ref_product(F, S) for S in ref_gens("hermitian", n)]))
     zero = np.zeros((n, n), dtype=complex)
-    h_x = [F @ A for A in ref_gens("antihermitian", n)]
-    h_y = [F @ S for S in ref_gens("complex_sym", n)]
-    m_x = ref_drop_trace([F @ Hg for Hg in ref_gens("hermitian", n)])
-    m_y = [F @ A for A in ref_gens("complex_antisym", n)]
+    h_x = [ref_product(F, A) for A in ref_gens("antihermitian", n)]
+    h_y = [ref_product(F, S) for S in ref_gens("complex_sym", n)]
+    m_x = ref_drop_trace([ref_product(F, Hg) for Hg in ref_gens("hermitian", n)])
+    m_y = [ref_product(F, A) for A in ref_gens("complex_antisym", n)]
     h = [ref_quat_embed(QMat(X, zero)) for X in h_x]
     h += [ref_quat_embed(QMat(zero, Y)) for Y in h_y]
     m = [ref_quat_embed(QMat(X, zero)) for X in m_x]
@@ -154,8 +163,8 @@ def test_dimension_table_matches_formulas():
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_stacked_generators_match_per_matrix_loops_bit_for_bit(field):
-    # tobytes, not a tolerance: the arithmetic is unchanged, so every bit,
-    # the sign of each zero included, must be too
+    # tobytes, not a tolerance: every entry is exact, so every bit, the sign
+    # of each zero included, must match the per-matrix construction
     cases = [(fam, "standard") for fam in default_families(2, 8) if fam.field == field]
     cases.append((Family(field, 2, 1), "canonical-T"))
     for fam, variant in cases:
@@ -500,9 +509,10 @@ def test_isotropy_matrix_of_a_stack_is_the_stack_of_matrices(field):
 
 
 def test_build_pair_peak_memory_stays_near_its_bases():
-    # the carrier stacks are filled block by block and each _mat is written
-    # once, so no padded or transposed copy of a generator stack is alive
-    # next to the two column matrices
+    # each _mat is written from the index patterns, so no generator stack
+    # is alive next to the two column matrices: the peak measured 1.09 of
+    # them at H(6, 5) (2.08 with stacks); the bound leaves 0.11 for the
+    # index arrays and the block's SVD
     build_pair(Family("H", 2, 1))
     tracemalloc.start()
     try:
@@ -510,4 +520,4 @@ def test_build_pair_peak_memory_stays_near_its_bases():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * (pair.h._mat.nbytes + pair.m._mat.nbytes)
+    assert peak <= 1.2 * (pair.h._mat.nbytes + pair.m._mat.nbytes)

@@ -88,8 +88,7 @@ def ref_frame_casimir(split, basis, eps):
 
 def ref_casimir(split, rng=0):
     """The first of the two passes of casimir(), which is what it returns."""
-    basis, eps = signed_gram_schmidt(split.form, split.b, np.random.default_rng(rng),
-                                     split.pair.tol)
+    basis, eps = signed_gram_schmidt(split.form, split.b, np.random.default_rng(rng))
     return ref_frame_casimir(split, basis, eps)
 
 

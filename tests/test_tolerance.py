@@ -69,6 +69,8 @@ def test_options_no_caller_sets_are_constants():
                casestudies.su21_ad_action: "phi"}
     for fn, name in options.items():
         assert name not in inspect.signature(fn).parameters
+    # its pivot test is a fixed 1e-8, so a tolerance would go unread
+    assert "tol" not in inspect.signature(linalg.signed_gram_schmidt).parameters
     assert "r" not in inspect.signature(casestudies.su21_ad_action).parameters
     assert [f.name for f in dataclasses.fields(orbits.NullBatch)] == [
         "S", "eigenvalues", "genericity", "nullity_residual", "gap"]
