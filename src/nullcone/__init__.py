@@ -87,10 +87,11 @@ from .reductive import (
 from .casestudies import (
     SP21Data,
     SU21Data,
+    duality_identity,
     grading_report,
+    model_report,
     sp21_action_formulas,
     sp21_build,
-    sp21_duality_identity,
     sp21_embedding_check,
     sp21_hatn_isometry,
     sp21_report,

@@ -10,12 +10,13 @@ constant-type constant 1/2 and the Einstein constant 5/2.
 Case study 2: the quaternionic family at (2, 1) in the same frame.  The
 nine-dimensional stabilizer splits as a compact rank-one piece plus a
 complex special-linear piece; the checks reproduce the coordinate action
-formulas, the signed orthonormal nine-frame, the Casimir constant 6, the
-duality identity with constant 12 a^2, and the explicit isometry onto
-the orthogonal complement of the sampled ray pair.  Both studies check
-the conformal grading of the orthogonal algebra of the tangent summand
-(8- and 14-dimensional).  All numeric conventions (trace form for case
-study 1, half-trace form for case study 2) come from the constructed pairs.
+formulas, the signed orthonormal nine-frame, the Casimir constant 6 and
+the explicit isometry onto the orthogonal complement of the sampled ray
+pair.  Both report the shared body of model_report, which includes the
+conformal grading of the tangent summand's orthogonal algebra and the
+duality identity with constant 12 a^2.  All numeric conventions (trace
+form for case study 1, half-trace form for case study 2) come from the
+constructed pairs.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def b_group(phi: float, r: float) -> np.ndarray:
 
 @dataclass
 class CaseStudy:
-    """What both case studies hold: the ray pair, the split, and the graded
-    frame of the tangent summand with the fields of ConformalGrading."""
+    """What both case studies hold: the ray pair, the split with its chart
+    n_space, and the graded frame of n_hat (the complement of the ray pair
+    in m) with the fields of ConformalGrading."""
 
     a: float
     mu: complex
@@ -148,6 +150,8 @@ class CaseStudy:
     b_basis: list
     n_basis: list
     split: ReductiveSplit
+    n_space: RealSubspace
+    n_hat: RealSubspace
     graded_basis: np.ndarray
     Gamma: np.ndarray
     so_space: RealSubspace
@@ -183,7 +187,6 @@ class CaseStudy:
 class SU21Data(CaseStudy):
     n_plus: RealSubspace
     n_minus: RealSubspace
-    n_space: RealSubspace
     n_ginv: np.ndarray
 
     def J(self, X: np.ndarray) -> np.ndarray:
@@ -208,9 +211,9 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     H) and its partner S_hat, split along the hard-coded stabilizer b_basis,
     and the graded frame {S_n, e_1..e_d, -S_hat_n} of the tangent summand,
     S_n = S / (2a sqrt 3), a = Re mu, so that K(S_n, S_hat_n) = -1.  Raises
-    unless b_basis and the complement chart n_basis lie in h, S is null,
-    b_basis spans the ray stabilizer stabilizers_of_rays computes, and the
-    frame has the form matrix Gamma.  Returns the CaseStudy fields."""
+    unless b_basis and the chart n_basis lie in h, S is null, b_basis spans
+    the ray stabilizer stabilizers_of_rays computes, n_basis spans the split's
+    n, and the frame has the form matrix Gamma.  Returns the CaseStudy fields."""
     pair = build_pair(Family(field, 2, 1), "canonical-T", tol=tol)
     S = np.diag([mu, -2 * mu.real, np.conj(mu)]).astype(complex)
     if field == "H":
@@ -223,6 +226,9 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     if stab.dims[0] != len(b_basis) or not b_space.equals(stab.subspace(0, tol)):
         raise ValueError("hard-coded stabilizer disagrees with the computed one")
     split, a = reductive_split(pair, b_space, rng=seed), float(mu.real)
+    n_space = RealSubspace(n_basis, tol=tol)
+    if not n_space.equals(split.n):
+        raise ValueError("complement chart does not span the computed complement")
     S_hat = pair.involution(S)
     n_hat, _ = orth_complement(RealSubspace([S, S_hat], tol=tol), pair.m, pair.form, tol)
     e_hat, eps_hat = signed_gram_schmidt(pair.form, n_hat, np.random.default_rng(seed))
@@ -232,7 +238,8 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     if np.abs(gram_matrix(pair.form, graded) - grading.Gamma).max() > 1e-8:
         raise ValueError("graded frame does not produce the expected form matrix")
     return dict(a=a, mu=mu, pair=pair, S=S, S_hat=S_hat, b_basis=b_basis, n_basis=n_basis,
-                split=split, graded_basis=graded, **grading._asdict())
+                split=split, n_space=n_space, n_hat=n_hat, graded_basis=graded,
+                **grading._asdict())
 
 
 class ConformalGrading(NamedTuple):
@@ -343,6 +350,118 @@ def grading_report(data: CaseStudy, study: str) -> Report:
     return rep
 
 
+def duality_identity(data: CaseStudy, study: str, trials: int = 500, rng=0) -> Report:
+    """The pairing identity between the two boundary rays of any case study,
+    each check named with the prefix `study`.  Checks, over random A, B in n:
+      12 a^2 K(A, B) = K([A, S], [B, S_hat]),
+    the same identity transported to the graded frame, whose end vectors
+    S_n and -S_hat_n are the ray pair normalized to pairing -1, and the
+    induced dual bases of the lowering and raising pieces.
+    """
+    rng = np.random.default_rng(rng)
+    rep = Report(suite=f"{study}_duality")
+    K = data.pair.form
+    a = data.a
+    rep.residual(f"{study}_duality_ray_pairing",
+                 abs(K(data.S, data.S_hat) + 12 * a * a), 1e-9,
+                 anchor="the ray pair has pairing -12 a^2")
+    S_n, Sh_n = data.graded_basis[0], -data.graded_basis[-1]
+    K_so = BilinForm(0.5)
+    n = data.split.n
+    cA, cB = np.split(rng.standard_normal((trials, 2 * n.dim)), 2, axis=1)
+    A, B = n.combine(cA), n.combine(cB)
+
+    def rel(x, y):
+        """Largest gap between two arrays of values, relative to them and 1."""
+        scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+        return float((np.abs(x - y) / scale).max(initial=0.0))
+
+    worst = rel(12 * a * a * K(A, B), K(bracket(A, data.S), bracket(B, data.S_hat)))
+    # rho is linear: its graded parts on the basis of n, contracted with the
+    # coefficients, give those of A and B without a rho call per draw
+    lo = np.tensordot(cA, data.rho_minus(n.basis), axes=1)
+    hi = np.tensordot(cB, data.rho_plus(n.basis), axes=1)
+    worst_mid = rel(K_so(lo.astype(complex), hi.astype(complex)),
+                    K(bracket(A, S_n), bracket(B, Sh_n)))
+    rep.residual(f"{study}_duality_identity", worst, 1e-8,
+                 anchor="pairing of transported elements scales by 12 a^2")
+    rep.residual(f"{study}_duality_graded_transport", worst_mid, 1e-8,
+                 anchor="the identity transports to the graded frame")
+    # null element: both sides vanish
+    e_plus = next(e for e, s in zip(data.split.e_basis, data.split.eps) if s > 0)
+    e_minus = next(e for e, s in zip(data.split.e_basis, data.split.eps) if s < 0)
+    Anull = e_plus + e_minus
+    rep.residual(f"{study}_duality_null_element",
+                 abs(K(bracket(Anull, data.S), bracket(Anull, data.S_hat))),
+                 1e-8, anchor="a null element pairs to zero with itself")
+    # dual bases from the graded components of the orthonormal complement frame
+    E_lo = data.rho_minus(data.split.e_basis)
+    E_hi = data.split.eps[:, None, None] * data.rho_plus(data.split.e_basis)
+    P = gram_matrix(K_so, E_lo, E_hi)
+    rep.residual(f"{study}_duality_dual_pairing",
+                 float(np.abs(P - np.eye(len(P))).max()), 1e-8,
+                 anchor="lowering and raising frames pair as identity")
+    rep.residual(f"{study}_duality_graded_membership", max(
+        _grading_defect(data.Gamma, E_lo, -1), _grading_defect(data.Gamma, E_hi, 1)), 1e-8,
+                 anchor="the frames lie in the lowering and raising pieces")
+    return rep
+
+
+def _first_bianchi_worst(split: ReductiveSplit, seed: int, trials: int = 10) -> float:
+    """Largest first-Bianchi residual over `trials` random triples of the
+    split's n, drawn from default_rng(seed + 1)."""
+    n = split.n
+    u, v, w = _draw(np.random.default_rng(seed + 1), trials, n, n, n)
+    return float(bianchi_residual(split, u, v, w).max())
+
+
+def _doubled(data: CaseStudy) -> CaseStudy:
+    """The case study at a = 2a, derived from `data` instead of rebuilt.
+
+    2S spans the ray of S, so the stabilizer, the split, the complements and
+    the graded frame (S / (2a sqrt 3)) are those of `data`; only a, mu, S
+    and S_hat double, and doubling is exact in floating point.  The doubled
+    ray keeps its own nullity certificate.
+    """
+    S = 2 * data.S
+    _certify_null(data.pair, S)
+    return replace(data, a=2 * data.a, mu=2 * data.mu, S=S, S_hat=2 * data.S_hat)
+
+
+def model_report(data: CaseStudy, study: str, seed: int, trials: int, *,
+                 einstein: float, casimir_multiple: float, casimir_name: str,
+                 isometry=None) -> Report:
+    """The checks every homogeneous model reports, named `<study>_...`: the
+    Einstein fit, the torsion derivation, the generic-frame Casimir (named
+    `<study>_<casimir_name>`) with its Wang-Ziller fit, n against n_hat
+    (through the chart map `isometry` when given), the grading, the duality
+    identity over `trials` pairs and the first-Bianchi residual over
+    min(trials, 10) triples, reported only."""
+    rep = Report(suite=study, seed=seed)
+    ein, ein_res = einstein_fit(data.split)
+    rep.add(f"{study}_einstein", abs(ein - einstein) <= 1e-7, ein, einstein, 1e-7,
+            anchor="Einstein constant of the induced metric")
+    rep.residual(f"{study}_einstein_isotropy", ein_res, 1e-7,
+                 anchor="Ricci tensor is an exact multiple of the metric")
+    rep.absorb(torsion_derivation_check(data.split), f"{study}_")
+    chi = casimir(data.split, rng=seed)
+    rep.residual(f"{study}_{casimir_name}",
+                 float(np.abs(chi - casimir_multiple * np.eye(len(chi))).max()), 1e-8,
+                 anchor="generic-frame Casimir is the expected multiple of the identity")
+    wz_ok, wz_c = wang_ziller_check(chi)
+    rep.equals(f"{study}_wang_ziller", wz_ok, True,
+               anchor="Casimir is a multiple of the identity")
+    rep.info(f"{study}_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")
+    hk, note = homothety_check(data.split, data.n_hat, isometry=isometry)
+    rep.equals(f"{study}_partner_complement_matches", hk, True, anchor=note)
+    rep.absorb(grading_report(data, study))
+    rep.absorb(duality_identity(data, study, trials=trials, rng=seed))
+    rep.info(f"{study}_first_bianchi_residual",
+             _first_bianchi_worst(data.split, seed, min(trials, 10)),
+             anchor="cyclic curvature sum minus torsion terms, reported only")
+    return rep
+
+
 def su21_build(a: float = 1.0, seed: int = 0,
                tol: Tolerance = DEFAULT_TOL) -> SU21Data:
     """Construct and cross-check the complex (2, 1) case study."""
@@ -352,13 +471,11 @@ def su21_build(a: float = 1.0, seed: int = 0,
     n_basis = [v_plus(1, 0), v_plus(1j, 0), v_plus(0, 1),
                v_minus(1, 0), v_minus(1j, 0), v_minus(0, 1)]
     study = _case_study_split("C", a * (1 + 1j * SQRT3), b_basis, n_basis, seed, tol)
-    split, form = study["split"], study["pair"].form
-    _, sig = gram_signature(form, split.n, tol)
-    if split.dim_n != 6 or sig[:2] != (3, 3):
-        raise ValueError("unexpected complement dimensions or signature")
+    form = study["pair"].form
+    if gram_signature(form, study["n_space"], tol)[1][:2] != (3, 3):
+        raise ValueError("unexpected complement signature")
     return SU21Data(**study, n_plus=RealSubspace(n_basis[:3], tol=tol),
                     n_minus=RealSubspace(n_basis[3:], tol=tol),
-                    n_space=RealSubspace(n_basis, tol=tol),
                     n_ginv=np.linalg.inv(gram_matrix(form, n_basis)))
 
 
@@ -514,25 +631,16 @@ def su21_constant_type(data: SU21Data, trials: int = 500, rng=0):
     return lam, max_rel
 
 
-def _first_bianchi_worst(split: ReductiveSplit, space: RealSubspace, seed: int,
-                         trials: int = 10) -> float:
-    """Largest first-Bianchi residual over `trials` random triples of
-    `space`, drawn from default_rng(seed + 1)."""
-    u, v, w = _draw(np.random.default_rng(seed + 1), trials, space, space, space)
-    return float(bianchi_residual(split, u, v, w).max())
-
-
 def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Every check of the complex (2, 1) case study, as the su21 suite runs it.
 
-    The conjugation action draws min(trials, 50) samples, the constant-type
-    fit max(trials, 100) pairs and the first Bianchi residual
-    min(trials, 10) triples; the other identities draw `trials`."""
+    The conjugation action draws min(trials, 50) samples and the constant-type
+    fit max(trials, 100) pairs; model_report draws as it states, and the
+    other identities draw `trials`."""
     rep = Report("su21", seed)
     d = su21_build(seed=seed, tol=tol)
     rep.absorb(su21_invariants(d, rng=seed))
     rep.absorb(su21_bracket_table(d, trials=trials, rng=seed))
-    rep.absorb(grading_report(d, "su21"))
     rep.absorb(su21_ad_action(d, trials=min(trials, 50), rng=seed))
     rep.absorb(su21_nabla_J_report(d, trials=trials, rng=seed))
     lam, lam_res = su21_constant_type(d, trials=max(trials, 100), rng=seed)
@@ -540,28 +648,13 @@ def su21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
             anchor="constant-type constant of the structure")
     rep.residual("su21_constant_type_spread", lam_res, 1e-8,
                  anchor="the fitted constant is constant across draws")
-    ein, ein_res = einstein_fit(d.split)
-    rep.add("su21_einstein", abs(ein - 2.5) <= 1e-7, ein, 2.5, 1e-7,
-            anchor="Einstein constant of the induced metric")
-    rep.residual("su21_einstein_isotropy", ein_res, 1e-7,
-                 anchor="Ricci tensor is an exact multiple of the metric")
+    model = model_report(d, "su21", seed, trials, einstein=2.5, casimir_multiple=2.0,
+                         casimir_name="casimir_multiple")
+    rep.absorb(model)
+    ein = next(c.observed for c in model.checks if c.name == "su21_einstein")
     rep.add("su21_einstein_is_five_lambda", abs(ein - 5 * lam) <= 1e-7,
             ein - 5 * lam, 0.0, 1e-7,
             anchor="Einstein constant equals five times the type constant")
-    rep.absorb(torsion_derivation_check(d.split), "su21_")
-    chi = casimir(d.split, rng=seed)
-    rep.residual("su21_casimir_multiple", float(np.abs(chi - 2.0 * np.eye(6)).max()),
-                 1e-8, anchor="Casimir acts as twice the identity (derived value)")
-    wz_ok, wz_c = wang_ziller_check(chi)
-    rep.equals("su21_wang_ziller", wz_ok, True,
-               anchor="Casimir is a multiple of the identity")
-    rep.info("su21_wang_ziller_constant", wz_c,
-             anchor="fitted Casimir multiple")
-    hk, note = homothety_check(d.split, d.S, d.S_hat)
-    rep.equals("su21_partner_complement_matches", hk, True, anchor=note)
-    rep.info("su21_first_bianchi_residual",
-             _first_bianchi_worst(d.split, d.n_space, seed, min(trials, 10)),
-             anchor="cyclic curvature sum minus torsion terms, reported only")
     return rep
 
 
@@ -638,9 +731,6 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
                N_elem(0, 0, 0, 0, 0, 1, 0), N_elem(0, 0, 0, 0, 0, 1j, 0),
                N_elem(0, 0, 0, 0, 0, 0, 1), N_elem(0, 0, 0, 0, 0, 0, 1j)]
     study = _case_study_split("H", mu, b_basis, n_basis, seed, tol)
-    split, form = study["split"], study["pair"].form
-    if split.dim_n != 12 or not RealSubspace(n_basis, tol=tol).equals(split.n):
-        raise ValueError("complement chart does not span the computed complement")
     s2 = 1 / np.sqrt(2.0)
     A_basis = [B_elem(0, 1, 0, 0, 0), B_elem(0, 0, 0, 1, 0), B_elem(0, 0, 0, 1j, 0),
                s2 * B_elem(1j, 0, 0, 0, 0), s2 * B_elem(0, 0, 1, 0, 1),
@@ -648,7 +738,7 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
                s2 * B_elem(1, 0, 0, 0, 0), s2 * B_elem(0, 0, 1, 0, -1),
                s2 * B_elem(0, 0, 1j, 0, -1j)]
     eps_A = np.array([-1, -1, -1, -1, -1, -1, 1, 1, 1], dtype=float)
-    if np.abs(gram_matrix(form, A_basis) - np.diag(eps_A)).max() > tol.abs:
+    if np.abs(gram_matrix(study["pair"].form, A_basis) - np.diag(eps_A)).max() > tol.abs:
         raise ValueError("nine-frame is not signed orthonormal as stated")
     return SP21Data(**study, b1=RealSubspace([b_basis[i] for i in (2, 5, 6)], tol=tol),
                     b2=RealSubspace([b_basis[i] for i in (0, 1, 3, 4, 7, 8)], tol=tol),
@@ -726,65 +816,6 @@ def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0) -> Report:
                  anchor="special-linear factor action on the second block")
     rep.residual("sp21_action_preserves_blocks", winv, tol.abs,
                  anchor="the action preserves the two-block decomposition")
-    return rep
-
-
-def sp21_duality_identity(data: SP21Data, trials: int = 500, rng=0) -> Report:
-    """The pairing identity between the two boundary rays.
-
-    Checks, over random complement elements A, B:
-      12 a^2 K(A, B) = K([A, S], [B, S_hat]),
-    the same identity transported to the graded frame (where the ray pair
-    is normalized to pairing -1), and the induced dual bases of the
-    lowering and raising pieces.
-    """
-    rng = np.random.default_rng(rng)
-    rep = Report(suite="sp21_duality")
-    K = data.pair.form
-    a = data.a
-    rep.residual("sp21_duality_ray_pairing",
-                 abs(K(data.S, data.S_hat) + 12 * a * a), 1e-9,
-                 anchor="the ray pair has pairing -12 a^2")
-    scale = 2 * a * SQRT3
-    S_n, Sh_n = data.S / scale, data.S_hat / scale
-    K_so = BilinForm(0.5)
-    n = data.split.n
-    cA, cB = np.split(rng.standard_normal((trials, 2 * n.dim)), 2, axis=1)
-    A, B = n.combine(cA), n.combine(cB)
-
-    def rel(x, y):
-        """Largest gap between two arrays of values, relative to them and 1."""
-        scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
-        return float((np.abs(x - y) / scale).max(initial=0.0))
-
-    worst = rel(12 * a * a * K(A, B), K(bracket(A, data.S), bracket(B, data.S_hat)))
-    # rho is linear: its graded parts on the basis of n, contracted with the
-    # coefficients, give those of A and B without a rho call per draw
-    lo = np.tensordot(cA, data.rho_minus(n.basis), axes=1)
-    hi = np.tensordot(cB, data.rho_plus(n.basis), axes=1)
-    worst_mid = rel(K_so(lo.astype(complex), hi.astype(complex)),
-                    K(bracket(A, S_n), bracket(B, Sh_n)))
-    rep.residual("sp21_duality_identity", worst, 1e-8,
-                 anchor="pairing of transported elements scales by 12 a^2")
-    rep.residual("sp21_duality_graded_transport", worst_mid, 1e-8,
-                 anchor="the identity transports to the graded frame")
-    # null element: both sides vanish
-    e_plus = next(e for e, s in zip(data.split.e_basis, data.split.eps) if s > 0)
-    e_minus = next(e for e, s in zip(data.split.e_basis, data.split.eps) if s < 0)
-    Anull = e_plus + e_minus
-    rep.residual("sp21_duality_null_element",
-                 abs(K(bracket(Anull, data.S), bracket(Anull, data.S_hat))),
-                 1e-8, anchor="a null element pairs to zero with itself")
-    # dual bases from the graded components of the orthonormal complement frame
-    E_lo = data.rho_minus(data.split.e_basis)
-    E_hi = data.split.eps[:, None, None] * data.rho_plus(data.split.e_basis)
-    P = gram_matrix(K_so, E_lo, E_hi)
-    rep.residual("sp21_duality_dual_pairing",
-                 float(np.abs(P - np.eye(12)).max()), 1e-8,
-                 anchor="lowering and raising frames pair as identity")
-    rep.residual("sp21_duality_graded_membership", max(
-        _grading_defect(data.Gamma, E_lo, -1), _grading_defect(data.Gamma, E_hi, 1)), 1e-8,
-                 anchor="the frames lie in the lowering and raising pieces")
     return rep
 
 
@@ -911,55 +942,23 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0) -> Report:
     return rep
 
 
-def _sp21_doubled(data: SP21Data) -> SP21Data:
-    """The case study at a = 2a, derived from `data` instead of rebuilt.
-
-    2S spans the ray of S, so the stabilizer, the split, the nine-frame and
-    the graded frame (S / (2a sqrt 3)) are those of `data`; only a, mu, S
-    and S_hat double, and doubling is exact in floating point.  The doubled
-    ray keeps its own nullity certificate.
-    """
-    S = 2 * data.S
-    _certify_null(data.pair, S)
-    return replace(data, a=2 * data.a, mu=2 * data.mu, S=S, S_hat=2 * data.S_hat)
-
-
 def sp21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Every check of the quaternionic (2, 1) case study, as the sp21 suite
     runs it.  The case study is built once, at a = 1; the duality identity
     is checked again at a = 2 on data derived from that build.  The group
-    embeddings draw min(trials, 20) pairs and the first Bianchi residual
-    min(trials, 10) triples."""
+    embeddings draw min(trials, 20) pairs."""
     rep = Report("sp21", seed)
     s = sp21_build(seed=seed, tol=tol)
     rep.absorb(sp21_subalgebra_profiles(s))
     rep.absorb(sp21_action_formulas(s, trials=trials, rng=seed))
-    rep.absorb(sp21_duality_identity(s, trials=trials, rng=seed))
     rep.absorb(sp21_hatn_isometry(s))
     rep.absorb(sp21_embedding_check(s, trials=min(trials, 20), rng=seed))
     chi = frame_casimir(s.split, s.A_basis, s.eps_A)
     rep.residual("sp21_casimir_multiple",
                  float(np.abs(chi - 6.0 * np.eye(12)).max()), 1e-8,
                  anchor="Casimir of the explicit nine-frame acts as six times the identity")
-    chi2 = casimir(s.split, rng=seed)
-    rep.residual("sp21_casimir_generic_frame",
-                 float(np.abs(chi2 - 6.0 * np.eye(12)).max()), 1e-8,
-                 anchor="Casimir from a generic orthonormal frame agrees")
-    wz_ok, wz_c = wang_ziller_check(chi2)
-    rep.equals("sp21_wang_ziller", wz_ok, True,
-               anchor="Casimir is a multiple of the identity")
-    rep.info("sp21_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")
-    rep.absorb(grading_report(s, "sp21"))
-    rep.absorb(sp21_duality_identity(_sp21_doubled(s), trials=trials, rng=seed), "a2_")
-    ein, ein_res = einstein_fit(s.split)
-    rep.add("sp21_einstein", abs(ein - 7.0) <= 1e-7, ein, 7.0, 1e-7,
-            anchor="Einstein constant of the induced metric (derived value)")
-    rep.residual("sp21_einstein_isotropy", ein_res, 1e-7,
-                 anchor="Ricci tensor is an exact multiple of the metric")
-    hk, note = homothety_check(s.split, s.S, s.S_hat, isometry=hatn_isometry_map)
-    rep.equals("sp21_partner_complement_matches", hk, True, anchor=note)
-    rep.absorb(torsion_derivation_check(s.split), "sp21_")
-    rep.info("sp21_first_bianchi_residual",
-             _first_bianchi_worst(s.split, s.split.n, seed, min(trials, 10)),
-             anchor="cyclic curvature sum minus torsion terms, reported only")
+    rep.absorb(model_report(s, "sp21", seed, trials, einstein=7.0, casimir_multiple=6.0,
+                            casimir_name="casimir_generic_frame",
+                            isometry=hatn_isometry_map))
+    rep.absorb(duality_identity(_doubled(s), "sp21", trials=trials, rng=seed), "a2_")
     return rep

@@ -277,9 +277,9 @@ def wang_ziller_check(chi: np.ndarray):
     return residual <= 1e-8 * max(1.0, abs(c)), c
 
 
-def homothety_check(split: ReductiveSplit, S: np.ndarray, S_hat: np.ndarray,
-                    isometry=None):
-    """Compare n with the orthogonal complement of span{S, S_hat} in m.
+def homothety_check(split: ReductiveSplit, n_hat: RealSubspace, isometry=None):
+    """Compare n with n_hat, the orthogonal complement of the ray pair
+    span{S, S_hat} in m that the caller built.
 
     Equality of dimension plus equality of signatures (up to an overall
     sign swap) decides linear isometry; when an explicit map n -> m is
@@ -288,8 +288,6 @@ def homothety_check(split: ReductiveSplit, S: np.ndarray, S_hat: np.ndarray,
     """
     pair = split.pair
     tol = pair.tol
-    span = RealSubspace([S, S_hat], tol=tol)
-    n_hat, _ = orth_complement(span, pair.m, pair.form, tol)
     _, sig_n = gram_signature(pair.form, split.n, tol)
     _, sig_hat = gram_signature(pair.form, n_hat, tol)
     ok = split.n.dim == n_hat.dim

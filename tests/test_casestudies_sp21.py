@@ -12,6 +12,7 @@ from nullcone.casestudies import (
     B_elem,
     N_elem,
     Nhat_elem,
+    duality_identity,
     grading_report,
     hatn_isometry_map,
     n_params,
@@ -19,7 +20,6 @@ from nullcone.casestudies import (
     phi_sp1,
     sp21_action_formulas,
     sp21_build,
-    sp21_duality_identity,
     sp21_embedding_check,
     sp21_hatn_isometry,
     sp21_report,
@@ -77,13 +77,13 @@ def test_action_formula_report(data):
 
 
 def test_duality_report(data):
-    rep = sp21_duality_identity(data, trials=200, rng=1)
+    rep = duality_identity(data, "sp21", trials=200, rng=1)
     assert rep.ok, rep.failures()
 
 
 def test_duality_scales_with_base_point():
     data2 = sp21_build(a=2.0)
-    rep = sp21_duality_identity(data2, trials=100, rng=2)
+    rep = duality_identity(data2, "sp21", trials=100, rng=2)
     assert rep.ok, rep.failures()
     # the ray pairing carries the square of the scale
     assert data2.pair.form(data2.S, data2.S_hat) == pytest.approx(-48.0)
@@ -126,7 +126,7 @@ def test_one_report_builds_the_grading_once():
 def test_doubled_data_is_the_a2_build(seed):
     # 2S spans the ray of S and doubling is exact, so the derived data is
     # what a fresh build at a = 2 computes, bit for bit
-    got = casestudies._sp21_doubled(sp21_build(seed=seed))
+    got = casestudies._doubled(sp21_build(seed=seed))
     want = sp21_build(a=2.0, seed=seed)
     assert (got.a, got.mu) == (want.a, want.mu) == (2.0, 2 * (1 + 1j * np.sqrt(3.0)))
     for name in ("graded_basis", "S", "S_hat", "b_basis", "n_basis"):
@@ -139,7 +139,7 @@ def test_doubled_data_keeps_the_null_certificate(data):
     # a ray moved off the null cone inside m is refused, as sp21_build refuses it
     shift = data.pair.m.random_element(np.random.default_rng(3))
     with pytest.raises(ValueError, match="not null"):
-        casestudies._sp21_doubled(dataclasses.replace(data, S=data.S + 0.3 * shift))
+        casestudies._doubled(dataclasses.replace(data, S=data.S + 0.3 * shift))
 
 
 def test_grading_does_not_depend_on_the_ray_scale():

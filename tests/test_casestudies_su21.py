@@ -84,6 +84,25 @@ def test_ray_step_refuses_a_chart_element_outside_h(data):
         casestudies._case_study_split("C", data.mu, data.b_basis, n_basis, 0, DEFAULT_TOL)
 
 
+def test_ray_step_refuses_a_chart_that_misses_the_complement(data):
+    # negative control: with v_minus(0, 1) swapped for a stabilizer element
+    # the chart still lies in h, but it no longer spans the split's n
+    n_basis = data.n_basis[:-1] + [data.b_basis[0]]
+    with pytest.raises(ValueError, match="does not span the computed complement"):
+        casestudies._case_study_split("C", data.mu, data.b_basis, n_basis, 0, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_doubled_data_is_the_a2_build(seed):
+    # 2S spans the ray of S and doubling is exact, as for the quaternionic study
+    got = casestudies._doubled(su21_build(seed=seed))
+    want = su21_build(a=2.0, seed=seed)
+    assert (got.a, got.mu) == (want.a, want.mu) == (2.0, 2 * (1 + 1j * SQRT3))
+    for name in ("graded_basis", "S", "S_hat", "n_ginv"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.split.e_basis, want.split.e_basis)
+
+
 def test_scaling_the_base_point(data):
     scaled = su21_build(a=2.0)
     assert_allclose(scaled.S, 2.0 * data.S, atol=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nullcone.reductive as reductive
 from nullcone.casestudies import b_diag, sp21_build, su21_build, v_minus, v_plus
 from nullcone.casestudies import hatn_isometry_map
 from nullcone.linalg import RealSubspace, bracket, gram_matrix, signed_gram_schmidt
@@ -295,12 +296,23 @@ def test_derivation_check_fails_on_perturbed_stabilizer(su21):
 
 
 def test_homothety_checks(su21, sp21):
-    flag, note = homothety_check(su21.split, su21.S, su21.S_hat)
+    flag, note = homothety_check(su21.split, su21.n_hat)
     assert flag, note
-    flag, note = homothety_check(sp21.split, sp21.S, sp21.S_hat,
-                                 isometry=hatn_isometry_map)
+    flag, note = homothety_check(sp21.split, sp21.n_hat, isometry=hatn_isometry_map)
     assert flag, note
     assert "rank 12" in note
+
+
+def test_homothety_check_reads_the_complement_it_is_given(su21, sp21, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("n_hat is built once, with the case study")
+
+    monkeypatch.setattr(reductive, "orth_complement", refuse)
+    assert homothety_check(su21.split, su21.n_hat)[0]
+    assert homothety_check(sp21.split, sp21.n_hat, isometry=hatn_isometry_map)[0]
+    # a complement of the wrong dimension is refused
+    flag, note = homothety_check(su21.split, RealSubspace(su21.n_hat.basis[:-1]))
+    assert not flag and "dim n_hat = 5" in note
 
 
 SPLITS = ("su21", "sp21", "torsion_free_split", "abelian_split")

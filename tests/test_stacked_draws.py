@@ -21,9 +21,9 @@ import nullcone.casestudies as casestudies
 import nullcone.reductive as reductive
 from nullcone.casestudies import (
     _first_bianchi_worst,
+    duality_identity,
     sp21_build,
     sp21_action_formulas,
-    sp21_duality_identity,
     sp21_embedding_check,
     sp21_report,
     su21_ad_action,
@@ -101,11 +101,11 @@ def ref_constant_type_loop(data, trials, rng):
     return lam, float(np.abs(lams - lam).max() / max(abs(lam), 1e-12))
 
 
-def ref_bianchi_loop(split, space, seed, trials=10):
+def ref_bianchi_loop(split, seed, trials=10):
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     for _ in range(trials):
-        u, v, w = (space.random_element(rng) for _ in range(3))
+        u, v, w = (split.n.random_element(rng) for _ in range(3))
         worst = max(worst, float(np.linalg.norm(bianchi_residual(split, u, v, w))))
     return worst, rng
 
@@ -283,10 +283,17 @@ def broken_split(split):
     return dataclasses.replace(split, e_basis=split.e_basis + shift)
 
 
-def broken_sp21(data):
-    """S_hat moved off the partner ray in a direction other than S."""
-    shift = data.pair.m.random_element(np.random.default_rng(13))
-    return dataclasses.replace(data, S_hat=data.S_hat + 0.3 * shift)
+def broken_ray_pair(data):
+    """S and S_hat moved off the ray pair inside m, each its own way, and the
+    end vectors of the graded frame with them.  Moving one ray alone keeps
+    the graded transport: the bracket of the other stays in the span of the
+    middle frame, through which rho reads both sides."""
+    shift, shift_hat = 0.3 * data.pair.m.random_element(np.random.default_rng(13), size=2)
+    S, S_hat = data.S + shift, data.S_hat + shift_hat
+    graded = data.graded_basis.copy()
+    scale = 2 * data.a * np.sqrt(3.0)
+    graded[0], graded[-1] = S / scale, -S_hat / scale
+    return dataclasses.replace(data, S=S, S_hat=S_hat, graded_basis=graded)
 
 
 SKEW_WEIGHTS = {n: np.random.default_rng(14).uniform(0.5, 1.5, (n, n)) for n in (3, 6)}
@@ -336,6 +343,16 @@ def su21(request):
 @pytest.fixture(scope="module", params=SEEDS)
 def sp21(request):
     return request.param, sp21_build(seed=request.param)
+
+
+# the sp21 cases are named by their seed alone, the su21 cases "su21-<seed>"
+@pytest.fixture(scope="module",
+                params=[("sp21", s) for s in SEEDS] + [("su21", s) for s in SEEDS],
+                ids=lambda p: str(p[1]) if p[0] == "sp21" else f"su21-{p[1]}")
+def study(request):
+    """(study, seed, case study of either kind built with that seed)."""
+    name, seed = request.param
+    return name, seed, {"su21": su21_build, "sp21": sp21_build}[name](seed=seed)
 
 
 @pytest.fixture
@@ -416,10 +433,10 @@ def test_constant_type_matches_the_loop(su21, broken):
     assert same_state(g, h)
 
 
-def check_first_bianchi(seed, split, space, broken, made, trials=10):
+def check_first_bianchi(seed, split, broken, made, trials=10):
     split = broken_split(split) if broken else split
-    got = _first_bianchi_worst(split, space, seed, trials)
-    want, ref_rng = ref_bianchi_loop(split, space, seed, trials)
+    got = _first_bianchi_worst(split, seed, trials)
+    want, ref_rng = ref_bianchi_loop(split, seed, trials)
     # the unbroken quaternionic sum cancels terms of size ~100, so its
     # residual is rounding noise near 1e-11 and moves by a few 1e-12
     assert close(got, want, 1e-12 if broken else 1e-10)
@@ -430,25 +447,25 @@ def check_first_bianchi(seed, split, space, broken, made, trials=10):
 @pytest.mark.parametrize("broken", [False, True])
 def test_su21_first_bianchi_matches_the_loop(su21, broken, made_generators):
     seed, data = su21
-    check_first_bianchi(seed, data.split, data.n_space, broken, made_generators)
+    check_first_bianchi(seed, data.split, broken, made_generators)
 
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_sp21_first_bianchi_matches_the_loop(sp21, broken, made_generators):
     seed, data = sp21
-    check_first_bianchi(seed, data.split, data.split.n, broken, made_generators)
+    check_first_bianchi(seed, data.split, broken, made_generators)
 
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_su21_first_bianchi_matches_a_shorter_loop(su21, broken, made_generators):
     seed, data = su21
-    check_first_bianchi(seed, data.split, data.n_space, broken, made_generators, 5)
+    check_first_bianchi(seed, data.split, broken, made_generators, 5)
 
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_sp21_first_bianchi_matches_a_shorter_loop(sp21, broken, made_generators):
     seed, data = sp21
-    check_first_bianchi(seed, data.split, data.split.n, broken, made_generators, 5)
+    check_first_bianchi(seed, data.split, broken, made_generators, 5)
 
 
 @pytest.mark.parametrize("trials, bianchi, embedding", [(5, 5, 5), (100, 10, 20)])
@@ -461,9 +478,9 @@ def test_trials_caps_the_fixed_draws(suite, trials, bianchi, embedding, monkeypa
     real_bianchi = casestudies._first_bianchi_worst
     real_embedding = casestudies.sp21_embedding_check
 
-    def bianchi_recorded(split, space, seed, trials):
-        seen["bianchi"] = (split, space, seed, trials)
-        return real_bianchi(split, space, seed, trials)
+    def bianchi_recorded(split, seed, trials):
+        seen["bianchi"] = (split, seed, trials)
+        return real_bianchi(split, seed, trials)
 
     def embedding_recorded(data, trials, rng):
         g = np.random.default_rng(rng)
@@ -474,9 +491,9 @@ def test_trials_caps_the_fixed_draws(suite, trials, bianchi, embedding, monkeypa
     monkeypatch.setattr(casestudies, "sp21_embedding_check", embedding_recorded)
     assert main(["--suite", suite, "--trials", str(trials), "--seed", "7",
                  "--format", "json"]) == 0
-    split, space, seed, drawn = seen["bianchi"]
+    split, seed, drawn = seen["bianchi"]
     assert (seed, drawn) == (7, bianchi)
-    _, ref_rng = ref_bianchi_loop(split, space, seed, bianchi)
+    _, ref_rng = ref_bianchi_loop(split, seed, bianchi)
     assert same_state(made_by_library(made_generators, seed + 1, ref_rng), ref_rng)
     if suite == "sp21":
         data, seed, drawn, g = seen["embedding"]
@@ -489,14 +506,14 @@ def test_trials_caps_the_fixed_draws(suite, trials, bianchi, embedding, monkeypa
 
 
 @pytest.mark.parametrize("broken", [False, True])
-def test_duality_identity_matches_the_loop(sp21, broken):
-    seed, data = sp21
-    data = broken_sp21(data) if broken else data
+def test_duality_identity_matches_the_loop(study, broken):
+    name, seed, data = study
+    data = broken_ray_pair(data) if broken else data
     g, h = np.random.default_rng(seed), np.random.default_rng(seed)
-    rep = sp21_duality_identity(data, trials=TRIALS, rng=g)
+    rep = duality_identity(data, name, trials=TRIALS, rng=g)
     want, want_mid = ref_duality_loop(data, TRIALS, h)
-    assert close(observed(rep, "sp21_duality_identity"), want)
-    assert close(observed(rep, "sp21_duality_graded_transport"), want_mid)
+    assert close(observed(rep, f"{name}_duality_identity"), want)
+    assert close(observed(rep, f"{name}_duality_graded_transport"), want_mid)
     assert (min(want, want_mid) > 0.01) == broken
     assert same_state(g, h)
 
