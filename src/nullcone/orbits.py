@@ -2,7 +2,8 @@
 
 A null vector is S in m with K(S, S) = 0.  Generic samples are produced
 with a prescribed spectrum in a convenient frame and moved to the pair's
-frame by a form congruence plus a random isotropy conjugation.  Ray
+frame by a form congruence plus a random isotropy conjugation (by a
+Cayley element, one stacked solve); the real family stays float64.  Ray
 stabilizers have two routes.  The SVD route (stabilizers_of_rays) takes
 kernels of a joint linear system (the commutator may scale S along the
 ray, so the scaling coefficient is solved for, not assumed to vanish).
@@ -48,7 +49,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, expm, quat_embed, realify
+from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, quat_embed, realify
 from .pairs import SymmetricPair, t_form
 from .report import Report
 
@@ -227,14 +228,18 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray) -> NullBatch:
 
     Raises if a row is not in the tangent summand (which also holds it
     traceless); one stacked residual (two products with m's frame) tests
-    membership and one stacked eigvals gives the spectra.
+    membership and one stacked eigvals gives the spectra.  A real stack of
+    the real family stays float64, so its spectra come from real LAPACK;
+    every other stack is taken as complex128.
     """
-    S = np.asarray(S, dtype=complex)
+    S = np.asarray(S)
+    S = S.astype(float if pair.family.field == "R" and not np.iscomplexobj(S) else complex,
+                 copy=False)
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
     if np.any(pair.m.residual(S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")
     nullity = np.abs(pair.form(S, S))
-    vals = np.linalg.eigvals(S)
+    vals = np.linalg.eigvals(S).astype(complex, copy=False)  # real for an all-real spectrum
     if pair.family.field == "H":
         vals, spread, gap = _pair_doubled_spectra(vals)
         generic = (spread < 1e-6 * scale) & (gap > GAP_FACTOR * pair.tol.abs)
@@ -285,7 +290,8 @@ def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator) ->
         S[:, p + i, i] = -mu.imag
         slots = np.r_[r:p, p + r:n]
         S[:, slots, slots] = lam
-        return P @ S @ P_inv
+        # the real form's frame is real, so the draws stay float64
+        return P.real @ S @ P_inv.real
     diag = np.concatenate([mu, lam.astype(complex), np.conj(mu)[:, ::-1]], axis=1)
     X = (P * diag[:, None, :]) @ P_inv
     if fam.field == "C":
@@ -293,12 +299,33 @@ def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator) ->
     return quat_embed(QMat(X, np.zeros_like(X)))
 
 
+def _cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
+    """Cayley elements A = (1 - Z/2)^-1 (1 + Z/2) of a stack Z (k, N, N) of
+    elements of h, by one stacked solve; for R, Z is taken real and so is A.
+
+    A is in the isotropy group for every Z in h.  Z* F = -F Z gives
+    (1 - Z*/2)^-1 F = F (1 + Z/2)^-1, and the factors of A commute, so
+    A* F A = F.  Products and inverses keep the quaternionic pattern, so for
+    H A keeps it.  For C the eigenvalues of Z pair as lam and -conj(lam), so
+    |det A| = 1; A may be off SU(p, q) by a central phase, which does not
+    change A S A^-1.  |Z|_2 <= |Z|_F <= 1 keeps sigma_min(1 - Z/2) >= 1/2,
+    so the solve is well conditioned.
+    """
+    if pair.family.field == "R":
+        Z = Z.real
+    half = 0.5 * Z
+    eye = np.eye(Z.shape[-1])
+    return np.linalg.solve(eye - half, eye + half)
+
+
 def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
-    """Conjugate each S_i by exp(Z_i) for a random isotropy element with
-    norm <= 1: one stacked linalg.expm and one stacked solve."""
+    """Conjugate each S_i by the Cayley element A_i (_cayley) of a random
+    isotropy element Z_i with norm <= 1: one stacked solve builds every
+    A_i, an isotropy element, and one more gives A_i S_i A_i^-1.  A real
+    stack of the real family stays float64."""
     k = S.shape[0]
-    A = expm(pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
+    A = _cayley(pair, pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
     # S -> A S A^{-1} via a solve, avoiding an explicit inverse
     AS = A @ S
     return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -308,8 +335,10 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
     """k random generic null vectors (distinct spectrum, nonreal pairs present).
 
     The draws take their spectra at once, move them by the pair's
-    sampling congruence (computed once per pair), conjugate them by one
-    stacked linalg.expm and solve, and are certified by make_null_batch.
+    sampling congruence (computed once per pair), conjugate them by random
+    Cayley elements of the isotropy group (_isotropy_conjugate: two stacked
+    solves, no exponential), and are certified by make_null_batch.  Draws
+    of the real family stay float64 throughout.
     Rows that fail the genericity or nullity rule are redrawn, at
     most SAMPLE_ROUNDS rounds in all.
     """
@@ -881,9 +910,10 @@ def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str | np.nd
     For traceless null S the characteristic polynomial collapses so that
     S^3 = det(S) * 1; the strata are separated by the vanishing order.  A
     stack (k, 3, 3) gives an array of k labels, each matrix judged at its
-    own norm.
+    own norm.  A real stack is judged in float64.
     """
-    S = np.asarray(S, dtype=complex)
+    S = np.asarray(S)
+    S = S.astype(complex if np.iscomplexobj(S) else float, copy=False)
     norm = np.linalg.norm(S, axis=(-2, -1))
     if np.any(norm <= tol.abs):
         raise ValueError("zero matrix does not lie on any stratum")
@@ -897,14 +927,20 @@ def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str | np.nd
 
 def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int,
                               rng=0) -> NullBatch:
-    """k random representatives of one of the three strata for (R, 2, 1)."""
+    """k random representatives of one of the three strata for (R, 2, 1).
+
+    The open stratum is sample_null_batch.  A nilpotent draw is the
+    stratum's Jordan pattern moved to the corner frame, conjugated by a
+    random Cayley element (_isotropy_conjugate) and rescaled by a factor in
+    [0.5, 2]; it stays float64 and is certified by make_null_batch.
+    """
     rng = np.random.default_rng(rng)  # a Generator passes through
     fam = pair.family
     if (fam.field, fam.p, fam.q) != ("R", 2, 1):
         raise ValueError("strata sampling is defined for the real (2, 1) pair")
     if stratum == "open":
         return sample_null_batch(pair, k, rng)
-    E = np.zeros((3, 3), dtype=complex)
+    E = np.zeros((3, 3))
     if stratum == "two-step-nilpotent":
         E[0, 1] = E[1, 2] = 1.0
     elif stratum == "one-step-nilpotent":
@@ -914,7 +950,7 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int,
     if k < 1:
         raise ValueError("need at least one draw")
     P, P_inv = pair.corner_frame
-    S0 = P @ E @ P_inv
+    S0 = P.real @ E @ P_inv.real
     scale = rng.uniform(0.5, 2.0, k)
     S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)
     return make_null_batch(pair, scale[:, None, None] * S)

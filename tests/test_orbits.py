@@ -8,8 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import null_space, subspace_angles
 
-from nullcone import orbits, pairs
-from nullcone.linalg import QMat, Tolerance, _kernel_cols, bracket, quat_embed, realify
+from nullcone import linalg, orbits, pairs
+from nullcone.linalg import (QMat, Tolerance, _kernel_cols, bracket, quat_embed, quat_split,
+                             realify)
 from nullcone.orbits import (
     EXPECTED_STAB_DIM,
     NullBatch,
@@ -1152,3 +1153,66 @@ def test_ray_stabilizers_take_indices_and_masks(idx):
     assert len(picked.bases) == len(picked.scales) == len(rows)
     for j, i in enumerate(rows):
         assert picked.bases[j] is st.bases[i] and picked.scales[j] is st.scales[i]
+
+
+# ---------------------------------------------------------------------------
+# the draw layer: isotropy conjugation by Cayley elements, and the real
+# family drawn and certified in float64
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2)])
+def test_cayley_elements_of_isotropy_preserve_carrier_form(field, pq, seed):
+    pair = build_pair(Family(field, *pq))
+    rng = np.random.default_rng(seed)
+    A = orbits._cayley(pair, pair.h.random_element(rng, norm=[0.2, 0.5, 1.0, 1.0], size=4))
+    F = pair.carrier_form
+    res = np.abs(A.conj().transpose(0, 2, 1) @ F @ A - F).max(axis=(1, 2))
+    assert (res < 1e-13).all()
+    # A - 1 = (1 - Z/2)^-1 Z, so |A - 1|_F >= |Z|_F / 1.5: the draws move
+    assert (np.linalg.norm(A - np.eye(len(F)), axis=(1, 2)) > 0.2 / 1.5).all()
+    # A may differ from SU(p, q) by a central phase, never in modulus
+    assert_allclose(np.abs(np.linalg.det(A)), 1.0, rtol=0, atol=1e-13)
+    if field == "R":
+        assert A.dtype == np.float64
+    if field == "H":
+        for a in A:
+            quat_split(a)  # raises unless a keeps the quaternionic pattern
+
+
+def test_draws_make_no_exponential(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a draw called expm")
+
+    monkeypatch.setattr(linalg, "expm", boom)
+    monkeypatch.setattr(orbits, "expm", boom, raising=False)
+    for field in "RCH":
+        assert sample_null_batch(build_pair(Family(field, 2, 1)), 5, rng=0).genericity.all()
+    pair = build_pair(Family("R", 2, 1))
+    for stratum in STRATA:
+        assert (so21_orbit_class(sample_so21_stratum_batch(pair, stratum, 5, rng=0).S)
+                == stratum).all()
+
+
+@pytest.mark.parametrize("stratum", STRATA)
+def test_real_draws_stay_float64(stratum):
+    pair = build_pair(Family("R", 2, 1))
+    rng = np.random.default_rng(3)
+    S = orbits._framed_null_stack(pair, 6, rng)
+    assert S.dtype == np.float64
+    assert orbits._isotropy_conjugate(pair, S, rng).dtype == np.float64
+    batch = sample_so21_stratum_batch(pair, stratum, 40, rng=4)
+    assert batch.S.dtype == np.float64
+    # the certificate's spectrum is real LAPACK's, lexsorted by (real, imag)
+    w = np.linalg.eigvals(batch.S)
+    w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
+    assert_allclose(batch.eigenvalues, w, rtol=0, atol=0)
+    # a complex copy is judged by the same rules, in complex128
+    twin = make_null_batch(pair, batch.S.astype(complex))
+    assert twin.S.dtype == np.complex128
+    assert_allclose(twin.nullity_residual, batch.nullity_residual, rtol=0, atol=1e-14)
+    if stratum == "open":
+        assert twin.genericity.all() and batch.genericity.all()
+    assert (so21_orbit_class(batch.S) == stratum).all()
