@@ -230,7 +230,7 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     if not n_space.equals(split.n):
         raise ValueError("complement chart does not span the computed complement")
     S_hat = pair.involution(S)
-    n_hat, _ = orth_complement(RealSubspace([S, S_hat], tol=tol), pair.m, pair.form, tol)
+    n_hat, _ = orth_complement(RealSubspace([S, S_hat], tol=tol), pair.m, pair.form)
     e_hat, eps_hat = signed_gram_schmidt(pair.form, n_hat, np.random.default_rng(seed))
     scale = 2 * a * SQRT3  # K(S, S_hat) = -12 a^2 in both case studies
     graded = np.stack([S / scale, *e_hat, -S_hat / scale])
@@ -472,7 +472,7 @@ def su21_build(a: float = 1.0, seed: int = 0,
                v_minus(1, 0), v_minus(1j, 0), v_minus(0, 1)]
     study = _case_study_split("C", a * (1 + 1j * SQRT3), b_basis, n_basis, seed, tol)
     form = study["pair"].form
-    if gram_signature(form, study["n_space"], tol)[1][:2] != (3, 3):
+    if gram_signature(form, study["n_space"])[1][:2] != (3, 3):
         raise ValueError("unexpected complement signature")
     return SU21Data(**study, n_plus=RealSubspace(n_basis[:3], tol=tol),
                     n_minus=RealSubspace(n_basis[3:], tol=tol),
@@ -750,11 +750,11 @@ def sp21_subalgebra_profiles(data: SP21Data) -> Report:
     """The two stabilizer factors: profiles, orthogonality, commutation."""
     rep = Report(suite="sp21_factors")
     tol = data.pair.tol
-    prof1 = algebra_profile(data.b1, tol)
+    prof1 = algebra_profile(data.b1)
     rep.equals("sp21_factor1_profile", (prof1[0], prof1[1], prof1[2], prof1[3]),
                (3, (0, 3, 0), 0, 3),
                anchor="compact rank-one factor: 3-dim, definite, perfect")
-    prof2 = algebra_profile(data.b2, tol)
+    prof2 = algebra_profile(data.b2)
     rep.equals("sp21_factor2_profile", (prof2[0], prof2[1], prof2[2], prof2[3]),
                (6, (3, 3, 0), 0, 6),
                anchor="complex special-linear factor: 6-dim, split, perfect")

@@ -381,20 +381,22 @@ def sym_signature(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int
     return (plus, minus, G.shape[0] - plus - minus)
 
 
-def gram_signature(form: BilinForm, space: RealSubspace, tol: Tolerance = DEFAULT_TOL):
-    """Gram matrix of the form on the subspace basis plus its signature."""
+def gram_signature(form: BilinForm, space: RealSubspace):
+    """Gram matrix of the form on the subspace basis plus its signature, at
+    the subspace's tolerance."""
     G = gram_matrix(form, space.basis)
-    return G, sym_signature(G, tol)
+    return G, sym_signature(G, space.tol)
 
 
-def orth_complement(space: RealSubspace, within: RealSubspace, form: BilinForm,
-                    tol: Tolerance = DEFAULT_TOL):
+def orth_complement(space: RealSubspace, within: RealSubspace, form: BilinForm):
     """Orthogonal complement of `space` inside `within` for the given form.
 
     Returns (complement, degenerate).  When the form is degenerate on
     `space` the complement can intersect it; the flag reports that case
-    and callers decide whether it is an error.
+    and callers decide whether it is an error.  The complement is built
+    inside `within`, so its rank cuts and its own tolerance are within's.
     """
+    tol = within.tol
     G = gram_matrix(form, space.basis)
     _, _, n0 = sym_signature(G, tol)
     degenerate = n0 > 0
@@ -425,13 +427,14 @@ def structure_constants(space: RealSubspace):
     return c, closed
 
 
-def algebra_profile(space: RealSubspace, tol: Tolerance = DEFAULT_TOL):
+def algebra_profile(space: RealSubspace):
     """(dim, killing_signature, center_dim, derived_dim) of a matrix Lie algebra.
 
     Raises if the space is not closed under the bracket.  The Killing form
     is computed from the adjoint matrices in the supplied basis, so the
-    result is basis-independent up to the stated tolerances.
+    result is basis-independent up to the space's tolerance.
     """
+    tol = space.tol
     c, closed = structure_constants(space)
     if not closed:
         raise ValueError("space is not closed under the bracket")

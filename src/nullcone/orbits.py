@@ -14,7 +14,7 @@ the relative rank cuts are unchanged.  The same frame answers membership
 in m (RealSubspace.residual).  The commutant route
 (stabilizers_by_commutant) holds for generic rays only: a ray that is
 scaled by its stabilizer is nilpotent, so a generic ray's stabilizer is
-h ∩ C(S), solved from one eig of S as a projector of side dim C(S)
+h ∩ C(S), solved in the eigenbasis of S as a projector of side dim C(S)
 (2n for R, 2(n - 1) for C, 8n for H) instead of a dim m x (dim h + 1)
 system.  stabilizers_report solves every ray by the route with the
 smaller per-ray system (commutant_is_smaller) and the first ray by both.
@@ -28,11 +28,14 @@ form for the complex family, the symplectic form for the quaternionic one.
 Sampling, certification, partners, stabilizers and normal forms run on
 stacks of rays (sample_null_batch, partner_null_batch, stabilizers_of_rays,
 stabilizers_by_commutant, canonicalize_unitary_batch,
-canonicalize_symplectic_batch); one ray is a one-row stack.  Both
-stabilizer routes return the same RayStabilizers: per ray, a stack of
-matrices and their ray coefficients.  The kernels take whatever stack
-they are given; callers that walk many rays cut them with trial_blocks,
-which bounds the memory of one block on the route in use.
+canonicalize_symplectic_batch); one ray is a one-row stack.  A ray is
+eigen-solved once, where make_null_batch certifies it: its NullBatch keeps
+the spectrum and the eigenvector columns of that one stacked eig, and the
+partners, the unitary normal form and the commutant route read them from
+there.  Both stabilizer routes return the same RayStabilizers: per ray, a
+stack of matrices and their ray coefficients.  The kernels take whatever
+stack they are given; callers that walk many rays cut them with
+trial_blocks, which bounds the memory of one block on the route in use.
 stabilizers_report and orbits_report are the census checks of one pair,
 as the stabilizers and orbits suites run them.
 
@@ -45,7 +48,7 @@ take one (so21_orbit_class, RayStabilizers.subspace).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,27 +74,23 @@ class NullBatch:
     """k sampled or supplied elements of the null cone, as stacked arrays
     with a leading axis of length k.
 
-    eigenvalues holds n entries per row; for the quaternionic family these
-    are the clustered values of the doubled spectrum of the complex carrier.
-    genericity means all pairwise gaps exceed the sampling threshold.
-    eig is one stacked np.linalg.eig of S, computed on first use and shared
-    by the partner construction and the unitary normal form; take and
-    concat do not carry it.
+    eigenvalues holds n entries per row, lexsorted by (real, imag); for the
+    quaternionic family these are the cluster means of the doubled spectrum
+    of the complex carrier.  vectors (k, N, N) holds the eigenvector columns
+    of the same eig, in the same order: column i belongs to eigenvalue i,
+    and for the quaternionic family columns 2i and 2i + 1 belong to cluster
+    i.  genericity means all pairwise gaps exceed the sampling threshold.
     """
 
     S: np.ndarray
     eigenvalues: np.ndarray
+    vectors: np.ndarray
     genericity: np.ndarray
     nullity_residual: np.ndarray
     gap: np.ndarray
 
     def __len__(self) -> int:
         return self.S.shape[0]
-
-    @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V) of np.linalg.eig(S): eigenvalues (k, N), eigenvector columns (k, N, N)."""
-        return np.linalg.eig(self.S)
 
     def take(self, idx) -> "NullBatch":
         """Rows selected by an index array or boolean mask."""
@@ -201,12 +200,11 @@ def _doubled_pairs(vals: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _pair_doubled_spectra(vals: np.ndarray):
-    """Cluster a (k, 2n) doubled spectrum by _doubled_pairs.
+def _pair_doubled_spectra(vals: np.ndarray, idx: np.ndarray):
+    """Cluster a (k, 2n) doubled spectrum by its pairs idx (_doubled_pairs).
 
     Returns (k x n cluster means, max intra-pair spread, min inter-pair gap).
     """
-    idx = _doubled_pairs(vals)
     rows = np.arange(len(vals))[:, None]
     v, w = vals[rows, idx[..., 0]], vals[rows, idx[..., 1]]
     reps = 0.5 * (v + w)
@@ -228,9 +226,11 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray) -> NullBatch:
 
     Raises if a row is not in the tangent summand (which also holds it
     traceless); one stacked residual (two products with m's frame) tests
-    membership and one stacked eigvals gives the spectra.  A real stack of
-    the real family stays float64, so its spectra come from real LAPACK;
-    every other stack is taken as complex128.
+    membership and one stacked eig gives the spectra and the eigenvector
+    columns, which the batch keeps in the order of its eigenvalues (for H,
+    each cluster's two columns side by side).  A real stack of the real
+    family stays float64, so its spectra come from real LAPACK; every other
+    stack is taken as complex128.
     """
     S = np.asarray(S)
     S = S.astype(float if pair.family.field == "R" and not np.iscomplexobj(S) else complex,
@@ -239,16 +239,23 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray) -> NullBatch:
     if np.any(pair.m.residual(S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")
     nullity = np.abs(pair.form(S, S))
-    vals = np.linalg.eigvals(S).astype(complex, copy=False)  # real for an all-real spectrum
-    if pair.family.field == "H":
-        vals, spread, gap = _pair_doubled_spectra(vals)
+    vals, V = np.linalg.eig(S)  # both real for an all-real spectrum
+    vals, V = vals.astype(complex, copy=False), V.astype(complex, copy=False)
+    quaternionic = pair.family.field == "H"
+    if quaternionic:
+        pairs = _doubled_pairs(vals)
+        vals, spread, gap = _pair_doubled_spectra(vals, pairs)
         generic = (spread < 1e-6 * scale) & (gap > GAP_FACTOR * pair.tol.abs)
     else:
         gap = _min_gaps(vals)
         generic = gap > GAP_FACTOR * pair.tol.abs
     order = np.lexsort((vals.imag, vals.real), axis=-1)
     vals = np.take_along_axis(vals, order, axis=-1)
-    return NullBatch(S, vals, generic, nullity, gap)
+    cols = order  # the columns follow their values
+    if quaternionic:  # an H cluster's two columns stay side by side
+        cols = np.take_along_axis(pairs, order[..., None], axis=1).reshape(len(S), -1)
+    V = np.take_along_axis(V, cols[:, None, :], axis=2)
+    return NullBatch(S, vals, V, generic, nullity, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def _kernel_bases(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray, dims: np.n
 
 # ---------------------------------------------------------------------------
 # the commutant route: a generic S is not nilpotent, so [X, S] = c S forces
-# c = 0 and the ray stabilizer is h ∩ C(S), read off one eig of S
+# c = 0 and the ray stabilizer is h ∩ C(S), read off the certified eigenbasis
 # ---------------------------------------------------------------------------
 
 
@@ -522,19 +529,15 @@ def commutant_is_smaller(pair: SymmetricPair) -> bool:
     return _commutant_dim(pair) ** 2 < pair.m.dim * (pair.h.dim + 1)
 
 
-def _commutant_frames(pair: SymmetricPair, S: np.ndarray):
-    """One stacked eig of S (k, N, N): eigenvector columns V with each
-    eigenspace's columns adjacent (the doubled spectrum of H paired by
-    _doubled_pairs), V^-1, and the positions (rows r, columns c) of the
-    block diagonal D with X = V D V^-1 in C(S), one gl(b, C) block per
-    eigenspace of dimension b."""
-    w, V = np.linalg.eig(S)
-    N = S.shape[-1]
-    b = 1
-    if pair.family.field == "H":
-        b = 2
-        perm = _doubled_pairs(w).reshape(len(S), N)
-        V = np.take_along_axis(V, perm[:, None, :], axis=2)
+def _commutant_frames(pair: SymmetricPair, batch: NullBatch):
+    """The certified eigenvector columns V (k, N, N) of a batch, with each
+    eigenspace's columns adjacent (make_null_batch keeps the two columns of
+    an H cluster side by side), V^-1, and the positions (rows r, columns c)
+    of the block diagonal D with X = V D V^-1 in C(S), one gl(b, C) block
+    per eigenspace of dimension b."""
+    V = batch.vectors
+    N = V.shape[-1]
+    b = 2 if pair.family.field == "H" else 1
     blocks = np.arange(N).reshape(-1, b)
     r, c = np.repeat(blocks, b, axis=1).ravel(), np.tile(blocks, b).ravel()
     return V, np.linalg.inv(V), r, c
@@ -613,10 +616,10 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabil
 
     If [X, S] = c S with c != 0, then c tr(S^j) = tr([X, S] S^(j-1)) = 0
     for every j and S is nilpotent; a generic S is not, so its ray
-    stabilizer is the part of the commutant C(S) in h.  One stacked eig
-    writes C(S) as the block diagonals D of X = V D V^-1
-    (_commutant_frames); the involutions that fix h, written on D
-    (_commutant_involutions), give a projector onto h ∩ C(S) whose real
+    stabilizer is the part of the commutant C(S) in h.  The batch's
+    eigenvector columns write C(S) as the block diagonals D of
+    X = V D V^-1 (_commutant_frames); the involutions that fix h, written
+    on D (_commutant_involutions), give a projector onto h ∩ C(S) whose real
     matrix has side dim C(S): 8n for H, 2n for R, 2(n - 1) for C
     (_commutant_projector).  One stacked SVD of it gives the rank, with
     the relative cut taken at least against 1 (a projector's nonzero
@@ -632,7 +635,7 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabil
     """
     tol = pair.tol
     S = batch.S
-    V, Vinv, r, c = _commutant_frames(pair, S)
+    V, Vinv, r, c = _commutant_frames(pair, batch)
     margins = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
     if not np.all(batch.genericity) or np.any(
             np.finfo(float).eps * margins ** 2 > tol.rank_rel):
@@ -686,8 +689,9 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch):
     """Partner null vectors sharing the eigenframes of a batch, and their
     pairings with it: (partners (k, N, N), pairings (k,)).
 
-    Each partner keeps every eigenvector of S and maps each eigenvalue to
-    minus its conjugate.  On a canonical representative (eigenframe
+    Each partner keeps every eigenvector of S (the batch's vectors) and
+    maps each eigenvalue to minus its conjugate; for H each cluster value
+    serves both of its columns.  On a canonical representative (eigenframe
     adapted to the involution) this is exactly the negative conjugate
     transpose; unlike the raw matrix map it commutes with isotropy
     conjugation, so the stabilizer equality it feeds is frame-independent.
@@ -696,8 +700,9 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch):
     """
     if not np.all(batch.genericity):
         raise ValueError("the partner construction needs a generic spectrum")
-    S = batch.S
-    w, V = batch.eig
+    S, w, V = batch.S, batch.eigenvalues, batch.vectors
+    if pair.family.field == "H":
+        w = np.repeat(w, 2, axis=1)
     M = (V * -np.conj(w)[:, None, :]) @ np.linalg.inv(V)
     if pair.family.field == "R":
         M = M.real.astype(complex)
@@ -735,12 +740,12 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
     """Bases P diagonalizing generic complex-family null vectors so that
     P* F P is the antidiagonal-corner form; returns (P (k, n, n), r (k,)).
 
-    One stacked eig gives every eigenframe.  Columns are ordered as upper
-    half-plane eigenvalues by (real, imag), then real ones (positive
-    self-pairing first, values ascending), then the conjugate partners in
-    mirrored order, each upper value taking the nearest unused lower value
-    to its conjugate; partners are scaled to pair to 1 and real eigenlines
-    to +-1.  Rows are grouped by r.
+    The batch's eigenvector columns are the eigenframes.  Columns are
+    ordered as upper half-plane eigenvalues by (real, imag), then real
+    ones (positive self-pairing first, values ascending), then the
+    conjugate partners in mirrored order, each upper value taking the
+    nearest unused lower value to its conjugate; partners are scaled to
+    pair to 1 and real eigenlines to +-1.  Rows are grouped by r.
     """
     if pair.family.field != "C":
         raise ValueError("unitary normal form applies to the complex family")
@@ -748,7 +753,7 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
         raise ValueError("normal form needs a generic spectrum")
     S, F = batch.S, pair.carrier_form
     k, n = S.shape[:2]
-    w, V = batch.eig
+    w, V = batch.eigenvalues, batch.vectors
     upper, real, r = _spectrum_classes(w, batch.gap, pair.tol)
     rows = np.arange(k)
     up = np.lexsort((w.imag, w.real, ~upper), axis=-1)

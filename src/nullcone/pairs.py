@@ -129,8 +129,9 @@ def t_form(p: int, q: int, r: int) -> np.ndarray:
     return T
 
 
-def congruence(F: np.ndarray, T: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """P with P* F P = T for Hermitian F, T with matching +-1 spectra."""
+def congruence(F: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """P with P* F P = T for Hermitian F, T with matching +-1 spectra; the
+    residual test is a fixed 1e-10 of max(1, |T|)."""
     wf, Vf = np.linalg.eigh(F)
     wt, Vt = np.linalg.eigh(T)
     of, ot = np.argsort(-wf), np.argsort(-wt)
@@ -322,7 +323,7 @@ def dimension_table(families, tol: Tolerance = DEFAULT_TOL):
     rows = []
     for fam in families:
         pair = build_pair(fam, "standard", tol=tol)
-        _, sig = gram_signature(pair.form, pair.m, tol)
+        _, sig = gram_signature(pair.form, pair.m)
         if sig[2] != 0:
             raise ValueError(f"degenerate form on m for {fam}")
         observed = (pair.h.dim, pair.m.dim, (sig[0], sig[1]))
@@ -416,8 +417,8 @@ def check_symmetric_axioms(pair: SymmetricPair,
     rep.residual(f"{label}_form_orthogonal", cross, tol.abs,
                  anchor="h and m are orthogonal for the trace form")
 
-    _, sig_h = gram_signature(pair.form, pair.h, tol)
-    _, sig_m = gram_signature(pair.form, pair.m, tol)
+    _, sig_h = gram_signature(pair.form, pair.h)
+    _, sig_m = gram_signature(pair.form, pair.m)
     rep.equals(f"{label}_form_nondegenerate",
                (sig_h[2], sig_m[2]), (0, 0),
                anchor="trace form nondegenerate on both summands")

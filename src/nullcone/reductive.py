@@ -119,7 +119,6 @@ class ReductiveSplit:
 def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
                     rng=0) -> ReductiveSplit:
     """Build the orthogonal invariant complement of b inside h."""
-    tol = pair.tol
     form = pair.form
     if b is not None and b.dim > 0:
         if not pair.h.contains(b.basis).all():
@@ -127,10 +126,10 @@ def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
         _, closed = structure_constants(b)
         if not closed:
             raise ValueError("b is not closed under the bracket")
-        _, sig_b = gram_signature(form, b, tol)
+        _, sig_b = gram_signature(form, b)
         if sig_b[2] > 0:
             raise ValueError("form is degenerate on b; no orthogonal complement")
-        n, _ = orth_complement(b, pair.h, form, tol)
+        n, _ = orth_complement(b, pair.h, form)
         if max_bracket_residual(b.basis, n, n.basis) > 1e-7:
             raise ValueError("complement is not invariant under b")
     else:
@@ -288,8 +287,8 @@ def homothety_check(split: ReductiveSplit, n_hat: RealSubspace, isometry=None):
     """
     pair = split.pair
     tol = pair.tol
-    _, sig_n = gram_signature(pair.form, split.n, tol)
-    _, sig_hat = gram_signature(pair.form, n_hat, tol)
+    _, sig_n = gram_signature(pair.form, split.n)
+    _, sig_hat = gram_signature(pair.form, n_hat)
     ok = split.n.dim == n_hat.dim
     sig_match = (sig_n == sig_hat) or (sig_n == (sig_hat[1], sig_hat[0], sig_hat[2]))
     ok = ok and sig_match and sig_n[2] == 0

@@ -789,7 +789,7 @@ def test_batched_normal_forms_reject_bad_rows():
     # the shifted value is one of those
     vals = bH.eigenvalues.copy()
     vals[1, np.flatnonzero(vals[1].imag > 0)[0]] += 0.5
-    bad = NullBatch(bH.S, vals, bH.genericity, bH.nullity_residual, bH.gap)
+    bad = NullBatch(bH.S, vals, bH.vectors, bH.genericity, bH.nullity_residual, bH.gap)
     with pytest.raises(ValueError, match="two-dimensional"):
         orbits.canonicalize_symplectic_batch(pH, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
@@ -1117,28 +1117,87 @@ def test_orbits_report_builds_no_basis_and_no_span_test(field, monkeypatch):
     assert rep.checks and all(c.status == "pass" for c in rep.checks)
 
 
-def test_one_eig_per_complex_batch(monkeypatch):
-    # the partner construction and the unitary normal form share one eig
-    pair = build_pair(Family("C", 2, 1))
-    calls = []
-    eig = np.linalg.eig
+# ---------------------------------------------------------------------------
+# the spectral record: make_null_batch is the one place a ray is eigen-solved
+# ---------------------------------------------------------------------------
 
-    def counted(a):
-        calls.append(a.shape)
+
+@pytest.mark.parametrize("field,pq", FRAME_CASES)
+def test_batch_vectors_are_eigenvectors_of_their_values(field, pq):
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 6, rng=11)
+    S, V = batch.S, batch.vectors
+    assert V.shape == S.shape and V.dtype == np.complex128
+    # column i belongs to eigenvalue i; for H columns 2i and 2i + 1 to cluster i
+    lam = np.repeat(batch.eigenvalues, 2, axis=1) if field == "H" else batch.eigenvalues
+    assert lam.shape == V.shape[:2]
+    res = np.linalg.norm(S @ V - V * lam[:, None, :], axis=1)
+    rel = res / (np.linalg.norm(S, axis=(1, 2))[:, None] * np.linalg.norm(V, axis=1))
+    assert (rel < 1e-10).all()
+    # the columns are a basis: the commutant route inverts them
+    assert (np.linalg.svd(V, compute_uv=False)[:, -1] > 1e-6).all()
+
+
+@pytest.mark.parametrize("field,pq", FRAME_CASES)
+def test_take_and_concat_carry_the_vectors(field, pq):
+    pair = build_pair(Family(field, *pq))
+    a, b = sample_null_batch(pair, 4, rng=12), sample_null_batch(pair, 3, rng=13)
+    assert np.array_equal(a.take([3, 1]).vectors, a.vectors[[3, 1]])
+    assert np.array_equal(a.take(np.array([True, False, False, True])).vectors,
+                          a.vectors[[0, 3]])
+    both = NullBatch.concat([a, b])
+    assert np.array_equal(both.vectors, np.concatenate([a.vectors, b.vectors]))
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
+    # stabilizers (both routes) and orbits (partners, normal forms, strata)
+    # make one eig per make_null_batch call and no other spectral call
+    pair = build_pair(Family(field, 2, 1))
+    eig, certify = np.linalg.eig, orbits.make_null_batch
+    eigs, made = [], []
+
+    def counted_eig(a):
+        eigs.append(a.shape)
         return eig(a)
 
-    monkeypatch.setattr(np.linalg, "eig", counted)
-    monkeypatch.setattr(orbits, "BLOCK_BYTES", 5 * orbits._ray_bytes(pair, False))
-    assert trial_blocks(pair, 10, False) == [4, 4, 2]
-    rep = orbits_report(pair, 10, seed=5)
-    assert all(c.status == "pass" for c in rep.checks)
-    assert calls == [(4, 3, 3), (4, 3, 3), (2, 3, 3)]
-    batch = sample_null_batch(pair, 3, rng=5)
-    w, V = batch.eig
-    assert batch.eig[1] is V
-    assert "eig" not in vars(batch.take([0, 1]))
-    assert "eig" not in vars(NullBatch.concat([batch, batch]))
-    assert_allclose(batch.take([2]).eig[0], w[2:], rtol=0, atol=0)
+    def counted_certify(pair, S):
+        before = len(eigs)
+        batch = certify(pair, S)
+        made.append(len(eigs) - before)
+        return batch
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no eigvals call is left")
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    monkeypatch.setattr(orbits, "make_null_batch", counted_certify)
+    for report in (stabilizers_report, orbits_report):
+        rep = report(pair, 12, seed=5)
+        assert rep.checks and all(c.status == "pass" for c in rep.checks)
+    assert made and made == [1] * len(made)
+    assert len(eigs) == len(made)
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_partners_normal_forms_and_commutant_need_no_new_eig(field, monkeypatch):
+    pair = build_pair(Family(field, 2, 1))
+    batch = sample_null_batch(pair, 5, rng=6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ray was eigen-solved when it was certified")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    partners, pairings = partner_null_batch(pair, batch)
+    assert partners.shape == batch.S.shape and (pairings < 0).all()
+    st = stabilizers_by_commutant(pair, batch)
+    assert (st.dims == EXPECTED_STAB_DIM[field](3)).all() and (st.residuals < 1e-8).all()
+    if field != "R":
+        canonicalize = {"C": canonicalize_unitary_batch, "H": canonicalize_symplectic_batch}
+        P, r = canonicalize[field](pair, batch)
+        assert (orbits.normal_form_residuals(pair, P, r) < 1e-9).all()
 
 
 @pytest.mark.parametrize("idx", [[2, 0], [False, True, True], np.array([True, False, True])],
@@ -1205,8 +1264,8 @@ def test_real_draws_stay_float64(stratum):
     assert orbits._isotropy_conjugate(pair, S, rng).dtype == np.float64
     batch = sample_so21_stratum_batch(pair, stratum, 40, rng=4)
     assert batch.S.dtype == np.float64
-    # the certificate's spectrum is real LAPACK's, lexsorted by (real, imag)
-    w = np.linalg.eigvals(batch.S)
+    # the certificate's spectrum is real LAPACK's eig, lexsorted by (real, imag)
+    w = np.linalg.eig(batch.S)[0]
     w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
     assert_allclose(batch.eigenvalues, w, rtol=0, atol=0)
     # a complex copy is judged by the same rules, in complex128

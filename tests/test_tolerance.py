@@ -73,7 +73,7 @@ def test_options_no_caller_sets_are_constants():
     assert "tol" not in inspect.signature(linalg.signed_gram_schmidt).parameters
     assert "r" not in inspect.signature(casestudies.su21_ad_action).parameters
     assert [f.name for f in dataclasses.fields(orbits.NullBatch)] == [
-        "S", "eigenvalues", "genericity", "nullity_residual", "gap"]
+        "S", "eigenvalues", "vectors", "genericity", "nullity_residual", "gap"]
 
 
 @pytest.mark.parametrize("study,report", [("su21", su21_report), ("sp21", sp21_report)])
@@ -131,3 +131,31 @@ def test_partners_are_a_projected_stack_without_certificates(field, monkeypatch)
     assert isinstance(partners, np.ndarray) and partners.shape == (4, N, N)
     assert partners.dtype == complex and pairings.shape == (4,)
     assert_allclose(pair.m.project(partners), partners, rtol=0, atol=1e-12)
+
+
+def test_subspace_helpers_read_the_tolerance_their_subspaces_carry(monkeypatch):
+    params = {linalg.gram_signature: ["form", "space"], linalg.algebra_profile: ["space"],
+              linalg.orth_complement: ["space", "within", "form"],
+              pairs.congruence: ["F", "T"]}
+    for fn, names in params.items():
+        assert list(inspect.signature(fn).parameters) == names
+    # a Gram eigenvalue 3e-10 of the largest is zero at rank_rel 1e-8, not at 1e-12
+    fine = Tolerance(rank_rel=1e-12)
+    X, Y = np.diag([1.0, -1.0, 0.0]), 1e-5 * np.diag([1.0, 1.0, -2.0])
+    form = linalg.BilinForm(1.0)
+    assert linalg.gram_signature(form, linalg.RealSubspace([X, Y]))[1] == (1, 0, 1)
+    assert linalg.gram_signature(form, linalg.RealSubspace([X, Y], tol=fine))[1] == (2, 0, 0)
+    # the complement is built inside `within` and carries its tolerance;
+    # algebra_profile hands its space's tolerance to every rank decision
+    seen = []
+    for name in ("sym_signature", "_kernel_cols"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, _real=real: seen.append(a[-1]) or _real(*a))
+    sx, sy, sz = (np.array(m, dtype=complex) for m in
+                  ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+    su2 = linalg.RealSubspace([1j * sx, 1j * sy, 1j * sz], tol=fine)
+    comp, _ = linalg.orth_complement(linalg.RealSubspace([1j * sz]), su2, form)
+    assert comp.dim == 2 and comp.tol is fine
+    assert linalg.algebra_profile(su2) == (3, (0, 3, 0), 0, 3)
+    assert seen and all(t is fine for t in seen)
