@@ -19,7 +19,8 @@ h ∩ C(S), solved in the eigenbasis of S as a projector of side dim C(S)
 system.  stabilizers_report solves every ray by the route with the
 smaller per-ray system (commutant_is_smaller) and the first ray by both.
 orbits_report builds no stabilizer basis: it compares a ray's stabilizer
-with its partner's as kernels of their systems (ray_stabilizer_mismatch)
+with its partner's as kernels of their systems, the ray's kernel against
+the singular values of the partner's system (ray_stabilizer_mismatch),
 and counts strata dimensions from singular values (stabilizer_dims).
 Normal-form routines reduce a generic null vector to a diagonal matrix
 whose invariant-form Gram takes an antidiagonal corner shape: the unitary
@@ -31,9 +32,10 @@ stabilizers_by_commutant, canonicalize_unitary_batch,
 canonicalize_symplectic_batch); one ray is a one-row stack.  A ray is
 eigen-solved once, where make_null_batch certifies it: its NullBatch keeps
 the spectrum and the eigenvector columns of that one stacked eig, and the
-partners, the unitary normal form and the commutant route read them from
-there.  Both stabilizer routes return the same RayStabilizers: per ray, a
-stack of matrices and their ray coefficients.  The kernels take whatever
+partners, both normal forms and the commutant route read them from there
+(the symplectic form takes each eigenplane from its cluster's two
+columns).  Both stabilizer routes return the same RayStabilizers: per
+ray, a stack of matrices and their ray coefficients.  The kernels take whatever
 stack they are given; callers that walk many rays cut them with
 trial_blocks, which bounds the memory of one block on the route in use.
 stabilizers_report and orbits_report are the census checks of one pair,
@@ -41,8 +43,10 @@ as the stabilizers and orbits suites run them.
 
 Tolerance contract: a routine given a pair reads its tolerance from
 pair.tol, fixed once where the pair is built (build_pair): rank cuts use
-tol.rank_rel and the genericity gap tol.abs.  Only routines without a pair
-take one (so21_orbit_class, RayStabilizers.subspace).
+tol.rank_rel and the genericity gap tol.abs; the normal forms split a
+spectrum at a quarter of its certified gap, which needs no tolerance.
+Only routines without a pair take one (so21_orbit_class,
+RayStabilizers.subspace).
 """
 
 from __future__ import annotations
@@ -414,25 +418,26 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     return A.transpose(0, 2, 1)
 
 
-def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, vt: str | None = None):
-    """Ranks (k,) of the stabilizer systems of a stack S (k, N, N): one
-    stacked SVD and the relative cut s > pair.tol.rank_rel * s_max (the
-    frame of m keeps the full system's singular values up to one common
-    factor).
+def _rank_cut(pair: SymmetricPair, s: np.ndarray) -> np.ndarray:
+    """Ranks (k,) from stacked singular values s (k, j): the relative cut
+    s > pair.tol.rank_rel * s_max."""
+    return (s > pair.tol.rank_rel * s[:, :1]).sum(axis=1)
 
-    vt=None takes singular values alone.  vt="full" also returns all of
+
+def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, vt: bool = False):
+    """Ranks (k,) of the stabilizer systems of a stack S (k, N, N): one
+    stacked SVD and the relative cut of _rank_cut (the frame of m keeps the
+    full system's singular values up to one common factor).
+
+    vt=False takes singular values alone.  vt=True also returns all of
     V^T, whose last (dim h + 1) - rank rows span each kernel (a full SVD
-    only where dim m < dim h + 1); vt="reduced" returns the reduced V^T,
-    whose first rank rows span the complement of each kernel.
+    only where dim m < dim h + 1).
     """
     A = _stabilizer_system(pair, np.asarray(S, dtype=complex))
-    if vt is None:
-        s = np.linalg.svd(A, compute_uv=False)
-    else:
-        full = vt == "full" and pair.m.dim < pair.h.dim + 1
-        s, v = np.linalg.svd(A, full_matrices=full)[1:]
-    rank = (s > pair.tol.rank_rel * s[:, :1]).sum(axis=1)
-    return rank if vt is None else (rank, v)
+    if not vt:
+        return _rank_cut(pair, np.linalg.svd(A, compute_uv=False))
+    s, v = np.linalg.svd(A, full_matrices=pair.m.dim < pair.h.dim + 1)[1:]
+    return _rank_cut(pair, s), v
 
 
 def stabilizer_dims(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
@@ -454,7 +459,7 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray) -> RayStabilizers:
     sizes stacks to a memory bound.
     """
     S = np.asarray(S, dtype=complex)
-    rank, vt = _stabilizer_ranks(pair, S, vt="full")
+    rank, vt = _stabilizer_ranks(pair, S, vt=True)
     dims = vt.shape[-1] - rank
     return RayStabilizers(dims, *_kernel_bases(pair, S, vt, dims))
 
@@ -463,22 +468,27 @@ def ray_stabilizer_mismatch(pair: SymmetricPair, S: np.ndarray, T: np.ndarray):
     """Ray stabilizers of two stacks S and T (k, N, N) compared row by row
     as kernels of their systems: (dims of S, dims of T, mismatch), each (k,).
 
-    mismatch[i] is |vt_i K_i^T|_F, with K_i the orthonormal kernel rows of
-    S_i, in (x, c) coordinates, and vt_i the rows of T_i's reduced SVD that
-    span the complement of its kernel: sqrt(sum sin^2) over the principal
-    angles, 0 exactly when S_i's kernel lies in T_i's, symmetric for equal
-    dimensions and at least the largest sine.  X -> x is an isomorphism,
-    so equal kernels are equal stabilizers with equal ray coefficients.
+    mismatch[i] is |A_i K_i^T|_F / sigma_r(A_i), with K_i the orthonormal
+    kernel rows of S_i's system, in (x, c) coordinates, from its full SVD,
+    and A_i the system of T_i, of which only the singular values are taken;
+    r is the rank of A_i at the same relative cut.  Over the principal
+    angles between the kernels it is at least sqrt(sum sin^2), and so at
+    least the largest sine, and at most sigma_1 / sigma_r times that: 0
+    exactly when S_i's kernel lies in T_i's.  X -> x is an isomorphism, so
+    equal kernels are equal stabilizers with equal ray coefficients.  Each
+    T_i must be a ray (nonzero), so that sigma_r(A_i) > 0.
     """
-    rank, vt = _stabilizer_ranks(pair, S, vt="full")
-    rank_t, vt_t = _stabilizer_ranks(pair, T, vt="reduced")
+    rank, vt = _stabilizer_ranks(pair, S, vt=True)
+    A = _stabilizer_system(pair, np.asarray(T, dtype=complex))
+    s = np.linalg.svd(A, compute_uv=False)
+    rank_t = _rank_cut(pair, s)
     dims = vt.shape[-1] - rank
     d = int(dims.max(initial=0))
     tail = vt[:, vt.shape[1] - d:]  # ray i's kernel is its last dims[i] rows
-    C = vt_t @ tail.transpose(0, 2, 1)
-    own = ((np.arange(C.shape[1]) < rank_t[:, None])[:, :, None]
-           & (np.arange(d) >= (d - dims)[:, None])[:, None, :])
-    mismatch = np.sqrt(np.where(own, C * C, 0.0).sum(axis=(1, 2)))
+    AK = A @ tail.transpose(0, 2, 1)
+    own = (np.arange(d) >= (d - dims)[:, None])[:, None, :]
+    sigma_r = np.take_along_axis(s, rank_t[:, None] - 1, axis=1)[:, 0]
+    mismatch = np.sqrt(np.where(own, AK * AK, 0.0).sum(axis=(1, 2))) / sigma_r
     return dims, vt.shape[-1] - rank_t, mismatch
 
 
@@ -723,17 +733,50 @@ def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
     return cone_dim - orbit_dim
 
 
-def _spectrum_classes(vals: np.ndarray, gap: np.ndarray, tol: Tolerance):
+def _spectrum_classes(vals: np.ndarray, gap: np.ndarray):
     """Masks of the upper-half-plane and real values of each row of a (k, n)
-    spectrum, at the threshold max(GAP_FACTOR * tol.abs, gap / 4), and the
-    corner size r (k,), the number of upper values.
+    spectrum, at the threshold gap / 4, and the corner size r (k,), the
+    number of upper values.  A nonreal value lies 2 |Im| from its conjugate,
+    so |Im| >= gap / 2 and gap / 4 separates the classes at any scale.
     Raises where the lower values do not match the upper ones in number."""
-    thr = np.maximum(GAP_FACTOR * tol.abs, 0.25 * np.asarray(gap))[:, None]
+    thr = 0.25 * np.asarray(gap)[:, None]
     upper, lower = vals.imag > thr, vals.imag < -thr
     r = upper.sum(axis=1)
     if np.any(lower.sum(axis=1) != r):
         raise ValueError("nonreal eigenvalues do not pair with their conjugates")
     return upper, ~(upper | lower), r
+
+
+def _corner_slots(vals: np.ndarray, gap: np.ndarray, sign=0.0):
+    """The order in which a normal form takes the values of a (k, n)
+    spectrum: (r, groups), with r (k,) the corner sizes and, per corner
+    size rr, (g, rr, slots): the rows g of that size and their value
+    indices slots (len(g), n).
+
+    The slots are the upper-half-plane values by (real, imag), then the
+    real ones by (-sign, value), then the conjugate partners in mirrored
+    order, each upper value taking the nearest unused lower value to its
+    conjugate.  sign (broadcast to (k, n)) is the sign of each value's
+    self-pairing where a normal form puts the positive ones first.
+    """
+    upper, real, r = _spectrum_classes(vals, gap)
+    k, n = vals.shape
+    rows = np.arange(k)
+    up = np.lexsort((vals.imag, vals.real, ~upper), axis=-1)
+    mid = np.lexsort((vals.real, -np.broadcast_to(sign, (k, n)), ~real), axis=-1)
+    free = ~(upper | real)
+    partner = np.zeros((k, int(r.max(initial=0))), dtype=int)
+    for i in range(partner.shape[1]):
+        target = np.conj(vals[rows, up[:, i]])
+        j = np.where(free, np.abs(vals - target[:, None]), np.inf).argmin(axis=1)
+        free[rows, j] = False
+        partner[:, i] = j
+    groups = []
+    for rr in sorted(set(r.tolist())):  # np.unique would load numpy.ma
+        g = np.flatnonzero(r == rr)
+        groups.append((g, rr, np.concatenate(
+            [up[g, :rr], mid[g, :n - 2 * rr], partner[g, :rr][:, ::-1]], axis=1)))
+    return r, groups
 
 
 def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
@@ -752,25 +795,12 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
     if not np.all(batch.genericity):
         raise ValueError("normal form needs a generic spectrum")
     S, F = batch.S, pair.carrier_form
-    k, n = S.shape[:2]
+    n = S.shape[1]
     w, V = batch.eigenvalues, batch.vectors
-    upper, real, r = _spectrum_classes(w, batch.gap, pair.tol)
-    rows = np.arange(k)
-    up = np.lexsort((w.imag, w.real, ~upper), axis=-1)
-    free = ~(upper | real)
-    partner = np.zeros((k, int(r.max(initial=0))), dtype=int)
-    for i in range(partner.shape[1]):
-        target = np.conj(w[rows, up[:, i]])
-        j = np.where(free, np.abs(w - target[:, None]), np.inf).argmin(axis=1)
-        free[rows, j] = False
-        partner[:, i] = j
     self_pairing = (V.conj() * (F @ V)).sum(axis=1).real
-    mid = np.lexsort((w.real, -np.sign(self_pairing), ~real), axis=-1)
+    r, groups = _corner_slots(w, batch.gap, np.sign(self_pairing))
     P = np.empty_like(V)
-    for rr in sorted(set(r.tolist())):  # np.unique would load numpy.ma
-        g = np.flatnonzero(r == rr)
-        slots = np.concatenate([up[g, :rr], mid[g, :n - 2 * rr], partner[g, :rr][:, ::-1]],
-                               axis=1)
+    for g, rr, slots in groups:
         Q = np.take_along_axis(V[g], slots[:, None, :], axis=2)
         Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
         FQ = F @ Q
@@ -787,12 +817,6 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
     return P, r
 
 
-def _omega_matrix(pair: SymmetricPair) -> np.ndarray:
-    F = pair.hermitian_matrix
-    Z = np.zeros_like(F)
-    return np.block([[Z, F], [-F, Z]])
-
-
 def _quat_conj(x: np.ndarray) -> np.ndarray:
     """J conj(x) for carrier vectors on the last axis, J = [[0, -1], [1, 0]]
     blockwise: the quaternionic structure, mapping each eigenspace of a
@@ -801,18 +825,32 @@ def _quat_conj(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-np.conj(x[..., n:]), np.conj(x[..., :n])], axis=-1)
 
 
-def _eigenplanes(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Two orthonormal vectors spanning ker(M_i - lam_ij) for each matrix of
-    M (k, N, N) and each value of lam (k, n): (k, n, 2, N), vectors on the
-    last axis.  One stacked numpy SVD with the rank rule of scipy's
-    null_space (singular values above 1e-8 of the largest count towards the
-    rank); raises unless every kernel is two-dimensional."""
-    N = M.shape[-1]
-    _, s, vh = np.linalg.svd(M[:, None] - lam[:, :, None, None] * np.eye(N),
-                             full_matrices=False)
-    if np.any((s > 1e-8 * s[..., :1]).sum(axis=-1) != N - 2):
+def _cluster_planes(batch: NullBatch) -> np.ndarray:
+    """Two orthonormal vectors spanning the eigenspace of each cluster of a
+    quaternionic batch: (k, n, 2, N), vectors on the last axis, clusters in
+    the order of batch.eigenvalues.
+
+    The plane of cluster i is the batch's columns 2i and 2i + 1, made
+    orthonormal by one stacked Gram-Schmidt step, so the first vector is
+    the first column, normalized.  Raises unless every kernel is
+    two-dimensional: each column must solve |S v - lam v| <= 1e-8 |S|_F |v|
+    for its listed cluster value lam (one S @ V for the stack), and the
+    Gram-Schmidt remainder of each second column must exceed 1e-8 of its
+    norm."""
+    S, V = batch.S, batch.vectors
+    k, N = S.shape[:2]
+    lam = np.repeat(batch.eigenvalues, 2, axis=1)
+    res = np.linalg.norm(S @ V - V * lam[:, None, :], axis=1)
+    E = np.swapaxes(V, 1, 2).reshape(k, N // 2, 2, N)
+    a = E[:, :, 0] / np.linalg.norm(E[:, :, 0], axis=-1, keepdims=True)
+    b = E[:, :, 1]
+    rem = b - (a.conj() * b).sum(axis=-1, keepdims=True) * a
+    rem_norm = np.linalg.norm(rem, axis=-1, keepdims=True)
+    scale = np.linalg.norm(S, axis=(1, 2))[:, None]
+    if (np.any(res > 1e-8 * scale * np.linalg.norm(V, axis=1))
+            or np.any(rem_norm <= 1e-8 * np.linalg.norm(b, axis=-1, keepdims=True))):
         raise ValueError("eigenspace is not two-dimensional; spectrum not generic")
-    return vh[..., N - 2:, :].conj()
+    return np.stack([a, rem / rem_norm], axis=2)
 
 
 def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch):
@@ -824,18 +862,19 @@ def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch):
     with T the corner form of size r = number of nonreal eigenvalue pairs,
     and the Hermitian Gram is supported on the same corner pattern in each
     diagonal block.  The eigenvalues are taken in the order upper half-plane
-    by (real, imag), real ones ascending, then the conjugates of the upper
-    ones mirrored; one stacked SVD gives every two-dimensional eigenspace,
-    and the 2 x 2 Gram, eigh, det and inverse steps run on the stack.  Rows
-    are grouped by r.
+    by (real, imag), real ones ascending, then the conjugate partners of the
+    upper ones mirrored (_corner_slots, shared with the unitary form).  Each
+    eigenspace is the plane of its cluster's two columns of the batch
+    (_cluster_planes), and the 2 x 2 Gram, eigh, det and inverse steps run
+    on the stack.  Rows are grouped by r.
     """
     if pair.family.field != "H":
         raise ValueError("symplectic normal form applies to the quaternionic family")
     if not np.all(batch.genericity):
         raise ValueError("normal form needs a generic spectrum")
-    M, vals = batch.S, batch.eigenvalues
-    n = vals.shape[1]
-    Hm, Om = pair.carrier_form, _omega_matrix(pair)
+    M = batch.S
+    n = pair.family.n
+    Hm, Om = pair.carrier_form, pair.omega_matrix
 
     def om(x, y):
         return (x * (y @ Om.T)).sum(axis=-1)
@@ -846,16 +885,11 @@ def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch):
     def gram2(a, b, c, d):
         return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
-    upper, real, r = _spectrum_classes(vals, batch.gap, pair.tol)
-    up = np.lexsort((vals.imag, vals.real, ~upper), axis=-1)
-    mid = np.lexsort((vals.real, ~real), axis=-1)
+    planes = _cluster_planes(batch)
+    r, groups = _corner_slots(batch.eigenvalues, batch.gap)
     P = np.empty_like(M)
-    for rr in sorted(set(r.tolist())):  # np.unique would load numpy.ma
-        g = np.flatnonzero(r == rr)
-        lam_up = np.take_along_axis(vals[g], up[g, :rr], axis=1)
-        lam_mid = np.take_along_axis(vals[g], mid[g, :n - 2 * rr], axis=1).real + 0j
-        E = _eigenplanes(M[g], np.concatenate([lam_up, lam_mid, np.conj(lam_up[:, ::-1])],
-                                              axis=1))
+    for g, rr, slots in groups:
+        E = np.take_along_axis(planes[g], slots[:, :, None, None], axis=1)
         vs = np.empty(E.shape[:2] + E.shape[3:], dtype=complex)
         ws = np.empty_like(vs)
         # real eigenvalues: v and J conj(v) span the eigenspace; the Hermitian
@@ -891,21 +925,35 @@ def _adjoint(X: np.ndarray) -> np.ndarray:
     return np.swapaxes(X.conj(), -1, -2)
 
 
+@lru_cache
+def _corner_targets(p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram targets of every corner size r = 0, ..., min(p, q), each
+    stacked along r, read-only and built once per (p, q): t_form(p, q, r)
+    for the complex family, and [[0, T], [-T, 0]] and [[T, 0], [0, T]]
+    (T = t_form(p, q, r)) for the quaternionic one."""
+    T = np.stack([t_form(p, q, r) for r in range(min(p, q) + 1)])
+    Z = np.zeros_like(T)
+    targets = T, np.block([[Z, T], [-T, Z]]), np.block([[T, Z], [Z, T]])
+    for X in targets:
+        X.flags.writeable = False
+    return targets
+
+
 def normal_form_residuals(pair: SymmetricPair, P: np.ndarray, r) -> np.ndarray:
     """Per basis of a stack P, the largest entry by which its Grams miss the
     corner normal form of size r (an int, or one per basis): P* F P against
     t_form(p, q, r) for the complex family; P^T Omega P and P* H P against
-    [[0, T], [-T, 0]] and [[T, 0], [0, T]] for the quaternionic one."""
+    [[0, T], [-T, 0]] and [[T, 0], [0, T]] for the quaternionic one.  The
+    targets are built once per (p, q) (_corner_targets)."""
     fam = pair.family
     if fam.field not in ("C", "H"):
         raise ValueError("normal forms apply to the complex and quaternionic families")
     r = np.broadcast_to(r, P.shape[:1])
-    T = np.stack([t_form(fam.p, fam.q, i) for i in range(min(fam.p, fam.q) + 1)])[r]
+    T, om_target, h_target = _corner_targets(fam.p, fam.q)
     if fam.field == "C":
-        return np.abs(_adjoint(P) @ pair.carrier_form @ P - T).max(axis=(1, 2))
-    Z = np.zeros_like(T)
-    om_res = np.swapaxes(P, -1, -2) @ _omega_matrix(pair) @ P - np.block([[Z, T], [-T, Z]])
-    h_res = _adjoint(P) @ pair.carrier_form @ P - np.block([[T, Z], [Z, T]])
+        return np.abs(_adjoint(P) @ pair.carrier_form @ P - T[r]).max(axis=(1, 2))
+    om_res = np.swapaxes(P, -1, -2) @ pair.omega_matrix @ P - om_target[r]
+    h_res = _adjoint(P) @ pair.carrier_form @ P - h_target[r]
     return np.maximum(np.abs(om_res).max(axis=(1, 2)), np.abs(h_res).max(axis=(1, 2)))
 
 

@@ -107,6 +107,16 @@ class SymmetricPair:
         return _frame(self.hermitian_matrix,
                       np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex))
 
+    @cached_property
+    def omega_matrix(self) -> np.ndarray:
+        """The complex-symplectic form [[0, F], [-F, 0]] of the quaternionic
+        carrier, read-only and built once per pair."""
+        F = self.hermitian_matrix
+        Z = np.zeros_like(F)
+        Om = np.block([[Z, F], [-F, Z]])
+        Om.flags.writeable = False
+        return Om
+
     def involution(self, X: np.ndarray) -> np.ndarray:
         """Negative conjugate transpose (of each matrix of a stack); fixes h
         and m setwise."""

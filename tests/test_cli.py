@@ -183,16 +183,18 @@ def test_unattainable_sampling_tolerance_is_a_failed_check(suite, capsys):
 
 
 def test_all_keeps_the_suites_that_do_not_abort(capsys):
-    # at --tol 1e-3 the orbits suite aborts on a real eigenline's
-    # self-pairing; under "all" that costs the orbits checks only
-    code = main(["--suite", "all", "--tol", "1e-3", "--format", "json"])
+    # at --tol 1e-2 the genericity gap rule asks for gaps above 10, so the
+    # orbits and stabilizers suites abort; under "all" that costs their
+    # checks only
+    code = main(["--suite", "all", "--tol", "1e-2", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     failed = [c for c in doc["checks"] if c["status"] == "fail"]
-    assert [c["name"] for c in failed] == ["orbits_aborted"]
-    assert "self-pairing" in failed[0]["observed"]
+    assert [c["name"] for c in failed] == ["orbits_aborted", "stabilizers_aborted"]
+    assert all("generic null vector" in c["observed"] for c in failed)
     suites = {name.split("_")[0] for name in (c["name"] for c in doc["checks"])}
-    assert {"table", "su21", "sp21", "C21", "H21", "R21"} <= suites
+    # the table, the axioms of each field and both case studies
+    assert {"table", "C", "H", "R", "su21", "sp21"} <= suites
     assert doc["summary"]["pass"] > 100
 
 
@@ -219,6 +221,8 @@ SWEEP = [[s, "--trials", "3", *extra]
                        ["--p", "1", "--q", "2", "--field", "H"])
          for s in cli.SUITE_NAMES]
 SWEEP.append(["all", "--p", "1", "--q", "1"])
+# orbits at one --tol per decade down to 1e-12 (1e-2 and 1e-3 are above)
+SWEEP += [["orbits", "--trials", "3", "--tol", f"1e-{e}"] for e in range(4, 13)]
 
 
 @pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
@@ -232,6 +236,10 @@ def test_argument_sweep_keeps_the_exit_contract(argv, capsys):
     if code != 2:
         doc = json.loads(out)
         assert (doc["summary"]["fail"] > 0) == (code == 1)
+    if argv[0] == "orbits" and "--tol" in argv and float(argv[argv.index("--tol") + 1]) <= 1e-3:
+        # the spectrum splits at gap / 4 whatever the tolerance, so below
+        # the genericity gap rule's limit every orbits check passes
+        assert code == 0
 
 
 def test_linear_algebra_error_is_a_failed_check(monkeypatch, capsys):

@@ -32,10 +32,17 @@ from nullcone.orbits import (
     stabilizers_report,
     trial_blocks,
 )
-from nullcone.orbits import _omega_matrix
 from nullcone.pairs import Family, build_pair, congruence, t_form
 
 SQRT3 = np.sqrt(3.0)
+
+
+def omega(pair):
+    """Reference: the complex-symplectic form [[0, F], [-F, 0]] of the
+    quaternionic carrier, built afresh."""
+    F = pair.hermitian_matrix
+    Z = np.zeros_like(F)
+    return np.block([[Z, F], [-F, Z]])
 
 
 def split_spectrum(values, thr):
@@ -291,7 +298,7 @@ def test_unitary_normal_form(pq):
 def test_symplectic_normal_form(pq):
     pair = build_pair(Family("H", *pq))
     Hm = pair.carrier_form
-    Om = _omega_matrix(pair)
+    Om = omega(pair)
     W = t_form(*pq, min(pq))
     om_target = np.block([[np.zeros_like(W), W], [-W, np.zeros_like(W)]])
     h_target = np.block([[W, np.zeros_like(W)], [np.zeros_like(W), W]])
@@ -565,14 +572,13 @@ def test_batch_sampler_rejects_bad_requests():
 # ---------------------------------------------------------------------------
 
 
-def ref_canonicalize_unitary(pair, nv, tol=None):
+def ref_canonicalize_unitary(pair, nv):
     """Reference: the per-ray unitary normal form of the one-row batch nv,
     one eigenline at a time."""
-    tol = tol or pair.tol
     S, F = nv.S[0], pair.carrier_form
     n = S.shape[0]
     w, V = np.linalg.eig(S)
-    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap[0])
+    thr = 0.25 * nv.gap[0]
     upper, real, lower = split_spectrum(w, thr)
     r = len(upper)
     slots = [None] * n
@@ -599,13 +605,23 @@ def ref_canonicalize_unitary(pair, nv, tol=None):
     return np.column_stack(cols), r
 
 
-def ref_canonicalize_symplectic(pair, nv, tol=None):
+def batch_plane(nv, i):
+    """Reference: cluster i's plane of the one-row batch nv, its two columns
+    of nv.vectors made orthonormal by one Gram-Schmidt step, as
+    (N, 2) columns; the first is the first column, normalized."""
+    V = nv.vectors[0]
+    a = V[:, 2 * i] / np.linalg.norm(V[:, 2 * i])
+    b = V[:, 2 * i + 1] - (np.conj(a) @ V[:, 2 * i + 1]) * a
+    return np.column_stack([a, b / np.linalg.norm(b)])
+
+
+def ref_canonicalize_symplectic(pair, nv):
     """Reference: the per-ray symplectic normal form of the one-row batch
-    nv, with one scipy null_space per eigenvalue and the 2 x 2 steps one
-    pair at a time; returns (P, r)."""
-    tol = tol or pair.tol
+    nv, one eigenspace and one 2 x 2 step at a time; returns (P, r).  Each
+    eigenspace is its cluster's plane of the batch (batch_plane), checked
+    against scipy's null_space of S - lam at the cluster value lam."""
     M, n, vals = nv.S[0], pair.family.n, nv.eigenvalues[0]
-    Hm, Om = pair.carrier_form, _omega_matrix(pair)
+    Hm, Om = pair.carrier_form, omega(pair)
     eye = np.eye(n)
     Jstr = np.block([[0 * eye, -eye], [eye, 0 * eye]]).astype(complex)
 
@@ -618,21 +634,24 @@ def ref_canonicalize_symplectic(pair, nv, tol=None):
     def cmap(x):
         return Jstr @ np.conj(x)
 
-    def eigenspace(lam):
-        E = null_space(M - lam * np.eye(2 * n), rcond=1e-8)
+    def eigenspace(i):
+        E = null_space(M - vals[i] * np.eye(2 * n), rcond=1e-8)
         if E.shape[1] != 2:
             raise ValueError("eigenspace is not two-dimensional; spectrum not generic")
-        return E
+        plane = batch_plane(nv, i)
+        assert subspace_angles(plane, E).max() < 1e-10
+        return plane
 
-    thr = max(orbits.GAP_FACTOR * tol.abs, 0.25 * nv.gap[0])
-    upper, real, _ = split_spectrum(vals, thr)
+    upper, real, lower = split_spectrum(vals, 0.25 * nv.gap[0])
     r = len(upper)
-    lam_order = [vals[i] for i in upper]
-    lam_order += [vals[i].real + 0j for i in real]
-    lam_order += [np.conj(vals[i]) for i in reversed(upper)]
+    slots = upper + real
+    for idx in upper:
+        partner = min(lower, key=lambda j: abs(vals[j] - np.conj(vals[idx])))
+        lower.remove(partner)
+        slots.insert(r + len(real), partner)
     vs, ws = [None] * n, [None] * n
     for k in range(r, n - r):
-        v = eigenspace(lam_order[k])[:, 0]
+        v = eigenspace(slots[k])[:, 0]
         w = cmap(v)
         Hk = np.array([[h(v, v), h(v, w)], [h(w, v), h(w, w)]])
         _, U = np.linalg.eigh(Hk)
@@ -641,7 +660,7 @@ def ref_canonicalize_symplectic(pair, nv, tol=None):
         B = np.column_stack([v, w]) @ (U * np.sqrt(1.0 / om(v, w)))
         vs[k], ws[k] = B[:, 0], B[:, 1]
     for i in range(r):
-        E1, E2 = eigenspace(lam_order[i]), eigenspace(np.conj(lam_order[i]))
+        E1, E2 = eigenspace(slots[i]), eigenspace(slots[n - 1 - i])
         v = E1[:, 0]
         w_i = cmap(v)
         scores = [abs(om(v, cmap(E2[:, j]))) for j in range(2)]
@@ -666,7 +685,7 @@ def ref_gram_residual(pair, P, r):
     if fam.field == "C":
         return np.abs(P.conj().T @ pair.hermitian_matrix @ P - W).max()
     Z = np.zeros_like(W)
-    return max(np.abs(P.T @ _omega_matrix(pair) @ P - np.block([[Z, W], [-W, Z]])).max(),
+    return max(np.abs(P.T @ omega(pair) @ P - np.block([[Z, W], [-W, Z]])).max(),
                np.abs(P.conj().T @ pair.carrier_form @ P - np.block([[W, Z], [Z, W]])).max())
 
 
@@ -794,6 +813,57 @@ def test_batched_normal_forms_reject_bad_rows():
         orbits.canonicalize_symplectic_batch(pH, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
         ref_canonicalize_symplectic(pH, bad.take([1]))
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (2, 2), (3, 1)])
+def test_cluster_planes_are_the_null_spaces(pq):
+    # each plane is orthonormal and spans scipy's null_space(S - lam) at its
+    # listed cluster value
+    pair = build_pair(Family("H", *pq))
+    batch = sample_null_batch(pair, 6, rng=17)
+    planes = orbits._cluster_planes(batch)
+    N, n = pair.carrier_dim, pair.family.n
+    assert planes.shape == (6, n, 2, N)
+    for i in range(6):
+        for j in range(n):
+            E = planes[i, j]
+            assert_allclose(E.conj() @ E.T, np.eye(2), atol=1e-12)
+            ref = null_space(batch.S[i] - batch.eigenvalues[i, j] * np.eye(N), rcond=1e-8)
+            assert ref.shape[1] == 2
+            assert subspace_angles(E.T, ref).max() < 1e-10
+            # the plane's first vector is the batch's column, normalized
+            col = batch.vectors[i, :, 2 * j]
+            assert_allclose(E[0], col / np.linalg.norm(col), rtol=0, atol=1e-15)
+
+
+def test_a_cluster_with_two_equal_columns_is_not_a_plane():
+    pair = build_pair(Family("H", 2, 1))
+    batch = sample_null_batch(pair, 3, rng=18)
+    V = batch.vectors.copy()
+    V[1, :, 3] = V[1, :, 2]  # row 1, cluster 1
+    bad = NullBatch(batch.S, batch.eigenvalues, V, batch.genericity,
+                    batch.nullity_residual, batch.gap)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        canonicalize_symplectic_batch(pair, bad)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        orbits._cluster_planes(bad.take([1]))
+    orbits._cluster_planes(bad.take([0, 2]))  # the other rows are planes
+
+
+def test_normal_form_targets_are_built_once():
+    pair = build_pair(Family("H", 2, 2))
+    assert orbits._corner_targets(2, 2) is orbits._corner_targets(2, 2)
+    T, om_target, h_target = orbits._corner_targets(2, 2)
+    for r in range(3):
+        W = t_form(2, 2, r)
+        Z = np.zeros_like(W)
+        assert np.array_equal(T[r], W)
+        assert np.array_equal(om_target[r], np.block([[Z, W], [-W, Z]]))
+        assert np.array_equal(h_target[r], np.block([[W, Z], [Z, W]]))
+    assert not any(X.flags.writeable for X in (T, om_target, h_target))
+    assert pair.omega_matrix is pair.omega_matrix
+    assert np.array_equal(pair.omega_matrix, omega(pair))
+    assert not pair.omega_matrix.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -1054,19 +1124,54 @@ def _kernel_reference(pair, S):
 @pytest.mark.parametrize("field,pq", [("C", (2, 1)), ("H", (2, 1)), ("C", (3, 2))])
 def test_kernel_comparison_is_the_root_sum_of_squared_sines(field, pq):
     # another ray's stabilizer: the principal angles are far from 0, and
-    # the comparison is sqrt(sum sin^2) over them, the same both ways
+    # the comparison |A K|_F / sigma_r(A) lies between sqrt(sum sin^2) over
+    # them and sigma_1 / sigma_r(A) times that, A the second ray's system
     pair = build_pair(Family(field, *pq))
     batch = sample_null_batch(pair, 4, rng=22)
     S, T = batch.S, np.roll(batch.S, 1, axis=0)
     _, _, theta = ray_stabilizer_mismatch(pair, S, T)
     _, _, back = ray_stabilizer_mismatch(pair, T, S)
-    want = [np.sqrt((np.sin(subspace_angles(a, b)) ** 2).sum())
-            for a, b in zip(_kernel_reference(pair, S), _kernel_reference(pair, T))]
+    want = np.array([np.sqrt((np.sin(subspace_angles(a, b)) ** 2).sum())
+                     for a, b in zip(_kernel_reference(pair, S), _kernel_reference(pair, T))])
     assert min(want) > 0.1
-    assert_allclose(theta, want, rtol=1e-9)
-    assert_allclose(back, want, rtol=1e-9)
+    for got, other in ((theta, T), (back, S)):
+        s = np.linalg.svd(orbits._stabilizer_system(pair, other), compute_uv=False)
+        rank = (s > pair.tol.rank_rel * s[:, :1]).sum(axis=1)
+        ratio = s[:, 0] / s[np.arange(len(s)), rank - 1]
+        assert (got >= want * (1 - 1e-9)).all()
+        assert (got <= ratio * want * (1 + 1e-9)).all()
     # a ray against itself
     assert ray_stabilizer_mismatch(pair, S, S)[2].max() < 1e-12
+
+
+@pytest.mark.parametrize("corrupt", ["missing", "rotated"])
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_a_corrupted_kernel_basis_fails_the_partner_check(field, corrupt, monkeypatch):
+    # the ray side's kernel basis K is the last dims rows of its V^T; one
+    # vector missing from it (the complement's last row in its place), or
+    # one vector rotated by 0.3 out of the kernel, must fail the check
+    pair = build_pair(Family(field, 2, 1))
+    name = f"{pair.family.tag}_stab_equals_partner_stab"
+    checks = {c.name: c for c in orbits_report(pair, 6, seed=3).checks}
+    assert checks[name].status == "pass"
+    ranks = orbits._stabilizer_ranks
+    d = EXPECTED_STAB_DIM[field](3)
+
+    def corrupted(pair, S, vt=False):
+        rank, v = ranks(pair, S, vt=vt)
+        assert vt and (v.shape[1] - rank == d).all()
+        v = v.copy()
+        first, last = v[:, -d].copy(), v[:, -d - 1].copy()  # kernel, complement
+        if corrupt == "missing":
+            v[:, -d] = last
+        else:
+            v[:, -d] = np.cos(0.3) * first + np.sin(0.3) * last
+        return rank, v
+
+    monkeypatch.setattr(orbits, "_stabilizer_ranks", corrupted)
+    checks = {c.name: c for c in orbits_report(pair, 6, seed=3).checks}
+    assert checks[name].status == "fail"
+    assert checks[name].observed >= (1.0 if corrupt == "missing" else np.sin(0.3)) * (1 - 1e-9)
 
 
 @pytest.mark.parametrize("field,pq", [(f, pq) for f in "CH" for pq in ((2, 1), (3, 2))])
