@@ -60,7 +60,6 @@ from .orbits import (
     sample_null_batch,
     sample_so21_stratum_batch,
     so21_orbit_class,
-    stabilizer_mismatch,
     stabilizers_by_commutant,
     stabilizers_of_rays,
     stabilizers_report,

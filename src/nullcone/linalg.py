@@ -12,6 +12,7 @@ other column's singular value is its norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -159,7 +160,7 @@ def realify(X: np.ndarray) -> np.ndarray:
     matrix, giving (..., 2ab).
     """
     X = np.asarray(X, dtype=complex)
-    flat = X.reshape(X.shape[:-2] + (-1,))
+    flat = X.reshape(X.shape[:-2] + (math.prod(X.shape[-2:]),))  # -1 fails on (0, a, b)
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
@@ -257,14 +258,21 @@ class RealSubspace:
         return Q
 
     # coords, combine, project, residual and contains take one matrix or a stack
-    # (..., a, b); coords on a stack is one multi-right-hand-side solve, and
-    # project and residual are two products with the frame
+    # (..., a, b); coords on a stack is one product and one multi-right-hand-side
+    # solve, and project and residual are two products with the frame
 
     def coords(self, X: np.ndarray) -> np.ndarray:
-        """Real coordinates of X in this basis (least squares)."""
+        """Real coordinates of X in this basis (least squares), split by
+        support: a column a_j outside the block shares no row, so its
+        coordinate decouples, a_j^T r / |a_j|^2 from one product, and the
+        block takes one lstsq on its rows (all of a dense basis)."""
         R = realify(X)
-        c, *_ = np.linalg.lstsq(self._mat, R.reshape(-1, R.shape[-1]).T, rcond=None)
-        return c.T.reshape(R.shape[:-1] + (self.dim,))
+        flat = R.reshape(-1, R.shape[-1])
+        c = (flat @ self._mat) / self._norms ** 2
+        if self._block.any():
+            B = self._mat[np.ix_(self._rows, self._block)]
+            c[:, self._block] = np.linalg.lstsq(B, flat[:, self._rows].T, rcond=None)[0].T
+        return c.reshape(R.shape[:-1] + (self.dim,))
 
     def project(self, X: np.ndarray) -> np.ndarray:
         Q = self.frame

@@ -17,11 +17,11 @@ scaled by its stabilizer is nilpotent, so a generic ray's stabilizer is
 h ∩ C(S), solved in the eigenbasis of S as a projector of side dim C(S)
 (2n for R, 2(n - 1) for C, 8n for H) instead of a dim m x (dim h + 1)
 system.  stabilizers_report solves every ray by the route with the
-smaller per-ray system (commutant_is_smaller) and the first ray by both.
-orbits_report builds no stabilizer basis: it compares a ray's stabilizer
-with its partner's as kernels of their systems, the ray's kernel against
-the singular values of the partner's system (ray_stabilizer_mismatch),
-and counts strata dimensions from singular values (stabilizer_dims).
+smaller per-ray system (commutant_is_smaller); its first ray's commutant
+basis and orbits_report's ray kernels (ray_stabilizer_mismatch) are
+bounded against the singular values of another system (_kernel_mismatch),
+so no second kernel is solved.  orbits_report counts strata dimensions
+from singular values too (stabilizer_dims).
 Normal-form routines reduce a generic null vector to a diagonal matrix
 whose invariant-form Gram takes an antidiagonal corner shape: the unitary
 form for the complex family, the symplectic form for the quaternionic one.
@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, quat_embed, realify
+from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, quat_embed
 from .pairs import SymmetricPair, t_form
 from .report import Report
 
@@ -391,7 +391,7 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     top rows of the frame are orthogonal with squared norm 1/2, which
     halves every singular value.
     """
-    hb = pair.h.basis
+    hb, S = pair.h.basis, np.asarray(S, dtype=complex)
     field = pair.family.field
     if field == "R":
         hb, S = hb.real, S.real
@@ -433,7 +433,7 @@ def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, vt: bool = False):
     V^T, whose last (dim h + 1) - rank rows span each kernel (a full SVD
     only where dim m < dim h + 1).
     """
-    A = _stabilizer_system(pair, np.asarray(S, dtype=complex))
+    A = _stabilizer_system(pair, S)
     if not vt:
         return _rank_cut(pair, np.linalg.svd(A, compute_uv=False))
     s, v = np.linalg.svd(A, full_matrices=pair.m.dim < pair.h.dim + 1)[1:]
@@ -464,32 +464,46 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray) -> RayStabilizers:
     return RayStabilizers(dims, *_kernel_bases(pair, S, vt, dims))
 
 
+def _kernel_mismatch(pair: SymmetricPair, A: np.ndarray, K: np.ndarray):
+    """Stabilizer systems A (k, dim m, dim h + 1) against orthonormal
+    columns K (k, dim h + 1, d) in (x, c) coordinates, zero columns allowed,
+    from the singular values of A alone: (kernel dims, mismatch), each (k,).
+
+    mismatch[i] is |A_i K_i|_F / sigma_r(A_i), r the rank of A_i at the cut
+    of _rank_cut.  Over the principal angles between span K_i and the
+    kernel of A_i it is at least sqrt(sum sin^2), so at least the largest
+    sine, and at most sigma_1 / sigma_r times that: 0 exactly when span K_i
+    lies in the kernel.  Each A_i must be nonzero.
+    """
+    s = np.linalg.svd(A, compute_uv=False)
+    rank = _rank_cut(pair, s)
+    sigma_r = np.take_along_axis(s, rank[:, None] - 1, axis=1)[:, 0]
+    return A.shape[-1] - rank, np.linalg.norm(A @ K, axis=(1, 2)) / sigma_r
+
+
 def ray_stabilizer_mismatch(pair: SymmetricPair, S: np.ndarray, T: np.ndarray):
     """Ray stabilizers of two stacks S and T (k, N, N) compared row by row
     as kernels of their systems: (dims of S, dims of T, mismatch), each (k,).
 
-    mismatch[i] is |A_i K_i^T|_F / sigma_r(A_i), with K_i the orthonormal
-    kernel rows of S_i's system, in (x, c) coordinates, from its full SVD,
-    and A_i the system of T_i, of which only the singular values are taken;
-    r is the rank of A_i at the same relative cut.  Over the principal
-    angles between the kernels it is at least sqrt(sum sin^2), and so at
-    least the largest sine, and at most sigma_1 / sigma_r times that: 0
-    exactly when S_i's kernel lies in T_i's.  X -> x is an isomorphism, so
-    equal kernels are equal stabilizers with equal ray coefficients.  Each
-    T_i must be a ray (nonzero), so that sigma_r(A_i) > 0.
+    The orthonormal kernel vectors of S_i's system, in (x, c) coordinates,
+    go against the singular values of T_i's (_kernel_mismatch): 0 exactly
+    when S_i's kernel lies in T_i's.  X -> x is an isomorphism, so equal
+    kernels are equal stabilizers with equal ray coefficients.  Each T_i
+    must be a ray (nonzero).  A wide system of S (dim m < dim h + 1) always
+    has a kernel, so its SVD takes vectors at once; a tall one (R) takes
+    singular values first, and vectors only if some row has a kernel.
     """
-    rank, vt = _stabilizer_ranks(pair, S, vt=True)
-    A = _stabilizer_system(pair, np.asarray(T, dtype=complex))
-    s = np.linalg.svd(A, compute_uv=False)
-    rank_t = _rank_cut(pair, s)
-    dims = vt.shape[-1] - rank
+    c = pair.h.dim + 1
+    rank = None if pair.m.dim < c else _stabilizer_ranks(pair, S)
+    vt = np.empty((len(S), 0, c))
+    if rank is None or (rank < c).any():
+        rank, vt = _stabilizer_ranks(pair, S, vt=True)
+    dims = c - rank
     d = int(dims.max(initial=0))
-    tail = vt[:, vt.shape[1] - d:]  # ray i's kernel is its last dims[i] rows
-    AK = A @ tail.transpose(0, 2, 1)
-    own = (np.arange(d) >= (d - dims)[:, None])[:, None, :]
-    sigma_r = np.take_along_axis(s, rank_t[:, None] - 1, axis=1)[:, 0]
-    mismatch = np.sqrt(np.where(own, AK * AK, 0.0).sum(axis=(1, 2))) / sigma_r
-    return dims, vt.shape[-1] - rank_t, mismatch
+    # ray i's kernel is the last dims[i] rows of vt[i]; its other rows are zeroed
+    own = (np.arange(d) >= (d - dims)[:, None])[..., None]
+    K = np.where(own, vt[:, vt.shape[1] - d:], 0.0).transpose(0, 2, 1)
+    return (dims, *_kernel_mismatch(pair, _stabilizer_system(pair, T), K))
 
 
 def _kernel_bases(pair: SymmetricPair, S: np.ndarray, vt: np.ndarray, dims: np.ndarray):
@@ -669,30 +683,6 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabil
     residuals = np.where(own, _commutant_residuals(pair, S, X), 0.0).max(axis=1, initial=0.0)
     return RayStabilizers(dims, [X[i, :n] for i, n in enumerate(dims)],
                           [np.zeros(n) for n in dims], residuals, margins)
-
-
-def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per stack entry, the largest distance from a row of X to the row span of Y."""
-    Q, _ = np.linalg.qr(Y.transpose(0, 2, 1))
-    R = X - (X @ Q) @ Q.transpose(0, 2, 1)
-    return np.linalg.norm(R, axis=2).max(axis=1)
-
-
-def stabilizer_mismatch(a: RayStabilizers, b: RayStabilizers) -> np.ndarray:
-    """Per ray, the largest distance from a basis matrix of one stabilizer
-    to the span of the other's, both ways; 0 where either stabilizer is
-    trivial.  Rays with equal dimension pairs are stacked, and each span is
-    one QR of the realified basis (_span_distance), so no coordinates in h
-    are solved for.  Either result may come from either route."""
-    out = np.zeros(len(a.dims))
-    groups = {}
-    for i, key in enumerate(zip(a.dims.tolist(), b.dims.tolist())):
-        if key[0] and key[1]:
-            groups.setdefault(key, []).append(i)
-    for idx in groups.values():
-        Xa, Xb = (realify(np.stack([st.bases[i] for i in idx])) for st in (a, b))
-        out[idx] = np.maximum(_span_distance(Xa, Xb), _span_distance(Xb, Xa))
-    return out
 
 
 def partner_null_batch(pair: SymmetricPair, batch: NullBatch):
@@ -1018,28 +1008,30 @@ def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Repor
     """Stabilizer dimension, orbit codimension, nullity and genericity of
     `trials` generic null vectors drawn from default_rng(seed).
 
-    Every ray is solved by the route with the smaller per-ray system
-    (commutant_is_smaller), and the report's first ray also by the other
-    route, as a reference; the two must agree in dimension and span.  The
-    residual check covers every basis both routes returned."""
+    Every ray takes the route with the smaller per-ray system
+    (commutant_is_smaller).  The first ray's commutant basis must span the
+    kernel of its SVD-route system, read from singular values alone
+    (_kernel_mismatch).  The residual check covers every basis returned."""
     fam = pair.family
     rep = Report("stabilizers", seed)
     rng = np.random.default_rng(seed)
-    routes = [lambda b: stabilizers_of_rays(pair, b.S),
-              lambda b: stabilizers_by_commutant(pair, b)]
     commutant = commutant_is_smaller(pair)
-    primary, reference = routes[::-1] if commutant else routes
     dims, codims = set(), set()
     worst_null, worst_res, all_generic = 0.0, 0.0, True
     agree = None
     for k in trial_blocks(pair, trials, commutant):
         batch = sample_null_batch(pair, k, rng=rng)
-        st = primary(batch)
+        st = (stabilizers_by_commutant(pair, batch) if commutant
+              else stabilizers_of_rays(pair, batch.S))
         if agree is None:
-            ref, first = reference(batch.take([0])), st.take([0])
-            mismatch = float(stabilizer_mismatch(first, ref)[0])
-            agree = (int(first.dims[0]), int(ref.dims[0]), mismatch)
-            worst_res = float(ref.residuals[0])
+            # the first ray's commutant basis in (x, c) coordinates, made
+            # orthonormal, against its SVD-route system's singular values
+            one = batch.take([0])
+            com = st if commutant else stabilizers_by_commutant(pair, one)
+            K = np.linalg.qr(np.vstack([pair.h.coords(com.bases[0]).T, com.scales[0]]))[0]
+            ref, bound = _kernel_mismatch(pair, _stabilizer_system(pair, one.S), K[None])
+            agree = (int(com.dims[0]), int(ref[0]), float(bound[0]))
+            worst_res = float(com.residuals[0])
         dims.update(st.dims.tolist())
         codims.update(codimension_from_stabilizer(pair, st.dims).tolist())
         worst_null = max(worst_null, float(batch.nullity_residual.max()))

@@ -3,7 +3,9 @@
 The library builds every subspace it uses from a basis, in closed form or
 from one SVD of a system it owns, so the general kernel and intersection
 solvers live here: each realifies the whole basis and cuts one SVD with
-the rank rule of _kernel_cols.
+the rank rule of _kernel_cols.  stabilizer_mismatch compares two ray
+stabilizer results on their matrix bases, independently of the kernel
+bound (orbits._kernel_mismatch) the census reports take.
 """
 
 import numpy as np
@@ -48,3 +50,28 @@ def orthogonal_algebra(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> RealSubsp
     N = len(G)
     units = RealSubspace(np.eye(N * N).reshape(N * N, N, N), tol=tol)
     return kernel_of(units, lambda A: np.swapaxes(A, -1, -2) @ G + G @ A)
+
+
+def _span_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per stack entry, the largest distance from a row of X to the row span of Y."""
+    Q, _ = np.linalg.qr(Y.transpose(0, 2, 1))
+    R = X - (X @ Q) @ Q.transpose(0, 2, 1)
+    return np.linalg.norm(R, axis=2).max(axis=1)
+
+
+def stabilizer_mismatch(a, b) -> np.ndarray:
+    """Per ray of two RayStabilizers a and b, the largest distance from a
+    basis matrix of one stabilizer to the span of the other's, both ways; 0
+    where either stabilizer is trivial.  Rays with equal dimension pairs
+    are stacked, and each span is one QR of the realified basis
+    (_span_distance), so no coordinates in h are solved for.  Either
+    result may come from either route."""
+    out = np.zeros(len(a.dims))
+    groups = {}
+    for i, key in enumerate(zip(a.dims.tolist(), b.dims.tolist())):
+        if key[0] and key[1]:
+            groups.setdefault(key, []).append(i)
+    for idx in groups.values():
+        Xa, Xb = (realify(np.stack([st.bases[i] for i in idx])) for st in (a, b))
+        out[idx] = np.maximum(_span_distance(Xa, Xb), _span_distance(Xb, Xa))
+    return out

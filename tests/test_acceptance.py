@@ -23,7 +23,6 @@ from nullcone.orbits import (
     orbits_report,
     partner_null_batch,
     sample_null_batch,
-    stabilizer_mismatch,
     stabilizers_of_rays,
     stabilizers_report,
 )
@@ -44,6 +43,7 @@ from nullcone.reductive import (
     torsion_eval,
     wang_ziller_check,
 )
+from subspace_reference import stabilizer_mismatch
 
 FIELDS = ("R", "C", "H")
 

@@ -252,6 +252,50 @@ def test_split_cut_is_relative_to_the_largest_value():
     assert_allclose(space.frame[:, 2], realify(E[0, 1]), rtol=0, atol=0)
 
 
+def assert_coords_match_lstsq(space, X):
+    # the least-squares solve over every realified row is the reference
+    want = np.linalg.lstsq(space._mat, realify(X).T, rcond=None)[0].T
+    got = space.coords(X)
+    scale = np.maximum(1.0, np.linalg.norm(X, axis=(1, 2)))
+    assert (np.abs(got - want).max(axis=1) <= 1e-13 * scale).all()
+
+
+COORDS_SCALES = np.array([1e-6, 1e-3, 1.0, 1e3, 1e6])
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (6, 5)])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_coords_from_the_supports_match_the_full_lstsq(field, pq):
+    # columns outside the block decouple from the least-squares problem, so
+    # their coordinates are a_j^T r / |a_j|^2, and the block is solved on its
+    # rows: the full solve's answer, for members and non-members at every scale
+    pair = build_pair(Family(field, *pq))
+    rng = np.random.default_rng(41)
+    N = pair.carrier_dim
+    for space in (pair.h, pair.m):
+        members = space.random_element(rng, norm=COORDS_SCALES, size=len(COORDS_SCALES))
+        others = rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))
+        others *= (COORDS_SCALES / np.linalg.norm(others, axis=(1, 2)))[:, None, None]
+        assert (space.residual(others) > 0.1 * COORDS_SCALES).all()
+        assert_coords_match_lstsq(space, members)
+        assert_coords_match_lstsq(space, others)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_coords_of_a_dense_basis_match_the_full_lstsq(real):
+    # a dense basis is all block; a real one touches only the real rows, so
+    # its one lstsq runs on half of them
+    rng = np.random.default_rng(42)
+    mats = rng.standard_normal((5, 3, 3)) + (0 if real else 1j * rng.standard_normal((5, 3, 3)))
+    space = RealSubspace(mats)
+    assert space._block.all() and space._rows.sum() == (9 if real else 18)
+    X = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    X *= (COORDS_SCALES / np.linalg.norm(X, axis=(1, 2)))[:, None, None]
+    assert_coords_match_lstsq(space, X)
+    members = space.random_element(rng, norm=COORDS_SCALES, size=len(COORDS_SCALES))
+    assert_coords_match_lstsq(space, members)
+
+
 def test_span_reduces_dependent_input():
     assert RealSubspace.span([np.eye(2), 2.0 * np.eye(2)]).dim == 1
 

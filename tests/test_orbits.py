@@ -14,6 +14,7 @@ from nullcone.linalg import (QMat, Tolerance, _kernel_cols, bracket, quat_embed,
 from nullcone.orbits import (
     EXPECTED_STAB_DIM,
     NullBatch,
+    RayStabilizers,
     canonicalize_symplectic_batch,
     canonicalize_unitary_batch,
     codimension_from_stabilizer,
@@ -26,13 +27,13 @@ from nullcone.orbits import (
     sample_so21_stratum_batch,
     so21_orbit_class,
     stabilizer_dims,
-    stabilizer_mismatch,
     stabilizers_by_commutant,
     stabilizers_of_rays,
     stabilizers_report,
     trial_blocks,
 )
 from nullcone.pairs import Family, build_pair, congruence, t_form
+from subspace_reference import stabilizer_mismatch
 
 SQRT3 = np.sqrt(3.0)
 
@@ -244,18 +245,79 @@ def test_commutant_route_rejects_nilpotent_strata():
         stabilizers_by_commutant(pair, mixed)
 
 
-def test_route_agreement_reads_matrix_bases_only(monkeypatch):
-    # the routes are compared on their matrices: no coordinates in h are
-    # solved for and h's frame is never built
-    pair = build_pair(Family("C", 3, 2))
+@pytest.mark.parametrize("field,pq", [("C", (3, 2)), ("H", (2, 1))])
+def test_route_agreement_takes_no_second_kernel(field, pq, monkeypatch):
+    # the reference ray is checked on singular values: its stabilizer system
+    # gets no SVD with vectors, the commutant basis is written in h by
+    # coords from the column supports (no lstsq over all 2 N^2 rows), and
+    # h's frame is never built.  C(3, 2) takes the commutant route for every
+    # ray, H(2, 1) the SVD route, whose one vectors SVD is the primary block
+    pair = build_pair(Family(field, *pq))
+    system = (pair.m.dim, pair.h.dim + 1)
+    svd_calls, lstsq_rows = [], []
+    svd, lstsq = np.linalg.svd, np.linalg.lstsq
 
-    def no_coords(self, X):
-        raise AssertionError("coords solve")
+    def recording_svd(a, *args, **kw):
+        svd_calls.append((a.shape, kw.get("compute_uv", True)))
+        return svd(a, *args, **kw)
 
-    monkeypatch.setattr(type(pair.h), "coords", no_coords)
+    def recording_lstsq(a, b, *args, **kw):
+        lstsq_rows.append(a.shape[0])
+        return lstsq(a, b, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    if commutant_is_smaller(pair):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the commutant-route report solves no SVD-route kernel")
+
+        monkeypatch.setattr(orbits, "_kernel_bases", forbidden)
     rep = stabilizers_report(pair, trials=3, seed=1)
     assert rep.ok, rep.failures()
+    with_vectors = [shape for shape, uv in svd_calls if uv and shape[-2:] == system]
+    values_only = [shape for shape, uv in svd_calls if not uv and shape[-2:] == system]
+    assert with_vectors == ([] if commutant_is_smaller(pair) else [(3, *system)])
+    assert values_only == [(1, *system)]
+    assert 2 * pair.carrier_dim ** 2 not in lstsq_rows
     assert "frame" not in vars(pair.h)
+
+
+@pytest.mark.parametrize("corrupt", ["missing", "moved"])
+@pytest.mark.parametrize("primary", ["commutant", "svd"])
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_a_corrupted_commutant_basis_fails_route_agreement(field, primary, corrupt,
+                                                           monkeypatch):
+    # negative controls on the reference ray, with either route primary:
+    # the first ray's commutant basis loses one vector, or has one element
+    # moved 1e-3 out of the kernel toward a random element of h.  The
+    # corrupted route reports the residuals of the basis it returns
+    pair = build_pair(Family(field, 3, 2))
+    monkeypatch.setattr(orbits, "commutant_is_smaller", lambda pair: primary == "commutant")
+    tag = pair.family.tag
+    assert stabilizers_report(pair, trials=3, seed=0).ok
+    commutant = orbits.stabilizers_by_commutant
+    rng = np.random.default_rng(31)
+
+    def corrupted(pair, batch):
+        st = commutant(pair, batch)
+        X = st.bases[0][:-1] if corrupt == "missing" else st.bases[0].copy()
+        if corrupt == "moved":
+            X[0] += 1e-3 * pair.h.random_element(rng, norm=1.0)
+        res = orbits._commutant_residuals(pair, batch.S[:1], X[None]).max(initial=0.0)
+        dims = st.dims.copy()
+        dims[0] = len(X)
+        return RayStabilizers(dims, [X, *st.bases[1:]], [np.zeros(len(X)), *st.scales[1:]],
+                              np.r_[res, st.residuals[1:]], st.margins)
+
+    monkeypatch.setattr(orbits, "stabilizers_by_commutant", corrupted)
+    checks = {c.name: c for c in stabilizers_report(pair, trials=3, seed=0).checks}
+    agree = checks[f"{tag}_stab_routes_agree"]
+    assert agree.status == "fail"
+    if corrupt == "missing":
+        assert agree.observed[0] != agree.observed[1]
+    else:
+        assert agree.observed[2] > 1e-6
+        assert checks[f"{tag}_stab_residual"].status == "fail"
 
 
 @pytest.mark.parametrize("field,pq,drop,primary_fails", [
@@ -803,9 +865,9 @@ def test_batched_normal_forms_reject_bad_rows():
     with pytest.raises(ValueError, match="generic spectrum"):
         orbits.canonicalize_symplectic_batch(pH, mixed)
     # a row flagged generic whose listed eigenvalue is not in its spectrum
-    # has a trivial eigenspace there, which the stacked SVD rule rejects; the
-    # kernel reads the upper half-plane values (and their conjugates), so
-    # the shifted value is one of those
+    # has a trivial eigenspace there, which the eigen-residual test of
+    # _cluster_planes rejects; the kernel reads the upper half-plane values
+    # (and their conjugates), so the shifted value is one of those
     vals = bH.eigenvalues.copy()
     vals[1, np.flatnonzero(vals[1].imag > 0)[0]] += 0.5
     bad = NullBatch(bH.S, vals, bH.vectors, bH.genericity, bH.nullity_residual, bH.gap)
@@ -1193,6 +1255,36 @@ def test_rolled_partners_fail_the_partner_stabilizer_check(field, pq, monkeypatc
     assert checks[f"{pair.family.tag}_stab_dims_match_partner"].status == "pass"
 
 
+def test_tall_systems_take_kernel_vectors_only_where_a_row_has_one(monkeypatch):
+    # R(2, 1) has a 5 x 4 system per ray.  Generic rays have trivial
+    # stabilizers, so their comparison takes singular values alone; a block
+    # with nilpotent stratum rays in it takes vectors, and its kernels match
+    # the dimensions of stabilizer_dims and lie in their own systems
+    pair = build_pair(Family("R", 2, 1))
+    assert pair.m.dim >= pair.h.dim + 1
+    batch = sample_null_batch(pair, 20, rng=24)
+    partners, _ = partner_null_batch(pair, batch)
+    strata = [sample_so21_stratum_batch(pair, name, 2, rng=24).S for name in STRATA[1:]]
+    mixed = np.concatenate([batch.S[:3].astype(complex), *strata])
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kw):
+        calls.append(kw.get("compute_uv", True))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    dims, dims_hat, theta = ray_stabilizer_mismatch(pair, batch.S, partners)
+    assert calls == [False, False]
+    assert not dims.any() and not dims_hat.any() and not theta.any()
+    calls.clear()
+    dims, dims_hat, theta = ray_stabilizer_mismatch(pair, mixed, mixed)
+    assert calls == [False, True, False]
+    assert dims.tolist() == dims_hat.tolist() == [0, 0, 0, 1, 1, 2, 2]
+    assert np.array_equal(dims, stabilizer_dims(pair, mixed))
+    assert theta.max() < 1e-12
+
+
 def test_strata_dimensions_from_singular_values_match_the_kernels():
     pair = build_pair(Family("R", 2, 1))
     rng = np.random.default_rng(23)
@@ -1215,8 +1307,8 @@ def test_orbits_report_builds_no_basis_and_no_span_test(field, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the orbits census builds no stabilizer basis")
 
+    # a QR would be the span test of a basis comparison
     monkeypatch.setattr(orbits, "_kernel_bases", forbidden)
-    monkeypatch.setattr(orbits, "stabilizer_mismatch", forbidden)
     monkeypatch.setattr(np.linalg, "qr", forbidden)
     rep = orbits_report(pair, 8, seed=4)
     assert rep.checks and all(c.status == "pass" for c in rep.checks)
