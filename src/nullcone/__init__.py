@@ -67,16 +67,19 @@ from .orbits import (
 )
 from .reductive import (
     ReductiveSplit,
-    bianchi_residual,
+    bianchi_defect,
     canonical_curvature,
     casimir,
     curvature_eval,
+    curvature_tensor,
     einstein_fit,
     frame_ad,
     frame_casimir,
     frame_coords,
     homothety_check,
+    levi_civita_nomizu,
     reductive_split,
+    ricci,
     ricci_canonical,
     ricci_levi_civita,
     torsion_derivation_check,

@@ -310,7 +310,7 @@ def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator) ->
     return quat_embed(QMat(X, np.zeros_like(X)))
 
 
-def _cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
+def cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
     """Cayley elements A = (1 - Z/2)^-1 (1 + Z/2) of a stack Z (k, N, N) of
     elements of h, by one stacked solve; for R, Z is taken real and so is A.
 
@@ -331,12 +331,12 @@ def _cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
 
 def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
-    """Conjugate each S_i by the Cayley element A_i (_cayley) of a random
+    """Conjugate each S_i by the Cayley element A_i (cayley) of a random
     isotropy element Z_i with norm <= 1: one stacked solve builds every
     A_i, an isotropy element, and one more gives A_i S_i A_i^-1.  A real
     stack of the real family stays float64."""
     k = S.shape[0]
-    A = _cayley(pair, pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
+    A = cayley(pair, pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
     # S -> A S A^{-1} via a solve, avoiding an explicit inverse
     AS = A @ S
     return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1)

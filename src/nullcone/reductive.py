@@ -1,13 +1,15 @@
 """Reductive splits of the isotropy algebra and their geometry.
 
 Given a subalgebra b of h on which the trace form is nondegenerate, the
-orthogonal complement n inside h is an invariant complement, and the
-homogeneous geometry it models is driven by three tensors computed here:
-the torsion -[u, v]_n, the curvature of the canonical connection
-R(u, v) w = -[[u, v]_b, w], and the two Ricci contractions.  The Ricci
-convention is fixed so that the Casimir constant and the Einstein
-constants of the two case studies come out with their known positive
-signs: Ric(X, Y) = sum_i eps_i K(R(X, e_i) Y, e_i).
+orthogonal complement n inside h is an invariant complement.  Its
+geometry is held as arrays in a signed orthonormal frame of n: the torsion
+-[u, v]_n and curvature R(u, v) w = -[[u, v]_b, w] of the canonical
+connection, and Nomizu arrays, from which curvature_tensor builds the
+curvature of the canonical (Lambda = 0) or Levi-Civita connection; their
+Ricci and first-Bianchi contractions read either array.  The Ricci
+convention is fixed so that the Casimir constant and the Einstein constants
+of the two case studies come out with their known positive signs:
+Ric(X, Y) = sum_i eps_i K(R(X, e_i) Y, e_i).
 
 Tolerance contract: every routine reads its tolerance from the pair,
 pair.tol or split.pair.tol, fixed once where the pair is built; none takes
@@ -198,32 +200,57 @@ def curvature_eval(split: ReductiveSplit, u, v, w) -> np.ndarray:
     return np.tensordot(c, split.e_basis, axes=1)
 
 
-def bianchi_residual(split: ReductiveSplit, u, v, w):
-    """First Bianchi sum with torsion, reported as a diagnostic.
+def levi_civita_nomizu(split: ReductiveSplit) -> np.ndarray:
+    """Nomizu array of the Levi-Civita connection, Lambda(X) Y = [X, Y]_n / 2.
 
-    The norm of cyclic[R(u, v) w] - cyclic[T(T(u, v), w)] for the canonical
-    connection: a float, or one value per element of stacks u, v, w.
+    Lambda[i] is the matrix of Lambda(e_i) in the signed basis, so
+    Lambda[i, a, j] = -T[i, j, a] / 2.  The trace form is ad(b)-invariant
+    and n is orthogonal to b, so the split is naturally reductive and this
+    is the torsion-free metric connection.
     """
-    trip = [(u, v, w), (v, w, u), (w, u, v)]
-    total = np.zeros_like(u)
-    for a, b, c in trip:
-        total = total + curvature_eval(split, a, b, c)
-        total = total - torsion_eval(split, torsion_eval(split, a, b), c)
-    norms = np.linalg.norm(total, axis=(-2, -1))
-    return float(norms) if norms.ndim == 0 else norms
+    return -0.5 * np.swapaxes(split.torsion_components, 1, 2)
+
+
+def curvature_tensor(split: ReductiveSplit, nomizu: np.ndarray | None = None) -> np.ndarray:
+    """R[i, j], the matrix of w -> R(e_i, e_j) w in the signed basis, of the
+    invariant connection with Nomizu array `nomizu` (None: the canonical one,
+    curvature_components).  R(X, Y) = [Lambda(X), Lambda(Y)] - Lambda([X, Y]_n)
+    - ad([X, Y]_b) reads [Lambda_i, Lambda_j] + sum_k T[i, j, k] Lambda_k + C[i, j].
+    """
+    C = split.curvature_components
+    if nomizu is None:
+        return C
+    LL = nomizu[:, None] @ nomizu[None, :]
+    return (LL - np.swapaxes(LL, 0, 1)
+            + np.tensordot(split.torsion_components, nomizu, axes=1) + C)
+
+
+def ricci(R: np.ndarray) -> np.ndarray:
+    """Ric(e_i, e_j) = sum_k eps_k K(R(e_i, e_k) e_j, e_k) = sum_k R[i, k][k, j]."""
+    return np.einsum("ikkj->ij", R)
+
+
+def bianchi_defect(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """D[i, j, k], the coordinates of the cyclic sum over (i, j, k) of
+    R(e_i, e_j) e_k - T(T(e_i, e_j), e_k), as a (d, d, d, d) array.
+
+    It vanishes for a connection with parallel torsion T (the canonical
+    one) and, with T = 0, for a torsion-free one.  By trilinearity, the
+    cyclic sum at any triple u, v, w in n is D contracted with their
+    coordinates.
+    """
+    A = np.swapaxes(R, 2, 3) - np.tensordot(T, T, axes=1)  # A[i, j, k, :]
+    return A + np.einsum("jkia->ijka", A) + np.einsum("kija->ijka", A)
 
 
 def ricci_canonical(split: ReductiveSplit) -> np.ndarray:
-    """Ric(e_i, e_j) = sum_k eps_k K(R(e_i, e_k) e_j, e_k) = sum_k R[i, k][k, j]."""
-    return np.einsum("ikkj->ij", split.curvature_components)
+    """Ricci tensor of the canonical connection."""
+    return ricci(curvature_tensor(split))
 
 
 def ricci_levi_civita(split: ReductiveSplit) -> np.ndarray:
-    """Canonical Ricci minus the quarter torsion-square correction
-    sum_k eps_k K(T(e_k, e_i), T(e_k, e_j))."""
-    T, eps = split.torsion_components, split.eps
-    corr = np.einsum("k,kil,kjl,l->ij", eps, T, T, eps)
-    return ricci_canonical(split) - 0.25 * corr
+    """Ricci tensor of the Levi-Civita connection."""
+    return ricci(curvature_tensor(split, levi_civita_nomizu(split)))
 
 
 def einstein_fit(split: ReductiveSplit, ric: np.ndarray | None = None):

@@ -229,6 +229,23 @@ def test_derivative_span_fails_for_a_wrong_sign_embedding(data, monkeypatch):
     assert status["sp21_embed_derivative_span"] == "fail"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+def test_cayley_membership_reads_rounding_noise(data, seed):
+    rep = sp21_embedding_check(data, trials=2, rng=seed)
+    [check] = [c for c in rep.checks if c.name == "sp21_embed_exponential_membership"]
+    assert check.status == "pass" and check.observed < 1e-14
+
+
+def test_cayley_membership_fails_outside_the_derivative_algebra(data, monkeypatch):
+    # Z* F = -F Z on h, so (i Z)* F = F (i Z): i Z lies outside h, and its
+    # Cayley element leaves the form-preserving group by O(1)
+    real_cayley = casestudies.cayley
+    monkeypatch.setattr(casestudies, "cayley", lambda pair, Z: real_cayley(pair, 1j * Z))
+    rep = sp21_embedding_check(data, trials=2, rng=0)
+    [check] = [c for c in rep.checks if c.name == "sp21_embed_exponential_membership"]
+    assert check.status == "fail" and check.observed > 1.0
+
+
 def test_embeddings_commute_with_base_point(data):
     u = (1.0 + 2.0j) / np.sqrt(5.0)
     g = phi_sp1(u, 0.0)

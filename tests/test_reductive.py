@@ -1,5 +1,6 @@
-"""Tests for reductive complements, torsion, canonical curvature, Ricci
-contractions, Casimir operators, and metric comparison checks."""
+"""Tests for reductive complements, torsion, the curvature arrays of the
+canonical and Levi-Civita connections, Ricci contractions, the first-Bianchi
+defect, Casimir operators, and metric comparison checks."""
 
 import dataclasses
 
@@ -8,20 +9,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nullcone.reductive as reductive
-from nullcone.casestudies import b_diag, sp21_build, su21_build, v_minus, v_plus
-from nullcone.casestudies import hatn_isometry_map
+from nullcone.casestudies import b_diag, sp21_build, su21_build, su21_report, v_minus, v_plus
+from nullcone.casestudies import hatn_isometry_map, su21_nabla_J
 from nullcone.linalg import RealSubspace, bracket, gram_matrix, signed_gram_schmidt
 from nullcone.pairs import Family, build_pair
 from nullcone.reductive import (
     ReductiveSplit,
-    bianchi_residual,
+    bianchi_defect,
     canonical_curvature,
     casimir,
     curvature_eval,
+    curvature_tensor,
     einstein_fit,
     frame_casimir,
     homothety_check,
+    levi_civita_nomizu,
     reductive_split,
+    ricci,
     ricci_canonical,
     ricci_levi_civita,
     torsion_derivation_check,
@@ -77,6 +81,24 @@ def ref_ricci_levi_civita(split):
             for j in range(d):
                 corr[i, j] += split.eps[k] * split.form(Tk[i], Tk[j])
     return ref_ricci_canonical(split) - 0.25 * corr
+
+
+def ref_bianchi_residual(split, u, v, w, torsion=True):
+    """Norm of cyclic[R(u, v) w] - cyclic[T(T(u, v), w)] for the canonical
+    connection (without the torsion term if not `torsion`), from the
+    single-argument evaluators, one value per element of stacks u, v, w."""
+    total = np.zeros_like(u)
+    for a, b, c in [(u, v, w), (v, w, u), (w, u, v)]:
+        total = total + curvature_eval(split, a, b, c)
+        if torsion:
+            total = total - torsion_eval(split, torsion_eval(split, a, b), c)
+    return np.linalg.norm(total, axis=(-2, -1))
+
+
+def ref_su21_nabla_J(data, X, Y):
+    """The closed form (nabla_X J) Y = (J T(X, Y) - T(X, J Y)) / 2."""
+    t = lambda u, v: torsion_eval(data.split, u, v)
+    return 0.5 * (data.J(t(X, Y)) - t(X, data.J(Y)))
 
 
 def ref_ad(split, X):
@@ -230,17 +252,13 @@ def test_curvature_basic_identities(su21):
 
 
 def test_bianchi_residual_is_reported_not_asserted(su21):
+    # su21_build() and su21_report(seed=0) build the same split
+    [check] = [c for c in su21_report(seed=0, trials=2).checks
+               if c.name == "su21_first_bianchi_residual"]
     split = su21.split
-    rng = np.random.default_rng(4)
-    vals = []
-    for _ in range(5):
-        u = split.n.random_element(rng)
-        v = split.n.random_element(rng)
-        w = split.n.random_element(rng)
-        r = bianchi_residual(split, u, v, w)
-        assert np.isfinite(r)
-        vals.append(r)
-    assert max(vals) >= 0.0
+    defect = bianchi_defect(curvature_tensor(split), split.torsion_components)
+    assert check.status == "info"
+    assert check.observed == float(np.abs(defect).max())
 
 
 def test_einstein_constants(su21, sp21):
@@ -381,11 +399,9 @@ def test_stacked_evaluators_match_single_elements(request, name):
     T = torsion_eval(split, u, v)
     C = canonical_curvature(split, u, v)
     R = curvature_eval(split, u, v, w)
-    B = bianchi_residual(split, u, v, w)
-    assert T.shape == R.shape == u.shape and B.shape == (2, 2)
+    assert T.shape == R.shape == u.shape
     # entries reach ~50 in the quaternionic case, so compare against the
-    # scale of each matrix; the Bianchi residual is rounding noise of order
-    # 1e-11 there
+    # scale of each matrix
     def same(got, want):
         assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
@@ -393,5 +409,86 @@ def test_stacked_evaluators_match_single_elements(request, name):
         same(T[idx], torsion_eval(split, u[idx], v[idx]))
         same(C[idx], canonical_curvature(split, u[idx], v[idx]))
         same(R[idx], curvature_eval(split, u[idx], v[idx], w[idx]))
-        assert B[idx] == pytest.approx(bianchi_residual(split, u[idx], v[idx], w[idx]),
-                                       rel=0, abs=1e-10)
+
+
+# The curvature layer: both connections' curvature arrays from one formula,
+# on the four splits above and the whole isotropy algebra of R(2, 1).
+
+LAYER_SPLITS = SPLITS + ("trivial_split",)
+
+
+@pytest.fixture(scope="module")
+def trivial_split():
+    return reductive_split(build_pair(Family("R", 2, 1)), None)
+
+
+def levi_civita_curvature(split):
+    return curvature_tensor(split, levi_civita_nomizu(split))
+
+
+@pytest.mark.parametrize("name", LAYER_SPLITS)
+def test_levi_civita_ricci_matches_the_torsion_square_reference(request, name):
+    split = _split(request, name)
+    assert_allclose(ricci(levi_civita_curvature(split)), ref_ricci_levi_civita(split),
+                    rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", LAYER_SPLITS)
+def test_first_bianchi_defects_vanish(request, name):
+    # the canonical connection has parallel torsion, the Levi-Civita one none
+    split = _split(request, name)
+    T = split.torsion_components
+    assert np.abs(bianchi_defect(curvature_tensor(split), T)).max() < 1e-12
+    assert np.abs(bianchi_defect(levi_civita_curvature(split), 0 * T)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", LAYER_SPLITS)
+def test_levi_civita_arrays_are_metric(request, name):
+    # R[i, j] is antisymmetric in (i, j), and R[i, j] and Lambda[i] are skew
+    # for the metric diag(eps): eps_a M[a, b] = -eps_b M[b, a]
+    split = _split(request, name)
+    low = split.eps[:, None]
+    L, R = levi_civita_nomizu(split), levi_civita_curvature(split)
+    assert np.abs(R + np.swapaxes(R, 0, 1)).max() < 1e-13
+    for M in (L, R):
+        assert np.abs(low * M + np.swapaxes(low * M, -1, -2)).max() < 1e-13
+
+
+def test_canonical_curvature_fails_the_torsion_free_identity(su21, sp21):
+    # the canonical connection has torsion, so its curvature alone does not
+    # satisfy the torsion-free Bianchi identity
+    for data, least in ((su21, 1.0), (sp21, 3.0)):
+        R = curvature_tensor(data.split)
+        assert np.abs(bianchi_defect(R, 0 * data.split.torsion_components)).max() > least
+
+
+@pytest.mark.parametrize("name", LAYER_SPLITS)
+def test_defect_contracts_to_the_cyclic_sum(request, name):
+    # the defect is trilinear, so its contraction with the coordinates of
+    # any triple is that triple's cyclic sum.  With the torsion term both
+    # are rounding noise (up to ~3e-12 on sp21, whose draws have entries
+    # near 50); without it the sums are O(1) wherever b acts, and must agree
+    split = _split(request, name)
+    u, v, w = split.n.random_element(np.random.default_rng(9), size=12).reshape(
+        (3, 4) + split.e_basis.shape[1:])
+    x, y, z = (split.n_coords(a) for a in (u, v, w))
+    T = split.torsion_components
+
+    def contracted(D):
+        got = np.tensordot(np.einsum("ti,tj,tk,ijka->ta", x, y, z, D), split.e_basis, axes=1)
+        return np.linalg.norm(got, axis=(-2, -1))
+
+    R = curvature_tensor(split)
+    assert contracted(bianchi_defect(R, T)).max() < 1e-10
+    assert ref_bianchi_residual(split, u, v, w).max() < 1e-10
+    want = ref_bianchi_residual(split, u, v, w, torsion=False)
+    assert_allclose(contracted(bianchi_defect(R, 0 * T)), want,
+                    rtol=0, atol=1e-12 * max(1.0, want.max()))
+
+
+def test_nabla_J_matches_the_torsion_closed_form(su21):
+    X, Y = su21.n_space.random_element(np.random.default_rng(10), size=40).reshape(
+        (2, 20) + su21.split.e_basis.shape[1:])
+    want = ref_su21_nabla_J(su21, X, Y)
+    assert_allclose(su21_nabla_J(su21, X, Y), want, rtol=0,
+                    atol=1e-12 * np.abs(want).max())
