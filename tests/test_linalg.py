@@ -1,10 +1,12 @@
 """Tests for the real-linear-algebra kernel: quaternion embedding, real
-subspaces, signatures, structure constants and signed orthogonalization."""
+subspaces, signatures, structure constants, signed orthogonalization, and
+the isotropy algebra against the carrier form."""
 
 import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nullcone.casestudies import _conformal_grading, sp21_build, su21_build
@@ -548,3 +550,29 @@ def test_bilinform_scale():
 def test_bracket_shape_mismatch_raises():
     with pytest.raises(ValueError):
         bracket(np.eye(3), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# the isotropy algebra integrates into the form-preserving group
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2)])
+def test_expm_of_isotropy_elements_preserves_carrier_form(field, pq, seed):
+    # scipy's exponential is the reference: the check is on pair.h, whose
+    # elements must be skew for the carrier form and traceless
+    pair = build_pair(Family(field, *pq))
+    rng = np.random.default_rng(seed)
+    Z = pair.h.random_element(rng, norm=[0.3, 1.0, 4.0, 12.0], size=4)
+    G = np.array([scipy.linalg.expm(z) for z in Z])
+    F = pair.carrier_form
+    scale = np.linalg.norm(G, axis=(1, 2)) ** 2
+    res = np.abs(G.conj().transpose(0, 2, 1) @ F @ G - F).max(axis=(1, 2))
+    assert (res < 1e-13 * scale).all()
+    # h is traceless, so exp(Z) has determinant one
+    assert (np.abs(np.linalg.det(G) - 1.0) < 1e-13 * scale).all()
+    if field == "H":
+        for g in G:
+            quat_split(g)  # raises unless g keeps the quaternionic pattern
