@@ -29,22 +29,30 @@ form for the complex family, the symplectic form for the quaternionic one.
 Sampling, certification, partners, stabilizers and normal forms run on
 stacks of rays (sample_null_batch, partner_null_batch, stabilizers_of_rays,
 stabilizers_by_commutant, canonicalize_unitary_batch,
-canonicalize_symplectic_batch); one ray is a one-row stack.  A ray is
-eigen-solved once, where make_null_batch certifies it: its NullBatch keeps
-the spectrum and the eigenvector columns of that one stacked eig, and the
-partners, both normal forms and the commutant route read them from there
-(the symplectic form takes each eigenplane from its cluster's two
-columns).  Both stabilizer routes return the same RayStabilizers: per
-ray, a stack of matrices and their ray coefficients.  The kernels take whatever
-stack they are given; callers that walk many rays cut them with
-trial_blocks, which bounds the memory of one block on the route in use.
-stabilizers_report and orbits_report are the census checks of one pair,
-as the stabilizers and orbits suites run them.
+canonicalize_symplectic_batch); one ray is a one-row stack.
+make_null_batch certifies a stack from its eigenpairs: a draw supplies the
+spectrum and the eigenvector columns it was built from, and any other
+stack gets them from one stacked eig.  Either way the certificate takes
+the residual R = S V - V Lam and the Bauer-Fike radius
+|V|_F |V^-1|_F^2 |R|_F: every eigenvalue of S lies within it of a claimed
+one.  A row is generic when every column fits its value and the gap
+clears the gap rule and twice the radius.  A nilpotent ray has a nearly
+singular eigenbasis, so its radius is what keeps it out.  The NullBatch
+keeps those eigenpairs, and the partners, both normal forms and the
+commutant route read them from there (the symplectic form takes each
+eigenplane from its cluster's two columns); no drawn ray is eigen-solved.
+Both stabilizer routes return the same RayStabilizers: per ray, a stack of
+matrices and their ray coefficients.  The kernels take whatever stack they
+are given; callers that walk many rays cut them with trial_blocks, which
+bounds the memory of one block on the route in use.  stabilizers_report
+and orbits_report are the census checks of one pair, as the stabilizers
+and orbits suites run them.
 
 Tolerance contract: a routine given a pair reads its tolerance from
 pair.tol, fixed once where the pair is built (build_pair): rank cuts use
-tol.rank_rel and the genericity gap tol.abs; the normal forms split a
-spectrum at a quarter of its certified gap, which needs no tolerance.
+tol.rank_rel and the genericity gap tol.abs (the radius rule needs no
+tolerance); the normal forms split a spectrum at a quarter of its
+certified gap, which needs no tolerance.
 Only routines without a pair take one (so21_orbit_class,
 RayStabilizers.subspace).
 """
@@ -61,6 +69,8 @@ from .pairs import SymmetricPair, t_form
 from .report import Report
 
 GAP_FACTOR = 1e3  # genericity asks for eigenvalue gaps above GAP_FACTOR * tol.abs
+# a claimed eigenpair (lam, v) of S fits when |S v - lam v| <= this * |S|_F |v|
+EIGEN_RESIDUAL = 1e-8
 SAMPLE_ROUNDS = 60  # sample_null_batch redraws rejected rows at most this often
 # trial_blocks cuts a run of rays into blocks whose arrays stay within this
 # many bytes, counted per ray of the stabilizer route in use: a few hundred
@@ -78,12 +88,18 @@ class NullBatch:
     """k sampled or supplied elements of the null cone, as stacked arrays
     with a leading axis of length k.
 
-    eigenvalues holds n entries per row, lexsorted by (real, imag); for the
-    quaternionic family these are the cluster means of the doubled spectrum
-    of the complex carrier.  vectors (k, N, N) holds the eigenvector columns
-    of the same eig, in the same order: column i belongs to eigenvalue i,
-    and for the quaternionic family columns 2i and 2i + 1 belong to cluster
-    i.  genericity means all pairwise gaps exceed the sampling threshold.
+    eigenvalues holds n entries per row: the upper half-plane values, the
+    real ones, then the lower ones, each by (real, imag), an order that
+    rounding does not change (_spectral_order); for the quaternionic family
+    these are the cluster values of the doubled spectrum of the complex
+    carrier.  vectors (k, N, N) holds the eigenvector columns, not
+    normalized, in the same order: column i belongs to eigenvalue i, and for
+    the quaternionic family columns 2i and 2i + 1 belong to cluster i.  A
+    draw lists the eigenpairs it was built from, any other stack eig's.
+    genericity is make_null_batch's certificate: every column fits its
+    value, and every pairwise gap exceeds the sampling threshold and twice
+    the Bauer-Fike radius of the eigenpairs (_eigen_certificate), so no
+    eigenvalue of S is more than the radius from a listed one.
     """
 
     S: np.ndarray
@@ -204,18 +220,6 @@ def _doubled_pairs(vals: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _pair_doubled_spectra(vals: np.ndarray, idx: np.ndarray):
-    """Cluster a (k, 2n) doubled spectrum by its pairs idx (_doubled_pairs).
-
-    Returns (k x n cluster means, max intra-pair spread, min inter-pair gap).
-    """
-    rows = np.arange(len(vals))[:, None]
-    v, w = vals[rows, idx[..., 0]], vals[rows, idx[..., 1]]
-    reps = 0.5 * (v + w)
-    spread = np.abs(w - v).max(axis=1, initial=0.0)
-    return reps, spread, _min_gaps(reps)
-
-
 def _min_gaps(vals: np.ndarray) -> np.ndarray:
     k, n = vals.shape
     if n < 2:
@@ -225,39 +229,100 @@ def _min_gaps(vals: np.ndarray) -> np.ndarray:
     return diffs.min(axis=(1, 2))
 
 
-def make_null_batch(pair: SymmetricPair, S: np.ndarray) -> NullBatch:
+def _inverse_norms(V: np.ndarray) -> np.ndarray:
+    """|V^-1|_F of each matrix of a stack (k, N, N), inf where one is
+    exactly singular (the stacked inverse raises for the whole stack, so
+    its rows are then taken one by one)."""
+    try:
+        return np.linalg.norm(np.linalg.inv(V), axis=(1, 2))
+    except np.linalg.LinAlgError:
+        if len(V) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_inverse_norms(v[None]) for v in V])
+
+
+def _eigen_certificate(S: np.ndarray, lam: np.ndarray, V: np.ndarray):
+    """Check claimed eigenpairs of a stack S (k, N, N): values lam (k, N)
+    and columns V (k, N, N), column i for value i.
+
+    Returns (fits, radius), each (k,).  fits[i] says every column solves
+    |S v - lam v| <= EIGEN_RESIDUAL |S|_F |v|.  With R = S V - V Lam,
+    S = V Lam V^-1 + R V^-1, so by Bauer-Fike every eigenvalue of S lies
+    within kappa_2(V) |R V^-1|_2 of a claimed one, which radius
+    |V|_F |V^-1|_F^2 |R|_F bounds; it is inf where V is singular.  A
+    nilpotent S has a nearly singular eigenbasis, so its radius exceeds
+    the gap of its computed values.
+    """
+    R = S @ V
+    R -= V * lam[:, None, :]
+    cols = np.linalg.norm(V, axis=1)
+    fits = (np.linalg.norm(R, axis=1)
+            <= EIGEN_RESIDUAL * np.linalg.norm(S, axis=(1, 2))[:, None] * cols).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a singular V reads inf
+        radius = (np.linalg.norm(cols, axis=1) * np.linalg.norm(R, axis=(1, 2))
+                  * _inverse_norms(V) ** 2)
+    return fits, np.where(np.isnan(radius), np.inf, radius)
+
+
+def _spectral_order(vals: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The order a batch lists each row of a (k, n) spectrum in: the upper
+    half-plane values, the real ones, then the lower ones, each class by
+    (real, imag), with the classes split at gap / 4 (_half_planes).  The
+    real parts of a conjugate pair are equal in a draw's construction but
+    not in eig's output, so an order led by real parts would turn on
+    rounding; an order led by the classes does not."""
+    upper, lower = _half_planes(vals, gap)
+    return np.lexsort((vals.imag, vals.real, lower.astype(int) - upper), axis=-1)
+
+
+def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch:
     """Membership, nullity and genericity certificates for a stack (k, N, N).
 
     Raises if a row is not in the tangent summand (which also holds it
     traceless); one stacked residual (two products with m's frame) tests
-    membership and one stacked eig gives the spectra and the eigenvector
-    columns, which the batch keeps in the order of its eigenvalues (for H,
-    each cluster's two columns side by side).  A real stack of the real
-    family stays float64, so its spectra come from real LAPACK; every other
-    stack is taken as complex128.
+    membership.  The eigenpairs come from eigen = (values, vectors), laid
+    out as NullBatch.eigenvalues and NullBatch.vectors (a draw supplies
+    the ones it was built from), or, when it is None, from one stacked eig,
+    whose doubled H spectrum is paired by nearest values (_doubled_pairs).
+    Either source passes one certificate (_eigen_certificate): a row is
+    generic when every column fits its value, the gap exceeds
+    GAP_FACTOR * tol.abs and twice the Bauer-Fike radius, and, for H, the
+    two values of each cluster lie within 1e-6 max(1, |S|_F).  A real stack
+    of the real family stays float64, so eig runs in real LAPACK; every
+    other stack is taken as complex128.
     """
     S = np.asarray(S)
     S = S.astype(float if pair.family.field == "R" and not np.iscomplexobj(S) else complex,
                  copy=False)
+    k = len(S)
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
     if np.any(pair.m.residual(S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")
     nullity = np.abs(pair.form(S, S))
-    vals, V = np.linalg.eig(S)  # both real for an all-real spectrum
-    vals, V = vals.astype(complex, copy=False), V.astype(complex, copy=False)
     quaternionic = pair.family.field == "H"
-    if quaternionic:
-        pairs = _doubled_pairs(vals)
-        vals, spread, gap = _pair_doubled_spectra(vals, pairs)
-        generic = (spread < 1e-6 * scale) & (gap > GAP_FACTOR * pair.tol.abs)
+    if eigen is None:
+        lam, V = np.linalg.eig(S)  # both real for an all-real spectrum
+        lam, V = lam.astype(complex, copy=False), V.astype(complex, copy=False)
+        if quaternionic:  # each pair's two columns side by side
+            cols = _doubled_pairs(lam).reshape(k, -1)
+            lam = np.take_along_axis(lam, cols, axis=1)
+            V = np.take_along_axis(V, cols[:, None, :], axis=2)
     else:
-        gap = _min_gaps(vals)
-        generic = gap > GAP_FACTOR * pair.tol.abs
-    order = np.lexsort((vals.imag, vals.real), axis=-1)
+        vals, V = (np.asarray(a, dtype=complex) for a in eigen)
+        lam = np.repeat(vals, 2, axis=1) if quaternionic else vals
+    generic, radius = _eigen_certificate(S, lam, V)
+    if quaternionic:
+        vals = 0.5 * (lam[:, 0::2] + lam[:, 1::2])
+        generic &= np.abs(lam[:, 1::2] - lam[:, 0::2]).max(axis=1) < 1e-6 * scale
+    else:
+        vals = lam
+    gap = _min_gaps(vals)
+    generic &= (gap > GAP_FACTOR * pair.tol.abs) & (gap > 2 * radius)
+    order = _spectral_order(vals, gap)
     vals = np.take_along_axis(vals, order, axis=-1)
-    cols = order  # the columns follow their values
-    if quaternionic:  # an H cluster's two columns stay side by side
-        cols = np.take_along_axis(pairs, order[..., None], axis=1).reshape(len(S), -1)
+    cols = order  # the columns follow their values, an H cluster's two side by side
+    if quaternionic:
+        cols = (2 * order[..., None] + np.arange(2)).reshape(k, -1)
     V = np.take_along_axis(V, cols[:, None, :], axis=2)
     return NullBatch(S, vals, V, generic, nullity, gap)
 
@@ -284,30 +349,49 @@ def _sample_spectra(p: int, q: int, k: int, rng: np.random.Generator):
     return a + 1j * b, lam
 
 
-def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator) -> np.ndarray:
+def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator):
     """k null matrices X* F = F X, tr X = 0, tr X^2 = 0 with generic spectra,
-    built in the sampling frame and moved to the pair's frame."""
+    built in the sampling frame and moved to the pair's frame, with the
+    eigenpairs they are built from: (S (k, N, N), values, V0 (N, N)), the
+    values and the columns of V0, shared by every draw, laid out as
+    NullBatch.eigenvalues and NullBatch.vectors.
+
+    R: the 2 x 2 block [[a, b], [-b, a]] on coordinates (i, p + i) has the
+    eigenvectors (e_i -+ i e_(p + i)) / sqrt 2 for a +- ib, the real slots
+    unit vectors.  C: the columns of P, for the diagonal they carry.  H: the
+    carrier [[X, 0], [0, conj X]] has the columns of [[P, 0], [0, conj P]];
+    top column j (value d_j) pairs with bottom column n + (n - 1 - j)
+    (value conj d_(n - 1 - j) = d_j) on the corner slots and with n + j on
+    the real ones."""
     fam = pair.family
     p, n = fam.p, fam.n
     r = min(p, fam.q)
     mu, lam = _sample_spectra(p, fam.q, k, rng)
     P, P_inv = pair.sampling_frame
+    i = np.arange(r)
     if fam.field == "R":
         # rotation-style 2 x 2 blocks couple one positive and one negative coordinate
         S = np.zeros((k, n, n))
-        i = np.arange(r)
         S[:, i, i] = S[:, p + i, p + i] = mu.real
         S[:, i, p + i] = mu.imag
         S[:, p + i, i] = -mu.imag
         slots = np.r_[r:p, p + r:n]
         S[:, slots, slots] = lam
+        vals = np.empty((k, n), dtype=complex)
+        vals[:, i], vals[:, p + i], vals[:, slots] = mu, np.conj(mu), lam
+        V0 = np.eye(n, dtype=complex)
+        V0[p + i, i], V0[i, p + i], V0[p + i, p + i] = 1j, 1.0, -1j
+        V0[:, np.r_[i, p + i]] /= np.sqrt(2.0)
         # the real form's frame is real, so the draws stay float64
-        return P.real @ S @ P_inv.real
+        return P.real @ S @ P_inv.real, vals, P.real @ V0
     diag = np.concatenate([mu, lam.astype(complex), np.conj(mu)[:, ::-1]], axis=1)
     X = (P * diag[:, None, :]) @ P_inv
     if fam.field == "C":
-        return X
-    return quat_embed(QMat(X, np.zeros_like(X)))
+        return X, diag, P
+    bottom = np.r_[n - 1 - i, r:n - r, i[::-1]]  # the bottom column of each top one
+    V0 = np.zeros((2 * n, 2 * n), dtype=complex)
+    V0[:n, 0::2], V0[n:, 1::2] = P, np.conj(P[:, bottom])
+    return quat_embed(QMat(X, np.zeros_like(X))), diag, V0
 
 
 def cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
@@ -329,17 +413,16 @@ def cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - half, eye + half)
 
 
-def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
+def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray, rng: np.random.Generator):
     """Conjugate each S_i by the Cayley element A_i (cayley) of a random
     isotropy element Z_i with norm <= 1: one stacked solve builds every
-    A_i, an isotropy element, and one more gives A_i S_i A_i^-1.  A real
-    stack of the real family stays float64."""
+    A_i, an isotropy element, and one more gives A_i S_i A_i^-1.  Returns
+    (A S A^-1, A); a real stack of the real family stays float64."""
     k = S.shape[0]
     A = cayley(pair, pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
     # S -> A S A^{-1} via a solve, avoiding an explicit inverse
     AS = A @ S
-    return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1), A
 
 
 def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
@@ -347,9 +430,11 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
 
     The draws take their spectra at once, move them by the pair's
     sampling congruence (computed once per pair), conjugate them by random
-    Cayley elements of the isotropy group (_isotropy_conjugate: two stacked
-    solves, no exponential), and are certified by make_null_batch.  Draws
-    of the real family stay float64 throughout.
+    Cayley elements A of the isotropy group (_isotropy_conjugate: two
+    stacked solves, no exponential), and are certified by make_null_batch
+    from the eigenpairs they are built from (_framed_null_stack), whose
+    columns A V0 are one product away: no draw is eigen-solved.  Draws of
+    the real family stay float64 throughout.
     Rows that fail the genericity or nullity rule are redrawn, at
     most SAMPLE_ROUNDS rounds in all.
     """
@@ -360,8 +445,9 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
         raise ValueError("need at least one draw")
     parts, need = [], k
     for _ in range(SAMPLE_ROUNDS):
-        S = _isotropy_conjugate(pair, _framed_null_stack(pair, need, rng), rng)
-        batch = make_null_batch(pair, S)
+        S, vals, V0 = _framed_null_stack(pair, need, rng)
+        S, A = _isotropy_conjugate(pair, S, rng)
+        batch = make_null_batch(pair, S, (vals, A @ V0))
         ok = batch.genericity & (batch.nullity_residual < 1e-8)
         parts.append(batch.take(ok))
         need -= int(ok.sum())
@@ -447,20 +533,36 @@ def stabilizer_dims(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     return pair.h.dim + 1 - _stabilizer_ranks(pair, S)
 
 
+def _ray_kernels(pair: SymmetricPair, S: np.ndarray):
+    """Ray stabilizer dims (k,) of a stack S (k, N, N) and V^T of their
+    systems (_stabilizer_ranks), whose last dims[i] rows span ray i's kernel.
+
+    A wide system (dim m < dim h + 1) always has a kernel, so its SVD takes
+    vectors at once.  A tall one (R) takes singular values first, and
+    vectors only if some row has a kernel; otherwise V^T is (k, 0, dim h + 1).
+    """
+    c = pair.h.dim + 1
+    rank = None if pair.m.dim < c else _stabilizer_ranks(pair, S)
+    vt = np.empty((len(S), 0, c))
+    if rank is None or (rank < c).any():
+        rank, vt = _stabilizer_ranks(pair, S, vt=True)
+    return c - rank, vt
+
+
 def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray) -> RayStabilizers:
     """Ray stabilizers of a stack of null vectors S (k, N, N).
 
     Each ray's real system has the brackets [h_i, S] and -S as columns,
     written in the pair's orthonormal frame of m (_stabilizer_system), so
     it has dim m rows rather than 2 N^2; one stacked SVD gives every
-    kernel, with the rank cut of _stabilizer_ranks.  Each ray's kernel is
-    the last (dim h + 1) - rank rows of V^T, returned as matrices and ray
+    kernel, with the rank cut of _stabilizer_ranks, and vectors only where
+    some ray has a kernel (_ray_kernels).  Each ray's kernel is the last
+    (dim h + 1) - rank rows of V^T, returned as matrices and ray
     coefficients (_kernel_bases).  The stack is solved whole; trial_blocks
     sizes stacks to a memory bound.
     """
     S = np.asarray(S, dtype=complex)
-    rank, vt = _stabilizer_ranks(pair, S, vt=True)
-    dims = vt.shape[-1] - rank
+    dims, vt = _ray_kernels(pair, S)
     return RayStabilizers(dims, *_kernel_bases(pair, S, vt, dims))
 
 
@@ -489,16 +591,10 @@ def ray_stabilizer_mismatch(pair: SymmetricPair, S: np.ndarray, T: np.ndarray):
     go against the singular values of T_i's (_kernel_mismatch): 0 exactly
     when S_i's kernel lies in T_i's.  X -> x is an isomorphism, so equal
     kernels are equal stabilizers with equal ray coefficients.  Each T_i
-    must be a ray (nonzero).  A wide system of S (dim m < dim h + 1) always
-    has a kernel, so its SVD takes vectors at once; a tall one (R) takes
-    singular values first, and vectors only if some row has a kernel.
+    must be a ray (nonzero).  S's kernel vectors are taken only where some
+    row has one (_ray_kernels).
     """
-    c = pair.h.dim + 1
-    rank = None if pair.m.dim < c else _stabilizer_ranks(pair, S)
-    vt = np.empty((len(S), 0, c))
-    if rank is None or (rank < c).any():
-        rank, vt = _stabilizer_ranks(pair, S, vt=True)
-    dims = c - rank
+    dims, vt = _ray_kernels(pair, S)
     d = int(dims.max(initial=0))
     # ray i's kernel is the last dims[i] rows of vt[i]; its other rows are zeroed
     own = (np.arange(d) >= (d - dims)[:, None])[..., None]
@@ -654,8 +750,10 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabil
     upper bound of the spectral one).  Raises on rows that are not generic,
     and on rows whose eigenbasis is so ill-conditioned that errors of order
     eps cond(V)^2 in the block coordinates (G = V* F V) could cross the rank
-    cut: a nilpotent S, whose computed eigenvalues split by about eps^(1/3)
-    and can pass the gap rule of make_null_batch, has cond(V) near 1e10.
+    cut.  A nilpotent S, whose computed eigenvalues split by about
+    eps^(1/3), has cond(V) near 1e10; make_null_batch's radius rule already
+    keeps such rows out of the generic ones, and this rule guards batches
+    assembled by hand.
     """
     tol = pair.tol
     S = batch.S
@@ -723,14 +821,21 @@ def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
     return cone_dim - orbit_dim
 
 
+def _half_planes(vals: np.ndarray, gap: np.ndarray):
+    """Masks (upper, lower) of the values of a (k, n) spectrum above and
+    below the real axis by more than gap / 4.  A nonreal value lies 2 |Im|
+    from its conjugate, so |Im| >= gap / 2 and gap / 4 separates the
+    classes at any scale."""
+    thr = 0.25 * np.asarray(gap)[:, None]
+    return vals.imag > thr, vals.imag < -thr
+
+
 def _spectrum_classes(vals: np.ndarray, gap: np.ndarray):
     """Masks of the upper-half-plane and real values of each row of a (k, n)
-    spectrum, at the threshold gap / 4, and the corner size r (k,), the
-    number of upper values.  A nonreal value lies 2 |Im| from its conjugate,
-    so |Im| >= gap / 2 and gap / 4 separates the classes at any scale.
-    Raises where the lower values do not match the upper ones in number."""
-    thr = 0.25 * np.asarray(gap)[:, None]
-    upper, lower = vals.imag > thr, vals.imag < -thr
+    spectrum (_half_planes), and the corner size r (k,), the number of
+    upper values.  Raises where the lower values do not match the upper
+    ones in number."""
+    upper, lower = _half_planes(vals, gap)
     r = upper.sum(axis=1)
     if np.any(lower.sum(axis=1) != r):
         raise ValueError("nonreal eigenvalues do not pair with their conjugates")
@@ -995,7 +1100,7 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int,
     P, P_inv = pair.corner_frame
     S0 = P.real @ E @ P_inv.real
     scale = rng.uniform(0.5, 2.0, k)
-    S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)
+    S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)[0]
     return make_null_batch(pair, scale[:, None, None] * S)
 
 

@@ -504,7 +504,14 @@ def test_batch_rows_pass_single_vector_certificates(field, pq, seed):
         assert nv.nullity_residual[0] < 1e-8
         assert pair.m.residual(S) < 1e-9
         assert abs(np.trace(S)) < 1e-9
-        assert_allclose(batch.eigenvalues[i], nv.eigenvalues[0], atol=1e-12)
+        # the draw's own eigenvalues and eig's of the same row, in one order:
+        # the upper half-plane values, the real ones, then the lower ones,
+        # each by real part, whatever the rounding of a conjugate pair
+        w = nv.eigenvalues[0]
+        assert_allclose(batch.eigenvalues[i], w, atol=1e-12)
+        klass = np.sign(np.where(np.abs(w.imag) > nv.gap[0] / 4, -w.imag, 0.0))
+        key = list(zip(klass, w.real))
+        assert key == sorted(key)
         assert batch.gap[i] == pytest.approx(nv.gap[0], rel=1e-12)
         assert batch.nullity_residual[i] == pytest.approx(nv.nullity_residual[0], abs=1e-15)
 
@@ -784,7 +791,7 @@ def mixed_corner_batch(pair, rng):
     X = P @ np.diag([mu, 0.5, -2.5, np.conj(mu)]) @ np.linalg.inv(P)
     if fam.field == "H":
         X = quat_embed(QMat(X, np.zeros_like(X)))
-    S = orbits._isotropy_conjugate(pair, np.broadcast_to(X, (3,) + X.shape), rng)
+    S = orbits._isotropy_conjugate(pair, np.broadcast_to(X, (3,) + X.shape), rng)[0]
     hand = make_null_batch(pair, S)
     assert hand.genericity.all()
     return NullBatch.concat([sample_null_batch(pair, 4, rng=rng), hand]).take(
@@ -1285,6 +1292,32 @@ def test_tall_systems_take_kernel_vectors_only_where_a_row_has_one(monkeypatch):
     assert theta.max() < 1e-12
 
 
+def test_stabilizers_of_tall_systems_take_vectors_only_where_a_row_has_a_kernel(monkeypatch):
+    # the rule of ray_stabilizer_mismatch above, shared by stabilizers_of_rays:
+    # a generic R(2, 1) ray's kernel is empty and its SVD takes singular
+    # values alone; a stack with a nilpotent ray takes vectors once, for the
+    # whole stack
+    pair = build_pair(Family("R", 2, 1))
+    assert pair.m.dim >= pair.h.dim + 1
+    generic = sample_null_batch(pair, 6, rng=40).S
+    nilpotent = sample_so21_stratum_batch(pair, "two-step-nilpotent", 2, rng=40).S
+    calls, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, compute_uv=True, **kw):
+        calls.append(compute_uv)
+        return svd(a, *args, compute_uv=compute_uv, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    st = stabilizers_of_rays(pair, generic)
+    assert calls == [False]
+    assert st.dims.tolist() == [0] * 6 and (st.residuals == 0).all()
+    assert all(b.shape == (0, 3, 3) and c.shape == (0,) for b, c in zip(st.bases, st.scales))
+    calls.clear()
+    st = stabilizers_of_rays(pair, np.concatenate([generic, nilpotent]))
+    assert calls == [False, True]
+    assert st.dims.tolist() == [0] * 6 + [1, 1] and st.residuals.max() < 1e-8
+
+
 def test_strata_dimensions_from_singular_values_match_the_kernels():
     pair = build_pair(Family("R", 2, 1))
     rng = np.random.default_rng(23)
@@ -1348,20 +1381,22 @@ def test_take_and_concat_carry_the_vectors(field, pq):
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
-    # stabilizers (both routes) and orbits (partners, normal forms, strata)
-    # make one eig per make_null_batch call and no other spectral call
+    # stabilizers (both routes) and orbits (partners, normal forms, strata):
+    # a draw is certified from the eigenpairs it was built from and makes no
+    # eig; a stack handed to make_null_batch without eigenpairs makes one,
+    # and in a census those are the nilpotent strata stacks of R(2, 1)
     pair = build_pair(Family(field, 2, 1))
     eig, certify = np.linalg.eig, orbits.make_null_batch
-    eigs, made = [], []
+    eigs, drawn, supplied = [], [], []
 
     def counted_eig(a):
         eigs.append(a.shape)
         return eig(a)
 
-    def counted_certify(pair, S):
+    def counted_certify(pair, S, eigen=None):
         before = len(eigs)
-        batch = certify(pair, S)
-        made.append(len(eigs) - before)
+        batch = certify(pair, S, eigen)
+        (drawn if eigen is not None else supplied).append((len(eigs) - before, batch))
         return batch
 
     def forbidden(*args, **kwargs):
@@ -1373,8 +1408,12 @@ def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
     for report in (stabilizers_report, orbits_report):
         rep = report(pair, 12, seed=5)
         assert rep.checks and all(c.status == "pass" for c in rep.checks)
-    assert made and made == [1] * len(made)
-    assert len(eigs) == len(made)
+    assert drawn and [n for n, _ in drawn] == [0] * len(drawn)
+    assert [n for n, _ in supplied] == [1] * len(supplied)
+    assert len(eigs) == len(supplied) == (2 if field == "R" else 0)
+    for _, batch in supplied:
+        assert (so21_orbit_class(batch.S) != "open").all()
+        assert not batch.genericity.any()
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -1395,6 +1434,113 @@ def test_partners_normal_forms_and_commutant_need_no_new_eig(field, monkeypatch)
         canonicalize = {"C": canonicalize_unitary_batch, "H": canonicalize_symplectic_batch}
         P, r = canonicalize[field](pair, batch)
         assert (orbits.normal_form_residuals(pair, P, r) < 1e-9).all()
+
+
+# ---------------------------------------------------------------------------
+# the certificate: a draw's own eigenpairs are checked, not recomputed, and
+# the Bauer-Fike radius of an eigenbasis is the nilpotency verdict
+# ---------------------------------------------------------------------------
+
+
+def eigenspace_sines(pair, U, W):
+    """Reference: per row of two column stacks, the largest sine of the
+    principal angles between matching eigenspaces (lines for R and C,
+    each cluster's plane of two columns for H)."""
+    b = 2 if pair.family.field == "H" else 1
+    return np.array([max(subspace_angles(u[:, j:j + b], w[:, j:j + b]).max()
+                         for j in range(0, u.shape[1], b)) for u, w in zip(U, W)])
+
+
+def drawn_eigenpairs(pair, k, seed):
+    """k draws and the eigenpairs they are built from, as make_null_batch
+    takes them: (S, values, vectors)."""
+    rng = np.random.default_rng(seed)
+    S, vals, V0 = orbits._framed_null_stack(pair, k, rng)
+    S, A = orbits._isotropy_conjugate(pair, S, rng)
+    return S, vals, A @ V0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (1, 3), (2, 2), (3, 2)])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_draw_eigenpairs_agree_with_eig(field, pq, seed):
+    pair = build_pair(Family(field, *pq))
+    drawn = sample_null_batch(pair, 12, rng=seed)
+    solved = make_null_batch(pair, drawn.S)  # one stacked eig of the same rays
+    assert solved.genericity.all()
+    scale = np.linalg.norm(drawn.S, axis=(1, 2))
+    assert (np.abs(drawn.eigenvalues - solved.eigenvalues) <= 1e-12 * scale[:, None]).all()
+    assert (np.abs(drawn.gap - solved.gap) <= 2e-12 * scale).all()
+    assert (eigenspace_sines(pair, drawn.vectors, solved.vectors) < 1e-10).all()
+    # a batch's own eigenpairs certify it again, unchanged
+    again = make_null_batch(pair, drawn.S, (drawn.eigenvalues, drawn.vectors))
+    for name in ("eigenvalues", "vectors", "genericity", "gap"):
+        assert np.array_equal(getattr(again, name), getattr(drawn, name))
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_a_moved_value_or_a_rotated_column_is_not_certified(field):
+    pair = build_pair(Family(field, 2, 1))
+    S, vals, V = drawn_eigenpairs(pair, 4, 31)
+    assert make_null_batch(pair, S, (vals, V)).genericity.all()
+    # row 1 claims a value 1e-6 |S| off its own
+    moved = vals.copy()
+    moved[1, 0] += 1e-6 * np.linalg.norm(S[1])
+    assert make_null_batch(pair, S, (moved, V)).genericity.tolist() == [True, False, True, True]
+    # row 2's first column turns towards the last one, of another eigenvalue
+    unit = V[2] / np.linalg.norm(V[2], axis=0)
+    rotated = V.copy()
+    rotated[2][:, 0] = np.cos(1e-4) * unit[:, 0] + np.sin(1e-4) * unit[:, -1]
+    assert make_null_batch(pair, S, (vals, rotated)).genericity.tolist() == [True, True, False,
+                                                                             True]
+
+
+def test_swapped_cluster_columns_are_not_certified():
+    # at H(1, 3) clusters 1 and 2 are real slots, whose bottom columns pair
+    # with n + j; the corner slots' pairing n + (n - 1 - j) used there swaps
+    # their second columns, so each claims the other's eigenvalue
+    pair = build_pair(Family("H", 1, 3))
+    S, vals, V = drawn_eigenpairs(pair, 3, 32)
+    assert make_null_batch(pair, S, (vals, V)).genericity.all()
+    swapped = V.copy()
+    swapped[1][:, [3, 5]] = V[1][:, [5, 3]]
+    assert make_null_batch(pair, S, (vals, swapped)).genericity.tolist() == [True, False, True]
+
+
+def test_two_step_nilpotent_draws_are_not_generic():
+    # their computed spectra split by about eps^(1/3) |S|, so every gap
+    # clears GAP_FACTOR * tol.abs; eig's pairs fit, but the eigenbasis is
+    # nearly singular and its Bauer-Fike radius exceeds half the gap
+    pair = build_pair(Family("R", 2, 1))
+    batch = sample_so21_stratum_batch(pair, "two-step-nilpotent", 200, rng=5)
+    assert not batch.genericity.any()
+    assert (batch.gap > orbits.GAP_FACTOR * pair.tol.abs).all()
+    fits, radius = orbits._eigen_certificate(batch.S, batch.eigenvalues, batch.vectors)
+    assert fits.all() and (radius > batch.gap / 2).all()
+
+
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_rays_with_vanishing_cube_are_not_generic(field):
+    # E e_1 = e_0 and E e_2 = e_1 in the frame where the form is the corner
+    # form, so E^2 != 0 and E^3 = 0 exactly
+    pair = build_pair(Family(field, 2, 1), "canonical-T")
+    E = np.zeros((3, 3), dtype=complex)
+    E[0, 1] = E[1, 2] = 1.0
+    if field == "H":
+        E = quat_embed(QMat(E, np.zeros_like(E)))
+    assert pair.m.residual(E) < 1e-15
+    assert np.abs(E @ E).max() == 1.0 and not (E @ E @ E).any()
+    # eig's eigenbasis of E itself is exactly singular: the radius is inf,
+    # with no LinAlgError and no RuntimeWarning
+    assert orbits._eigen_certificate(E[None], *np.linalg.eig(E[None]))[1][0] == np.inf
+    assert not make_null_batch(pair, E[None]).genericity[0]
+    # conjugated, the computed values split and most gaps clear the gap
+    # rule; the radius keeps every ray out of the generic stratum
+    S = orbits._isotropy_conjugate(pair, np.broadcast_to(E, (50,) + E.shape),
+                                   np.random.default_rng(5))[0]
+    batch = make_null_batch(pair, S)
+    assert (batch.gap > orbits.GAP_FACTOR * pair.tol.abs).sum() > 40
+    assert not batch.genericity.any()
 
 
 @pytest.mark.parametrize("idx", [[2, 0], [False, True, True], np.array([True, False, True])],
@@ -1456,19 +1602,25 @@ def test_draws_make_no_exponential(monkeypatch):
 def test_real_draws_stay_float64(stratum):
     pair = build_pair(Family("R", 2, 1))
     rng = np.random.default_rng(3)
-    S = orbits._framed_null_stack(pair, 6, rng)
-    assert S.dtype == np.float64
-    assert orbits._isotropy_conjugate(pair, S, rng).dtype == np.float64
+    S, vals, V0 = orbits._framed_null_stack(pair, 6, rng)
+    assert S.dtype == np.float64 and vals.shape == (6, 3) and V0.shape == (3, 3)
+    S, A = orbits._isotropy_conjugate(pair, S, rng)
+    assert S.dtype == A.dtype == np.float64
     batch = sample_so21_stratum_batch(pair, stratum, 40, rng=4)
     assert batch.S.dtype == np.float64
-    # the certificate's spectrum is real LAPACK's eig, lexsorted by (real, imag)
+    # real LAPACK's eig of the same stack, in the batch's order
     w = np.linalg.eig(batch.S)[0]
-    w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
-    assert_allclose(batch.eigenvalues, w, rtol=0, atol=0)
+    w = np.take_along_axis(w, orbits._spectral_order(w, batch.gap), axis=-1)
+    if stratum == "open":
+        # a draw lists the spectrum it was built from: eig agrees to rounding
+        scale = np.linalg.norm(batch.S, axis=(1, 2))[:, None]
+        assert (np.abs(batch.eigenvalues - w) <= 1e-12 * scale).all()
+    else:
+        # a stratum stack is handed over without eigenpairs: its spectrum is eig's
+        assert_allclose(batch.eigenvalues, w, rtol=0, atol=0)
     # a complex copy is judged by the same rules, in complex128
     twin = make_null_batch(pair, batch.S.astype(complex))
     assert twin.S.dtype == np.complex128
     assert_allclose(twin.nullity_residual, batch.nullity_residual, rtol=0, atol=1e-14)
-    if stratum == "open":
-        assert twin.genericity.all() and batch.genericity.all()
+    assert twin.genericity.tolist() == batch.genericity.tolist() == [stratum == "open"] * 40
     assert (so21_orbit_class(batch.S) == stratum).all()
