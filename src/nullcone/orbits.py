@@ -38,9 +38,11 @@ the residual R = S V - V Lam and the Bauer-Fike radius
 one.  A row is generic when every column fits its value and the gap
 clears the gap rule and twice the radius.  A nilpotent ray has a nearly
 singular eigenbasis, so its radius is what keeps it out.  The NullBatch
-keeps those eigenpairs, and the partners, both normal forms and the
-commutant route read them from there (the symplectic form takes each
-eigenplane from its cluster's two columns); no drawn ray is eigen-solved.
+is the one spectral record of its rays: the ordered eigenpairs, the V^-1
+the radius took and the corner size.  The partners, both normal forms
+and the commutant route read them there (the symplectic form takes each
+eigenplane from its cluster's two columns): no drawn ray is eigen-solved
+and no eigenbasis inverted twice.  (R, 2, 1) strata draws are plain stacks.
 Both stabilizer routes return the same RayStabilizers: per ray, a stack of
 matrices and their ray coefficients.  The kernels take whatever stack they
 are given; callers that walk many rays cut them with trial_blocks, which
@@ -96,8 +98,10 @@ class NullBatch:
     normalized, in the same order: column i belongs to eigenvalue i, and for
     the quaternionic family columns 2i and 2i + 1 belong to cluster i.  A
     draw lists the eigenpairs it was built from, any other stack eig's.
-    genericity is make_null_batch's certificate: every column fits its
-    value, and every pairwise gap exceeds the sampling threshold and twice
+    inverse (k, N, N) is V^-1, inf where V is singular, and corner (k,)
+    the number of upper values.  genericity is make_null_batch's
+    certificate: every column fits its value, the lower values match the
+    upper ones in number, and every gap exceeds the sampling threshold and twice
     the Bauer-Fike radius of the eigenpairs (_eigen_certificate), so no
     eigenvalue of S is more than the radius from a listed one.
     """
@@ -105,9 +109,11 @@ class NullBatch:
     S: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    inverse: np.ndarray
     genericity: np.ndarray
     nullity_residual: np.ndarray
     gap: np.ndarray
+    corner: np.ndarray
 
     def __len__(self) -> int:
         return self.S.shape[0]
@@ -153,13 +159,6 @@ class RayStabilizers:
         if self.dims[i] == 0:
             return None
         return RealSubspace(self.bases[i], tol=tol)
-
-    def take(self, idx) -> "RayStabilizers":
-        """The rays of an index array, in its order, or of a boolean mask."""
-        idx = np.arange(len(self.dims))[idx]
-        return RayStabilizers(self.dims[idx], [self.bases[i] for i in idx],
-                              [self.scales[i] for i in idx], self.residuals[idx],
-                              None if self.margins is None else self.margins[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -229,50 +228,63 @@ def _min_gaps(vals: np.ndarray) -> np.ndarray:
     return diffs.min(axis=(1, 2))
 
 
-def _inverse_norms(V: np.ndarray) -> np.ndarray:
-    """|V^-1|_F of each matrix of a stack (k, N, N), inf where one is
+def _inverses(V: np.ndarray) -> np.ndarray:
+    """V^-1 of each matrix of a stack (k, N, N), all inf where one is
     exactly singular (the stacked inverse raises for the whole stack, so
     its rows are then taken one by one)."""
     try:
-        return np.linalg.norm(np.linalg.inv(V), axis=(1, 2))
+        return np.linalg.inv(V)
     except np.linalg.LinAlgError:
         if len(V) == 1:
-            return np.array([np.inf])
-        return np.concatenate([_inverse_norms(v[None]) for v in V])
+            return np.full_like(V, np.inf)
+        return np.concatenate([_inverses(v[None]) for v in V])
 
 
 def _eigen_certificate(S: np.ndarray, lam: np.ndarray, V: np.ndarray):
     """Check claimed eigenpairs of a stack S (k, N, N): values lam (k, N)
     and columns V (k, N, N), column i for value i.
 
-    Returns (fits, radius), each (k,).  fits[i] says every column solves
+    Returns (fits, radius, V^-1): fits[i] says every column solves
     |S v - lam v| <= EIGEN_RESIDUAL |S|_F |v|.  With R = S V - V Lam,
     S = V Lam V^-1 + R V^-1, so by Bauer-Fike every eigenvalue of S lies
     within kappa_2(V) |R V^-1|_2 of a claimed one, which radius
-    |V|_F |V^-1|_F^2 |R|_F bounds; it is inf where V is singular.  A
-    nilpotent S has a nearly singular eigenbasis, so its radius exceeds
-    the gap of its computed values.
+    |V|_F |V^-1|_F^2 |R|_F bounds; it is inf where V is singular
+    (_inverses).  A nilpotent S has a nearly singular eigenbasis, so its
+    radius exceeds the gap of its computed values.
     """
     R = S @ V
     R -= V * lam[:, None, :]
     cols = np.linalg.norm(V, axis=1)
     fits = (np.linalg.norm(R, axis=1)
             <= EIGEN_RESIDUAL * np.linalg.norm(S, axis=(1, 2))[:, None] * cols).all(axis=1)
+    Vinv = _inverses(V)
     with np.errstate(over="ignore", invalid="ignore"):  # a singular V reads inf
         radius = (np.linalg.norm(cols, axis=1) * np.linalg.norm(R, axis=(1, 2))
-                  * _inverse_norms(V) ** 2)
-    return fits, np.where(np.isnan(radius), np.inf, radius)
+                  * np.linalg.norm(Vinv, axis=(1, 2)) ** 2)
+    return fits, np.where(np.isnan(radius), np.inf, radius), Vinv
 
 
-def _spectral_order(vals: np.ndarray, gap: np.ndarray) -> np.ndarray:
+def _half_planes(vals: np.ndarray, gap: np.ndarray):
+    """Masks (upper, lower) of the values of a (k, n) spectrum above and
+    below the real axis by more than gap / 4.  A nonreal value lies 2 |Im|
+    from its conjugate, so |Im| >= gap / 2 and gap / 4 separates the
+    classes at any scale."""
+    thr = 0.25 * np.asarray(gap)[:, None]
+    return vals.imag > thr, vals.imag < -thr
+
+
+def _spectral_order(vals: np.ndarray, gap: np.ndarray):
     """The order a batch lists each row of a (k, n) spectrum in: the upper
     half-plane values, the real ones, then the lower ones, each class by
     (real, imag), with the classes split at gap / 4 (_half_planes).  The
     real parts of a conjugate pair are equal in a draw's construction but
     not in eig's output, so an order led by real parts would turn on
-    rounding; an order led by the classes does not."""
+    rounding; an order led by the classes does not.  Returns (order, r,
+    paired): r (k,) counts the upper values, paired says the lower match."""
     upper, lower = _half_planes(vals, gap)
-    return np.lexsort((vals.imag, vals.real, lower.astype(int) - upper), axis=-1)
+    order = np.lexsort((vals.imag, vals.real, lower.astype(int) - upper), axis=-1)
+    r = upper.sum(axis=1)
+    return order, r, lower.sum(axis=1) == r
 
 
 def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch:
@@ -284,12 +296,14 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch
     out as NullBatch.eigenvalues and NullBatch.vectors (a draw supplies
     the ones it was built from), or, when it is None, from one stacked eig,
     whose doubled H spectrum is paired by nearest values (_doubled_pairs).
-    Either source passes one certificate (_eigen_certificate): a row is
-    generic when every column fits its value, the gap exceeds
-    GAP_FACTOR * tol.abs and twice the Bauer-Fike radius, and, for H, the
-    two values of each cluster lie within 1e-6 max(1, |S|_F).  A real stack
-    of the real family stays float64, so eig runs in real LAPACK; every
-    other stack is taken as complex128.
+    The pairs are put in the batch's order (_spectral_order), which also
+    gives the corner size, and then pass one certificate
+    (_eigen_certificate), whose V^-1 the batch keeps: a row is generic when
+    every column fits its value, the lower values match the upper ones in
+    number, the gap exceeds GAP_FACTOR * tol.abs and twice the Bauer-Fike
+    radius, and, for H, the two values of each cluster lie within
+    1e-6 max(1, |S|_F).  A real stack of the real family stays float64, so
+    eig runs in real LAPACK; every other stack is taken as complex128.
     """
     S = np.asarray(S)
     S = S.astype(float if pair.family.field == "R" and not np.iscomplexobj(S) else complex,
@@ -310,21 +324,21 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch
     else:
         vals, V = (np.asarray(a, dtype=complex) for a in eigen)
         lam = np.repeat(vals, 2, axis=1) if quaternionic else vals
-    generic, radius = _eigen_certificate(S, lam, V)
     if quaternionic:
         vals = 0.5 * (lam[:, 0::2] + lam[:, 1::2])
-        generic &= np.abs(lam[:, 1::2] - lam[:, 0::2]).max(axis=1) < 1e-6 * scale
+        generic = np.abs(lam[:, 1::2] - lam[:, 0::2]).max(axis=1) < 1e-6 * scale
     else:
-        vals = lam
+        vals, generic = lam, np.ones(k, dtype=bool)
     gap = _min_gaps(vals)
-    generic &= (gap > GAP_FACTOR * pair.tol.abs) & (gap > 2 * radius)
-    order = _spectral_order(vals, gap)
+    order, corner, paired = _spectral_order(vals, gap)
     vals = np.take_along_axis(vals, order, axis=-1)
     cols = order  # the columns follow their values, an H cluster's two side by side
     if quaternionic:
         cols = (2 * order[..., None] + np.arange(2)).reshape(k, -1)
-    V = np.take_along_axis(V, cols[:, None, :], axis=2)
-    return NullBatch(S, vals, V, generic, nullity, gap)
+    lam, V = np.take_along_axis(lam, cols, axis=1), np.take_along_axis(V, cols[:, None, :], axis=2)
+    fits, radius, Vinv = _eigen_certificate(S, lam, V)
+    generic &= fits & paired & (gap > GAP_FACTOR * pair.tol.abs) & (gap > 2 * radius)
+    return NullBatch(S, vals, V, Vinv, generic, nullity, gap, corner)
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +666,15 @@ def commutant_is_smaller(pair: SymmetricPair) -> bool:
 def _commutant_frames(pair: SymmetricPair, batch: NullBatch):
     """The certified eigenvector columns V (k, N, N) of a batch, with each
     eigenspace's columns adjacent (make_null_batch keeps the two columns of
-    an H cluster side by side), V^-1, and the positions (rows r, columns c)
-    of the block diagonal D with X = V D V^-1 in C(S), one gl(b, C) block
-    per eigenspace of dimension b."""
+    an H cluster side by side), the batch's V^-1, and the positions (rows
+    r, columns c) of the block diagonal D with X = V D V^-1 in C(S), one
+    gl(b, C) block per eigenspace of dimension b."""
     V = batch.vectors
     N = V.shape[-1]
     b = 2 if pair.family.field == "H" else 1
     blocks = np.arange(N).reshape(-1, b)
     r, c = np.repeat(blocks, b, axis=1).ravel(), np.tile(blocks, b).ravel()
-    return V, np.linalg.inv(V), r, c
+    return V, batch.inverse, r, c
 
 
 def _commutant_involutions(pair: SymmetricPair, V: np.ndarray, Vinv: np.ndarray,
@@ -787,12 +801,13 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch):
     """Partner null vectors sharing the eigenframes of a batch, and their
     pairings with it: (partners (k, N, N), pairings (k,)).
 
-    Each partner keeps every eigenvector of S (the batch's vectors) and
-    maps each eigenvalue to minus its conjugate; for H each cluster value
-    serves both of its columns.  On a canonical representative (eigenframe
-    adapted to the involution) this is exactly the negative conjugate
-    transpose; unlike the raw matrix map it commutes with isotropy
-    conjugation, so the stabilizer equality it feeds is frame-independent.
+    Each partner keeps every eigenvector of S (the batch's vectors and
+    their inverse) and maps each eigenvalue to minus its conjugate; for H
+    each cluster value serves both of its columns.  On a canonical
+    representative (eigenframe adapted to the involution) this is exactly
+    the negative conjugate transpose; unlike the raw matrix map it commutes
+    with isotropy conjugation, so the stabilizer equality it feeds is
+    frame-independent.
     The partners are projected onto m, so no membership test follows, and
     the pairings are strictly negative.
     """
@@ -801,7 +816,7 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch):
     S, w, V = batch.S, batch.eigenvalues, batch.vectors
     if pair.family.field == "H":
         w = np.repeat(w, 2, axis=1)
-    M = (V * -np.conj(w)[:, None, :]) @ np.linalg.inv(V)
+    M = (V * -np.conj(w)[:, None, :]) @ batch.inverse
     if pair.family.field == "R":
         M = M.real.astype(complex)
     elif pair.family.field == "H":
@@ -821,48 +836,30 @@ def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
     return cone_dim - orbit_dim
 
 
-def _half_planes(vals: np.ndarray, gap: np.ndarray):
-    """Masks (upper, lower) of the values of a (k, n) spectrum above and
-    below the real axis by more than gap / 4.  A nonreal value lies 2 |Im|
-    from its conjugate, so |Im| >= gap / 2 and gap / 4 separates the
-    classes at any scale."""
-    thr = 0.25 * np.asarray(gap)[:, None]
-    return vals.imag > thr, vals.imag < -thr
+def _corner_slots(batch: NullBatch, sign=0.0):
+    """The order in which a normal form takes the values of a batch:
+    (r, groups), with r (k,) the corner sizes and, per corner size rr,
+    (g, rr, slots): the rows g of that size and their value indices slots
+    (len(g), n).
 
-
-def _spectrum_classes(vals: np.ndarray, gap: np.ndarray):
-    """Masks of the upper-half-plane and real values of each row of a (k, n)
-    spectrum (_half_planes), and the corner size r (k,), the number of
-    upper values.  Raises where the lower values do not match the upper
-    ones in number."""
-    upper, lower = _half_planes(vals, gap)
-    r = upper.sum(axis=1)
-    if np.any(lower.sum(axis=1) != r):
-        raise ValueError("nonreal eigenvalues do not pair with their conjugates")
-    return upper, ~(upper | lower), r
-
-
-def _corner_slots(vals: np.ndarray, gap: np.ndarray, sign=0.0):
-    """The order in which a normal form takes the values of a (k, n)
-    spectrum: (r, groups), with r (k,) the corner sizes and, per corner
-    size rr, (g, rr, slots): the rows g of that size and their value
-    indices slots (len(g), n).
-
-    The slots are the upper-half-plane values by (real, imag), then the
-    real ones by (-sign, value), then the conjugate partners in mirrored
-    order, each upper value taking the nearest unused lower value to its
-    conjugate.  sign (broadcast to (k, n)) is the sign of each value's
-    self-pairing where a normal form puts the positive ones first.
+    The batch lists the upper half-plane values first, by (real, imag),
+    then the real ones, then the lower ones (_spectral_order).  The slots
+    are the upper values in that order, then the real ones by (-sign,
+    value), then the conjugate partners in mirrored order, each upper
+    value taking the nearest unused lower value to its conjugate.  sign
+    (broadcast to (k, n)) is the sign of each value's self-pairing where a
+    normal form puts the positive ones first.
     """
-    upper, real, r = _spectrum_classes(vals, gap)
+    vals, r = batch.eigenvalues, batch.corner
     k, n = vals.shape
     rows = np.arange(k)
-    up = np.lexsort((vals.imag, vals.real, ~upper), axis=-1)
+    slot = np.arange(n)
+    real = (slot >= r[:, None]) & (slot < n - r[:, None])
     mid = np.lexsort((vals.real, -np.broadcast_to(sign, (k, n)), ~real), axis=-1)
-    free = ~(upper | real)
+    free = slot >= n - r[:, None]
     partner = np.zeros((k, int(r.max(initial=0))), dtype=int)
     for i in range(partner.shape[1]):
-        target = np.conj(vals[rows, up[:, i]])
+        target = np.conj(vals[:, i])
         j = np.where(free, np.abs(vals - target[:, None]), np.inf).argmin(axis=1)
         free[rows, j] = False
         partner[:, i] = j
@@ -870,7 +867,8 @@ def _corner_slots(vals: np.ndarray, gap: np.ndarray, sign=0.0):
     for rr in sorted(set(r.tolist())):  # np.unique would load numpy.ma
         g = np.flatnonzero(r == rr)
         groups.append((g, rr, np.concatenate(
-            [up[g, :rr], mid[g, :n - 2 * rr], partner[g, :rr][:, ::-1]], axis=1)))
+            [np.broadcast_to(slot[:rr], (len(g), rr)), mid[g, :n - 2 * rr],
+             partner[g, :rr][:, ::-1]], axis=1)))
     return r, groups
 
 
@@ -891,9 +889,9 @@ def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
         raise ValueError("normal form needs a generic spectrum")
     S, F = batch.S, pair.carrier_form
     n = S.shape[1]
-    w, V = batch.eigenvalues, batch.vectors
+    V = batch.vectors
     self_pairing = (V.conj() * (F @ V)).sum(axis=1).real
-    r, groups = _corner_slots(w, batch.gap, np.sign(self_pairing))
+    r, groups = _corner_slots(batch, np.sign(self_pairing))
     P = np.empty_like(V)
     for g, rr, slots in groups:
         Q = np.take_along_axis(V[g], slots[:, None, :], axis=2)
@@ -981,7 +979,7 @@ def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch):
         return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
     planes = _cluster_planes(batch)
-    r, groups = _corner_slots(batch.eigenvalues, batch.gap)
+    r, groups = _corner_slots(batch)
     P = np.empty_like(M)
     for g, rr, slots in groups:
         E = np.take_along_axis(planes[g], slots[:, :, None, None], axis=1)
@@ -1074,20 +1072,21 @@ def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str | np.nd
 
 
 def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int,
-                              rng=0) -> NullBatch:
-    """k random representatives of one of the three strata for (R, 2, 1).
+                              rng=0) -> np.ndarray:
+    """k random representatives of one of the three strata for (R, 2, 1),
+    a plain float64 stack (k, 3, 3).
 
-    The open stratum is sample_null_batch.  A nilpotent draw is the
-    stratum's Jordan pattern moved to the corner frame, conjugated by a
-    random Cayley element (_isotropy_conjugate) and rescaled by a factor in
-    [0.5, 2]; it stays float64 and is certified by make_null_batch.
-    """
+    The open stratum is the stack of sample_null_batch.  A nilpotent draw
+    is the stratum's Jordan pattern moved to the corner frame, conjugated
+    by a random Cayley element (_isotropy_conjugate) and rescaled by a
+    factor in [0.5, 2]; no certificate is taken, as it could only say
+    "not generic"."""
     rng = np.random.default_rng(rng)  # a Generator passes through
     fam = pair.family
     if (fam.field, fam.p, fam.q) != ("R", 2, 1):
         raise ValueError("strata sampling is defined for the real (2, 1) pair")
     if stratum == "open":
-        return sample_null_batch(pair, k, rng)
+        return sample_null_batch(pair, k, rng).S
     E = np.zeros((3, 3))
     if stratum == "two-step-nilpotent":
         E[0, 1] = E[1, 2] = 1.0
@@ -1101,7 +1100,7 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int,
     S0 = P.real @ E @ P_inv.real
     scale = rng.uniform(0.5, 2.0, k)
     S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)[0]
-    return make_null_batch(pair, scale[:, None, None] * S)
+    return scale[:, None, None] * S
 
 
 # ---------------------------------------------------------------------------
@@ -1198,9 +1197,9 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
             n_class = 0
             sdims = set()
             for k in trial_blocks(pair, trials, False):
-                batch = sample_so21_stratum_batch(pair, stratum, k, rng=rng)
-                n_class += int(np.count_nonzero(so21_orbit_class(batch.S, pair.tol) == stratum))
-                sdims.update(stabilizer_dims(pair, batch.S).tolist())
+                S = sample_so21_stratum_batch(pair, stratum, k, rng=rng)
+                n_class += int(np.count_nonzero(so21_orbit_class(S, pair.tol) == stratum))
+                sdims.update(stabilizer_dims(pair, S).tolist())
             rep.equals(f"R21_stratum_{stratum}_classified", n_class, trials,
                        anchor="stratum samples classify as their stratum")
             rep.equals(f"R21_stratum_{stratum}_stab_dim", tuple(sorted(sdims)), (sdim,),

@@ -253,10 +253,10 @@ def ricci_levi_civita(split: ReductiveSplit) -> np.ndarray:
     return ricci(curvature_tensor(split, levi_civita_nomizu(split)))
 
 
-def einstein_fit(split: ReductiveSplit, ric: np.ndarray | None = None):
-    """Least-squares Einstein constant and the worst entry residual."""
-    if ric is None:
-        ric = ricci_levi_civita(split)
+def einstein_fit(split: ReductiveSplit):
+    """Least-squares Einstein constant of the Levi-Civita Ricci tensor and
+    the worst entry residual."""
+    ric = ricci_levi_civita(split)
     G = np.diag(split.eps)
     lam = float(np.sum(ric * G) / np.sum(G * G))
     residual = float(np.abs(ric - lam * G).max())

@@ -1,7 +1,9 @@
 """Tests for null-ray sampling, stabilizers, normal forms, strata of the
 real rank-one pair, and the eigenframe-adapted partner construction."""
 
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +51,7 @@ def omega(pair):
 def split_spectrum(values, thr):
     """Reference: indices of upper-half-plane, real, and lower-half-plane
     eigenvalues of one spectrum, the upper ones by (real, imag) and the real
-    ones by value (the per-ray rule the stacked _spectrum_classes replaced)."""
+    ones by value (the per-ray rule the class split of make_null_batch replaced)."""
     values = np.asarray(values)
     upper = [i for i in range(len(values)) if values[i].imag > thr]
     real = [i for i in range(len(values)) if abs(values[i].imag) <= thr]
@@ -180,11 +182,6 @@ def test_both_routes_return_one_shape(field, pq, route):
         assert np.linalg.norm(R, axis=(1, 2)).max(initial=0.0) <= st.residuals[i] * (1 + 1e-12)
     if field == "R" and pq == (2, 1):
         assert st.dims.tolist() == [0] * 3 and st.bases[0].shape == (0, 3, 3)
-    picked = st.take(np.array([2, 0]))
-    assert picked.dims.tolist() == [st.dims[2], st.dims[0]]
-    for j, i in enumerate((2, 0)):
-        assert picked.bases[j] is st.bases[i] and picked.scales[j] is st.scales[i]
-        assert picked.residuals[j] == st.residuals[i]
 
 
 @pytest.mark.parametrize("field,pq", ROUTE_CASES, ids=[f"{f}-{p}-{q}" for f, (p, q) in ROUTE_CASES])
@@ -234,13 +231,14 @@ def test_commutant_route_rejects_nilpotent_strata():
     # route also rejects rows by the condition number of their eigenbasis
     pair = build_pair(Family("R", 2, 1))
     for stratum, want in (("two-step-nilpotent", 1), ("one-step-nilpotent", 2)):
-        batch = sample_so21_stratum_batch(pair, stratum, 3, rng=5)
+        batch = make_null_batch(pair, sample_so21_stratum_batch(pair, stratum, 3, rng=5))
         for i in range(3):
             with pytest.raises(ValueError, match="generic"):
                 stabilizers_by_commutant(pair, batch.take([i]))
         assert stabilizers_of_rays(pair, batch.S).dims.tolist() == [want] * 3
     generic = sample_null_batch(pair, 2, rng=5)
-    mixed = NullBatch.concat([generic, sample_so21_stratum_batch(pair, "one-step-nilpotent", 1)])
+    nilpotent = make_null_batch(pair, sample_so21_stratum_batch(pair, "one-step-nilpotent", 1))
+    mixed = NullBatch.concat([generic, nilpotent])
     with pytest.raises(ValueError, match="generic"):
         stabilizers_by_commutant(pair, mixed)
 
@@ -413,9 +411,9 @@ def test_stratum_classification_and_stabilizers():
     rng = np.random.default_rng(6)
     for stratum, want_dim in (("open", 0), ("two-step-nilpotent", 1),
                               ("one-step-nilpotent", 2)):
-        batch = sample_so21_stratum_batch(pair, stratum, 20, rng=rng)
-        assert [so21_orbit_class(S) for S in batch.S] == [stratum] * 20
-        assert stabilizers_of_rays(pair, batch.S).dims.tolist() == [want_dim] * 20
+        S = sample_so21_stratum_batch(pair, stratum, 20, rng=rng)
+        assert [so21_orbit_class(M) for M in S] == [stratum] * 20
+        assert stabilizers_of_rays(pair, S).dims.tolist() == [want_dim] * 20
 
 
 def test_stratum_edge_cases():
@@ -593,14 +591,14 @@ def test_stabilizer_residual_is_recomputed_from_the_basis(field):
     # over the stabilizer basis X with its ray coefficients c
     if field == "R":  # generic real rays have trivial stabilizers
         pair = build_pair(Family("R", 2, 1))
-        batch = sample_so21_stratum_batch(pair, "one-step-nilpotent", 4, rng=9)
+        rays = sample_so21_stratum_batch(pair, "one-step-nilpotent", 4, rng=9)
     else:
         pair = build_pair(Family(field, 3, 1))
-        batch = sample_null_batch(pair, 4, rng=9)
-    stabs = stabilizers_of_rays(pair, batch.S)
+        rays = sample_null_batch(pair, 4, rng=9).S
+    stabs = stabilizers_of_rays(pair, rays)
     assert stabs.dims.min() > 0
-    for i in range(len(batch)):
-        S = batch.S[i]
+    for i in range(len(rays)):
+        S = rays[i]
         want = max(np.linalg.norm(bracket(X, S) - ci * S)
                    for X, ci in zip(stabs.bases[i], stabs.scales[i]))
         assert stabs.residuals[i] == pytest.approx(want, rel=1e-6, abs=1e-15)
@@ -613,14 +611,14 @@ def test_batched_strata_classify_and_match_single_draws():
     pair = build_pair(Family("R", 2, 1))
     for stratum, want in (("open", 0), ("two-step-nilpotent", 1),
                           ("one-step-nilpotent", 2)):
-        batch = sample_so21_stratum_batch(pair, stratum, 30, rng=11)
-        assert all(so21_orbit_class(S) == stratum for S in batch.S)
-        dims = stabilizers_of_rays(pair, batch.S).dims
+        S = sample_so21_stratum_batch(pair, stratum, 30, rng=11)
+        assert all(so21_orbit_class(M) == stratum for M in S)
+        dims = stabilizers_of_rays(pair, S).dims
         assert set(dims.tolist()) == {want}
         assert set(codimension_from_stabilizer(pair, dims).tolist()) == {want}
-        assert so21_orbit_class(batch.S).tolist() == [stratum] * 30
+        assert so21_orbit_class(S).tolist() == [stratum] * 30
         one = sample_so21_stratum_batch(pair, stratum, 1, rng=12)
-        assert one.S.shape == (1, 3, 3) and so21_orbit_class(one.S[0]) == stratum
+        assert one.shape == (1, 3, 3) and so21_orbit_class(one[0]) == stratum
 
 
 def test_batch_sampler_rejects_bad_requests():
@@ -877,7 +875,7 @@ def test_batched_normal_forms_reject_bad_rows():
     # (and their conjugates), so the shifted value is one of those
     vals = bH.eigenvalues.copy()
     vals[1, np.flatnonzero(vals[1].imag > 0)[0]] += 0.5
-    bad = NullBatch(bH.S, vals, bH.vectors, bH.genericity, bH.nullity_residual, bH.gap)
+    bad = replace(bH, eigenvalues=vals)
     with pytest.raises(ValueError, match="two-dimensional"):
         orbits.canonicalize_symplectic_batch(pH, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
@@ -910,8 +908,7 @@ def test_a_cluster_with_two_equal_columns_is_not_a_plane():
     batch = sample_null_batch(pair, 3, rng=18)
     V = batch.vectors.copy()
     V[1, :, 3] = V[1, :, 2]  # row 1, cluster 1
-    bad = NullBatch(batch.S, batch.eigenvalues, V, batch.genericity,
-                    batch.nullity_residual, batch.gap)
+    bad = replace(batch, vectors=V)
     with pytest.raises(ValueError, match="two-dimensional"):
         canonicalize_symplectic_batch(pair, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
@@ -963,7 +960,7 @@ def test_trimmed_stabilizer_system_matches_the_full_one(field, pq, k):
     S = sample_null_batch(pair, k, rng=rng).S
     if pq == (2, 1) and field == "R":  # nontrivial stabilizers as well
         S = np.concatenate([S, sample_so21_stratum_batch(pair, "one-step-nilpotent", 2,
-                                                          rng=rng).S])
+                                                          rng=rng)])
     full = full_system(pair, S)
     proj = orbits._stabilizer_system(pair, S)
     dm = pair.m.dim
@@ -1146,7 +1143,7 @@ def test_sampling_congruence_is_computed_once_per_pair(field, monkeypatch):
 def test_stacked_strata_labels_judge_each_matrix_at_its_own_norm():
     pair = build_pair(Family("R", 2, 1))
     rng = np.random.default_rng(16)
-    S = np.concatenate([sample_so21_stratum_batch(pair, s, 4, rng=rng).S
+    S = np.concatenate([sample_so21_stratum_batch(pair, s, 4, rng=rng)
                         for s in STRATA])
     scales = np.tile([1e-6, 1.0, 1e3, 1e6], 3)
     labels = so21_orbit_class(scales[:, None, None] * S)
@@ -1271,7 +1268,7 @@ def test_tall_systems_take_kernel_vectors_only_where_a_row_has_one(monkeypatch):
     assert pair.m.dim >= pair.h.dim + 1
     batch = sample_null_batch(pair, 20, rng=24)
     partners, _ = partner_null_batch(pair, batch)
-    strata = [sample_so21_stratum_batch(pair, name, 2, rng=24).S for name in STRATA[1:]]
+    strata = [sample_so21_stratum_batch(pair, name, 2, rng=24) for name in STRATA[1:]]
     mixed = np.concatenate([batch.S[:3].astype(complex), *strata])
     calls = []
     svd = np.linalg.svd
@@ -1300,7 +1297,7 @@ def test_stabilizers_of_tall_systems_take_vectors_only_where_a_row_has_a_kernel(
     pair = build_pair(Family("R", 2, 1))
     assert pair.m.dim >= pair.h.dim + 1
     generic = sample_null_batch(pair, 6, rng=40).S
-    nilpotent = sample_so21_stratum_batch(pair, "two-step-nilpotent", 2, rng=40).S
+    nilpotent = sample_so21_stratum_batch(pair, "two-step-nilpotent", 2, rng=40)
     calls, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, compute_uv=True, **kw):
@@ -1322,7 +1319,7 @@ def test_strata_dimensions_from_singular_values_match_the_kernels():
     pair = build_pair(Family("R", 2, 1))
     rng = np.random.default_rng(23)
     for stratum, want in zip(STRATA, (0, 1, 2)):
-        S = sample_so21_stratum_batch(pair, stratum, 50, rng=rng).S
+        S = sample_so21_stratum_batch(pair, stratum, 50, rng=rng)
         dims = stabilizer_dims(pair, S)
         assert np.array_equal(dims, stabilizers_of_rays(pair, S).dims)
         assert dims.tolist() == [want] * 50
@@ -1382,38 +1379,38 @@ def test_take_and_concat_carry_the_vectors(field, pq):
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
     # stabilizers (both routes) and orbits (partners, normal forms, strata):
-    # a draw is certified from the eigenpairs it was built from and makes no
-    # eig; a stack handed to make_null_batch without eigenpairs makes one,
-    # and in a census those are the nilpotent strata stacks of R(2, 1)
+    # a draw is certified from the eigenpairs it was built from, and the
+    # R(2, 1) strata stacks are classified without a certificate, so a
+    # census makes no eig.  orbits inverts each certified stack's
+    # eigenbases once, in make_null_batch; its only other inverses are the
+    # 2 x 2 Grams of the symplectic normal form
     pair = build_pair(Family(field, 2, 1))
-    eig, certify = np.linalg.eig, orbits.make_null_batch
-    eigs, drawn, supplied = [], [], []
-
-    def counted_eig(a):
-        eigs.append(a.shape)
-        return eig(a)
-
-    def counted_certify(pair, S, eigen=None):
-        before = len(eigs)
-        batch = certify(pair, S, eigen)
-        (drawn if eigen is not None else supplied).append((len(eigs) - before, batch))
-        return batch
+    inv, certify = np.linalg.inv, orbits.make_null_batch
+    supplied, inverses = [], []
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("no eigvals call is left")
+        raise AssertionError("a census eigen-solved a stack")
 
-    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    def counted_certify(pair, S, eigen=None):
+        supplied.append(eigen is not None)
+        return certify(pair, S, eigen)
+
+    def counted_inv(a):
+        if sys._getframe(1).f_globals["__name__"] == orbits.__name__:
+            inverses.append(a.shape[-2:])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(orbits, "make_null_batch", counted_certify)
     for report in (stabilizers_report, orbits_report):
         rep = report(pair, 12, seed=5)
         assert rep.checks and all(c.status == "pass" for c in rep.checks)
-    assert drawn and [n for n, _ in drawn] == [0] * len(drawn)
-    assert [n for n, _ in supplied] == [1] * len(supplied)
-    assert len(eigs) == len(supplied) == (2 if field == "R" else 0)
-    for _, batch in supplied:
-        assert (so21_orbit_class(batch.S) != "open").all()
-        assert not batch.genericity.any()
+    assert supplied and all(supplied)
+    N = pair.carrier_dim
+    assert inverses.count((N, N)) == len(supplied)
+    assert set(inverses) == ({(N, N), (2, 2)} if field == "H" else {(N, N)})
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -1512,10 +1509,11 @@ def test_two_step_nilpotent_draws_are_not_generic():
     # clears GAP_FACTOR * tol.abs; eig's pairs fit, but the eigenbasis is
     # nearly singular and its Bauer-Fike radius exceeds half the gap
     pair = build_pair(Family("R", 2, 1))
-    batch = sample_so21_stratum_batch(pair, "two-step-nilpotent", 200, rng=5)
+    batch = make_null_batch(pair, sample_so21_stratum_batch(pair, "two-step-nilpotent", 200,
+                                                            rng=5))
     assert not batch.genericity.any()
     assert (batch.gap > orbits.GAP_FACTOR * pair.tol.abs).all()
-    fits, radius = orbits._eigen_certificate(batch.S, batch.eigenvalues, batch.vectors)
+    fits, radius, _ = orbits._eigen_certificate(batch.S, batch.eigenvalues, batch.vectors)
     assert fits.all() and (radius > batch.gap / 2).all()
 
 
@@ -1533,7 +1531,12 @@ def test_rays_with_vanishing_cube_are_not_generic(field):
     # eig's eigenbasis of E itself is exactly singular: the radius is inf,
     # with no LinAlgError and no RuntimeWarning
     assert orbits._eigen_certificate(E[None], *np.linalg.eig(E[None]))[1][0] == np.inf
-    assert not make_null_batch(pair, E[None]).genericity[0]
+    # between two draws only its row's inverse reads inf (a singular stack
+    # is inverted row by row), and only that row is not generic
+    drawn = sample_null_batch(pair, 2, rng=42).S
+    batch = make_null_batch(pair, np.stack([drawn[0], E, drawn[1]]))
+    assert batch.genericity.tolist() == [True, False, True]
+    assert np.isinf(batch.inverse[1]).all() and np.isfinite(batch.inverse[[0, 2]]).all()
     # conjugated, the computed values split and most gaps clear the gap
     # rule; the radius keeps every ray out of the generic stratum
     S = orbits._isotropy_conjugate(pair, np.broadcast_to(E, (50,) + E.shape),
@@ -1543,18 +1546,58 @@ def test_rays_with_vanishing_cube_are_not_generic(field):
     assert not batch.genericity.any()
 
 
-@pytest.mark.parametrize("idx", [[2, 0], [False, True, True], np.array([True, False, True])],
-                         ids=["ints", "bool-list", "bool-array"])
-def test_ray_stabilizers_take_indices_and_masks(idx):
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (1, 3)])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_batch_keeps_the_inverse_of_its_eigenbasis(field, pq):
+    # drawn and eig-source stacks alike: V^-1 V = 1 on every generic row
+    pair = build_pair(Family(field, *pq))
+    drawn = sample_null_batch(pair, 12, rng=41)
+    N = pair.carrier_dim
+    for batch in (drawn, make_null_batch(pair, drawn.S)):
+        assert batch.genericity.all()
+        assert batch.inverse.shape == batch.vectors.shape
+        assert (np.abs(batch.inverse @ batch.vectors - np.eye(N)).max(axis=(1, 2)) < 1e-13).all()
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_batch_corner_counts_the_upper_values(field, pq):
+    # the upper class is entries [0, corner), the real one [corner,
+    # n - corner) and the lower one the rest, for drawn and eig-source stacks
+    pair = build_pair(Family(field, *pq))
+    drawn = sample_null_batch(pair, 12, rng=43)
+    slot = np.arange(pair.family.n)
+    for batch in (drawn, make_null_batch(pair, drawn.S)):
+        upper, lower = orbits._half_planes(batch.eigenvalues, batch.gap)
+        r = upper.sum(axis=1)
+        assert np.array_equal(batch.corner, r) and (r == min(pq)).all()
+        assert np.array_equal(upper, slot < r[:, None])
+        assert np.array_equal(lower, slot >= pair.family.n - r[:, None])
+
+
+def test_a_row_whose_lower_values_miss_the_upper_ones_is_not_generic(monkeypatch):
+    # a ray in m has a spectrum closed under conjugation, so the rule guards
+    # the class split itself: a hand-built row with two upper values and one
+    # lower one is not paired
+    vals = np.array([[1 + 1j, 2 + 1j, 1 - 1j], [1 + 1j, 0, 1 - 1j]])
+    order, r, paired = orbits._spectral_order(vals, np.ones(2))
+    assert r.tolist() == [2, 1] and paired.tolist() == [False, True]
+    assert order.tolist() == [[0, 1, 2], [0, 1, 2]]
+    # make_null_batch reads that verdict: a split that loses row 1's lower value
     pair = build_pair(Family("C", 2, 1))
-    st = stabilizers_of_rays(pair, sample_null_batch(pair, 3, rng=24).S)
-    rows = np.arange(3)[idx].tolist()
-    picked = st.take(idx)
-    assert picked.dims.tolist() == st.dims[rows].tolist()
-    assert picked.residuals.tolist() == st.residuals[rows].tolist()
-    assert len(picked.bases) == len(picked.scales) == len(rows)
-    for j, i in enumerate(rows):
-        assert picked.bases[j] is st.bases[i] and picked.scales[j] is st.scales[i]
+    S = sample_null_batch(pair, 3, rng=44).S
+    split = orbits._half_planes
+
+    def unpaired(vals, gap):
+        upper, lower = split(vals, gap)
+        lower[1] = False
+        return upper, lower
+
+    monkeypatch.setattr(orbits, "_half_planes", unpaired)
+    batch = make_null_batch(pair, S)
+    assert batch.genericity.tolist() == [True, False, True]
+    with pytest.raises(ValueError, match="generic spectrum"):
+        canonicalize_unitary_batch(pair, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -1594,7 +1637,7 @@ def test_draws_make_no_exponential(monkeypatch):
         assert sample_null_batch(build_pair(Family(field, 2, 1)), 5, rng=0).genericity.all()
     pair = build_pair(Family("R", 2, 1))
     for stratum in STRATA:
-        assert (so21_orbit_class(sample_so21_stratum_batch(pair, stratum, 5, rng=0).S)
+        assert (so21_orbit_class(sample_so21_stratum_batch(pair, stratum, 5, rng=0))
                 == stratum).all()
 
 
@@ -1606,11 +1649,15 @@ def test_real_draws_stay_float64(stratum):
     assert S.dtype == np.float64 and vals.shape == (6, 3) and V0.shape == (3, 3)
     S, A = orbits._isotropy_conjugate(pair, S, rng)
     assert S.dtype == A.dtype == np.float64
-    batch = sample_so21_stratum_batch(pair, stratum, 40, rng=4)
-    assert batch.S.dtype == np.float64
+    S = sample_so21_stratum_batch(pair, stratum, 40, rng=4)
+    assert S.dtype == np.float64
+    # the open stratum is the stack of sample_null_batch; a nilpotent stack
+    # comes without eigenpairs and is certified here
+    batch = sample_null_batch(pair, 40, rng=4) if stratum == "open" else make_null_batch(pair, S)
+    assert np.array_equal(batch.S, S) and batch.S.dtype == np.float64
     # real LAPACK's eig of the same stack, in the batch's order
     w = np.linalg.eig(batch.S)[0]
-    w = np.take_along_axis(w, orbits._spectral_order(w, batch.gap), axis=-1)
+    w = np.take_along_axis(w, orbits._spectral_order(w, batch.gap)[0], axis=-1)
     if stratum == "open":
         # a draw lists the spectrum it was built from: eig agrees to rounding
         scale = np.linalg.norm(batch.S, axis=(1, 2))[:, None]

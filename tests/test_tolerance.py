@@ -66,14 +66,16 @@ def test_no_routine_given_a_pair_takes_a_tolerance():
 def test_options_no_caller_sets_are_constants():
     options = {orbits.sample_null_batch: "max_tries",
                linalg.signed_gram_schmidt: "max_remix",
-               casestudies.su21_ad_action: "phi"}
+               casestudies.su21_ad_action: "phi",
+               reductive.einstein_fit: "ric"}
     for fn, name in options.items():
         assert name not in inspect.signature(fn).parameters
     # its pivot test is a fixed 1e-8, so a tolerance would go unread
     assert "tol" not in inspect.signature(linalg.signed_gram_schmidt).parameters
     assert "r" not in inspect.signature(casestudies.su21_ad_action).parameters
     assert [f.name for f in dataclasses.fields(orbits.NullBatch)] == [
-        "S", "eigenvalues", "vectors", "genericity", "nullity_residual", "gap"]
+        "S", "eigenvalues", "vectors", "inverse", "genericity", "nullity_residual", "gap",
+        "corner"]
 
 
 @pytest.mark.parametrize("study,report", [("su21", su21_report), ("sp21", sp21_report)])
