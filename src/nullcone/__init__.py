@@ -49,8 +49,7 @@ from .pairs import (
 from .orbits import (
     NullBatch,
     RayStabilizers,
-    canonicalize_symplectic_batch,
-    canonicalize_unitary_batch,
+    canonicalize_batch,
     codimension_from_stabilizer,
     commutant_is_smaller,
     make_null_batch,

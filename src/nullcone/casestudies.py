@@ -42,7 +42,7 @@ from .linalg import (
     quat_embed,
     signed_gram_schmidt,
 )
-from .orbits import cayley, make_null_batch, stabilizers_of_rays
+from .orbits import cayley, stabilizers_of_rays
 from .pairs import Family, SymmetricPair, build_pair
 from .reductive import (
     ReductiveSplit,
@@ -205,8 +205,12 @@ class SU21Data(CaseStudy):
 
 
 def _certify_null(pair: SymmetricPair, S: np.ndarray) -> None:
-    """Raise unless the ray vector S is null, by make_null_batch on one row."""
-    if make_null_batch(pair, S[None]).nullity_residual[0] > pair.tol.abs:
+    """Raise unless the ray vector S lies in m and is null, with the bounds
+    of make_null_batch: membership within 1e-7 max(1, |S|), and
+    |K(S, S)| <= tol.abs."""
+    if pair.m.residual(S) > 1e-7 * max(1.0, np.linalg.norm(S)):
+        raise ValueError("matrix is not in the tangent summand within tolerance")
+    if abs(pair.form(S, S)) > pair.tol.abs:
         raise ValueError("ray vector is not null")
 
 

@@ -22,14 +22,29 @@ basis and orbits_report's ray kernels (ray_stabilizer_mismatch) are
 bounded against the singular values of another system (_kernel_mismatch),
 so no second kernel is solved.  orbits_report counts strata dimensions
 from singular values too (stabilizer_dims).
-Normal-form routines reduce a generic null vector to a diagonal matrix
-whose invariant-form Gram takes an antidiagonal corner shape: the unitary
-form for the complex family, the symplectic form for the quaternionic one.
+One normal form (canonicalize_batch) serves the complex and the
+quaternionic family: it diagonalizes a generic null vector so that its
+invariant-form Grams take an antidiagonal corner shape of size r, the
+number of upper half-plane values.  For C that is P* F P = T =
+t_form(p, q, r).  The quaternionic carrier has the Hermitian form
+h(x, y) = x* H y, H = diag(F, F), the complex-symplectic form
+Omega = [[0, F], [-F, 0]] and the structure J x = (-conj x_2, conj x_1),
+J^2 = -1.  F is real, so Omega(x, y) = x_1^T F y_2 - x_2^T F y_1 =
+-conj h(x, J y).  S is h-self-adjoint and commutes with J, so h pairs an
+eigenplane E_lam only with E_conj(lam), J maps E_lam onto E_conj(lam),
+and Omega pairs E_lam only with itself.  On the plane of a real value,
+h(v, J v) = -conj Omega(v, v) = 0 and h(J v, J v) = conj h(v, v): h is a
+real scalar times the identity there, and every vector of the plane has
+the plane's self-pairing sign.  So the unitary construction on one
+vector per cluster, V (N, n), has V* H V = T and V^T Omega V = 0, and
+P = [V | J V] has P^T Omega P = [[0, T], [-T, 0]] and
+P* H P = [[T, 0], [0, T]], as Omega(x, J y) = conj h(x, y) and
+h(J x, J y) = conj h(x, y).
 
 Sampling, certification, partners, stabilizers and normal forms run on
 stacks of rays (sample_null_batch, partner_null_batch, stabilizers_of_rays,
-stabilizers_by_commutant, canonicalize_unitary_batch,
-canonicalize_symplectic_batch); one ray is a one-row stack.
+stabilizers_by_commutant, canonicalize_batch); one ray is a one-row
+stack.
 make_null_batch certifies a stack from its eigenpairs: a draw supplies the
 spectrum and the eigenvector columns it was built from, and any other
 stack gets them from one stacked eig.  Either way the certificate takes
@@ -39,8 +54,8 @@ one.  A row is generic when every column fits its value and the gap
 clears the gap rule and twice the radius.  A nilpotent ray has a nearly
 singular eigenbasis, so its radius is what keeps it out.  The NullBatch
 is the one spectral record of its rays: the ordered eigenpairs, the V^-1
-the radius took and the corner size.  The partners, both normal forms
-and the commutant route read them there (the symplectic form takes each
+the radius took and the corner size.  The partners, the normal form and
+the commutant route read them there (for H the normal form takes each
 eigenplane from its cluster's two columns): no drawn ray is eigen-solved
 and no eigenbasis inverted twice.  (R, 2, 1) strata draws are plain stacks.
 Both stabilizer routes return the same RayStabilizers: per ray, a stack of
@@ -53,7 +68,7 @@ and orbits suites run them.
 Tolerance contract: a routine given a pair reads its tolerance from
 pair.tol, fixed once where the pair is built (build_pair): rank cuts use
 tol.rank_rel and the genericity gap tol.abs (the radius rule needs no
-tolerance); the normal forms split a spectrum at a quarter of its
+tolerance); the normal form splits a spectrum at a quarter of its
 certified gap, which needs no tolerance.
 Only routines without a pair take one (so21_orbit_class,
 RayStabilizers.subspace).
@@ -663,20 +678,6 @@ def commutant_is_smaller(pair: SymmetricPair) -> bool:
     return _commutant_dim(pair) ** 2 < pair.m.dim * (pair.h.dim + 1)
 
 
-def _commutant_frames(pair: SymmetricPair, batch: NullBatch):
-    """The certified eigenvector columns V (k, N, N) of a batch, with each
-    eigenspace's columns adjacent (make_null_batch keeps the two columns of
-    an H cluster side by side), the batch's V^-1, and the positions (rows
-    r, columns c) of the block diagonal D with X = V D V^-1 in C(S), one
-    gl(b, C) block per eigenspace of dimension b."""
-    V = batch.vectors
-    N = V.shape[-1]
-    b = 2 if pair.family.field == "H" else 1
-    blocks = np.arange(N).reshape(-1, b)
-    r, c = np.repeat(blocks, b, axis=1).ravel(), np.tile(blocks, b).ravel()
-    return V, batch.inverse, r, c
-
-
 def _commutant_involutions(pair: SymmetricPair, V: np.ndarray, Vinv: np.ndarray,
                            r: np.ndarray, c: np.ndarray) -> list:
     """The involutions of gl(N, C) whose common fixed set meets C(S) in the
@@ -751,8 +752,10 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabil
     If [X, S] = c S with c != 0, then c tr(S^j) = tr([X, S] S^(j-1)) = 0
     for every j and S is nilpotent; a generic S is not, so its ray
     stabilizer is the part of the commutant C(S) in h.  The batch's
-    eigenvector columns write C(S) as the block diagonals D of
-    X = V D V^-1 (_commutant_frames); the involutions that fix h, written
+    eigenvector columns V, with each eigenspace's columns adjacent
+    (make_null_batch keeps the two columns of an H cluster side by side),
+    write C(S) as the block diagonals D of X = V D V^-1, one gl(b, C) block
+    per eigenspace of dimension b; the involutions that fix h, written
     on D (_commutant_involutions), give a projector onto h ∩ C(S) whose real
     matrix has side dim C(S): 8n for H, 2n for R, 2(n - 1) for C
     (_commutant_projector).  One stacked SVD of it gives the rank, with
@@ -771,7 +774,11 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabil
     """
     tol = pair.tol
     S = batch.S
-    V, Vinv, r, c = _commutant_frames(pair, batch)
+    V, Vinv = batch.vectors, batch.inverse
+    b = 2 if pair.family.field == "H" else 1
+    blocks = np.arange(V.shape[-1]).reshape(-1, b)
+    # the positions (rows r, columns c) of the block diagonal of D
+    r, c = np.repeat(blocks, b, axis=1).ravel(), np.tile(blocks, b).ravel()
     margins = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
     if not np.all(batch.genericity) or np.any(
             np.finfo(float).eps * margins ** 2 > tol.rank_rel):
@@ -836,7 +843,7 @@ def codimension_from_stabilizer(pair: SymmetricPair, stab_dim):
     return cone_dim - orbit_dim
 
 
-def _corner_slots(batch: NullBatch, sign=0.0):
+def _corner_slots(batch: NullBatch, sign):
     """The order in which a normal form takes the values of a batch:
     (r, groups), with r (k,) the corner sizes and, per corner size rr,
     (g, rr, slots): the rows g of that size and their value indices slots
@@ -847,15 +854,15 @@ def _corner_slots(batch: NullBatch, sign=0.0):
     are the upper values in that order, then the real ones by (-sign,
     value), then the conjugate partners in mirrored order, each upper
     value taking the nearest unused lower value to its conjugate.  sign
-    (broadcast to (k, n)) is the sign of each value's self-pairing where a
-    normal form puts the positive ones first.
+    (k, n) is the sign of each value's self-pairing, so the positive real
+    ones come first.
     """
     vals, r = batch.eigenvalues, batch.corner
     k, n = vals.shape
     rows = np.arange(k)
     slot = np.arange(n)
     real = (slot >= r[:, None]) & (slot < n - r[:, None])
-    mid = np.lexsort((vals.real, -np.broadcast_to(sign, (k, n)), ~real), axis=-1)
+    mid = np.lexsort((vals.real, -sign, ~real), axis=-1)
     free = slot >= n - r[:, None]
     partner = np.zeros((k, int(r.max(initial=0))), dtype=int)
     for i in range(partner.shape[1]):
@@ -870,44 +877,6 @@ def _corner_slots(batch: NullBatch, sign=0.0):
             [np.broadcast_to(slot[:rr], (len(g), rr)), mid[g, :n - 2 * rr],
              partner[g, :rr][:, ::-1]], axis=1)))
     return r, groups
-
-
-def canonicalize_unitary_batch(pair: SymmetricPair, batch: NullBatch):
-    """Bases P diagonalizing generic complex-family null vectors so that
-    P* F P is the antidiagonal-corner form; returns (P (k, n, n), r (k,)).
-
-    The batch's eigenvector columns are the eigenframes.  Columns are
-    ordered as upper half-plane eigenvalues by (real, imag), then real
-    ones (positive self-pairing first, values ascending), then the
-    conjugate partners in mirrored order, each upper value taking the
-    nearest unused lower value to its conjugate; partners are scaled to
-    pair to 1 and real eigenlines to +-1.  Rows are grouped by r.
-    """
-    if pair.family.field != "C":
-        raise ValueError("unitary normal form applies to the complex family")
-    if not np.all(batch.genericity):
-        raise ValueError("normal form needs a generic spectrum")
-    S, F = batch.S, pair.carrier_form
-    n = S.shape[1]
-    V = batch.vectors
-    self_pairing = (V.conj() * (F @ V)).sum(axis=1).real
-    r, groups = _corner_slots(batch, np.sign(self_pairing))
-    P = np.empty_like(V)
-    for g, rr, slots in groups:
-        Q = np.take_along_axis(V[g], slots[:, None, :], axis=2)
-        Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-        FQ = F @ Q
-        c = (Q[:, :, :rr].conj() * FQ[:, :, ::-1][:, :, :rr]).sum(axis=1)
-        if np.any(np.abs(c) < 1e-10):
-            raise ValueError("degenerate pairing between conjugate eigenlines")
-        s = (Q[:, :, rr:n - rr].conj() * FQ[:, :, rr:n - rr]).sum(axis=1).real
-        if np.any(np.abs(s) < 1e-10):
-            raise ValueError("degenerate self-pairing on a real eigenline")
-        d = np.ones((len(g), n), dtype=complex)
-        d[:, n - rr:] = c[:, ::-1]
-        d[:, rr:n - rr] = np.sqrt(np.abs(s))
-        P[g] = Q / d[:, None, :]
-    return P, r
 
 
 def _quat_conj(x: np.ndarray) -> np.ndarray:
@@ -946,71 +915,61 @@ def _cluster_planes(batch: NullBatch) -> np.ndarray:
     return np.stack([a, rem / rem_norm], axis=2)
 
 
-def canonicalize_symplectic_batch(pair: SymmetricPair, batch: NullBatch):
-    """Bases normalizing generic quaternionic-family null vectors; returns
-    (P (k, 2n, 2n), r (k,)).
+def canonicalize_batch(pair: SymmetricPair, batch: NullBatch):
+    """Bases P diagonalizing generic null vectors of the complex or the
+    quaternionic family so that their Grams take the corner normal form;
+    returns (P (k, N, N), r (k,)).
 
-    Each P diagonalizes the complex carrier of S; its columns are arranged
-    so the complex-symplectic Gram becomes the block form [[0, T], [-T, 0]]
-    with T the corner form of size r = number of nonreal eigenvalue pairs,
-    and the Hermitian Gram is supported on the same corner pattern in each
-    diagonal block.  The eigenvalues are taken in the order upper half-plane
-    by (real, imag), real ones ascending, then the conjugate partners of the
-    upper ones mirrored (_corner_slots, shared with the unitary form).  Each
-    eigenspace is the plane of its cluster's two columns of the batch
-    (_cluster_planes), and the 2 x 2 Gram, eigh, det and inverse steps run
-    on the stack.  Rows are grouped by r.
+    C: the batch's eigenvector columns are the eigenframes, taken in the
+    slot order of _corner_slots (upper half-plane values by (real, imag),
+    real ones with positive self-pairing first and values ascending, then
+    the conjugate partners mirrored) and made unit; partners are scaled to
+    pair to 1 and real eigenlines to +-1, so P* F P = t_form(p, q, r).
+    H: the same construction on one vector per cluster, V (N, n), gives
+    P = [V | J V] (_quat_conj), with P^T Omega P = [[0, T], [-T, 0]] and
+    P* H P = [[T, 0], [0, T]]: the upper and real slots take their
+    plane's first vector (_cluster_planes), and each lower slot the vector
+    of its plane that pairs with its upper partner.  Rows are grouped by r.
     """
-    if pair.family.field != "H":
-        raise ValueError("symplectic normal form applies to the quaternionic family")
+    field = pair.family.field
+    if field not in ("C", "H"):
+        raise ValueError("normal forms apply to the complex and quaternionic families")
     if not np.all(batch.genericity):
         raise ValueError("normal form needs a generic spectrum")
-    M = batch.S
-    n = pair.family.n
-    Hm, Om = pair.carrier_form, pair.omega_matrix
-
-    def om(x, y):
-        return (x * (y @ Om.T)).sum(axis=-1)
-
-    def h(x, y):
-        return (x.conj() * (y @ Hm.T)).sum(axis=-1)
-
-    def gram2(a, b, c, d):
-        return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
-
-    planes = _cluster_planes(batch)
-    r, groups = _corner_slots(batch)
-    P = np.empty_like(M)
+    F = pair.carrier_form
+    if field == "H":
+        planes = _cluster_planes(batch)
+        V = np.swapaxes(planes[:, :, 0], 1, 2)
+    else:
+        V = batch.vectors
+    n = V.shape[-1]
+    self_pairing = (V.conj() * (F @ V)).sum(axis=1).real
+    r, groups = _corner_slots(batch, np.sign(self_pairing))
+    P = np.empty_like(V)
     for g, rr, slots in groups:
-        E = np.take_along_axis(planes[g], slots[:, :, None, None], axis=1)
-        vs = np.empty(E.shape[:2] + E.shape[3:], dtype=complex)
-        ws = np.empty_like(vs)
-        # real eigenvalues: v and J conj(v) span the eigenspace; the Hermitian
-        # Gram's eigenvectors, rescaled by the symplectic pairing, give the pair
-        v = E[:, rr:n - rr, 0]
-        w = _quat_conj(v)
-        _, U = np.linalg.eigh(gram2(h(v, v), h(v, w), h(w, v), h(w, w)))
-        U[..., 0] /= np.linalg.det(U)[..., None]
-        B = np.stack([v, w], axis=-1) @ (U * np.sqrt(1.0 / om(v, w))[..., None, None])
-        vs[:, rr:n - rr], ws[:, rr:n - rr] = B[..., 0], B[..., 1]
-        # conjugate pairs: slot i pairs with slot n - 1 - i through the
-        # eigenvector of the conjugate eigenspace that pairs best with v
-        v = E[:, :rr, 0]
-        E2 = E[:, n - rr:][:, ::-1]
-        w_i = _quat_conj(v)
-        scores = np.abs(om(v[:, :, None], _quat_conj(E2)))
-        if np.any(scores.max(axis=-1) < 1e-10):
-            raise ValueError("degenerate symplectic pairing between eigenspaces")
-        u = np.take_along_axis(E2, scores.argmax(axis=-1)[..., None, None], axis=2)[:, :, 0]
-        w_p = _quat_conj(u)
-        w_p = w_p / om(v, w_p)[..., None]
-        u = u / om(u, w_i)[..., None]
-        H2 = gram2(h(v, u), h(v, w_i), h(w_p, u), h(w_p, w_i))
-        C = np.stack([u, w_i], axis=-1) @ (
-            np.sqrt(np.linalg.det(H2))[..., None, None] * np.linalg.inv(H2))
-        vs[:, :rr], ws[:, :rr] = v, C[..., 1]
-        vs[:, n - rr:], ws[:, n - rr:] = C[:, ::-1, :, 0], w_p[:, ::-1]
-        P[g] = np.concatenate([vs, ws], axis=1).transpose(0, 2, 1)
+        Q = np.take_along_axis(V[g], slots[:, None, :], axis=2)
+        if field == "H":
+            # each lower slot takes the Riesz vector sum_j conj h(v, e_j) e_j
+            # of x -> h(v, x) in its plane's orthonormal pair (e_1, e_2), v
+            # its upper partner (slot n - 1 - i pairs with slot i)
+            E = np.take_along_axis(planes[g], slots[:, n - rr:, None, None], axis=1)
+            Fv = F @ Q[:, :, :rr][:, :, ::-1]
+            coef = np.einsum("grjx,gxr->grj", E.conj(), Fv)
+            Q[:, :, n - rr:] = np.einsum("grjx,grj->gxr", E, coef)
+        Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
+        FQ = F @ Q
+        c = (Q[:, :, :rr].conj() * FQ[:, :, ::-1][:, :, :rr]).sum(axis=1)
+        if np.any(np.abs(c) < 1e-10):
+            raise ValueError("degenerate pairing between conjugate eigenlines")
+        s = (Q[:, :, rr:n - rr].conj() * FQ[:, :, rr:n - rr]).sum(axis=1).real
+        if np.any(np.abs(s) < 1e-10):
+            raise ValueError("degenerate self-pairing on a real eigenline")
+        d = np.ones((len(g), n), dtype=complex)
+        d[:, n - rr:] = c[:, ::-1]
+        d[:, rr:n - rr] = np.sqrt(np.abs(s))
+        P[g] = Q / d[:, None, :]
+    if field == "H":
+        P = np.concatenate([P, np.swapaxes(_quat_conj(np.swapaxes(P, 1, 2)), 1, 2)], axis=2)
     return P, r
 
 
@@ -1166,15 +1125,14 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
     fam = pair.family
     rep = Report("orbits", seed)
     rng = np.random.default_rng(seed)
-    canonicalize = {"C": canonicalize_unitary_batch,
-                    "H": canonicalize_symplectic_batch}.get(fam.field)
+    canonicalize = fam.field in ("C", "H")
     worst_canon = worst_theta = 0.0
     worst_pairing = -np.inf
     stab_match = True
     for k in trial_blocks(pair, trials, False):
         batch = sample_null_batch(pair, k, rng=rng)
-        if canonicalize is not None:
-            P, r = canonicalize(pair, batch)
+        if canonicalize:
+            P, r = canonicalize_batch(pair, batch)
             worst_canon = max(worst_canon, float(normal_form_residuals(pair, P, r).max()))
         partners, pairings = partner_null_batch(pair, batch)
         worst_pairing = max(worst_pairing, float(pairings.max()))
@@ -1182,7 +1140,7 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
         stab_match = stab_match and bool(np.array_equal(dims, dims_hat))
         worst_theta = max(worst_theta, float(theta.max()))
     t = fam.tag
-    if canonicalize is not None:
+    if canonicalize:
         rep.residual(f"{t}_canonical_gram", worst_canon, 1e-9,
                      anchor="canonical basis reproduces the corner normal form")
     rep.equals(f"{t}_stab_dims_match_partner", stab_match, True,

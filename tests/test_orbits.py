@@ -17,8 +17,7 @@ from nullcone.orbits import (
     EXPECTED_STAB_DIM,
     NullBatch,
     RayStabilizers,
-    canonicalize_symplectic_batch,
-    canonicalize_unitary_batch,
+    canonicalize_batch,
     codimension_from_stabilizer,
     commutant_is_smaller,
     make_null_batch,
@@ -348,7 +347,7 @@ def test_projector_without_an_involution_fails_the_checks(field, pq, drop, prima
 def test_unitary_normal_form(pq):
     pair = build_pair(Family("C", *pq))
     F = pair.hermitian_matrix
-    P, r = canonicalize_unitary_batch(pair, sample_null_batch(pair, 5, rng=3))
+    P, r = canonicalize_batch(pair, sample_null_batch(pair, 5, rng=3))
     assert r.tolist() == [min(pq)] * 5
     for Pi in P:
         assert_allclose(Pi.conj().T @ F @ Pi, t_form(*pq, min(pq)), atol=1e-8)
@@ -362,7 +361,7 @@ def test_symplectic_normal_form(pq):
     W = t_form(*pq, min(pq))
     om_target = np.block([[np.zeros_like(W), W], [-W, np.zeros_like(W)]])
     h_target = np.block([[W, np.zeros_like(W)], [np.zeros_like(W), W]])
-    P, r = canonicalize_symplectic_batch(pair, sample_null_batch(pair, 3, rng=4))
+    P, r = canonicalize_batch(pair, sample_null_batch(pair, 3, rng=4))
     assert r.tolist() == [min(pq)] * 3
     for Pi in P:
         assert_allclose(Pi.T @ Om @ Pi, om_target, atol=1e-7)
@@ -370,12 +369,9 @@ def test_symplectic_normal_form(pq):
 
 
 def test_normal_forms_reject_wrong_field():
-    pC = build_pair(Family("C", 2, 1))
-    pH = build_pair(Family("H", 2, 1))
-    with pytest.raises(ValueError):
-        canonicalize_unitary_batch(pH, sample_null_batch(pH, 1, rng=5))
-    with pytest.raises(ValueError):
-        canonicalize_symplectic_batch(pC, sample_null_batch(pC, 1, rng=5))
+    pR = build_pair(Family("R", 2, 1))
+    with pytest.raises(ValueError, match="complex and quaternionic"):
+        canonicalize_batch(pR, sample_null_batch(pR, 1, rng=5))
 
 
 def nilpotent_null_element(pair):
@@ -393,7 +389,7 @@ def test_non_generic_inputs_are_rejected():
     nv = make_null_batch(pair, nilpotent_null_element(pair)[None])
     assert not nv.genericity.any()
     with pytest.raises(ValueError):
-        canonicalize_unitary_batch(pair, nv)
+        canonicalize_batch(pair, nv)
     with pytest.raises(ValueError):
         partner_null_batch(pair, nv)
 
@@ -683,23 +679,21 @@ def batch_plane(nv, i):
 
 
 def ref_canonicalize_symplectic(pair, nv):
-    """Reference: the per-ray symplectic normal form of the one-row batch
-    nv, one eigenspace and one 2 x 2 step at a time; returns (P, r).  Each
+    """Reference: the per-ray quaternionic normal form of the one-row batch
+    nv, one eigenspace at a time; returns (P, r).  One vector per cluster
+    is put in the unitary normal form, as V, and P = [V | J V].  Each
     eigenspace is its cluster's plane of the batch (batch_plane), checked
-    against scipy's null_space of S - lam at the cluster value lam."""
+    against scipy's null_space of S - lam at the cluster value lam.  An
+    upper or real slot takes its plane's first vector; a lower slot takes
+    the orthogonal projection of H v onto its plane, v the upper partner,
+    which is the unit vector of the plane pairing largest with v."""
     M, n, vals = nv.S[0], pair.family.n, nv.eigenvalues[0]
-    Hm, Om = pair.carrier_form, omega(pair)
+    Hm = pair.carrier_form
     eye = np.eye(n)
     Jstr = np.block([[0 * eye, -eye], [eye, 0 * eye]]).astype(complex)
 
     def h(x, y):
         return np.conj(x) @ Hm @ y
-
-    def om(x, y):
-        return x @ Om @ y
-
-    def cmap(x):
-        return Jstr @ np.conj(x)
 
     def eigenspace(i):
         E = null_space(M - vals[i] * np.eye(2 * n), rcond=1e-8)
@@ -711,37 +705,25 @@ def ref_canonicalize_symplectic(pair, nv):
 
     upper, real, lower = split_spectrum(vals, 0.25 * nv.gap[0])
     r = len(upper)
-    slots = upper + real
-    for idx in upper:
+    cols = [None] * n
+    for i, idx in enumerate(upper):
         partner = min(lower, key=lambda j: abs(vals[j] - np.conj(vals[idx])))
         lower.remove(partner)
-        slots.insert(r + len(real), partner)
-    vs, ws = [None] * n, [None] * n
-    for k in range(r, n - r):
-        v = eigenspace(slots[k])[:, 0]
-        w = cmap(v)
-        Hk = np.array([[h(v, v), h(v, w)], [h(w, v), h(w, w)]])
-        _, U = np.linalg.eigh(Hk)
-        U = U.copy()
-        U[:, 0] = U[:, 0] / np.linalg.det(U)
-        B = np.column_stack([v, w]) @ (U * np.sqrt(1.0 / om(v, w)))
-        vs[k], ws[k] = B[:, 0], B[:, 1]
-    for i in range(r):
-        E1, E2 = eigenspace(slots[i]), eigenspace(slots[n - 1 - i])
-        v = E1[:, 0]
-        w_i = cmap(v)
-        scores = [abs(om(v, cmap(E2[:, j]))) for j in range(2)]
-        if max(scores) < 1e-10:
-            raise ValueError("degenerate symplectic pairing between eigenspaces")
-        u = E2[:, int(np.argmax(scores))]
-        w_p = cmap(u)
-        w_p = w_p / om(v, w_p)
-        u = u / om(u, w_i)
-        H2 = np.array([[h(v, u), h(v, w_i)], [h(w_p, u), h(w_p, w_i)]])
-        C = np.column_stack([u, w_i]) @ (np.sqrt(np.linalg.det(H2)) * np.linalg.inv(H2))
-        vs[i], ws[i] = v, C[:, 1]
-        vs[n - 1 - i], ws[n - 1 - i] = C[:, 0], w_p
-    return np.column_stack(vs + ws), r
+        v, E2 = eigenspace(idx)[:, 0], eigenspace(partner)
+        u = E2 @ (E2.conj().T @ (Hm @ v))
+        u = u / np.linalg.norm(u)
+        if abs(h(v, u)) < 1e-10:
+            raise ValueError("degenerate pairing between conjugate eigenlines")
+        cols[i], cols[n - 1 - i] = v, u / h(v, u)
+    mids = sorted(((eigenspace(idx)[:, 0], vals[idx].real) for idx in real),
+                  key=lambda t: (-np.sign(h(t[0], t[0]).real), t[1]))
+    for k, (v, _) in enumerate(mids):
+        s = float(h(v, v).real)
+        if abs(s) < 1e-10:
+            raise ValueError("degenerate self-pairing on a real eigenline")
+        cols[r + k] = v / np.sqrt(abs(s))
+    V = np.column_stack(cols)
+    return np.column_stack([V, Jstr @ V.conj()]), r
 
 
 def ref_gram_residual(pair, P, r):
@@ -802,10 +784,9 @@ def mixed_corner_batch(pair, rng):
 def test_batched_normal_forms_match_per_ray_reference(field, pq, seed):
     pair = build_pair(Family(field, *pq))
     batch = sample_null_batch(pair, 10, rng=seed)
-    canonicalize, ref_canonicalize = {
-        "C": (canonicalize_unitary_batch, ref_canonicalize_unitary),
-        "H": (canonicalize_symplectic_batch, ref_canonicalize_symplectic)}[field]
-    P, r = canonicalize(pair, batch)
+    ref_canonicalize = {"C": ref_canonicalize_unitary,
+                        "H": ref_canonicalize_symplectic}[field]
+    P, r = canonicalize_batch(pair, batch)
     assert r.tolist() == [min(pq)] * len(batch)
     res = orbits.normal_form_residuals(pair, P, r)
     for i in range(len(batch)):
@@ -813,7 +794,7 @@ def test_batched_normal_forms_match_per_ray_reference(field, pq, seed):
         ref, ref_r = ref_canonicalize(pair, nv)
         assert r[i] == ref_r
         # the k = 1 stack is the same kernel on one row
-        one, one_r = canonicalize(pair, nv)
+        one, one_r = canonicalize_batch(pair, nv)
         assert one_r.tolist() == [ref_r]
         assert_same_up_to_freedom(pair, P[i], ref, ref_r)
         assert_same_up_to_freedom(pair, one[0], ref, ref_r)
@@ -825,10 +806,9 @@ def test_batched_normal_forms_match_per_ray_reference(field, pq, seed):
 def test_normal_forms_of_a_stack_with_mixed_corner_sizes(field):
     pair = build_pair(Family(field, 2, 2))
     batch = mixed_corner_batch(pair, np.random.default_rng(13))
-    canonicalize, ref_canonicalize = {
-        "C": (canonicalize_unitary_batch, ref_canonicalize_unitary),
-        "H": (canonicalize_symplectic_batch, ref_canonicalize_symplectic)}[field]
-    P, r = canonicalize(pair, batch)
+    ref_canonicalize = {"C": ref_canonicalize_unitary,
+                        "H": ref_canonicalize_symplectic}[field]
+    P, r = canonicalize_batch(pair, batch)
     assert r.tolist() == [2, 1, 2, 1, 2, 2, 1]
     res = orbits.normal_form_residuals(pair, P, r)
     for i in range(len(batch)):
@@ -836,15 +816,11 @@ def test_normal_forms_of_a_stack_with_mixed_corner_sizes(field):
         assert ref_r == r[i]
         assert_same_up_to_freedom(pair, P[i], ref, ref_r)
         assert res[i] == pytest.approx(ref_gram_residual(pair, ref, ref_r), abs=1e-12)
-    if field == "C":
-        assert res.max() < 1e-9
-        # the corner size a basis reaches is its own: the other size misses
-        assert (orbits.normal_form_residuals(pair, P, 3 - r) > 0.1).all()
-    else:
-        # the symplectic form pairs every real eigenline to +1, so only the
-        # rows without a negative real eigenline (here r = 2) reach t_form
-        assert res[r == 2].max() < 1e-9
-        assert (res[r == 1] > 1.0).all()
+    # every row reaches its corner form, the r = 1 rows with a negative
+    # real slot too; the corner size a basis reaches is its own: the other
+    # size misses
+    assert res.max() < 1e-9
+    assert (orbits.normal_form_residuals(pair, P, 3 - r) > 0.1).all()
 
 
 def test_batched_normal_forms_reject_bad_rows():
@@ -852,23 +828,19 @@ def test_batched_normal_forms_reject_bad_rows():
     pH = build_pair(Family("H", 2, 1))
     bC = sample_null_batch(pC, 3, rng=14)
     bH = sample_null_batch(pH, 3, rng=14)
-    with pytest.raises(ValueError, match="complex family"):
-        orbits.canonicalize_unitary_batch(pH, bH)
-    with pytest.raises(ValueError, match="quaternionic family"):
-        orbits.canonicalize_symplectic_batch(pC, bC)
     with pytest.raises(ValueError):
         orbits.normal_form_residuals(build_pair(Family("R", 2, 1)), bC.S, 1)
     # one non-generic row fails the whole stack
     mixed = make_null_batch(pC, np.stack([bC.S[0], nilpotent_null_element(pC), bC.S[1]]))
     assert mixed.genericity.tolist() == [True, False, True]
     with pytest.raises(ValueError, match="generic spectrum"):
-        orbits.canonicalize_unitary_batch(pC, mixed)
+        canonicalize_batch(pC, mixed)
     N = np.zeros((3, 3), dtype=complex)
     nil = quat_embed(QMat(nilpotent_null_element(pC), N))
     mixed = make_null_batch(pH, np.stack([bH.S[0], nil]))
     assert mixed.genericity.tolist() == [True, False]
     with pytest.raises(ValueError, match="generic spectrum"):
-        orbits.canonicalize_symplectic_batch(pH, mixed)
+        canonicalize_batch(pH, mixed)
     # a row flagged generic whose listed eigenvalue is not in its spectrum
     # has a trivial eigenspace there, which the eigen-residual test of
     # _cluster_planes rejects; the kernel reads the upper half-plane values
@@ -877,7 +849,7 @@ def test_batched_normal_forms_reject_bad_rows():
     vals[1, np.flatnonzero(vals[1].imag > 0)[0]] += 0.5
     bad = replace(bH, eigenvalues=vals)
     with pytest.raises(ValueError, match="two-dimensional"):
-        orbits.canonicalize_symplectic_batch(pH, bad)
+        canonicalize_batch(pH, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
         ref_canonicalize_symplectic(pH, bad.take([1]))
 
@@ -910,10 +882,24 @@ def test_a_cluster_with_two_equal_columns_is_not_a_plane():
     V[1, :, 3] = V[1, :, 2]  # row 1, cluster 1
     bad = replace(batch, vectors=V)
     with pytest.raises(ValueError, match="two-dimensional"):
-        canonicalize_symplectic_batch(pair, bad)
+        canonicalize_batch(pair, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
         orbits._cluster_planes(bad.take([1]))
     orbits._cluster_planes(bad.take([0, 2]))  # the other rows are planes
+
+
+@pytest.mark.parametrize("field", ["C", "H"])
+@pytest.mark.parametrize("pq", [(p, n - p) for n in range(3, 7) for p in range(1, n)])
+def test_normal_form_reaches_the_corner_at_every_signature(field, pq):
+    # every signature with 3 <= n <= 6, the ones with negative real slots
+    # (q > p) included: the bases reach the corner form and the orbits
+    # census passes every check
+    pair = build_pair(Family(field, *pq))
+    P, r = canonicalize_batch(pair, sample_null_batch(pair, 10, rng=1))
+    assert r.tolist() == [min(pq)] * 10
+    assert orbits.normal_form_residuals(pair, P, r).max() < 1e-9
+    rep = orbits_report(pair, trials=3, seed=0)
+    assert [c.name for c in rep.checks if c.status == "fail"] == []
 
 
 def test_normal_form_targets_are_built_once():
@@ -1382,8 +1368,7 @@ def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
     # a draw is certified from the eigenpairs it was built from, and the
     # R(2, 1) strata stacks are classified without a certificate, so a
     # census makes no eig.  orbits inverts each certified stack's
-    # eigenbases once, in make_null_batch; its only other inverses are the
-    # 2 x 2 Grams of the symplectic normal form
+    # eigenbases once, in make_null_batch, and makes no other inverse
     pair = build_pair(Family(field, 2, 1))
     inv, certify = np.linalg.inv, orbits.make_null_batch
     supplied, inverses = [], []
@@ -1410,7 +1395,7 @@ def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
     assert supplied and all(supplied)
     N = pair.carrier_dim
     assert inverses.count((N, N)) == len(supplied)
-    assert set(inverses) == ({(N, N), (2, 2)} if field == "H" else {(N, N)})
+    assert set(inverses) == {(N, N)}
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -1428,8 +1413,7 @@ def test_partners_normal_forms_and_commutant_need_no_new_eig(field, monkeypatch)
     st = stabilizers_by_commutant(pair, batch)
     assert (st.dims == EXPECTED_STAB_DIM[field](3)).all() and (st.residuals < 1e-8).all()
     if field != "R":
-        canonicalize = {"C": canonicalize_unitary_batch, "H": canonicalize_symplectic_batch}
-        P, r = canonicalize[field](pair, batch)
+        P, r = canonicalize_batch(pair, batch)
         assert (orbits.normal_form_residuals(pair, P, r) < 1e-9).all()
 
 
@@ -1597,7 +1581,7 @@ def test_a_row_whose_lower_values_miss_the_upper_ones_is_not_generic(monkeypatch
     batch = make_null_batch(pair, S)
     assert batch.genericity.tolist() == [True, False, True]
     with pytest.raises(ValueError, match="generic spectrum"):
-        canonicalize_unitary_batch(pair, batch)
+        canonicalize_batch(pair, batch)
 
 
 # ---------------------------------------------------------------------------
