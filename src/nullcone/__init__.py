@@ -11,7 +11,6 @@ Casimir constants) together with two fully worked case studies.
 from .linalg import (
     BilinForm,
     DEFAULT_TOL,
-    QMat,
     RealSubspace,
     Tolerance,
     algebra_profile,
@@ -20,8 +19,6 @@ from .linalg import (
     gram_signature,
     orth_complement,
     quat_embed,
-    quat_mul,
-    quat_split,
     signed_gram_schmidt,
     structure_constants,
     sym_signature,
@@ -38,7 +35,6 @@ from .pairs import (
     build_pair,
     check_symmetric_axioms,
     congruence,
-    corrupt_pair,
     default_families,
     dimension_table,
     formula_dims,
@@ -67,9 +63,7 @@ from .orbits import (
 from .reductive import (
     ReductiveSplit,
     bianchi_defect,
-    canonical_curvature,
     casimir,
-    curvature_eval,
     curvature_tensor,
     einstein_fit,
     frame_ad,
@@ -79,7 +73,6 @@ from .reductive import (
     levi_civita_nomizu,
     reductive_split,
     ricci,
-    ricci_canonical,
     ricci_levi_civita,
     torsion_derivation_check,
     torsion_eval,

@@ -30,7 +30,6 @@ import numpy as np
 from .linalg import (
     BilinForm,
     DEFAULT_TOL,
-    QMat,
     RealSubspace,
     Tolerance,
     algebra_profile,
@@ -84,7 +83,7 @@ def _fill(entries: dict) -> np.ndarray:
 def _quat(x: dict, y: dict) -> np.ndarray:
     """quat_embed of X + Y j, with 3 x 3 blocks filled as _fill does."""
     X, Y = np.broadcast_arrays(_fill(x), _fill(y))
-    return quat_embed(QMat(X, Y))
+    return quat_embed(X, Y)
 
 
 def _worst_norm(X: np.ndarray) -> float:
@@ -227,7 +226,7 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     pair = build_pair(Family(field, 2, 1), "canonical-T", tol=tol)
     S = np.diag([mu, -2 * mu.real, np.conj(mu)]).astype(complex)
     if field == "H":
-        S = quat_embed(QMat(S, np.zeros((3, 3), dtype=complex)))
+        S = quat_embed(S, np.zeros((3, 3), dtype=complex))
     if pair.h.residual(np.stack(b_basis + n_basis)).max() > tol.abs:
         raise ValueError("case-study basis element escapes the isotropy algebra")
     _certify_null(pair, S)
@@ -690,7 +689,7 @@ def Nhat_elem(z1, z2, x1, x2, y1, y2, y3) -> np.ndarray:
         [[0, z1, x1], [z2, 0, np.conj(z1)], [x2, np.conj(z2), 0]], dtype=complex
     )
     Y = np.array([[y1, y2, 0], [y3, 0, -y2], [0, -y3, -y1]], dtype=complex)
-    return quat_embed(QMat(X, Y))
+    return quat_embed(X, Y)
 
 
 def n_params(N: np.ndarray) -> tuple:

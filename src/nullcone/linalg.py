@@ -60,27 +60,16 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-@dataclass(frozen=True)
-class QMat:
-    """Quaternionic n x n matrix written as X + Y j with complex blocks X, Y
-    (or a stack of them, with equal leading axes on both blocks)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if self.x.shape != self.y.shape or self.x.shape[-1] != self.x.shape[-2]:
-            raise ValueError("QMat blocks must be square and equal-shaped")
-
-
-def quat_embed(q: QMat) -> np.ndarray:
-    """Complex 2n x 2n image [[X, -Y], [conj(Y), conj(X)]] of X + Y j
-    (of each matrix of a stack), with the dtype np.block would give.
+def quat_embed(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Complex 2n x 2n image [[X, -Y], [conj(Y), conj(X)]] of the
+    quaternionic matrix X + Y j (of each matrix of a stack, with equal
+    leading axes on both blocks), with the dtype np.block would give.
 
     The embedding is an injective algebra homomorphism, so brackets,
     products and trace identities can be checked on the image.
     """
-    X, Y = q.x, q.y
+    if X.shape != Y.shape or X.shape[-1] != X.shape[-2]:
+        raise ValueError("quaternionic blocks must be square and equal-shaped")
     n = X.shape[-1]
     out = np.empty(X.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(X, Y))
     out[..., :n, :n] = X
@@ -88,28 +77,6 @@ def quat_embed(q: QMat) -> np.ndarray:
     out[..., n:, :n] = Y.conj()
     out[..., n:, n:] = X.conj()
     return out
-
-
-def quat_mul(a: QMat, b: QMat) -> QMat:
-    """Product of quaternionic matrices, (X1 + Y1 j)(X2 + Y2 j)."""
-    # j Z = conj(Z) j moves j past a complex block
-    x = a.x @ b.x - a.y @ b.y.conj()
-    y = a.x @ b.y + a.y @ b.x.conj()
-    return QMat(x, y)
-
-
-def quat_split(M: np.ndarray) -> QMat:
-    """Inverse of quat_embed; raises if M is not in the image pattern."""
-    m = M.shape[0]
-    if m % 2:
-        raise ValueError("even dimension required")
-    n = m // 2
-    X, Y = M[:n, :n], -M[:n, n:]
-    rebuilt = quat_embed(QMat(X, Y))
-    err = np.abs(M - rebuilt).max()
-    if err > 1e-8 * max(1.0, np.abs(M).max()):
-        raise ValueError(f"matrix is not in the quaternionic block pattern, residual {err:.3e}")
-    return QMat(X, Y)
 
 
 def realify(X: np.ndarray) -> np.ndarray:

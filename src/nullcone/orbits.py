@@ -81,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, QMat, RealSubspace, Tolerance, quat_embed
+from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed
 from .pairs import SymmetricPair, t_form
 from .report import Report
 
@@ -420,7 +420,7 @@ def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator):
     bottom = np.r_[n - 1 - i, r:n - r, i[::-1]]  # the bottom column of each top one
     V0 = np.zeros((2 * n, 2 * n), dtype=complex)
     V0[:n, 0::2], V0[n:, 1::2] = P, np.conj(P[:, bottom])
-    return quat_embed(QMat(X, np.zeros_like(X))), diag, V0
+    return quat_embed(X, np.zeros_like(X)), diag, V0
 
 
 def cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
@@ -739,7 +739,7 @@ def _commutant_residuals(pair: SymmetricPair, S: np.ndarray, X: np.ndarray) -> n
     field = pair.family.field
     if field == "H":
         n = pair.family.n
-        pattern = quat_embed(QMat(X[..., :n, :n], -X[..., :n, n:]))
+        pattern = quat_embed(X[..., :n, :n], -X[..., :n, n:])
         parts.append(np.linalg.norm(X - pattern, axis=(-2, -1)))
     elif field == "R":
         parts.append(np.linalg.norm(X.imag, axis=(-2, -1)))
@@ -823,15 +823,7 @@ def partner_null_batch(pair: SymmetricPair, batch: NullBatch):
     S, w, V = batch.S, batch.eigenvalues, batch.vectors
     if pair.family.field == "H":
         w = np.repeat(w, 2, axis=1)
-    M = (V * -np.conj(w)[:, None, :]) @ batch.inverse
-    if pair.family.field == "R":
-        M = M.real.astype(complex)
-    elif pair.family.field == "H":
-        n = pair.family.n
-        X = (M[:, :n, :n] + np.conj(M[:, n:, n:])) / 2
-        Y = (-M[:, :n, n:] + np.conj(M[:, n:, :n])) / 2
-        M = quat_embed(QMat(X, Y))
-    M = pair.m.project(M)
+    M = pair.m.project((V * -np.conj(w)[:, None, :]) @ batch.inverse)
     return M, pair.form(S, M)
 
 

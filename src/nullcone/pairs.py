@@ -14,7 +14,7 @@ normalization of the case studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -460,14 +460,3 @@ def check_symmetric_axioms(pair: SymmetricPair,
     rep.residual(f"{label}_isotropy_skew", worst_inv, 1e-7,
                  anchor="isotropy action is traceless and form-skew")
     return rep
-
-
-def corrupt_pair(pair: SymmetricPair) -> SymmetricPair:
-    """Negative control: move one generator between the two summands."""
-    h_bad = np.concatenate([pair.h.basis[:-1], pair.m.basis[:1]])
-    m_bad = np.concatenate([pair.h.basis[-1:], pair.m.basis[1:]])
-    return replace(
-        pair,
-        h=RealSubspace(h_bad, tol=pair.tol),
-        m=RealSubspace(m_bad, tol=pair.tol),
-    )

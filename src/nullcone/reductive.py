@@ -185,21 +185,6 @@ def torsion_derivation_check(split: ReductiveSplit) -> Report:
     return rep
 
 
-def canonical_curvature(split: ReductiveSplit, u: np.ndarray,
-                        v: np.ndarray) -> np.ndarray:
-    """Matrix of w -> -[[u, v]_b, w] on the signed basis coordinates
-    ((..., d, d) for stacks u, v)."""
-    return np.einsum("...i,...k,ikab->...ab", split.n_coords(u), split.n_coords(v),
-                     split.curvature_components)
-
-
-def curvature_eval(split: ReductiveSplit, u, v, w) -> np.ndarray:
-    """R(u, v) w = -[[u, v]_b, w] for u, v, w in n (or stacks of them)."""
-    c = np.einsum("...ab,...b->...a", canonical_curvature(split, u, v),
-                  split.n_coords(w))
-    return np.tensordot(c, split.e_basis, axes=1)
-
-
 def levi_civita_nomizu(split: ReductiveSplit) -> np.ndarray:
     """Nomizu array of the Levi-Civita connection, Lambda(X) Y = [X, Y]_n / 2.
 
@@ -241,11 +226,6 @@ def bianchi_defect(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     """
     A = np.swapaxes(R, 2, 3) - np.tensordot(T, T, axes=1)  # A[i, j, k, :]
     return A + np.einsum("jkia->ijka", A) + np.einsum("kija->ijka", A)
-
-
-def ricci_canonical(split: ReductiveSplit) -> np.ndarray:
-    """Ricci tensor of the canonical connection."""
-    return ricci(curvature_tensor(split))
 
 
 def ricci_levi_civita(split: ReductiveSplit) -> np.ndarray:

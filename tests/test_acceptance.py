@@ -30,7 +30,6 @@ from nullcone.pairs import (
     Family,
     build_pair,
     check_symmetric_axioms,
-    corrupt_pair,
     default_families,
     table_report,
 )
@@ -43,6 +42,7 @@ from nullcone.reductive import (
     torsion_eval,
     wang_ziller_check,
 )
+from pair_helpers import corrupt_pair
 from subspace_reference import stabilizer_mismatch
 
 FIELDS = ("R", "C", "H")

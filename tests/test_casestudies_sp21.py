@@ -27,7 +27,6 @@ from nullcone.casestudies import (
 )
 from nullcone.linalg import (
     DEFAULT_TOL,
-    QMat,
     algebra_profile,
     bracket,
     quat_embed,
@@ -221,7 +220,7 @@ def test_derivative_span_fails_for_a_wrong_sign_embedding(data, monkeypatch):
         V = np.zeros_like(U)
         V[..., 0, 2] = be
         V[..., 2, 0] = -np.conj(ga)
-        return quat_embed(QMat(U, V))
+        return quat_embed(U, V)
 
     monkeypatch.setattr(casestudies, "phi_sl2", wrong_sign_phi_sl2)
     rep = sp21_embedding_check(data, trials=2, rng=5)

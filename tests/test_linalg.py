@@ -13,7 +13,6 @@ from nullcone.casestudies import _conformal_grading, sp21_build, su21_build
 from nullcone.linalg import (
     BilinForm,
     DEFAULT_TOL,
-    QMat,
     RealSubspace,
     _kernel_cols,
     algebra_profile,
@@ -23,8 +22,6 @@ from nullcone.linalg import (
     max_bracket_residual,
     orth_complement,
     quat_embed,
-    quat_mul,
-    quat_split,
     realify,
     signed_gram_schmidt,
     structure_constants,
@@ -32,6 +29,7 @@ from nullcone.linalg import (
     unrealify,
 )
 from nullcone.pairs import Family, build_pair
+from pair_helpers import quat_blocks
 from subspace_reference import intersection, kernel_of
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,30 +37,48 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
-def random_qmat(rng, n):
+def random_quat(rng, n):
+    """Blocks (X, Y) of a random quaternionic n x n matrix X + Y j."""
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return QMat(x, y)
+    return x, y
 
 
 def test_quat_embed_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        q = random_qmat(rng, 3)
-        M = quat_embed(q)
+        x, y = random_quat(rng, 3)
+        M = quat_embed(x, y)
         assert M.shape == (6, 6)
-        back = quat_split(M)
-        assert_allclose(back.x, q.x, atol=1e-12)
-        assert_allclose(back.y, q.y, atol=1e-12)
+        X, Y = quat_blocks(M)
+        assert_allclose(X, x, atol=1e-12)
+        assert_allclose(Y, y, atol=1e-12)
 
 
 def test_quat_embed_block_pattern():
-    q = QMat(np.eye(2, dtype=complex) * 2j, np.ones((2, 2), dtype=complex))
-    M = quat_embed(q)
-    assert_allclose(M[:2, :2], q.x)
-    assert_allclose(M[:2, 2:], -q.y)
-    assert_allclose(M[2:, :2], np.conj(q.y))
-    assert_allclose(M[2:, 2:], np.conj(q.x))
+    x, y = np.eye(2, dtype=complex) * 2j, np.ones((2, 2), dtype=complex)
+    M = quat_embed(x, y)
+    assert_allclose(M[:2, :2], x)
+    assert_allclose(M[:2, 2:], -y)
+    assert_allclose(M[2:, :2], np.conj(y))
+    assert_allclose(M[2:, 2:], np.conj(x))
+
+
+def test_quat_embed_rejects_unequal_or_nonsquare_blocks():
+    for x, y in [(np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))),
+                 (np.ones((2, 2, 2)), np.ones((3, 2, 2)))]:
+        with pytest.raises(ValueError, match="square and equal-shaped"):
+            quat_embed(x, y)
+
+
+def test_quat_blocks_rejects_a_matrix_outside_the_pattern():
+    rng = np.random.default_rng(4)
+    M = quat_embed(*random_quat(rng, 2))
+    M[0, 3] += 1e-6
+    with pytest.raises(AssertionError, match="quaternionic block pattern"):
+        quat_blocks(M)
+    with pytest.raises(AssertionError, match="quaternionic block pattern"):
+        quat_blocks(np.stack([M.conj(), M]))
 
 
 def test_quat_embed_matches_np_block_bit_for_bit():
@@ -74,33 +90,21 @@ def test_quat_embed_matches_np_block_bit_for_bit():
         cplx = [a + 1j * rng.standard_normal(shape) for a in real]
         cplx[0][..., 0, 0] = complex(-0.0, 0.0)
         for x, y in [real, cplx, (real[0], cplx[1]), (cplx[0], real[1])]:
-            q = QMat(x, y)
-            got = quat_embed(q)
+            got = quat_embed(x, y)
             want = np.block([[x, -y], [y.conj(), x.conj()]])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            for M, a, b in zip(got.reshape(-1, *got.shape[-2:]),
-                               x.reshape(-1, *shape[-2:]), y.reshape(-1, *shape[-2:])):
-                back = quat_split(M)
-                assert_array_equal(back.x, a)
-                assert_array_equal(back.y, b)
-
-
-def test_quat_mul_matches_embedded_product():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = random_qmat(rng, 2)
-        b = random_qmat(rng, 2)
-        prod = quat_mul(a, b)
-        assert_allclose(quat_embed(prod), quat_embed(a) @ quat_embed(b), atol=1e-10)
+            X, Y = quat_blocks(got)
+            assert_array_equal(X, x)
+            assert_array_equal(Y, y)
 
 
 def test_quat_embed_is_real_algebra_map():
     # the embedding commutes with real-linear combinations
     rng = np.random.default_rng(2)
-    a = random_qmat(rng, 2)
-    b = random_qmat(rng, 2)
-    lhs = quat_embed(QMat(2.0 * a.x - b.x, 2.0 * a.y - b.y))
-    assert_allclose(lhs, 2.0 * quat_embed(a) - quat_embed(b), atol=1e-12)
+    a = random_quat(rng, 2)
+    b = random_quat(rng, 2)
+    lhs = quat_embed(2.0 * a[0] - b[0], 2.0 * a[1] - b[1])
+    assert_allclose(lhs, 2.0 * quat_embed(*a) - quat_embed(*b), atol=1e-12)
 
 
 def test_realify_roundtrip():
@@ -129,9 +133,9 @@ def test_stack_helpers_match_single_matrix_ones():
     form = BilinForm(0.5)
     assert_allclose(form(Xs, Xs[::-1]), [form(X, Y) for X, Y in zip(Xs, Xs[::-1])])
     assert_allclose(bracket(Xs, Xs[:1]), [bracket(X, Xs[0]) for X in Xs])
-    qs = [random_qmat(rng, 2) for _ in range(3)]
-    stacked = QMat(np.stack([q.x for q in qs]), np.stack([q.y for q in qs]))
-    assert_allclose(quat_embed(stacked), [quat_embed(q) for q in qs])
+    qs = [random_quat(rng, 2) for _ in range(3)]
+    stacked = quat_embed(np.stack([x for x, _ in qs]), np.stack([y for _, y in qs]))
+    assert_allclose(stacked, [quat_embed(*q) for q in qs])
 
 
 def test_random_element_stack_has_requested_norms():
@@ -574,5 +578,4 @@ def test_expm_of_isotropy_elements_preserves_carrier_form(field, pq, seed):
     # h is traceless, so exp(Z) has determinant one
     assert (np.abs(np.linalg.det(G) - 1.0) < 1e-13 * scale).all()
     if field == "H":
-        for g in G:
-            quat_split(g)  # raises unless g keeps the quaternionic pattern
+        quat_blocks(G)  # asserts that each matrix of G keeps the quaternionic pattern

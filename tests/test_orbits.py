@@ -11,8 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import null_space, subspace_angles
 
 from nullcone import linalg, orbits, pairs
-from nullcone.linalg import (QMat, Tolerance, _kernel_cols, bracket, quat_embed, quat_split,
-                             realify)
+from nullcone.linalg import Tolerance, _kernel_cols, bracket, quat_embed, realify
 from nullcone.orbits import (
     EXPECTED_STAB_DIM,
     NullBatch,
@@ -34,6 +33,7 @@ from nullcone.orbits import (
     trial_blocks,
 )
 from nullcone.pairs import Family, build_pair, congruence, t_form
+from pair_helpers import quat_blocks
 from subspace_reference import stabilizer_mismatch
 
 SQRT3 = np.sqrt(3.0)
@@ -770,7 +770,7 @@ def mixed_corner_batch(pair, rng):
     P = congruence(pair.hermitian_matrix, t_form(2, 2, 1))
     X = P @ np.diag([mu, 0.5, -2.5, np.conj(mu)]) @ np.linalg.inv(P)
     if fam.field == "H":
-        X = quat_embed(QMat(X, np.zeros_like(X)))
+        X = quat_embed(X, np.zeros_like(X))
     S = orbits._isotropy_conjugate(pair, np.broadcast_to(X, (3,) + X.shape), rng)[0]
     hand = make_null_batch(pair, S)
     assert hand.genericity.all()
@@ -836,7 +836,7 @@ def test_batched_normal_forms_reject_bad_rows():
     with pytest.raises(ValueError, match="generic spectrum"):
         canonicalize_batch(pC, mixed)
     N = np.zeros((3, 3), dtype=complex)
-    nil = quat_embed(QMat(nilpotent_null_element(pC), N))
+    nil = quat_embed(nilpotent_null_element(pC), N)
     mixed = make_null_batch(pH, np.stack([bH.S[0], nil]))
     assert mixed.genericity.tolist() == [True, False]
     with pytest.raises(ValueError, match="generic spectrum"):
@@ -1509,7 +1509,7 @@ def test_rays_with_vanishing_cube_are_not_generic(field):
     E = np.zeros((3, 3), dtype=complex)
     E[0, 1] = E[1, 2] = 1.0
     if field == "H":
-        E = quat_embed(QMat(E, np.zeros_like(E)))
+        E = quat_embed(E, np.zeros_like(E))
     assert pair.m.residual(E) < 1e-15
     assert np.abs(E @ E).max() == 1.0 and not (E @ E @ E).any()
     # eig's eigenbasis of E itself is exactly singular: the radius is inf,
@@ -1607,8 +1607,7 @@ def test_cayley_elements_of_isotropy_preserve_carrier_form(field, pq, seed):
     if field == "R":
         assert A.dtype == np.float64
     if field == "H":
-        for a in A:
-            quat_split(a)  # raises unless a keeps the quaternionic pattern
+        quat_blocks(A)  # asserts that each matrix of A keeps the quaternionic pattern
 
 
 def test_draws_make_no_exponential(monkeypatch):

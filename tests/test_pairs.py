@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nullcone.linalg import (
     DEFAULT_TOL,
-    QMat,
     RealSubspace,
     bracket,
     gram_signature,
@@ -25,12 +24,12 @@ from nullcone.pairs import (
     _form_matrix,
     build_pair,
     check_symmetric_axioms,
-    corrupt_pair,
     default_families,
     dimension_table,
     formula_dims,
     isotropy_matrix,
 )
+from pair_helpers import corrupt_pair
 from subspace_reference import kernel_of
 
 ALL_FIELDS = ("R", "C", "H")
@@ -114,8 +113,8 @@ def ref_drop_trace(gens):
     return [g - (traces[i] / tp).real * gens[piv] for i, g in enumerate(gens) if i != piv]
 
 
-def ref_quat_embed(q):
-    return np.block([[q.x, -q.y], [q.y.conj(), q.x.conj()]])
+def ref_quat_embed(X, Y):
+    return np.block([[X, -Y], [Y.conj(), X.conj()]])
 
 
 def ref_generators(fam, variant):
@@ -133,10 +132,10 @@ def ref_generators(fam, variant):
     h_y = [ref_product(F, S) for S in ref_gens("complex_sym", n)]
     m_x = ref_drop_trace([ref_product(F, Hg) for Hg in ref_gens("hermitian", n)])
     m_y = [ref_product(F, A) for A in ref_gens("complex_antisym", n)]
-    h = [ref_quat_embed(QMat(X, zero)) for X in h_x]
-    h += [ref_quat_embed(QMat(zero, Y)) for Y in h_y]
-    m = [ref_quat_embed(QMat(X, zero)) for X in m_x]
-    m += [ref_quat_embed(QMat(zero, Y)) for Y in m_y]
+    h = [ref_quat_embed(X, zero) for X in h_x]
+    h += [ref_quat_embed(zero, Y) for Y in h_y]
+    m = [ref_quat_embed(X, zero) for X in m_x]
+    m += [ref_quat_embed(zero, Y) for Y in m_y]
     return h, m
 
 

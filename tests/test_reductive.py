@@ -16,9 +16,7 @@ from nullcone.pairs import Family, build_pair
 from nullcone.reductive import (
     ReductiveSplit,
     bianchi_defect,
-    canonical_curvature,
     casimir,
-    curvature_eval,
     curvature_tensor,
     einstein_fit,
     frame_casimir,
@@ -26,28 +24,17 @@ from nullcone.reductive import (
     levi_civita_nomizu,
     reductive_split,
     ricci,
-    ricci_canonical,
     ricci_levi_civita,
     torsion_derivation_check,
     torsion_eval,
     wang_ziller_check,
 )
+from pair_helpers import ref_bracket_parts, ref_n_coords
 
 
 # Reference definitions: one form call per entry and one bracket per basis
 # pair or triple.  The library computes the same tensors as contractions of
 # one stacked bracket of the frame; the tests below compare the two.
-
-
-def ref_n_coords(split, X):
-    return np.array([s * split.form(X, e) for s, e in zip(split.eps, split.e_basis)])
-
-
-def ref_bracket_parts(split, u, v):
-    """([u, v]_b, [u, v]_n)."""
-    B = bracket(u, v)
-    Bn = sum(c * e for c, e in zip(ref_n_coords(split, B), split.e_basis))
-    return B - Bn, Bn
 
 
 def ref_torsion(split):
@@ -85,14 +72,18 @@ def ref_ricci_levi_civita(split):
 
 def ref_bianchi_residual(split, u, v, w, torsion=True):
     """Norm of cyclic[R(u, v) w] - cyclic[T(T(u, v), w)] for the canonical
-    connection (without the torsion term if not `torsion`), from the
-    single-argument evaluators, one value per element of stacks u, v, w."""
-    total = np.zeros_like(u)
-    for a, b, c in [(u, v, w), (v, w, u), (w, u, v)]:
-        total = total + curvature_eval(split, a, b, c)
-        if torsion:
-            total = total - torsion_eval(split, torsion_eval(split, a, b), c)
-    return np.linalg.norm(total, axis=(-2, -1))
+    connection (without the torsion term if not `torsion`), one value per
+    element of stacks u, v, w.  R(a, b) c = -[[a, b]_b, c] is read off the
+    brackets and T from torsion_eval."""
+    out = []
+    for x, y, z in zip(u, v, w):
+        total = np.zeros_like(x)
+        for a, b, c in [(x, y, z), (y, z, x), (z, x, y)]:
+            total = total - bracket(ref_bracket_parts(split, a, b)[0], c)
+            if torsion:
+                total = total - torsion_eval(split, torsion_eval(split, a, b), c)
+        out.append(np.linalg.norm(total))
+    return np.array(out)
 
 
 def ref_su21_nabla_J(data, X, Y):
@@ -192,18 +183,15 @@ def test_torsion_free_example(torsion_free_split):
     assert (split.dim_b, split.dim_n) == (1, 2)
     assert np.abs(split.torsion_components).max() < 1e-12
     # with zero torsion both Ricci contractions agree
-    assert_allclose(ricci_canonical(split), ricci_levi_civita(split),
+    assert_allclose(ricci(curvature_tensor(split)), ricci_levi_civita(split),
                     atol=1e-10)
 
 
 def test_abelian_split_is_flat(abelian_split):
     split = abelian_split
     assert np.abs(split.torsion_components).max() == 0.0
-    assert np.abs(ricci_canonical(split)).max() == 0.0
-    rng = np.random.default_rng(0)
-    u = split.n.random_element(rng)
-    v = split.n.random_element(rng)
-    assert np.abs(canonical_curvature(split, u, v)).max() == 0.0
+    assert np.abs(curvature_tensor(split)).max() == 0.0
+    assert np.abs(ricci(curvature_tensor(split))).max() == 0.0
     lam, res = einstein_fit(split)
     assert lam == 0.0 and res == 0.0
 
@@ -237,18 +225,13 @@ def test_torsion_vanishes_on_mixed_null_halves(su21):
 
 
 def test_curvature_basic_identities(su21):
+    # R[i, k] = -R[k, i], and each R[i, k] is skew relative to the metric
+    # diag(eps): K(R(u, v) w, z) = -K(R(u, v) z, w)
     split = su21.split
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        u = split.n.random_element(rng)
-        v = split.n.random_element(rng)
-        w = split.n.random_element(rng)
-        z = split.n.random_element(rng)
-        assert np.abs(canonical_curvature(split, u, u)).max() < 1e-12
-        # the curvature operator is skew relative to the metric
-        lhs = split.form(curvature_eval(split, u, v, w), z)
-        rhs = split.form(curvature_eval(split, u, v, z), w)
-        assert abs(lhs + rhs) < 1e-8
+    R = curvature_tensor(split)
+    assert np.abs(R + np.swapaxes(R, 0, 1)).max() < 1e-12
+    low = split.eps[:, None] * R
+    assert np.abs(low + np.swapaxes(low, -1, -2)).max() < 1e-8
 
 
 def test_bianchi_residual_is_reported_not_asserted(su21):
@@ -271,11 +254,11 @@ def test_einstein_constants(su21, sp21):
 
 
 def test_ricci_symmetry_and_invariance(su21, sp21):
-    R0 = ricci_canonical(su21.split)
+    R0 = ricci(curvature_tensor(su21.split))
     assert_allclose(R0, R0.T, atol=1e-9)
     # invariance under the stabilizer action on the complement
     split = sp21.split
-    R0 = ricci_canonical(split)
+    R0 = ricci(curvature_tensor(split))
     for X in sp21.b_basis[:3]:
         A = np.column_stack([split.n_coords(split.proj_n(bracket(X, e)))
                              for e in split.e_basis])
@@ -345,7 +328,8 @@ def _split(request, name):
 def test_contractions_match_loop_references(request, name):
     split = _split(request, name)
     assert_allclose(split.torsion_components, ref_torsion(split), rtol=0, atol=1e-12)
-    assert_allclose(ricci_canonical(split), ref_ricci_canonical(split), rtol=0, atol=1e-12)
+    assert_allclose(ricci(curvature_tensor(split)), ref_ricci_canonical(split),
+                    rtol=0, atol=1e-12)
     assert_allclose(ricci_levi_civita(split), ref_ricci_levi_civita(split),
                     rtol=0, atol=1e-12)
     if split.b is not None:
@@ -358,13 +342,21 @@ def test_contractions_match_loop_references(request, name):
 def test_single_argument_evaluators_match_brackets(request, name):
     split = _split(request, name)
     rng = np.random.default_rng(6)
-    u, v, w = split.n.random_element(rng, size=3)
-    Bb, Bn = ref_bracket_parts(split, u, v)
+    u, v, _ = split.n.random_element(rng, size=3)
+    _, Bn = ref_bracket_parts(split, u, v)
     assert_allclose(torsion_eval(split, u, v), -Bn, rtol=0, atol=1e-12)
-    assert_allclose(curvature_eval(split, u, v, w), -bracket(Bb, w), rtol=0, atol=1e-12)
-    assert_allclose(canonical_curvature(split, u, v),
-                    np.column_stack([ref_n_coords(split, -bracket(Bb, e))
-                                     for e in split.e_basis]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", SPLITS)
+def test_curvature_tensor_matches_brackets(request, name):
+    # column j of R[i, k] holds the coordinates of -[[e_i, e_k]_b, e_j]
+    split = _split(request, name)
+    E = split.e_basis
+    R = curvature_tensor(split)
+    for i, k in np.ndindex(len(E), len(E)):
+        Bb, _ = ref_bracket_parts(split, E[i], E[k])
+        want = np.column_stack([ref_n_coords(split, -bracket(Bb, e)) for e in E])
+        assert_allclose(R[i, k], want, rtol=0, atol=1e-13)
 
 
 def test_stacked_frame_maps_match_single_matrices(su21, sp21):
@@ -394,12 +386,10 @@ def test_sp21_casimir_and_rho_match_loop_references(sp21):
 @pytest.mark.parametrize("name", SPLITS)
 def test_stacked_evaluators_match_single_elements(request, name):
     split = _split(request, name)
-    u, v, w = split.n.random_element(np.random.default_rng(8), size=12).reshape(
-        (3, 2, 2) + split.e_basis.shape[1:])
+    u, v = split.n.random_element(np.random.default_rng(8), size=8).reshape(
+        (2, 2, 2) + split.e_basis.shape[1:])
     T = torsion_eval(split, u, v)
-    C = canonical_curvature(split, u, v)
-    R = curvature_eval(split, u, v, w)
-    assert T.shape == R.shape == u.shape
+    assert T.shape == u.shape
     # entries reach ~50 in the quaternionic case, so compare against the
     # scale of each matrix
     def same(got, want):
@@ -407,8 +397,6 @@ def test_stacked_evaluators_match_single_elements(request, name):
 
     for idx in np.ndindex(2, 2):
         same(T[idx], torsion_eval(split, u[idx], v[idx]))
-        same(C[idx], canonical_curvature(split, u[idx], v[idx]))
-        same(R[idx], curvature_eval(split, u[idx], v[idx], w[idx]))
 
 
 # The curvature layer: both connections' curvature arrays from one formula,

@@ -42,10 +42,10 @@ from nullcone.cli import main
 from nullcone.linalg import BilinForm, bracket
 from nullcone.reductive import (
     bianchi_defect,
-    curvature_eval,
     curvature_tensor,
     torsion_eval,
 )
+from pair_helpers import ref_bracket_parts
 
 SEEDS = (0, 1, 7)
 TRIALS = 100
@@ -112,16 +112,19 @@ def ref_constant_type_loop(data, trials, rng):
 def ref_bianchi_loop(split, torsion=True):
     """Largest n-coordinate of the cyclic sum of R(u, v) w - T(T(u, v), w)
     (without the torsion term if not `torsion`) over the frame triples, one
-    pair (e_i, e_j) at a time with e_k running over the frame."""
+    pair (e_i, e_j) at a time with e_k running over the frame.  R(a, b) c =
+    -[[a, b]_b, c] is read off the brackets and T from torsion_eval."""
     E = split.e_basis
+    d = len(E)
+    Bb = [[ref_bracket_parts(split, a, b)[0] for b in E] for a in E]
     worst = 0.0
-    for i in range(len(E)):
-        for j in range(len(E)):
-            u, v = np.broadcast_to(E[i], E.shape), np.broadcast_to(E[j], E.shape)
-            total = 0.0
-            for a, b, c in ((u, v, E), (v, E, u), (E, u, v)):
-                total = total + curvature_eval(split, a, b, c)
-                if torsion:
+    for i in range(d):
+        for j in range(d):
+            total = -np.stack([bracket(Bb[i][j], E[k]) + bracket(Bb[j][k], E[i])
+                               + bracket(Bb[k][i], E[j]) for k in range(d)])
+            if torsion:
+                u, v = np.broadcast_to(E[i], E.shape), np.broadcast_to(E[j], E.shape)
+                for a, b, c in ((u, v, E), (v, E, u), (E, u, v)):
                     total = total - torsion_eval(split, torsion_eval(split, a, b), c)
             worst = max(worst, float(np.abs(split.n_coords(total)).max()))
     return worst
