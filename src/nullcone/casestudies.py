@@ -41,7 +41,7 @@ from .linalg import (
     quat_embed,
     signed_gram_schmidt,
 )
-from .orbits import cayley, stabilizers_of_rays
+from .orbits import cayley, require_tangent, stabilizers_of_rays
 from .pairs import Family, SymmetricPair, build_pair
 from .reductive import (
     ReductiveSplit,
@@ -138,23 +138,20 @@ def b_group(phi: float, r: float) -> np.ndarray:
 
 @dataclass
 class CaseStudy:
-    """What both case studies hold: the ray pair, the split with its chart
-    n_space, and the graded frame of n_hat (the complement of the ray pair
-    in m) with the fields of ConformalGrading."""
+    """What both case studies hold: the ray pair, the split (its b is the
+    hard-coded stabilizer) with its chart n_space, and the graded frame of
+    n_hat (the complement of the ray pair in m) with the fields of
+    ConformalGrading."""
 
     a: float
-    mu: complex
     pair: SymmetricPair
     S: np.ndarray
     S_hat: np.ndarray
-    b_basis: list
-    n_basis: list
     split: ReductiveSplit
     n_space: RealSubspace
     n_hat: RealSubspace
     graded_basis: np.ndarray
     Gamma: np.ndarray
-    so_space: RealSubspace
     p_minus: RealSubspace
     p_zero: RealSubspace
     p_plus: RealSubspace
@@ -193,7 +190,8 @@ class SU21Data(CaseStudy):
         """Para-complex structure: +1 on the plus half, -1 on the minus half.
 
         X lies in n (or is a stack of such); n_ginv is the inverse Gram
-        matrix of n_basis, through which frame_coords reads coordinates."""
+        matrix of the chart n_space, through which frame_coords reads
+        coordinates."""
         c = frame_coords(self.pair.form, self.n_space.basis, self.n_ginv, X)
         return self.n_space.combine(c * np.repeat([1.0, -1.0], 3))
 
@@ -204,26 +202,28 @@ class SU21Data(CaseStudy):
 
 
 def _certify_null(pair: SymmetricPair, S: np.ndarray) -> None:
-    """Raise unless the ray vector S lies in m and is null, with the bounds
-    of make_null_batch: membership within 1e-7 max(1, |S|), and
-    |K(S, S)| <= tol.abs."""
-    if pair.m.residual(S) > 1e-7 * max(1.0, np.linalg.norm(S)):
-        raise ValueError("matrix is not in the tangent summand within tolerance")
+    """Raise unless the ray vector S lies in m (require_tangent) and is
+    null, |K(S, S)| <= tol.abs."""
+    require_tangent(pair, S)
     if abs(pair.form(S, S)) > pair.tol.abs:
         raise ValueError("ray vector is not null")
 
 
-def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
+def _case_study_split(field: str, a: float, b_basis: list, n_basis: list,
                       seed: int, tol: Tolerance) -> dict:
     """The ray step both case studies share: the canonical-T (2, 1) pair of
-    the field, S = diag(mu, -2 Re mu, conj(mu)) (its quaternionic image for
-    H) and its partner S_hat, split along the hard-coded stabilizer b_basis,
-    and the graded frame {S_n, e_1..e_d, -S_hat_n} of the tangent summand,
-    S_n = S / (2a sqrt 3), a = Re mu, so that K(S_n, S_hat_n) = -1.  Raises
-    unless b_basis and the chart n_basis lie in h, S is null, b_basis spans
-    the ray stabilizer stabilizers_of_rays computes, n_basis spans the split's
-    n, and the frame has the form matrix Gamma.  Returns the CaseStudy fields."""
+    the field, S = diag(mu, -2 Re mu, conj(mu)), mu = a(1 + i sqrt 3) (its
+    quaternionic image for H) and its partner S_hat, split along the
+    hard-coded stabilizer b_basis, and the graded frame {S_n, e_1..e_d,
+    -S_hat_n} of the tangent summand, S_n = S / (2a sqrt 3), so that
+    K(S_n, S_hat_n) = -1.  Raises unless a is nonzero, b_basis and the chart
+    n_basis lie in h, S is null, b_basis spans the ray stabilizer
+    stabilizers_of_rays computes, n_basis spans the split's n, and the frame
+    has the form matrix Gamma.  Returns the CaseStudy fields."""
+    if a == 0:
+        raise ValueError("the ray parameter a must be nonzero")
     pair = build_pair(Family(field, 2, 1), "canonical-T", tol=tol)
+    mu = a * (1 + 1j * SQRT3)
     S = np.diag([mu, -2 * mu.real, np.conj(mu)]).astype(complex)
     if field == "H":
         S = quat_embed(S, np.zeros((3, 3), dtype=complex))
@@ -234,7 +234,7 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     b_space = RealSubspace(b_basis, tol=tol)
     if stab.dims[0] != len(b_basis) or not b_space.equals(stab.subspace(0, tol)):
         raise ValueError("hard-coded stabilizer disagrees with the computed one")
-    split, a = reductive_split(pair, b_space, rng=seed), float(mu.real)
+    split = reductive_split(pair, b_space, rng=seed)
     n_space = RealSubspace(n_basis, tol=tol)
     if not n_space.equals(split.n):
         raise ValueError("complement chart does not span the computed complement")
@@ -246,17 +246,15 @@ def _case_study_split(field: str, mu: complex, b_basis: list, n_basis: list,
     grading = _conformal_grading(tuple(eps_hat), tol)
     if np.abs(gram_matrix(pair.form, graded) - grading.Gamma).max() > 1e-8:
         raise ValueError("graded frame does not produce the expected form matrix")
-    return dict(a=a, mu=mu, pair=pair, S=S, S_hat=S_hat, b_basis=b_basis, n_basis=n_basis,
-                split=split, n_space=n_space, n_hat=n_hat, graded_basis=graded,
-                **grading._asdict())
+    return dict(a=float(a), pair=pair, S=S, S_hat=S_hat, split=split, n_space=n_space,
+                n_hat=n_hat, graded_basis=graded, **grading._asdict())
 
 
 class ConformalGrading(NamedTuple):
-    """so(Gamma) and its pieces under the grading element diag(1, 0, ..., 0, -1):
+    """The pieces of so(Gamma) under the grading element diag(1, 0, ..., 0, -1):
     degrees -1, 0 and +1 and the stabilizers of the first and last frame line."""
 
     Gamma: np.ndarray
-    so_space: RealSubspace
     p_minus: RealSubspace
     p_zero: RealSubspace
     p_plus: RealSubspace
@@ -332,7 +330,7 @@ def _conformal_grading(eps_hat: tuple, tol: Tolerance) -> ConformalGrading:
     if bad > tol.abs or sum(map(np.count_nonzero, graded)) != len(basis):
         raise ValueError(f"closed-form grading fails its certificate by {bad:.3e}")
     return ConformalGrading(Gamma, *(RealSubspace(basis[m], tol=tol) for m in
-                                     [slice(None)] + graded + [keep for keep, _ in lines]))
+                                     graded + [keep for keep, _ in lines]))
 
 
 def grading_report(data: CaseStudy, study: str) -> Report:
@@ -347,7 +345,7 @@ def grading_report(data: CaseStudy, study: str) -> Report:
     rep.equals(f"{study}_parabolic_dims", (data.p_full.dim, data.p_hat.dim),
                ((d + 2) * (d + 1) // 2 - d,) * 2,
                anchor="ray stabilizers inside the orthogonal algebra")
-    wb = _grading_defect(data.Gamma, data.rho(np.stack(data.b_basis)), 0)
+    wb = _grading_defect(data.Gamma, data.rho(data.split.b.basis), 0)
     rep.residual(f"{study}_b_inside_p0", wb, 1e-8,
                  anchor="the stabilizer image sits in the degree-zero piece")
     lo, mid, hi = (np.ascontiguousarray(p.basis.real) for p in (pm, p0, pp))
@@ -420,22 +418,21 @@ def _doubled(data: CaseStudy) -> CaseStudy:
     """The case study at a = 2a, derived from `data` instead of rebuilt.
 
     2S spans the ray of S, so the stabilizer, the split, the complements and
-    the graded frame (S / (2a sqrt 3)) are those of `data`; only a, mu, S
-    and S_hat double, and doubling is exact in floating point.  The doubled
+    the graded frame (S / (2a sqrt 3)) are those of `data`; only a, S and
+    S_hat double, and doubling is exact in floating point.  The doubled
     ray keeps its own nullity certificate.
     """
     S = 2 * data.S
     _certify_null(data.pair, S)
-    return replace(data, a=2 * data.a, mu=2 * data.mu, S=S, S_hat=2 * data.S_hat)
+    return replace(data, a=2 * data.a, S=S, S_hat=2 * data.S_hat)
 
 
 def model_report(data: CaseStudy, study: str, seed: int, trials: int, *,
-                 einstein: float, casimir_multiple: float, casimir_name: str,
-                 isometry=None) -> Report:
+                 einstein: float, casimir_multiple: float, casimir_name: str) -> Report:
     """The checks every homogeneous model reports, named `<study>_...`: the
     Einstein fit, the torsion derivation, the generic-frame Casimir (named
-    `<study>_<casimir_name>`) with its Wang-Ziller fit, n against n_hat
-    (through the chart map `isometry` when given), the grading, the duality
+    `<study>_<casimir_name>`) with its Wang-Ziller fit, n against n_hat by
+    dimension and signature, the grading, the duality
     identity over `trials` pairs and the first-Bianchi residual of the
     canonical connection over the frame triples, reported only."""
     rep = Report(suite=study, seed=seed)
@@ -453,7 +450,7 @@ def model_report(data: CaseStudy, study: str, seed: int, trials: int, *,
     rep.equals(f"{study}_wang_ziller", wz_ok, True,
                anchor="Casimir is a multiple of the identity")
     rep.info(f"{study}_wang_ziller_constant", wz_c, anchor="fitted Casimir multiple")
-    hk, note = homothety_check(data.split, data.n_hat, isometry=isometry)
+    hk, note = homothety_check(data.split, data.n_hat)
     rep.equals(f"{study}_partner_complement_matches", hk, True, anchor=note)
     rep.absorb(grading_report(data, study))
     rep.absorb(duality_identity(data, study, trials=trials, rng=seed))
@@ -466,12 +463,10 @@ def model_report(data: CaseStudy, study: str, seed: int, trials: int, *,
 def su21_build(a: float = 1.0, seed: int = 0,
                tol: Tolerance = DEFAULT_TOL) -> SU21Data:
     """Construct and cross-check the complex (2, 1) case study."""
-    if a == 0:
-        raise ValueError("the ray parameter a must be nonzero")
     b_basis = [b_diag(1, 0), b_diag(0, 1)]
     n_basis = [v_plus(1, 0), v_plus(1j, 0), v_plus(0, 1),
                v_minus(1, 0), v_minus(1j, 0), v_minus(0, 1)]
-    study = _case_study_split("C", a * (1 + 1j * SQRT3), b_basis, n_basis, seed, tol)
+    study = _case_study_split("C", a, b_basis, n_basis, seed, tol)
     form = study["pair"].form
     if gram_signature(form, study["n_space"])[1][:2] != (3, 3):
         raise ValueError("unexpected complement signature")
@@ -491,7 +486,7 @@ def su21_invariants(data: SU21Data, rng=1) -> Report:
     null = max(np.abs(gram_matrix(K, plus)).max(), np.abs(gram_matrix(K, minus)).max())
     rep.residual("su21_n_halves_totally_null", float(null), tol.abs,
                  anchor="each half of the complement is totally null")
-    mixed = max_bracket_residual(plus, RealSubspace(data.b_basis), minus)
+    mixed = max_bracket_residual(plus, data.split.b, minus)
     rep.residual("su21_bracket_mixed_into_b", mixed, tol.abs,
                  anchor="mixed brackets land in the stabilizer")
     pp = max_bracket_residual(plus, data.n_minus)
@@ -716,14 +711,9 @@ class SP21Data(CaseStudy):
     eps_A: np.ndarray
 
 
-def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
+def sp21_build(a: float = 1.0, seed: int = 0,
                tol: Tolerance = DEFAULT_TOL) -> SP21Data:
     """Construct and cross-check the quaternionic (2, 1) case study."""
-    if mu is None:
-        mu = a * (1 + 1j * SQRT3)
-    a = float(mu.real)
-    if a == 0 or abs(mu.imag**2 - 3 * a * a) > 1e-9 * abs(mu) ** 2:
-        raise ValueError("need mu = a(1 + i sqrt(3)) with nonzero a for a null ray")
     b_basis = [B_elem(1, 0, 0, 0, 0), B_elem(1j, 0, 0, 0, 0), B_elem(0, 1, 0, 0, 0),
                B_elem(0, 0, 1, 0, 0), B_elem(0, 0, 1j, 0, 0),
                B_elem(0, 0, 0, 1, 0), B_elem(0, 0, 0, 1j, 0),
@@ -734,7 +724,7 @@ def sp21_build(mu: complex | None = None, seed: int = 0, a: float = 1.0,
                N_elem(0, 0, 0, 0, 1, 0, 0), N_elem(0, 0, 0, 0, 1j, 0, 0),
                N_elem(0, 0, 0, 0, 0, 1, 0), N_elem(0, 0, 0, 0, 0, 1j, 0),
                N_elem(0, 0, 0, 0, 0, 0, 1), N_elem(0, 0, 0, 0, 0, 0, 1j)]
-    study = _case_study_split("H", mu, b_basis, n_basis, seed, tol)
+    study = _case_study_split("H", a, b_basis, n_basis, seed, tol)
     s2 = 1 / np.sqrt(2.0)
     A_basis = [B_elem(0, 1, 0, 0, 0), B_elem(0, 0, 0, 1, 0), B_elem(0, 0, 0, 1j, 0),
                s2 * B_elem(1j, 0, 0, 0, 0), s2 * B_elem(0, 0, 1, 0, 1),
@@ -781,7 +771,7 @@ def sp21_action_formulas(data: SP21Data, trials: int = 100, rng=0) -> Report:
     rep = Report(suite="sp21_actions")
     tol = data.pair.tol
     rep.residual("sp21_action_zero", float(np.linalg.norm(
-        bracket(B_elem(0, 0, 0, 0, 0), data.n_basis[0]))), tol.abs,
+        bracket(B_elem(0, 0, 0, 0, 0), data.n_space.basis[0]))), tol.abs,
         anchor="zero stabilizer element acts as zero")
     # per trial: ix, then (re, im) pairs of y, z1, z2, y2, y3, then x1 and
     # x2, then (re, im) pairs of y1, z, yy, w
@@ -828,7 +818,8 @@ def sp21_hatn_isometry(data: SP21Data) -> Report:
     rep = Report(suite="sp21_isometry")
     pair = data.pair
     tol = pair.tol
-    imgs = np.stack([hatn_isometry_map(N) for N in data.n_basis])
+    chart = data.n_space.basis
+    imgs = np.stack([hatn_isometry_map(N) for N in chart])
     in_m = float(pair.m.residual(imgs).max())
     rep.residual("sp21_isometry_lands_in_m", in_m, tol.abs,
                  anchor="images lie in the tangent summand")
@@ -836,7 +827,7 @@ def sp21_hatn_isometry(data: SP21Data) -> Report:
     perp = float(np.abs(gram_matrix(K, imgs, np.stack([data.S, data.S_hat]))).max())
     rep.residual("sp21_isometry_perp_to_rays", perp, tol.abs,
                  anchor="images are orthogonal to the ray pair")
-    G_src = gram_matrix(K, data.n_basis)
+    G_src = gram_matrix(K, chart)
     G_img = gram_matrix(K, imgs)
     rep.residual("sp21_isometry_gram_equal",
                  float(np.abs(G_src - G_img).max()), tol.abs,
@@ -845,7 +836,7 @@ def sp21_hatn_isometry(data: SP21Data) -> Report:
     rep.equals("sp21_isometry_bijective", rank, 12,
                anchor="the chart map has full rank")
     # rho(n) meets p_hat = p_0 + p_- where both positive degrees and so(Gamma) residual vanish
-    R, G = data.rho(np.stack(data.n_basis)), data.Gamma
+    R, G = data.rho(chart), data.Gamma
     w = _grading_weights(len(G))
     s = np.linalg.svd(np.hstack([R[:, w[:, None] - w > 0], (np.swapaxes(R, 1, 2) @ G + G @ R)
                                  .reshape(len(R), -1)]), compute_uv=False)
@@ -936,8 +927,7 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0) -> Report:
     der = np.concatenate([phi_sl2(one + sl2) - phi_sl2(one),
                           phi_sp1(1 + imag_u, imag_v) - phi_sp1(1, 0)])
     span = RealSubspace(der, tol=tol)
-    b_space = RealSubspace(data.b_basis, tol=tol)
-    rep.equals("sp21_embed_derivative_span", span.equals(b_space), True,
+    rep.equals("sp21_embed_derivative_span", span.equals(data.split.b), True,
                anchor="derivative algebra of the embeddings is the stabilizer")
     # a group element integrated from a derivative element stays in the group
     Z = span.random_element(rng, norm=0.7)
@@ -962,7 +952,6 @@ def sp21_report(seed: int = 0, trials: int = 100, tol: Tolerance = DEFAULT_TOL) 
                  float(np.abs(chi - 6.0 * np.eye(12)).max()), 1e-8,
                  anchor="Casimir of the explicit nine-frame acts as six times the identity")
     rep.absorb(model_report(s, "sp21", seed, trials, einstein=7.0, casimir_multiple=6.0,
-                            casimir_name="casimir_generic_frame",
-                            isometry=hatn_isometry_map))
+                            casimir_name="casimir_generic_frame"))
     rep.absorb(duality_identity(_doubled(s), "sp21", trials=trials, rng=seed), "a2_")
     return rep

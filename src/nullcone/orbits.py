@@ -302,15 +302,24 @@ def _spectral_order(vals: np.ndarray, gap: np.ndarray):
     return order, r, lower.sum(axis=1) == r
 
 
+def require_tangent(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
+    """Raise unless S (one matrix or a stack) lies in the tangent summand
+    within 1e-7 max(1, |S|_F), per matrix; returns the max(1, |S|_F)."""
+    scale = np.maximum(1.0, np.linalg.norm(S, axis=(-2, -1)))
+    if np.any(pair.m.residual(S) > 1e-7 * scale):
+        raise ValueError("matrix is not in the tangent summand within tolerance")
+    return scale
+
+
 def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch:
     """Membership, nullity and genericity certificates for a stack (k, N, N).
 
-    Raises if a row is not in the tangent summand (which also holds it
-    traceless); one stacked residual (two products with m's frame) tests
-    membership.  The eigenpairs come from eigen = (values, vectors), laid
-    out as NullBatch.eigenvalues and NullBatch.vectors (a draw supplies
-    the ones it was built from), or, when it is None, from one stacked eig,
-    whose doubled H spectrum is paired by nearest values (_doubled_pairs).
+    Raises if a row is not in the tangent summand (require_tangent, which
+    also holds it traceless).  The eigenpairs come from eigen = (values,
+    vectors), laid out as NullBatch.eigenvalues and NullBatch.vectors (a
+    draw supplies the ones it was built from), or, when it is None, from
+    one stacked eig, whose doubled H spectrum is paired by nearest values
+    (_doubled_pairs).
     The pairs are put in the batch's order (_spectral_order), which also
     gives the corner size, and then pass one certificate
     (_eigen_certificate), whose V^-1 the batch keeps: a row is generic when
@@ -324,9 +333,7 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch
     S = S.astype(float if pair.family.field == "R" and not np.iscomplexobj(S) else complex,
                  copy=False)
     k = len(S)
-    scale = np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
-    if np.any(pair.m.residual(S) > 1e-7 * scale):
-        raise ValueError("matrix is not in the tangent summand within tolerance")
+    scale = require_tangent(pair, S)
     nullity = np.abs(pair.form(S, S))
     quaternionic = pair.family.field == "H"
     if eigen is None:

@@ -283,31 +283,18 @@ def wang_ziller_check(chi: np.ndarray):
     return residual <= 1e-8 * max(1.0, abs(c)), c
 
 
-def homothety_check(split: ReductiveSplit, n_hat: RealSubspace, isometry=None):
+def homothety_check(split: ReductiveSplit, n_hat: RealSubspace):
     """Compare n with n_hat, the orthogonal complement of the ray pair
     span{S, S_hat} in m that the caller built.
 
     Equality of dimension plus equality of signatures (up to an overall
-    sign swap) decides linear isometry; when an explicit map n -> m is
-    supplied its Gram matrix is compared entrywise as well.
-    Returns (ok, note).
+    sign swap) decides linear isometry.  Returns (ok, note).
     """
-    pair = split.pair
-    tol = pair.tol
-    _, sig_n = gram_signature(pair.form, split.n)
-    _, sig_hat = gram_signature(pair.form, n_hat)
+    _, sig_n = gram_signature(split.form, split.n)
+    _, sig_hat = gram_signature(split.form, n_hat)
     ok = split.n.dim == n_hat.dim
     sig_match = (sig_n == sig_hat) or (sig_n == (sig_hat[1], sig_hat[0], sig_hat[2]))
     ok = ok and sig_match and sig_n[2] == 0
     note = (f"dim n = {split.n.dim}, dim n_hat = {n_hat.dim}, "
             f"signatures {sig_n[:2]} vs {sig_hat[:2]}")
-    if isometry is not None:
-        imgs = np.stack([isometry(e) for e in split.e_basis])
-        G_src = gram_matrix(split.form, split.e_basis)
-        G_img = gram_matrix(split.form, imgs)
-        res = float(np.abs(G_src - G_img).max())
-        in_hat = float(n_hat.residual(imgs).max())
-        rank = RealSubspace.span(imgs, tol).dim
-        ok = ok and res <= 1e-8 and in_hat <= 1e-8 and rank == split.n.dim
-        note += f"; explicit map gram residual {res:.2e}, rank {rank}"
     return ok, note

@@ -245,8 +245,8 @@ def test_criterion_9_negative_controls():
 
     # perturbed stabilizer basis must break the derivation identity
     import dataclasses
-    bad_b = RealSubspace([data.b_basis[0],
-                          data.b_basis[1] + 0.05 * data.n_basis[0]])
+    b = data.split.b.basis
+    bad_b = RealSubspace([b[0], b[1] + 0.05 * data.n_space.basis[0]])
     bad_split = dataclasses.replace(data.split, b=bad_b)
     results.append(torsion_derivation_check(bad_split).n_fail > 0)
 

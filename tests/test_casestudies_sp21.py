@@ -27,6 +27,7 @@ from nullcone.casestudies import (
 )
 from nullcone.linalg import (
     DEFAULT_TOL,
+    RealSubspace,
     algebra_profile,
     bracket,
     quat_embed,
@@ -95,22 +96,26 @@ def test_grading_blocks(data):
 
 
 def test_orthogonal_algebra_is_the_kernel_of_the_form_condition(data):
-    # reference: the kernel of A -> A^T Gamma + Gamma A over all 14 x 14 matrices
+    # reference: the kernel of A -> A^T Gamma + Gamma A over all 14 x 14
+    # matrices; the three graded pieces together span it
     ref = orthogonal_algebra(data.Gamma)
-    assert data.so_space.dim == ref.dim == 91
-    assert data.so_space.equals(ref)
+    so = RealSubspace(np.concatenate([data.p_minus.basis, data.p_zero.basis,
+                                      data.p_plus.basis]))
+    assert so.dim == ref.dim == 91
+    assert so.equals(ref)
+
+
+GRADED_PIECES = ("p_full", "p_hat", "p_minus", "p_zero", "p_plus")
 
 
 def test_build_leaves_the_orthogonal_algebra_without_a_frame():
     # the grading element is tested against A^T Gamma + Gamma A = 0 directly;
-    # the 392 x 91 frame of so(14) is built only if a later check asks for it.
-    # Builds share so(14) through the grading cache, and earlier checks
-    # build its frame there, so the build under test starts from an empty cache
+    # no frame of a graded piece is built unless a later check asks for it.
+    # Builds share the pieces through the grading cache, and earlier checks
+    # build their frames there, so the build under test starts from an empty cache
     casestudies._conformal_grading.cache_clear()
-    assert "frame" not in vars(sp21_build().so_space)
-
-
-GRADED_PIECES = ("so_space", "p_full", "p_hat", "p_minus", "p_zero", "p_plus")
+    data = sp21_build()
+    assert not any("frame" in vars(getattr(data, name)) for name in GRADED_PIECES)
 
 
 def test_one_report_builds_the_grading_once():
@@ -127,9 +132,12 @@ def test_doubled_data_is_the_a2_build(seed):
     # what a fresh build at a = 2 computes, bit for bit
     got = casestudies._doubled(sp21_build(seed=seed))
     want = sp21_build(a=2.0, seed=seed)
-    assert (got.a, got.mu) == (want.a, want.mu) == (2.0, 2 * (1 + 1j * np.sqrt(3.0)))
-    for name in ("graded_basis", "S", "S_hat", "b_basis", "n_basis"):
+    assert got.a == want.a == 2.0
+    assert got.S[0, 0] == want.S[0, 0] == 2 * (1 + 1j * np.sqrt(3.0))
+    for name in ("graded_basis", "S", "S_hat"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.split.b.basis, want.split.b.basis)
+    assert np.array_equal(got.n_space.basis, want.n_space.basis)
     assert np.array_equal(got.split.e_basis, want.split.e_basis)
     assert np.array_equal(got.split.eps, want.split.eps)
 
@@ -163,8 +171,8 @@ def test_each_sign_pattern_has_its_own_grading():
     flipped = casestudies._conformal_grading(tuple(-e for e in eps), DEFAULT_TOL)
     assert casestudies._conformal_grading.cache_info().currsize == 2
     assert np.array_equal(np.diag(flipped.Gamma)[1:13], -np.diag(data.Gamma)[1:13])
-    assert not flipped.so_space.equals(data.so_space)
-    assert casestudies._conformal_grading(eps, DEFAULT_TOL).so_space is data.so_space
+    assert not flipped.p_plus.equals(data.p_plus)
+    assert casestudies._conformal_grading(eps, DEFAULT_TOL).p_plus is data.p_plus
 
 
 def test_grading_report(data):
@@ -191,6 +199,25 @@ def test_grading_bracket_relations(data):
 def test_isometry_report(data):
     rep = sp21_hatn_isometry(data)
     assert rep.ok, rep.failures()
+
+
+@pytest.mark.parametrize("name,chart_map,observed", [
+    # the map without the sign flip of x2 changes a pairing by 2
+    ("sp21_isometry_gram_equal", lambda S: lambda N: Nhat_elem(*n_params(N)), 2.0),
+    # a null ray added to the images keeps every pairing but meets S_hat:
+    # K(0.1 S, S_hat) = -1.2
+    ("sp21_isometry_perp_to_rays",
+     lambda S: lambda N: hatn_isometry_map(N) + 0.1 * n_params(N)[2] * S, 1.2),
+], ids=["no_flip", "plus_ray"])
+def test_isometry_report_catches_a_wrong_chart_map(data, monkeypatch, name, chart_map,
+                                                   observed):
+    monkeypatch.setattr(casestudies, "hatn_isometry_map", chart_map(data.S))
+    rep = sp21_hatn_isometry(data)
+    status = {c.name: c.status for c in rep.checks}
+    [check] = [c for c in rep.checks if c.name == name]
+    assert check.status == "fail" and check.observed == pytest.approx(observed, rel=1e-12)
+    del status[name]
+    assert set(status.values()) == {"pass"}
 
 
 def test_isometry_map_is_linear_chart_flip(data):
@@ -262,7 +289,5 @@ def test_stabilizer_elements_from_chart(data):
 
 
 def test_build_validation():
-    with pytest.raises(ValueError):
-        sp21_build(mu=0.0)
-    with pytest.raises(ValueError):
-        sp21_build(mu=1.0 + 1.0j)
+    with pytest.raises(ValueError, match="nonzero"):
+        sp21_build(a=0.0)

@@ -21,7 +21,7 @@ from nullcone.casestudies import (
 )
 from nullcone.linalg import DEFAULT_TOL, bracket
 from nullcone.reductive import einstein_fit, torsion_eval
-from nullcone.orbits import stabilizers_of_rays
+from nullcone.orbits import make_null_batch, stabilizers_of_rays
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +31,13 @@ def data():
 
 def lstsq_J(data, X):
     """Reference para-complex structure: least-squares coordinates in
-    n_basis, summed term by term with the signs of the two halves."""
+    the chart n_space, summed term by term with the signs of the two halves."""
     c = data.n_space.coords(X)
     out = np.zeros((3, 3), dtype=complex)
     for i in range(3):
-        out += c[i] * data.n_basis[i]
+        out += c[i] * data.n_space.basis[i]
     for i in range(3, 6):
-        out -= c[i] * data.n_basis[i]
+        out -= c[i] * data.n_space.basis[i]
     return out
 
 
@@ -68,28 +68,48 @@ def test_stabilizer_is_two_dimensional(data):
     assert st.subspace(0).equals(data.split.b)
 
 
+def bases(data):
+    """The hard-coded stabilizer and chart bases as the lists the ray step takes."""
+    return list(data.split.b.basis), list(data.n_space.basis)
+
+
 def test_ray_step_refuses_a_b_basis_that_is_not_the_stabilizer(data):
     # negative control: with b_diag(0, 1) swapped for v_plus(1, 0) the basis
     # still lies in h and has the stabilizer's dimension, but does not span it
-    b_basis = [data.b_basis[0], data.n_basis[0]]
+    b, n = bases(data)
+    b_basis = [b[0], n[0]]
     assert data.pair.h.residual(np.stack(b_basis)).max() < 1e-12
     with pytest.raises(ValueError, match="hard-coded stabilizer disagrees"):
-        casestudies._case_study_split("C", data.mu, b_basis, data.n_basis, 0, DEFAULT_TOL)
+        casestudies._case_study_split("C", data.a, b_basis, n, 0, DEFAULT_TOL)
 
 
 def test_ray_step_refuses_a_chart_element_outside_h(data):
     # negative control: the ray S lies in m, so as a chart element it is not in h
-    n_basis = data.n_basis[:-1] + [data.S]
+    b, n = bases(data)
     with pytest.raises(ValueError, match="escapes the isotropy algebra"):
-        casestudies._case_study_split("C", data.mu, data.b_basis, n_basis, 0, DEFAULT_TOL)
+        casestudies._case_study_split("C", data.a, b, n[:-1] + [data.S], 0, DEFAULT_TOL)
 
 
 def test_ray_step_refuses_a_chart_that_misses_the_complement(data):
     # negative control: with v_minus(0, 1) swapped for a stabilizer element
     # the chart still lies in h, but it no longer spans the split's n
-    n_basis = data.n_basis[:-1] + [data.b_basis[0]]
+    b, n = bases(data)
     with pytest.raises(ValueError, match="does not span the computed complement"):
-        casestudies._case_study_split("C", data.mu, data.b_basis, n_basis, 0, DEFAULT_TOL)
+        casestudies._case_study_split("C", data.a, b, n[:-1] + [b[0]], 0, DEFAULT_TOL)
+
+
+def test_ray_membership_is_the_census_rule(data):
+    # the case-study ray and a census batch are held in m by one rule,
+    # require_tangent: an h-component of 1e-8 max(1, |S|) passes, 1e-6 fails
+    h = data.split.b.basis[0] / np.linalg.norm(data.split.b.basis[0])
+    scale = max(1.0, np.linalg.norm(data.S))
+    casestudies._certify_null(data.pair, data.S + 1e-8 * scale * h)
+    make_null_batch(data.pair, (data.S + 1e-8 * scale * h)[None])
+    S = data.S + 1e-6 * scale * h
+    with pytest.raises(ValueError, match="tangent summand"):
+        casestudies._certify_null(data.pair, S)
+    with pytest.raises(ValueError, match="tangent summand"):
+        make_null_batch(data.pair, S[None])
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -97,7 +117,8 @@ def test_doubled_data_is_the_a2_build(seed):
     # 2S spans the ray of S and doubling is exact, as for the quaternionic study
     got = casestudies._doubled(su21_build(seed=seed))
     want = su21_build(a=2.0, seed=seed)
-    assert (got.a, got.mu) == (want.a, want.mu) == (2.0, 2 * (1 + 1j * SQRT3))
+    assert got.a == want.a == 2.0
+    assert got.S[0, 0] == want.S[0, 0] == 2 * (1 + 1j * SQRT3)
     for name in ("graded_basis", "S", "S_hat", "n_ginv"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(got.split.e_basis, want.split.e_basis)

@@ -31,6 +31,12 @@ PATTERNS = {
 PIECES = ("p_minus", "p_zero", "p_plus", "p_full", "p_hat")
 
 
+def so_of(grading):
+    """so(Gamma) as the span of the three graded pieces of a grading."""
+    return RealSubspace(np.concatenate([grading.p_minus.basis, grading.p_zero.basis,
+                                        grading.p_plus.basis]))
+
+
 def form_matrix(eps):
     N = len(eps) + 2
     G = np.zeros((N, N))
@@ -64,8 +70,8 @@ def test_closed_form_pieces_are_the_kernel_of_pieces(pattern):
     got = _conformal_grading(eps, DEFAULT_TOL)
     so, want = kernel_of_grading(eps)
     assert np.array_equal(got.Gamma, form_matrix(eps))
-    assert got.so_space.dim == so.dim == (d + 2) * (d + 1) // 2
-    assert got.so_space.equals(so)
+    assert so_of(got).dim == so.dim == (d + 2) * (d + 1) // 2
+    assert so_of(got).equals(so)
     parabolic = (d + 2) * (d + 1) // 2 - d
     dims = (d, d * (d - 1) // 2 + 1, d, parabolic, parabolic)
     for name, dim in zip(PIECES, dims):
@@ -210,9 +216,10 @@ def test_su21_grading_frame():
 
 @pytest.mark.parametrize("check,change", [
     ("grading_dims", lambda d: {"p_minus": RealSubspace(d.p_minus.basis[:-1])}),
-    ("parabolic_dims", lambda d: {"p_full": d.so_space}),
+    ("parabolic_dims", lambda d: {"p_full": so_of(d)}),
     # the complement is graded of degree -1 and +1, not 0
-    ("b_inside_p0", lambda d: {"b_basis": d.n_basis[:2]}),
+    ("b_inside_p0", lambda d: {"split": dataclasses.replace(
+        d.split, b=RealSubspace(d.n_space.basis[:2]))}),
     ("grading_brackets", lambda d: {"p_plus": perturbed(d.p_plus, 0, (1, 1), 1e-3)}),
 ], ids=["dims", "parabolic", "b", "brackets"])
 def test_each_grading_check_has_a_failing_control(data, check, change):
@@ -224,13 +231,16 @@ def test_each_grading_check_has_a_failing_control(data, check, change):
 
 
 def test_pieces_are_real_and_disjointly_supported(data):
-    for name in ("so_space",) + PIECES:
+    for name in PIECES:
         piece = getattr(data, name)
         assert not np.abs(piece.basis.imag).any(), name
         assert not piece._block.any(), name
-    # the basis is Gamma (E_ab - E_ba) in triu_indices order, bit for bit
-    # as one matrix at a time builds it
+    # each basis is the piece's members of Gamma (E_ab - E_ba) in triu_indices
+    # order, bit for bit as one matrix at a time builds them
     unit = np.eye(len(data.Gamma))
-    want = RealSubspace([data.Gamma @ (np.outer(unit[i], unit[j]) - np.outer(unit[j], unit[i]))
-                         for i, j in zip(*np.triu_indices(len(unit), 1))])
-    assert data.so_space._mat.tobytes() == want._mat.tobytes()
+    so = np.stack([data.Gamma @ (np.outer(unit[i], unit[j]) - np.outer(unit[j], unit[i]))
+                   for i, j in zip(*np.triu_indices(len(unit), 1))])
+    for name in PIECES:
+        piece = getattr(data, name)
+        want = RealSubspace(so[piece.contains(so)])
+        assert piece._mat.tobytes() == want._mat.tobytes(), name

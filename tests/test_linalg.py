@@ -30,7 +30,7 @@ from nullcone.linalg import (
 )
 from nullcone.pairs import Family, build_pair
 from pair_helpers import quat_blocks
-from subspace_reference import intersection, kernel_of
+from subspace_reference import intersection, kernel_of, orthogonal_algebra
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -362,9 +362,9 @@ SO14_MAPS = {
 @pytest.mark.parametrize("piece", SO14_MAPS)
 def test_kernel_of_matches_the_per_matrix_build_on_so14(piece):
     grading = _conformal_grading((1.0,) * 5 + (-1.0,) * 7, DEFAULT_TOL)
-    check_kernel_of(grading.so_space, SO14_MAPS[piece])
-    assert getattr(grading, piece).equals(
-        per_matrix_kernel(grading.so_space, SO14_MAPS[piece]))
+    so = orthogonal_algebra(grading.Gamma)
+    check_kernel_of(so, SO14_MAPS[piece])
+    assert getattr(grading, piece).equals(per_matrix_kernel(so, SO14_MAPS[piece]))
 
 
 def test_intersection_dimension():

@@ -67,6 +67,9 @@ def test_options_no_caller_sets_are_constants():
     options = {orbits.sample_null_batch: "max_tries",
                linalg.signed_gram_schmidt: "max_remix",
                casestudies.su21_ad_action: "phi",
+               casestudies.sp21_build: "mu",
+               casestudies.model_report: "isometry",
+               reductive.homothety_check: "isometry",
                reductive.einstein_fit: "ric"}
     for fn, name in options.items():
         assert name not in inspect.signature(fn).parameters
@@ -76,6 +79,11 @@ def test_options_no_caller_sets_are_constants():
     assert [f.name for f in dataclasses.fields(orbits.NullBatch)] == [
         "S", "eigenvalues", "vectors", "inverse", "genericity", "nullity_residual", "gap",
         "corner"]
+    # the record holds the ray parameter once, b and n once, as their subspaces
+    # split.b and n_space, and no subspace that no report reads
+    held = {f.name for f in dataclasses.fields(casestudies.CaseStudy)}
+    assert held.isdisjoint({"mu", "b_basis", "n_basis", "so_space"})
+    assert "so_space" not in casestudies.ConformalGrading._fields
 
 
 @pytest.mark.parametrize("study,report", [("su21", su21_report), ("sp21", sp21_report)])
@@ -96,9 +104,9 @@ def test_model_report_is_one_body_for_both_studies():
         "su21": (casestudies.su21_build(), dict(
             einstein=2.5, casimir_multiple=2.0, casimir_name="casimir_multiple")),
         "sp21": (casestudies.sp21_build(), dict(
-            einstein=7.0, casimir_multiple=6.0, casimir_name="casimir_generic_frame",
-            isometry=casestudies.hatn_isometry_map)),
+            einstein=7.0, casimir_multiple=6.0, casimir_name="casimir_generic_frame")),
     }
+    assert models["su21"][1].keys() == models["sp21"][1].keys()
     for fn in (casestudies.model_report, casestudies.duality_identity):
         body = inspect.getsource(fn)
         assert "su21" not in body and "sp21" not in body
