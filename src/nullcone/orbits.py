@@ -81,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed
+from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed, unrealify
 from .pairs import SymmetricPair, t_form
 from .report import Report
 
@@ -92,7 +92,8 @@ SAMPLE_ROUNDS = 60  # sample_null_batch redraws rejected rows at most this often
 # trial_blocks cuts a run of rays into blocks whose arrays stay within this
 # many bytes, counted per ray of the stabilizer route in use: a few hundred
 # rays of a 3 x 3 pair fit in one block, one ray of the quaternionic (6, 5)
-# pair fills it, so memory does not grow with the number of trials.
+# pair fills it, so memory does not grow with the number of trials.  The
+# stabilizer system brackets h in runs of generators within it as well.
 BLOCK_BYTES = 1 << 20
 # ray stabilizer dimension of a generic null vector, by field and n = p + q,
 # and of a representative of each (R, 2, 1) stratum
@@ -188,8 +189,11 @@ def _ray_bytes(pair: SymmetricPair, commutant: bool) -> int:
     and the route's largest phase, d the generic stabilizer dimension and
     c = dim h + 1.  Commutant: the projector of side dim C(S) and its
     factors, or five (d, N, N) basis and residual stacks.  SVD: the bracket
-    stacks and the projected systems, three dim m x c systems and two c x c
-    V, or V and four (d, N, N) kernel-basis stacks."""
+    stacks of all of h and the projected systems (a census block at (2, 1)
+    or (3, 2) brackets h in one run, _generator_step), three dim m x c
+    systems and two c x c V, or V and four (d, N, N) kernel-basis stacks.
+    The frame rows of m that _stabilizer_system projects with are held once
+    per call, not per ray, and are not counted."""
     field = pair.family.field
     N, d = pair.carrier_dim, EXPECTED_STAB_DIM[field](pair.family.n)
     own = 16 * 12 * N * N
@@ -206,7 +210,16 @@ def _ray_bytes(pair: SymmetricPair, commutant: bool) -> int:
 def trial_blocks(pair: SymmetricPair, k: int, commutant: bool) -> list[int]:
     """Sizes of the blocks k trials are cut into, at least one ray each, so
     that a block's arrays on the given route stay within BLOCK_BYTES; one
-    ray (_ray_bytes) is kept back for LAPACK's workspace and the reference."""
+    ray (_ray_bytes) is kept back for LAPACK's workspace and the reference.
+
+    The reference (stabilizers_report's first ray) is one SVD-route system
+    whatever the route: its system and frame rows, and one run of brackets
+    within BLOCK_BYTES (_stabilizer_system).  At (2, 1) and (3, 2) a full
+    block with its reference stays within BLOCK_BYTES.  On the commutant
+    route at (6, 5) its system and frame rows alone (0.09 MB for R, 0.35
+    for C, 1.4 for H) outgrow that ray, and come on top of the block:
+    traced, a full block with its reference peaks at 0.5 MB for R, 1.2 for
+    C and 2.5 for H; at (10, 9) at 1.1, 4.2 and 14.8 MB."""
     step = max(1, BLOCK_BYTES // _ray_bytes(pair, commutant) - 1)
     return [min(step, k - a) for a in range(0, k, step)]
 
@@ -497,47 +510,75 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
 # ---------------------------------------------------------------------------
 
 
+def _generator_step(pair: SymmetricPair, k: int) -> int:
+    """Generators of h that _stabilizer_system brackets with k rays at once,
+    at least one, so that their arrays stay within BLOCK_BYTES: per
+    generator, k rays' two bracket stacks (rows real numbers each, as in
+    _ray_bytes) and their projections onto m, and the generator itself as
+    at most three (N, N) complex copies (unpacked, its top rows, side by
+    side).  A census block at (2, 1) or (3, 2) takes all of h in one run."""
+    N, field = pair.carrier_dim, pair.family.field
+    rows = 2 * N * N if field == "C" else N * N
+    return max(1, BLOCK_BYTES // (8 * (k * (2 * rows + pair.m.dim) + 6 * N * N)))
+
+
 def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     """Each ray's real system (k, dim m, dim h + 1) for a stack S (k, N, N):
     the brackets [h_i, S] and -S as columns, in coordinates of the pair's
     orthonormal frame of m.
 
     Only rows that are not redundant are bracketed, by two flat products
-    of the h-basis stack with S, and projected onto the matching rows of
-    m's orthonormal frame (RealSubspace.frame): the real half for R (h, m
-    and S are real), the top n carrier rows (real and imaginary parts) for
-    H (the bottom n are their conjugates), every row for C.  Every column
-    lies in m ([h, m] is in m and S is in m), so for R and C this is the
-    full realified system written in an orthonormal frame of the space its
-    columns span: the same singular values and the same kernel.  For H the
-    top rows of the frame are orthogonal with squared norm 1/2, which
+    of a run of h generators with S, and projected onto the matching rows
+    of m's orthonormal frame (RealSubspace.frame): the real half for R (h,
+    m and S are real), the top n carrier rows (real and imaginary parts)
+    for H (the bottom n are their conjugates), every row for C.  Every
+    column lies in m ([h, m] is in m and S is in m), so for R and C this is
+    the full realified system written in an orthonormal frame of the space
+    its columns span: the same singular values and the same kernel.  For H
+    the top rows of the frame are orthogonal with squared norm 1/2, which
     halves every singular value.
+
+    The generators are unpacked from h's stored columns a run at a time
+    (_generator_step); h.basis is never touched.  Besides the system
+    (8 k dim m (dim h + 1) bytes) the call holds the frame rows it projects
+    with (8 dim m bytes per real number of a kept bracket row) and one
+    run's arrays, within BLOCK_BYTES.  An entry is the same sum in any run;
+    only the BLAS kernel a shorter product takes may round it differently.
     """
-    hb, S = pair.h.basis, np.asarray(S, dtype=complex)
+    S = np.asarray(S, dtype=complex)
     field = pair.family.field
     if field == "R":
-        hb, S = hb.real, S.real
-    d, N = hb.shape[:2]
-    k = len(S)
+        S = S.real
+    k, N = S.shape[:2]
     top = pair.family.n if field == "H" else N
-    St = S[:, :top]
-    # rows :top of h_i S - S h_i, each term one flat product over all i
-    B = (hb[:, :top].reshape(d * top, N) @ S).reshape(k, d, top, N)
-    B -= (St @ hb.transpose(1, 0, 2).reshape(N, d * N)).reshape(
-        k, top, d, N).transpose(0, 2, 1, 3)
     t = top * N
-    B, St = B.reshape(k * d, t), St.reshape(k, t)
     Q = pair.m.frame
     if field == "R":
         Qk = Q[:t]
     else:
         # a complex row viewed as floats interleaves its real and imaginary parts
         Qk = np.stack([Q[:t], Q[N * N:N * N + t]], axis=1).reshape(2 * t, -1)
-        B, St = B.view(float), St.view(float)
-    A = np.empty((k, d + 1, Q.shape[1]))
-    A[:, :d] = (B @ Qk).reshape(k, d, -1)
-    A[:, d] = -(St @ Qk)
+    h, step = pair.h, _generator_step(pair, k)
+    for i in range(0, h.dim, step):
+        hb = unrealify(h._mat[:, i:i + step].T, h.shape)
+        d = len(hb)
+        P = _bracket_rows(hb.real if field == "R" else hb, S, top).view(float) @ Qk
+        if i == 0:  # once the first run's brackets are freed: they never coexist
+            A = np.empty((k, h.dim + 1, Q.shape[1]))
+        A[:, i:i + d] = P.reshape(k, d, -1)
+    A[:, -1] = -(S[:, :top].reshape(k, t).view(float) @ Qk)
     return A.transpose(0, 2, 1)
+
+
+def _bracket_rows(hb: np.ndarray, S: np.ndarray, top: int) -> np.ndarray:
+    """Rows :top of h_i S - S h_i for a run of generators hb (d, N, N) and
+    a stack S (k, N, N), each term one flat product over the run, as
+    (k d, top N)."""
+    (k, N), d = S.shape[:2], len(hb)
+    B = (hb[:, :top].reshape(d * top, N) @ S).reshape(k, d, top, N)
+    B -= (S[:, :top] @ hb.transpose(1, 0, 2).reshape(N, d * N)).reshape(
+        k, top, d, N).transpose(0, 2, 1, 3)
+    return B.reshape(k * d, top * N)
 
 
 def _rank_cut(pair: SymmetricPair, s: np.ndarray) -> np.ndarray:

@@ -1064,6 +1064,12 @@ def test_blocks_are_sized_by_the_route_in_use():
                 1, orbits.BLOCK_BYTES // orbits._ray_bytes(pair, commutant) - 1)
     assert steps == {("R", False): 424, ("R", True): 302, ("C", False): 203,
                      ("C", True): 317, ("H", False): 32, ("H", True): 27}
+    # a full SVD-route block at (2, 1) or (3, 2) brackets all of h in one run
+    for field in "RCH":
+        for pq in ((2, 1), (3, 2)):
+            pair = build_pair(Family(field, *pq))
+            k = trial_blocks(pair, 10 ** 6, False)[0]
+            assert orbits._generator_step(pair, k) >= pair.h.dim
     # at (6, 5) the scaling census's four trials: one block for R and C on
     # the commutant route, one ray per block for H
     for field, sizes in (("R", [4]), ("C", [4]), ("H", [1, 1, 1, 1])):
@@ -1072,12 +1078,22 @@ def test_blocks_are_sized_by_the_route_in_use():
         assert trial_blocks(pair, 4, True) == sizes
 
 
+def held_bytes(pair):
+    """What _stabilizer_system holds for one ray besides its runs of
+    brackets: the system (dim m, dim h + 1) and the frame rows of m it is
+    projected by, one per real number of a kept bracket row."""
+    N = pair.carrier_dim
+    rows = 2 * N * N if pair.family.field == "C" else N * N
+    return 8 * pair.m.dim * (pair.h.dim + 1 + rows)
+
+
 @pytest.mark.parametrize("report", ["stabilizers", "orbits"])
-@pytest.mark.parametrize("pq", [(2, 1), (3, 2)], ids=["21", "32"])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (6, 5)], ids=["21", "32", "65"])
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_one_full_block_stays_within_block_bytes(field, pq, report):
     # every array a census block allocates, traced while one full block
-    # runs; the pair and its cached frames are built before
+    # runs, the first block's reference ray included; the pair and its
+    # cached frames are built before
     pair = build_pair(Family(field, *pq))
     run = {"stabilizers": stabilizers_report, "orbits": orbits_report}[report]
     commutant = report == "stabilizers" and commutant_is_smaller(pair)
@@ -1090,7 +1106,55 @@ def test_one_full_block_stays_within_block_bytes(field, pq, report):
     finally:
         tracemalloc.stop()
     assert all(c.status != "fail" for c in rep.checks)
-    assert peak <= orbits.BLOCK_BYTES
+    ray = orbits._ray_bytes(pair, commutant)
+    # one block and the ray kept back, at least BLOCK_BYTES: one ray of the
+    # quaternionic (6, 5) pair outgrows it on either route
+    budget = max(orbits.BLOCK_BYTES, (k + 1) * ray)
+    if commutant and pq == (6, 5):
+        # the reference ray takes the SVD route, whose system and frame rows
+        # outgrow the commutant ray kept back: they come on top of one block,
+        # with one run of brackets within BLOCK_BYTES
+        budget = k * ray + held_bytes(pair) + orbits.BLOCK_BYTES
+    assert peak <= budget
+    assert "basis" not in vars(pair.h)
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_stabilizer_system_holds_one_run_of_brackets(field):
+    # a warm call for one ray of each (6, 5) pair: its system and frame
+    # rows, and the brackets of one run of generators within BLOCK_BYTES
+    pair = build_pair(Family(field, 6, 5))
+    S = sample_null_batch(pair, 1, rng=23).S
+    orbits._stabilizer_system(pair, S)
+    tracemalloc.start()
+    try:
+        orbits._stabilizer_system(pair, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= held_bytes(pair) + orbits.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("pq", [(3, 2), (6, 5)], ids=["32", "65"])
+def test_runs_of_generators_change_no_system(field, pq, monkeypatch):
+    # the system from runs of a few generators against the one from a
+    # single run: each entry is the same product, and only the BLAS kernel
+    # a shorter product takes may round differently
+    pair = build_pair(Family(field, *pq))
+    S = sample_null_batch(pair, 3, rng=24).S
+    monkeypatch.setattr(orbits, "BLOCK_BYTES", 1 << 40)
+    one = orbits._generator_step(pair, 3)
+    assert one >= pair.h.dim
+    whole = orbits._stabilizer_system(pair, S)
+    per = (1 << 40) // one  # the bytes of one generator's brackets
+    for step in (1, 2, 5):
+        monkeypatch.setattr(orbits, "BLOCK_BYTES", step * per)
+        assert orbits._generator_step(pair, 3) == step
+        runs = orbits._stabilizer_system(pair, S)
+        assert runs.shape == whole.shape
+        assert np.abs(runs - whole).max() <= 1e-15 * np.abs(whole).max()
+    assert "basis" not in vars(pair.h)
 
 
 # ---------------------------------------------------------------------------
