@@ -3,11 +3,11 @@
 Everything in this package manipulates real subspaces of complex matrix
 spaces: Lie brackets, trace forms, kernels of real-linear maps, signatures,
 structure constants.  Complex n x n matrices are flattened to real vectors
-of length 2*n*n (row-major, real parts first, then imaginary parts), and all
-rank decisions go through numpy's SVD with explicit tolerances.  A
-RealSubspace factorizes only the columns whose supports overlap: the Gram
+of length 2*n*n (numpy's own layout: row-major, each entry's re then im),
+and all rank decisions go through numpy's SVD with explicit tolerances.  A
+RealSubspace factorizes only the vectors whose supports overlap: the Gram
 matrix of disjoint supports is block-diagonal with no rounding, so each
-other column's singular value is its norm.
+other vector's singular value is its norm.
 """
 
 from __future__ import annotations
@@ -80,71 +80,64 @@ def quat_embed(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def realify(X: np.ndarray) -> np.ndarray:
-    """Flatten a complex matrix to a real vector (row-major, re then im).
+    """Flatten a complex matrix to a real vector (row-major, each entry's
+    re then im): numpy's float view of a C-ordered complex input, no copy.
 
     A vector is flattened as it is; a stack (..., a, b) flattens each
     matrix, giving (..., 2ab).
     """
-    X = np.asarray(X, dtype=complex)
-    flat = X.reshape(X.shape[:-2] + (math.prod(X.shape[-2:]),))  # -1 fails on (0, a, b)
-    return np.concatenate([flat.real, flat.imag], axis=-1)
+    X = np.ascontiguousarray(X, dtype=complex)
+    return X.view(float).reshape(X.shape[:-2] + (2 * math.prod(X.shape[-2:]),))
 
 
 def unrealify(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of realify for the given matrix shape (over the last axis)."""
-    half = v.shape[-1] // 2
-    # assigning the parts copies them bit for bit; re + 1j * im can flip a zero's sign
-    flat = np.empty(v.shape[:-1] + (half,), dtype=complex)
-    flat.real = v[..., :half]
-    flat.imag = v[..., half:]
-    return flat.reshape(v.shape[:-1] + tuple(shape))
+    """Inverse of realify for the given shape (over the last axis): a view."""
+    v = np.ascontiguousarray(v, dtype=float)
+    return v.view(complex).reshape(v.shape[:-1] + tuple(shape))
 
 
 class RealSubspace:
     """Real-linear span of complex matrices with a fixed, ordered basis.
 
-    The basis (a list of matrices or a stack (k, a, b)) is stored once, as
-    the real columns of one realify of the stack; construction fails if it
-    is linearly dependent.  `basis` unpacks those columns again, in the
-    supplied order and bit for bit.  The block (the columns that touch a
-    row another column touches, on the rows they touch) gets one SVD, each
-    other column gives its norm, and the relative cut runs over the union:
-    for a pair's generators the block is the trace-dropped diagonals, and a
-    dense basis is all block.
+    The basis (a list of matrices or a stack (k, a, b)) is copied once and
+    stored as the C-ordered rows (k, 2ab) of its realify; construction
+    fails if it is linearly dependent.  `basis` is a read-only view of those
+    rows, in the supplied order and bit for bit.  The block (the vectors
+    that touch a coordinate another vector touches, on the coordinates they
+    touch) gets one SVD, each other vector gives its norm, and the relative
+    cut runs over the union: for a pair's generators the block is the
+    trace-dropped diagonals, and a dense basis is all block.
     """
 
     def __init__(self, basis, tol: Tolerance = DEFAULT_TOL):
-        basis = np.asarray(basis, dtype=complex)
+        basis = np.array(basis, dtype=complex, order="C")  # a copy: the caller's may change
         if len(basis) == 0:
             raise ValueError("empty basis; use RealSubspace.span for rank-safe construction")
         if basis.ndim != 3:
             raise ValueError("all basis matrices must share one shape")
-        # column i is realify(basis[i]), its real and imaginary halves written
-        # straight into one array; C order, as BLAS rounds combine differently in F order
-        flat = basis.reshape(len(basis), -1)
-        self._certify(np.concatenate([flat.real.T, flat.imag.T]), basis.shape[1:], tol)
+        self._certify(realify(basis), basis.shape[1:], tol)
 
     @classmethod
-    def from_columns(cls, mat: np.ndarray, shape: tuple[int, int],
-                     tol: Tolerance = DEFAULT_TOL) -> "RealSubspace":
-        """The subspace whose stored columns are mat (2ab, k), kept as it is:
-        column i is realify of the i-th (a, b) basis matrix."""
+    def from_rows(cls, mat: np.ndarray, shape: tuple[int, int],
+                  tol: Tolerance = DEFAULT_TOL) -> "RealSubspace":
+        """The subspace whose stored rows are mat (k, 2ab), C-ordered and
+        kept as it is: row i is realify of the i-th (a, b) basis matrix."""
         space = cls.__new__(cls)
         space._certify(mat, tuple(shape), tol)
         return space
 
     def _certify(self, mat: np.ndarray, shape: tuple[int, int], tol: Tolerance):
         self.shape, self.tol, self._mat = shape, tol, mat
-        nz = self._mat != 0
-        self._block = nz[np.count_nonzero(nz, axis=1) > 1].any(axis=0)
-        self._rows = nz[:, self._block].any(axis=1)
-        self._norms = np.sqrt(np.einsum("ij,ij->j", self._mat, self._mat))
-        B = self._mat[np.ix_(self._rows, self._block)]
+        nz = mat != 0
+        self._block = nz[:, np.count_nonzero(nz, axis=0) > 1].any(axis=1)
+        self._support = nz[self._block].any(axis=0)
+        self._norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+        B = mat[np.ix_(self._block, self._support)]
         s = np.concatenate([self._norms[~self._block],
                             np.linalg.svd(B, compute_uv=False) if B.size else []])
-        # a wide block (more columns than rows) has fewer singular values
-        # than columns, so s cannot show its dependence
-        if B.shape[1] > B.shape[0] or s.min() <= tol.rank_rel * s.max():
+        # a wide block (more vectors than coordinates) has fewer singular
+        # values than vectors, so s cannot show its dependence
+        if B.shape[0] > B.shape[1] or s.min() <= tol.rank_rel * s.max():
             raise ValueError("supplied basis is linearly dependent")
 
     @classmethod
@@ -153,34 +146,34 @@ class RealSubspace:
         mats = np.asarray(mats, dtype=complex)
         if len(mats) == 0:
             raise ValueError("need at least one matrix to take a span")
-        _, s, vt = np.linalg.svd(realify(mats))
+        _, s, vt = np.linalg.svd(realify(mats), full_matrices=False)
         cut = tol.rank_rel * s[0] if s[0] > 0 else 0.0
         rank = int(np.sum(s > cut))
         if rank == 0:
             raise ValueError("all matrices are numerically zero")
-        return cls(unrealify(vt[:rank], mats.shape[1:]), tol=tol)
+        return cls.from_rows(vt[:rank], mats.shape[1:], tol=tol)
 
-    @cached_property
+    @property
     def basis(self) -> np.ndarray:
-        """The basis as a read-only stack (dim, a, b), unpacked from the
-        stored columns when first asked for."""
-        B = unrealify(self._mat.T, self.shape)
+        """The basis as a read-only stack (dim, a, b): a complex view of the
+        stored rows, made on each read."""
+        B = unrealify(self._mat, self.shape)
         B.flags.writeable = False
         return B
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[1]
+        return self._mat.shape[0]
 
     @cached_property
     def frame(self) -> np.ndarray:
         """Orthonormal real columns (2ab, dim) with the span of the stored
-        ones, computed when first asked for.  Q Q^T is the orthogonal
+        rows, computed when first asked for.  Q Q^T is the orthogonal
         projector onto the subspace.  A column outside the block is a_i /
         |a_i|, and the block's columns come from one QR of the block."""
-        Q = self._mat / self._norms
-        ix = np.ix_(self._rows, self._block)
-        Q[ix] = np.linalg.qr(self._mat[ix])[0]
+        Q = np.divide(self._mat.T, self._norms, order="C")
+        B = self._mat[np.ix_(self._block, self._support)]
+        Q[np.ix_(self._support, self._block)] = np.linalg.qr(B.T)[0]
         return Q
 
     # coords, combine, project, residual and contains take one matrix or a stack
@@ -189,15 +182,15 @@ class RealSubspace:
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """Real coordinates of X in this basis (least squares), split by
-        support: a column a_j outside the block shares no row, so its
-        coordinate decouples, a_j^T r / |a_j|^2 from one product, and the
-        block takes one lstsq on its rows (all of a dense basis)."""
+        support: a vector a_j outside the block shares no coordinate, so
+        its coordinate decouples, a_j^T r / |a_j|^2 from one product, and
+        the block takes one lstsq on its support (all of a dense basis)."""
         R = realify(X)
         flat = R.reshape(-1, R.shape[-1])
-        c = (flat @ self._mat) / self._norms ** 2
+        c = (flat @ self._mat.T) / self._norms ** 2
         if self._block.any():
-            B = self._mat[np.ix_(self._rows, self._block)]
-            c[:, self._block] = np.linalg.lstsq(B, flat[:, self._rows].T, rcond=None)[0].T
+            B = self._mat[np.ix_(self._block, self._support)]
+            c[:, self._block] = np.linalg.lstsq(B.T, flat[:, self._support].T, rcond=None)[0].T
         return c.reshape(R.shape[:-1] + (self.dim,))
 
     def project(self, X: np.ndarray) -> np.ndarray:
@@ -206,7 +199,7 @@ class RealSubspace:
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
-        return unrealify(coeffs @ self._mat.T, self.shape)
+        return unrealify(coeffs @ self._mat, self.shape)
 
     def residual(self, X: np.ndarray):
         """Frobenius distance from X to the subspace (an array for a stack)."""

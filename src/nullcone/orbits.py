@@ -81,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed, unrealify
+from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed
 from .pairs import SymmetricPair, t_form
 from .report import Report
 
@@ -192,8 +192,8 @@ def _ray_bytes(pair: SymmetricPair, commutant: bool) -> int:
     stacks of all of h and the projected systems (a census block at (2, 1)
     or (3, 2) brackets h in one run, _generator_step), three dim m x c
     systems and two c x c V, or V and four (d, N, N) kernel-basis stacks.
-    The frame rows of m that _stabilizer_system projects with are held once
-    per call, not per ray, and are not counted."""
+    _stabilizer_system projects with views of m's frame and brackets views
+    of h's stored rows, so it copies neither, per ray or per call."""
     field = pair.family.field
     N, d = pair.carrier_dim, EXPECTED_STAB_DIM[field](pair.family.n)
     own = 16 * 12 * N * N
@@ -213,13 +213,13 @@ def trial_blocks(pair: SymmetricPair, k: int, commutant: bool) -> list[int]:
     ray (_ray_bytes) is kept back for LAPACK's workspace and the reference.
 
     The reference (stabilizers_report's first ray) is one SVD-route system
-    whatever the route: its system and frame rows, and one run of brackets
-    within BLOCK_BYTES (_stabilizer_system).  At (2, 1) and (3, 2) a full
-    block with its reference stays within BLOCK_BYTES.  On the commutant
-    route at (6, 5) its system and frame rows alone (0.09 MB for R, 0.35
-    for C, 1.4 for H) outgrow that ray, and come on top of the block:
-    traced, a full block with its reference peaks at 0.5 MB for R, 1.2 for
-    C and 2.5 for H; at (10, 9) at 1.1, 4.2 and 14.8 MB."""
+    whatever the route: its system, and one run of brackets within
+    BLOCK_BYTES (_stabilizer_system).  At (2, 1) and (3, 2) a full block
+    with its reference stays within BLOCK_BYTES.  On the commutant route
+    the system alone is 0.03 MB for R, 0.12 for C and 0.47 for H at (6, 5),
+    and 0.26, 1.0 and 4.2 MB at (10, 9); traced, a full block with its
+    reference peaks at 0.5 MB for R, 0.8 for C and 1.5 for H at (6, 5), and
+    at 0.8, 1.9 and 6.6 MB at (10, 9)."""
     step = max(1, BLOCK_BYTES // _ray_bytes(pair, commutant) - 1)
     return [min(step, k - a) for a in range(0, k, step)]
 
@@ -515,8 +515,9 @@ def _generator_step(pair: SymmetricPair, k: int) -> int:
     at least one, so that their arrays stay within BLOCK_BYTES: per
     generator, k rays' two bracket stacks (rows real numbers each, as in
     _ray_bytes) and their projections onto m, and the generator itself as
-    at most three (N, N) complex copies (unpacked, its top rows, side by
-    side).  A census block at (2, 1) or (3, 2) takes all of h in one run."""
+    three (N, N) complex copies: a run is a view of h's stored rows, so two
+    are made (its top rows, side by side) and one is slack.  A census block
+    at (2, 1) or (3, 2) takes all of h in one run."""
     N, field = pair.carrier_dim, pair.family.field
     rows = 2 * N * N if field == "C" else N * N
     return max(1, BLOCK_BYTES // (8 * (k * (2 * rows + pair.m.dim) + 6 * N * N)))
@@ -529,21 +530,21 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
 
     Only rows that are not redundant are bracketed, by two flat products
     of a run of h generators with S, and projected onto the matching rows
-    of m's orthonormal frame (RealSubspace.frame): the real half for R (h,
-    m and S are real), the top n carrier rows (real and imaginary parts)
-    for H (the bottom n are their conjugates), every row for C.  Every
-    column lies in m ([h, m] is in m and S is in m), so for R and C this is
-    the full realified system written in an orthonormal frame of the space
-    its columns span: the same singular values and the same kernel.  For H
-    the top rows of the frame are orthogonal with squared norm 1/2, which
-    halves every singular value.
+    of m's orthonormal frame (RealSubspace.frame), each a view: every other
+    row (the real parts) for R (h, m and S are real), the leading rows (the
+    top n carrier rows) for H (the bottom n are their conjugates), every
+    row for C.  Every column lies in m ([h, m] is in m and S is in m), so
+    for R and C this is the full realified system written in an orthonormal
+    frame of the space its columns span: the same singular values and the
+    same kernel.  For H the top rows of the frame are orthogonal with
+    squared norm 1/2, which halves every singular value.
 
-    The generators are unpacked from h's stored columns a run at a time
-    (_generator_step); h.basis is never touched.  Besides the system
-    (8 k dim m (dim h + 1) bytes) the call holds the frame rows it projects
-    with (8 dim m bytes per real number of a kept bracket row) and one
-    run's arrays, within BLOCK_BYTES.  An entry is the same sum in any run;
-    only the BLAS kernel a shorter product takes may round it differently.
+    A run of generators (_generator_step) is a slice of h.basis, a view of
+    h's stored rows, and its complex brackets are read as floats in place:
+    no generator is unpacked and no frame row is copied.  Besides the
+    system (8 k dim m (dim h + 1) bytes) the call holds one run's arrays,
+    within BLOCK_BYTES.  An entry is the same sum in any run; only the BLAS
+    kernel a shorter product takes may round it differently.
     """
     S = np.asarray(S, dtype=complex)
     field = pair.family.field
@@ -552,19 +553,15 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     k, N = S.shape[:2]
     top = pair.family.n if field == "H" else N
     t = top * N
-    Q = pair.m.frame
-    if field == "R":
-        Qk = Q[:t]
-    else:
-        # a complex row viewed as floats interleaves its real and imaginary parts
-        Qk = np.stack([Q[:t], Q[N * N:N * N + t]], axis=1).reshape(2 * t, -1)
+    # the frame rows of the first t entries; for R their real parts alone
+    Qk = pair.m.frame[:2 * t:2] if field == "R" else pair.m.frame[:2 * t]
     h, step = pair.h, _generator_step(pair, k)
     for i in range(0, h.dim, step):
-        hb = unrealify(h._mat[:, i:i + step].T, h.shape)
+        hb = h.basis[i:i + step]
         d = len(hb)
         P = _bracket_rows(hb.real if field == "R" else hb, S, top).view(float) @ Qk
         if i == 0:  # once the first run's brackets are freed: they never coexist
-            A = np.empty((k, h.dim + 1, Q.shape[1]))
+            A = np.empty((k, h.dim + 1, Qk.shape[1]))
         A[:, i:i + d] = P.reshape(k, d, -1)
     A[:, -1] = -(S[:, :top].reshape(k, t).view(float) @ Qk)
     return A.transpose(0, 2, 1)
@@ -587,16 +584,15 @@ def _rank_cut(pair: SymmetricPair, s: np.ndarray) -> np.ndarray:
     return (s > pair.tol.rank_rel * s[:, :1]).sum(axis=1)
 
 
-def _stabilizer_ranks(pair: SymmetricPair, S: np.ndarray, vt: bool = False):
-    """Ranks (k,) of the stabilizer systems of a stack S (k, N, N): one
-    stacked SVD and the relative cut of _rank_cut (the frame of m keeps the
-    full system's singular values up to one common factor).
+def _stabilizer_ranks(pair: SymmetricPair, A: np.ndarray, vt: bool = False):
+    """Ranks (k,) of stabilizer systems A (k, dim m, dim h + 1): one stacked
+    SVD and the relative cut of _rank_cut (the frame of m keeps the full
+    system's singular values up to one common factor).
 
     vt=False takes singular values alone.  vt=True also returns all of
     V^T, whose last (dim h + 1) - rank rows span each kernel (a full SVD
     only where dim m < dim h + 1).
     """
-    A = _stabilizer_system(pair, S)
     if not vt:
         return _rank_cut(pair, np.linalg.svd(A, compute_uv=False))
     s, v = np.linalg.svd(A, full_matrices=pair.m.dim < pair.h.dim + 1)[1:]
@@ -607,22 +603,24 @@ def stabilizer_dims(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     """Ray stabilizer dimensions (k,) of a stack S (k, N, N), from the
     singular values of the stabilizer systems alone: the dims of
     stabilizers_of_rays without a kernel vector."""
-    return pair.h.dim + 1 - _stabilizer_ranks(pair, S)
+    return pair.h.dim + 1 - _stabilizer_ranks(pair, _stabilizer_system(pair, S))
 
 
 def _ray_kernels(pair: SymmetricPair, S: np.ndarray):
     """Ray stabilizer dims (k,) of a stack S (k, N, N) and V^T of their
     systems (_stabilizer_ranks), whose last dims[i] rows span ray i's kernel.
 
-    A wide system (dim m < dim h + 1) always has a kernel, so its SVD takes
-    vectors at once.  A tall one (R) takes singular values first, and
-    vectors only if some row has a kernel; otherwise V^T is (k, 0, dim h + 1).
+    Each system is built once.  A wide one (dim m < dim h + 1) always has a
+    kernel, so its SVD takes vectors at once.  A tall one (R) takes singular
+    values first, and vectors only if some row has a kernel; otherwise V^T
+    is (k, 0, dim h + 1).
     """
     c = pair.h.dim + 1
-    rank = None if pair.m.dim < c else _stabilizer_ranks(pair, S)
+    A = _stabilizer_system(pair, S)
+    rank = None if pair.m.dim < c else _stabilizer_ranks(pair, A)
     vt = np.empty((len(S), 0, c))
     if rank is None or (rank < c).any():
-        rank, vt = _stabilizer_ranks(pair, S, vt=True)
+        rank, vt = _stabilizer_ranks(pair, A, vt=True)
     return c - rank, vt
 
 

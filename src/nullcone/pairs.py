@@ -85,10 +85,10 @@ class SymmetricPair:
 
     @cached_property
     def g(self) -> RealSubspace:
-        """The ambient algebra, h basis then m basis: the two column matrices
-        side by side, with the independence check of any RealSubspace."""
-        return RealSubspace.from_columns(np.hstack([self.h._mat, self.m._mat]),
-                                         self.h.shape, tol=self.tol)
+        """The ambient algebra, h basis then m basis: the two row arrays
+        stacked, with the independence check of any RealSubspace."""
+        return RealSubspace.from_rows(np.vstack([self.h._mat, self.m._mat]),
+                                      self.h.shape, tol=self.tol)
 
     @cached_property
     def corner_frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,36 +186,36 @@ def _pattern(kind: str, n: int):
     xy = np.broadcast_to(np.array(off, dtype=complex), (n * (n - 1) // 2, len(off), 2))
     coeff = np.concatenate([np.tile(np.array(diag, dtype=complex), n), *xy.reshape(-1, 2).T])
     gen = np.arange(len(d) + len(j))
-    parts = np.concatenate([coeff.real, coeff.imag])
+    parts = coeff.view(float)  # (re, im) of each coefficient
     nz = parts != 0
-    arrays = [np.tile(a, 2)[nz] for a in (np.concatenate([gen, gen[len(d):]]),
-                                          np.concatenate([d, j, k]), np.concatenate([d, k, j]))]
-    arrays += [np.arange(len(parts))[nz] // len(coeff), parts[nz]]
+    arrays = [a.repeat(2)[nz] for a in (np.concatenate([gen, gen[len(d):]]),
+                                        np.concatenate([d, j, k]), np.concatenate([d, k, j]))]
+    arrays += [np.arange(len(parts))[nz] % 2, parts[nz]]
     for a in arrays:
         a.flags.writeable = False
     return len(gen), *arrays
 
 
-def _columns(F: np.ndarray, x_kind: str, y_kind: str | None, drop: bool) -> np.ndarray:
-    """Columns (2N^2, k), realify of the generators F G of x_kind, written
-    from the index patterns (F, a signed permutation, moves and signs rows).
+def _rows(F: np.ndarray, x_kind: str, y_kind: str | None, drop: bool) -> np.ndarray:
+    """Rows (k, 2N^2), realify of the generators F G of x_kind, written
+    from the index patterns (F, a signed permutation, moves and signs rows):
+    the real part of entry (r, c) at 2 (r N + c), its imaginary part next.
     drop subtracts a real multiple of the largest-trace generator (each
-    trace lies on one real line) on the rows it touches, and leaves it out.
-    With y_kind (H): the carrier images of X + 0 j, then of 0 + Y j for
-    y_kind, with the signed zeros quat_embed gives; other zeros are +0."""
+    trace lies on one real line) on the entries it touches, and leaves it
+    out.  With y_kind (H): the carrier images of X + 0 j, then of 0 + Y j
+    for y_kind, with the signed zeros quat_embed gives; other zeros are +0."""
     n = len(F)
     N = 2 * n if y_kind else n
-    NN = N * N
     perm = np.abs(F).argmax(axis=0)  # row s of G is row perm[s] of F G, times sign[s]
     sign = F[perm, np.arange(n)].real
 
     def entries(kind):
         k, g, s, c, imag, v = _pattern(kind, n)
-        return k, g, imag * NN + perm[s] * N + c, sign[s] * v, 1 - 2 * imag, perm[s] == c
+        return k, g, 2 * (perm[s] * N + c) + imag, sign[s] * v, 1 - 2 * imag, perm[s] == c
 
     k, g, pos, val, flip, on = entries(x_kind)
     if drop:
-        tr = np.bincount(2 * g[on] + (pos[on] >= NN), val[on], minlength=2 * k)
+        tr = np.bincount(2 * g[on] + pos[on] % 2, val[on], minlength=2 * k)
         traces = tr[0::2] + 1j * tr[1::2]
         piv = int(np.argmax(np.abs(traces)))
         ratio = np.delete(traces, piv) / traces[piv]
@@ -226,22 +226,22 @@ def _columns(F: np.ndarray, x_kind: str, y_kind: str | None, drop: bool) -> np.n
         g, pos, val, flip = (a[~at] for a in (g - (g > piv), pos, val, flip))
         k -= 1
     ky, gy, posy, valy, flipy, _ = entries(y_kind) if y_kind else (0,) * 6
-    M = np.zeros((2 * NN, k + ky))
+    M = np.zeros((k + ky, 2 * N * N))
     if y_kind:
         # -0 in both parts of the top right block, in the imaginary parts below
-        blocks = M.reshape(2, 2, n, 2, n, -1)  # part, block row, row, block column
-        blocks[:, 0, :, 1] = blocks[1, 1] = -0.0
-    M[pos, g] = val
+        blocks = M.reshape(-1, 2, n, 2, n, 2)  # block row, row, block column, column, part
+        blocks[:, 0, :, 1] = blocks[:, 1, ..., 1] = -0.0
+    M[g, pos] = val
     if drop:
-        M[ppos, :k] -= pval[:, None] * ratio.real
+        M[:k, ppos] -= ratio.real[:, None] * pval
     if y_kind:
         # conj(X) below right, -Y above right, conj(Y) below left
-        br = n * N + n
-        M[br + pos, g] = flip * val
+        br = 2 * (n * N + n)
+        M[g, br + pos] = flip * val
         if drop:
-            M[br + ppos, :k] = pflip[:, None] * M[ppos, :k]
-        M[posy + n, k + gy] = -valy
-        M[posy + n * N, k + gy] = flipy * valy
+            M[:k, br + ppos] = pflip * M[:k, ppos]
+        M[k + gy, posy + 2 * n] = -valy
+        M[k + gy, posy + 2 * n * N] = flipy * valy
     return M
 
 
@@ -267,12 +267,12 @@ def build_pair(fam: Family, variant: str = "standard",
     F = _form_matrix(fam, variant)
     Z = np.zeros_like(F)
     carrier = np.block([[F, Z], [Z, F]]) if fam.field == "H" else F
-    # (x_kind, y_kind, drop) of h and of m for _columns
+    # (x_kind, y_kind, drop) of h and of m for _rows
     specs = {"R": (("real_antisym", None, False), ("real_sym", None, True)),
              "C": (("antihermitian", None, True), ("hermitian", None, True)),
              "H": (("antihermitian", "complex_sym", False),
                    ("hermitian", "complex_antisym", True))}[fam.field]
-    h, m = (RealSubspace.from_columns(_columns(F, *spec), carrier.shape, tol=tol)
+    h, m = (RealSubspace.from_rows(_rows(F, *spec), carrier.shape, tol=tol)
             for spec in specs)
     return SymmetricPair(
         family=fam,

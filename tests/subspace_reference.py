@@ -35,10 +35,10 @@ def intersection(a: RealSubspace, b: RealSubspace, tol: Tolerance | None = None)
     """Dimension of the intersection of two subspaces."""
     tol = tol or a.tol
     # null vectors of [A, -B] give pairs of coordinates with equal images
-    ker = _kernel_cols(np.hstack([a._mat, -b._mat]), tol)
+    ker = _kernel_cols(np.hstack([a._mat.T, -b._mat.T]), tol)
     if ker.shape[1] == 0:
         return 0
-    s = np.linalg.svd(a._mat @ ker[:a.dim], compute_uv=False)
+    s = np.linalg.svd(a._mat.T @ ker[:a.dim], compute_uv=False)
     if s.size == 0 or s[0] <= tol.abs:
         return 0
     return int(np.sum(s > tol.rank_rel * s[0]))

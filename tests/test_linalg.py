@@ -186,13 +186,42 @@ def test_contains_judges_each_matrix_at_its_own_scale():
 def test_basis_is_stored_once_and_unpacked_bit_for_bit():
     rng = np.random.default_rng(12)
     mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-    mats[0, 0, 0] = complex(-0.0, -0.0)  # signed zeros survive the round trip
-    from_list, from_stack = RealSubspace(list(mats)), RealSubspace(mats)
-    assert from_list._mat.tobytes() == from_stack._mat.tobytes()
-    assert from_list.basis.tobytes() == from_stack.basis.tobytes() == mats.tobytes()
-    assert from_stack.basis.shape == (4, 3, 3)
-    assert from_stack.basis is from_stack.basis
-    assert not from_stack.basis.flags.writeable
+    mats[0, 0, 0] = complex(-0.0, -0.0)  # signed zeros survive bit for bit
+    want = mats.tobytes()
+    for space in (RealSubspace(list(mats)), RealSubspace(mats)):
+        # one C-ordered float array of rows, row i realify of matrix i,
+        # which is the memory of the complex stack read as floats
+        assert space._mat.dtype == np.float64 and space._mat.flags.c_contiguous
+        assert space._mat.shape == (4, 18) and space._mat.tobytes() == want
+        B = space.basis
+        assert B.shape == (4, 3, 3) and B.tobytes() == want
+        # a read-only view of the stored rows, made on each read, not cached
+        assert not B.flags.writeable and np.shares_memory(B, space._mat)
+        assert "basis" not in vars(space)
+        with pytest.raises(ValueError):
+            B[0, 0, 0] = 1.0
+    # the stored rows are a copy: changing the caller's stack changes nothing
+    space = RealSubspace(mats)
+    mats[1] = 7.0
+    assert not np.shares_memory(space._mat, mats)
+    assert space.basis.tobytes() == want
+
+
+def test_realify_is_a_view_of_a_c_ordered_stack():
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    R = realify(X)
+    # (re, im) of each entry, row-major: numpy's own float view, no copy
+    assert R.shape == (5, 24) and np.shares_memory(R, X)
+    assert_array_equal(R[:, 0::2], X.real.reshape(5, 12))
+    assert_array_equal(R[:, 1::2], X.imag.reshape(5, 12))
+    back = unrealify(R, (3, 4))
+    assert np.shares_memory(back, R) and back.tobytes() == X.tobytes()
+    # other layouts are copied into C order first, to the same values
+    for Y in (X.transpose(0, 2, 1), X[:, ::2], X[::2, :, 1:], X.real):
+        assert_array_equal(realify(Y), realify(np.array(Y, dtype=complex, order="C")))
+        assert_array_equal(unrealify(realify(Y), Y.shape[1:]), Y)
+    assert realify(X[:0]).shape == (0, 24)
 
 
 def test_max_bracket_residual_matches_pairwise_loop():
@@ -257,7 +286,7 @@ def test_split_cut_is_relative_to_the_largest_value():
 
 def assert_coords_match_lstsq(space, X):
     # the least-squares solve over every realified row is the reference
-    want = np.linalg.lstsq(space._mat, realify(X).T, rcond=None)[0].T
+    want = np.linalg.lstsq(space._mat.T, realify(X).T, rcond=None)[0].T
     got = space.coords(X)
     scale = np.maximum(1.0, np.linalg.norm(X, axis=(1, 2)))
     assert (np.abs(got - want).max(axis=1) <= 1e-13 * scale).all()
@@ -286,12 +315,12 @@ def test_coords_from_the_supports_match_the_full_lstsq(field, pq):
 
 @pytest.mark.parametrize("real", [False, True])
 def test_coords_of_a_dense_basis_match_the_full_lstsq(real):
-    # a dense basis is all block; a real one touches only the real rows, so
-    # its one lstsq runs on half of them
+    # a dense basis is all block; a real one touches only the real
+    # coordinates, so its one lstsq runs on half of them
     rng = np.random.default_rng(42)
     mats = rng.standard_normal((5, 3, 3)) + (0 if real else 1j * rng.standard_normal((5, 3, 3)))
     space = RealSubspace(mats)
-    assert space._block.all() and space._rows.sum() == (9 if real else 18)
+    assert space._block.all() and space._support.sum() == (9 if real else 18)
     X = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
     X *= (COORDS_SCALES / np.linalg.norm(X, axis=(1, 2)))[:, None, None]
     assert_coords_match_lstsq(space, X)

@@ -994,13 +994,12 @@ def test_m_frame_is_an_orthonormal_frame_of_m(field, pq, monkeypatch):
     pair.m.residual(pair.m.basis)
     # computed once per subspace, with at most one QR: of the shared block only
     assert pair.m.frame is Q and len(qr_calls) <= 1
-    # the rows the stabilizer systems keep
-    if field == "R":  # the imaginary half is zero
-        assert np.abs(Q[N * N:]).max() == 0.0
-        assert_allclose(Q[:N * N].T @ Q[:N * N], np.eye(pair.m.dim), atol=1e-12)
+    # the rows the stabilizer systems keep: (re, im) of each entry in turn
+    if field == "R":  # the imaginary parts are zero
+        assert np.abs(Q[1::2]).max() == 0.0
+        assert_allclose(Q[0::2].T @ Q[0::2], np.eye(pair.m.dim), atol=1e-12)
     if field == "H":  # the top n rows of the carrier, real and imaginary parts
-        t = pair.family.n * N
-        top = np.sqrt(2.0) * np.concatenate([Q[:t], Q[N * N:N * N + t]])
+        top = np.sqrt(2.0) * Q[:2 * pair.family.n * N]
         assert_allclose(top.T @ top, np.eye(pair.m.dim), atol=1e-12)
 
 
@@ -1080,11 +1079,10 @@ def test_blocks_are_sized_by_the_route_in_use():
 
 def held_bytes(pair):
     """What _stabilizer_system holds for one ray besides its runs of
-    brackets: the system (dim m, dim h + 1) and the frame rows of m it is
-    projected by, one per real number of a kept bracket row."""
-    N = pair.carrier_dim
-    rows = 2 * N * N if pair.family.field == "C" else N * N
-    return 8 * pair.m.dim * (pair.h.dim + 1 + rows)
+    brackets: the system (dim m, dim h + 1) alone.  It projects with views
+    of the frame of m and brackets views of the basis of h, and copies
+    neither."""
+    return 8 * pair.m.dim * (pair.h.dim + 1)
 
 
 @pytest.mark.parametrize("report", ["stabilizers", "orbits"])
@@ -1111,18 +1109,19 @@ def test_one_full_block_stays_within_block_bytes(field, pq, report):
     # quaternionic (6, 5) pair outgrows it on either route
     budget = max(orbits.BLOCK_BYTES, (k + 1) * ray)
     if commutant and pq == (6, 5):
-        # the reference ray takes the SVD route, whose system and frame rows
-        # outgrow the commutant ray kept back: they come on top of one block,
-        # with one run of brackets within BLOCK_BYTES
+        # the reference ray takes the SVD route, whose system outgrows the
+        # commutant ray kept back: it comes on top of one block, with one
+        # run of brackets within BLOCK_BYTES
         budget = k * ray + held_bytes(pair) + orbits.BLOCK_BYTES
     assert peak <= budget
-    assert "basis" not in vars(pair.h)
+    # the generators are read as views of h's stored rows, never unpacked
+    assert np.shares_memory(pair.h.basis, pair.h._mat)
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_stabilizer_system_holds_one_run_of_brackets(field):
-    # a warm call for one ray of each (6, 5) pair: its system and frame
-    # rows, and the brackets of one run of generators within BLOCK_BYTES
+    # a warm call for one ray of each (6, 5) pair: its system, and the
+    # brackets of one run of generators within BLOCK_BYTES
     pair = build_pair(Family(field, 6, 5))
     S = sample_null_batch(pair, 1, rng=23).S
     orbits._stabilizer_system(pair, S)
@@ -1154,7 +1153,8 @@ def test_runs_of_generators_change_no_system(field, pq, monkeypatch):
         runs = orbits._stabilizer_system(pair, S)
         assert runs.shape == whole.shape
         assert np.abs(runs - whole).max() <= 1e-15 * np.abs(whole).max()
-    assert "basis" not in vars(pair.h)
+    # the generators are read as views of h's stored rows, never unpacked
+    assert np.shares_memory(pair.h.basis, pair.h._mat)
 
 
 # ---------------------------------------------------------------------------
@@ -1273,8 +1273,8 @@ def test_a_corrupted_kernel_basis_fails_the_partner_check(field, corrupt, monkey
     ranks = orbits._stabilizer_ranks
     d = EXPECTED_STAB_DIM[field](3)
 
-    def corrupted(pair, S, vt=False):
-        rank, v = ranks(pair, S, vt=vt)
+    def corrupted(pair, A, vt=False):
+        rank, v = ranks(pair, A, vt=vt)
         assert vt and (v.shape[1] - rank == d).all()
         v = v.copy()
         first, last = v[:, -d].copy(), v[:, -d - 1].copy()  # kernel, complement
@@ -1320,20 +1320,24 @@ def test_tall_systems_take_kernel_vectors_only_where_a_row_has_one(monkeypatch):
     partners, _ = partner_null_batch(pair, batch)
     strata = [sample_so21_stratum_batch(pair, name, 2, rng=24) for name in STRATA[1:]]
     mixed = np.concatenate([batch.S[:3].astype(complex), *strata])
-    calls = []
-    svd = np.linalg.svd
+    calls, systems = [], []
+    svd, system = np.linalg.svd, orbits._stabilizer_system
 
     def recording(a, *args, **kw):
         calls.append(kw.get("compute_uv", True))
         return svd(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
+    # one system per stack: the vectors are taken from the one the singular
+    # values came from
+    monkeypatch.setattr(orbits, "_stabilizer_system",
+                        lambda pair, S: systems.append(len(S)) or system(pair, S))
     dims, dims_hat, theta = ray_stabilizer_mismatch(pair, batch.S, partners)
-    assert calls == [False, False]
+    assert calls == [False, False] and systems == [20, 20]
     assert not dims.any() and not dims_hat.any() and not theta.any()
-    calls.clear()
+    calls.clear(), systems.clear()
     dims, dims_hat, theta = ray_stabilizer_mismatch(pair, mixed, mixed)
-    assert calls == [False, True, False]
+    assert calls == [False, True, False] and systems == [7, 7]
     assert dims.tolist() == dims_hat.tolist() == [0, 0, 0, 1, 1, 2, 2]
     assert np.array_equal(dims, stabilizer_dims(pair, mixed))
     assert theta.max() < 1e-12

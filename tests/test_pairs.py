@@ -175,21 +175,22 @@ def test_stacked_generators_match_per_matrix_loops_bit_for_bit(field):
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_support_split_matches_the_full_factorization(field):
-    # the columns outside the block are orthogonal to every other column
-    # exactly, so the column norms and the block's singular values are the
-    # singular values of the whole column matrix, and the frame built from
-    # them is an orthonormal frame of its span
+    # the rows outside the block are orthogonal to every other row exactly,
+    # so the row norms and the block's singular values are the singular
+    # values of the whole row matrix, and the frame built from them is an
+    # orthonormal frame of its span
     for fam in default_families(2, 8):
         if fam.field != field:
             continue
         pair = build_pair(fam)
         for space in (pair.h, pair.m, pair.g):
-            M, block, rows = space._mat, space._block, space._rows
+            block, support = space._block, space._support
+            M = space._mat.T  # column i is realify of basis matrix i
             G = M.T @ M
             assert (G[~block] == np.diag(np.diag(G))[~block]).all(), fam
-            assert not M[~rows][:, block].any(), fam
+            assert not M[~support][:, block].any(), fam
             s_split = np.concatenate([space._norms[~block], np.linalg.svd(
-                M[np.ix_(rows, block)], compute_uv=False)])
+                M[np.ix_(support, block)], compute_uv=False)])
             s_full = np.linalg.svd(M, compute_uv=False)
             assert_allclose([s_split.max(), s_split.min()], [s_full[0], s_full[-1]],
                             rtol=1e-12, atol=0)
@@ -200,7 +201,7 @@ def test_support_split_matches_the_full_factorization(field):
 
 
 def test_build_pair_factorizes_no_full_height_matrix(monkeypatch):
-    # H(6, 5): the column matrices of h and m have 2 N^2 = 968 rows; only
+    # H(6, 5): the row arrays of h and m have 2 N^2 = 968 coordinates; only
     # the block of trace-dropped diagonal generators reaches LAPACK
     shapes = []
 
@@ -211,7 +212,7 @@ def test_build_pair_factorizes_no_full_height_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
     pair = build_pair(Family("H", 6, 5))
     pair.m.frame
-    assert shapes and all(rows < 968 for rows, _ in shapes), shapes
+    assert shapes and all(max(shape) < 968 for shape in shapes), shapes
 
 
 def test_family_validation():
@@ -518,7 +519,7 @@ def test_isotropy_matrix_of_a_stack_is_the_stack_of_matrices(field):
 
 def test_build_pair_peak_memory_stays_near_its_bases():
     # each _mat is written from the index patterns, so no generator stack
-    # is alive next to the two column matrices: the peak measured 1.09 of
+    # is alive next to the two row arrays: the peak measured 1.09 of
     # them at H(6, 5) (2.08 with stacks); the bound leaves 0.11 for the
     # index arrays and the block's SVD
     build_pair(Family("H", 2, 1))
