@@ -370,7 +370,7 @@ def duality_identity(data: CaseStudy, study: str, trials: int = 500, rng=0) -> R
     K = data.pair.form
     a = data.a
     rep.residual(f"{study}_duality_ray_pairing",
-                 abs(K(data.S, data.S_hat) + 12 * a * a), 1e-9,
+                 abs(K(data.S, data.S_hat) + 12 * a * a), data.pair.tol.abs,
                  anchor="the ray pair has pairing -12 a^2")
     S_n, Sh_n = data.graded_basis[0], -data.graded_basis[-1]
     K_so = BilinForm(0.5)
@@ -546,19 +546,19 @@ def su21_ad_action(data: SU21Data, trials: int = 20, rng=0) -> Report:
     at the group element b_group(pi / 3, 2)."""
     rng = np.random.default_rng(rng)
     rep = Report(suite="su21_ad")
-    T = data.pair.hermitian_matrix
+    T, tol = data.pair.hermitian_matrix, data.pair.tol
     phi, r = np.pi / 3, 2.0
     b = b_group(phi, r)
     rep.residual("su21_ad_group_membership",
                  float(np.abs(b.conj().T @ T @ b - T).max())
-                 + abs(np.linalg.det(b) - 1), 1e-9,
+                 + abs(np.linalg.det(b) - 1), tol.abs,
                  anchor="family lies in the form-preserving group")
     rep.residual("su21_ad_fixes_ray",
                  float(np.linalg.norm(b @ data.S @ np.linalg.inv(b) - data.S)),
-                 1e-9, anchor="family fixes the sampled ray")
+                 tol.abs, anchor="family fixes the sampled ray")
     ident = b_group(0.0, 1.0)
     rep.residual("su21_ad_identity_parameters",
-                 float(np.abs(ident - np.eye(3)).max()), data.pair.tol.abs,
+                 float(np.abs(ident - np.eye(3)).max()), tol.abs,
                  anchor="trivial parameters give the identity")
     # per trial: x and y as (re, im) pairs, then d and g
     c = rng.standard_normal((trials, 6))
@@ -567,14 +567,14 @@ def su21_ad_action(data: SU21Data, trials: int = 20, rng=0) -> Report:
     got = b @ (v_plus(x, d) + v_minus(y, g)) @ np.linalg.inv(b)
     want = (v_plus(np.exp(-3j * phi) * x / r, r**2 * d)
             + v_minus(r * np.exp(3j * phi) * y, g / r**2))
-    rep.residual("su21_ad_parameter_map", _worst_norm(got - want), 1e-9,
+    rep.residual("su21_ad_parameter_map", _worst_norm(got - want), tol.abs,
                  anchor="conjugation acts by the stated parameter scaling")
     # per trial: two angles in [-pi, pi), then two radii in [0.3, 3);
     # Generator.uniform(low, high) is low + (high - low) * random()
     lo, hi = np.repeat([[-np.pi, 0.3], [np.pi, 3.0]], 2, axis=1)
     p1, p2, r1, r2 = (lo + (hi - lo) * rng.random((trials, 4))).T
     wlaw = _worst_abs(b_group(p1, r1) @ b_group(p2, r2) - b_group(p1 + p2, r1 * r2))
-    rep.residual("su21_ad_group_law", wlaw, 1e-9,
+    rep.residual("su21_ad_group_law", wlaw, tol.abs,
                  anchor="parameters compose additively and multiplicatively")
     return rep
 
@@ -593,18 +593,18 @@ def su21_nabla_J_report(data: SU21Data, trials: int = 100, rng=0) -> Report:
     """The nearly para-Kahler identities of the structure derivative over
     random pairs: it vanishes on equal arguments, anticommutes with J, and
     on pure elements of the plus half it is minus the torsion."""
-    rep = Report(suite="su21_nabla_J")
+    rep, tol = Report(suite="su21_nabla_J"), data.pair.tol
     X, Y, Xp, Yp = _draw(np.random.default_rng(rng), trials,
                          data.n_space, data.n_space, data.n_plus, data.n_plus)
     w_diag = _worst_norm(su21_nabla_J(data, X, X))
     w_anti = _worst_norm(su21_nabla_J(data, X, data.J(Y))
                          + data.J(su21_nabla_J(data, X, Y)))
     w_pure = _worst_norm(su21_nabla_J(data, Xp, Yp) + torsion_eval(data.split, Xp, Yp))
-    rep.residual("su21_nablaJ_vanishes_on_diagonal", w_diag, 1e-9,
+    rep.residual("su21_nablaJ_vanishes_on_diagonal", w_diag, tol.abs,
                  anchor="the structure derivative vanishes on equal arguments")
-    rep.residual("su21_nablaJ_anticommutes", w_anti, 1e-9,
+    rep.residual("su21_nablaJ_anticommutes", w_anti, tol.abs,
                  anchor="the structure derivative anticommutes with the structure")
-    rep.residual("su21_nablaJ_pure_type", w_pure, 1e-9,
+    rep.residual("su21_nablaJ_pure_type", w_pure, tol.abs,
                  anchor="on pure elements the derivative is minus the torsion")
     return rep
 
@@ -911,11 +911,11 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0) -> Report:
     vp = u * v2 + v * np.conj(u2)
     w_mult = max(_worst_abs(phi_sl2(g @ h) - phi_sl2(g) @ phi_sl2(h)),
                  _worst_abs(phi_sp1(u, v) @ phi_sp1(u2, v2) - phi_sp1(up, vp)))
-    rep.residual("sp21_embed_membership", w_mem, 1e-9,
+    rep.residual("sp21_embed_membership", w_mem, tol.abs,
                  anchor="both families land in the form-preserving group")
     rep.residual("sp21_embed_fixes_ray", w_fix, 1e-8,
                  anchor="both families fix the sampled ray")
-    rep.residual("sp21_embed_multiplicative", w_mult, 1e-9,
+    rep.residual("sp21_embed_multiplicative", w_mult, tol.abs,
                  anchor="the embeddings are group homomorphisms")
     # derivative algebra of the two families: both embeddings are real-affine
     # in their entries, so phi(1 + Y) - phi(1) is their derivative along Y,
@@ -932,7 +932,7 @@ def sp21_embedding_check(data: SP21Data, trials: int = 20, rng=0) -> Report:
     # a group element integrated from a derivative element stays in the group
     Z = span.random_element(rng, norm=0.7)
     rep.residual("sp21_embed_exponential_membership", membership(cayley(data.pair, Z)),
-                 1e-9, anchor="Cayley elements of derivative elements stay in the group")
+                 tol.abs, anchor="Cayley elements of derivative elements stay in the group")
     return rep
 
 

@@ -1,15 +1,14 @@
 """Reductive splits of the isotropy algebra and their geometry.
 
 Given a subalgebra b of h on which the trace form is nondegenerate, the
-orthogonal complement n inside h is an invariant complement.  Its
-geometry is held as arrays in a signed orthonormal frame of n: the torsion
--[u, v]_n and curvature R(u, v) w = -[[u, v]_b, w] of the canonical
-connection, and Nomizu arrays, from which curvature_tensor builds the
-curvature of the canonical (Lambda = 0) or Levi-Civita connection; their
-Ricci and first-Bianchi contractions read either array.  The Ricci
-convention is fixed so that the Casimir constant and the Einstein constants
-of the two case studies come out with their known positive signs:
-Ric(X, Y) = sum_i eps_i K(R(X, e_i) Y, e_i).
+orthogonal complement n inside h is an invariant complement.  The split
+holds its structure constants in signed orthonormal frames e_i of n and f_a
+of b: the torsion T of [e_i, e_k]_n, beta of [e_i, e_k]_b, and M_a = ad(f_a)
+on n.  Each tensor is a contraction of them: the canonical curvature, the
+curvature of any invariant connection given by its Nomizu array, the
+Levi-Civita Ricci tensor without that array, and the Casimir.  The Ricci
+convention, Ric(X, Y) = sum_i eps_i K(R(X, e_i) Y, e_i), gives the Casimir
+and the Einstein constants of the two case studies their known signs.
 
 Tolerance contract: every routine reads its tolerance from the pair,
 pair.tol or split.pair.tol, fixed once where the pair is built; none takes
@@ -62,11 +61,10 @@ def frame_ad(form: BilinForm, frame: np.ndarray, ginv: np.ndarray,
 class ReductiveSplit:
     """h = b + n with a signed orthonormal basis of n.
 
-    b may be None for the degenerate case of a trivial stabilizer, in
-    which case n is all of h and the canonical curvature vanishes.  e_basis
-    is the signed orthonormal basis of n as one stack (d, N, N), with signs
-    eps; its brackets, the torsion and the curvature are computed once from
-    e_basis, eps and form, on first use.
+    b may be None for a trivial stabilizer; then n is all of h and the
+    canonical curvature vanishes.  e_basis is the signed orthonormal basis
+    of n as one stack (d, N, N), with signs eps; the brackets and structure
+    constants of both frames are computed once, on first use.
     """
 
     pair: SymmetricPair
@@ -88,10 +86,6 @@ class ReductiveSplit:
         """Coordinates of an element of n (or a stack) in the signed basis."""
         return frame_coords(self.form, self.e_basis, np.diag(self.eps), X)
 
-    def proj_n(self, X: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto n of one matrix or a stack."""
-        return np.tensordot(self.n_coords(X), self.e_basis, axes=1)
-
     def ad(self, X: np.ndarray) -> np.ndarray:
         """Matrix of ad(X), read on n, in the signed basis (X may be a stack)."""
         return frame_ad(self.form, self.e_basis, np.diag(self.eps), X)
@@ -108,14 +102,32 @@ class ReductiveSplit:
         return -self.n_coords(self.frame_brackets)
 
     @cached_property
-    def curvature_components(self) -> np.ndarray:
-        """R[i, k], the matrix of w -> -[[e_i, e_k]_b, w] in the signed basis.
+    def b_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f, eta), a signed orthonormal frame of b and its signs (empty if b is None)."""
+        if self.dim_b == 0:
+            return self.e_basis[:0], self.eps[:0]
+        return signed_gram_schmidt(self.form, self.b)
 
-        Built one frame index i at a time, so no d^3 stack of matrices is
-        ever held.
-        """
-        B = self.frame_brackets
-        return np.stack([-self.ad(Bi - self.proj_n(Bi)) for Bi in B])
+    @cached_property
+    def b_components(self) -> np.ndarray:
+        """beta[i, k, a] = eta_a K([e_i, e_k], f_a), the coordinates of [e_i, e_k]_b."""
+        f, eta = self.b_frame
+        return frame_coords(self.form, f, np.diag(eta), self.frame_brackets)
+
+    @cached_property
+    def b_brackets(self) -> np.ndarray:
+        """[f_a, e_k] for all a, k as (dim b, d, N, N), as whole matrices."""
+        return bracket(self.b_frame[0][:, None], self.e_basis)
+
+    @cached_property
+    def b_action(self) -> np.ndarray:
+        """M[a] = ad(f_a) on n: column k holds the coordinates of b_brackets[a, k]."""
+        return np.swapaxes(self.n_coords(self.b_brackets), -1, -2)
+
+    @cached_property
+    def curvature_components(self) -> np.ndarray:
+        """C[i, k] = -sum_a beta[i, k, a] M[a], the matrix of w -> -[[e_i, e_k]_b, w]."""
+        return -np.tensordot(self.b_components, self.b_action, axes=1)
 
 
 def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
@@ -135,17 +147,14 @@ def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
         if max_bracket_residual(b.basis, n, n.basis) > 1e-7:
             raise ValueError("complement is not invariant under b")
     else:
-        b = None
-        n = pair.h
+        b, n = None, pair.h
     e_basis, eps = signed_gram_schmidt(form, n, np.random.default_rng(rng))
     return ReductiveSplit(pair=pair, b=b, n=n, e_basis=e_basis, eps=eps, form=form)
 
 
 def torsion_eval(split: ReductiveSplit, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T(u, v) = -[u, v]_n for u, v in n, from the torsion components.
-
-    u and v may be stacks (..., N, N), evaluated element by element.
-    """
+    """T(u, v) = -[u, v]_n for u, v in n, or stacks (..., N, N) element by
+    element, from the torsion components."""
     c = np.einsum("...i,...j,ijk->...k", split.n_coords(u), split.n_coords(v),
                   split.torsion_components)
     return np.tensordot(c, split.e_basis, axes=1)
@@ -159,26 +168,21 @@ def torsion_derivation_check(split: ReductiveSplit) -> Report:
     preserves the torsion tensor.  [b, T(u, v)] is kept as a full matrix,
     so a part of it outside n counts too.
     """
-    tol = split.pair.tol
-    rep = Report(suite="torsion")
-    T = split.torsion_components
+    tol, rep, T = split.pair.tol, Report(suite="torsion"), split.torsion_components
     low = T * split.eps  # K(T(e_i, e_j), e_k)
     anti = float(np.abs(T + np.transpose(T, (1, 0, 2))).max())
     rep.residual("torsion_antisymmetry", anti, tol.abs,
                  anchor="torsion is antisymmetric in its two arguments")
-    skew = 0.0
-    for perm, sign in [((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
-                       ((1, 2, 0), 1), ((2, 0, 1), 1)]:
-        skew = max(skew, float(np.abs(np.transpose(low, perm) - sign * low).max()))
+    skew = max(float(np.abs(np.transpose(low, perm) - sign * low).max())
+               for perm, sign in [((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
+                                  ((1, 2, 0), 1), ((2, 0, 1), 1)])
     rep.residual("torsion_total_skew", skew, tol.abs,
                  anchor="lowered torsion changes by the sign of the permutation")
     worst = 0.0
-    T_mats = np.tensordot(T, split.e_basis, axes=1)
-    b_basis = [] if split.b is None else split.b.basis
-    for X in b_basis:
-        A = split.ad(X)  # column i: coordinates of [X, e_i]_n
-        moved = np.einsum("pi,pjk->ijk", A, T) + np.einsum("qj,iqk->ijk", A, T)
-        D = bracket(X, T_mats) - np.tensordot(moved, split.e_basis, axes=1)
+    for F, M in zip(split.b_brackets, split.b_action):
+        # sum_k T[i, j, k] [f_a, e_k] = [f_a, T(e_i, e_j)], a whole matrix
+        moved = np.einsum("pi,pjk->ijk", M, T) + np.einsum("qj,iqk->ijk", M, T)
+        D = np.tensordot(T, F, axes=1) - np.tensordot(moved, split.e_basis, axes=1)
         worst = max(worst, float(np.linalg.norm(D, axis=(-2, -1)).max()))
     rep.residual("torsion_derivation", worst, tol.abs,
                  anchor="isotropy elements act as derivations of the torsion")
@@ -229,8 +233,12 @@ def bianchi_defect(R: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def ricci_levi_civita(split: ReductiveSplit) -> np.ndarray:
-    """Ricci tensor of the Levi-Civita connection."""
-    return ricci(curvature_tensor(split, levi_civita_nomizu(split)))
+    """Ricci tensor of the Levi-Civita connection, the trace of its curvature
+    array taken term by term from L, T, beta and M (README), never the array."""
+    L, T = levi_civita_nomizu(split), split.torsion_components
+    return (np.tensordot(L, L, axes=([1, 2], [0, 1])) - np.einsum("kkp->p", L) @ L
+            + np.tensordot(T, L, axes=([1, 2], [1, 0]))
+            - np.tensordot(split.b_components, split.b_action, axes=([1, 2], [1, 0])))
 
 
 def einstein_fit(split: ReductiveSplit):
@@ -239,8 +247,7 @@ def einstein_fit(split: ReductiveSplit):
     ric = ricci_levi_civita(split)
     G = np.diag(split.eps)
     lam = float(np.sum(ric * G) / np.sum(G * G))
-    residual = float(np.abs(ric - lam * G).max())
-    return lam, residual
+    return lam, float(np.abs(ric - lam * G).max())
 
 
 def frame_casimir(split: ReductiveSplit, basis, eps: np.ndarray) -> np.ndarray:
@@ -250,29 +257,22 @@ def frame_casimir(split: ReductiveSplit, basis, eps: np.ndarray) -> np.ndarray:
 
 
 def casimir(split: ReductiveSplit, rng=0) -> np.ndarray:
-    """Casimir of the b-action on n, sum_i eps_i ad(A_i)^2.
+    """Casimir of the b-action on n, sum_a eta_a M_a^2 over the split's frame.
 
-    Computed twice with independently randomized signed orthonormal bases
-    of b; a mismatch means the form data is inconsistent and raises.
+    Computed again over an independently randomized signed orthonormal
+    basis of b; a mismatch means the form data is inconsistent and raises.
     """
-    tol = split.pair.tol
-    d = split.dim_n
-    if split.b is None or split.b.dim == 0:
-        return np.zeros((d, d))
-    rng = np.random.default_rng(rng)
-
-    def one_pass(space):
-        return frame_casimir(split, *signed_gram_schmidt(split.form, space, rng))
-
-    chi1 = one_pass(split.b)
-    k = split.b.dim
-    mix = rng.standard_normal((k, k)) + np.eye(k)
-    remixed = RealSubspace(np.tensordot(mix, split.b.basis, axes=1), tol=tol)
-    chi2 = one_pass(remixed)
-    drift = float(np.abs(chi1 - chi2).max())
-    if drift > 1e-7 * max(1.0, float(np.abs(chi1).max())):
-        raise ValueError(f"Casimir is basis-dependent, drift {drift:.3e}")
-    return chi1
+    M, k = split.b_action, split.dim_b
+    chi = np.einsum("a,aij,ajk->ik", split.b_frame[1], M, M)
+    if k:
+        rng = np.random.default_rng(rng)
+        mix = rng.standard_normal((k, k)) + np.eye(k)
+        remixed = RealSubspace(np.tensordot(mix, split.b.basis, axes=1), tol=split.pair.tol)
+        chi2 = frame_casimir(split, *signed_gram_schmidt(split.form, remixed, rng))
+        drift = float(np.abs(chi - chi2).max())
+        if drift > 1e-7 * max(1.0, float(np.abs(chi).max())):
+            raise ValueError(f"Casimir is basis-dependent, drift {drift:.3e}")
+    return chi
 
 
 def wang_ziller_check(chi: np.ndarray):

@@ -5,7 +5,9 @@ corrupt_pair is the negative control of the axiom checks; quat_blocks
 reads the blocks of a quaternionic matrix off its complex image and checks
 that the image keeps the block pattern of quat_embed; ref_n_coords and
 ref_bracket_parts split a bracket along b + n with one form call per frame
-element, the reference the reductive arrays are compared against.
+element, and ref_curvature_components builds the canonical curvature one
+frame index at a time: the references the reductive arrays are compared
+against.  ray_split is the split along the stabilizer of a sampled null ray.
 """
 
 from dataclasses import replace
@@ -13,7 +15,9 @@ from dataclasses import replace
 import numpy as np
 
 from nullcone.linalg import RealSubspace, bracket, quat_embed
-from nullcone.pairs import SymmetricPair
+from nullcone.orbits import sample_null_batch, stabilizers_of_rays
+from nullcone.pairs import SymmetricPair, build_pair
+from nullcone.reductive import reductive_split
 
 
 def corrupt_pair(pair: SymmetricPair) -> SymmetricPair:
@@ -52,3 +56,19 @@ def ref_bracket_parts(split, u, v):
     B = bracket(u, v)
     Bn = sum(c * e for c, e in zip(ref_n_coords(split, B), split.e_basis))
     return B - Bn, Bn
+
+
+def ref_curvature_components(split):
+    """R[i, k] = -ad([e_i, e_k]_b) on n, one frame index i at a time, with
+    the b-part read as the bracket less its n-projection."""
+    E = split.e_basis
+    return np.stack([-split.ad(B - np.tensordot(split.n_coords(B), E, axes=1))
+                     for B in split.frame_brackets])
+
+
+def ray_split(family, rng=0):
+    """h = b + n with b the stabilizer of the first null ray that
+    sample_null_batch draws from the seed rng."""
+    pair = build_pair(family)
+    stab = stabilizers_of_rays(pair, sample_null_batch(pair, 1, rng=rng).S)
+    return reductive_split(pair, RealSubspace(stab.bases[0], tol=pair.tol))

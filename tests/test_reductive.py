@@ -29,7 +29,7 @@ from nullcone.reductive import (
     torsion_eval,
     wang_ziller_check,
 )
-from pair_helpers import ref_bracket_parts, ref_n_coords
+from pair_helpers import ray_split, ref_bracket_parts, ref_curvature_components, ref_n_coords
 
 
 # Reference definitions: one form call per entry and one bracket per basis
@@ -260,8 +260,7 @@ def test_ricci_symmetry_and_invariance(su21, sp21):
     split = sp21.split
     R0 = ricci(curvature_tensor(split))
     for X in sp21.split.b.basis[:3]:
-        A = np.column_stack([split.n_coords(split.proj_n(bracket(X, e)))
-                             for e in split.e_basis])
+        A = np.column_stack([split.n_coords(bracket(X, e)) for e in split.e_basis])
         assert np.abs(A.T @ R0 + R0 @ A).max() < 1e-8
 
 
@@ -318,7 +317,19 @@ def test_homothety_check_reads_the_complement_it_is_given(su21, sp21, monkeypatc
 SPLITS = ("su21", "sp21", "torsion_free_split", "abelian_split")
 
 
+# splits along the stabilizer of one sampled null ray
+RAY_SPLITS = {"C21_ray": Family("C", 2, 1), "H21_ray": Family("H", 2, 1),
+              "C32_ray": Family("C", 3, 2), "H32_ray": Family("H", 3, 2)}
+
+
+@pytest.fixture(scope="module")
+def ray_splits():
+    return {name: ray_split(family) for name, family in RAY_SPLITS.items()}
+
+
 def _split(request, name):
+    if name in RAY_SPLITS:
+        return request.getfixturevalue("ray_splits")[name]
     split = request.getfixturevalue(name)
     return split if isinstance(split, ReductiveSplit) else split.split
 
@@ -363,12 +374,10 @@ def test_stacked_frame_maps_match_single_matrices(su21, sp21):
     for split in (su21.split, sp21.split):
         Xs = split.pair.h.random_element(rng, size=6).reshape((2, 3) + split.e_basis.shape[1:])
         coords = split.n_coords(Xs)
-        proj = split.proj_n(Xs)
         assert coords.shape == (2, 3, split.dim_n)
         for idx in np.ndindex(2, 3):
             assert_allclose(coords[idx], split.n_coords(Xs[idx]), rtol=0, atol=1e-13)
             assert_allclose(coords[idx], ref_n_coords(split, Xs[idx]), rtol=0, atol=1e-13)
-            assert_allclose(proj[idx], split.proj_n(Xs[idx]), rtol=0, atol=1e-13)
 
 
 def test_sp21_casimir_and_rho_match_loop_references(sp21):
@@ -418,6 +427,48 @@ def test_levi_civita_ricci_matches_the_torsion_square_reference(request, name):
     split = _split(request, name)
     assert_allclose(ricci(levi_civita_curvature(split)), ref_ricci_levi_civita(split),
                     rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", LAYER_SPLITS + tuple(RAY_SPLITS))
+def test_curvature_contractions_match_the_per_index_loop(request, name):
+    # C[i, k] = -sum_a beta[i, k, a] M_a against -ad([e_i, e_k]_b) built one
+    # frame index at a time; the Levi-Civita Ricci contraction against the
+    # trace of the full curvature array, built on either canonical curvature
+    split = _split(request, name)
+    loop = ref_curvature_components(split)
+    assert_allclose(split.curvature_components, loop, rtol=0, atol=1e-13)
+    looped = dataclasses.replace(split)
+    looped.curvature_components = loop
+    ric = ricci_levi_civita(split)
+    for s in (split, looped):
+        assert_allclose(ric, ricci(curvature_tensor(s, levi_civita_nomizu(s))),
+                        rtol=0, atol=1e-12)
+    assert split.b_components.shape == (split.dim_n, split.dim_n, split.dim_b)
+    assert split.b_action.shape == (split.dim_b, split.dim_n, split.dim_n)
+
+
+@pytest.mark.parametrize("field,p,q,lam", [("C", 5, 4, 5.5), ("H", 4, 3, 11.0)])
+def test_einstein_constant_at_large_d_is_kappa_over_four_plus_half_the_casimir(
+        field, p, q, lam, monkeypatch):
+    # a normal homogeneous metric whose Casimir is c Id has Ric = (kappa / 4
+    # + c / 2) g, with kappa K the Killing form of h (Besse 7.93): (n + 2) / 2
+    # on C and n + 4 on H.  At d = 72 and 84 the fit never forms the
+    # (d, d, d, d) curvature array
+    split = ray_split(Family(field, p, q))
+    h, form = split.pair.h, split.form
+    X = h.random_element(np.random.default_rng(0))
+    ad = h.coords(bracket(X, h.basis))  # row j: coordinates of [X, h_j]
+    kappa = np.trace(ad @ ad) / form(X, X)
+    flag, c = wang_ziller_check(casimir(split))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einstein_fit formed the (d, d, d, d) curvature array")
+
+    monkeypatch.setattr(reductive, "curvature_tensor", refuse)
+    got, res = einstein_fit(split)
+    assert flag and abs(got - (kappa / 4 + c / 2)) <= 1e-7
+    assert abs(got - lam) <= 1e-7 and res <= 1e-7
+    assert "curvature_components" not in vars(split)
 
 
 @pytest.mark.parametrize("name", LAYER_SPLITS)

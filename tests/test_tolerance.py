@@ -17,33 +17,25 @@ from nullcone.pairs import Family, build_pair
 # the checks that report tol.abs of their pair, by study
 TOL_ABS_CHECKS = {
     "su21": {
-        "su21_J_squares_to_identity", "su21_ad_identity_parameters",
+        "su21_J_squares_to_identity", "su21_ad_fixes_ray", "su21_ad_group_law",
+        "su21_ad_group_membership", "su21_ad_identity_parameters", "su21_ad_parameter_map",
         "su21_bracket_minus_formula", "su21_bracket_mixed_formula",
         "su21_bracket_mixed_into_b", "su21_bracket_plus_formula",
         "su21_bracket_pure_swaps_halves", "su21_bracket_self", "su21_bracket_spot_value",
-        "su21_n_halves_totally_null", "su21_torsion_antisymmetry",
+        "su21_duality_ray_pairing", "su21_n_halves_totally_null",
+        "su21_nablaJ_anticommutes", "su21_nablaJ_pure_type",
+        "su21_nablaJ_vanishes_on_diagonal", "su21_torsion_antisymmetry",
         "su21_torsion_derivation", "su21_torsion_total_skew",
     },
     "sp21": {
-        "sp21_action_b1_on_n1", "sp21_action_b1_on_n2", "sp21_action_b2_on_n1",
-        "sp21_action_b2_on_n2", "sp21_action_preserves_blocks", "sp21_action_zero",
-        "sp21_embed_identity", "sp21_factor1_trivial_on_n2", "sp21_factors_commute",
+        "a2_sp21_duality_ray_pairing", "sp21_action_b1_on_n1", "sp21_action_b1_on_n2",
+        "sp21_action_b2_on_n1", "sp21_action_b2_on_n2", "sp21_action_preserves_blocks",
+        "sp21_action_zero", "sp21_duality_ray_pairing", "sp21_embed_exponential_membership",
+        "sp21_embed_identity", "sp21_embed_membership", "sp21_embed_multiplicative",
+        "sp21_factor1_trivial_on_n2", "sp21_factors_commute",
         "sp21_factors_orthogonal", "sp21_isometry_gram_equal", "sp21_isometry_lands_in_m",
         "sp21_isometry_perp_to_rays", "sp21_torsion_antisymmetry",
         "sp21_torsion_derivation", "sp21_torsion_total_skew",
-    },
-}
-# the checks whose bound is a stated 1e-9 of their own, not the pair's tolerance
-FIXED_1E9_CHECKS = {
-    "su21": {
-        "su21_ad_fixes_ray", "su21_ad_group_law", "su21_ad_group_membership",
-        "su21_ad_parameter_map", "su21_duality_ray_pairing", "su21_nablaJ_anticommutes",
-        "su21_nablaJ_pure_type", "su21_nablaJ_vanishes_on_diagonal",
-    },
-    "sp21": {
-        "a2_sp21_duality_ray_pairing", "sp21_duality_ray_pairing",
-        "sp21_embed_exponential_membership", "sp21_embed_membership",
-        "sp21_embed_multiplicative",
     },
 }
 
@@ -95,7 +87,8 @@ def test_the_report_tolerance_reaches_every_layer(study, report):
     moved = {n for n in base if fine[n] != base[n]}
     assert moved == TOL_ABS_CHECKS[study]
     assert all(base[n] == DEFAULT_TOL.abs and fine[n] == 1e-8 for n in moved)
-    assert {n for n in base if base[n] == 1e-9} - moved == FIXED_1E9_CHECKS[study]
+    # no check states a bound of 1e-9 of its own, which --tol would not reach
+    assert {n for n in base if base[n] == 1e-9} == moved
 
 
 def test_model_report_is_one_body_for_both_studies():
