@@ -316,8 +316,10 @@ def _spectral_order(vals: np.ndarray, gap: np.ndarray):
 
 
 def require_tangent(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
-    """Raise unless S (one matrix or a stack) lies in the tangent summand
+    """Raise unless S (one matrix or a stack) is finite and in the tangent summand
     within 1e-7 max(1, |S|_F), per matrix; returns the max(1, |S|_F)."""
+    if not np.isfinite(S).all():  # a NaN residual would pass any bound
+        raise ValueError("matrix has a non-finite entry")
     scale = np.maximum(1.0, np.linalg.norm(S, axis=(-2, -1)))
     if np.any(pair.m.residual(S) > 1e-7 * scale):
         raise ValueError("matrix is not in the tangent summand within tolerance")

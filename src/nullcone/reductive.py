@@ -2,9 +2,10 @@
 
 Given a subalgebra b of h on which the trace form is nondegenerate, the
 orthogonal complement n inside h is an invariant complement.  The split
-holds its structure constants in signed orthonormal frames e_i of n and f_a
-of b: the torsion T of [e_i, e_k]_n, beta of [e_i, e_k]_b, and M_a = ad(f_a)
-on n.  Each tensor is a contraction of them: the canonical curvature, the
+holds one structure-constant array, Phi[i, k, z] = K([e_i, e_k], u_z) over
+signed orthonormal frames u = (e, f) of n and b.  The torsion T, beta of
+[e_i, e_k]_b and M_a = ad(f_a) on n are signed slices of it, and each
+tensor is a contraction of them: the canonical curvature, the
 curvature of any invariant connection given by its Nomizu array, the
 Levi-Civita Ricci tensor without that array, and the Casimir.  The Ricci
 convention, Ric(X, Y) = sum_i eps_i K(R(X, e_i) Y, e_i), gives the Casimir
@@ -63,8 +64,8 @@ class ReductiveSplit:
 
     b may be None for a trivial stabilizer; then n is all of h and the
     canonical curvature vanishes.  e_basis is the signed orthonormal basis
-    of n as one stack (d, N, N), with signs eps; the brackets and structure
-    constants of both frames are computed once, on first use.
+    of n as one stack (d, N, N), with signs eps; the frame of b and the
+    structure constants are computed once, on first use.
     """
 
     pair: SymmetricPair
@@ -91,17 +92,6 @@ class ReductiveSplit:
         return frame_ad(self.form, self.e_basis, np.diag(self.eps), X)
 
     @cached_property
-    def frame_brackets(self) -> np.ndarray:
-        """[e_i, e_j] for all i, j as (d, d, N, N), exactly antisymmetric."""
-        P = self.e_basis[:, None] @ self.e_basis[None, :]
-        return P - np.swapaxes(P, 0, 1)
-
-    @cached_property
-    def torsion_components(self) -> np.ndarray:
-        """T[i, j, :], the coordinates of T(e_i, e_j) = -[e_i, e_j]_n."""
-        return -self.n_coords(self.frame_brackets)
-
-    @cached_property
     def b_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """(f, eta), a signed orthonormal frame of b and its signs (empty if b is None)."""
         if self.dim_b == 0:
@@ -109,20 +99,27 @@ class ReductiveSplit:
         return signed_gram_schmidt(self.form, self.b)
 
     @cached_property
+    def bracket_pairings(self) -> np.ndarray:
+        """Phi[i, k, z] = K([e_i, e_k], u_z), u = (e, f): one pairing of the
+        products e_i e_k with u, then dropped, antisymmetrized exactly."""
+        E = self.e_basis
+        G = gram_matrix(self.form, E[:, None] @ E, np.concatenate([E, self.b_frame[0]]))
+        return G - np.swapaxes(G, 0, 1)
+
+    @property
+    def torsion_components(self) -> np.ndarray:
+        """T[i, j, m] = -eps_m Phi[i, j, m], the coordinates of T(e_i, e_j) = -[e_i, e_j]_n."""
+        return -self.bracket_pairings[..., :self.dim_n] * self.eps
+
+    @property
     def b_components(self) -> np.ndarray:
-        """beta[i, k, a] = eta_a K([e_i, e_k], f_a), the coordinates of [e_i, e_k]_b."""
-        f, eta = self.b_frame
-        return frame_coords(self.form, f, np.diag(eta), self.frame_brackets)
+        """beta[i, k, a] = eta_a Phi[i, k, d + a], the coordinates of [e_i, e_k]_b."""
+        return self.bracket_pairings[..., self.dim_n:] * self.b_frame[1]
 
-    @cached_property
-    def b_brackets(self) -> np.ndarray:
-        """[f_a, e_k] for all a, k as (dim b, d, N, N), as whole matrices."""
-        return bracket(self.b_frame[0][:, None], self.e_basis)
-
-    @cached_property
+    @property
     def b_action(self) -> np.ndarray:
-        """M[a] = ad(f_a) on n: column k holds the coordinates of b_brackets[a, k]."""
-        return np.swapaxes(self.n_coords(self.b_brackets), -1, -2)
+        """M[a] = ad(f_a) on n: M[a, p, k] = eps_p eta_a beta[k, p, a], by invariance of K."""
+        return np.transpose(self.bracket_pairings[..., self.dim_n:], (2, 1, 0)) * self.eps[:, None]
 
     @cached_property
     def curvature_components(self) -> np.ndarray:
@@ -178,11 +175,11 @@ def torsion_derivation_check(split: ReductiveSplit) -> Report:
                                   ((1, 2, 0), 1), ((2, 0, 1), 1)])
     rep.residual("torsion_total_skew", skew, tol.abs,
                  anchor="lowered torsion changes by the sign of the permutation")
-    worst = 0.0
-    for F, M in zip(split.b_brackets, split.b_action):
+    E, worst = split.e_basis, 0.0
+    for f, M in zip(split.b_frame[0], split.b_action):
         # sum_k T[i, j, k] [f_a, e_k] = [f_a, T(e_i, e_j)], a whole matrix
         moved = np.einsum("pi,pjk->ijk", M, T) + np.einsum("qj,iqk->ijk", M, T)
-        D = np.tensordot(T, F, axes=1) - np.tensordot(moved, split.e_basis, axes=1)
+        D = np.tensordot(T, bracket(f, E), axes=1) - np.tensordot(moved, E, axes=1)
         worst = max(worst, float(np.linalg.norm(D, axis=(-2, -1)).max()))
     rep.residual("torsion_derivation", worst, tol.abs,
                  anchor="isotropy elements act as derivations of the torsion")

@@ -63,7 +63,7 @@ def ref_curvature_components(split):
     the b-part read as the bracket less its n-projection."""
     E = split.e_basis
     return np.stack([-split.ad(B - np.tensordot(split.n_coords(B), E, axes=1))
-                     for B in split.frame_brackets])
+                     for B in (bracket(e, E) for e in E)])
 
 
 def ray_split(family, rng=0):

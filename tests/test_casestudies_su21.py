@@ -21,7 +21,7 @@ from nullcone.casestudies import (
 )
 from nullcone.linalg import DEFAULT_TOL, bracket
 from nullcone.reductive import einstein_fit, torsion_eval
-from nullcone.orbits import make_null_batch, stabilizers_of_rays
+from nullcone.orbits import make_null_batch, require_tangent, stabilizers_of_rays
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,24 @@ def test_ray_membership_is_the_census_rule(data):
         casestudies._certify_null(data.pair, S)
     with pytest.raises(ValueError, match="tangent summand"):
         make_null_batch(data.pair, S[None])
+
+
+@pytest.mark.parametrize("entries", ["one_nan", "one_inf", "all_inf"])
+def test_ray_membership_rejects_non_finite_input(data, entries):
+    # a NaN residual compares False against any bound, so the rule tests
+    # finiteness before it takes a norm, for one matrix and for one bad row
+    # of a stack; the RuntimeWarning-as-error filter stays on
+    S = np.full_like(data.S, np.inf) if entries == "all_inf" else data.S.copy()
+    if entries != "all_inf":
+        S[0, 1] = np.nan if entries == "one_nan" else np.inf
+    stack = np.stack([data.S, S, data.S])
+    for run in (lambda: require_tangent(data.pair, S),
+                lambda: require_tangent(data.pair, stack),
+                lambda: make_null_batch(data.pair, S[None]),
+                lambda: make_null_batch(data.pair, stack),
+                lambda: casestudies._certify_null(data.pair, S)):
+        with pytest.raises(ValueError, match="non-finite"):
+            run()
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -34,7 +34,7 @@ from pair_helpers import ray_split, ref_bracket_parts, ref_curvature_components,
 
 # Reference definitions: one form call per entry and one bracket per basis
 # pair or triple.  The library computes the same tensors as contractions of
-# one stacked bracket of the frame; the tests below compare the two.
+# one pairing of the frame's products; the tests below compare the two.
 
 
 def ref_torsion(split):
@@ -283,11 +283,6 @@ def test_wang_ziller_detects_missing_direction(su21):
     assert not flag
 
 
-def test_derivation_check_passes_on_case_studies(su21, sp21):
-    assert torsion_derivation_check(su21.split).ok
-    assert torsion_derivation_check(sp21.split).ok
-
-
 def test_derivation_check_fails_on_perturbed_stabilizer(su21):
     b = su21.split.b.basis
     bad_b = RealSubspace([b[0], b[1] + 0.05 * su21.n_space.basis[0]])
@@ -427,6 +422,43 @@ def test_levi_civita_ricci_matches_the_torsion_square_reference(request, name):
     split = _split(request, name)
     assert_allclose(ricci(levi_civita_curvature(split)), ref_ricci_levi_civita(split),
                     rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", LAYER_SPLITS + tuple(RAY_SPLITS))
+def test_derivation_check_passes_on_case_studies(request, name):
+    # with b = None there is no b-action, and the derivation reads 0
+    split = _split(request, name)
+    rep = torsion_derivation_check(split)
+    assert rep.ok
+    if split.dim_b == 0:
+        [check] = [c for c in rep.checks if c.name == "torsion_derivation"]
+        assert check.observed == 0.0
+
+
+@pytest.mark.parametrize("name", LAYER_SPLITS + tuple(RAY_SPLITS))
+def test_b_action_read_off_beta_matches_the_brackets(request, name):
+    # M[a, p, k] = eps_p eta_a beta[k, p, a] by the invariance of K, against
+    # ad(f_a) on n read off the brackets [f_a, e_k]
+    split = _split(request, name)
+    f, eta = split.b_frame
+    M = split.b_action
+    assert_allclose(M, split.ad(f), rtol=0, atol=1e-13)
+    assert_allclose(M, np.einsum("p,a,kpa->apk", split.eps, eta, split.b_components),
+                    rtol=0, atol=0)
+
+
+def test_split_holds_no_bracket_stack(ray_splits):
+    # the products e_i e_k are paired and dropped: after the Einstein fit,
+    # the Casimir and the derivation check, no cached array has d^2 N^2 entries
+    split = dataclasses.replace(ray_splits["H32_ray"])
+    einstein_fit(split)
+    casimir(split)
+    torsion_derivation_check(split)
+    stack = split.dim_n ** 2 * split.e_basis[0].size
+    held = [(key, a.shape) for key, v in vars(split).items()
+            for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray) and a.size >= stack]
+    assert not held
 
 
 @pytest.mark.parametrize("name", LAYER_SPLITS + tuple(RAY_SPLITS))
