@@ -21,7 +21,6 @@ constructed pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -59,7 +58,7 @@ from .reductive import (
     torsion_eval,
     wang_ziller_check,
 )
-from .report import Report
+from .report import Record, Report
 
 SQRT3 = np.sqrt(3.0)
 
@@ -136,27 +135,25 @@ def b_group(phi: float, r: float) -> np.ndarray:
                   (2, 2): np.exp(1j * phi) / r})
 
 
-@dataclass
-class CaseStudy:
+class CaseStudy(Record):
     """What both case studies hold: the ray pair, the split (its b is the
     hard-coded stabilizer) with its chart n_space, and the graded frame of
     n_hat (the complement of the ray pair in m) with the fields of
     ConformalGrading."""
 
-    a: float
-    pair: SymmetricPair
-    S: np.ndarray
-    S_hat: np.ndarray
-    split: ReductiveSplit
-    n_space: RealSubspace
-    n_hat: RealSubspace
-    graded_basis: np.ndarray
-    Gamma: np.ndarray
-    p_minus: RealSubspace
-    p_zero: RealSubspace
-    p_plus: RealSubspace
-    p_full: RealSubspace
-    p_hat: RealSubspace
+    _fields = ("a", "pair", "S", "S_hat", "split", "n_space", "n_hat", "graded_basis",
+               "Gamma", "p_minus", "p_zero", "p_plus", "p_full", "p_hat")
+
+    def __init__(self, a: float, pair: SymmetricPair, S: np.ndarray, S_hat: np.ndarray,
+                 split: ReductiveSplit, n_space: RealSubspace, n_hat: RealSubspace,
+                 graded_basis: np.ndarray, Gamma: np.ndarray, p_minus: RealSubspace,
+                 p_zero: RealSubspace, p_plus: RealSubspace, p_full: RealSubspace,
+                 p_hat: RealSubspace):
+        self.a, self.pair, self.S, self.S_hat = a, pair, S, S_hat
+        self.split, self.n_space, self.n_hat = split, n_space, n_hat
+        self.graded_basis, self.Gamma = graded_basis, Gamma
+        self.p_minus, self.p_zero, self.p_plus = p_minus, p_zero, p_plus
+        self.p_full, self.p_hat = p_full, p_hat
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         """Matrix of ad(X) on the graded frame (X may be a stack); Gamma is
@@ -180,11 +177,13 @@ class CaseStudy:
         return out
 
 
-@dataclass
 class SU21Data(CaseStudy):
-    n_plus: RealSubspace
-    n_minus: RealSubspace
-    n_ginv: np.ndarray
+    _fields = CaseStudy._fields + ("n_plus", "n_minus", "n_ginv")
+
+    def __init__(self, *args, n_plus: RealSubspace, n_minus: RealSubspace,
+                 n_ginv: np.ndarray, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.n_plus, self.n_minus, self.n_ginv = n_plus, n_minus, n_ginv
 
     def J(self, X: np.ndarray) -> np.ndarray:
         """Para-complex structure: +1 on the plus half, -1 on the minus half.
@@ -424,7 +423,7 @@ def _doubled(data: CaseStudy) -> CaseStudy:
     """
     S = 2 * data.S
     _certify_null(data.pair, S)
-    return replace(data, a=2 * data.a, S=S, S_hat=2 * data.S_hat)
+    return data._replace(a=2 * data.a, S=S, S_hat=2 * data.S_hat)
 
 
 def model_report(data: CaseStudy, study: str, seed: int, trials: int, *,
@@ -701,14 +700,14 @@ def hatn_isometry_map(N: np.ndarray) -> np.ndarray:
     return Nhat_elem(z1, z2, x1, -x2, y1, y2, y3)
 
 
-@dataclass
 class SP21Data(CaseStudy):
-    b1: RealSubspace
-    b2: RealSubspace
-    n1: RealSubspace
-    n2: RealSubspace
-    A_basis: list
-    eps_A: np.ndarray
+    _fields = CaseStudy._fields + ("b1", "b2", "n1", "n2", "A_basis", "eps_A")
+
+    def __init__(self, *args, b1: RealSubspace, b2: RealSubspace, n1: RealSubspace,
+                 n2: RealSubspace, A_basis: list, eps_A: np.ndarray, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.b1, self.b2, self.n1, self.n2 = b1, b2, n1, n2
+        self.A_basis, self.eps_A = A_basis, eps_A
 
 
 def sp21_build(a: float = 1.0, seed: int = 0,

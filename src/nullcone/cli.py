@@ -11,9 +11,10 @@ import argparse
 import json
 import locale  # noqa: F401  argparse imports it on its first parse; load it with the module
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .report import Report
 SUITE_NAMES = ("table", "axioms", "stabilizers", "orbits", "su21", "sp21", "all")
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     suite: str
     field: str | None = None
     p: int | None = None
@@ -143,7 +143,7 @@ def _jval(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return "%.17g" % float(v)
-    if isinstance(v, (tuple, list)):
+    if type(v) in (tuple, list):  # not a subclass: a NamedTuple record is a tuple too
         return "[" + ",".join(_jval(x) for x in v) + "]"
     raise TypeError(f"cannot serialize {type(v)!r}")
 
@@ -171,7 +171,7 @@ def render_json(rep: Report) -> str:
 def _mval(v) -> str:
     if isinstance(v, (float, np.floating)):
         return "%.5g" % float(v)
-    if isinstance(v, (tuple, list)):
+    if type(v) in (tuple, list):
         return "(" + ", ".join(_mval(x) for x in v) + ")"
     return str(v)
 
@@ -209,9 +209,10 @@ def parse_args(argv=None) -> SuiteConfig:
                         help="restrict family suites to one base field")
     parser.add_argument("--p", type=int, help="positive part of the signature")
     parser.add_argument("--q", type=int, help="negative part of the signature")
-    parser.add_argument("--seed", type=int, default=SuiteConfig.seed)
-    parser.add_argument("--tol", type=float, default=SuiteConfig.tol_abs)
-    parser.add_argument("--trials", type=int, default=SuiteConfig.trials)
+    defaults = SuiteConfig._field_defaults
+    parser.add_argument("--seed", type=int, default=defaults["seed"])
+    parser.add_argument("--tol", type=float, default=defaults["tol_abs"])
+    parser.add_argument("--trials", type=int, default=defaults["trials"])
     parser.add_argument("--format", choices=("json", "markdown"),
                         default="markdown")
     args = parser.parse_args(argv)
@@ -239,10 +240,16 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     rep = run(cfg)
     wall = time.perf_counter() - t0
-    if cfg.format == "json":
-        print(render_json(rep))
-    else:
-        print(render_markdown(rep, wall))
+    text = render_json(rep) if cfg.format == "json" else render_markdown(rep, wall)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("nullcone: stdout was closed before the report was written", file=sys.stderr)
+        return 1
     return 0 if rep.ok else 1
 
 

@@ -13,16 +13,15 @@ other vector's singular value is its norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 # numpy loads it on first use; importing it here keeps that cost out of the first suite
 import numpy.random  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(NamedTuple):
     """Numerical thresholds used across the package.
 
     abs: absolute tolerance for residuals that should vanish.
@@ -38,8 +37,7 @@ DEFAULT_TOL = Tolerance()
 MAX_REMIX = 100  # signed_gram_schmidt gives up after this many random remixes
 
 
-@dataclass(frozen=True)
-class BilinForm:
+class BilinForm(NamedTuple):
     """Real bilinear form X, Y -> scale * Re tr(X Y) on a matrix space.
 
     Two matrices give a float; stacks (..., n, n) give an array of values.

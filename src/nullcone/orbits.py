@@ -76,8 +76,8 @@ RayStabilizers.subspace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,18 @@ EXPECTED_STAB_DIM = {"C": lambda n: n - 1, "R": lambda n: 0, "H": lambda n: 3 * 
 STRATUM_STAB_DIM = {"open": 0, "two-step-nilpotent": 1, "one-step-nilpotent": 2}
 
 
-@dataclass(frozen=True)
-class NullBatch:
+class _NullArrays(NamedTuple):
+    S: np.ndarray
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    inverse: np.ndarray
+    genericity: np.ndarray
+    nullity_residual: np.ndarray
+    gap: np.ndarray
+    corner: np.ndarray
+
+
+class NullBatch(_NullArrays):
     """k sampled or supplied elements of the null cone, as stacked arrays
     with a leading axis of length k.
 
@@ -122,32 +132,28 @@ class NullBatch:
     eigenvalue of S is more than the radius from a listed one.
     """
 
-    S: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    inverse: np.ndarray
-    genericity: np.ndarray
-    nullity_residual: np.ndarray
-    gap: np.ndarray
-    corner: np.ndarray
+    __slots__ = ()
 
     def __len__(self) -> int:
         return self.S.shape[0]
 
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple's own _make checks len(), which here counts rays
+        return cls(*iterable)
+
     def take(self, idx) -> "NullBatch":
         """Rows selected by an index array or boolean mask."""
-        return NullBatch(*(getattr(self, f.name)[idx] for f in fields(NullBatch)))
+        return NullBatch(*(a[idx] for a in self))
 
     @staticmethod
     def concat(parts) -> "NullBatch":
         if len(parts) == 1:
             return parts[0]
-        return NullBatch(*(np.concatenate([getattr(b, f.name) for b in parts])
-                           for f in fields(NullBatch)))
+        return NullBatch(*map(np.concatenate, zip(*parts)))
 
 
-@dataclass(frozen=True)
-class RayStabilizers:
+class RayStabilizers(NamedTuple):
     """Ray stabilizers of k null vectors from one stacked solve: for each
     S_i, all X in h with [X, S_i] = c S_i for some real c.
 

@@ -14,8 +14,8 @@ normalization of the case studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,25 +29,34 @@ from .linalg import (
     gram_signature,
     max_bracket_residual,
 )
-from .report import Report
+from .report import Record, Report
 
 FIELDS = ("R", "C", "H")
 VARIANTS = ("standard", "canonical-T")
 
 
-@dataclass(frozen=True)
-class Family:
-    """One symmetric pair label: ground field and form signature (p, q)."""
-
+class _FamilyLabel(NamedTuple):
     field: str
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.field not in FIELDS:
-            raise ValueError(f"field must be one of {FIELDS}, got {self.field!r}")
-        if self.p < 1 or self.q < 1:
+
+class Family(_FamilyLabel):
+    """One symmetric pair label: ground field and form signature (p, q),
+    checked on every construction, _replace and _make included."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: str, p: int, q: int):
+        if field not in FIELDS:
+            raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
+        if p < 1 or q < 1:
             raise ValueError("p and q must both be at least 1")
+        return super().__new__(cls, field, p, q)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -59,8 +68,7 @@ class Family:
         return f"{self.field}{self.p}{self.q}"
 
 
-@dataclass(frozen=True)
-class SymmetricPair:
+class SymmetricPair(Record):
     """Constructed pair with explicit real bases and invariant data.
 
     hermitian_matrix is the n x n form matrix F in the ground-field frame;
@@ -70,14 +78,20 @@ class SymmetricPair:
     time it is read; only check_symmetric_axioms reads it.
     """
 
-    family: Family
-    variant: str
-    hermitian_matrix: np.ndarray
-    carrier_form: np.ndarray
-    form: BilinForm
-    h: RealSubspace
-    m: RealSubspace
-    tol: Tolerance = DEFAULT_TOL
+    _fields = ("family", "variant", "hermitian_matrix", "carrier_form", "form", "h", "m",
+               "tol")
+
+    def __init__(self, family: Family, variant: str, hermitian_matrix: np.ndarray,
+                 carrier_form: np.ndarray, form: BilinForm, h: RealSubspace,
+                 m: RealSubspace, tol: Tolerance = DEFAULT_TOL):
+        vars(self).update(family=family, variant=variant, hermitian_matrix=hermitian_matrix,
+                          carrier_form=carrier_form, form=form, h=h, m=m, tol=tol)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a SymmetricPair is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a SymmetricPair is frozen: cannot delete {name!r}")
 
     @property
     def carrier_dim(self) -> int:
@@ -314,8 +328,7 @@ def formula_dims(fam: Family):
     return dim_h, dim_m, sig
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     family: Family
     dim_h: int
     dim_m: int

@@ -18,7 +18,6 @@ a tolerance of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +34,7 @@ from .linalg import (
     structure_constants,
 )
 from .pairs import SymmetricPair
-from .report import Report
+from .report import Record, Report
 
 
 def frame_coords(form: BilinForm, frame: np.ndarray, ginv: np.ndarray,
@@ -58,8 +57,7 @@ def frame_ad(form: BilinForm, frame: np.ndarray, ginv: np.ndarray,
     return np.swapaxes(frame_coords(form, frame, ginv, images), -1, -2)
 
 
-@dataclass
-class ReductiveSplit:
+class ReductiveSplit(Record):
     """h = b + n with a signed orthonormal basis of n.
 
     b may be None for a trivial stabilizer; then n is all of h and the
@@ -68,12 +66,12 @@ class ReductiveSplit:
     structure constants are computed once, on first use.
     """
 
-    pair: SymmetricPair
-    b: RealSubspace | None
-    n: RealSubspace
-    e_basis: np.ndarray
-    eps: np.ndarray
-    form: BilinForm
+    _fields = ("pair", "b", "n", "e_basis", "eps", "form")
+
+    def __init__(self, pair: SymmetricPair, b: RealSubspace | None, n: RealSubspace,
+                 e_basis: np.ndarray, eps: np.ndarray, form: BilinForm):
+        self.pair, self.b, self.n = pair, b, n
+        self.e_basis, self.eps, self.form = e_basis, eps, form
 
     @property
     def dim_b(self) -> int:

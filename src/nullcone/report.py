@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 
-@dataclass
-class Check:
+class Record:
+    """Base of the plain record classes, which are mutated or cache values:
+    _fields names the constructor's arguments in order, and _replace
+    copies through the constructor, so no cached value is carried over."""
+
+    _fields: tuple = ()
+
+    def _replace(self, **changes):
+        return type(self)(**{f: changes.pop(f, getattr(self, f)) for f in self._fields},
+                          **changes)
+
+
+class Check(NamedTuple):
     """One named verification with its observed and expected values."""
 
     name: str
@@ -17,13 +28,13 @@ class Check:
     anchor: str = ""
 
 
-@dataclass
 class Report:
     """Ordered collection of checks produced by a verification routine."""
 
-    suite: str
-    seed: int = 0
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, suite: str, seed: int = 0, checks: list[Check] | None = None):
+        self.suite = suite
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, observed, expected, tol=None, anchor: str = ""):
         self.checks.append(
@@ -46,7 +57,7 @@ class Report:
 
     def absorb(self, other: "Report", prefix: str = ""):
         """Append the checks of another report, each name with the prefix."""
-        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
+        self.checks.extend(c._replace(name=prefix + c.name) for c in other.checks)
 
     @property
     def n_pass(self) -> int:

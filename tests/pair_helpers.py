@@ -10,8 +10,6 @@ frame index at a time: the references the reductive arrays are compared
 against.  ray_split is the split along the stabilizer of a sampled null ray.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from nullcone.linalg import RealSubspace, bracket, quat_embed
@@ -24,8 +22,7 @@ def corrupt_pair(pair: SymmetricPair) -> SymmetricPair:
     """Negative control: move one generator between the two summands."""
     h_bad = np.concatenate([pair.h.basis[:-1], pair.m.basis[:1]])
     m_bad = np.concatenate([pair.h.basis[-1:], pair.m.basis[1:]])
-    return replace(
-        pair,
+    return pair._replace(
         h=RealSubspace(h_bad, tol=pair.tol),
         m=RealSubspace(m_bad, tol=pair.tol),
     )

@@ -244,10 +244,9 @@ def test_criterion_9_negative_controls():
         results.append(True)
 
     # perturbed stabilizer basis must break the derivation identity
-    import dataclasses
     b = data.split.b.basis
     bad_b = RealSubspace([b[0], b[1] + 0.05 * data.n_space.basis[0]])
-    bad_split = dataclasses.replace(data.split, b=bad_b)
+    bad_split = data.split._replace(b=bad_b)
     results.append(torsion_derivation_check(bad_split).n_fail > 0)
 
     # dropping a stabilizer direction must break the identity verdict

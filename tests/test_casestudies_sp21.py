@@ -1,7 +1,6 @@
 """Tests for the rank-one quaternionic case study: stabilizer structure,
 signed bases, Casimir, grading, duality pairing, and group embeddings."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -146,7 +145,7 @@ def test_doubled_data_keeps_the_null_certificate(data):
     # a ray moved off the null cone inside m is refused, as sp21_build refuses it
     shift = data.pair.m.random_element(np.random.default_rng(3))
     with pytest.raises(ValueError, match="not null"):
-        casestudies._doubled(dataclasses.replace(data, S=data.S + 0.3 * shift))
+        casestudies._doubled(data._replace(S=data.S + 0.3 * shift))
 
 
 def test_grading_does_not_depend_on_the_ray_scale():

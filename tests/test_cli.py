@@ -68,16 +68,51 @@ print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
 """
 
 
-def run_python(code):
+def python_env():
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True,
                           text=True, timeout=120)
 
 
 def test_import_leaves_scipy_out():
-    done = run_python("import sys, nullcone.cli; print('scipy' in sys.modules)")
-    assert done.stdout.strip() == "False", done.stderr
+    # the records are NamedTuples and plain classes, so no class generates
+    # its methods through dataclasses at import
+    done = run_python("import sys, nullcone.cli; "
+                      "print('scipy' in sys.modules, 'dataclasses' in sys.modules)")
+    assert done.stdout.strip() == "False False", done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_closed_stdout_is_one_line_on_stderr(fmt):
+    # a reader that has gone (`nullcone ... | head -c 300`) gets no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "nullcone.cli", "--suite", "table",
+                               "--format", fmt], stdout=write, stderr=subprocess.PIPE,
+                              env=python_env(), text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["nullcone: stdout was closed before the report "
+                                        "was written"]
+
+
+def test_records_are_not_serialized_as_sequences():
+    # a NamedTuple record is a tuple; only plain tuples and lists are sequences
+    fam = Family("C", 2, 1)
+    with pytest.raises(TypeError):
+        cli._jval(fam)
+    with pytest.raises(TypeError):
+        cli._jval([1, (2, fam)])
+    assert cli._mval(fam) == str(fam) == "Family(field='C', p=2, q=1)"
+    assert cli._jval((1, [2.5, None])) == "[1,[2.5,null]]"
+    assert cli._mval((1, [2.5])) == "(1, (2.5))"
 
 
 def test_suites_run_without_scipy_and_load_no_numpy_module_lazily():

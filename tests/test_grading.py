@@ -2,7 +2,6 @@
 pieces against kernel_of references, the block-pattern bracket test against
 the row loop it replaced, and negative controls for every grading check."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -146,8 +145,8 @@ def test_pattern_check_agrees_with_the_row_loop(data):
         "off-pattern p0": ("p_zero", 4, (N - 1, 2), 1e-3),
     }
     for name, (piece, index, entry, value) in variants.items():
-        bad = dataclasses.replace(
-            data, **{piece: perturbed(getattr(data, piece), index, entry, value)})
+        bad = data._replace(
+            **{piece: perturbed(getattr(data, piece), index, entry, value)})
         pieces = (bad.p_minus, bad.p_zero, bad.p_plus)
         check = pattern_brackets(bad)
         assert check.status == "fail" and check.observed >= 1e-4, name
@@ -218,13 +217,13 @@ def test_su21_grading_frame():
     ("grading_dims", lambda d: {"p_minus": RealSubspace(d.p_minus.basis[:-1])}),
     ("parabolic_dims", lambda d: {"p_full": so_of(d)}),
     # the complement is graded of degree -1 and +1, not 0
-    ("b_inside_p0", lambda d: {"split": dataclasses.replace(
-        d.split, b=RealSubspace(d.n_space.basis[:2]))}),
+    ("b_inside_p0", lambda d: {"split": d.split._replace(
+        b=RealSubspace(d.n_space.basis[:2]))}),
     ("grading_brackets", lambda d: {"p_plus": perturbed(d.p_plus, 0, (1, 1), 1e-3)}),
 ], ids=["dims", "parabolic", "b", "brackets"])
 def test_each_grading_check_has_a_failing_control(data, check, change):
     study = "su21" if len(data.Gamma) == 8 else "sp21"
-    rep = grading_report(dataclasses.replace(data, **change(data)), study)
+    rep = grading_report(data._replace(**change(data)), study)
     status = {c.name: c.status for c in rep.checks}
     assert status.pop(f"{study}_{check}") == "fail"
     assert set(status.values()) == {"pass"}

@@ -3,7 +3,6 @@ real rank-one pair, and the eigenframe-adapted partner construction."""
 
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -847,7 +846,7 @@ def test_batched_normal_forms_reject_bad_rows():
     # (and their conjugates), so the shifted value is one of those
     vals = bH.eigenvalues.copy()
     vals[1, np.flatnonzero(vals[1].imag > 0)[0]] += 0.5
-    bad = replace(bH, eigenvalues=vals)
+    bad = bH._replace(eigenvalues=vals)
     with pytest.raises(ValueError, match="two-dimensional"):
         canonicalize_batch(pH, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
@@ -880,7 +879,7 @@ def test_a_cluster_with_two_equal_columns_is_not_a_plane():
     batch = sample_null_batch(pair, 3, rng=18)
     V = batch.vectors.copy()
     V[1, :, 3] = V[1, :, 2]  # row 1, cluster 1
-    bad = replace(batch, vectors=V)
+    bad = batch._replace(vectors=V)
     with pytest.raises(ValueError, match="two-dimensional"):
         canonicalize_batch(pair, bad)
     with pytest.raises(ValueError, match="two-dimensional"):

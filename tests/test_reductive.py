@@ -2,7 +2,6 @@
 canonical and Levi-Civita connections, Ricci contractions, the first-Bianchi
 defect, Casimir operators, and metric comparison checks."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -286,7 +285,7 @@ def test_wang_ziller_detects_missing_direction(su21):
 def test_derivation_check_fails_on_perturbed_stabilizer(su21):
     b = su21.split.b.basis
     bad_b = RealSubspace([b[0], b[1] + 0.05 * su21.n_space.basis[0]])
-    bad = dataclasses.replace(su21.split, b=bad_b)
+    bad = su21.split._replace(b=bad_b)
     assert torsion_derivation_check(bad).n_fail > 0
 
 
@@ -450,7 +449,7 @@ def test_b_action_read_off_beta_matches_the_brackets(request, name):
 def test_split_holds_no_bracket_stack(ray_splits):
     # the products e_i e_k are paired and dropped: after the Einstein fit,
     # the Casimir and the derivation check, no cached array has d^2 N^2 entries
-    split = dataclasses.replace(ray_splits["H32_ray"])
+    split = ray_splits["H32_ray"]._replace()
     einstein_fit(split)
     casimir(split)
     torsion_derivation_check(split)
@@ -469,7 +468,7 @@ def test_curvature_contractions_match_the_per_index_loop(request, name):
     split = _split(request, name)
     loop = ref_curvature_components(split)
     assert_allclose(split.curvature_components, loop, rtol=0, atol=1e-13)
-    looped = dataclasses.replace(split)
+    looped = split._replace()
     looped.curvature_components = loop
     ric = ricci_levi_civita(split)
     for s in (split, looped):

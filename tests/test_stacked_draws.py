@@ -16,7 +16,6 @@ canonical curvature array's defect over the frame triples, compared here
 with a loop of the single-argument evaluators over those triples.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -294,7 +293,7 @@ def broken_su21(data):
     """J read through a wrong inverse Gram matrix, so it is no longer an
     involutive anti-isometry and the derivative identities fail."""
     mix = np.eye(6) + 0.3 * np.random.default_rng(11).standard_normal((6, 6))
-    return dataclasses.replace(data, n_ginv=data.n_ginv @ mix)
+    return data._replace(n_ginv=data.n_ginv @ mix)
 
 
 def broken_ray_pair(data):
@@ -307,7 +306,7 @@ def broken_ray_pair(data):
     graded = data.graded_basis.copy()
     scale = 2 * data.a * np.sqrt(3.0)
     graded[0], graded[-1] = S / scale, -S_hat / scale
-    return dataclasses.replace(data, S=S, S_hat=S_hat, graded_basis=graded)
+    return data._replace(S=S, S_hat=S_hat, graded_basis=graded)
 
 
 SKEW_WEIGHTS = {n: np.random.default_rng(14).uniform(0.5, 1.5, (n, n)) for n in (3, 6)}

@@ -2,7 +2,6 @@
 reads its tolerance from the pair (pair.tol, split.pair.tol, data.pair.tol),
 set once where the pair is built."""
 
-import dataclasses
 import inspect
 
 import numpy as np
@@ -68,12 +67,12 @@ def test_options_no_caller_sets_are_constants():
     # its pivot test is a fixed 1e-8, so a tolerance would go unread
     assert "tol" not in inspect.signature(linalg.signed_gram_schmidt).parameters
     assert "r" not in inspect.signature(casestudies.su21_ad_action).parameters
-    assert [f.name for f in dataclasses.fields(orbits.NullBatch)] == [
+    assert list(orbits.NullBatch._fields) == [
         "S", "eigenvalues", "vectors", "inverse", "genericity", "nullity_residual", "gap",
         "corner"]
     # the record holds the ray parameter once, b and n once, as their subspaces
     # split.b and n_space, and no subspace that no report reads
-    held = {f.name for f in dataclasses.fields(casestudies.CaseStudy)}
+    held = set(casestudies.CaseStudy._fields)
     assert held.isdisjoint({"mu", "b_basis", "n_basis", "so_space"})
     assert "so_space" not in casestudies.ConformalGrading._fields
 
