@@ -132,6 +132,9 @@ def run(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
+_NONFINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
+
+
 def _jval(v) -> str:
     if isinstance(v, str):
         return json.dumps(v)
@@ -142,7 +145,9 @@ def _jval(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
+        v = float(v)
+        # JSON has no NaN or infinity: write the strings float() reads back
+        return "%.17g" % v if math.isfinite(v) else _NONFINITE[str(v)]
     if type(v) in (tuple, list):  # not a subclass: a NamedTuple record is a tuple too
         return "[" + ",".join(_jval(x) for x in v) + "]"
     raise TypeError(f"cannot serialize {type(v)!r}")

@@ -99,12 +99,13 @@ class RealSubspace:
 
     The basis (a list of matrices or a stack (k, a, b)) is copied once and
     stored as the C-ordered rows (k, 2ab) of its realify; construction
-    fails if it is linearly dependent.  `basis` is a read-only view of those
-    rows, in the supplied order and bit for bit.  The block (the vectors
-    that touch a coordinate another vector touches, on the coordinates they
-    touch) gets one SVD, each other vector gives its norm, and the relative
-    cut runs over the union: for a pair's generators the block is the
-    trace-dropped diagonals, and a dense basis is all block.
+    fails if it has a non-finite entry or is linearly dependent.  `basis`
+    is a read-only view of those rows, in the supplied order and bit for
+    bit.  The block (the vectors that touch a coordinate another vector
+    touches, on the coordinates they touch) gets one SVD, each other vector
+    gives its norm, and the relative cut runs over the union: for a pair's
+    generators the block is the trace-dropped diagonals, and a dense basis
+    is all block.
     """
 
     def __init__(self, basis, tol: Tolerance = DEFAULT_TOL):
@@ -125,6 +126,8 @@ class RealSubspace:
         return space
 
     def _certify(self, mat: np.ndarray, shape: tuple[int, int], tol: Tolerance):
+        if not np.isfinite(mat).all():  # NaN passes no comparison of the rank test
+            raise ValueError("basis has a non-finite entry")
         self.shape, self.tol, self._mat = shape, tol, mat
         nz = mat != 0
         self._block = nz[:, np.count_nonzero(nz, axis=0) > 1].any(axis=1)

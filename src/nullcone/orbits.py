@@ -413,42 +413,44 @@ def _framed_null_stack(pair: SymmetricPair, k: int, rng: np.random.Generator):
     values and the columns of V0, shared by every draw, laid out as
     NullBatch.eigenvalues and NullBatch.vectors.
 
-    R: the 2 x 2 block [[a, b], [-b, a]] on coordinates (i, p + i) has the
-    eigenvectors (e_i -+ i e_(p + i)) / sqrt 2 for a +- ib, the real slots
-    unit vectors.  C: the columns of P, for the diagonal they carry.  H: the
-    carrier [[X, 0], [0, conj X]] has the columns of [[P, 0], [0, conj P]];
-    top column j (value d_j) pairs with bottom column n + (n - 1 - j)
-    (value conj d_(n - 1 - j) = d_j) on the corner slots and with n + j on
-    the real ones."""
+    Every field takes one construction in the frame where F = diag(1_p,
+    -1_q): the 2 x 2 block [[a, b], [-b, a]] on coordinates (i, p + i),
+    i < r, with r the corner size of the drawn spectrum, has the
+    eigenvectors (e_i +- i e_(p + i)) / sqrt 2 for a +- ib, the real slots
+    unit vectors.  R keeps the matrix real, C takes it as a complex one.
+    H takes the carrier [[X, 0], [0, conj X]]: the bottom column paired
+    with top column j (value d_j) is the conjugate of the top column of
+    the conjugate value, p + i for a corner slot i, i for p + i and j
+    itself on the real slots."""
     fam = pair.family
     p, n = fam.p, fam.n
-    r = min(p, fam.q)
     mu, lam = _sample_spectra(p, fam.q, k, rng)
+    r = mu.shape[1]
     P, P_inv = pair.sampling_frame
     i = np.arange(r)
+    # rotation-style 2 x 2 blocks couple one positive and one negative coordinate
+    S = np.zeros((k, n, n))
+    S[:, i, i] = S[:, p + i, p + i] = mu.real
+    S[:, i, p + i] = mu.imag
+    S[:, p + i, i] = -mu.imag
+    slots = np.r_[r:p, p + r:n]
+    S[:, slots, slots] = lam
+    vals = np.empty((k, n), dtype=complex)
+    vals[:, i], vals[:, p + i], vals[:, slots] = mu, np.conj(mu), lam
+    V0 = np.eye(n, dtype=complex)
+    V0[p + i, i], V0[i, p + i], V0[p + i, p + i] = 1j, 1.0, -1j
+    V0[:, np.r_[i, p + i]] /= np.sqrt(2.0)
     if fam.field == "R":
-        # rotation-style 2 x 2 blocks couple one positive and one negative coordinate
-        S = np.zeros((k, n, n))
-        S[:, i, i] = S[:, p + i, p + i] = mu.real
-        S[:, i, p + i] = mu.imag
-        S[:, p + i, i] = -mu.imag
-        slots = np.r_[r:p, p + r:n]
-        S[:, slots, slots] = lam
-        vals = np.empty((k, n), dtype=complex)
-        vals[:, i], vals[:, p + i], vals[:, slots] = mu, np.conj(mu), lam
-        V0 = np.eye(n, dtype=complex)
-        V0[p + i, i], V0[i, p + i], V0[p + i, p + i] = 1j, 1.0, -1j
-        V0[:, np.r_[i, p + i]] /= np.sqrt(2.0)
         # the real form's frame is real, so the draws stay float64
         return P.real @ S @ P_inv.real, vals, P.real @ V0
-    diag = np.concatenate([mu, lam.astype(complex), np.conj(mu)[:, ::-1]], axis=1)
-    X = (P * diag[:, None, :]) @ P_inv
+    X, V0 = P @ S @ P_inv, P @ V0
     if fam.field == "C":
-        return X, diag, P
-    bottom = np.r_[n - 1 - i, r:n - r, i[::-1]]  # the bottom column of each top one
-    V0 = np.zeros((2 * n, 2 * n), dtype=complex)
-    V0[:n, 0::2], V0[n:, 1::2] = P, np.conj(P[:, bottom])
-    return quat_embed(X, np.zeros_like(X)), diag, V0
+        return X, vals, V0
+    bottom = np.arange(n)
+    bottom[i], bottom[p + i] = p + i, i
+    V = np.zeros((2 * n, 2 * n), dtype=complex)
+    V[:n, 0::2], V[n:, 1::2] = V0, np.conj(V0[:, bottom])
+    return quat_embed(X, np.zeros_like(X)), vals, V
 
 
 def cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
@@ -1082,27 +1084,29 @@ def sample_so21_stratum_batch(pair: SymmetricPair, stratum: str, k: int,
     a plain float64 stack (k, 3, 3).
 
     The open stratum is the stack of sample_null_batch.  A nilpotent draw
-    is the stratum's Jordan pattern moved to the corner frame, conjugated
-    by a random Cayley element (_isotropy_conjugate) and rescaled by a
-    factor in [0.5, 2]; no certificate is taken, as it could only say
-    "not generic"."""
+    is the stratum's pattern in the sampling frame, F = diag(1, 1, -1) and
+    u = e_0 + e_2 isotropic, x = e_1 orthogonal to it: u u^T F (S^2 = 0)
+    or (u x^T + x u^T) F (S^2 = u u^T F, S^3 = 0).  It is moved to the
+    pair's frame, conjugated by a random Cayley element
+    (_isotropy_conjugate) and rescaled by a factor in [0.5, 2]; no
+    certificate is taken, as it could only say "not generic"."""
     rng = np.random.default_rng(rng)  # a Generator passes through
     fam = pair.family
     if (fam.field, fam.p, fam.q) != ("R", 2, 1):
         raise ValueError("strata sampling is defined for the real (2, 1) pair")
     if stratum == "open":
         return sample_null_batch(pair, k, rng).S
-    E = np.zeros((3, 3))
+    u, x = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
     if stratum == "two-step-nilpotent":
-        E[0, 1] = E[1, 2] = 1.0
+        E = np.outer(u, x) + np.outer(x, u)
     elif stratum == "one-step-nilpotent":
-        E[0, 2] = 1.0
+        E = np.outer(u, u)
     else:
         raise ValueError(f"unknown stratum {stratum!r}")
     if k < 1:
         raise ValueError("need at least one draw")
-    P, P_inv = pair.corner_frame
-    S0 = P.real @ E @ P_inv.real
+    P, P_inv = pair.sampling_frame
+    S0 = P.real @ (E * [1.0, 1.0, -1.0]) @ P_inv.real
     scale = rng.uniform(0.5, 2.0, k)
     S = _isotropy_conjugate(pair, np.broadcast_to(S0, (k, 3, 3)), rng)[0]
     return scale[:, None, None] * S
@@ -1121,6 +1125,8 @@ def stabilizers_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Repor
     (commutant_is_smaller).  The first ray's commutant basis must span the
     kernel of its SVD-route system, read from singular values alone
     (_kernel_mismatch).  The residual check covers every basis returned."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     fam = pair.family
     rep = Report("stabilizers", seed)
     rng = np.random.default_rng(seed)
@@ -1168,6 +1174,8 @@ def orbits_report(pair: SymmetricPair, trials: int, seed: int = 0) -> Report:
     null vectors drawn from default_rng(seed); for (R, 2, 1) also the
     classification and stabilizer dimension of `trials` draws per stratum,
     from the same stream."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     fam = pair.family
     rep = Report("orbits", seed)
     rng = np.random.default_rng(seed)

@@ -105,21 +105,15 @@ class SymmetricPair(Record):
                                       self.h.shape, tol=self.tol)
 
     @cached_property
-    def corner_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, P^-1) with P* F P the corner form t_form(p, q, min(p, q)),
-        computed once per pair."""
-        fam = self.family
-        return _frame(self.hermitian_matrix, t_form(fam.p, fam.q, min(fam.p, fam.q)))
-
-    @cached_property
     def sampling_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, P^-1) for the frame null vectors are drawn in: the diagonal
-        signature form for the real family, the corner form otherwise."""
+        """Read-only (P, P^-1) for the frame null vectors are drawn in, with
+        P* F P the signature form diag(1_p, -1_q), computed once per pair."""
         fam = self.family
-        if fam.field != "R":
-            return self.corner_frame
-        return _frame(self.hermitian_matrix,
-                      np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex))
+        P = congruence(self.hermitian_matrix,
+                       np.diag([1.0] * fam.p + [-1.0] * fam.q).astype(complex))
+        P_inv = np.linalg.inv(P)
+        P.flags.writeable = P_inv.flags.writeable = False
+        return P, P_inv
 
     @cached_property
     def omega_matrix(self) -> np.ndarray:
@@ -166,14 +160,6 @@ def congruence(F: np.ndarray, T: np.ndarray) -> np.ndarray:
     if res > 1e-10 * max(1.0, np.abs(T).max()):
         raise ValueError(f"congruence failed, residual {res:.3e}")
     return P
-
-
-def _frame(F: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (P, P^-1) for the congruence P* F P = T."""
-    P = congruence(F, T)
-    P_inv = np.linalg.inv(P)
-    P.flags.writeable = P_inv.flags.writeable = False
-    return P, P_inv
 
 
 # Generator families: (diagonal coefficients, off-diagonal pairs).  For each

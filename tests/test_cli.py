@@ -161,6 +161,31 @@ def test_json_schema_and_sorting():
     assert doc["summary"]["fail"] == 0
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity constants, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_observations_are_json_strings():
+    rep = Report("probe", 3)
+    rep.residual("a_nan", float("nan"), 1e-9)
+    rep.add("b_inf", False, np.float64(np.inf), "< 0", None)
+    rep.add("c_neg_inf", True, -np.inf, (1, 2.5, np.nan), 1e-8)
+    doc = strict_json(render_json(rep))
+    observed = [c["observed"] for c in doc["checks"]]
+    assert observed == ["NaN", "Infinity", "-Infinity"]
+    assert doc["checks"][2]["expected"] == [1, 2.5, "NaN"]
+    # float() reads each string back
+    back = [float(v) for v in observed]
+    assert np.isnan(back[0]) and back[1:] == [np.inf, -np.inf]
+    # finite values keep their digits
+    assert cli._jval(0.1) == "0.10000000000000001" and cli._jval(-0.0) == "-0"
+    assert cli._jval(np.float32(1e-40)) == "%.17g" % float(np.float32(1e-40))
+
+
 def test_absorb_prefixes_each_name_and_keeps_the_rest():
     part = Report("part")
     part.residual("r", 1e-12, 1e-9, anchor="a")

@@ -277,6 +277,32 @@ def test_dependent_basis_raises_on_every_branch_of_the_split(mats):
         RealSubspace(mats)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mats", [
+    # one vector: no coordinate is shared, so it is outside the block
+    [E[0, 0]],
+    # E[0, 0] + E[0, 1] shares a coordinate with E[0, 0]: both in the block
+    [E[0, 0], E[0, 0] + E[0, 1], E[1, 2]],
+], ids=["outside", "inside"])
+def test_a_non_finite_basis_entry_is_refused_before_any_factorization(mats, bad, monkeypatch):
+    # NaN fails every comparison of the independence test and inf overflows
+    # it, so the entries are checked first, on both constructors
+    mats = np.stack(mats).astype(complex)
+    assert RealSubspace(mats).dim == len(mats)  # certified while finite
+    mats[0, 0, 0] = bad
+    rows = np.ascontiguousarray(realify(mats).reshape(len(mats), -1))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a non-finite basis reached a factorization")
+
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    monkeypatch.setattr(np.linalg, "qr", boom)
+    with pytest.raises(ValueError, match="non-finite"):
+        RealSubspace(mats)
+    with pytest.raises(ValueError, match="non-finite"):
+        RealSubspace.from_rows(rows, (3, 3))
+
+
 def test_split_cut_is_relative_to_the_largest_value():
     # the same small column is independent once it is above the cut
     space = RealSubspace([E[0, 0] - E[1, 1], E[1, 1] - E[2, 2], 1e-7 * E[0, 1]])

@@ -616,6 +616,15 @@ def test_batched_strata_classify_and_match_single_draws():
         assert one.shape == (1, 3, 3) and so21_orbit_class(one[0]) == stratum
 
 
+@pytest.mark.parametrize("report", [stabilizers_report, orbits_report])
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_census_reports_refuse_fewer_than_one_trial(report, field, trials):
+    # with no rays there is no worst residual or pairing to report
+    with pytest.raises(ValueError, match="at least one trial"):
+        report(build_pair(Family(field, 2, 1)), trials)
+
+
 def test_batch_sampler_rejects_bad_requests():
     pair = build_pair(Family("C", 2, 1))
     with pytest.raises(ValueError):
@@ -1171,22 +1180,45 @@ def test_sampling_congruence_is_computed_once_per_pair(field, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(pairs, "congruence", counted)
-    pair = build_pair(Family(field, 2, 1))
-    for seed in range(3):
-        sample_null_batch(pair, 4, rng=seed)
-    assert len(calls) == 1
-    if field == "R":
-        for stratum in ("two-step-nilpotent", "one-step-nilpotent"):
-            sample_so21_stratum_batch(pair, stratum, 3, rng=0)
-        assert len(calls) == 2  # the corner frame of the strata
-    P, P_inv = pair.sampling_frame
-    assert pair.sampling_frame[0] is P
-    assert_allclose(P @ P_inv, np.eye(3), atol=1e-12)
-    assert not P.flags.writeable and not P_inv.flags.writeable
-    Pc, _ = pair.corner_frame
-    assert_allclose(Pc.conj().T @ pair.hermitian_matrix @ Pc, t_form(2, 1, 1), atol=1e-10)
-    # a fresh pair gets its own frame
-    assert build_pair(Family(field, 2, 1)).sampling_frame[0] is not P
+    for variant in ("standard", "canonical-T"):
+        calls.clear()
+        pair = build_pair(Family(field, 2, 1), variant)
+        for seed in range(3):
+            assert sample_null_batch(pair, 4, rng=seed).genericity.all()
+        if field == "R":
+            for stratum in ("two-step-nilpotent", "one-step-nilpotent"):
+                sample_so21_stratum_batch(pair, stratum, 3, rng=0)
+        # every field and the strata draw in the one signature frame
+        assert len(calls) == 1
+        P, P_inv = pair.sampling_frame
+        assert pair.sampling_frame[0] is P
+        assert_allclose(P @ P_inv, np.eye(3), atol=1e-12)
+        assert not P.flags.writeable and not P_inv.flags.writeable
+        assert_allclose(P.conj().T @ pair.hermitian_matrix @ P, np.diag([1.0, 1.0, -1.0]),
+                        atol=1e-10)
+        # a fresh pair gets its own frame
+        assert build_pair(Family(field, 2, 1), variant).sampling_frame[0] is not P
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("pq,r", [(pq, r) for pq in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (1, 3)]
+                                  for r in range(1, min(pq) + 1)])
+def test_draws_reach_every_corner_size(field, pq, r, monkeypatch):
+    # the sampler is handed spectra of corner size r: those of the signature
+    # (r, n - r), whose maximal corner is r; the draw reads r from them, and
+    # with r < min(p, q) real slots of both self-pairing signs reach the
+    # normal form, which orders them by sign
+    drawn = orbits._sample_spectra
+    monkeypatch.setattr(orbits, "_sample_spectra",
+                        lambda p, q, k, rng: drawn(r, p + q - r, k, rng))
+    pair = build_pair(Family(field, *pq))
+    batch = sample_null_batch(pair, 12, rng=r)
+    assert batch.genericity.all()
+    assert batch.corner.tolist() == [r] * 12
+    if field != "R":
+        P, rr = canonicalize_batch(pair, batch)
+        assert rr.tolist() == [r] * 12
+        assert orbits.normal_form_residuals(pair, P, rr).max() < 1e-9
 
 
 def test_stacked_strata_labels_judge_each_matrix_at_its_own_norm():
