@@ -39,6 +39,7 @@ from .linalg import (
     orth_complement,
     quat_embed,
     signed_gram_schmidt,
+    svd_rank,
 )
 from .orbits import cayley, require_tangent, stabilizers_of_rays
 from .pairs import Family, SymmetricPair, build_pair
@@ -837,9 +838,9 @@ def sp21_hatn_isometry(data: SP21Data) -> Report:
     # rho(n) meets p_hat = p_0 + p_- where both positive degrees and so(Gamma) residual vanish
     R, G = data.rho(chart), data.Gamma
     w = _grading_weights(len(G))
-    s = np.linalg.svd(np.hstack([R[:, w[:, None] - w > 0], (np.swapaxes(R, 1, 2) @ G + G @ R)
-                                 .reshape(len(R), -1)]), compute_uv=False)
-    inter = int(np.sum(s <= tol.rank_rel * s[0]))
+    rank, s, _ = svd_rank(np.hstack([R[:, w[:, None] - w > 0],
+                                     (np.swapaxes(R, 1, 2) @ G + G @ R).reshape(len(R), -1)]), tol)
+    inter = len(s) - int(rank)
     rep.equals("sp21_n_meets_phat_trivially", inter, 0,
                anchor="the complement meets the opposite parabolic trivially")
     return rep

@@ -4,10 +4,11 @@ Everything in this package manipulates real subspaces of complex matrix
 spaces: Lie brackets, trace forms, kernels of real-linear maps, signatures,
 structure constants.  Complex n x n matrices are flattened to real vectors
 of length 2*n*n (numpy's own layout: row-major, each entry's re then im),
-and all rank decisions go through numpy's SVD with explicit tolerances.  A
-RealSubspace factorizes only the vectors whose supports overlap: the Gram
-matrix of disjoint supports is block-diagonal with no rounding, so each
-other vector's singular value is its norm.
+and every rank, kernel and signature decision is one relative rule
+(relative_rank), on singular values from one SVD (svd_rank) or on
+eigenvalues.  A RealSubspace factorizes only the vectors whose supports
+overlap: the Gram matrix of disjoint supports is block-diagonal with no
+rounding, so each other vector's singular value is its norm.
 """
 
 from __future__ import annotations
@@ -35,6 +36,32 @@ class Tolerance(NamedTuple):
 
 DEFAULT_TOL = Tolerance()
 MAX_REMIX = 100  # signed_gram_schmidt gives up after this many random remixes
+
+
+def relative_rank(values: np.ndarray, tol: Tolerance, scale=None) -> np.ndarray:
+    """The rank rule: how many values on the last axis of values (..., j)
+    lie strictly above tol.rank_rel times scale, by default each row's
+    largest value.  Singular values give a rank; the eigenvalues w and -w
+    of a symmetric matrix, against its largest |w|, its positive and
+    negative counts.  NaN lies above no cut."""
+    if scale is None:
+        scale = values.max(axis=-1, keepdims=True)
+    return (values > tol.rank_rel * scale).sum(axis=-1)
+
+
+def svd_rank(A: np.ndarray, tol: Tolerance, vectors: bool = False):
+    """Ranks of a matrix or a stack A (..., rows, cols) from one SVD at the
+    rank rule: (rank, s, vt), vt None without vectors.
+
+    With vectors, a tall matrix takes the reduced factors and a wide one
+    all of V^T, whose extra rows are kernel directions the reduced form
+    would drop: the last cols - rank rows of vt span each kernel.
+    """
+    if not vectors:
+        s = np.linalg.svd(A, compute_uv=False)
+        return relative_rank(s, tol), s, None
+    s, vt = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])[1:]
+    return relative_rank(s, tol), s, vt
 
 
 class BilinForm(NamedTuple):
@@ -138,7 +165,7 @@ class RealSubspace:
                             np.linalg.svd(B, compute_uv=False) if B.size else []])
         # a wide block (more vectors than coordinates) has fewer singular
         # values than vectors, so s cannot show its dependence
-        if B.shape[0] > B.shape[1] or s.min() <= tol.rank_rel * s.max():
+        if B.shape[0] > B.shape[1] or relative_rank(s, tol) < len(s):
             raise ValueError("supplied basis is linearly dependent")
 
     @classmethod
@@ -147,9 +174,10 @@ class RealSubspace:
         mats = np.asarray(mats, dtype=complex)
         if len(mats) == 0:
             raise ValueError("need at least one matrix to take a span")
+        if not np.isfinite(mats).all():  # the SVD would not converge
+            raise ValueError("basis has a non-finite entry")
         _, s, vt = np.linalg.svd(realify(mats), full_matrices=False)
-        cut = tol.rank_rel * s[0] if s[0] > 0 else 0.0
-        rank = int(np.sum(s > cut))
+        rank = int(relative_rank(s, tol))
         if rank == 0:
             raise ValueError("all matrices are numerically zero")
         return cls.from_rows(vt[:rank], mats.shape[1:], tol=tol)
@@ -271,12 +299,7 @@ def _kernel_cols(mat: np.ndarray, tol: Tolerance) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0 or not mat.any():
         return np.eye(mat.shape[1])
-    # a tall matrix needs no left factor; a wide one needs the full vt, whose
-    # extra rows are kernel directions the reduced form would drop
-    rows, cols = mat.shape
-    _, s, vt = np.linalg.svd(mat, full_matrices=rows < cols)
-    cut = tol.rank_rel * s[0]
-    rank = int(np.sum(s > cut))
+    rank, _, vt = svd_rank(mat, tol, vectors=True)
     return vt[rank:].T
 
 
@@ -296,16 +319,12 @@ def gram_matrix(form: BilinForm, basis, other=None) -> np.ndarray:
 def sym_signature(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int, int]:
     """Signature (n+, n-, n0) of a real symmetric matrix.
 
-    Eigenvalues with magnitude below rank_rel times the largest magnitude
-    count as zero.
+    The rank rule counts w and -w against the largest |w|, so eigenvalues
+    of magnitude at most rank_rel times it count as zero.
     """
     w = np.linalg.eigvalsh(0.5 * (G + G.T))
-    top = np.abs(w).max() if w.size else 0.0
-    if top == 0.0:
-        return (0, 0, G.shape[0])
-    cut = tol.rank_rel * top
-    plus = int(np.sum(w > cut))
-    minus = int(np.sum(w < -cut))
+    top = np.abs(w).max(initial=0.0)
+    plus, minus = int(relative_rank(w, tol, top)), int(relative_rank(-w, tol, top))
     return (plus, minus, G.shape[0] - plus - minus)
 
 
@@ -374,11 +393,10 @@ def algebra_profile(space: RealSubspace):
     flat = ads.reshape(k, k * k).T  # columns: vectorized ad matrices
     center = _kernel_cols(flat, tol).shape[1]
     pairs = c[np.triu_indices(k, 1)]
+    derived = 0
     if len(pairs):
-        s = np.linalg.svd(pairs, compute_uv=False)
-        derived = int(np.sum(s > tol.rank_rel * s[0])) if s[0] > tol.abs else 0
-    else:
-        derived = 0
+        rank, s, _ = svd_rank(pairs, tol)
+        derived = int(rank) if s[0] > tol.abs else 0
     return k, sig, center, derived
 
 

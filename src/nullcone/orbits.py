@@ -66,9 +66,10 @@ and orbits_report are the census checks of one pair, as the stabilizers
 and orbits suites run them.
 
 Tolerance contract: a routine given a pair reads its tolerance from
-pair.tol, fixed once where the pair is built (build_pair): rank cuts use
-tol.rank_rel and the genericity gap tol.abs (the radius rule needs no
-tolerance); the normal form splits a spectrum at a quarter of its
+pair.tol, fixed once where the pair is built (build_pair): every rank cut
+is the rank rule of linalg (relative_rank, on one SVD through svd_rank),
+read at tol.rank_rel, and the genericity gap uses tol.abs (the radius rule
+needs no tolerance); the normal form splits a spectrum at a quarter of its
 certified gap, which needs no tolerance.
 Only routines without a pair take one (so21_orbit_class,
 RayStabilizers.subspace).
@@ -81,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed
+from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed, relative_rank, svd_rank
 from .pairs import SymmetricPair, t_form
 from .report import Report
 
@@ -588,37 +589,17 @@ def _bracket_rows(hb: np.ndarray, S: np.ndarray, top: int) -> np.ndarray:
     return B.reshape(k * d, top * N)
 
 
-def _rank_cut(pair: SymmetricPair, s: np.ndarray) -> np.ndarray:
-    """Ranks (k,) from stacked singular values s (k, j): the relative cut
-    s > pair.tol.rank_rel * s_max."""
-    return (s > pair.tol.rank_rel * s[:, :1]).sum(axis=1)
-
-
-def _stabilizer_ranks(pair: SymmetricPair, A: np.ndarray, vt: bool = False):
-    """Ranks (k,) of stabilizer systems A (k, dim m, dim h + 1): one stacked
-    SVD and the relative cut of _rank_cut (the frame of m keeps the full
-    system's singular values up to one common factor).
-
-    vt=False takes singular values alone.  vt=True also returns all of
-    V^T, whose last (dim h + 1) - rank rows span each kernel (a full SVD
-    only where dim m < dim h + 1).
-    """
-    if not vt:
-        return _rank_cut(pair, np.linalg.svd(A, compute_uv=False))
-    s, v = np.linalg.svd(A, full_matrices=pair.m.dim < pair.h.dim + 1)[1:]
-    return _rank_cut(pair, s), v
-
-
 def stabilizer_dims(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     """Ray stabilizer dimensions (k,) of a stack S (k, N, N), from the
-    singular values of the stabilizer systems alone: the dims of
-    stabilizers_of_rays without a kernel vector."""
-    return pair.h.dim + 1 - _stabilizer_ranks(pair, _stabilizer_system(pair, S))
+    singular values of the stabilizer systems alone (svd_rank; the frame of
+    m keeps the full systems' singular values up to one common factor): the
+    dims of stabilizers_of_rays without a kernel vector."""
+    return pair.h.dim + 1 - svd_rank(_stabilizer_system(pair, S), pair.tol)[0]
 
 
 def _ray_kernels(pair: SymmetricPair, S: np.ndarray):
     """Ray stabilizer dims (k,) of a stack S (k, N, N) and V^T of their
-    systems (_stabilizer_ranks), whose last dims[i] rows span ray i's kernel.
+    systems (svd_rank), whose last dims[i] rows span ray i's kernel.
 
     Each system is built once.  A wide one (dim m < dim h + 1) always has a
     kernel, so its SVD takes vectors at once.  A tall one (R) takes singular
@@ -627,10 +608,10 @@ def _ray_kernels(pair: SymmetricPair, S: np.ndarray):
     """
     c = pair.h.dim + 1
     A = _stabilizer_system(pair, S)
-    rank = None if pair.m.dim < c else _stabilizer_ranks(pair, A)
+    rank = None if pair.m.dim < c else svd_rank(A, pair.tol)[0]
     vt = np.empty((len(S), 0, c))
     if rank is None or (rank < c).any():
-        rank, vt = _stabilizer_ranks(pair, A, vt=True)
+        rank, _, vt = svd_rank(A, pair.tol, vectors=True)
     return c - rank, vt
 
 
@@ -640,7 +621,7 @@ def stabilizers_of_rays(pair: SymmetricPair, S: np.ndarray) -> RayStabilizers:
     Each ray's real system has the brackets [h_i, S] and -S as columns,
     written in the pair's orthonormal frame of m (_stabilizer_system), so
     it has dim m rows rather than 2 N^2; one stacked SVD gives every
-    kernel, with the rank cut of _stabilizer_ranks, and vectors only where
+    kernel, with the rank rule of svd_rank, and vectors only where
     some ray has a kernel (_ray_kernels).  Each ray's kernel is the last
     (dim h + 1) - rank rows of V^T, returned as matrices and ray
     coefficients (_kernel_bases).  The stack is solved whole; trial_blocks
@@ -656,14 +637,13 @@ def _kernel_mismatch(pair: SymmetricPair, A: np.ndarray, K: np.ndarray):
     columns K (k, dim h + 1, d) in (x, c) coordinates, zero columns allowed,
     from the singular values of A alone: (kernel dims, mismatch), each (k,).
 
-    mismatch[i] is |A_i K_i|_F / sigma_r(A_i), r the rank of A_i at the cut
-    of _rank_cut.  Over the principal angles between span K_i and the
+    mismatch[i] is |A_i K_i|_F / sigma_r(A_i), r the rank of A_i at the rank
+    rule.  Over the principal angles between span K_i and the
     kernel of A_i it is at least sqrt(sum sin^2), so at least the largest
     sine, and at most sigma_1 / sigma_r times that: 0 exactly when span K_i
     lies in the kernel.  Each A_i must be nonzero.
     """
-    s = np.linalg.svd(A, compute_uv=False)
-    rank = _rank_cut(pair, s)
+    rank, s, _ = svd_rank(A, pair.tol)
     sigma_r = np.take_along_axis(s, rank[:, None] - 1, axis=1)[:, 0]
     return A.shape[-1] - rank, np.linalg.norm(A @ K, axis=(1, 2)) / sigma_r
 
@@ -845,7 +825,7 @@ def stabilizers_by_commutant(pair: SymmetricPair, batch: NullBatch) -> RayStabil
         T = _sum_zero_frame(pair.family.n)
         maps = [T.T @ M @ T for M in maps]
     u, s, _ = np.linalg.svd(_commutant_projector(maps))
-    dims = (s > tol.rank_rel * np.maximum(1.0, s[:, :1])).sum(axis=1)
+    dims = relative_rank(s, tol, np.maximum(1.0, s[:, :1]))
     d = int(dims.max(initial=0))
     half = u.shape[1] // 2
     coeffs = u[:, :half, :d] + 1j * u[:, half:, :d]
@@ -935,7 +915,7 @@ def _quat_conj(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-np.conj(x[..., n:]), np.conj(x[..., :n])], axis=-1)
 
 
-def _cluster_planes(batch: NullBatch) -> np.ndarray:
+def _cluster_planes(pair: SymmetricPair, batch: NullBatch) -> np.ndarray:
     """Two orthonormal vectors spanning the eigenspace of each cluster of a
     quaternionic batch: (k, n, 2, N), vectors on the last axis, clusters in
     the order of batch.eigenvalues.
@@ -945,8 +925,8 @@ def _cluster_planes(batch: NullBatch) -> np.ndarray:
     the first column, normalized.  Raises unless every kernel is
     two-dimensional: each column must solve |S v - lam v| <= 1e-8 |S|_F |v|
     for its listed cluster value lam (one S @ V for the stack), and the
-    Gram-Schmidt remainder of each second column must exceed 1e-8 of its
-    norm."""
+    Gram-Schmidt remainder of each second column must pass the rank rule
+    against the column's norm."""
     S, V = batch.S, batch.vectors
     k, N = S.shape[:2]
     lam = np.repeat(batch.eigenvalues, 2, axis=1)
@@ -957,8 +937,9 @@ def _cluster_planes(batch: NullBatch) -> np.ndarray:
     rem = b - (a.conj() * b).sum(axis=-1, keepdims=True) * a
     rem_norm = np.linalg.norm(rem, axis=-1, keepdims=True)
     scale = np.linalg.norm(S, axis=(1, 2))[:, None]
+    b_norm = np.linalg.norm(b, axis=-1, keepdims=True)
     if (np.any(res > 1e-8 * scale * np.linalg.norm(V, axis=1))
-            or np.any(rem_norm <= 1e-8 * np.linalg.norm(b, axis=-1, keepdims=True))):
+            or not relative_rank(rem_norm, pair.tol, b_norm).all()):
         raise ValueError("eigenspace is not two-dimensional; spectrum not generic")
     return np.stack([a, rem / rem_norm], axis=2)
 
@@ -986,7 +967,7 @@ def canonicalize_batch(pair: SymmetricPair, batch: NullBatch):
         raise ValueError("normal form needs a generic spectrum")
     F = pair.carrier_form
     if field == "H":
-        planes = _cluster_planes(batch)
+        planes = _cluster_planes(pair, batch)
         V = np.swapaxes(planes[:, :, 0], 1, 2)
     else:
         V = batch.vectors
@@ -1063,9 +1044,12 @@ def so21_orbit_class(S: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str | np.nd
     For traceless null S the characteristic polynomial collapses so that
     S^3 = det(S) * 1; the strata are separated by the vanishing order.  A
     stack (k, 3, 3) gives an array of k labels, each matrix judged at its
-    own norm.  A real stack is judged in float64.
+    own norm.  A real stack is judged in float64.  Raises on a non-finite
+    entry, which no bound could judge.
     """
     S = np.asarray(S)
+    if not np.isfinite(S).all():
+        raise ValueError("matrix has a non-finite entry")
     S = S.astype(complex if np.iscomplexobj(S) else float, copy=False)
     norm = np.linalg.norm(S, axis=(-2, -1))
     if np.any(norm <= tol.abs):

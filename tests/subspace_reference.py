@@ -3,14 +3,14 @@
 The library builds every subspace it uses from a basis, in closed form or
 from one SVD of a system it owns, so the general kernel and intersection
 solvers live here: each realifies the whole basis and cuts one SVD with
-the rank rule of _kernel_cols.  stabilizer_mismatch compares two ray
+the package's rank rule (svd_rank).  stabilizer_mismatch compares two ray
 stabilizer results on their matrix bases, independently of the kernel
 bound (orbits._kernel_mismatch) the census reports take.
 """
 
 import numpy as np
 
-from nullcone.linalg import DEFAULT_TOL, RealSubspace, Tolerance, _kernel_cols, realify
+from nullcone.linalg import DEFAULT_TOL, RealSubspace, Tolerance, realify, svd_rank
 
 
 def kernel_of(space: RealSubspace, linmap, tol: Tolerance | None = None):
@@ -25,23 +25,21 @@ def kernel_of(space: RealSubspace, linmap, tol: Tolerance | None = None):
     # and one realify of the images, each read as one row matrix
     images = np.asarray(linmap(space.basis), dtype=complex)
     cols = realify(images.reshape(space.dim, 1, -1)).T
-    ker = _kernel_cols(cols, tol)
-    if ker.shape[1] == 0:
+    rank, _, vt = svd_rank(cols, tol, vectors=True)
+    if rank == space.dim:
         return None
-    return RealSubspace(space.combine(ker.T), tol=tol)
+    return RealSubspace(space.combine(vt[rank:]), tol=tol)
 
 
 def intersection(a: RealSubspace, b: RealSubspace, tol: Tolerance | None = None) -> int:
     """Dimension of the intersection of two subspaces."""
     tol = tol or a.tol
     # null vectors of [A, -B] give pairs of coordinates with equal images
-    ker = _kernel_cols(np.hstack([a._mat.T, -b._mat.T]), tol)
-    if ker.shape[1] == 0:
+    rank, _, vt = svd_rank(np.hstack([a._mat.T, -b._mat.T]), tol, vectors=True)
+    if rank == a.dim + b.dim:
         return 0
-    s = np.linalg.svd(a._mat.T @ ker[:a.dim], compute_uv=False)
-    if s.size == 0 or s[0] <= tol.abs:
-        return 0
-    return int(np.sum(s > tol.rank_rel * s[0]))
+    rank, s, _ = svd_rank(a._mat.T @ vt[rank:, :a.dim].T, tol)
+    return 0 if s[0] <= tol.abs else int(rank)
 
 
 def orthogonal_algebra(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> RealSubspace:

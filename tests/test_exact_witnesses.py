@@ -1,7 +1,8 @@
 """Exact witnesses at n = 3: the generic ray stabilizer dimension of a
-rational null ray of each standard (2, 1) pair, solved over the rationals
-(exact_reference), against the SVD rank decision of orbits.stabilizer_dims
-on the same ray."""
+rational null ray of each (2, 1) and (1, 2) pair and of the canonical-T
+(2, 1) pair, solved over the rationals (exact_reference), against the SVD
+rank decision of orbits.stabilizer_dims on the same ray.  The canonical-T
+bases add entries -1/2, which convert exactly as well."""
 
 import time
 
@@ -11,10 +12,13 @@ import exact_reference
 from nullcone.orbits import EXPECTED_STAB_DIM, stabilizer_dims
 from nullcone.pairs import Family, build_pair
 
+# (signature, variant) of each witness; every field is checked on each
+CASES = [((2, 1), "standard"), ((1, 2), "standard"), ((2, 1), "canonical-T")]
 
-def _dims(field: str):
+
+def _dims(field: str, pq, variant: str):
     """(exact dimension, numerical dimension, seconds of the exact solve)."""
-    pair = build_pair(Family(field, 2, 1))
+    pair = build_pair(Family(field, *pq), variant)
     t0 = time.perf_counter()
     S, s = exact_reference.rational_null_ray(pair.m.basis, pair.form.scale, seed=0)
     assert exact_reference.trace_form(S, S, pair.form.scale) == 0 and any(s)
@@ -25,9 +29,10 @@ def _dims(field: str):
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 def test_exact_stabilizer_dimension_matches_the_svd_route(field):
-    dim, numeric, seconds = _dims(field)
-    assert dim == numeric == EXPECTED_STAB_DIM[field](3)
-    assert seconds < 2.0
+    for pq, variant in CASES:
+        dim, numeric, seconds = _dims(field, pq, variant)
+        assert dim == numeric == EXPECTED_STAB_DIM[field](3), (pq, variant)
+        assert seconds < 2.0, (pq, variant)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -35,5 +40,6 @@ def test_exact_stabilizer_dimension_matches_the_svd_route(field):
 def test_a_rank_moved_by_one_fails_the_comparison(field, shift, monkeypatch):
     rank = exact_reference.rank
     monkeypatch.setattr(exact_reference, "rank", lambda vectors: rank(vectors) + shift)
-    dim, numeric, _ = _dims(field)
-    assert dim == numeric - shift
+    for pq, variant in CASES:
+        dim, numeric, _ = _dims(field, pq, variant)
+        assert dim == numeric - shift, (pq, variant)

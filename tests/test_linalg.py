@@ -23,8 +23,10 @@ from nullcone.linalg import (
     orth_complement,
     quat_embed,
     realify,
+    relative_rank,
     signed_gram_schmidt,
     structure_constants,
+    svd_rank,
     sym_signature,
     unrealify,
 )
@@ -272,9 +274,60 @@ E = np.eye(3)[:, None, :, None] * np.eye(3)[None, :, None, :]  # E[i, j] = E_ij,
 def test_dependent_basis_raises_on_every_branch_of_the_split(mats):
     # the full factorization calls each of these dependent
     s = np.linalg.svd(realify(np.stack(mats)).T, compute_uv=False)
-    assert len(mats) > len(s) or s[-1] <= DEFAULT_TOL.rank_rel * s[0]
+    assert len(mats) > len(s) or relative_rank(s, DEFAULT_TOL) < len(s)
     with pytest.raises(ValueError, match="dependent"):
         RealSubspace(mats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan],
+                         ids=["nan", "inf", "-inf", "imag-nan"])
+def test_span_refuses_a_non_finite_entry_before_its_svd(bad, monkeypatch):
+    # a NaN would end in LinAlgError ("SVD did not converge")
+    mats = np.stack([E[0, 0], E[0, 1], E[0, 0] + E[0, 1]]).astype(complex)
+    assert RealSubspace.span(mats).dim == 2
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a non-finite matrix reached the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    mats[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="basis has a non-finite entry"):
+        RealSubspace.span(mats)
+
+
+def test_the_rank_rule_is_strict_at_its_boundary():
+    # exact diagonal inputs: singular values (1, rank_rel) give rank 1 and
+    # (1, 2 rank_rel) rank 2, on every route that cuts with the rule
+    tol = DEFAULT_TOL
+    for t, rank in ((tol.rank_rel, 1), (2 * tol.rank_rel, 2)):
+        D = np.diag([1.0, t])
+        mats = [E[0, 0], t * E[1, 1]]
+        assert_array_equal(np.linalg.svd(D, compute_uv=False), [1.0, t])
+        assert_array_equal(np.linalg.svd(realify(np.stack(mats)), compute_uv=False), [1.0, t])
+        # disjoint supports: certification cuts the two norms, 1 and t
+        assert_array_equal(np.sqrt(np.einsum("ij,ij->i", *2 * [realify(np.stack(mats))])),
+                           [1.0, t])
+        if rank == 1:
+            with pytest.raises(ValueError, match="dependent"):
+                RealSubspace(mats)
+        else:
+            assert RealSubspace(mats).dim == 2
+        assert RealSubspace.span(mats).dim == rank
+        assert relative_rank(np.array([1.0, t]), tol) == rank
+        assert svd_rank(D, tol)[0] == rank
+        got, s, vt = svd_rank(D, tol, vectors=True)
+        assert got == rank and vt.shape == (2, 2)
+        assert _kernel_cols(D, tol).shape == (2, 2 - rank)
+        assert sym_signature(np.diag([1.0, -t]), tol) == (1, rank - 1, 2 - rank)
+    # a stack keeps one cut per row
+    stack = np.stack([np.diag([1.0, tol.rank_rel]), np.diag([1.0, 2 * tol.rank_rel]),
+                      np.diag([3.0, 3 * tol.rank_rel])])
+    assert svd_rank(stack, tol)[0].tolist() == [1, 2, 1]
+    assert svd_rank(stack, tol, vectors=True)[0].tolist() == [1, 2, 1]
+    # an explicit scale replaces each row's largest value
+    s = np.array([[0.5, tol.rank_rel], [2.0, 2 * tol.rank_rel]])
+    assert relative_rank(s, tol, np.maximum(1.0, s[:, :1])).tolist() == [1, 1]
+    assert relative_rank(s, tol).tolist() == [2, 1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import null_space, subspace_angles
 
 from nullcone import linalg, orbits, pairs
-from nullcone.linalg import Tolerance, _kernel_cols, bracket, quat_embed, realify
+from nullcone.linalg import Tolerance, bracket, quat_embed, realify, svd_rank
 from nullcone.orbits import (
     EXPECTED_STAB_DIM,
     NullBatch,
@@ -476,10 +476,10 @@ def test_partner_spectrum_is_reflected():
 
 
 def loop_stabilizer_dim(pair, S):
-    """Reference: one ray's system built bracket by bracket, then _kernel_cols."""
+    """Reference: one ray's system built bracket by bracket, then one SVD."""
     cols = [realify(bracket(b, S)) for b in pair.h.basis]
     cols.append(-realify(S))
-    return _kernel_cols(np.column_stack(cols), pair.tol).shape[1]
+    return len(cols) - int(svd_rank(np.column_stack(cols), pair.tol)[0])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -868,7 +868,7 @@ def test_cluster_planes_are_the_null_spaces(pq):
     # listed cluster value
     pair = build_pair(Family("H", *pq))
     batch = sample_null_batch(pair, 6, rng=17)
-    planes = orbits._cluster_planes(batch)
+    planes = orbits._cluster_planes(pair, batch)
     N, n = pair.carrier_dim, pair.family.n
     assert planes.shape == (6, n, 2, N)
     for i in range(6):
@@ -892,8 +892,8 @@ def test_a_cluster_with_two_equal_columns_is_not_a_plane():
     with pytest.raises(ValueError, match="two-dimensional"):
         canonicalize_batch(pair, bad)
     with pytest.raises(ValueError, match="two-dimensional"):
-        orbits._cluster_planes(bad.take([1]))
-    orbits._cluster_planes(bad.take([0, 2]))  # the other rows are planes
+        orbits._cluster_planes(pair, bad.take([1]))
+    orbits._cluster_planes(pair, bad.take([0, 2]))  # the other rows are planes
 
 
 @pytest.mark.parametrize("field", ["C", "H"])
@@ -973,7 +973,8 @@ def test_trimmed_stabilizer_system_matches_the_full_one(field, pq, k):
     assert np.abs(s_full[:, dm:]).max(initial=0.0) < 1e-12 * s_full[:, 0].max()
     stabs = stabilizers_of_rays(pair, S)
     for i in range(len(S)):
-        ker = _kernel_cols(full[i], pair.tol)
+        rank, _, vt = svd_rank(full[i], pair.tol, vectors=True)
+        ker = vt[rank:].T
         assert stabs.dims[i] == ker.shape[1]
         if ker.shape[1]:
             # same kernel span: each basis projects onto the other exactly;
@@ -1236,6 +1237,24 @@ def test_stacked_strata_labels_judge_each_matrix_at_its_own_norm():
         so21_orbit_class(np.concatenate([S[:2], np.zeros((1, 3, 3))]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_strata_labels_refuse_a_non_finite_entry(bad):
+    # NaN passes no bound and inf overflows every power, so an all-NaN
+    # matrix would read "open" and an all-inf one "one-step-nilpotent";
+    # the entries are checked before any product (a RuntimeWarning fails
+    # the test)
+    pair = build_pair(Family("R", 2, 1))
+    S = sample_so21_stratum_batch(pair, "two-step-nilpotent", 3, rng=5)
+    assert so21_orbit_class(S).tolist() == ["two-step-nilpotent"] * 3
+    one = S[1].copy()
+    one[0, 2] = bad
+    stack = S.copy()
+    stack[2] = bad
+    for M in (np.full((3, 3), bad), one, stack, stack.astype(complex)):
+        with pytest.raises(ValueError, match="non-finite"):
+            so21_orbit_class(M)
+
+
 STRATA = ("open", "two-step-nilpotent", "one-step-nilpotent")
 
 
@@ -1282,8 +1301,7 @@ def test_kernel_comparison_is_the_root_sum_of_squared_sines(field, pq):
                      for a, b in zip(_kernel_reference(pair, S), _kernel_reference(pair, T))])
     assert min(want) > 0.1
     for got, other in ((theta, T), (back, S)):
-        s = np.linalg.svd(orbits._stabilizer_system(pair, other), compute_uv=False)
-        rank = (s > pair.tol.rank_rel * s[:, :1]).sum(axis=1)
+        rank, s, _ = svd_rank(orbits._stabilizer_system(pair, other), pair.tol)
         ratio = s[:, 0] / s[np.arange(len(s)), rank - 1]
         assert (got >= want * (1 - 1e-9)).all()
         assert (got <= ratio * want * (1 + 1e-9)).all()
@@ -1301,21 +1319,23 @@ def test_a_corrupted_kernel_basis_fails_the_partner_check(field, corrupt, monkey
     name = f"{pair.family.tag}_stab_equals_partner_stab"
     checks = {c.name: c for c in orbits_report(pair, 6, seed=3).checks}
     assert checks[name].status == "pass"
-    ranks = orbits._stabilizer_ranks
+    ranks = orbits.svd_rank
     d = EXPECTED_STAB_DIM[field](3)
 
-    def corrupted(pair, A, vt=False):
-        rank, v = ranks(pair, A, vt=vt)
-        assert vt and (v.shape[1] - rank == d).all()
+    def corrupted(A, tol, vectors=False):
+        rank, s, v = ranks(A, tol, vectors=vectors)
+        if not vectors:  # the partner side's singular values stay as they are
+            return rank, s, v
+        assert (v.shape[1] - rank == d).all()
         v = v.copy()
         first, last = v[:, -d].copy(), v[:, -d - 1].copy()  # kernel, complement
         if corrupt == "missing":
             v[:, -d] = last
         else:
             v[:, -d] = np.cos(0.3) * first + np.sin(0.3) * last
-        return rank, v
+        return rank, s, v
 
-    monkeypatch.setattr(orbits, "_stabilizer_ranks", corrupted)
+    monkeypatch.setattr(orbits, "svd_rank", corrupted)
     checks = {c.name: c for c in orbits_report(pair, 6, seed=3).checks}
     assert checks[name].status == "fail"
     assert checks[name].observed >= (1.0 if corrupt == "missing" else np.sin(0.3)) * (1 - 1e-9)

@@ -2,6 +2,7 @@
 reads its tolerance from the pair (pair.tol, split.pair.tol, data.pair.tol),
 set once where the pair is built."""
 
+import ast
 import inspect
 
 import numpy as np
@@ -52,6 +53,28 @@ def test_no_routine_given_a_pair_takes_a_tolerance():
             if params and params[0] in ("pair", "split", "data") and "tol" in params:
                 hits.append(f"{module.__name__}.{name}")
     assert hits == []
+
+
+def _rank_rel_reads(node) -> int:
+    return sum(isinstance(n, ast.Attribute) and n.attr == "rank_rel" for n in ast.walk(node))
+
+
+def test_only_the_rank_rule_reads_rank_rel():
+    # every rank, kernel and signature cut goes through linalg.relative_rank;
+    # the one other reader is the commutant route's conditioning guard, which
+    # keeps eps cond(V)^2 below the cut the rule then takes
+    allowed = {"nullcone.linalg.relative_rank", "nullcone.orbits.stabilizers_by_commutant"}
+    readers, outside = set(), 0
+    for module in (linalg, orbits, pairs, reductive, casestudies):
+        tree = ast.parse(inspect.getsource(module))
+        outside += _rank_rel_reads(tree)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and _rank_rel_reads(fn):
+                readers.add(f"{module.__name__}.{fn.name}")
+                if f"{module.__name__}.{fn.name}" in allowed:
+                    outside -= _rank_rel_reads(fn)
+    assert readers == allowed
+    assert outside == 0  # no read outside a function either
 
 
 def test_options_no_caller_sets_are_constants():
