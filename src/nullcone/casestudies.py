@@ -239,7 +239,7 @@ def _case_study_split(field: str, a: float, b_basis: list, n_basis: list,
     if not n_space.equals(split.n):
         raise ValueError("complement chart does not span the computed complement")
     S_hat = pair.involution(S)
-    n_hat, _ = orth_complement(RealSubspace([S, S_hat], tol=tol), pair.m, pair.form)
+    n_hat = orth_complement(RealSubspace([S, S_hat], tol=tol), pair.m, pair.form)
     e_hat, eps_hat = signed_gram_schmidt(pair.form, n_hat, np.random.default_rng(seed))
     scale = 2 * a * SQRT3  # K(S, S_hat) = -12 a^2 in both case studies
     graded = np.stack([S / scale, *e_hat, -S_hat / scale])

@@ -137,9 +137,7 @@ class RealSubspace:
 
     def __init__(self, basis, tol: Tolerance = DEFAULT_TOL):
         basis = np.array(basis, dtype=complex, order="C")  # a copy: the caller's may change
-        if len(basis) == 0:
-            raise ValueError("empty basis; use RealSubspace.span for rank-safe construction")
-        if basis.ndim != 3:
+        if basis.ndim != 3 and basis.size:  # _certify refuses an empty basis
             raise ValueError("all basis matrices must share one shape")
         self._certify(realify(basis), basis.shape[1:], tol)
 
@@ -153,6 +151,8 @@ class RealSubspace:
         return space
 
     def _certify(self, mat: np.ndarray, shape: tuple[int, int], tol: Tolerance):
+        if len(mat) == 0:
+            raise ValueError("empty basis; use RealSubspace.span for rank-safe construction")
         if not np.isfinite(mat).all():  # NaN passes no comparison of the rank test
             raise ValueError("basis has a non-finite entry")
         self.shape, self.tol, self._mat = shape, tol, mat
@@ -338,21 +338,17 @@ def gram_signature(form: BilinForm, space: RealSubspace):
 def orth_complement(space: RealSubspace, within: RealSubspace, form: BilinForm):
     """Orthogonal complement of `space` inside `within` for the given form.
 
-    Returns (complement, degenerate).  When the form is degenerate on
-    `space` the complement can intersect it; the flag reports that case
-    and callers decide whether it is an error.  The complement is built
-    inside `within`, so its rank cuts and its own tolerance are within's.
+    When the form is degenerate on `space` the complement can intersect
+    it; callers that must exclude that case test the form on `space`
+    themselves.  The complement is built inside `within`, so its rank cuts
+    and its own tolerance are within's.
     """
     tol = within.tol
-    G = gram_matrix(form, space.basis)
-    _, _, n0 = sym_signature(G, tol)
-    degenerate = n0 > 0
     rows = gram_matrix(form, space.basis, within.basis)
     ker = _kernel_cols(rows, tol)
     if ker.shape[1] == 0:
         raise ValueError("orthogonal complement is trivial")
-    comp = RealSubspace(within.combine(ker.T), tol=tol)
-    return comp, degenerate
+    return RealSubspace(within.combine(ker.T), tol=tol)
 
 
 def structure_constants(space: RealSubspace):

@@ -1033,7 +1033,8 @@ def normal_form_residuals(pair: SymmetricPair, P: np.ndarray, r) -> np.ndarray:
     T, om_target, h_target = _corner_targets(fam.p, fam.q)
     if fam.field == "C":
         return np.abs(_adjoint(P) @ pair.carrier_form @ P - T[r]).max(axis=(1, 2))
-    om_res = np.swapaxes(P, -1, -2) @ pair.omega_matrix @ P - om_target[r]
+    Om = np.kron([[0, 1], [-1, 0]], pair.hermitian_matrix)  # [[0, F], [-F, 0]]
+    om_res = np.swapaxes(P, -1, -2) @ Om @ P - om_target[r]
     h_res = _adjoint(P) @ pair.carrier_form @ P - h_target[r]
     return np.maximum(np.abs(om_res).max(axis=(1, 2)), np.abs(h_res).max(axis=(1, 2)))
 

@@ -74,8 +74,6 @@ class SymmetricPair(Record):
     hermitian_matrix is the n x n form matrix F in the ground-field frame;
     carrier_form is the matrix actually used at the complex-carrier level
     (F itself for R and C, diag(F, F) for the quaternionic embedding).
-    The ambient algebra g = h + m is built from the h and m bases the first
-    time it is read; only check_symmetric_axioms reads it.
     """
 
     _fields = ("family", "variant", "hermitian_matrix", "carrier_form", "form", "h", "m",
@@ -98,13 +96,6 @@ class SymmetricPair(Record):
         return self.carrier_form.shape[0]
 
     @cached_property
-    def g(self) -> RealSubspace:
-        """The ambient algebra, h basis then m basis: the two row arrays
-        stacked, with the independence check of any RealSubspace."""
-        return RealSubspace.from_rows(np.vstack([self.h._mat, self.m._mat]),
-                                      self.h.shape, tol=self.tol)
-
-    @cached_property
     def sampling_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (P, P^-1) for the frame null vectors are drawn in, with
         P* F P the signature form diag(1_p, -1_q), computed once per pair."""
@@ -114,16 +105,6 @@ class SymmetricPair(Record):
         P_inv = np.linalg.inv(P)
         P.flags.writeable = P_inv.flags.writeable = False
         return P, P_inv
-
-    @cached_property
-    def omega_matrix(self) -> np.ndarray:
-        """The complex-symplectic form [[0, F], [-F, 0]] of the quaternionic
-        carrier, read-only and built once per pair."""
-        F = self.hermitian_matrix
-        Z = np.zeros_like(F)
-        Om = np.block([[Z, F], [-F, Z]])
-        Om.flags.writeable = False
-        return Om
 
     def involution(self, X: np.ndarray) -> np.ndarray:
         """Negative conjugate transpose (of each matrix of a stack); fixes h
@@ -203,7 +184,7 @@ def _rows(F: np.ndarray, x_kind: str, y_kind: str | None, drop: bool) -> np.ndar
     drop subtracts a real multiple of the largest-trace generator (each
     trace lies on one real line) on the entries it touches, and leaves it
     out.  With y_kind (H): the carrier images of X + 0 j, then of 0 + Y j
-    for y_kind, with the signed zeros quat_embed gives; other zeros are +0."""
+    for y_kind; every zero is +0."""
     n = len(F)
     N = 2 * n if y_kind else n
     perm = np.abs(F).argmax(axis=0)  # row s of G is row perm[s] of F G, times sign[s]
@@ -227,10 +208,6 @@ def _rows(F: np.ndarray, x_kind: str, y_kind: str | None, drop: bool) -> np.ndar
         k -= 1
     ky, gy, posy, valy, flipy, _ = entries(y_kind) if y_kind else (0,) * 6
     M = np.zeros((k + ky, 2 * N * N))
-    if y_kind:
-        # -0 in both parts of the top right block, in the imaginary parts below
-        blocks = M.reshape(-1, 2, n, 2, n, 2)  # block row, row, block column, column, part
-        blocks[:, 0, :, 1] = blocks[:, 1, ..., 1] = -0.0
     M[g, pos] = val
     if drop:
         M[:k, ppos] -= ratio.real[:, None] * pval
@@ -427,14 +404,16 @@ def check_symmetric_axioms(pair: SymmetricPair,
                  anchor="h and m are orthogonal for the trace form")
 
     _, sig_h = gram_signature(pair.form, pair.h)
-    _, sig_m = gram_signature(pair.form, pair.m)
+    G, sig_m = gram_signature(pair.form, pair.m)
     rep.equals(f"{label}_form_nondegenerate",
                (sig_h[2], sig_m[2]), (0, 0),
                anchor="trace form nondegenerate on both summands")
 
     # X and Y interleaved: the stack takes the normals that 20 draws of X,
-    # then Y, would take, in the same order
-    XY = pair.g.random_element(rng, size=40)
+    # then Y, would take, in the same order; each row's h coefficients come
+    # first, then its m coefficients
+    c = rng.standard_normal((40, pair.h.dim + pair.m.dim))
+    XY = pair.h.combine(c[:, :pair.h.dim]) + pair.m.combine(c[:, pair.h.dim:])
     X, Y = XY[0::2], XY[1::2]
     tX, tY = pair.involution(X), pair.involution(Y)
     worst_theta = float(np.linalg.norm(pair.involution(tX) - X, axis=(1, 2)).max())
@@ -452,7 +431,6 @@ def check_symmetric_axioms(pair: SymmetricPair,
     rep.residual(f"{label}_involution_fixes_m", worst_m, tol.abs,
                  anchor="involution maps the tangent summand to itself")
 
-    G = gram_matrix(pair.form, pair.m.basis)
     M = isotropy_matrix(pair, pair.h.random_element(rng, size=10))
     worst_inv = max(float(np.abs(np.swapaxes(M, 1, 2) @ G + G @ M).max()),
                     float(np.abs(np.trace(M, axis1=1, axis2=2)).max()))

@@ -138,7 +138,7 @@ def reductive_split(pair: SymmetricPair, b: RealSubspace | None,
         _, sig_b = gram_signature(form, b)
         if sig_b[2] > 0:
             raise ValueError("form is degenerate on b; no orthogonal complement")
-        n, _ = orth_complement(b, pair.h, form)
+        n = orth_complement(b, pair.h, form)
         if max_bracket_residual(b.basis, n, n.basis) > 1e-7:
             raise ValueError("complement is not invariant under b")
     else:

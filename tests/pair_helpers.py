@@ -1,7 +1,8 @@
 """Test-only helpers on pairs, their carrier matrices and their reductive
 splits.
 
-corrupt_pair is the negative control of the axiom checks; quat_blocks
+ambient is g = h + m as one subspace; corrupt_pair is the negative
+control of the axiom checks; quat_blocks
 reads the blocks of a quaternionic matrix off its complex image and checks
 that the image keeps the block pattern of quat_embed; ref_n_coords and
 ref_bracket_parts split a bracket along b + n with one form call per frame
@@ -16,6 +17,13 @@ from nullcone.linalg import RealSubspace, bracket, quat_embed
 from nullcone.orbits import sample_null_batch, stabilizers_of_rays
 from nullcone.pairs import SymmetricPair, build_pair
 from nullcone.reductive import reductive_split
+
+
+def ambient(pair: SymmetricPair) -> RealSubspace:
+    """g = h + m, the h rows then the m rows, with the independence check
+    of any RealSubspace."""
+    return RealSubspace.from_rows(np.vstack([pair.h._mat, pair.m._mat]), pair.h.shape,
+                                  tol=pair.tol)
 
 
 def corrupt_pair(pair: SymmetricPair) -> SymmetricPair:

@@ -13,7 +13,6 @@ import pytest
 import numpy as np
 
 import nullcone.cli as cli
-import nullcone.pairs as pairs
 from nullcone import orbits
 from nullcone.cli import SuiteConfig, main, parse_args, render_json, run
 from nullcone.pairs import Family, build_pair
@@ -347,27 +346,3 @@ def test_census_frees_each_pair_before_the_next_build(suite, monkeypatch):
     rep = run(SuiteConfig(suite=suite, p=2, q=1, trials=3))
     assert rep.ok, rep.failures()
     assert alive_at_build == [[], [False], [False, False]]
-
-
-@pytest.mark.parametrize("argv, builds_g", [
-    (["--suite", "table"], False),
-    (["--suite", "stabilizers", "--p", "6", "--q", "5", "--trials", "1"], False),
-    (["--suite", "axioms"], True),
-], ids=["table", "stabilizers_65", "axioms"])
-def test_only_the_axioms_suite_builds_the_ambient_algebra(argv, builds_g, monkeypatch):
-    # g = h + m is built the first time it is read, and only the random
-    # draws of check_symmetric_axioms read it
-    made = []
-
-    def tracked(*args, **kwargs):
-        pair = build_pair(*args, **kwargs)
-        made.append(pair)
-        return pair
-
-    # the census builds through cli, the table and axioms suites through pairs
-    monkeypatch.setattr(cli, "build_pair", tracked)
-    monkeypatch.setattr(pairs, "build_pair", tracked)
-    rep = run(parse_args(argv))
-    assert rep.ok, rep.failures()
-    assert made
-    assert all(("g" in vars(pair)) == builds_g for pair in made)

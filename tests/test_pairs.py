@@ -29,7 +29,7 @@ from nullcone.pairs import (
     formula_dims,
     isotropy_matrix,
 )
-from pair_helpers import corrupt_pair
+from pair_helpers import ambient, corrupt_pair
 from subspace_reference import kernel_of
 
 ALL_FIELDS = ("R", "C", "H")
@@ -162,15 +162,17 @@ def test_dimension_table_matches_formulas():
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_stacked_generators_match_per_matrix_loops_bit_for_bit(field):
-    # tobytes, not a tolerance: every entry is exact, so every bit, the sign
-    # of each zero included, must match the per-matrix construction
+    # tobytes, not a tolerance: every entry is exact, so every bit must match
+    # the per-matrix construction with its zeros unsigned (+ 0.0 maps the
+    # -0 of quat_embed's -Y and conjugates to +0), and no stored zero is -0
     cases = [(fam, "standard") for fam in default_families(2, 8) if fam.field == field]
     cases.append((Family(field, 2, 1), "canonical-T"))
     for fam, variant in cases:
         pair = build_pair(fam, variant)
         h, m = ref_generators(fam, variant)
-        for got, ref in ((pair.h, h), (pair.m, m), (pair.g, h + m)):
-            assert got._mat.tobytes() == RealSubspace(ref)._mat.tobytes(), (fam, variant)
+        for got, ref in ((pair.h, h), (pair.m, m)):
+            assert got._mat.tobytes() == (RealSubspace(ref)._mat + 0.0).tobytes(), (fam, variant)
+            assert not np.signbit(got._mat[got._mat == 0]).any(), (fam, variant)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -183,7 +185,7 @@ def test_support_split_matches_the_full_factorization(field):
         if fam.field != field:
             continue
         pair = build_pair(fam)
-        for space in (pair.h, pair.m, pair.g):
+        for space in (pair.h, pair.m, ambient(pair)):
             block, support = space._block, space._support
             M = space._mat.T  # column i is realify of basis matrix i
             G = M.T @ M
@@ -303,17 +305,17 @@ def test_axiom_report_special_variant(field):
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_build_pair_leaves_the_ambient_algebra_unbuilt(field):
+    # a pair is F and its two bases: no g = h + m and no Omega is built
     pair = build_pair(Family(field, 2, 1))
-    assert "g" not in vars(pair)
-    assert pair.g.dim == pair.h.dim + pair.m.dim
-    assert "g" in vars(pair)
+    assert not hasattr(pair, "g") and not hasattr(pair, "omega_matrix")
+    assert set(vars(pair)) == set(pair._fields)
 
 
 def test_corrupted_pair_fails_axioms():
     pair = build_pair(Family("C", 2, 1))
     bad = corrupt_pair(pair)
     # moving a generator between h and m leaves their sum where it was
-    assert bad.g.equals(pair.g)
+    assert ambient(bad).equals(ambient(pair))
     rep = check_symmetric_axioms(bad, rng=np.random.default_rng(14))
     assert rep.n_fail > 0
 
@@ -352,23 +354,46 @@ def test_axiom_residuals_match_pairwise_loops(field, pq):
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @pytest.mark.parametrize("pq", SIZES)
 def test_stacked_layer_matches_pairwise_loops(field, pq):
-    pair = build_pair(Family(field, *pq))
-    rng = np.random.default_rng(18)
-    for _ in range(3):
-        X = pair.h.random_element(rng)
-        assert_allclose(isotropy_matrix(pair, X), ref_isotropy_matrix(pair, X),
-                        rtol=0, atol=1e-12)
-    # h is closed under the bracket, m is not
-    for space in (pair.h, pair.m):
-        c, closed = structure_constants(space)
-        c_ref, closed_ref = ref_structure_constants(space)
-        assert closed == closed_ref == (space is pair.h)
-        assert_allclose(c, c_ref, rtol=0, atol=1e-12)
-    rebased = RealSubspace.span(pair.h.basis[::-1])
-    wrong = corrupt_pair(pair).h
-    for a, b, same in ((pair.h, rebased, True), (pair.h, wrong, False),
-                       (pair.m, pair.m, True), (pair.h, pair.m, False)):
-        assert a.equals(b) == ref_equals(a, b) == same
+    # at (2, 1) the canonical-T pair too, whose isotropy constants are not
+    # all integers (test_isotropy_constants_of_the_stored_bases)
+    variants = ("standard", "canonical-T") if pq == (2, 1) else ("standard",)
+    for variant in variants:
+        pair = build_pair(Family(field, *pq), variant)
+        rng = np.random.default_rng(18)
+        for _ in range(3):
+            X = pair.h.random_element(rng)
+            assert_allclose(isotropy_matrix(pair, X), ref_isotropy_matrix(pair, X),
+                            rtol=0, atol=1e-12)
+        # h is closed under the bracket, m is not
+        for space in (pair.h, pair.m):
+            c, closed = structure_constants(space)
+            c_ref, closed_ref = ref_structure_constants(space)
+            assert closed == closed_ref == (space is pair.h)
+            assert_allclose(c, c_ref, rtol=0, atol=1e-12)
+        rebased = RealSubspace.span(pair.h.basis[::-1])
+        wrong = corrupt_pair(pair).h
+        for a, b, same in ((pair.h, rebased, True), (pair.h, wrong, False),
+                           (pair.m, pair.m, True), (pair.h, pair.m, False)):
+            assert a.equals(b) == ref_equals(a, b) == same, variant
+
+
+def test_isotropy_constants_of_the_stored_bases():
+    # the coordinates of [h_a, m_i] in the stored m basis are 0, +-1 or +-2
+    # on every standard pair with 3 <= n <= 5; the canonical-T (2, 1) pairs
+    # also take +-3/2
+    integers = {0.0, 1.0, -1.0, 2.0, -2.0}
+    cases = [(fam, "standard") for fam in default_families(3, 5)]
+    cases += [(Family(field, 2, 1), "canonical-T") for field in ALL_FIELDS]
+    for fam, variant in cases:
+        pair = build_pair(fam, variant)
+        M = isotropy_matrix(pair, pair.h.basis)
+        halves = np.round(2 * M) / 2
+        assert np.abs(M - halves).max() <= 1e-12, (fam, variant)
+        values = set(np.unique(halves).tolist())
+        if variant == "standard":
+            assert values <= integers, (fam, values)
+        else:
+            assert values == integers | {1.5, -1.5}, (fam, values)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -455,13 +480,14 @@ def test_stacked_axiom_draws_take_the_normals_of_the_interleaved_loop(monkeypatc
     pair = build_pair(Family("C", 3, 2))
     rng = np.random.default_rng(21)
     ref = copy.deepcopy(rng)
-    XY = pair.g.random_element(rng, size=40)
+    g = ambient(pair)
+    XY = g.random_element(rng, size=40)
     # the former loop drew X, then Y, twenty times
     normals = []
     for _ in range(20):
-        normals += [ref.standard_normal(pair.g.dim), ref.standard_normal(pair.g.dim)]
+        normals += [ref.standard_normal(g.dim), ref.standard_normal(g.dim)]
     # so rows 0::2 of the stack are the X draws and rows 1::2 the Y draws
-    assert_array_equal(XY, pair.g.combine(np.stack(normals)))
+    assert_array_equal(XY, g.combine(np.stack(normals)))
     assert rng.bit_generator.state == ref.bit_generator.state
     # the check pairs X_t with Y_t, draw by draw.  The true involution is an
     # automorphism up to rounding, which can read exactly 0 on some BLAS
@@ -483,7 +509,7 @@ def test_stacked_axiom_draws_take_the_normals_of_the_interleaved_loop(monkeypatc
     rng, ref = np.random.default_rng(22), np.random.default_rng(22)
     check_symmetric_axioms(pair, rng=rng)
     for _ in range(40):
-        ref.standard_normal(pair.g.dim)
+        ref.standard_normal(g.dim)
     for _ in range(10):
         ref.standard_normal(pair.h.dim)
     assert rng.bit_generator.state == ref.bit_generator.state

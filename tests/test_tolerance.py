@@ -180,7 +180,7 @@ def test_subspace_helpers_read_the_tolerance_their_subspaces_carry(monkeypatch):
     sx, sy, sz = (np.array(m, dtype=complex) for m in
                   ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
     su2 = linalg.RealSubspace([1j * sx, 1j * sy, 1j * sz], tol=fine)
-    comp, _ = linalg.orth_complement(linalg.RealSubspace([1j * sz]), su2, form)
+    comp = linalg.orth_complement(linalg.RealSubspace([1j * sz]), su2, form)
     assert comp.dim == 2 and comp.tol is fine
     assert linalg.algebra_profile(su2) == (3, (0, 3, 0), 0, 3)
     assert seen and all(t is fine for t in seen)
