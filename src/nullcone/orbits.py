@@ -3,14 +3,17 @@
 A null vector is S in m with K(S, S) = 0.  Generic samples are produced
 with a prescribed spectrum in a convenient frame and moved to the pair's
 frame by a form congruence plus a random isotropy conjugation (by a
-Cayley element, one stacked solve); the real family stays float64.  Ray
-stabilizers have two routes.  The SVD route (stabilizers_of_rays) takes
+Cayley element A, one stacked solve, inverted as F A* F); the real
+family stays float64.  Ray stabilizers have two routes.  The SVD route (stabilizers_of_rays) takes
 kernels of a joint linear system (the commutator may scale S along the
 ray, so the scaling coefficient is solved for, not assumed to vanish).
 Every column of that system lies in m, so it is written in the
 orthonormal frame of m (RealSubspace.frame): dim m rows instead of 2 N^2,
 with the singular values of the full system up to one common factor, so
-the relative rank cuts are unchanged.  The same frame answers membership
+the relative rank cuts are unchanged.  A stack of at most dim m rays is
+bracketed; a larger one is contracted, its frame coordinates times the
+systems of the frame's columns (SymmetricPair.stabilizer_table), a table
+smaller than the stack's own systems.  The same frame answers membership
 in m (RealSubspace.residual).  The commutant route
 (stabilizers_by_commutant) holds for generic rays only: a ray that is
 scaled by its stabilizer is nilpotent, so a generic ray's stabilizer is
@@ -50,14 +53,17 @@ spectrum and the eigenvector columns it was built from, and any other
 stack gets them from one stacked eig.  Either way the certificate takes
 the residual R = S V - V Lam and the Bauer-Fike radius
 |V|_F |V^-1|_F^2 |R|_F: every eigenvalue of S lies within it of a claimed
-one.  A row is generic when every column fits its value and the gap
-clears the gap rule and twice the radius.  A nilpotent ray has a nearly
+one.  A draw supplies V^-1 = V0^-1 A^-1 as well (V0 shared by the draw,
+A^-1 = F A* F), and only a stack without it is inverted.  A row is
+generic when every column fits its value and the gap clears the gap rule
+and twice the radius.  A nilpotent ray has a nearly
 singular eigenbasis, so its radius is what keeps it out.  The NullBatch
 is the one spectral record of its rays: the ordered eigenpairs, the V^-1
 the radius took and the corner size.  The partners, the normal form and
 the commutant route read them there (for H the normal form takes each
 eigenplane from its cluster's two columns): no drawn ray is eigen-solved
-and no eigenbasis inverted twice.  (R, 2, 1) strata draws are plain stacks.
+or inverted, and no eigenbasis is inverted twice.  (R, 2, 1) strata
+draws are plain stacks.
 Both stabilizer routes return the same RayStabilizers: per ray, a stack of
 matrices and their ray coefficients.  The kernels take whatever stack they
 are given; callers that walk many rays cut them with trial_blocks, which
@@ -82,7 +88,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, RealSubspace, Tolerance, quat_embed, relative_rank, svd_rank
+from .linalg import (DEFAULT_TOL, RealSubspace, Tolerance, quat_embed, realify, relative_rank,
+                     svd_rank)
 from .pairs import SymmetricPair, t_form
 from .report import Report
 
@@ -196,11 +203,12 @@ def _ray_bytes(pair: SymmetricPair, commutant: bool) -> int:
     and the route's largest phase, d the generic stabilizer dimension and
     c = dim h + 1.  Commutant: the projector of side dim C(S) and its
     factors, or five (d, N, N) basis and residual stacks.  SVD: the bracket
-    stacks of all of h and the projected systems (a census block at (2, 1)
-    or (3, 2) brackets h in one run, _generator_step), three dim m x c
-    systems and two c x c V, or V and four (d, N, N) kernel-basis stacks.
-    _stabilizer_system projects with views of m's frame and brackets views
-    of h's stored rows, so it copies neither, per ray or per call."""
+    stacks of all of h and the projected systems (a bound: a block of more
+    rays than dim m is contracted with the pair's table, no larger than its
+    systems, and brackets nothing), three dim m x c systems and two c x c V,
+    or V and four (d, N, N) kernel-basis stacks.  _stabilizer_system
+    projects with views of m's frame and brackets views of h's stored rows,
+    so it copies neither, per ray or per call."""
     field = pair.family.field
     N, d = pair.carrier_dim, EXPECTED_STAB_DIM[field](pair.family.n)
     own = 16 * 12 * N * N
@@ -275,24 +283,26 @@ def _inverses(V: np.ndarray) -> np.ndarray:
         return np.concatenate([_inverses(v[None]) for v in V])
 
 
-def _eigen_certificate(S: np.ndarray, lam: np.ndarray, V: np.ndarray):
+def _eigen_certificate(S: np.ndarray, lam: np.ndarray, V: np.ndarray, Vinv=None):
     """Check claimed eigenpairs of a stack S (k, N, N): values lam (k, N)
-    and columns V (k, N, N), column i for value i.
+    and columns V (k, N, N), column i for value i, with V^-1 if it is known.
 
     Returns (fits, radius, V^-1): fits[i] says every column solves
     |S v - lam v| <= EIGEN_RESIDUAL |S|_F |v|.  With R = S V - V Lam,
     S = V Lam V^-1 + R V^-1, so by Bauer-Fike every eigenvalue of S lies
     within kappa_2(V) |R V^-1|_2 of a claimed one, which radius
     |V|_F |V^-1|_F^2 |R|_F bounds; it is inf where V is singular
-    (_inverses).  A nilpotent S has a nearly singular eigenbasis, so its
-    radius exceeds the gap of its computed values.
+    (_inverses, taken only when V^-1 is not given).  A nilpotent S has a
+    nearly singular eigenbasis, so its radius exceeds the gap of its
+    computed values.
     """
     R = S @ V
     R -= V * lam[:, None, :]
     cols = np.linalg.norm(V, axis=1)
     fits = (np.linalg.norm(R, axis=1)
             <= EIGEN_RESIDUAL * np.linalg.norm(S, axis=(1, 2))[:, None] * cols).all(axis=1)
-    Vinv = _inverses(V)
+    if Vinv is None:
+        Vinv = _inverses(V)
     with np.errstate(over="ignore", invalid="ignore"):  # a singular V reads inf
         radius = (np.linalg.norm(cols, axis=1) * np.linalg.norm(R, axis=(1, 2))
                   * np.linalg.norm(Vinv, axis=(1, 2)) ** 2)
@@ -338,17 +348,18 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch
 
     Raises if a row is not in the tangent summand (require_tangent, which
     also holds it traceless).  The eigenpairs come from eigen = (values,
-    vectors), laid out as NullBatch.eigenvalues and NullBatch.vectors (a
-    draw supplies the ones it was built from), or, when it is None, from
-    one stacked eig, whose doubled H spectrum is paired by nearest values
+    vectors) or (values, vectors, V^-1), laid out as NullBatch.eigenvalues,
+    NullBatch.vectors and NullBatch.inverse (a draw supplies the ones it
+    was built from and their inverse), or, when it is None, from one
+    stacked eig, whose doubled H spectrum is paired by nearest values
     (_doubled_pairs).
     The pairs are put in the batch's order (_spectral_order), which also
     gives the corner size, and then pass one certificate
-    (_eigen_certificate), whose V^-1 the batch keeps: a row is generic when
-    every column fits its value, the lower values match the upper ones in
-    number, the gap exceeds GAP_FACTOR * tol.abs and twice the Bauer-Fike
-    radius, and, for H, the two values of each cluster lie within
-    1e-6 max(1, |S|_F).  A real stack of the real family stays float64, so
+    (_eigen_certificate), which inverts V unless it was given and whose
+    V^-1 the batch keeps: a row is generic when every column fits its
+    value, the lower values match the upper ones in number, the gap exceeds
+    GAP_FACTOR * tol.abs and twice the Bauer-Fike radius, and, for H, the
+    two values of each cluster lie within 1e-6 max(1, |S|_F).  A real stack of the real family stays float64, so
     eig runs in real LAPACK; every other stack is taken as complex128.
     """
     S = np.asarray(S)
@@ -358,6 +369,7 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch
     scale = require_tangent(pair, S)
     nullity = np.abs(pair.form(S, S))
     quaternionic = pair.family.field == "H"
+    known = []  # V^-1, when eigen supplies it
     if eigen is None:
         lam, V = np.linalg.eig(S)  # both real for an all-real spectrum
         lam, V = lam.astype(complex, copy=False), V.astype(complex, copy=False)
@@ -366,7 +378,7 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch
             lam = np.take_along_axis(lam, cols, axis=1)
             V = np.take_along_axis(V, cols[:, None, :], axis=2)
     else:
-        vals, V = (np.asarray(a, dtype=complex) for a in eigen)
+        vals, V, *known = (np.asarray(a, dtype=complex) for a in eigen)
         lam = np.repeat(vals, 2, axis=1) if quaternionic else vals
     if quaternionic:
         vals = 0.5 * (lam[:, 0::2] + lam[:, 1::2])
@@ -380,7 +392,9 @@ def make_null_batch(pair: SymmetricPair, S: np.ndarray, eigen=None) -> NullBatch
     if quaternionic:
         cols = (2 * order[..., None] + np.arange(2)).reshape(k, -1)
     lam, V = np.take_along_axis(lam, cols, axis=1), np.take_along_axis(V, cols[:, None, :], axis=2)
-    fits, radius, Vinv = _eigen_certificate(S, lam, V)
+    if known:  # the rows of V^-1 follow the columns of V
+        known = [np.take_along_axis(known[0], cols[:, :, None], axis=1)]
+    fits, radius, Vinv = _eigen_certificate(S, lam, V, *known)
     generic &= fits & paired & (gap > GAP_FACTOR * pair.tol.abs) & (gap > 2 * radius)
     return NullBatch(S, vals, V, Vinv, generic, nullity, gap, corner)
 
@@ -476,13 +490,14 @@ def cayley(pair: SymmetricPair, Z: np.ndarray) -> np.ndarray:
 def _isotropy_conjugate(pair: SymmetricPair, S: np.ndarray, rng: np.random.Generator):
     """Conjugate each S_i by the Cayley element A_i (cayley) of a random
     isotropy element Z_i with norm <= 1: one stacked solve builds every
-    A_i, an isotropy element, and one more gives A_i S_i A_i^-1.  Returns
-    (A S A^-1, A); a real stack of the real family stays float64."""
+    A_i, and A_i* F A_i = F gives its inverse F A_i* F (F the carrier
+    form), so A_i S_i A_i^-1 is two products.  Returns
+    (A S A^-1, A, A^-1); a real stack of the real family stays float64."""
     k = S.shape[0]
     A = cayley(pair, pair.h.random_element(rng, norm=rng.uniform(0.2, 1.0, k), size=k))
-    # S -> A S A^{-1} via a solve, avoiding an explicit inverse
-    AS = A @ S
-    return np.linalg.solve(A.transpose(0, 2, 1), AS.transpose(0, 2, 1)).transpose(0, 2, 1), A
+    F = pair.carrier_form.real  # real for every form, so R stays float64
+    A_inv = F @ _adjoint(A) @ F
+    return A @ S @ A_inv, A, A_inv
 
 
 def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
@@ -490,11 +505,13 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
 
     The draws take their spectra at once, move them by the pair's
     sampling congruence (computed once per pair), conjugate them by random
-    Cayley elements A of the isotropy group (_isotropy_conjugate: two
-    stacked solves, no exponential), and are certified by make_null_batch
-    from the eigenpairs they are built from (_framed_null_stack), whose
-    columns A V0 are one product away: no draw is eigen-solved.  Draws of
-    the real family stay float64 throughout.
+    Cayley elements A of the isotropy group (_isotropy_conjugate: one
+    stacked solve and the inverse F A* F, no exponential), and are
+    certified by make_null_batch from the eigenpairs they are built from
+    (_framed_null_stack), whose columns A V0 are one product away, and
+    their inverse V0^-1 A^-1, one N x N inverse per round for the V0 all
+    its draws share: no draw is eigen-solved or inverted.  Draws of the
+    real family stay float64 throughout.
     Rows that fail the genericity or nullity rule are redrawn, at
     most SAMPLE_ROUNDS rounds in all.
     """
@@ -506,8 +523,8 @@ def sample_null_batch(pair: SymmetricPair, k: int, rng=0) -> NullBatch:
     parts, need = [], k
     for _ in range(SAMPLE_ROUNDS):
         S, vals, V0 = _framed_null_stack(pair, need, rng)
-        S, A = _isotropy_conjugate(pair, S, rng)
-        batch = make_null_batch(pair, S, (vals, A @ V0))
+        S, A, A_inv = _isotropy_conjugate(pair, S, rng)
+        batch = make_null_batch(pair, S, (vals, A @ V0, np.linalg.inv(V0) @ A_inv))
         ok = batch.genericity & (batch.nullity_residual < 1e-8)
         parts.append(batch.take(ok))
         need -= int(ok.sum())
@@ -527,8 +544,8 @@ def _generator_step(pair: SymmetricPair, k: int) -> int:
     generator, k rays' two bracket stacks (rows real numbers each, as in
     _ray_bytes) and their projections onto m, and the generator itself as
     three (N, N) complex copies: a run is a view of h's stored rows, so two
-    are made (its top rows, side by side) and one is slack.  A census block
-    at (2, 1) or (3, 2) takes all of h in one run."""
+    are made (its top rows, side by side) and one is slack.  At (2, 1) the
+    table of the frame of m (dim m rays) takes all of h in one run."""
     N, field = pair.carrier_dim, pair.family.field
     rows = 2 * N * N if field == "C" else N * N
     return max(1, BLOCK_BYTES // (8 * (k * (2 * rows + pair.m.dim) + 6 * N * N)))
@@ -556,12 +573,22 @@ def _stabilizer_system(pair: SymmetricPair, S: np.ndarray) -> np.ndarray:
     system (8 k dim m (dim h + 1) bytes) the call holds one run's arrays,
     within BLOCK_BYTES.  An entry is the same sum in any run; only the BLAS
     kernel a shorter product takes may round it differently.
+
+    A stack of more rays than dim m is contracted instead, as the system is
+    linear in S: the rays' frame coordinates times the systems of the
+    frame's columns (SymmetricPair.stabilizer_table, built once by the runs
+    above), a table smaller than the stack's system.  This brackets S's
+    projection on m: census rays are certified members of m and partners
+    are projected onto it.
     """
     S = np.asarray(S, dtype=complex)
+    k, N = S.shape[:2]
+    if k > pair.m.dim:  # the table views rows (dim m, dim h + 1, dim m) transposed
+        flat = pair.stabilizer_table.transpose(0, 2, 1).reshape(pair.m.dim, -1)
+        return (realify(S) @ pair.m.frame @ flat).reshape(k, -1, pair.m.dim).transpose(0, 2, 1)
     field = pair.family.field
     if field == "R":
         S = S.real
-    k, N = S.shape[:2]
     top = pair.family.n if field == "H" else N
     t = top * N
     # the frame rows of the first t entries; for R their real parts alone

@@ -28,6 +28,7 @@ from .linalg import (
     gram_matrix,
     gram_signature,
     max_bracket_residual,
+    unrealify,
 )
 from .report import Record, Report
 
@@ -105,6 +106,15 @@ class SymmetricPair(Record):
         P_inv = np.linalg.inv(P)
         P.flags.writeable = P_inv.flags.writeable = False
         return P, P_inv
+
+    @cached_property
+    def stabilizer_table(self) -> np.ndarray:
+        """Read-only stabilizer systems (dim m, dim m, dim h + 1) of the
+        columns of m's frame (orbits._stabilizer_system), built once per pair."""
+        from .orbits import _stabilizer_system  # orbits imports this module
+        T = _stabilizer_system(self, unrealify(self.m.frame.T, self.m.shape))
+        T.flags.writeable = False
+        return T
 
     def involution(self, X: np.ndarray) -> np.ndarray:
         """Negative conjugate transpose (of each matrix of a stack); fixes h

@@ -1162,6 +1162,54 @@ def test_runs_of_generators_change_no_system(field, pq, monkeypatch):
     assert np.shares_memory(pair.h.basis, pair.h._mat)
 
 
+CONTRACTION_CASES = ([(field, pq, "standard") for field in "RCH"
+                      for pq in [(2, 1), (1, 2), (2, 2), (3, 2)]]
+                     + [(field, (2, 1), "canonical-T") for field in "RCH"])
+
+
+@pytest.mark.parametrize("field,pq,variant", CONTRACTION_CASES)
+def test_stacks_of_more_rays_than_dim_m_are_contracted(field, pq, variant):
+    # a stack of more rays than dim m is its m-coordinates times the table
+    # of m's basis systems; in stacks of at most dim m rays the same rays
+    # take the bracket runs.  Draws, their projected partners and, at
+    # R(2, 1), nilpotent rays with nontrivial stabilizers
+    pair = build_pair(Family(field, *pq), variant)
+    dm = pair.m.dim
+    batch = sample_null_batch(pair, dm + 3, rng=50)
+    S = np.concatenate([batch.S.astype(complex), partner_null_batch(pair, batch)[0]])
+    if (field, pq) == ("R", (2, 1)):
+        S = np.concatenate([S, *(sample_so21_stratum_batch(pair, name, 3, rng=50)
+                                 for name in STRATA[1:])])
+    runs = [slice(i, i + dm) for i in range(0, len(S), dm)]
+    assert "stabilizer_table" not in vars(pair)
+    ref = np.concatenate([orbits._stabilizer_system(pair, S[run]) for run in runs])
+    assert "stabilizer_table" not in vars(pair)
+    A = orbits._stabilizer_system(pair, S)
+    T = pair.stabilizer_table
+    assert T.shape == (dm, dm, pair.h.dim + 1) and not T.flags.writeable
+    assert T.nbytes <= A.nbytes  # never larger than the stack's own system
+    assert A.shape == ref.shape
+    worst = np.abs(A - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert worst.max() <= 1e-13
+    assert np.array_equal(svd_rank(A, pair.tol)[0], svd_rank(ref, pair.tol)[0])
+    dims = stabilizers_of_rays(pair, S).dims
+    assert np.array_equal(dims, np.concatenate([stabilizers_of_rays(pair, S[run]).dims
+                                                for run in runs]))
+    if (field, pq) == ("R", (2, 1)):
+        assert dims[-6:].tolist() == [1, 1, 1, 2, 2, 2]
+    # the table is built once per pair
+    orbits._stabilizer_system(pair, S)
+    assert pair.stabilizer_table is T
+
+
+def test_single_ray_stacks_build_no_table():
+    # scaling's (6, 5) census solves one ray per block: it keeps the bracket runs
+    pair = build_pair(Family("H", 6, 5))
+    rep = stabilizers_report(pair, 4)
+    assert all(c.status == "pass" for c in rep.checks)
+    assert "stabilizer_table" not in vars(pair)
+
+
 # ---------------------------------------------------------------------------
 # per-pair sampling frames and stacked strata labels
 # ---------------------------------------------------------------------------
@@ -1380,7 +1428,9 @@ def test_tall_systems_take_kernel_vectors_only_where_a_row_has_one(monkeypatch):
     monkeypatch.setattr(orbits, "_stabilizer_system",
                         lambda pair, S: systems.append(len(S)) or system(pair, S))
     dims, dims_hat, theta = ray_stabilizer_mismatch(pair, batch.S, partners)
-    assert calls == [False, False] and systems == [20, 20]
+    # the first stack of more than dim m = 5 rays builds the pair's table of
+    # m's basis systems, once, and both stacks are contracted with it
+    assert calls == [False, False] and systems == [20, 5, 20]
     assert not dims.any() and not dims_hat.any() and not theta.any()
     calls.clear(), systems.clear()
     dims, dims_hat, theta = ray_stabilizer_mismatch(pair, mixed, mixed)
@@ -1482,8 +1532,9 @@ def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
     # stabilizers (both routes) and orbits (partners, normal forms, strata):
     # a draw is certified from the eigenpairs it was built from, and the
     # R(2, 1) strata stacks are classified without a certificate, so a
-    # census makes no eig.  orbits inverts each certified stack's
-    # eigenbases once, in make_null_batch, and makes no other inverse
+    # census makes no eig.  A draw comes with the inverse of its eigenbasis
+    # too, V0^-1 A^-1 with A^-1 = F A* F: orbits inverts one (N, N) matrix
+    # per certified stack, the draws' shared V0, and no stack
     pair = build_pair(Family(field, 2, 1))
     inv, certify = np.linalg.inv, orbits.make_null_batch
     supplied, inverses = [], []
@@ -1492,12 +1543,12 @@ def test_census_eigen_solves_each_certified_stack_once(field, monkeypatch):
         raise AssertionError("a census eigen-solved a stack")
 
     def counted_certify(pair, S, eigen=None):
-        supplied.append(eigen is not None)
+        supplied.append(eigen is not None and len(eigen) == 3)
         return certify(pair, S, eigen)
 
     def counted_inv(a):
         if sys._getframe(1).f_globals["__name__"] == orbits.__name__:
-            inverses.append(a.shape[-2:])
+            inverses.append(a.shape)
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "eig", forbidden)
@@ -1552,7 +1603,7 @@ def drawn_eigenpairs(pair, k, seed):
     takes them: (S, values, vectors)."""
     rng = np.random.default_rng(seed)
     S, vals, V0 = orbits._framed_null_stack(pair, k, rng)
-    S, A = orbits._isotropy_conjugate(pair, S, rng)
+    S, A, _ = orbits._isotropy_conjugate(pair, S, rng)
     return S, vals, A @ V0
 
 
@@ -1725,6 +1776,44 @@ def test_cayley_elements_of_isotropy_preserve_carrier_form(field, pq, seed):
         quat_blocks(A)  # asserts that each matrix of A keeps the quaternionic pattern
 
 
+GROUP_CASES = ([(field, pq, "standard") for field in "RCH" for pq in [(2, 1), (1, 3), (3, 2)]]
+               + [(field, (2, 1), "canonical-T") for field in "RCH"])
+
+
+@pytest.mark.parametrize("field,pq,variant", GROUP_CASES)
+def test_draws_are_inverted_by_the_group_identity(field, pq, variant, monkeypatch):
+    # A* F A = F gives A^-1 = F A* F, so a conjugation is two products and a
+    # draw hands make_null_batch V^-1 = V0^-1 A^-1 with its eigenpairs; the
+    # certificate inverts only the stacks that come without an inverse
+    pair = build_pair(Family(field, *pq), variant)
+    N = pair.carrier_dim
+    rng = np.random.default_rng(51)
+    S0, _, _ = orbits._framed_null_stack(pair, 8, rng)
+    S, A, A_inv = orbits._isotropy_conjugate(pair, S0, rng)
+    orbits.require_tangent(pair, S)  # raises unless every conjugated ray is in m
+    assert np.abs(A @ A_inv - np.eye(N)).max() <= 1e-12
+    scale = np.linalg.norm(S0, axis=(1, 2))[:, None, None]
+    assert (np.abs(S - np.linalg.solve(A.transpose(0, 2, 1), (A @ S0).transpose(0, 2, 1))
+                   .transpose(0, 2, 1)) <= 1e-12 * scale).all()
+    inverted, inverses = [], orbits._inverses
+    monkeypatch.setattr(orbits, "_inverses", lambda V: inverted.append(len(V)) or inverses(V))
+    batch = sample_null_batch(pair, 12, rng=52)
+    assert batch.genericity.all() and not inverted
+    V, V_inv = batch.vectors, batch.inverse
+    ref = inverses(V)
+    assert (np.linalg.norm(V_inv - ref, axis=(1, 2))
+            <= 1e-12 * np.linalg.norm(ref, axis=(1, 2))).all()
+    assert (np.linalg.norm(V @ V_inv - np.eye(N), axis=(1, 2)) <= 1e-12).all()
+    # a stack without eigenpairs, or with its eigenpairs alone, is inverted
+    solved = make_null_batch(pair, batch.S)
+    pairs_only = make_null_batch(pair, batch.S, (batch.eigenvalues, batch.vectors))
+    assert inverted == [12, 12]
+    assert solved.genericity.all() and pairs_only.genericity.all()
+    assert (np.linalg.norm(solved.vectors @ solved.inverse - np.eye(N), axis=(1, 2))
+            <= 1e-12).all()
+    assert np.array_equal(pairs_only.inverse, ref)
+
+
 def test_draws_make_no_exponential(monkeypatch):
     def boom(*args):
         raise AssertionError("a draw called expm")
@@ -1745,8 +1834,8 @@ def test_real_draws_stay_float64(stratum):
     rng = np.random.default_rng(3)
     S, vals, V0 = orbits._framed_null_stack(pair, 6, rng)
     assert S.dtype == np.float64 and vals.shape == (6, 3) and V0.shape == (3, 3)
-    S, A = orbits._isotropy_conjugate(pair, S, rng)
-    assert S.dtype == A.dtype == np.float64
+    S, A, A_inv = orbits._isotropy_conjugate(pair, S, rng)
+    assert S.dtype == A.dtype == A_inv.dtype == np.float64
     S = sample_so21_stratum_batch(pair, stratum, 40, rng=4)
     assert S.dtype == np.float64
     # the open stratum is the stack of sample_null_batch; a nilpotent stack
